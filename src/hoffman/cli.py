@@ -9,16 +9,18 @@ bound, 1 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
-from .errors import UncertifiedRangeError, VacuousBoundError
+from .errors import ConvergenceError, UncertifiedRangeError, VacuousBoundError
 from .euclidean import (
-    chromatic_bound_euclidean,
-    density_bound,
+    chromatic_from_extrema,
+    density_from_extrema,
     global_extrema,
     optimize_radial_measure,
     radial_measure_from_json,
@@ -109,6 +111,14 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own matcher has no exponent, so "-4.5e-05" would be
+        # taken for an option rather than a value
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"
+        )
+
     # argparse exits with status 2 on bad flags; the contract here is 1
     def error(self, message):
         raise _UsageError(message)
@@ -202,9 +212,9 @@ def _cmd_unit_distance(cfg: RunConfig, args) -> dict:
 def _cmd_euclidean(cfg: RunConfig, args) -> dict:
     mu = radial_measure_from_json(_load_json_file(args.measure))
     ext = global_extrema(mu, cfg.tolerance)
-    bounds = {"chi_lb": chromatic_bound_euclidean(mu, cfg.tolerance).as_dict()}
+    bounds = {"chi_lb": chromatic_from_extrema(ext).as_dict()}
     if all(w >= 0.0 for _, w in mu.atoms):
-        bounds["alpha_ratio_ub"] = density_bound(mu, cfg.tolerance).as_dict()
+        bounds["alpha_ratio_ub"] = density_from_extrema(mu, ext).as_dict()
     return {
         "measure": radial_measure_to_json(mu),
         "bounds": bounds,
@@ -219,7 +229,7 @@ def _cmd_euclidean(cfg: RunConfig, args) -> dict:
 def _cmd_odd_distance(cfg: RunConfig, args) -> dict:
     mu = steinhardt_measure(args.beta, args.terms)
     ext = global_extrema(mu, cfg.tolerance)
-    rep = chromatic_bound_euclidean(mu, cfg.tolerance)
+    rep = chromatic_from_extrema(ext)
     return {
         "beta": float(args.beta),
         "terms": int(args.terms),
@@ -312,7 +322,9 @@ def _cmd_torus(cfg: RunConfig, args) -> dict | str:
     }
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on first use and shared by every run()."""
     p = _Parser(prog="hoffman", description="Spectral bounds for distance graphs.")
     sub = p.add_subparsers(dest="subcommand")
 
@@ -384,9 +396,8 @@ def _thread_cap() -> int | None:
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _parser().parse_args(list(argv))
         if args.subcommand is None:
             raise _UsageError("a subcommand is required")
         threads = _thread_cap()
@@ -438,7 +449,7 @@ def run(argv) -> int:
             file=sys.stderr,
         )
         return 1
-    except (ValueError, OSError) as exc:
+    except (ConvergenceError, ValueError, OSError) as exc:
         print(f"hoffman: {exc}", file=sys.stderr)
         return 1
 

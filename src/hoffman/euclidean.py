@@ -22,6 +22,9 @@ from .specfun import bessel_first_zero, omega
 _POINTS_PER_PERIOD = 40
 _LP_GRID = 512
 _REFINE_ITERS = 70
+_BLOCK_ELEMENTS = 1 << 14  # atoms x points per omega call
+# (first-window points) x (active atoms) above which a scan is refused
+_SCAN_BUDGET = 1e8
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -92,14 +95,24 @@ def radial_measure_from_json(obj) -> RadialMeasure:
 
 
 def fourier_radial(mu: RadialMeasure, r):
-    """nuhat(r) = sum_i w_i Omega_n(d_i r); equals the total mass at r = 0."""
+    """nuhat(r) = sum_i w_i Omega_n(d_i r); equals the total mass at r = 0.
+
+    Omega_n is evaluated on the (active atoms x points) block in column
+    blocks of at most _BLOCK_ELEMENTS elements, so one call covers many
+    points while memory stays bounded for measures with many atoms.
+    """
     arr = np.asarray(r, dtype=float)
     scalar = arr.ndim == 0
-    rv = np.atleast_1d(arr).astype(float)
+    rv = np.atleast_1d(arr).astype(float).ravel()
+    w = mu.weights()
+    d, w = mu.radii()[w != 0.0], w[w != 0.0]
     out = np.zeros_like(rv)
-    for radius, weight in mu.atoms:
-        if weight != 0.0:
-            out += weight * omega(mu.dim, radius * rv)
+    if d.size:
+        cols = max(1, _BLOCK_ELEMENTS // d.size)
+        for s in range(0, rv.size, cols):
+            block = omega(mu.dim, np.outer(d, rv[s : s + cols]))
+            # summed row by row, in atom order
+            out[s : s + cols] = np.sum(w[:, None] * block, axis=0)
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
@@ -124,28 +137,38 @@ def _float_gcd(values, rel_tol: float = 1e-9) -> float:
     return g
 
 
-def _refine(f, lo: float, hi: float, minimize: bool) -> tuple[float, float]:
-    """Golden-section search on [lo, hi]; returns (arg, value)."""
-    sign = 1.0 if minimize else -1.0
+def _refine(f, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray):
+    """Golden-section search on every bracket [lo_k, hi_k] at once.
+
+    Minimizes sign_k * f on bracket k (sign +1 for a low, -1 for a high) with
+    the scalar algorithm applied element-wise, so each iteration evaluates f
+    once, on one vector holding every bracket's new point.  Returns
+    (args, values) with values in the unsigned scale of f.
+    """
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = sign * f(c), sign * f(d)
+    k = lo.size
+    fcd = np.concatenate([sign, sign]) * f(np.concatenate([c, d]))
+    fc, fd = fcd[:k], fcd[k:]
     for _ in range(_REFINE_ITERS):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = sign * f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = sign * f(d)
-    arg = c if fc < fd else d
-    return arg, sign * min(fc, fd)
+        left = fc < fd
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        kept = np.where(left, c, d)
+        f_kept = np.where(left, fc, fd)
+        probe = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        f_probe = sign * f(probe)
+        c = np.where(left, probe, kept)
+        d = np.where(left, kept, probe)
+        fc = np.where(left, f_probe, f_kept)
+        fd = np.where(left, f_kept, f_probe)
+    left = fc < fd
+    return np.where(left, c, d), sign * np.minimum(fc, fd)
 
 
 def _refined_extrema(mu: RadialMeasure, tol: float):
-    """Scan nuhat and golden-refine every competing extremal basin.
+    """Scan nuhat and golden-refine every competing extremal basin together.
 
     Returns (lows, highs, cutoff, points) with lows/highs lists of refined
     (arg, value) candidates; the first entry of each is the exact r = 0
@@ -194,6 +217,11 @@ def _refined_extrema(mu: RadialMeasure, tol: float):
         val_min, val_max, points = scan(0.0, cutoff)
     else:
         cutoff = (bessel_first_zero(mu.dim / 2.0) + 4.0 * math.pi) / d_min
+        if cutoff / step * len(active) > _SCAN_BUDGET:
+            raise ConvergenceError(
+                f"profile scan too large: about {cutoff / step * len(active):.3g} "
+                f"atom evaluations in the first window, limit {_SCAN_BUDGET:.3g}"
+            )
         val_min, val_max, points = scan(0.0, cutoff)
         for _ in range(80):
             env = _tail_envelope(mu, cutoff)
@@ -208,24 +236,19 @@ def _refined_extrema(mu: RadialMeasure, tol: float):
         else:  # pragma: no cover - envelope decays for every nonzero measure
             raise ConvergenceError("extrema window budget exhausted")
 
-    def value(r: float) -> float:
-        return fourier_radial(mu, max(0.0, min(r, cutoff)))
-
+    low_r = [r for r, v in lows if v <= val_min + margin]
+    high_r = [r for r, v in highs if v >= val_max - margin]
+    r = np.array(low_r + high_r)
+    args, vals = _refine(
+        lambda x: fourier_radial(mu, np.clip(x, 0.0, cutoff)),
+        np.maximum(0.0, r - step),
+        np.minimum(cutoff, r + step),
+        np.repeat([1.0, -1.0], [len(low_r), len(high_r)]),
+    )
+    refined = list(zip(args.tolist(), vals.tolist()))
     v0 = fourier_radial(mu, 0.0)
-    ref_lows = [(0.0, v0)]
-    for r, v in lows:
-        if v <= val_min + margin:
-            ref_lows.append(
-                _refine(value, max(0.0, r - step), min(cutoff, r + step), minimize=True)
-            )
-    ref_highs = [(0.0, v0)]
-    for r, v in highs:
-        if v >= val_max - margin:
-            ref_highs.append(
-                _refine(
-                    value, max(0.0, r - step), min(cutoff, r + step), minimize=False
-                )
-            )
+    ref_lows = [(0.0, v0)] + refined[: len(low_r)]
+    ref_highs = [(0.0, v0)] + refined[len(low_r) :]
     return ref_lows, ref_highs, cutoff, points
 
 
@@ -237,33 +260,38 @@ def global_extrema(mu: RadialMeasure, tol: float = 1e-8) -> ExtremaReport:
     extreme values already found (or than tol when an extreme is near zero),
     at which point no point past the cutoff can move either extreme.  In
     dimension 1 the profile is periodic, so one period is scanned instead.
+    Every grid-local low or high that could still be the global one is then
+    refined in a single batched golden-section pass over all such basins;
+    each profile evaluation covers every atom and point at once, in blocks
+    of at most 2^14 Bessel arguments.  A scan whose first window alone needs
+    more than 1e8 atom evaluations is refused with ConvergenceError.
     """
     if tol < 1e-12:
         raise ValueError("tol below 1e-12 is not resolvable in double precision")
     if not mu.atoms or mu.is_zero():
         return ExtremaReport(0.0, 0.0, 0.0, 0.0, 0.0, 0)
-    lows, highs, cutoff, points = _refined_extrema(mu, tol)
+    return _extrema_report(*_refined_extrema(mu, tol))
+
+
+def _extrema_report(lows, highs, cutoff: float, points: int) -> ExtremaReport:
     arg_min, val_min = min(lows, key=lambda p: p[1])
     arg_max, val_max = max(highs, key=lambda p: p[1])
     return ExtremaReport(val_min, val_max, arg_min, arg_max, cutoff, points)
 
 
-def chromatic_bound_euclidean(mu: RadialMeasure, tol: float = 1e-8) -> BoundReport:
-    """Measurable-chromatic lower bound (sup - inf)/(-inf) of nuhat."""
-    ext = global_extrema(mu, tol)
+def chromatic_from_extrema(ext: ExtremaReport) -> BoundReport:
+    """Chromatic lower bound (sup - inf)/(-inf) from a profile's extrema."""
     if ext.inf_value >= 0.0:
         raise VacuousBoundError("profile infimum is nonnegative; bound is vacuous")
     value = (ext.sup_value - ext.inf_value) / (-ext.inf_value)
     return BoundReport(KIND_CHI_LB, value, ext.inf_value, ext.sup_value)
 
 
-def density_bound(mu: RadialMeasure, tol: float = 1e-8) -> BoundReport:
-    """Upper bound (-inf)/(nuhat(0) - inf) on the density of independent sets."""
-    if any(w < 0.0 for _, w in mu.atoms):
-        raise ValueError("density bound requires nonnegative weights")
-    if mu.is_zero() or not mu.atoms:
+def density_from_extrema(mu: RadialMeasure, ext: ExtremaReport) -> BoundReport:
+    """Density upper bound (-inf)/(nuhat(0) - inf) of a nonnegative measure
+    from the extrema of its profile."""
+    if mu.is_zero():
         raise VacuousBoundError("zero measure gives a vacuous density bound")
-    ext = global_extrema(mu, tol)
     if ext.inf_value >= 0.0:
         raise VacuousBoundError("profile infimum is nonnegative; bound is vacuous")
     mass = mu.total_mass()
@@ -276,6 +304,18 @@ def density_bound(mu: RadialMeasure, tol: float = 1e-8) -> BoundReport:
         R=mass,
         epsilon=0.0,
     )
+
+
+def chromatic_bound_euclidean(mu: RadialMeasure, tol: float = 1e-8) -> BoundReport:
+    """Measurable-chromatic lower bound (sup - inf)/(-inf) of nuhat."""
+    return chromatic_from_extrema(global_extrema(mu, tol))
+
+
+def density_bound(mu: RadialMeasure, tol: float = 1e-8) -> BoundReport:
+    """Upper bound (-inf)/(nuhat(0) - inf) on the density of independent sets."""
+    if any(w < 0.0 for _, w in mu.atoms):
+        raise ValueError("density bound requires nonnegative weights")
+    return density_from_extrema(mu, global_extrema(mu, tol))
 
 
 def steinhardt_measure(beta: float, N: int) -> RadialMeasure:
@@ -349,9 +389,8 @@ def optimize_radial_measure(
         t_star, w = solve_matrix_game(payoff)
         mu = RadialMeasure(n, tuple(zip(ds, w)))
         lows, highs, cut_r, points = _refined_extrema(mu, tol)
-        arg_min, inf_value = min(lows, key=lambda p: p[1])
-        arg_max, sup_value = max(highs, key=lambda p: p[1])
-        if inf_value >= t_star - tol:
+        ext = _extrema_report(lows, highs, cut_r, points)
+        if ext.inf_value >= t_star - tol:
             break
         # every basin beating the grid value is a violated constraint; adding
         # them all at once stops the game from cycling through near-tied dips
@@ -361,8 +400,4 @@ def optimize_radial_measure(
             "cutting-plane rounds exhausted before certification",
             iterations=max_rounds,
         )
-    if inf_value >= 0.0:
-        raise VacuousBoundError("optimized profile has nonnegative infimum; vacuous")
-    value = (sup_value - inf_value) / (-inf_value)
-    report = BoundReport(KIND_CHI_LB, value, inf_value, sup_value)
-    return mu, report
+    return mu, chromatic_from_extrema(ext)

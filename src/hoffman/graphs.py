@@ -28,6 +28,9 @@ from .spectral import Spectrum, SymMatrix, eigen_decompose, numerical_range
 
 _ALPHA_CAP = 30
 _CHI_CAP = 20
+# the dense path holds several n x n float64 copies and solves in O(n^3);
+# at this size one copy alone is 0.8 GB
+_DENSE_VERTEX_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -130,6 +133,11 @@ def read_graph(path) -> Graph:
 def adjacency_matrix(g: Graph) -> SymMatrix:
     if g.n < 1:
         raise ValueError("adjacency matrix needs at least one vertex")
+    if g.n > _DENSE_VERTEX_CAP:
+        raise ValueError(
+            f"graph has {g.n} vertices; the dense eigen-solve takes at most "
+            f"{_DENSE_VERTEX_CAP}"
+        )
     a = np.zeros((g.n, g.n))
     for u, v in g.edges:
         a[u, v] = 1.0

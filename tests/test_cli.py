@@ -7,6 +7,12 @@ invocations must produce byte-identical output.
 
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -236,3 +242,78 @@ def test_round_floats_rejects_nonfinite():
         _round_floats({"x": float("nan")})
     with pytest.raises(ValueError):
         _round_floats([float("inf")])
+
+
+def _fresh_process_stdout(argv):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hoffman.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_reused_parser_keeps_no_state_between_runs(capsys, tmp_path):
+    sph = tmp_path / "sph.json"
+    sph.write_text(json.dumps({"dim": 3, "atoms": [[-0.5, 1.0]]}))
+    radial = tmp_path / "radial.json"
+    radial.write_text(json.dumps({"dim": 2, "atoms": [[1.0, 1.0]]}))
+    requests = [
+        ["sphere", "-t", "-0.25", "-n", "4"],
+        ["euclidean", str(radial), "--tol", "1e-7"],
+        ["sphere", str(sph)],
+    ]
+    fresh = [_fresh_process_stdout(argv) for argv in requests]
+    for _ in range(2):
+        for argv, expected in zip(requests, fresh):
+            assert run(argv) == 0
+            assert capsys.readouterr().out == expected
+
+
+def test_negative_values_in_exponent_notation(capsys):
+    assert run(["sphere", "-n", "3", "-t", "-4.5e-05"]) == 0
+    assert _payload(capsys)["t"] == -4.5e-05
+    code = run(["optimize", "--mode", "sphere", "-n", "3", "--support", "-0.5", "-4.5e-05"])
+    assert code == 0
+    assert _payload(capsys)["support"] == [-0.5, -4.5e-05]
+
+
+def _one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("hoffman: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_convergence_error_exits_1_with_one_line(capsys, tmp_path):
+    path = tmp_path / "long_period.json"
+    path.write_text(json.dumps({"dim": 1, "atoms": [[1.0, -0.5], [1.00001, 0.5]]}))
+    assert run(["euclidean", str(path)]) == 1
+    assert "period too long to scan" in _one_error_line(capsys)
+
+
+def test_radial_scan_over_budget_exits_1_quickly(capsys):
+    t0 = time.monotonic()
+    assert run(["odd-distance", "--beta", "1.01", "-N", "10000"]) == 1
+    assert time.monotonic() - t0 < 5.0
+    assert "scan too large" in _one_error_line(capsys)
+
+
+def test_finite_refuses_graph_too_large_for_dense_path(capsys, tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text("p edge 60000 1\ne 1 2\n")
+    tracemalloc.start()
+    try:
+        code = run(["finite", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert peak < 16 * 2**20
+    assert "60000 vertices" in _one_error_line(capsys)

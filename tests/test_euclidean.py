@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import hoffman.euclidean as euclidean
+from hoffman.cli import run
 from hoffman import (
     ConvergenceError,
     RadialMeasure,
@@ -14,6 +16,7 @@ from hoffman import (
     density_bound,
     fourier_radial,
     global_extrema,
+    omega,
     optimize_radial_measure,
     radial_measure_from_json,
     radial_measure_to_json,
@@ -235,3 +238,89 @@ def test_optimizer_deterministic_and_validated():
         optimize_radial_measure(2, [1.0, 1.0])
     with pytest.raises(ValueError):
         optimize_radial_measure(1, [1.0])
+
+
+def _golden_reference(f, lo, hi, sign):
+    """Scalar golden-section search minimizing sign * f on [lo, hi]."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = sign * f(c), sign * f(d)
+    for _ in range(euclidean._REFINE_ITERS):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = sign * f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = sign * f(d)
+    return (c, sign * fc) if fc < fd else (d, sign * fd)
+
+
+def _scalar_refine(f, lo, hi, sign):
+    pairs = [
+        _golden_reference(lambda x: float(f(np.array([x]))[0]), a, b, s)
+        for a, b, s in zip(lo, hi, sign)
+    ]
+    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+
+def test_batched_refinement_matches_scalar_golden_section(monkeypatch):
+    rng = np.random.default_rng(20261018)
+    measures = []
+    for i in range(20):
+        k = int(rng.integers(1, 7))
+        radii = np.sort(rng.choice(np.arange(1, 60), size=k, replace=False)) / 20.0
+        weights = rng.uniform(0.05, 1.0, k)
+        if i % 2:
+            weights[rng.choice(k, size=max(1, k // 2), replace=False)] *= -1.0
+        measures.append(
+            RadialMeasure(int(rng.integers(2, 7)), tuple(zip(radii, weights)))
+        )
+    batched = [global_extrema(mu) for mu in measures]
+    monkeypatch.setattr(euclidean, "_refine", _scalar_refine)
+    for mu, fast in zip(measures, batched):
+        ref = global_extrema(mu)
+        assert abs(fast.inf_value - ref.inf_value) <= 1e-12
+        assert abs(fast.sup_value - ref.sup_value) <= 1e-12
+
+
+def test_blocked_fourier_radial_matches_per_atom_loop():
+    mu = steinhardt_measure(1.1, 40)
+    grid = np.linspace(0.0, 16.4, 20_000)
+    assert grid.size * len(mu.atoms) > 10 * euclidean._BLOCK_ELEMENTS
+    expected = np.zeros_like(grid)
+    for d, w in mu.atoms:
+        expected += w * omega(2, d * grid)
+    # same summation order; omega's series stops once every element of a call
+    # has converged, so a block may add vanishing terms that move a last bit
+    assert np.max(np.abs(fourier_radial(mu, grid) - expected)) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "measure, argv",
+    [
+        ({"dim": 3, "atoms": [[1.0, 0.4], [1.7, 0.6]]}, ["euclidean"]),
+        ({"dim": 2, "atoms": [[1.0, 1.0], [2.0, -0.2]]}, ["euclidean"]),
+        (None, ["odd-distance", "--beta", "1.3", "-N", "4"]),
+    ],
+)
+def test_cli_runs_one_extrema_pass_per_request(
+    measure, argv, monkeypatch, tmp_path, capsys
+):
+    if measure is not None:
+        path = tmp_path / "measure.json"
+        path.write_text(json.dumps(measure))
+        argv = argv + [str(path)]
+    calls = []
+    inner = euclidean._refined_extrema
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(euclidean, "_refined_extrema", counted)
+    assert run(argv) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
