@@ -12,31 +12,28 @@ import argparse
 import functools
 import json
 import math
-import os
 import re
 import sys
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, UncertifiedRangeError, VacuousBoundError
+from .errors import (
+    BoundInapplicableError,
+    ConvergenceError,
+    UncertifiedRangeError,
+    VacuousBoundError,
+)
 from .euclidean import (
-    chromatic_from_extrema,
-    density_from_extrema,
     global_extrema,
     optimize_radial_measure,
     radial_measure_from_json,
     radial_measure_to_json,
+    radial_range,
     steinhardt_measure,
     unit_distance_bound,
 )
-from .graphs import (
-    adjacency_matrix,
-    fractional_chi_bound,
-    hoffman_chi_bound,
-    ratio_bound,
-    read_graph,
-)
+from .graphs import adjacency_matrix, read_graph, spectral_range
+from .reports import alpha_ratio_ub, chi_frac_lb, chi_lb
 from .sphere import (
-    eigenvalue_sequence,
     operator_range,
     optimize_sphere_measure,
     single_t_bounds,
@@ -101,7 +98,6 @@ OUTPUT_SCHEMA = {
             },
         },
         "rows": {"type": "array", "items": {"type": "array"}},
-        "threads": {"type": "integer"},
     },
 }
 
@@ -186,16 +182,24 @@ def _load_json_file(path: str):
         return json.load(fh)
 
 
+def _bounds(rng, *constructors) -> dict:
+    """The named bounds of one range; an inapplicable ratio bound is left out."""
+    bounds = {}
+    for construct in constructors:
+        try:
+            rep = construct(rng)
+        except BoundInapplicableError:
+            continue
+        bounds[rep.kind] = rep.as_dict()
+    return bounds
+
+
 def _cmd_finite(cfg: RunConfig, args) -> dict:
     g = read_graph(args.graph)
-    a = adjacency_matrix(g)
+    rng = spectral_range(adjacency_matrix(g))
     return {
         "graph": {"path": args.graph, "vertices": g.n, "edges": len(g.edges)},
-        "bounds": {
-            "chi_lb": hoffman_chi_bound(a).as_dict(),
-            "alpha_ratio_ub": ratio_bound(a).as_dict(),
-            "chi_frac_lb": fractional_chi_bound(a).as_dict(),
-        },
+        "bounds": _bounds(rng, chi_lb, alpha_ratio_ub, chi_frac_lb),
     }
 
 
@@ -212,12 +216,9 @@ def _cmd_unit_distance(cfg: RunConfig, args) -> dict:
 def _cmd_euclidean(cfg: RunConfig, args) -> dict:
     mu = radial_measure_from_json(_load_json_file(args.measure))
     ext = global_extrema(mu, cfg.tolerance)
-    bounds = {"chi_lb": chromatic_from_extrema(ext).as_dict()}
-    if all(w >= 0.0 for _, w in mu.atoms):
-        bounds["alpha_ratio_ub"] = density_from_extrema(mu, ext).as_dict()
     return {
         "measure": radial_measure_to_json(mu),
-        "bounds": bounds,
+        "bounds": _bounds(radial_range(mu, ext), chi_lb, alpha_ratio_ub),
         "provenance": {
             "cutoff": ext.cutoff,
             "grid_points": ext.grid_points,
@@ -229,12 +230,11 @@ def _cmd_euclidean(cfg: RunConfig, args) -> dict:
 def _cmd_odd_distance(cfg: RunConfig, args) -> dict:
     mu = steinhardt_measure(args.beta, args.terms)
     ext = global_extrema(mu, cfg.tolerance)
-    rep = chromatic_from_extrema(ext)
     return {
         "beta": float(args.beta),
         "terms": int(args.terms),
         "measure_mass": mu.total_mass(),
-        "bounds": {"chi_lb": rep.as_dict()},
+        "bounds": _bounds(radial_range(mu, ext), chi_lb),
         "provenance": {"cutoff": ext.cutoff, "grid_points": ext.grid_points},
     }
 
@@ -251,31 +251,10 @@ def _cmd_sphere(cfg: RunConfig, args) -> dict:
             "provenance": {"K": cfg.kmax},
         }
     mu = sphere_measure_from_json(_load_json_file(args.measure))
-    m, big = operator_range(mu, K=cfg.kmax, tol=cfg.tolerance)
-    seq = eigenvalue_sequence(mu, cfg.kmax)
-    if m >= 0.0:
-        raise VacuousBoundError("eigenvalue infimum is nonnegative; bound is vacuous")
-    bounds = {
-        "chi_lb": {
-            "kind": "chi_lb",
-            "value": (big - m) / (-m),
-            "m": m,
-            "M": big,
-        }
-    }
-    mass = mu.total_mass()
-    if all(w >= 0.0 for _, w in mu.atoms) and mass - m > 0.0:
-        bounds["alpha_ratio_ub"] = {
-            "kind": "alpha_ratio_ub",
-            "value": (-m) / (mass - m),
-            "m": m,
-            "M": big,
-            "R": mass,
-            "epsilon": 0.0,
-        }
+    rng, seq = operator_range(mu, K=cfg.kmax, tol=cfg.tolerance)
     return {
         "measure": sphere_measure_to_json(mu),
-        "bounds": bounds,
+        "bounds": _bounds(rng, chi_lb, alpha_ratio_ub),
         "provenance": {"K": seq.K, "tail_bound": seq.tail_bound},
     }
 
@@ -382,25 +361,11 @@ _DISPATCH = {
 }
 
 
-def _thread_cap() -> int | None:
-    raw = os.environ.get("HOFFMAN_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"HOFFMAN_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"HOFFMAN_THREADS must be positive, got {value}")
-    return value
-
-
 def run(argv) -> int:
     try:
         args = _parser().parse_args(list(argv))
         if args.subcommand is None:
             raise _UsageError("a subcommand is required")
-        threads = _thread_cap()
         default_format = "csv" if args.subcommand == "torus" else "json"
         cfg = RunConfig(
             subcommand=args.subcommand,
@@ -419,19 +384,7 @@ def run(argv) -> int:
         return 1
 
     try:
-        limiter = None
-        if threads is not None:
-            try:
-                from threadpoolctl import threadpool_limits
-
-                limiter = threadpool_limits(limits=threads)
-            except ImportError:
-                pass  # single-process fallback already respects any cap >= 1
-        try:
-            result = _DISPATCH[cfg.subcommand](cfg, args)
-        finally:
-            if limiter is not None:
-                limiter.unregister()
+        result = _DISPATCH[cfg.subcommand](cfg, args)
     except VacuousBoundError as exc:
         payload = {
             "schema": SCHEMA_VERSION,
@@ -458,8 +411,6 @@ def run(argv) -> int:
         return 0
     payload = {"schema": SCHEMA_VERSION, "command": cfg.subcommand, "status": "ok"}
     payload.update(result)
-    if threads is not None:
-        payload["threads"] = threads
     _emit_json(payload, cfg)
     return 0
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, VacuousBoundError
-from .reports import KIND_ALPHA_RATIO_UB, KIND_CHI_LB, BoundReport
+from .errors import ConvergenceError
+from .reports import BoundReport, SpectralRange, alpha_ratio_ub, chi_lb
 from .simplex import solve_matrix_game
 from .specfun import bessel_first_zero, omega
 
@@ -167,12 +167,12 @@ def _refine(f, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray):
     return np.where(left, c, d), sign * np.minimum(fc, fd)
 
 
-def _refined_extrema(mu: RadialMeasure, tol: float):
-    """Scan nuhat and golden-refine every competing extremal basin together.
+def _window_scan(mu: RadialMeasure, tol: float):
+    """Scan nuhat out to a cutoff past which neither extreme can move.
 
-    Returns (lows, highs, cutoff, points) with lows/highs lists of refined
-    (arg, value) candidates; the first entry of each is the exact r = 0
-    endpoint, so the lists are never empty.
+    Returns (low_r, high_r, cutoff, points, step): the grid points of every
+    grid-local low and high that could still be the global one, the cutoff,
+    the number of points scanned and the grid step.
     """
     active = [(d, w) for d, w in mu.atoms if w != 0.0]
     d_max = max(d for d, _ in active)
@@ -238,6 +238,17 @@ def _refined_extrema(mu: RadialMeasure, tol: float):
 
     low_r = [r for r, v in lows if v <= val_min + margin]
     high_r = [r for r, v in highs if v >= val_max - margin]
+    return low_r, high_r, cutoff, points, step
+
+
+def _refined_extrema(mu: RadialMeasure, tol: float):
+    """Scan nuhat and golden-refine every competing extremal basin together.
+
+    Returns (lows, highs, cutoff, points) with lows/highs lists of refined
+    (arg, value) candidates; the first entry of each is the exact r = 0
+    endpoint, so the lists are never empty.
+    """
+    low_r, high_r, cutoff, points, step = _window_scan(mu, tol)
     r = np.array(low_r + high_r)
     args, vals = _refine(
         lambda x: fourier_radial(mu, np.clip(x, 0.0, cutoff)),
@@ -279,43 +290,26 @@ def _extrema_report(lows, highs, cutoff: float, points: int) -> ExtremaReport:
     return ExtremaReport(val_min, val_max, arg_min, arg_max, cutoff, points)
 
 
-def chromatic_from_extrema(ext: ExtremaReport) -> BoundReport:
-    """Chromatic lower bound (sup - inf)/(-inf) from a profile's extrema."""
-    if ext.inf_value >= 0.0:
-        raise VacuousBoundError("profile infimum is nonnegative; bound is vacuous")
-    value = (ext.sup_value - ext.inf_value) / (-ext.inf_value)
-    return BoundReport(KIND_CHI_LB, value, ext.inf_value, ext.sup_value)
+def radial_range(mu: RadialMeasure, ext: ExtremaReport) -> SpectralRange:
+    """The spectral range [inf nuhat, sup nuhat] of mu from its extrema.
 
-
-def density_from_extrema(mu: RadialMeasure, ext: ExtremaReport) -> BoundReport:
-    """Density upper bound (-inf)/(nuhat(0) - inf) of a nonnegative measure
-    from the extrema of its profile."""
-    if mu.is_zero():
-        raise VacuousBoundError("zero measure gives a vacuous density bound")
-    if ext.inf_value >= 0.0:
-        raise VacuousBoundError("profile infimum is nonnegative; bound is vacuous")
-    mass = mu.total_mass()
-    value = (-ext.inf_value) / (mass - ext.inf_value)
-    return BoundReport(
-        KIND_ALPHA_RATIO_UB,
-        value,
-        ext.inf_value,
-        ext.sup_value,
-        R=mass,
-        epsilon=0.0,
-    )
+    R = nuhat(0), the total mass, is given only for a nonnegative measure:
+    the density bound needs a nonnegative operator.
+    """
+    nonneg = all(w >= 0.0 for _, w in mu.atoms)
+    return SpectralRange(ext.inf_value, ext.sup_value, mu.total_mass() if nonneg else None)
 
 
 def chromatic_bound_euclidean(mu: RadialMeasure, tol: float = 1e-8) -> BoundReport:
     """Measurable-chromatic lower bound (sup - inf)/(-inf) of nuhat."""
-    return chromatic_from_extrema(global_extrema(mu, tol))
+    return chi_lb(radial_range(mu, global_extrema(mu, tol)))
 
 
 def density_bound(mu: RadialMeasure, tol: float = 1e-8) -> BoundReport:
     """Upper bound (-inf)/(nuhat(0) - inf) on the density of independent sets."""
     if any(w < 0.0 for _, w in mu.atoms):
         raise ValueError("density bound requires nonnegative weights")
-    return density_from_extrema(mu, global_extrema(mu, tol))
+    return alpha_ratio_ub(radial_range(mu, global_extrema(mu, tol)))
 
 
 def steinhardt_measure(beta: float, N: int) -> RadialMeasure:
@@ -347,15 +341,8 @@ def unit_distance_bound(n: int) -> tuple[BoundReport, BoundReport]:
     n = int(n)
     if not (2 <= n <= 32):
         raise ValueError(f"dimension must lie in [2, 32], got {n}")
-    z = bessel_first_zero(n / 2.0)
-    v = float(omega(n, z))
-    if v >= 0.0:  # pragma: no cover - the first Bessel dip is always negative
-        raise VacuousBoundError("profile minimum is nonnegative")
-    chi = BoundReport(KIND_CHI_LB, (1.0 - v) / (-v), v, 1.0)
-    alpha = BoundReport(
-        KIND_ALPHA_RATIO_UB, (-v) / (1.0 - v), v, 1.0, R=1.0, epsilon=0.0
-    )
-    return chi, alpha
+    rng = SpectralRange(float(omega(n, bessel_first_zero(n / 2.0))), 1.0, 1.0)
+    return chi_lb(rng), alpha_ratio_ub(rng)
 
 
 def optimize_radial_measure(
@@ -377,9 +364,11 @@ def optimize_radial_measure(
         raise ValueError("radii must be distinct and positive")
     if not (16 <= int(grid) <= 100_000):
         raise ValueError(f"grid size must lie in [16, 100000], got {grid}")
+    if tol < 1e-12:
+        raise ValueError("tol below 1e-12 is not resolvable in double precision")
 
     uniform = RadialMeasure(n, tuple((d, 1.0 / len(ds)) for d in ds))
-    cutoff = global_extrema(uniform, tol).cutoff
+    cutoff = _window_scan(uniform, tol)[2]
     grid = list(np.linspace(0.0, cutoff, int(grid)))
     darr = np.array(ds)
 
@@ -400,4 +389,4 @@ def optimize_radial_measure(
             "cutting-plane rounds exhausted before certification",
             iterations=max_rounds,
         )
-    return mu, chromatic_from_extrema(ext)
+    return mu, chi_lb(SpectralRange(ext.inf_value, ext.sup_value))

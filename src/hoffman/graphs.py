@@ -13,17 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BoundInapplicableError,
-    NoNegativeSpectrumError,
-    VacuousBoundError,
-)
-from .reports import (
-    KIND_ALPHA_RATIO_UB,
-    KIND_CHI_FRAC_LB,
-    KIND_CHI_LB,
-    BoundReport,
-)
+from .errors import NoNegativeSpectrumError, VacuousBoundError
+from .reports import BoundReport, SpectralRange, alpha_ratio_ub, chi_frac_lb, chi_lb
 from .spectral import Spectrum, SymMatrix, eigen_decompose, numerical_range
 
 _ALPHA_CAP = 30
@@ -178,61 +169,36 @@ class WeightedAdjacency:
             raise ValueError("weights supported outside the edge set")
 
 
-def _avg_degree(dense: np.ndarray) -> float:
-    # (A 1, 1) under the uniform probability measure.
-    n = dense.shape[0]
-    return float(dense.sum()) / n
+def spectral_range(a: SymMatrix, R: float | None = None) -> SpectralRange:
+    """(m, M) of a from one eigen-solve, with R and eps = ||A 1 - R 1||.
+
+    eps measures how far the all-ones function is from being an
+    eigenfunction with value R.  The default R = (A 1, 1), the average
+    (weighted) degree, minimises eps over rank-one corrections; for regular
+    graphs eps vanishes.
+    """
+    dense = a.to_dense()
+    if R is None:
+        R = float(dense.sum()) / a.size
+    R = float(R)
+    eps = math.sqrt(float(np.mean((dense.sum(axis=1) - R) ** 2)))
+    m, M = numerical_range(a)
+    return SpectralRange(m, M, R, eps)
 
 
 def hoffman_chi_bound(a: SymMatrix) -> BoundReport:
     """Chromatic lower bound (M - m)/(-m)."""
-    if a.is_zero():
-        raise VacuousBoundError("zero matrix gives a vacuous chromatic bound")
-    m, M = numerical_range(a)
-    if m >= 0.0:
-        raise NoNegativeSpectrumError(
-            f"smallest eigenvalue {m:.6g} is nonnegative; no negative spectrum"
-        )
-    return BoundReport(KIND_CHI_LB, (M - m) / (-m), m, M)
+    return chi_lb(spectral_range(a))
 
 
 def ratio_bound(a: SymMatrix, R: float | None = None) -> BoundReport:
-    """Independence-ratio upper bound (-m + 2 eps)/(R - m - eps).
-
-    eps = ||A 1 - R 1|| measures how far the all-ones function is from being
-    an eigenfunction with value R.  The default R = (A 1, 1) minimises eps
-    over rank-one corrections; for regular graphs eps vanishes.
-    """
-    if a.is_zero():
-        raise VacuousBoundError("zero matrix gives a vacuous ratio bound")
-    dense = a.to_dense()
-    n = a.size
-    row_sums = dense.sum(axis=1)
-    if R is None:
-        R = _avg_degree(dense)
-    R = float(R)
-    eps = math.sqrt(float(np.mean((row_sums - R) ** 2)))
-    m, M = numerical_range(a)
-    denom = R - m - eps
-    if denom <= 0.0:
-        raise BoundInapplicableError(
-            f"R - m - eps = {denom:.6g} is not positive; bound inapplicable"
-        )
-    value = (-m + 2.0 * eps) / denom
-    return BoundReport(KIND_ALPHA_RATIO_UB, value, m, M, R=R, epsilon=eps)
+    """Independence-ratio upper bound (-m + 2 eps)/(R - m - eps); see spectral_range."""
+    return alpha_ratio_ub(spectral_range(a, R))
 
 
 def fractional_chi_bound(a: SymMatrix) -> BoundReport:
     """Fractional-chromatic lower bound ((A1,1) - m)/(-m)."""
-    if a.is_zero():
-        raise VacuousBoundError("zero matrix gives a vacuous fractional bound")
-    m, M = numerical_range(a)
-    if m >= 0.0:
-        raise NoNegativeSpectrumError(
-            f"smallest eigenvalue {m:.6g} is nonnegative; no negative spectrum"
-        )
-    R = _avg_degree(a.to_dense())
-    return BoundReport(KIND_CHI_FRAC_LB, (R - m) / (-m), m, M, R=R)
+    return chi_frac_lb(spectral_range(a))
 
 
 def brute_force_alpha(g: Graph) -> int:
@@ -347,10 +313,10 @@ def optimize_weights(
 
     def evaluate(x: np.ndarray) -> tuple[float, Spectrum]:
         spec = eigen_decompose(SymMatrix.from_dense(_edge_matrix(g, x, edge_list)))
-        m, M = spec.min, spec.max
-        if m >= 0.0:
+        try:
+            return chi_lb(SpectralRange(spec.min, spec.max)).value, spec
+        except NoNegativeSpectrumError:
             return -math.inf, spec
-        return (M - m) / (-m), spec
 
     x = np.ones(len(edge_list))
     x /= _frob(x)
@@ -387,5 +353,4 @@ def optimize_weights(
         cur = cur / norm
 
     matrix = SymMatrix.from_dense(_edge_matrix(g, best_x, edge_list))
-    report = BoundReport(KIND_CHI_LB, best_val, best_spec.min, best_spec.max)
-    return WeightedAdjacency(g, matrix), report
+    return WeightedAdjacency(g, matrix), chi_lb(SpectralRange(best_spec.min, best_spec.max))

@@ -54,6 +54,25 @@ def _series_log_maxterm(nu: float, x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, out, -np.inf)
 
 
+def _ascending_sum(nu: float, x: np.ndarray, t0: np.ndarray) -> np.ndarray:
+    """sum_m t_m with t_{m+1} = -(x/2)^2 t_m / ((m + 1)(nu + m + 1)).
+
+    With t0 = (x/2)^nu / Gamma(nu + 1) this is the ascending series of
+    J_nu(x); with t0 = 1 it is Gamma(nu + 1) (2/x)^nu J_nu(x).
+    """
+    term = t0.copy()
+    total = t0.copy()
+    q = 0.25 * x * x
+    for m in range(700):
+        term *= -q / ((m + 1.0) * (nu + m + 1.0))
+        total += term
+        if np.all(np.abs(term) <= 1e-17 * (1.0 + np.abs(total))):
+            break
+    else:  # pragma: no cover - gate keeps series short
+        raise ConvergenceError("Bessel series failed to converge", iterations=700)
+    return total
+
+
 def _bessel_series(nu: float, x: np.ndarray) -> np.ndarray:
     out = np.zeros_like(x)
     zero = x == 0.0
@@ -63,17 +82,7 @@ def _bessel_series(nu: float, x: np.ndarray) -> np.ndarray:
     if xs.size == 0:
         return out
     t0 = np.exp(nu * np.log(xs / 2.0) - math.lgamma(nu + 1.0))
-    term = t0.copy()
-    total = t0.copy()
-    q = 0.25 * xs * xs
-    for m in range(700):
-        term *= -q / ((m + 1.0) * (nu + m + 1.0))
-        total += term
-        if np.all(np.abs(term) <= 1e-17 * (1.0 + np.abs(total))):
-            break
-    else:  # pragma: no cover - gate keeps series short
-        raise ConvergenceError("Bessel series failed to converge", iterations=700)
-    out[~zero] = total
+    out[~zero] = _ascending_sum(nu, xs, t0)
     return out
 
 
@@ -249,17 +258,7 @@ def omega(n: int, t):
     out = np.empty_like(tv)
     if np.any(use_series):
         ts = tv[use_series]
-        term = np.ones_like(ts)
-        total = np.ones_like(ts)
-        q = 0.25 * ts * ts
-        for m in range(700):
-            term *= -q / ((m + 1.0) * (half + m))
-            total += term
-            if np.all(np.abs(term) <= 1e-17 * (1.0 + np.abs(total))):
-                break
-        else:  # pragma: no cover
-            raise ConvergenceError("omega series failed to converge", iterations=700)
-        out[use_series] = total
+        out[use_series] = _ascending_sum(nu, ts, np.ones_like(ts))
     rest = ~use_series
     if np.any(rest):
         tr = tv[rest]
@@ -317,21 +316,7 @@ def jacobi_normalized(k: int, p: JacobiParams, t):
     if k < 0:
         raise ValueError("degree must be nonnegative")
     arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    tv = np.atleast_1d(arr).astype(float)
-    if np.any(np.abs(tv) > 1.0 + 1e-12):
+    if np.any(np.abs(arr) > 1.0 + 1e-12):
         raise ValueError("argument must lie in [-1, 1]")
-    if k == 0:
-        out = np.ones_like(tv)
-    elif k == 1:
-        out = tv.copy()
-    else:
-        prev = np.ones_like(tv)
-        cur = tv.copy()
-        two_alpha = 2.0 * p.alpha
-        for j in range(2, k + 1):
-            prev, cur = cur, (
-                (2.0 * j + two_alpha - 1.0) * tv * cur - (j - 1.0) * prev
-            ) / (j + two_alpha)
-        out = cur
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    out = jacobi_sequence(k, p.alpha, arr.ravel())[k]
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

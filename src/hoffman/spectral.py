@@ -1,4 +1,4 @@
-"""Dense symmetric eigendecomposition with a packed-storage matrix type.
+"""Dense symmetric eigendecomposition with a checked symmetric matrix type.
 
 Eigenvalues are reported in non-increasing order throughout the package, so
 m(A) is the last entry and M(A) the first.  The backing solver is LAPACK's
@@ -13,62 +13,37 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-TOL_DEFAULT = 1e-10
-_TOL_MIN, _TOL_MAX = 1e-14, 1e-6
-
-
-def _check_tol(tol: float) -> float:
-    tol = float(tol)
-    if not (_TOL_MIN <= tol <= _TOL_MAX):
-        raise ValueError(f"tol must lie in [{_TOL_MIN:g}, {_TOL_MAX:g}], got {tol:g}")
-    return tol
-
 
 @dataclass(frozen=True)
 class SymMatrix:
-    """A real symmetric matrix stored as the upper triangle, row-major."""
+    """A real symmetric matrix with finite entries, held as a read-only dense
+    array.  Symmetry is checked to 1e-12 relative to the largest entry."""
 
-    size: int
     entries: np.ndarray
 
     def __post_init__(self):
-        n = int(self.size)
-        if n < 1:
-            raise ValueError("size must be positive")
-        packed = np.asarray(self.entries, dtype=float)
-        if packed.shape != (n * (n + 1) // 2,):
-            raise ValueError(
-                f"expected {n * (n + 1) // 2} packed entries for size {n}, "
-                f"got shape {packed.shape}"
-            )
-        if not np.all(np.isfinite(packed)):
-            raise ValueError("matrix entries must be finite")
-        object.__setattr__(self, "size", n)
-        object.__setattr__(self, "entries", packed)
-
-    @classmethod
-    def from_dense(cls, a, atol: float = 1e-12) -> "SymMatrix":
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("expected a square matrix")
+        a = np.array(self.entries, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+            raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
-        scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-        if np.abs(a - a.T).max(initial=0.0) > atol * scale:
+        scale = max(1.0, float(np.abs(a).max()))
+        skew = a - a.T
+        if np.abs(skew, out=skew).max() > 1e-12 * scale:
             raise ValueError("matrix is not symmetric within tolerance")
-        iu = np.triu_indices(a.shape[0])
-        return cls(a.shape[0], a[iu])
+        a.flags.writeable = False
+        object.__setattr__(self, "entries", a)
+
+    @classmethod
+    def from_dense(cls, a) -> "SymMatrix":
+        return cls(a)
+
+    @property
+    def size(self) -> int:
+        return self.entries.shape[0]
 
     def to_dense(self) -> np.ndarray:
-        n = self.size
-        a = np.zeros((n, n))
-        iu = np.triu_indices(n)
-        a[iu] = self.entries
-        a.T[iu] = self.entries
-        return a
-
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.to_dense()))
+        return self.entries
 
     def is_zero(self) -> bool:
         return not np.any(self.entries)
@@ -104,27 +79,23 @@ class Spectrum:
         return float(self.eigenvalues[-1])
 
 
-def eigen_decompose(a: SymMatrix, tol: float = TOL_DEFAULT) -> Spectrum:
+def eigen_decompose(a: SymMatrix) -> Spectrum:
     """Full eigendecomposition of a SymMatrix.
 
-    tol is the accepted residual scale relative to the Frobenius norm; the
-    LAPACK driver normally lands far below it.  Raises ConvergenceError if the
-    QL/QR iteration inside LAPACK fails to converge.
+    Raises ConvergenceError if the QL/QR iteration inside LAPACK fails to
+    converge.
     """
-    _check_tol(tol)
-    dense = a.to_dense()
     try:
-        vals, vecs = np.linalg.eigh(dense)
+        vals, vecs = np.linalg.eigh(a.entries)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hardware dependent
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
     return Spectrum(vals[::-1].copy(), vecs[:, ::-1].copy())
 
 
-def numerical_range(a: SymMatrix, tol: float = TOL_DEFAULT) -> tuple[float, float]:
+def numerical_range(a: SymMatrix) -> tuple[float, float]:
     """(m, M): the extreme eigenvalues, computed without eigenvectors."""
-    _check_tol(tol)
     try:
-        vals = np.linalg.eigvalsh(a.to_dense())
+        vals = np.linalg.eigvalsh(a.entries)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
     return float(vals[0]), float(vals[-1])

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import UncertifiedRangeError, VacuousBoundError
-from .reports import KIND_ALPHA_RATIO_UB, KIND_CHI_LB, BoundReport
+from .reports import SpectralRange, alpha_ratio_ub, chi_lb
 from .simplex import solve_matrix_game
 from .specfun import JacobiParams, jacobi_sequence
 
@@ -136,26 +136,31 @@ def _rational_angle_period(mu: SphereMeasure):
 
 
 def operator_range(mu: SphereMeasure, K: int = 64, tol: float = 1e-8):
-    """Certified endpoints (m, M) of the eigenvalue closure.
+    """Probe-checked endpoints of the eigenvalue closure, with their evidence.
 
+    Returns (SpectralRange, EigenSequence): the range (m, M), with R = mass
+    for a nonnegative measure, and the eigenvalue sequence it was read from.
     For n >= 3 the eigenvalues decay to 0, so 0 always lies in the closure
     and the candidate extremes are 0-augmented; the truncation K is doubled
     until the tail probe max falls below the extreme magnitudes (or below
-    tol when an extreme is near zero).  For n = 2 the eigenvalues are
-    cos(k theta_i): with rational theta_i/pi the sequence is periodic and
-    scanned exactly over one period, otherwise a long scan stands in for the
-    equidistributed orbit.
+    tol when an extreme is near zero), and the sequence's K and tail_bound
+    name that truncation.  The probe is empirical, not a proof.  For n = 2
+    the eigenvalues are cos(k theta_i): with rational theta_i/pi the
+    sequence is periodic and scanned exactly over one period (tail_bound 0);
+    otherwise a long scan stands in for the equidistributed orbit, and
+    tail_bound is the trivial sum |w_i|.
     """
     if not (1e-12 <= tol <= 1e-3):
         raise ValueError(f"tol must lie in [1e-12, 1e-3], got {tol!r}")
-    if not mu.atoms or mu.is_zero():
-        return (0.0, 0.0)
+    R = mu.total_mass() if all(w >= 0.0 for _, w in mu.atoms) else None
 
     if mu.dim == 2:
         period = _rational_angle_period(mu)
         kmax = period if period is not None else _N2_SCAN_K
         lam = _cosine_eigenvalues(mu, kmax)
-        return (float(lam.min()), float(lam.max()))
+        tail = 0.0 if period is not None else float(np.abs(mu.weights()).sum())
+        rng = SpectralRange(float(lam.min()), float(lam.max()), R)
+        return rng, EigenSequence(lam, kmax, tail)
 
     k_cur = int(K)
     if k_cur < 1:
@@ -165,7 +170,7 @@ def operator_range(mu: SphereMeasure, K: int = 64, tol: float = 1e-8):
         m = min(0.0, float(seq.values.min()))
         big = max(0.0, float(seq.values.max()))
         if seq.tail_bound <= max(-m, tol) and seq.tail_bound <= max(big, tol):
-            return (m, big)
+            return SpectralRange(m, big, R), seq
         if k_cur >= _K_CERT_CAP:
             raise UncertifiedRangeError(
                 f"tail probe {seq.tail_bound:.3e} still exceeds the extremes "
@@ -188,15 +193,8 @@ def single_t_bounds(n: int, t: float, K: int = 64, tol: float = 1e-8):
     t = float(t)
     if not (-1.0 <= t < 1.0):
         raise ValueError(f"t must lie in [-1, 1), got {t!r}")
-    mu = SphereMeasure(int(n), ((t, 1.0),))
-    m, big = operator_range(mu, K=K, tol=tol)
-    if m >= 0.0:
-        raise VacuousBoundError("eigenvalue infimum is nonnegative; bound is vacuous")
-    alpha = BoundReport(
-        KIND_ALPHA_RATIO_UB, (-m) / (1.0 - m), m, big, R=1.0, epsilon=0.0
-    )
-    chi = BoundReport(KIND_CHI_LB, (1.0 - m) / (-m), m, big)
-    return alpha, chi
+    rng, _ = operator_range(SphereMeasure(int(n), ((t, 1.0),)), K=K, tol=tol)
+    return alpha_ratio_ub(rng), chi_lb(rng)
 
 
 def optimize_sphere_measure(n: int, support, K: int = 64, tol: float = 1e-8):
@@ -228,17 +226,16 @@ def optimize_sphere_measure(n: int, support, K: int = 64, tol: float = 1e-8):
         mu = SphereMeasure(n, tuple(zip(ts, w)))
         if s_star >= 0.0:
             raise VacuousBoundError("optimized infimum is nonnegative; vacuous on this support")
-        m, big = operator_range(mu, K=k_rows, tol=tol)
-        if m >= s_star - tol:
+        rng, _ = operator_range(mu, K=k_rows, tol=tol)
+        if rng.m >= s_star - tol:
             break
         if k_rows >= _K_CERT_CAP:
             raise UncertifiedRangeError(
                 f"game value {s_star:.6e} not certified at truncation {k_rows}",
-                m,
-                big,
+                rng.m,
+                rng.M,
                 k_rows,
-                s_star - m,
+                s_star - rng.m,
             )
         k_rows *= 2
-    value = (big - m) / (-m)
-    return mu, BoundReport(KIND_CHI_LB, value, m, big)
+    return mu, chi_lb(rng)

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .euclidean import RadialMeasure, chromatic_bound_euclidean, density_bound
+from .euclidean import RadialMeasure, global_extrema, radial_range
 from .graphs import Graph
+from .reports import SpectralRange, alpha_ratio_ub, chi_lb
 from .spectral import SymMatrix
 
 _VERTEX_CAP = 2**24
@@ -184,11 +185,8 @@ def _circulant_bounds(m: int, n: int, lattice_radii, tol: float):
     """
     g = build_torus_graph(m, n, lattice_radii, tol)
     spec = circulant_spectrum(g)
-    lam_min = float(spec[-1])
-    lam_max = float(spec[0])
-    chi = (lam_max - lam_min) / (-lam_min)
-    alpha = (-lam_min) / (g.degree - lam_min)
-    return chi, alpha
+    rng = SpectralRange(float(spec[-1]), float(spec[0]), float(g.degree))
+    return chi_lb(rng).value, alpha_ratio_ub(rng).value
 
 
 def convergence_study(n: int, radii, moduli, tol: float = 0.25):
@@ -210,8 +208,8 @@ def convergence_study(n: int, radii, moduli, tol: float = 0.25):
     m_ref = ms[0]
 
     uniform = RadialMeasure(n, tuple((d, 1.0 / len(ds)) for d in sorted(set(ds))))
-    cont_chi = chromatic_bound_euclidean(uniform).value
-    cont_alpha = density_bound(uniform).value
+    cont = radial_range(uniform, global_extrema(uniform))
+    cont_chi, cont_alpha = chi_lb(cont).value, alpha_ratio_ub(cont).value
 
     rows = []
     for m in ms:

@@ -65,6 +65,18 @@ def test_finite_vacuous_graph_exits_2(capsys, tmp_path):
     assert obj["status"] == "vacuous" and "detail" in obj
 
 
+def test_finite_omits_an_inapplicable_ratio_bound(capsys, tmp_path):
+    # K10 plus 90 isolated vertices: R - m - eps = 0.9 + 1 - 2.7 < 0
+    path = tmp_path / "k10.txt"
+    edges = [f"e {u} {v}" for u in range(1, 11) for v in range(u + 1, 11)]
+    path.write_text("\n".join(["p edge 100 45", *edges]) + "\n")
+    assert run(["finite", str(path)]) == 0
+    bounds = _payload(capsys)["bounds"]
+    assert "alpha_ratio_ub" not in bounds
+    assert bounds["chi_lb"]["value"] == 10.0
+    assert bounds["chi_frac_lb"]["value"] == 1.9
+
+
 def test_finite_missing_file_exits_1(capsys, tmp_path):
     assert run(["finite", str(tmp_path / "nope.txt")]) == 1
     assert capsys.readouterr().err
@@ -127,6 +139,14 @@ def test_sphere_measure_file(capsys, tmp_path):
     obj = _payload(capsys)
     assert obj["bounds"]["chi_lb"]["value"] > 1.0
     assert "tail_bound" in obj["provenance"]
+
+
+def test_sphere_file_reports_the_certifying_truncation(capsys, tmp_path):
+    # the tail probe certifies this range only after K is doubled from 64
+    path = tmp_path / "near_one.json"
+    path.write_text(json.dumps({"dim": 3, "atoms": [[0.999, 1.0]]}))
+    assert run(["sphere", str(path)]) == 0
+    assert _payload(capsys)["provenance"] == {"K": 128, "tail_bound": 0.3001268623}
 
 
 def test_sphere_needs_exactly_one_input(capsys, tmp_path):
@@ -226,17 +246,6 @@ def test_numeric_flag_validation(capsys):
     assert run(["unit-distance", "--grid", "8"]) == 1
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("HOFFMAN_THREADS", "zebra")
-    assert run(["unit-distance"]) == 1
-    monkeypatch.setenv("HOFFMAN_THREADS", "0")
-    assert run(["unit-distance"]) == 1
-    capsys.readouterr()
-    monkeypatch.setenv("HOFFMAN_THREADS", "2")
-    assert run(["unit-distance"]) == 0
-    assert _payload(capsys)["threads"] == 2
-
-
 def test_round_floats_rejects_nonfinite():
     with pytest.raises(ValueError):
         _round_floats({"x": float("nan")})
@@ -317,3 +326,40 @@ def test_finite_refuses_graph_too_large_for_dense_path(capsys, tmp_path):
     assert code == 1
     assert peak < 16 * 2**20
     assert "60000 vertices" in _one_error_line(capsys)
+
+
+# One small request per subcommand, with its expected stdout in
+# tests/pinned/<name>.out.  Input files are written to a temporary directory
+# whose path stands as "{dir}" in both the argv and the expected output.
+_PINNED_INPUTS = {
+    "c5.txt": C5_TEXT,
+    "radial.json": json.dumps({"dim": 3, "atoms": [[1.0, 0.6], [1.7, 0.4]]}),
+    # certifies at its own --kmax 32, with no K doubling
+    "sphere.json": json.dumps({"dim": 4, "atoms": [[-0.5, 0.7], [0.2, 0.3]]}),
+}
+PINNED_REQUESTS = {
+    "finite_c5": ["finite", "{dir}/c5.txt"],
+    "unit_distance_2": ["unit-distance", "-n", "2"],
+    "euclidean_file": ["euclidean", "{dir}/radial.json"],
+    "odd_distance": ["odd-distance", "--beta", "1.15", "-N", "5"],
+    "sphere_t": ["sphere", "-n", "4", "-t", "-0.25"],
+    "sphere_file": ["sphere", "{dir}/sphere.json", "--kmax", "32"],
+    "optimize_radial": ["optimize", "--mode", "radial", "--support", "1", "2"],
+    "optimize_sphere": ["optimize", "--mode", "sphere", "-n", "4", "--support", "-0.5", "0.2"],
+    "torus_csv": ["torus", "--radii", "2", "--moduli", "8", "16", "-n", "2"],
+}
+PINNED_DIR = Path(__file__).resolve().parent / "pinned"
+
+
+def write_pinned_inputs(directory: Path) -> None:
+    for name, text in _PINNED_INPUTS.items():
+        (directory / name).write_text(text)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REQUESTS))
+def test_pinned_output(capsys, tmp_path, name):
+    write_pinned_inputs(tmp_path)
+    argv = [a.replace("{dir}", str(tmp_path)) for a in PINNED_REQUESTS[name]]
+    assert run(argv) == 0
+    out = capsys.readouterr().out.replace(str(tmp_path), "{dir}")
+    assert out == (PINNED_DIR / f"{name}.out").read_text()

@@ -120,7 +120,7 @@ def test_chromatic_bound_unit_shells():
     assert abs(r2.value - (1.0 - J0_MIN) / (-J0_MIN)) < 1e-9
     r3 = chromatic_bound_euclidean(UNIT3)
     assert abs(r3.value - (1.0 - SINC_MIN) / (-SINC_MIN)) < 1e-9
-    assert abs(r2.value - r2.formula_value()) < 1e-12
+    assert abs(r2.value - (r2.M - r2.m) / (-r2.m)) < 1e-12
 
 
 def test_chromatic_bound_weight_scale_invariance():

@@ -89,7 +89,7 @@ def test_is_independent_matches_quadratic_form():
 def test_hoffman_c5_is_sqrt5():
     rep = hoffman_chi_bound(adjacency_matrix(cycle(5)))
     assert abs(rep.value - SQRT5) < 1e-10
-    assert abs(rep.value - rep.formula_value()) < 1e-12
+    assert abs(rep.value - (rep.M - rep.m) / (-rep.m)) < 1e-12
 
 
 def test_hoffman_petersen_and_k4():

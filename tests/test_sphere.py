@@ -127,31 +127,36 @@ def test_tail_probe_is_max_over_next_window():
     assert isinstance(seq, EigenSequence) and seq.K == K
 
 
+def _endpoints(mu, **kwargs):
+    rng, _ = operator_range(mu, **kwargs)
+    return rng.m, rng.M
+
+
 def test_operator_range_tight_simplex_case():
-    m, M = operator_range(SphereMeasure(3, ((-1.0 / 3.0, 1.0),)))
+    m, M = _endpoints(SphereMeasure(3, ((-1.0 / 3.0, 1.0),)))
     assert abs(m + 1.0 / 3.0) < 1e-10
     assert M == 1.0
 
 
 def test_operator_range_circle_rational_angles():
     # theta = pi/2: eigenvalues cycle through 1, 0, -1, 0 exactly
-    m, M = operator_range(SphereMeasure(2, ((0.0, 1.0),)))
+    m, M = _endpoints(SphereMeasure(2, ((0.0, 1.0),)))
     assert m == -1.0 and M == 1.0
     # theta = 2 pi / 3 gives the triangle: minimum -1/2
-    m, M = operator_range(SphereMeasure(2, ((-0.5, 1.0),)))
+    m, M = _endpoints(SphereMeasure(2, ((-0.5, 1.0),)))
     assert abs(m + 0.5) < 1e-12 and M == 1.0
 
 
 def test_operator_range_circle_irrational_angle():
     # cos(k) equidistributes, so the scan approaches -1 from above
-    m, M = operator_range(SphereMeasure(2, ((math.cos(1.0), 1.0),)))
+    m, M = _endpoints(SphereMeasure(2, ((math.cos(1.0), 1.0),)))
     assert -1.0 - 1e-12 <= m < -0.999
     assert M == 1.0
 
 
 def test_operator_range_zero_measure():
-    assert operator_range(SphereMeasure(3, ())) == (0.0, 0.0)
-    assert operator_range(SphereMeasure(3, ((0.3, 0.0),))) == (0.0, 0.0)
+    assert _endpoints(SphereMeasure(3, ())) == (0.0, 0.0)
+    assert _endpoints(SphereMeasure(3, ((0.3, 0.0),))) == (0.0, 0.0)
 
 
 def test_operator_range_contains_zero_in_high_dims():
@@ -162,7 +167,7 @@ def test_operator_range_contains_zero_in_high_dims():
         k = int(rng.integers(1, 4))
         ts = np.sort(rng.uniform(-1.0, 0.9, size=k))
         ws = rng.uniform(-1.0, 1.0, size=k)
-        m, M = operator_range(SphereMeasure(n, tuple(zip(ts, ws))))
+        m, M = _endpoints(SphereMeasure(n, tuple(zip(ts, ws))))
         assert m <= 0.0 <= M
 
 
@@ -174,7 +179,7 @@ def test_operator_range_start_truncation_irrelevant():
         ts = np.sort(rng.uniform(-1.0, 0.9, size=k))
         ws = rng.uniform(-1.0, 1.0, size=k)
         mu = SphereMeasure(n, tuple(zip(ts, ws)))
-        assert operator_range(mu, K=1) == operator_range(mu, K=64)
+        assert _endpoints(mu, K=1) == _endpoints(mu, K=64)
 
 
 def test_operator_range_tol_domain():
