@@ -14,7 +14,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 
 from .errors import (
     BoundInapplicableError,
@@ -34,9 +33,9 @@ from .euclidean import (
 from .graphs import adjacency_matrix, read_graph, spectral_range
 from .reports import alpha_ratio_ub, chi_frac_lb, chi_lb
 from .sphere import (
+    SphereMeasure,
     operator_range,
     optimize_sphere_measure,
-    single_t_bounds,
     sphere_measure_from_json,
     sphere_measure_to_json,
 )
@@ -120,36 +119,25 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    dimension: int = 2
-    tolerance: float = 1e-8
-    kmax: int = 64
-    grid_points: int = 512
-    output_path: str | None = None
-    format: str = "json"
+def _bounded(cast, name: str, low, high):
+    """An argparse type: the option's text cast, and kept within [low, high]."""
 
-    def __post_init__(self):
-        if self.subcommand not in _COMMANDS:
-            raise ValueError(f"unknown subcommand {self.subcommand!r}")
-        low = 1 if self.subcommand == "torus" else 2
-        if not (low <= int(self.dimension) <= 32):
-            raise ValueError(
-                f"dimension must lie in [{low}, 32], got {self.dimension}"
+    def parse(text):
+        value = cast(text)
+        if not (low <= value <= high):
+            raise argparse.ArgumentTypeError(
+                f"{name} must lie in [{low:g}, {high:g}], got {text}"
             )
-        if not (1e-12 <= float(self.tolerance) <= 1e-3):
-            raise ValueError(
-                f"tolerance must lie in [1e-12, 1e-3], got {self.tolerance!r}"
-            )
-        if not (1 <= int(self.kmax) <= 10_000):
-            raise ValueError(f"kmax must lie in [1, 10000], got {self.kmax}")
-        if not (16 <= int(self.grid_points) <= 100_000):
-            raise ValueError(
-                f"grid points must lie in [16, 100000], got {self.grid_points}"
-            )
-        if self.format not in ("json", "csv"):
-            raise ValueError(f"format must be json or csv, got {self.format!r}")
+        return value
+
+    parse.__name__ = name  # argparse names the type in "invalid <name> value"
+    return parse
+
+
+_DIMENSION = _bounded(int, "dimension", 2, 32)
+_TOLERANCE = _bounded(float, "tolerance", 1e-12, 1e-3)
+_KMAX = _bounded(int, "kmax", 1, 10_000)
+_GRID = _bounded(int, "grid points", 16, 100_000)
 
 
 def _round_floats(obj):
@@ -165,16 +153,16 @@ def _round_floats(obj):
     return obj
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.output_path is not None:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
+def _emit(text: str, path: str | None) -> None:
+    if path is not None:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_json(payload: dict, cfg: RunConfig) -> None:
-    _emit(json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n", cfg)
+def _emit_json(payload: dict, path: str | None) -> None:
+    _emit(json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n", path)
 
 
 def _load_json_file(path: str):
@@ -194,7 +182,7 @@ def _bounds(rng, *constructors) -> dict:
     return bounds
 
 
-def _cmd_finite(cfg: RunConfig, args) -> dict:
+def _cmd_finite(args) -> dict:
     g = read_graph(args.graph)
     rng = spectral_range(adjacency_matrix(g))
     return {
@@ -203,19 +191,19 @@ def _cmd_finite(cfg: RunConfig, args) -> dict:
     }
 
 
-def _cmd_unit_distance(cfg: RunConfig, args) -> dict:
-    chi, alpha = unit_distance_bound(cfg.dimension)
-    z = bessel_first_zero(cfg.dimension / 2.0)
+def _cmd_unit_distance(args) -> dict:
+    chi, alpha = unit_distance_bound(args.dimension)
+    z = bessel_first_zero(args.dimension / 2.0)
     return {
-        "dimension": cfg.dimension,
+        "dimension": args.dimension,
         "bounds": {"chi_lb": chi.as_dict(), "alpha_ratio_ub": alpha.as_dict()},
         "provenance": {"bessel_first_zero": z},
     }
 
 
-def _cmd_euclidean(cfg: RunConfig, args) -> dict:
+def _cmd_euclidean(args) -> dict:
     mu = radial_measure_from_json(_load_json_file(args.measure))
-    ext = global_extrema(mu, cfg.tolerance)
+    ext = global_extrema(mu, args.tol)
     return {
         "measure": radial_measure_to_json(mu),
         "bounds": _bounds(radial_range(mu, ext), chi_lb, alpha_ratio_ub),
@@ -227,9 +215,9 @@ def _cmd_euclidean(cfg: RunConfig, args) -> dict:
     }
 
 
-def _cmd_odd_distance(cfg: RunConfig, args) -> dict:
+def _cmd_odd_distance(args) -> dict:
     mu = steinhardt_measure(args.beta, args.terms)
-    ext = global_extrema(mu, cfg.tolerance)
+    ext = global_extrema(mu, args.tol)
     return {
         "beta": float(args.beta),
         "terms": int(args.terms),
@@ -239,42 +227,48 @@ def _cmd_odd_distance(cfg: RunConfig, args) -> dict:
     }
 
 
-def _cmd_sphere(cfg: RunConfig, args) -> dict:
+def _cmd_sphere(args) -> dict:
     if (args.t is None) == (args.measure is None):
         raise ValueError("sphere needs exactly one of -t or a measure file")
-    if args.t is not None:
-        alpha, chi = single_t_bounds(cfg.dimension, args.t, K=cfg.kmax, tol=cfg.tolerance)
-        return {
-            "dimension": cfg.dimension,
-            "t": float(args.t),
-            "bounds": {"alpha_ratio_ub": alpha.as_dict(), "chi_lb": chi.as_dict()},
-            "provenance": {"K": cfg.kmax},
-        }
-    mu = sphere_measure_from_json(_load_json_file(args.measure))
-    rng, seq = operator_range(mu, K=cfg.kmax, tol=cfg.tolerance)
+    if args.t is None:
+        if args.dimension is not None:
+            raise ValueError("-n does not apply to a measure file, which carries its dimension")
+        mu = sphere_measure_from_json(_load_json_file(args.measure))
+        echo = {"measure": sphere_measure_to_json(mu)}
+    else:
+        dim = 3 if args.dimension is None else args.dimension
+        mu = SphereMeasure(dim, ((args.t, 1.0),))
+        echo = {"dimension": dim, "t": args.t}
+    rng, seq = operator_range(mu, K=args.kmax, tol=args.tol)
     return {
-        "measure": sphere_measure_to_json(mu),
+        **echo,
         "bounds": _bounds(rng, chi_lb, alpha_ratio_ub),
         "provenance": {"K": seq.K, "tail_bound": seq.tail_bound},
     }
 
 
-def _cmd_optimize(cfg: RunConfig, args) -> dict:
+def _cmd_optimize(args) -> dict:
     if args.mode == "radial":
+        if args.kmax is not None:
+            raise ValueError("--kmax applies only to --mode sphere")
+        grid = 512 if args.grid is None else args.grid
         mu, rep = optimize_radial_measure(
-            cfg.dimension, args.support, tol=cfg.tolerance, grid=cfg.grid_points
+            args.dimension, args.support, tol=args.tol, grid=grid
         )
         measure = radial_measure_to_json(mu)
-        prov = {"grid_points": cfg.grid_points}
+        prov = {"grid_points": grid}
     else:
-        mu, rep = optimize_sphere_measure(
-            cfg.dimension, args.support, K=cfg.kmax, tol=cfg.tolerance
+        if args.grid is not None:
+            raise ValueError("--grid applies only to --mode radial")
+        kmax = 64 if args.kmax is None else args.kmax
+        mu, rep, seq = optimize_sphere_measure(
+            args.dimension, args.support, K=kmax, tol=args.tol
         )
         measure = sphere_measure_to_json(mu)
-        prov = {"K": cfg.kmax}
+        prov = {"K": seq.K, "tail_bound": seq.tail_bound}
     return {
         "mode": args.mode,
-        "dimension": cfg.dimension,
+        "dimension": args.dimension,
         "support": [float(s) for s in args.support],
         "measure": measure,
         "bounds": {"chi_lb": rep.as_dict()},
@@ -282,12 +276,12 @@ def _cmd_optimize(cfg: RunConfig, args) -> dict:
     }
 
 
-def _cmd_torus(cfg: RunConfig, args) -> dict | str:
-    rows = convergence_study(cfg.dimension, args.radii, args.moduli, tol=args.annulus)
-    if cfg.format == "csv":
+def _cmd_torus(args) -> dict | str:
+    rows = convergence_study(args.dimension, args.radii, args.moduli, tol=args.annulus)
+    if args.format == "csv":
         return convergence_csv(rows)
     return {
-        "dimension": cfg.dimension,
+        "dimension": args.dimension,
         "radii": [float(d) for d in args.radii],
         "moduli": [int(m) for m in args.moduli],
         "columns": [
@@ -303,49 +297,58 @@ def _cmd_torus(cfg: RunConfig, args) -> dict | str:
 
 @functools.cache
 def _parser() -> _Parser:
-    """The argument parser, built on first use and shared by every run()."""
+    """The argument parser, built on first use and shared by every run().
+
+    Each subcommand declares only the options its handler reads, so any
+    other option is refused as unrecognized.
+    """
     p = _Parser(prog="hoffman", description="Spectral bounds for distance graphs.")
     sub = p.add_subparsers(dest="subcommand")
 
-    def common(sp, dim_default=2):
-        sp.add_argument("-n", "--dimension", type=int, default=dim_default)
-        sp.add_argument("--tol", type=float, default=1e-8)
-        sp.add_argument("--kmax", type=int, default=64)
-        sp.add_argument("--grid", type=int, default=512)
+    def command(name, description):
+        sp = sub.add_parser(name, description=description)
         sp.add_argument("-o", "--output", default=None)
-        sp.add_argument("--format", choices=("json", "csv"), default=None)
+        return sp
 
-    sp = sub.add_parser("finite", description="Bounds for a finite graph file.")
+    sp = command("finite", "Bounds for a finite graph file.")
     sp.add_argument("graph")
-    common(sp)
 
-    sp = sub.add_parser("unit-distance", description="Unit-distance graph of R^n.")
-    common(sp)
+    sp = command("unit-distance", "Unit-distance graph of R^n.")
+    sp.add_argument("-n", "--dimension", type=_DIMENSION, default=2)
 
-    sp = sub.add_parser("euclidean", description="Bounds for a radial measure file.")
+    sp = command("euclidean", "Bounds for a radial measure file.")
     sp.add_argument("measure")
-    common(sp)
+    sp.add_argument("--tol", type=_TOLERANCE, default=1e-8)
 
-    sp = sub.add_parser("odd-distance", description="Odd-distance divergence measure.")
+    sp = command("odd-distance", "Odd-distance divergence measure.")
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("-N", "--terms", type=int, required=True)
-    common(sp)
+    sp.add_argument("--tol", type=_TOLERANCE, default=1e-8)
 
-    sp = sub.add_parser("sphere", description="Distance graphs on the sphere.")
+    # -n defaults to 3 for -t; a measure file carries its own dimension
+    sp = command("sphere", "Distance graphs on the sphere.")
     sp.add_argument("measure", nargs="?", default=None)
     sp.add_argument("-t", type=float, default=None)
-    common(sp, dim_default=3)
+    sp.add_argument("-n", "--dimension", type=_DIMENSION, default=None)
+    sp.add_argument("--tol", type=_TOLERANCE, default=1e-8)
+    sp.add_argument("--kmax", type=_KMAX, default=64)
 
-    sp = sub.add_parser("optimize", description="Optimize a measure on a support.")
+    # --kmax (default 64) is read by --mode sphere only, --grid (default 512)
+    # by --mode radial only
+    sp = command("optimize", "Optimize a measure on a support.")
     sp.add_argument("--mode", choices=("radial", "sphere"), required=True)
     sp.add_argument("--support", type=float, nargs="+", required=True)
-    common(sp)
+    sp.add_argument("-n", "--dimension", type=_DIMENSION, default=2)
+    sp.add_argument("--tol", type=_TOLERANCE, default=1e-8)
+    sp.add_argument("--kmax", type=_KMAX, default=None)
+    sp.add_argument("--grid", type=_GRID, default=None)
 
-    sp = sub.add_parser("torus", description="Circulant convergence study.")
+    sp = command("torus", "Circulant convergence study.")
     sp.add_argument("--radii", type=float, nargs="+", required=True)
     sp.add_argument("--moduli", type=int, nargs="+", required=True)
     sp.add_argument("--annulus", type=float, default=0.25)
-    common(sp)
+    sp.add_argument("-n", "--dimension", type=_bounded(int, "dimension", 1, 32), default=2)
+    sp.add_argument("--format", choices=("json", "csv"), default="csv")
 
     return p
 
@@ -366,33 +369,15 @@ def run(argv) -> int:
         args = _parser().parse_args(list(argv))
         if args.subcommand is None:
             raise _UsageError("a subcommand is required")
-        default_format = "csv" if args.subcommand == "torus" else "json"
-        cfg = RunConfig(
-            subcommand=args.subcommand,
-            dimension=args.dimension,
-            tolerance=args.tol,
-            kmax=args.kmax,
-            grid_points=args.grid,
-            output_path=args.output,
-            format=args.format or default_format,
-        )
-    except _UsageError as exc:
-        print(f"hoffman: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, TypeError) as exc:
-        print(f"hoffman: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        result = _DISPATCH[cfg.subcommand](cfg, args)
+        result = _DISPATCH[args.subcommand](args)
     except VacuousBoundError as exc:
         payload = {
             "schema": SCHEMA_VERSION,
-            "command": cfg.subcommand,
+            "command": args.subcommand,
             "status": "vacuous",
             "detail": str(exc),
         }
-        _emit_json(payload, cfg)
+        _emit_json(payload, args.output)
         return 2
     except UncertifiedRangeError as exc:
         m, big = exc.range
@@ -402,16 +387,16 @@ def run(argv) -> int:
             file=sys.stderr,
         )
         return 1
-    except (ConvergenceError, ValueError, OSError) as exc:
+    except (_UsageError, ConvergenceError, ValueError, OSError) as exc:
         print(f"hoffman: {exc}", file=sys.stderr)
         return 1
 
     if isinstance(result, str):
-        _emit(result, cfg)
+        _emit(result, args.output)
         return 0
-    payload = {"schema": SCHEMA_VERSION, "command": cfg.subcommand, "status": "ok"}
+    payload = {"schema": SCHEMA_VERSION, "command": args.subcommand, "status": "ok"}
     payload.update(result)
-    _emit_json(payload, cfg)
+    _emit_json(payload, args.output)
     return 0
 
 

@@ -203,7 +203,9 @@ def optimize_sphere_measure(n: int, support, K: int = 64, tol: float = 1e-8):
     Maximizes s subject to sum_i w_i Pbar_k(t_i) >= s for k = 1..K,
     sum w_i = 1, w >= 0 (a matrix game), then certifies the winner's true
     eigenvalue infimum with operator_range; if the truncation missed a
-    deeper dip the row set is doubled and the game re-solved.
+    deeper dip the row set is doubled and the game re-solved.  Returns
+    (measure, chi_lb report, EigenSequence): like operator_range, the
+    sequence whose K and tail probe checked the range.
     """
     n = int(n)
     ts = sorted(float(t) for t in support)
@@ -226,7 +228,7 @@ def optimize_sphere_measure(n: int, support, K: int = 64, tol: float = 1e-8):
         mu = SphereMeasure(n, tuple(zip(ts, w)))
         if s_star >= 0.0:
             raise VacuousBoundError("optimized infimum is nonnegative; vacuous on this support")
-        rng, _ = operator_range(mu, K=k_rows, tol=tol)
+        rng, seq = operator_range(mu, K=k_rows, tol=tol)
         if rng.m >= s_star - tol:
             break
         if k_rows >= _K_CERT_CAP:
@@ -238,4 +240,4 @@ def optimize_sphere_measure(n: int, support, K: int = 64, tol: float = 1e-8):
                 s_star - rng.m,
             )
         k_rows *= 2
-    return mu, chi_lb(rng)
+    return mu, chi_lb(rng), seq

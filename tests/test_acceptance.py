@@ -209,7 +209,7 @@ def test_acceptance_08_optimizer_soundness(capsys):
     _, rep = optimize_radial_measure(2, [1.0])
     radial_base = rep.value
     target = unit_distance_bound(2)[0].value
-    _, rep = optimize_sphere_measure(3, [-1.0 / 3.0])
+    _, rep, _ = optimize_sphere_measure(3, [-1.0 / 3.0])
     sphere_base = rep.value
 
     rng = np.random.default_rng(2024)
@@ -224,7 +224,7 @@ def test_acceptance_08_optimizer_soundness(capsys):
             radial_val = rep.value
         else:
             sphere_support.append(float(rng.uniform(-0.95, 0.85)))
-            _, rep = optimize_sphere_measure(3, sorted(sphere_support))
+            _, rep, _ = optimize_sphere_measure(3, sorted(sphere_support))
             monotone &= rep.value >= sphere_val - 1e-9
             sphere_val = rep.value
     elapsed = time.monotonic() - t0

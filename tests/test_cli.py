@@ -149,6 +149,22 @@ def test_sphere_file_reports_the_certifying_truncation(capsys, tmp_path):
     assert _payload(capsys)["provenance"] == {"K": 128, "tail_bound": 0.3001268623}
 
 
+@pytest.mark.parametrize(
+    "dim, t, provenance",
+    [
+        # the tail probe checks this range only after K is doubled from 64
+        ("3", "0.999", {"K": 128, "tail_bound": 0.3001268623}),
+        # n = 2, theta = pi/3: the cosine sequence is scanned over one period
+        ("2", "0.5", {"K": 6, "tail_bound": 0.0}),
+    ],
+)
+def test_sphere_t_reports_the_certifying_truncation(capsys, dim, t, provenance):
+    assert run(["sphere", "-n", dim, "-t", t]) == 0
+    obj = _payload(capsys)
+    assert obj["provenance"] == provenance
+    assert obj["dimension"] == int(dim) and obj["t"] == float(t)
+
+
 def test_sphere_needs_exactly_one_input(capsys, tmp_path):
     assert run(["sphere"]) == 1
     path = tmp_path / "sph.json"
@@ -179,6 +195,13 @@ def test_optimize_sphere_mode(capsys):
     assert code == 0
     obj = _payload(capsys)
     assert abs(obj["bounds"]["chi_lb"]["value"] - 4.0) < 1e-8
+
+
+def test_optimize_sphere_reports_the_certifying_truncation(capsys):
+    # the game is re-solved on 8, then 16 rows before its value is certified
+    argv = ["optimize", "--mode", "sphere", "-n", "3", "--kmax", "4", "--support"]
+    assert run(argv + ["-0.9", "-0.6", "-0.3", "0.0", "0.3"]) == 0
+    assert _payload(capsys)["provenance"] == {"K": 16, "tail_bound": 0.131570958}
 
 
 def test_torus_defaults_to_csv(capsys):
@@ -241,9 +264,42 @@ def test_dimension_validation(capsys):
 
 
 def test_numeric_flag_validation(capsys):
-    assert run(["unit-distance", "--tol", "0.01"]) == 1
-    assert run(["unit-distance", "--kmax", "0"]) == 1
-    assert run(["unit-distance", "--grid", "8"]) == 1
+    assert run(["sphere", "-t", "-0.5", "--tol", "0.01"]) == 1
+    assert "tolerance must lie in" in _one_error_line(capsys)
+    assert run(["optimize", "--mode", "sphere", "--kmax", "0", "--support", "-0.5"]) == 1
+    assert "kmax must lie in" in _one_error_line(capsys)
+    assert run(["optimize", "--mode", "radial", "--grid", "8", "--support", "1"]) == 1
+    assert "grid points must lie in" in _one_error_line(capsys)
+    assert run(["torus", "--radii", "1", "--moduli", "8", "-n", "0"]) == 1
+    assert "dimension must lie in [1, 32]" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["odd-distance", "--beta", "1.15", "-N", "5", "-n", "3"],
+        ["finite", "{c5}", "--tol", "1e-6"],
+        ["euclidean", "{radial}", "--kmax", "8"],
+        ["unit-distance", "--format", "csv"],
+    ],
+)
+def test_option_of_another_subcommand_exits_1(capsys, tmp_path, c5_path, argv):
+    radial = tmp_path / "radial.json"
+    radial.write_text(json.dumps({"dim": 2, "atoms": [[1.0, 1.0]]}))
+    argv = [a.format(c5=c5_path, radial=radial) for a in argv]
+    assert run(argv) == 1
+    assert "unrecognized arguments" in _one_error_line(capsys)
+
+
+def test_option_of_another_mode_exits_1(capsys, tmp_path):
+    path = tmp_path / "sph.json"
+    path.write_text(json.dumps({"dim": 3, "atoms": [[-0.5, 1.0]]}))
+    assert run(["sphere", str(path), "-n", "3"]) == 1
+    assert "-n does not apply to a measure file" in _one_error_line(capsys)
+    assert run(["optimize", "--mode", "radial", "--kmax", "64", "--support", "1"]) == 1
+    assert "--kmax applies only to --mode sphere" in _one_error_line(capsys)
+    assert run(["optimize", "--mode", "sphere", "--grid", "512", "--support", "-0.5"]) == 1
+    assert "--grid applies only to --mode radial" in _one_error_line(capsys)
 
 
 def test_round_floats_rejects_nonfinite():

@@ -217,29 +217,29 @@ def test_single_t_domain():
 
 
 def test_optimize_single_point_support():
-    mu, rep = optimize_sphere_measure(3, [-1.0 / 3.0])
+    mu, rep, _ = optimize_sphere_measure(3, [-1.0 / 3.0])
     assert mu.atoms == ((-1.0 / 3.0, 1.0),)
     assert abs(rep.value - 4.0) < 1e-9
 
 
 def test_optimize_circle_supports():
-    _, rep = optimize_sphere_measure(2, [0.0])
+    _, rep, _ = optimize_sphere_measure(2, [0.0])
     assert abs(rep.value - 2.0) < 1e-9
-    _, rep = optimize_sphere_measure(2, [-0.5])
+    _, rep, _ = optimize_sphere_measure(2, [-0.5])
     assert abs(rep.value - 3.0) < 1e-9
 
 
 def test_optimize_monotone_in_support():
-    _, r1 = optimize_sphere_measure(3, [-1.0 / 3.0])
-    _, r2 = optimize_sphere_measure(3, [-1.0 / 3.0, -0.8])
-    _, r3 = optimize_sphere_measure(3, [-1.0 / 3.0, -0.8, 0.2])
+    _, r1, _ = optimize_sphere_measure(3, [-1.0 / 3.0])
+    _, r2, _ = optimize_sphere_measure(3, [-1.0 / 3.0, -0.8])
+    _, r3, _ = optimize_sphere_measure(3, [-1.0 / 3.0, -0.8, 0.2])
     assert r2.value >= r1.value - 1e-8
     assert r3.value >= r2.value - 1e-8
     assert r3.value > 6.0  # strict gain over the single-point bound
 
 
 def test_optimize_weights_form_probability_measure():
-    mu, _ = optimize_sphere_measure(3, [-1.0 / 3.0, -0.8, 0.2])
+    mu, _, _ = optimize_sphere_measure(3, [-1.0 / 3.0, -0.8, 0.2])
     w = mu.weights()
     assert np.all(w >= -1e-12)
     assert abs(float(np.sum(w)) - 1.0) < 1e-9
