@@ -28,14 +28,9 @@ from .euclidean import (
 )
 from .graphs import (
     Graph,
-    WeightedAdjacency,
     adjacency_matrix,
-    brute_force_alpha,
-    brute_force_chi,
     fractional_chi_bound,
     hoffman_chi_bound,
-    is_independent,
-    optimize_weights,
     parse_graph,
     ratio_bound,
     read_graph,
@@ -55,11 +50,10 @@ from .specfun import (
     JacobiParams,
     bessel_first_zero,
     bessel_j,
-    jacobi_normalized,
     jacobi_sequence,
     omega,
 )
-from .spectral import Spectrum, SymMatrix, eigen_decompose, numerical_range
+from .spectral import SymMatrix, numerical_range
 from .sphere import (
     EigenSequence,
     SphereMeasure,
@@ -94,20 +88,16 @@ __all__ = [
     "KIND_CHI_LB",
     "NoNegativeSpectrumError",
     "RadialMeasure",
-    "Spectrum",
     "SpectralBoundError",
     "SpectralRange",
     "SphereMeasure",
     "SymMatrix",
     "UncertifiedRangeError",
     "VacuousBoundError",
-    "WeightedAdjacency",
     "adjacency_matrix",
     "alpha_ratio_ub",
     "bessel_first_zero",
     "bessel_j",
-    "brute_force_alpha",
-    "brute_force_chi",
     "build_torus_graph",
     "chi_frac_lb",
     "chi_lb",
@@ -116,21 +106,17 @@ __all__ = [
     "convergence_csv",
     "convergence_study",
     "density_bound",
-    "eigen_decompose",
     "eigenvalue_sequence",
     "fourier_radial",
     "fractional_chi_bound",
     "global_extrema",
     "hoffman_chi_bound",
-    "is_independent",
-    "jacobi_normalized",
     "jacobi_sequence",
     "numerical_range",
     "omega",
     "operator_range",
     "optimize_radial_measure",
     "optimize_sphere_measure",
-    "optimize_weights",
     "parse_graph",
     "radial_measure_from_json",
     "radial_measure_to_json",

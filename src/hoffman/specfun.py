@@ -308,15 +308,3 @@ def jacobi_sequence(kmax: int, alpha: float, t: np.ndarray) -> np.ndarray:
             k + two_alpha
         )
     return vals
-
-
-def jacobi_normalized(k: int, p: JacobiParams, t):
-    """P~_k^{(alpha,alpha)}(t), normalized so the value at t = 1 is 1."""
-    k = int(k)
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    arr = np.asarray(t, dtype=float)
-    if np.any(np.abs(arr) > 1.0 + 1e-12):
-        raise ValueError("argument must lie in [-1, 1]")
-    out = jacobi_sequence(k, p.alpha, arr.ravel())[k]
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

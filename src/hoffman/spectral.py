@@ -1,8 +1,7 @@
-"""Dense symmetric eigendecomposition with a checked symmetric matrix type.
+"""A checked symmetric matrix type and its numerical range (m, M).
 
-Eigenvalues are reported in non-increasing order throughout the package, so
-m(A) is the last entry and M(A) the first.  The backing solver is LAPACK's
-symmetric driver via numpy; results are deterministic for identical inputs.
+The extreme eigenvalues come from LAPACK's symmetric eigenvalue driver via
+numpy, without eigenvectors; results are deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -34,62 +33,12 @@ class SymMatrix:
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
 
-    @classmethod
-    def from_dense(cls, a) -> "SymMatrix":
-        return cls(a)
-
     @property
     def size(self) -> int:
         return self.entries.shape[0]
 
     def to_dense(self) -> np.ndarray:
         return self.entries
-
-    def is_zero(self) -> bool:
-        return not np.any(self.entries)
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues in non-increasing order; column i of eigenvectors pairs with
-    eigenvalue i.  Eigenvectors may be None when only the range was requested."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None = None
-
-    def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=float)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ValueError("eigenvalues must be a nonempty vector")
-        if np.any(np.diff(vals) > 0.0):
-            raise ValueError("eigenvalues must be sorted non-increasing")
-        if self.eigenvectors is not None:
-            vecs = np.asarray(self.eigenvectors, dtype=float)
-            if vecs.shape != (vals.size, vals.size):
-                raise ValueError("eigenvector array must be square of matching size")
-            object.__setattr__(self, "eigenvectors", vecs)
-        object.__setattr__(self, "eigenvalues", vals)
-
-    @property
-    def max(self) -> float:
-        return float(self.eigenvalues[0])
-
-    @property
-    def min(self) -> float:
-        return float(self.eigenvalues[-1])
-
-
-def eigen_decompose(a: SymMatrix) -> Spectrum:
-    """Full eigendecomposition of a SymMatrix.
-
-    Raises ConvergenceError if the QL/QR iteration inside LAPACK fails to
-    converge.
-    """
-    try:
-        vals, vecs = np.linalg.eigh(a.entries)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - hardware dependent
-        raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    return Spectrum(vals[::-1].copy(), vecs[:, ::-1].copy())
 
 
 def numerical_range(a: SymMatrix) -> tuple[float, float]:

@@ -3,25 +3,21 @@
 Graphs on Z_m^n whose connection set is an annulus of lattice vectors are
 diagonalized by characters, so their full spectrum is available as a
 multidimensional FFT of the connection-set indicator.  Comparing the
-resulting Hoffman bounds against their continuous targets (and against
-brute force on small instances) validates the analytic pipeline end to end.
+resulting Hoffman bounds against their continuous targets validates the
+analytic pipeline end to end; the tests expand small circulants vertex by
+vertex to compare against dense eigensolvers and brute force.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .euclidean import RadialMeasure, global_extrema, radial_range
-from .graphs import Graph
 from .reports import SpectralRange, alpha_ratio_ub, chi_lb
-from .spectral import SymMatrix
 
 _VERTEX_CAP = 2**24
-_DENSE_CAP = 2**16
-_GROUP_CAP = 10_000
 
 _CSV_HEADER = "m,discrete_chi_lb,discrete_alpha_ub,continuous_chi_lb,continuous_alpha_ub"
 
@@ -119,62 +115,6 @@ def circulant_spectrum(g: CirculantGraph) -> np.ndarray:
     indicator[tuple(idx.T)] = 1.0
     spec = np.fft.fftn(indicator).real.ravel()
     return np.sort(spec)[::-1]
-
-
-def circulant_to_graph(g: CirculantGraph) -> Graph:
-    """Expanded vertex form, for dense eigensolvers and brute-force oracles."""
-    m, n = g.modulus, g.dim
-    total = g.vertex_count
-    if total > _DENSE_CAP:
-        raise ValueError(f"{total} vertices exceed the dense cap {_DENSE_CAP}")
-    coords = np.indices((m,) * n).reshape(n, total).T
-    weights = m ** np.arange(n - 1, -1, -1)
-    edges = set()
-    for s in sorted(g.connection_set):
-        shifted = (coords + np.array(s)) % m
-        targets = shifted @ weights
-        sources = np.arange(total)
-        lo = np.minimum(sources, targets)
-        hi = np.maximum(sources, targets)
-        edges.update(zip(lo.tolist(), hi.tolist()))
-    return Graph(total, frozenset(edges))
-
-
-def symmetrize(a: SymMatrix, generators, cap: int = _GROUP_CAP) -> SymMatrix:
-    """Average of P^T A P over the permutation group the generators close to.
-
-    The result commutes with every group element; when the group is
-    vertex-transitive the all-ones vector becomes an eigenvector.
-    """
-    size = a.size
-    gens = []
-    for perm in generators:
-        p = tuple(int(v) for v in perm)
-        if sorted(p) != list(range(size)):
-            raise ValueError("generator is not a permutation of the vertex set")
-        gens.append(p)
-
-    identity = tuple(range(size))
-    group = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for sigma in frontier:
-            for p in gens:
-                composed = tuple(p[s] for s in sigma)
-                if composed not in group:
-                    if len(group) >= cap:
-                        raise ValueError(f"group order exceeds cap {cap}")
-                    group.add(composed)
-                    nxt.append(composed)
-        frontier = nxt
-
-    dense = a.to_dense()
-    acc = np.zeros_like(dense)
-    for sigma in sorted(group):
-        p = np.array(sigma)
-        acc += dense[np.ix_(p, p)]
-    return SymMatrix.from_dense(acc / len(group))
 
 
 def _circulant_bounds(m: int, n: int, lattice_radii, tol: float):

@@ -3,13 +3,19 @@
 Nothing here imports the package under test: Bessel values come from the
 plain ascending series with incremental terms, zeros from interval
 bisection, polynomial values from the textbook unnormalized recurrences,
-and graph spectra from closed forms.  Agreement with the package is then
+graph spectra from closed forms, and independence and chromatic numbers by
+exhaustive search.  Graphs are plain (n, edges) data: a vertex count and
+an iterable of (u, v) pairs on 0..n-1.  Agreement with the package is then
 evidence, not tautology.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+
+ALPHA_CAP = 30
+CHI_CAP = 20
 
 
 def bessel_series(nu: float, x: float) -> float:
@@ -89,3 +95,101 @@ def legendre_sequence(kmax: int, t: float) -> list:
 
 def chebyshev_value(k: int, t: float) -> float:
     return math.cos(k * math.acos(max(-1.0, min(1.0, t))))
+
+
+def circulant_edges(modulus: int, dim: int, connection_set) -> tuple:
+    """Vertex form (n, edges) of the Cayley graph of Z_m^dim: x ~ x + s.
+
+    Vertex x is numbered by its base-m digits, first coordinate most
+    significant; each edge appears once, as (lower, higher).
+    """
+    def index(x):
+        return sum(c * modulus**p for p, c in enumerate(reversed(x)))
+
+    n = modulus**dim
+    edges = set()
+    for u, x in enumerate(itertools.product(range(modulus), repeat=dim)):
+        for s in connection_set:
+            v = index(tuple((a + b) % modulus for a, b in zip(x, s)))
+            edges.add((min(u, v), max(u, v)))
+    return n, sorted(edges)
+
+
+def _neighbor_bitsets(n: int, edges) -> list:
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def brute_force_alpha(n: int, edges) -> int:
+    """Exact independence number by branch and bound over vertex bitsets."""
+    if n > ALPHA_CAP:
+        raise ValueError(f"brute-force alpha capped at {ALPHA_CAP} vertices")
+    adj = _neighbor_bitsets(n, edges)
+    best = 0
+
+    def expand(cand: int, size: int):
+        nonlocal best
+        count = cand.bit_count()
+        if size + count <= best:
+            return
+        if cand == 0:
+            best = size
+            return
+        # branch on the candidate vertex with most candidate neighbors
+        pivot, pivot_deg = -1, -1
+        rest = cand
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            d = (adj[v] & cand).bit_count()
+            if d > pivot_deg:
+                pivot, pivot_deg = v, d
+        if pivot_deg == 0:
+            # remaining candidates are pairwise non-adjacent
+            best = size + count
+            return
+        expand(cand & ~(adj[pivot] | (1 << pivot)), size + 1)
+        expand(cand & ~(1 << pivot), size)
+
+    expand((1 << n) - 1, 0)
+    return best
+
+
+def brute_force_chi(n: int, edges) -> int:
+    """Exact chromatic number by iterative deepening on the color budget."""
+    if n > CHI_CAP:
+        raise ValueError(f"brute-force chi capped at {CHI_CAP} vertices")
+    adj = _neighbor_bitsets(n, edges)
+    if not any(adj):
+        return min(n, 1)
+    order = sorted(range(n), key=lambda v: -adj[v].bit_count())
+
+    def colorable(k: int) -> bool:
+        colors = [-1] * n
+
+        def bt(i: int, used: int) -> bool:
+            if i == n:
+                return True
+            v = order[i]
+            forbidden = 0
+            nb = adj[v]
+            while nb:
+                u = (nb & -nb).bit_length() - 1
+                nb &= nb - 1
+                if colors[u] >= 0:
+                    forbidden |= 1 << colors[u]
+            # allowing at most one fresh color per level kills color symmetry
+            for c in range(min(used + 1, k)):
+                if not forbidden & (1 << c):
+                    colors[v] = c
+                    if bt(i + 1, max(used, c + 1)):
+                        return True
+                    colors[v] = -1
+            return False
+
+        return bt(0, 0)
+
+    return next(k for k in range(2, n + 1) if colorable(k))

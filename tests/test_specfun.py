@@ -8,9 +8,9 @@ import scipy.special as sps
 
 from hoffman import (
     JacobiParams,
+    SphereMeasure,
     bessel_first_zero,
     bessel_j,
-    jacobi_normalized,
     jacobi_sequence,
     omega,
 )
@@ -117,44 +117,46 @@ def test_omega_domain_guards():
 
 # ------------------------------------------------------------------ jacobi
 
+def jacobi(k, alpha, t):
+    """Pbar_k(t) as row k of the normalized Jacobi table."""
+    return jacobi_sequence(k, alpha, t)[k]
+
+
 def test_jacobi_trivial_degrees():
-    p = JacobiParams(0.7)
     for t in [-1.0, -0.3, 0.2, 1.0]:
-        assert jacobi_normalized(0, p, t) == 1.0
-        assert abs(jacobi_normalized(1, p, t) - t) < 1e-14
+        assert jacobi(0, 0.7, t) == 1.0
+        assert abs(jacobi(1, 0.7, t) - t) < 1e-14
 
 
 def test_jacobi_legendre_value():
-    p = JacobiParams.for_dimension(3)  # alpha = 0, Legendre
-    assert abs(jacobi_normalized(2, p, -1.0 / 3.0) - (-1.0 / 3.0)) < 1e-14
+    alpha = JacobiParams.for_dimension(3).alpha  # alpha = 0, Legendre
+    assert abs(jacobi(2, alpha, -1.0 / 3.0) - (-1.0 / 3.0)) < 1e-14
 
 
 def test_jacobi_against_scipy():
     rng = np.random.default_rng(31)
     for alpha in [-0.5, 0.0, 0.5, 1.0, 2.5]:
-        p = JacobiParams(alpha)
         ts = rng.uniform(-1.0, 1.0, 20)
         for k in [1, 2, 5, 17, 60, 200]:
             want = sps.eval_jacobi(k, alpha, alpha, ts) / sps.eval_jacobi(
                 k, alpha, alpha, 1.0
             )
-            got = jacobi_normalized(k, p, ts)
+            got = jacobi(k, alpha, ts)
             assert np.max(np.abs(got - want)) < 1e-9
 
 
 def test_jacobi_against_independent_legendre_recurrence():
-    p = JacobiParams.for_dimension(3)
+    alpha = JacobiParams.for_dimension(3).alpha
     for t in [-0.9, -1.0 / 3.0, 0.1, 0.77]:
         want = oracles.legendre_sequence(30, t)
-        got = [jacobi_normalized(k, p, t) for k in range(31)]
+        got = jacobi_sequence(30, alpha, t)[:, 0]
         assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
 
 
 def test_chebyshev_specialization():
-    p = JacobiParams(-0.5)
     thetas = np.linspace(0.0, math.pi, 37)
     for k in [0, 1, 2, 7, 40, 150]:
-        got = jacobi_normalized(k, p, np.cos(thetas))
+        got = jacobi(k, -0.5, np.cos(thetas))
         assert np.max(np.abs(got - np.cos(k * thetas))) < 1e-10
 
 
@@ -188,17 +190,17 @@ def test_jacobi_tail_decay_for_spheres():
 
 
 def test_jacobi_sequence_matches_pointwise_eval():
-    p = JacobiParams(0.25)
     ts = np.linspace(-1.0, 1.0, 11)
     table = jacobi_sequence(12, 0.25, ts)
     for k in range(13):
-        assert np.max(np.abs(table[k] - jacobi_normalized(k, p, ts))) < 1e-13
+        want = sps.eval_jacobi(k, 0.25, 0.25, ts) / sps.eval_jacobi(k, 0.25, 0.25, 1.0)
+        assert np.max(np.abs(table[k] - want)) < 1e-13
 
 
 def test_jacobi_domain_guards():
     with pytest.raises(ValueError):
         JacobiParams(-0.6)
     with pytest.raises(ValueError):
-        jacobi_normalized(2, JacobiParams(0.0), 1.5)
+        SphereMeasure(3, ((1.5, 1.0),))  # the inner products fed to the table
     with pytest.raises(ValueError):
-        jacobi_normalized(-1, JacobiParams(0.0), 0.0)
+        jacobi_sequence(-1, 0.0, 0.0)

@@ -9,26 +9,22 @@ targets along refining moduli.
 import numpy as np
 import pytest
 
-from hoffman.graphs import (
-    adjacency_matrix,
-    brute_force_alpha,
-    brute_force_chi,
-    hoffman_chi_bound,
-    ratio_bound,
-)
-from hoffman.spectral import SymMatrix, eigen_decompose
+from hoffman.graphs import Graph, adjacency_matrix, hoffman_chi_bound, ratio_bound
 from hoffman.torus import (
     CirculantGraph,
     build_torus_graph,
     circulant_spectrum,
-    circulant_to_graph,
     convergence_csv,
     convergence_study,
-    symmetrize,
 )
 
-from oracles import cycle_edges, cycle_spectrum
-
+from oracles import (
+    brute_force_alpha,
+    brute_force_chi,
+    circulant_edges,
+    cycle_edges,
+    cycle_spectrum,
+)
 
 def test_circulant_validation():
     with pytest.raises(ValueError):
@@ -94,82 +90,33 @@ def test_spectrum_matches_dense_eigensolver():
         except ValueError:
             continue
         fft_spec = circulant_spectrum(g)
-        dense = eigen_decompose(adjacency_matrix(circulant_to_graph(g)))
-        assert np.max(np.abs(fft_spec - dense.eigenvalues)) < 1e-8
+        a = adjacency_matrix(Graph.from_edges(*circulant_edges(m, n, g.connection_set)))
+        dense = np.linalg.eigvalsh(a.to_dense())[::-1]
+        assert np.max(np.abs(fft_spec - dense)) < 1e-8
 
 
 def test_expanded_graph_is_the_cycle():
-    g = circulant_to_graph(build_torus_graph(5, 1, [1.0]))
+    g = build_torus_graph(5, 1, [1.0])
+    n, edges = circulant_edges(g.modulus, g.dim, g.connection_set)
     want = {tuple(sorted(e)) for e in cycle_edges(5)}
-    assert g.n == 5 and set(g.edges) == want
+    assert n == 5 and set(edges) == want
 
 
 def test_expanded_graph_edge_count():
     g = build_torus_graph(8, 2, [1.0])
-    expanded = circulant_to_graph(g)
-    assert expanded.n == 64
-    assert len(expanded.edges) == 64 * g.degree // 2
-
-
-def test_expanded_graph_dense_cap():
-    g = CirculantGraph(300, 2, frozenset({(1, 0), (299, 0)}))
-    with pytest.raises(ValueError):
-        circulant_to_graph(g)
-
-
-def test_symmetrize_cyclic_average_of_diagonal():
-    d = SymMatrix.from_dense(np.diag([0.0, 1.0, 2.0, 3.0]))
-    shift = [1, 2, 3, 0]
-    out = symmetrize(d, [shift])
-    assert np.allclose(out.to_dense(), 1.5 * np.eye(4), atol=1e-12)
-
-
-def test_symmetrize_fixes_invariant_matrix():
-    g = circulant_to_graph(build_torus_graph(5, 1, [1.0]))
-    a = adjacency_matrix(g)
-    rot = [(i + 1) % 5 for i in range(5)]
-    out = symmetrize(a, [rot])
-    assert np.allclose(out.to_dense(), a.to_dense(), atol=1e-12)
-
-
-def test_symmetrize_idempotent_and_commuting():
-    rng = np.random.default_rng(13)
-    x = rng.normal(size=(6, 6))
-    a = SymMatrix.from_dense(x + x.T)
-    rot = [(i + 1) % 6 for i in range(6)]
-    once = symmetrize(a, [rot])
-    twice = symmetrize(once, [rot])
-    assert np.allclose(once.to_dense(), twice.to_dense(), atol=1e-12)
-    p = np.eye(6)[np.array(rot)]
-    s = once.to_dense()
-    assert np.max(np.abs(p.T @ s @ p - s)) < 1e-10
-
-
-def test_symmetrize_preserves_positive_semidefiniteness():
-    rng = np.random.default_rng(17)
-    x = rng.normal(size=(5, 3))
-    a = SymMatrix.from_dense(x @ x.T)
-    rot = [(i + 1) % 5 for i in range(5)]
-    out = symmetrize(a, [rot])
-    assert np.min(np.linalg.eigvalsh(out.to_dense())) > -1e-10
-
-
-def test_symmetrize_validation():
-    a = SymMatrix.from_dense(np.eye(4))
-    with pytest.raises(ValueError):
-        symmetrize(a, [[0, 0, 1, 2]])
-    with pytest.raises(ValueError):
-        symmetrize(a, [[1, 2, 3, 0]], cap=3)
+    n, edges = circulant_edges(g.modulus, g.dim, g.connection_set)
+    assert n == 64
+    assert len(edges) == 64 * g.degree // 2
 
 
 def test_discrete_bounds_sound_on_small_circulants():
     # exact alpha and chi by brute force; Hoffman bounds must bracket them
     for m, radii in ((5, [1.0]), (7, [1.0]), (9, [1.0, 2.0]), (13, [1.0, 3.0])):
         g = build_torus_graph(m, 1, radii)
-        expanded = circulant_to_graph(g)
-        a = adjacency_matrix(expanded)
-        alpha_exact = brute_force_alpha(expanded)
-        chi_exact = brute_force_chi(expanded)
+        n, edges = circulant_edges(g.modulus, g.dim, g.connection_set)
+        a = adjacency_matrix(Graph.from_edges(n, edges))
+        alpha_exact = brute_force_alpha(n, edges)
+        chi_exact = brute_force_chi(n, edges)
         assert ratio_bound(a).value >= alpha_exact / m - 1e-9
         assert hoffman_chi_bound(a).value <= chi_exact + 1e-9
 
