@@ -3,6 +3,9 @@
 Hoffman-type bounds computed from the extreme spectrum of adjacency-like
 operators, for three families: finite graphs, translation-invariant graphs
 on R^n with forbidden distances, and distance graphs on the unit sphere.
+Each family's range function (spectral_range, radial_range,
+unit_distance_range, operator_range) returns one SpectralRange, and
+bounds(rng, chi_lb, ...) turns it into BoundReports.
 """
 
 from .errors import (
@@ -16,24 +19,21 @@ from .errors import (
 from .euclidean import (
     ExtremaReport,
     RadialMeasure,
-    chromatic_bound_euclidean,
-    density_bound,
     fourier_radial,
     global_extrema,
     optimize_radial_measure,
     radial_measure_from_json,
     radial_measure_to_json,
+    radial_range,
     steinhardt_measure,
-    unit_distance_bound,
+    unit_distance_range,
 )
 from .graphs import (
     Graph,
     adjacency_matrix,
-    fractional_chi_bound,
-    hoffman_chi_bound,
     parse_graph,
-    ratio_bound,
     read_graph,
+    spectral_range,
 )
 from .reports import (
     KIND_ALPHA_RATIO_UB,
@@ -42,12 +42,12 @@ from .reports import (
     BoundReport,
     SpectralRange,
     alpha_ratio_ub,
+    bounds,
     chi_frac_lb,
     chi_lb,
 )
 from .simplex import simplex_maximize, solve_matrix_game
 from .specfun import (
-    JacobiParams,
     bessel_first_zero,
     bessel_j,
     jacobi_sequence,
@@ -60,7 +60,6 @@ from .sphere import (
     eigenvalue_sequence,
     operator_range,
     optimize_sphere_measure,
-    single_t_bounds,
     sphere_measure_from_json,
     sphere_measure_to_json,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "EigenSequence",
     "ExtremaReport",
     "Graph",
-    "JacobiParams",
     "KIND_ALPHA_RATIO_UB",
     "KIND_CHI_FRAC_LB",
     "KIND_CHI_LB",
@@ -98,19 +96,16 @@ __all__ = [
     "alpha_ratio_ub",
     "bessel_first_zero",
     "bessel_j",
+    "bounds",
     "build_torus_graph",
     "chi_frac_lb",
     "chi_lb",
-    "chromatic_bound_euclidean",
     "circulant_spectrum",
     "convergence_csv",
     "convergence_study",
-    "density_bound",
     "eigenvalue_sequence",
     "fourier_radial",
-    "fractional_chi_bound",
     "global_extrema",
-    "hoffman_chi_bound",
     "jacobi_sequence",
     "numerical_range",
     "omega",
@@ -120,13 +115,13 @@ __all__ = [
     "parse_graph",
     "radial_measure_from_json",
     "radial_measure_to_json",
-    "ratio_bound",
+    "radial_range",
     "read_graph",
     "simplex_maximize",
-    "single_t_bounds",
     "solve_matrix_game",
+    "spectral_range",
     "sphere_measure_from_json",
     "sphere_measure_to_json",
     "steinhardt_measure",
-    "unit_distance_bound",
+    "unit_distance_range",
 ]

@@ -16,22 +16,20 @@ import re
 import sys
 
 from .errors import (
-    BoundInapplicableError,
     ConvergenceError,
     UncertifiedRangeError,
     VacuousBoundError,
 )
 from .euclidean import (
-    global_extrema,
     optimize_radial_measure,
     radial_measure_from_json,
     radial_measure_to_json,
     radial_range,
     steinhardt_measure,
-    unit_distance_bound,
+    unit_distance_range,
 )
 from .graphs import adjacency_matrix, read_graph, spectral_range
-from .reports import alpha_ratio_ub, chi_frac_lb, chi_lb
+from .reports import BoundReport, alpha_ratio_ub, bounds, chi_frac_lb, chi_lb
 from .sphere import (
     SphereMeasure,
     operator_range,
@@ -39,7 +37,6 @@ from .sphere import (
     sphere_measure_from_json,
     sphere_measure_to_json,
 )
-from .specfun import bessel_first_zero
 from .torus import convergence_csv, convergence_study
 
 SCHEMA_VERSION = 1
@@ -142,6 +139,8 @@ _GRID = _bounded(int, "grid points", 16, 100_000)
 
 def _round_floats(obj):
     """10 significant digits on every float, recursively."""
+    if isinstance(obj, BoundReport):
+        return _round_floats(obj.as_dict())
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError(f"non-finite value {obj!r} in output")
@@ -170,43 +169,30 @@ def _load_json_file(path: str):
         return json.load(fh)
 
 
-def _bounds(rng, *constructors) -> dict:
-    """The named bounds of one range; an inapplicable ratio bound is left out."""
-    bounds = {}
-    for construct in constructors:
-        try:
-            rep = construct(rng)
-        except BoundInapplicableError:
-            continue
-        bounds[rep.kind] = rep.as_dict()
-    return bounds
-
-
 def _cmd_finite(args) -> dict:
     g = read_graph(args.graph)
     rng = spectral_range(adjacency_matrix(g))
     return {
         "graph": {"path": args.graph, "vertices": g.n, "edges": len(g.edges)},
-        "bounds": _bounds(rng, chi_lb, alpha_ratio_ub, chi_frac_lb),
+        "bounds": bounds(rng, chi_lb, alpha_ratio_ub, chi_frac_lb),
     }
 
 
 def _cmd_unit_distance(args) -> dict:
-    chi, alpha = unit_distance_bound(args.dimension)
-    z = bessel_first_zero(args.dimension / 2.0)
+    rng, z = unit_distance_range(args.dimension)
     return {
         "dimension": args.dimension,
-        "bounds": {"chi_lb": chi.as_dict(), "alpha_ratio_ub": alpha.as_dict()},
+        "bounds": bounds(rng, chi_lb, alpha_ratio_ub),
         "provenance": {"bessel_first_zero": z},
     }
 
 
 def _cmd_euclidean(args) -> dict:
     mu = radial_measure_from_json(_load_json_file(args.measure))
-    ext = global_extrema(mu, args.tol)
+    rng, ext = radial_range(mu, args.tol)
     return {
         "measure": radial_measure_to_json(mu),
-        "bounds": _bounds(radial_range(mu, ext), chi_lb, alpha_ratio_ub),
+        "bounds": bounds(rng, chi_lb, alpha_ratio_ub),
         "provenance": {
             "cutoff": ext.cutoff,
             "grid_points": ext.grid_points,
@@ -217,12 +203,12 @@ def _cmd_euclidean(args) -> dict:
 
 def _cmd_odd_distance(args) -> dict:
     mu = steinhardt_measure(args.beta, args.terms)
-    ext = global_extrema(mu, args.tol)
+    rng, ext = radial_range(mu, args.tol)
     return {
         "beta": float(args.beta),
         "terms": int(args.terms),
         "measure_mass": mu.total_mass(),
-        "bounds": _bounds(radial_range(mu, ext), chi_lb),
+        "bounds": bounds(rng, chi_lb),
         "provenance": {"cutoff": ext.cutoff, "grid_points": ext.grid_points},
     }
 
@@ -242,7 +228,7 @@ def _cmd_sphere(args) -> dict:
     rng, seq = operator_range(mu, K=args.kmax, tol=args.tol)
     return {
         **echo,
-        "bounds": _bounds(rng, chi_lb, alpha_ratio_ub),
+        "bounds": bounds(rng, chi_lb, alpha_ratio_ub),
         "provenance": {"K": seq.K, "tail_bound": seq.tail_bound},
     }
 
@@ -252,7 +238,7 @@ def _cmd_optimize(args) -> dict:
         if args.kmax is not None:
             raise ValueError("--kmax applies only to --mode sphere")
         grid = 512 if args.grid is None else args.grid
-        mu, rep = optimize_radial_measure(
+        mu, rng = optimize_radial_measure(
             args.dimension, args.support, tol=args.tol, grid=grid
         )
         measure = radial_measure_to_json(mu)
@@ -261,7 +247,7 @@ def _cmd_optimize(args) -> dict:
         if args.grid is not None:
             raise ValueError("--grid applies only to --mode radial")
         kmax = 64 if args.kmax is None else args.kmax
-        mu, rep, seq = optimize_sphere_measure(
+        mu, rng, seq = optimize_sphere_measure(
             args.dimension, args.support, K=kmax, tol=args.tol
         )
         measure = sphere_measure_to_json(mu)
@@ -271,7 +257,7 @@ def _cmd_optimize(args) -> dict:
         "dimension": args.dimension,
         "support": [float(s) for s in args.support],
         "measure": measure,
-        "bounds": {"chi_lb": rep.as_dict()},
+        "bounds": bounds(rng, chi_lb),
         "provenance": prov,
     }
 

@@ -10,17 +10,19 @@ chromatic bound is (sup nuhat - inf nuhat)/(-inf nuhat) and the independence
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .reports import BoundReport, SpectralRange, alpha_ratio_ub, chi_lb
+from .reports import SpectralRange
 from .simplex import solve_matrix_game
 from .specfun import bessel_first_zero, omega
 
 _POINTS_PER_PERIOD = 40
 _LP_GRID = 512
+_LP_ROUNDS = 40  # cutting-plane rounds before the optimizer gives up
 _REFINE_ITERS = 70
 _BLOCK_ELEMENTS = 1 << 14  # atoms x points per omega call
 # (first-window points) x (active atoms) above which a scan is refused
@@ -41,6 +43,8 @@ class RadialMeasure:
     atoms: tuple
 
     def __post_init__(self):
+        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral):
+            raise ValueError(f"dimension must be an integer, got {self.dim!r}")
         n = int(self.dim)
         if not (1 <= n <= 64):
             raise ValueError(f"dimension must lie in [1, 64], got {n}")
@@ -66,9 +70,6 @@ class RadialMeasure:
     def total_mass(self) -> float:
         return float(sum(w for _, w in self.atoms))
 
-    def is_zero(self) -> bool:
-        return all(w == 0.0 for _, w in self.atoms)
-
 
 @dataclass(frozen=True)
 class ExtremaReport:
@@ -85,13 +86,13 @@ def radial_measure_to_json(mu: RadialMeasure) -> dict:
 
 
 def radial_measure_from_json(obj) -> RadialMeasure:
-    if not isinstance(obj, dict) or set(obj) - {"dim", "atoms"}:
+    if not isinstance(obj, dict) or set(obj) != {"dim", "atoms"}:
         raise ValueError("measure object must have exactly the keys 'dim' and 'atoms'")
     try:
         atoms = [(float(r), float(w)) for r, w in obj["atoms"]]
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed atoms list: {exc}") from exc
-    return RadialMeasure(int(obj["dim"]), tuple(atoms))
+    return RadialMeasure(obj["dim"], tuple(atoms))
 
 
 def fourier_radial(mu: RadialMeasure, r):
@@ -279,7 +280,7 @@ def global_extrema(mu: RadialMeasure, tol: float = 1e-8) -> ExtremaReport:
     """
     if tol < 1e-12:
         raise ValueError("tol below 1e-12 is not resolvable in double precision")
-    if not mu.atoms or mu.is_zero():
+    if all(w == 0.0 for _, w in mu.atoms):
         return ExtremaReport(0.0, 0.0, 0.0, 0.0, 0.0, 0)
     return _extrema_report(*_refined_extrema(mu, tol))
 
@@ -290,26 +291,23 @@ def _extrema_report(lows, highs, cutoff: float, points: int) -> ExtremaReport:
     return ExtremaReport(val_min, val_max, arg_min, arg_max, cutoff, points)
 
 
-def radial_range(mu: RadialMeasure, ext: ExtremaReport) -> SpectralRange:
-    """The spectral range [inf nuhat, sup nuhat] of mu from its extrema.
+def radial_range(
+    mu: RadialMeasure, tol: float = 1e-8
+) -> tuple[SpectralRange, ExtremaReport]:
+    """The spectral range [inf nuhat, sup nuhat] of mu, with its evidence.
 
-    R = nuhat(0), the total mass, is given only for a nonnegative measure:
-    the density bound needs a nonnegative operator.
+    Returns (SpectralRange, ExtremaReport): the range, read from one
+    global_extrema pass, and that pass's report.  R = nuhat(0), the total
+    mass, is given only for a nonnegative measure: the density bound needs a
+    nonnegative operator.
     """
+    ext = global_extrema(mu, tol)
+    return _range_from_extrema(mu, ext), ext
+
+
+def _range_from_extrema(mu: RadialMeasure, ext: ExtremaReport) -> SpectralRange:
     nonneg = all(w >= 0.0 for _, w in mu.atoms)
     return SpectralRange(ext.inf_value, ext.sup_value, mu.total_mass() if nonneg else None)
-
-
-def chromatic_bound_euclidean(mu: RadialMeasure, tol: float = 1e-8) -> BoundReport:
-    """Measurable-chromatic lower bound (sup - inf)/(-inf) of nuhat."""
-    return chi_lb(radial_range(mu, global_extrema(mu, tol)))
-
-
-def density_bound(mu: RadialMeasure, tol: float = 1e-8) -> BoundReport:
-    """Upper bound (-inf)/(nuhat(0) - inf) on the density of independent sets."""
-    if any(w < 0.0 for _, w in mu.atoms):
-        raise ValueError("density bound requires nonnegative weights")
-    return alpha_ratio_ub(radial_range(mu, global_extrema(mu, tol)))
 
 
 def steinhardt_measure(beta: float, N: int) -> RadialMeasure:
@@ -330,33 +328,34 @@ def steinhardt_measure(beta: float, N: int) -> RadialMeasure:
     return RadialMeasure(2, atoms)
 
 
-def unit_distance_bound(n: int) -> tuple[BoundReport, BoundReport]:
-    """Sharper-than-scan bounds for the unit-distance graph of R^n.
+def unit_distance_range(n: int) -> tuple[SpectralRange, float]:
+    """Closed-form range of the unit-distance graph of R^n, without a scan.
 
     The profile of the single unit sphere is Omega_n, whose global minimum
-    sits at the first zero of J_{n/2}; evaluating there gives the chromatic
-    bound (1 - v)/(-v) and the density bound (-v)/(1 - v) with
-    v = Omega_n(j_{n/2,1}).
+    sits at the first zero j of J_{n/2}, and Omega_n(0) = 1 is its maximum.
+    Returns (SpectralRange(v, 1, R=1), j) with v = Omega_n(j), which gives
+    the chromatic bound (1 - v)/(-v) and the density bound (-v)/(1 - v).
     """
-    n = int(n)
+    n = RadialMeasure(n, ()).dim  # the measure type validates the dimension
     if not (2 <= n <= 32):
         raise ValueError(f"dimension must lie in [2, 32], got {n}")
-    rng = SpectralRange(float(omega(n, bessel_first_zero(n / 2.0))), 1.0, 1.0)
-    return chi_lb(rng), alpha_ratio_ub(rng)
+    z = bessel_first_zero(n / 2.0)
+    return SpectralRange(float(omega(n, z)), 1.0, 1.0), z
 
 
 def optimize_radial_measure(
-    n: int, radii, max_rounds: int = 40, tol: float = 1e-8, grid: int = _LP_GRID
-) -> tuple[RadialMeasure, BoundReport]:
+    n: int, radii, tol: float = 1e-8, grid: int = _LP_GRID
+) -> tuple[RadialMeasure, SpectralRange]:
     """Best chromatic bound over probability measures on the given radii.
 
     Solves the max-min game between weights and frequencies on a finite grid,
     then verifies the winner against the true continuous infimum; any
     frequency that beats the grid value is appended as a new constraint and
-    the game is re-solved (cutting planes).  The reported value is the true
-    certified bound of the returned measure.
+    the game is re-solved (cutting planes).  Returns (measure, range): the
+    range is read from the extrema of the last round, which certified the
+    measure, as radial_range would read it.
     """
-    n = int(n)
+    n = RadialMeasure(n, ()).dim  # the measure type validates the dimension
     if not (2 <= n <= 32):
         raise ValueError(f"dimension must lie in [2, 32], got {n}")
     ds = sorted(float(d) for d in radii)
@@ -373,7 +372,7 @@ def optimize_radial_measure(
     darr = np.array(ds)
 
     mu = uniform
-    for _ in range(max_rounds):
+    for _ in range(_LP_ROUNDS):
         payoff = omega(n, np.outer(darr, np.array(grid)))
         t_star, w = solve_matrix_game(payoff)
         mu = RadialMeasure(n, tuple(zip(ds, w)))
@@ -387,6 +386,6 @@ def optimize_radial_measure(
     else:
         raise ConvergenceError(
             "cutting-plane rounds exhausted before certification",
-            iterations=max_rounds,
+            iterations=_LP_ROUNDS,
         )
-    return mu, chi_lb(SpectralRange(ext.inf_value, ext.sup_value))
+    return mu, _range_from_extrema(mu, ext)

@@ -1,9 +1,11 @@
-"""Spectral bounds for finite graphs.
+"""Finite graphs: parsing, adjacency, and the spectral range behind their bounds.
 
 All inner products use the uniform probability measure on the vertex set,
 (f, g) = (1/n) sum_v f(v) g(v), so the all-ones function has norm 1 and
 (A 1, 1) equals the average (weighted) degree.  Eigenvalues of the adjacency
 operator under this convention coincide with the ordinary matrix eigenvalues.
+spectral_range is the finite case's range function; reports.bounds turns its
+range into the chromatic, ratio and fractional bounds.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reports import BoundReport, SpectralRange, alpha_ratio_ub, chi_frac_lb, chi_lb
+from .reports import SpectralRange
 from .spectral import SymMatrix, numerical_range
 
 # the dense path holds several n x n float64 copies and solves in O(n^3);
@@ -44,56 +46,52 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(norm))
 
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "Graph":
-        return cls(n, frozenset(tuple(e) for e in edges))
-
 
 def parse_graph(text: str) -> Graph:
     """Parse plain edge-list text or a DIMACS-like format.
 
     Plain format: one "u v" pair per line, 0-indexed, '#' starts a comment;
     n is the largest endpoint plus one.  DIMACS-like: a "p edge n m" header,
-    'c' comment lines, and 1-indexed "e u v" edge lines.
+    'c' comment lines, and 1-indexed "e u v" edge lines; a text with a
+    header holds no plain pair line, before or after it.
     """
     lines = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
             lines.append(line)
+    dimacs = any(line.split()[0] == "p" for line in lines)
     dimacs_n = None
     edges = []
-    seen_header = False
     for line in lines:
         parts = line.split()
         if parts[0] == "c":
             continue
         if parts[0] == "p":
-            if seen_header:
+            if dimacs_n is not None:
                 raise ValueError("duplicate problem header")
             if len(parts) < 3 or parts[1] != "edge":
                 raise ValueError(f"malformed header line {line!r}")
             dimacs_n = int(parts[2])
-            seen_header = True
             continue
         if parts[0] == "e":
-            if not seen_header:
+            if dimacs_n is None:
                 raise ValueError("edge descriptor before problem header")
             if len(parts) != 3:
                 raise ValueError(f"malformed edge line {line!r}")
             u, v = int(parts[1]) - 1, int(parts[2]) - 1
             edges.append((u, v))
             continue
-        if seen_header:
+        if dimacs:
             raise ValueError(f"unrecognised line {line!r} in DIMACS input")
         if len(parts) != 2:
             raise ValueError(f"expected 'u v' pair, got {line!r}")
         edges.append((int(parts[0]), int(parts[1])))
-    if seen_header:
+    if dimacs:
         n = dimacs_n
     else:
         n = 1 + max((max(e) for e in edges), default=-1)
-    return Graph.from_edges(max(n, 0), edges)
+    return Graph(max(n, 0), edges)
 
 
 def read_graph(path) -> Graph:
@@ -116,33 +114,15 @@ def adjacency_matrix(g: Graph) -> SymMatrix:
     return SymMatrix(a)
 
 
-def spectral_range(a: SymMatrix, R: float | None = None) -> SpectralRange:
-    """(m, M) of a from one eigen-solve, with R and eps = ||A 1 - R 1||.
+def spectral_range(a: SymMatrix) -> SpectralRange:
+    """(m, M) of a from one eigen-solve, with R = (A 1, 1) and eps = ||A 1 - R 1||.
 
-    eps measures how far the all-ones function is from being an
-    eigenfunction with value R.  The default R = (A 1, 1), the average
-    (weighted) degree, minimises eps over rank-one corrections; for regular
-    graphs eps vanishes.
+    R is the average (weighted) degree, the R that minimises eps; eps
+    measures how far the all-ones function is from being an eigenfunction
+    with value R, and vanishes for regular graphs.
     """
     dense = a.to_dense()
-    if R is None:
-        R = float(dense.sum()) / a.size
-    R = float(R)
+    R = float(dense.sum()) / a.size
     eps = math.sqrt(float(np.mean((dense.sum(axis=1) - R) ** 2)))
     m, M = numerical_range(a)
     return SpectralRange(m, M, R, eps)
-
-
-def hoffman_chi_bound(a: SymMatrix) -> BoundReport:
-    """Chromatic lower bound (M - m)/(-m)."""
-    return chi_lb(spectral_range(a))
-
-
-def ratio_bound(a: SymMatrix, R: float | None = None) -> BoundReport:
-    """Independence-ratio upper bound (-m + 2 eps)/(R - m - eps); see spectral_range."""
-    return alpha_ratio_ub(spectral_range(a, R))
-
-
-def fractional_chi_bound(a: SymMatrix) -> BoundReport:
-    """Fractional-chromatic lower bound ((A1,1) - m)/(-m)."""
-    return chi_frac_lb(spectral_range(a))

@@ -2,8 +2,11 @@
 
 Every Hoffman-type bound depends only on the numerical range (m, M) of the
 operator, plus R = (A1, 1) and eps = ||A1 - R1|| for the ratio bound.  Each
-case (finite graph, radial measure, sphere measure, circulant) produces one
-SpectralRange; the three constructors below turn it into BoundReports and
+case produces one SpectralRange from one range function:
+graphs.spectral_range (finite graph), euclidean.radial_range (radial
+measure), euclidean.unit_distance_range (unit sphere of R^n),
+sphere.operator_range (sphere measure) and the two optimizers.  bounds()
+turns a range into BoundReports through the three constructors below, which
 hold the only copy of each formula and of its applicability checks.
 """
 
@@ -107,3 +110,20 @@ def chi_frac_lb(rng: SpectralRange) -> BoundReport:
     m = _negative_m(rng)
     R = _ones_value(rng, "fractional bound")
     return BoundReport(KIND_CHI_FRAC_LB, (R - m) / (-m), m, rng.M, R=R)
+
+
+def bounds(rng: SpectralRange, *constructors) -> dict[str, BoundReport]:
+    """The bounds the constructors (chi_lb, alpha_ratio_ub, chi_frac_lb) give
+    for one range, keyed by kind.
+
+    A bound whose precondition fails (BoundInapplicableError) is left out;
+    a range with m >= 0 raises NoNegativeSpectrumError.
+    """
+    out = {}
+    for construct in constructors:
+        try:
+            rep = construct(rng)
+        except BoundInapplicableError:
+            continue
+        out[rep.kind] = rep
+    return out

@@ -12,7 +12,6 @@ for orders up to 60 and arguments up to 1e6.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -267,36 +266,19 @@ def omega(n: int, t):
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
-@dataclass(frozen=True)
-class JacobiParams:
-    """Equal-index Jacobi parameter alpha >= -1/2."""
-
-    alpha: float
-
-    def __post_init__(self):
-        a = float(self.alpha)
-        if not (a >= -0.5):
-            raise ValueError(f"alpha must be >= -1/2, got {a!r}")
-        object.__setattr__(self, "alpha", a)
-
-    @classmethod
-    def for_dimension(cls, n: int) -> "JacobiParams":
-        n = int(n)
-        if n < 2:
-            raise ValueError("sphere dimension must be at least 2")
-        return cls((n - 3) / 2.0)
-
-
 def jacobi_sequence(kmax: int, alpha: float, t: np.ndarray) -> np.ndarray:
     """All normalized Jacobi values P~_k(t) for k = 0..kmax, shape (kmax+1, len(t)).
 
     The three-term recurrence is run directly on the polynomials normalized to
     1 at t = 1; folding the normalization into the coefficients gives
     (k + 2 alpha) P~_k = (2k + 2 alpha - 1) t P~_{k-1} - (k - 1) P~_{k-2},
-    which reduces to the Chebyshev recurrence at alpha = -1/2.
+    which reduces to the Chebyshev recurrence at alpha = -1/2, the smallest
+    alpha accepted (the circle S^1).
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
+    if not (alpha >= -0.5):
+        raise ValueError(f"alpha must be >= -1/2, got {alpha!r}")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     vals = np.empty((kmax + 1, t.size))
     vals[0] = 1.0

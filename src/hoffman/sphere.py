@@ -12,15 +12,16 @@ eigenvalue set, and Hoffman-type bounds follow from its endpoints.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import UncertifiedRangeError, VacuousBoundError
-from .reports import SpectralRange, alpha_ratio_ub, chi_lb
+from .reports import SpectralRange
 from .simplex import solve_matrix_game
-from .specfun import JacobiParams, jacobi_sequence
+from .specfun import jacobi_sequence
 
 _K_PUBLIC_MAX = 10_000
 _K_CERT_CAP = 8192
@@ -40,6 +41,8 @@ class SphereMeasure:
     atoms: tuple
 
     def __post_init__(self):
+        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral):
+            raise ValueError(f"sphere dimension must be an integer, got {self.dim!r}")
         n = int(self.dim)
         if not (2 <= n <= 64):
             raise ValueError(f"sphere dimension must lie in [2, 64], got {n}")
@@ -67,9 +70,6 @@ class SphereMeasure:
     def total_mass(self) -> float:
         return float(sum(w for _, w in self.atoms))
 
-    def is_zero(self) -> bool:
-        return all(w == 0.0 for _, w in self.atoms)
-
 
 @dataclass(frozen=True)
 class EigenSequence:
@@ -89,13 +89,18 @@ def sphere_measure_to_json(mu: SphereMeasure) -> dict:
 
 
 def sphere_measure_from_json(obj) -> SphereMeasure:
-    if not isinstance(obj, dict) or set(obj) - {"dim", "atoms"}:
+    if not isinstance(obj, dict) or set(obj) != {"dim", "atoms"}:
         raise ValueError("measure object must have exactly the keys 'dim' and 'atoms'")
     try:
         atoms = [(float(t), float(w)) for t, w in obj["atoms"]]
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed atoms list: {exc}") from exc
-    return SphereMeasure(int(obj["dim"]), tuple(atoms))
+    return SphereMeasure(obj["dim"], tuple(atoms))
+
+
+def _jacobi_alpha(n: int) -> float:
+    """The Jacobi parameter of degree-k harmonics on S^(n-1)."""
+    return (n - 3) / 2.0
 
 
 def eigenvalue_sequence(mu: SphereMeasure, K: int) -> EigenSequence:
@@ -103,11 +108,7 @@ def eigenvalue_sequence(mu: SphereMeasure, K: int) -> EigenSequence:
     K = int(K)
     if not (1 <= K <= _K_PUBLIC_MAX):
         raise ValueError(f"K must lie in [1, {_K_PUBLIC_MAX}], got {K}")
-    if not mu.atoms:
-        values = np.zeros(K + 1)
-        return EigenSequence(values, K, 0.0)
-    alpha = JacobiParams.for_dimension(mu.dim).alpha
-    table = jacobi_sequence(2 * K, alpha, mu.inner_products())
+    table = jacobi_sequence(2 * K, _jacobi_alpha(mu.dim), mu.inner_products())
     lam = table @ mu.weights()
     lam[0] = mu.total_mass()
     return EigenSequence(lam[: K + 1].copy(), K, float(np.max(np.abs(lam[K + 1 :]))))
@@ -183,20 +184,6 @@ def operator_range(mu: SphereMeasure, K: int = 64, tol: float = 1e-8):
         k_cur *= 2
 
 
-def single_t_bounds(n: int, t: float, K: int = 64, tol: float = 1e-8):
-    """(alpha_ub, chi_lb) for the graph forbidding one inner product t.
-
-    With m = inf_k lambda_k(t) < 0 the bounds are alpha_ub = (-m)/(1 - m)
-    and chi_lb = (1 - m)/(-m); their product is exactly 1 because the sphere
-    is two-point homogeneous.
-    """
-    t = float(t)
-    if not (-1.0 <= t < 1.0):
-        raise ValueError(f"t must lie in [-1, 1), got {t!r}")
-    rng, _ = operator_range(SphereMeasure(int(n), ((t, 1.0),)), K=K, tol=tol)
-    return alpha_ratio_ub(rng), chi_lb(rng)
-
-
 def optimize_sphere_measure(n: int, support, K: int = 64, tol: float = 1e-8):
     """Best chromatic bound over probability measures on the given support.
 
@@ -204,16 +191,15 @@ def optimize_sphere_measure(n: int, support, K: int = 64, tol: float = 1e-8):
     sum w_i = 1, w >= 0 (a matrix game), then certifies the winner's true
     eigenvalue infimum with operator_range; if the truncation missed a
     deeper dip the row set is doubled and the game re-solved.  Returns
-    (measure, chi_lb report, EigenSequence): like operator_range, the
-    sequence whose K and tail probe checked the range.
+    (measure, SpectralRange, EigenSequence): the range and sequence of the
+    last round's operator_range call, which certified the measure.
     """
-    n = int(n)
+    n = SphereMeasure(n, ()).dim  # the measure type validates the dimension
     ts = sorted(float(t) for t in support)
     if not ts or len(set(ts)) != len(ts):
         raise ValueError("support must be nonempty with distinct inner products")
     if any(not (-1.0 <= t < 1.0) for t in ts):
         raise ValueError("support points must lie in [-1, 1)")
-    alpha_param = JacobiParams.for_dimension(n).alpha
     tarr = np.array(ts)
 
     k_rows = max(1, int(K))
@@ -223,7 +209,7 @@ def optimize_sphere_measure(n: int, support, K: int = 64, tol: float = 1e-8):
                 np.outer(np.arange(1, k_rows + 1), np.arccos(np.clip(tarr, -1, 1)))
             )
         else:
-            rows = jacobi_sequence(k_rows, alpha_param, tarr)[1:]
+            rows = jacobi_sequence(k_rows, _jacobi_alpha(n), tarr)[1:]
         s_star, w = solve_matrix_game(rows.T)
         mu = SphereMeasure(n, tuple(zip(ts, w)))
         if s_star >= 0.0:
@@ -240,4 +226,4 @@ def optimize_sphere_measure(n: int, support, K: int = 64, tol: float = 1e-8):
                 s_star - rng.m,
             )
         k_rows *= 2
-    return mu, chi_lb(rng), seq
+    return mu, rng, seq

@@ -14,8 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .euclidean import RadialMeasure, global_extrema, radial_range
-from .reports import SpectralRange, alpha_ratio_ub, chi_lb
+from .euclidean import RadialMeasure, radial_range
+from .reports import (
+    KIND_ALPHA_RATIO_UB,
+    KIND_CHI_LB,
+    SpectralRange,
+    alpha_ratio_ub,
+    bounds,
+    chi_lb,
+)
 
 _VERTEX_CAP = 2**24
 
@@ -117,6 +124,12 @@ def circulant_spectrum(g: CirculantGraph) -> np.ndarray:
     return np.sort(spec)[::-1]
 
 
+def _bound_values(rng: SpectralRange) -> tuple[float, float]:
+    """(chi_lb, alpha_ub) of a range; both apply, as m < 0 < R and eps = 0."""
+    reps = bounds(rng, chi_lb, alpha_ratio_ub)
+    return reps[KIND_CHI_LB].value, reps[KIND_ALPHA_RATIO_UB].value
+
+
 def _circulant_bounds(m: int, n: int, lattice_radii, tol: float):
     """(chi_lb, alpha_ub) from the exact circulant spectrum.
 
@@ -125,8 +138,7 @@ def _circulant_bounds(m: int, n: int, lattice_radii, tol: float):
     """
     g = build_torus_graph(m, n, lattice_radii, tol)
     spec = circulant_spectrum(g)
-    rng = SpectralRange(float(spec[-1]), float(spec[0]), float(g.degree))
-    return chi_lb(rng).value, alpha_ratio_ub(rng).value
+    return _bound_values(SpectralRange(float(spec[-1]), float(spec[0]), float(g.degree)))
 
 
 def convergence_study(n: int, radii, moduli, tol: float = 0.25):
@@ -148,8 +160,7 @@ def convergence_study(n: int, radii, moduli, tol: float = 0.25):
     m_ref = ms[0]
 
     uniform = RadialMeasure(n, tuple((d, 1.0 / len(ds)) for d in sorted(set(ds))))
-    cont = radial_range(uniform, global_extrema(uniform))
-    cont_chi, cont_alpha = chi_lb(cont).value, alpha_ratio_ub(cont).value
+    cont_chi, cont_alpha = _bound_values(radial_range(uniform)[0])
 
     rows = []
     for m in ms:

@@ -13,14 +13,15 @@ import numpy as np
 import pytest
 
 from hoffman.euclidean import (
-    chromatic_bound_euclidean,
     optimize_radial_measure,
+    radial_range,
     steinhardt_measure,
-    unit_distance_bound,
+    unit_distance_range,
 )
-from hoffman.graphs import Graph, adjacency_matrix, hoffman_chi_bound, ratio_bound
+from hoffman.graphs import Graph, adjacency_matrix, spectral_range
+from hoffman.reports import alpha_ratio_ub, chi_lb
 from hoffman.specfun import bessel_first_zero, bessel_j, jacobi_sequence, omega
-from hoffman.sphere import optimize_sphere_measure, single_t_bounds
+from hoffman.sphere import SphereMeasure, operator_range, optimize_sphere_measure
 from hoffman.torus import build_torus_graph, circulant_spectrum
 
 from oracles import (
@@ -32,6 +33,12 @@ from oracles import (
 )
 
 
+def _single_t_bounds(n, t):
+    """(alpha_ratio_ub, chi_lb) of the graph forbidding one inner product t."""
+    rng, _ = operator_range(SphereMeasure(n, ((t, 1.0),)))
+    return alpha_ratio_ub(rng), chi_lb(rng)
+
+
 def _verdict(capsys, idx, ok, detail):
     with capsys.disabled():
         print(f"\n[ACCEPTANCE {idx:02d}] {'PASS' if ok else 'FAIL'}: {detail}")
@@ -40,9 +47,9 @@ def _verdict(capsys, idx, ok, detail):
 def test_acceptance_01_pentagon_sandwich(capsys):
     t0 = time.monotonic()
     g = Graph(5, frozenset(cycle_edges(5)))
-    a = adjacency_matrix(g)
-    chi = hoffman_chi_bound(a).value
-    ratio = ratio_bound(a).value
+    rng = spectral_range(adjacency_matrix(g))
+    chi = chi_lb(rng).value
+    ratio = alpha_ratio_ub(rng).value
     alpha = brute_force_alpha(5, cycle_edges(5))
     elapsed = time.monotonic() - t0
     ok = (
@@ -68,9 +75,9 @@ def test_acceptance_01_pentagon_sandwich(capsys):
 def test_acceptance_02_petersen(capsys):
     t0 = time.monotonic()
     g = Graph(10, frozenset(petersen_edges()))
-    a = adjacency_matrix(g)
-    chi = hoffman_chi_bound(a).value
-    ratio = ratio_bound(a).value
+    rng = spectral_range(adjacency_matrix(g))
+    chi = chi_lb(rng).value
+    ratio = alpha_ratio_ub(rng).value
     alpha = brute_force_alpha(10, petersen_edges())
     elapsed = time.monotonic() - t0
     ok = (
@@ -94,7 +101,8 @@ def test_acceptance_02_petersen(capsys):
 
 def test_acceptance_03_plane_unit_distance(capsys):
     t0 = time.monotonic()
-    chi, alpha = unit_distance_bound(2)
+    rng, _ = unit_distance_range(2)
+    chi, alpha = chi_lb(rng), alpha_ratio_ub(rng)
     elapsed = time.monotonic() - t0
     product = chi.value * alpha.value
     ok = (
@@ -128,7 +136,7 @@ def test_acceptance_04_dimensions_3_to_8(capsys):
         8: 34.921573752476,
     }
     t0 = time.monotonic()
-    values = {n: unit_distance_bound(n)[0].value for n in range(3, 9)}
+    values = {n: chi_lb(unit_distance_range(n)[0]).value for n in range(3, 9)}
     elapsed = time.monotonic() - t0
     increasing = all(values[n] < values[n + 1] for n in range(3, 8))
     matched = all(abs(values[n] - goldens[n]) < 1e-8 for n in range(3, 9))
@@ -148,7 +156,7 @@ def test_acceptance_04_dimensions_3_to_8(capsys):
 
 def test_acceptance_05_sphere_tight_case(capsys):
     t0 = time.monotonic()
-    alpha, chi = single_t_bounds(3, -1.0 / 3.0)
+    alpha, chi = _single_t_bounds(3, -1.0 / 3.0)
     elapsed = time.monotonic() - t0
     ok = (
         abs(alpha.value - 0.25) < 1e-8
@@ -173,7 +181,7 @@ def test_acceptance_06_product_identity_suite(capsys):
     for _ in range(25):
         n = int(rng.integers(2, 9))
         t = float(rng.uniform(-1.0, 0.9))
-        alpha, chi = single_t_bounds(n, t)
+        alpha, chi = _single_t_bounds(n, t)
         worst = max(worst, abs(alpha.value * chi.value - 1.0))
     ok = worst < 1e-8
     _verdict(capsys, 6, ok, f"25 random (n, t): worst |alpha*chi - 1| {worst:.2e}")
@@ -184,7 +192,7 @@ def test_acceptance_07_odd_distance_divergence(capsys):
     t0 = time.monotonic()
     schedule = ((1.3, 10), (1.15, 40), (1.05, 160))
     values = [
-        chromatic_bound_euclidean(steinhardt_measure(beta, N)).value
+        chi_lb(radial_range(steinhardt_measure(beta, N))[0]).value
         for beta, N in schedule
     ]
     elapsed = time.monotonic() - t0
@@ -204,11 +212,9 @@ def test_acceptance_07_odd_distance_divergence(capsys):
 
 def test_acceptance_08_optimizer_soundness(capsys):
     t0 = time.monotonic()
-    _, rep = optimize_radial_measure(2, [1.0])
-    radial_base = rep.value
-    target = unit_distance_bound(2)[0].value
-    _, rep, _ = optimize_sphere_measure(3, [-1.0 / 3.0])
-    sphere_base = rep.value
+    radial_base = chi_lb(optimize_radial_measure(2, [1.0])[1]).value
+    target = chi_lb(unit_distance_range(2)[0]).value
+    sphere_base = chi_lb(optimize_sphere_measure(3, [-1.0 / 3.0])[1]).value
 
     rng = np.random.default_rng(2024)
     radial_support, sphere_support = [1.0], [-1.0 / 3.0]
@@ -217,12 +223,12 @@ def test_acceptance_08_optimizer_soundness(capsys):
     for i in range(10):  # alternate the two optimizers, five augmentations each
         if i % 2 == 0:
             radial_support.append(float(rng.uniform(0.3, 3.0)))
-            _, rep = optimize_radial_measure(2, radial_support)
+            rep = chi_lb(optimize_radial_measure(2, radial_support)[1])
             monotone &= rep.value >= radial_val - 1e-9
             radial_val = rep.value
         else:
             sphere_support.append(float(rng.uniform(-0.95, 0.85)))
-            _, rep, _ = optimize_sphere_measure(3, sorted(sphere_support))
+            rep = chi_lb(optimize_sphere_measure(3, sorted(sphere_support))[1])
             monotone &= rep.value >= sphere_val - 1e-9
             sphere_val = rep.value
     elapsed = time.monotonic() - t0
@@ -268,7 +274,7 @@ def test_acceptance_09_oracle_equivalence(capsys):
         except ValueError:
             continue  # annulus may be empty for an unlucky draw; redraw
         spec = circulant_spectrum(g)
-        a = adjacency_matrix(Graph.from_edges(*circulant_edges(m, n, g.connection_set)))
+        a = adjacency_matrix(Graph(*circulant_edges(m, n, g.connection_set)))
         dense = np.linalg.eigvalsh(a.to_dense())[::-1]
         worst = max(worst, float(np.max(np.abs(spec - dense))))
         checked += 1
@@ -282,10 +288,9 @@ def test_acceptance_09_oracle_equivalence(capsys):
         edges = {(u, v) for u in range(nv) for v in range(u + 1, nv) if mask[u, v]}
         if not edges:
             continue
-        g = Graph(nv, frozenset(edges))
-        a = adjacency_matrix(g)
-        sound &= hoffman_chi_bound(a).value <= brute_force_chi(nv, edges) + 1e-9
-        sound &= ratio_bound(a).value >= brute_force_alpha(nv, edges) / nv - 1e-9
+        spec_range = spectral_range(adjacency_matrix(Graph(nv, frozenset(edges))))
+        sound &= chi_lb(spec_range).value <= brute_force_chi(nv, edges) + 1e-9
+        sound &= alpha_ratio_ub(spec_range).value >= brute_force_alpha(nv, edges) / nv - 1e-9
         graphs_checked += 1
     elapsed = time.monotonic() - t0
     ok = checked == 50 and worst < 1e-8 and sound and elapsed < 300.0

@@ -118,6 +118,23 @@ def test_euclidean_malformed_measure_exits_1(capsys, tmp_path):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, measure",
+    [
+        ("euclidean", {"dim": 2.7, "atoms": [[1.0, 1.0]]}),
+        ("euclidean", {"dim": True, "atoms": [[1.0, 1.0]]}),
+        ("euclidean", {"dim": math.inf, "atoms": [[1.0, 1.0]]}),
+        ("sphere", {"dim": 3.9, "atoms": [[-0.5, 1.0]]}),
+        ("sphere", {"dim": True, "atoms": [[-0.5, 1.0]]}),
+    ],
+)
+def test_non_integral_measure_dimension_exits_1(capsys, tmp_path, command, measure):
+    path = tmp_path / "measure.json"
+    path.write_text(json.dumps(measure))
+    assert run([command, str(path)]) == 1
+    assert "dimension must be an integer" in _one_error_line(capsys)
+
+
 def test_odd_distance_measure(capsys):
     assert run(["odd-distance", "--beta", "1.3", "-N", "10"]) == 0
     obj = _payload(capsys)

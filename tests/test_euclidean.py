@@ -1,27 +1,32 @@
 """Radial-measure bounds: profile extrema, chromatic/density bounds, LP optimizer."""
 
+import importlib
 import json
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import hoffman
 import hoffman.euclidean as euclidean
 from hoffman.cli import run
 from hoffman import (
+    BoundInapplicableError,
     ConvergenceError,
     RadialMeasure,
     VacuousBoundError,
-    chromatic_bound_euclidean,
-    density_bound,
+    alpha_ratio_ub,
+    chi_lb,
     fourier_radial,
     global_extrema,
     omega,
     optimize_radial_measure,
     radial_measure_from_json,
     radial_measure_to_json,
+    radial_range,
     steinhardt_measure,
-    unit_distance_bound,
+    unit_distance_range,
 )
 
 import oracles
@@ -34,6 +39,20 @@ J11 = 3.8317059702075125
 J0_MIN = -0.4027593957025531
 SINC_ARG = 4.493409457909064
 SINC_MIN = -0.21723362821122166
+
+
+def chromatic(mu):
+    return chi_lb(radial_range(mu)[0])
+
+
+def density(mu):
+    return alpha_ratio_ub(radial_range(mu)[0])
+
+
+def unit_distance(n):
+    """(chi_lb, alpha_ratio_ub) of the unit-distance graph of R^n."""
+    rng, _ = unit_distance_range(n)
+    return chi_lb(rng), alpha_ratio_ub(rng)
 
 
 def test_oracle_constants_rederive():
@@ -52,6 +71,9 @@ def test_measure_validation():
         RadialMeasure(2, ((1.0, 1.0), (1.0, 0.5)))
     with pytest.raises(ValueError):
         RadialMeasure(0, ((1.0, 1.0),))
+    for dim in (2.7, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            RadialMeasure(dim, ((1.0, 1.0),))
 
 
 def test_measure_json_round_trip():
@@ -59,7 +81,12 @@ def test_measure_json_round_trip():
     assert radial_measure_from_json(radial_measure_to_json(mu)) == mu
     text = json.dumps(radial_measure_to_json(mu))
     assert radial_measure_from_json(json.loads(text)) == mu
-    for bad in [{"dim": 2}, {"dim": 2, "atoms": [[1.0]]}, {"dim": 2, "atoms": 3, "x": 1}]:
+    for bad in [
+        {"dim": 2},
+        {"atoms": [[1.0, 1.0]]},
+        {"dim": 2, "atoms": [[1.0]]},
+        {"dim": 2, "atoms": 3, "x": 1},
+    ]:
         with pytest.raises(ValueError):
             radial_measure_from_json(bad)
 
@@ -116,16 +143,16 @@ def test_dimension_one_profile_is_cosine():
 
 
 def test_chromatic_bound_unit_shells():
-    r2 = chromatic_bound_euclidean(UNIT2)
+    r2 = chromatic(UNIT2)
     assert abs(r2.value - (1.0 - J0_MIN) / (-J0_MIN)) < 1e-9
-    r3 = chromatic_bound_euclidean(UNIT3)
+    r3 = chromatic(UNIT3)
     assert abs(r3.value - (1.0 - SINC_MIN) / (-SINC_MIN)) < 1e-9
     assert abs(r2.value - (r2.M - r2.m) / (-r2.m)) < 1e-12
 
 
 def test_chromatic_bound_weight_scale_invariance():
     scaled = RadialMeasure(2, ((1.0, 7.5),))
-    assert abs(chromatic_bound_euclidean(scaled).value - chromatic_bound_euclidean(UNIT2).value) < 1e-9
+    assert abs(chromatic(scaled).value - chromatic(UNIT2).value) < 1e-9
 
 
 def test_chromatic_bound_radius_scale_invariance():
@@ -133,12 +160,12 @@ def test_chromatic_bound_radius_scale_invariance():
         mu = RadialMeasure(2, ((1.0 * c, 0.5), (2.0 * c, 0.5)))
         base = RadialMeasure(2, ((1.0, 0.5), (2.0, 0.5)))
         assert abs(
-            chromatic_bound_euclidean(mu).value - chromatic_bound_euclidean(base).value
+            chromatic(mu).value - chromatic(base).value
         ) < 1e-9
 
 
 def test_density_bound_values_and_duality():
-    d2 = density_bound(UNIT2)
+    d2 = density(UNIT2)
     assert abs(d2.value - (-J0_MIN) / (1.0 - J0_MIN)) < 1e-9
     assert d2.R == 1.0 and d2.epsilon == 0.0
     # chromatic x density = 1 for nonnegative measures (sup = mass)
@@ -147,15 +174,16 @@ def test_density_bound_values_and_duality():
         radii = np.sort(rng.uniform(0.5, 3.0, 2))
         weights = rng.uniform(0.1, 1.0, 2)
         mu = RadialMeasure(3, tuple(zip(radii, weights)))
-        prod = chromatic_bound_euclidean(mu).value * density_bound(mu).value
+        rng_mu, _ = radial_range(mu)
+        prod = chi_lb(rng_mu).value * alpha_ratio_ub(rng_mu).value
         assert abs(prod - 1.0) < 1e-9
 
 
 def test_density_bound_rejects_signed_and_zero():
-    with pytest.raises(ValueError):
-        density_bound(RadialMeasure(2, ((1.0, -0.1), (2.0, 1.0))))
+    with pytest.raises(BoundInapplicableError):
+        density(RadialMeasure(2, ((1.0, -0.1), (2.0, 1.0))))
     with pytest.raises(VacuousBoundError):
-        density_bound(RadialMeasure(2, ((1.0, 0.0),)))
+        density(RadialMeasure(2, ((1.0, 0.0),)))
 
 
 def test_steinhardt_atoms():
@@ -174,70 +202,72 @@ def test_steinhardt_atoms():
 
 
 def test_steinhardt_divergence_ordering():
-    slow = chromatic_bound_euclidean(steinhardt_measure(1.05, 200)).value
-    fast = chromatic_bound_euclidean(steinhardt_measure(1.3, 20)).value
+    slow = chromatic(steinhardt_measure(1.05, 200)).value
+    fast = chromatic(steinhardt_measure(1.3, 20)).value
     assert slow > fast
 
 
 def test_unit_distance_bound_examples():
-    chi2, alpha2 = unit_distance_bound(2)
+    chi2, alpha2 = unit_distance(2)
     assert abs(chi2.value - 3.482871934633955) < 1e-9
     assert abs(alpha2.value - 0.28711937124529924) < 1e-9
-    chi3, alpha3 = unit_distance_bound(3)
+    chi3, alpha3 = unit_distance(3)
     assert abs(chi3.value - 5.603338848751701) < 1e-9
     assert abs(alpha3.value - 0.17846502362118918) < 1e-9
     for n in range(2, 33):
-        chi, alpha = unit_distance_bound(n)
+        chi, alpha = unit_distance(n)
         assert abs(chi.value * alpha.value - 1.0) < 1e-9
-    with pytest.raises(ValueError):
-        unit_distance_bound(1)
+    for n in (1, 2.5):
+        with pytest.raises(ValueError):
+            unit_distance_range(n)
 
 
 def test_unit_distance_matches_scan():
-    chi, alpha = unit_distance_bound(2)
-    assert abs(chi.value - chromatic_bound_euclidean(UNIT2).value) < 1e-9
-    assert abs(alpha.value - density_bound(UNIT2).value) < 1e-9
+    chi, alpha = unit_distance(2)
+    assert abs(chi.value - chromatic(UNIT2).value) < 1e-9
+    assert abs(alpha.value - density(UNIT2).value) < 1e-9
 
 
 def test_optimizer_single_shell_matches_closed_form():
-    mu, rep = optimize_radial_measure(2, [1.0])
+    mu, rng = optimize_radial_measure(2, [1.0])
     assert mu.atoms == ((1.0, 1.0),)
-    assert abs(rep.value - unit_distance_bound(2)[0].value) < 1e-6
+    assert abs(chi_lb(rng).value - unit_distance(2)[0].value) < 1e-6
 
 
 def test_optimizer_monotone_in_support():
-    _, r1 = optimize_radial_measure(2, [1.0])
-    _, r2 = optimize_radial_measure(2, [1.0, 2.0])
+    r1 = chi_lb(optimize_radial_measure(2, [1.0])[1])
+    r2 = chi_lb(optimize_radial_measure(2, [1.0, 2.0])[1])
     assert r2.value >= r1.value - 1e-9
 
 
 def test_optimizer_odd_distances_beat_single_shell():
     # all single shells tie by scale invariance, so any strict gain is real
     odd = list(range(1, 42, 2))
-    _, rep = optimize_radial_measure(2, [float(d) for d in odd], tol=1e-7)
-    single = unit_distance_bound(2)[0].value
+    rep = chi_lb(optimize_radial_measure(2, [float(d) for d in odd], tol=1e-7)[1])
+    single = unit_distance(2)[0].value
     assert rep.value > single + 0.5
 
 
 def test_optimizer_cutting_plane_soundness():
-    mu, rep = optimize_radial_measure(3, [1.0, 1.8, 2.6])
+    mu, rng = optimize_radial_measure(3, [1.0, 1.8, 2.6])
     ext = global_extrema(mu)
     fine = fourier_radial(mu, np.linspace(0.0, ext.cutoff, 5120))
-    assert float(np.min(fine)) >= rep.m - 10.0 * 1e-8
+    assert float(np.min(fine)) >= rng.m - 10.0 * 1e-8
     # reported value reproduces from the certified extrema of the measure
-    assert abs(rep.value - (ext.sup_value - ext.inf_value) / (-ext.inf_value)) < 1e-9
+    assert abs(chi_lb(rng).value - (ext.sup_value - ext.inf_value) / (-ext.inf_value)) < 1e-9
 
 
 def test_optimizer_deterministic_and_validated():
     a = optimize_radial_measure(2, [1.0, 2.0])
     b = optimize_radial_measure(2, [1.0, 2.0])
-    assert a[0] == b[0] and a[1].value == b[1].value
+    assert a == b
     with pytest.raises(ValueError):
         optimize_radial_measure(2, [])
     with pytest.raises(ValueError):
         optimize_radial_measure(2, [1.0, 1.0])
-    with pytest.raises(ValueError):
-        optimize_radial_measure(1, [1.0])
+    for n in (1, 2.5):
+        with pytest.raises(ValueError):
+            optimize_radial_measure(n, [1.0])
 
 
 def _golden_reference(f, lo, hi, sign):
@@ -298,12 +328,49 @@ def test_blocked_fourier_radial_matches_per_atom_loop():
     assert np.max(np.abs(fourier_radial(mu, grid) - expected)) < 1e-13
 
 
+# Per subcommand, the functions that compute its range and how often one
+# request may call them: the case's range function once, and the extrema
+# pass or Bessel-zero bisection behind it once, not again in the CLI.
+_RANGE_CALLS = {
+    "finite": {"spectral_range": 1},
+    "unit-distance": {"unit_distance_range": 1, "bessel_first_zero": 1},
+    "euclidean": {"radial_range": 1, "_refined_extrema": 1},
+    "odd-distance": {"radial_range": 1, "_refined_extrema": 1},
+    "sphere": {"operator_range": 1},
+    # the last cutting-plane round's extrema give the range: no further pass
+    "optimize": {"optimize_radial_measure": 1, "global_extrema": 0},
+    "torus": {"radial_range": 1, "_refined_extrema": 1},
+}
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of hoffman's function `name` through every module binding it."""
+    calls = []
+    for info in pkgutil.iter_modules(hoffman.__path__):
+        module = importlib.import_module(f"hoffman.{info.name}")
+        fn = vars(module).get(name)
+        if fn is None:
+            continue
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls.append(args)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize(
     "measure, argv",
     [
         ({"dim": 3, "atoms": [[1.0, 0.4], [1.7, 0.6]]}, ["euclidean"]),
         ({"dim": 2, "atoms": [[1.0, 1.0], [2.0, -0.2]]}, ["euclidean"]),
         (None, ["odd-distance", "--beta", "1.3", "-N", "4"]),
+        (None, ["finite", "{dir}/c5.txt"]),
+        (None, ["unit-distance", "-n", "3"]),
+        (None, ["sphere", "-n", "4", "-t", "-0.25"]),
+        (None, ["optimize", "--mode", "radial", "--support", "1"]),
+        (None, ["torus", "--radii", "2", "--moduli", "8", "-n", "2", "--format", "json"]),
     ],
 )
 def test_cli_runs_one_extrema_pass_per_request(
@@ -313,14 +380,10 @@ def test_cli_runs_one_extrema_pass_per_request(
         path = tmp_path / "measure.json"
         path.write_text(json.dumps(measure))
         argv = argv + [str(path)]
-    calls = []
-    inner = euclidean._refined_extrema
-
-    def counted(*args):
-        calls.append(args)
-        return inner(*args)
-
-    monkeypatch.setattr(euclidean, "_refined_extrema", counted)
+    (tmp_path / "c5.txt").write_text("0 1\n1 2\n2 3\n3 4\n4 0\n")
+    argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+    expected = _RANGE_CALLS[argv[0]]
+    calls = {name: _count_calls(monkeypatch, name) for name in expected}
     assert run(argv) == 0
-    assert len(calls) == 1
+    assert {name: len(c) for name, c in calls.items()} == expected
     assert json.loads(capsys.readouterr().out)["status"] == "ok"

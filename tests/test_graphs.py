@@ -1,6 +1,7 @@
 """Finite-graph bounds and parsing, checked against brute-force oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from hoffman import (
     SymMatrix,
     VacuousBoundError,
     adjacency_matrix,
-    fractional_chi_bound,
-    hoffman_chi_bound,
+    alpha_ratio_ub,
+    bounds,
+    chi_frac_lb,
+    chi_lb,
     parse_graph,
-    ratio_bound,
+    spectral_range,
 )
 
 import oracles
@@ -25,11 +28,15 @@ SQRT5 = math.sqrt(5.0)
 
 
 def cycle(n):
-    return Graph.from_edges(n, oracles.cycle_edges(n))
+    return Graph(n, oracles.cycle_edges(n))
 
 
 def petersen():
-    return Graph.from_edges(10, oracles.petersen_edges())
+    return Graph(10, oracles.petersen_edges())
+
+
+def graph_range(g):
+    return spectral_range(adjacency_matrix(g))
 
 
 # ---------------------------------------------------------------- parsing
@@ -46,6 +53,16 @@ def test_parse_dimacs_header_is_one_indexed():
     assert sorted(g.edges) == [(0, 1), (1, 2)]
 
 
+def test_parse_rejects_plain_pairs_in_dimacs_input():
+    # 0-indexed pairs must not mix with 1-indexed "e" lines, on either side
+    for text in [
+        "0 1\n1 2\n2 0\np edge 4 1\ne 3 4\n",
+        "p edge 4 1\ne 3 4\n0 1\n",
+    ]:
+        with pytest.raises(ValueError, match="in DIMACS input"):
+            parse_graph(text)
+
+
 def test_parse_rejects_garbage():
     for text in ["0\n", "0 1 2\n", "a b\n", "p edge 2 1\ne 1 3\n", "0 0\n"]:
         with pytest.raises(ValueError):
@@ -54,16 +71,16 @@ def test_parse_rejects_garbage():
 
 def test_graph_validates_loops_and_range():
     with pytest.raises(ValueError):
-        Graph.from_edges(3, [(0, 0)])
+        Graph(3, [(0, 0)])
     with pytest.raises(ValueError):
-        Graph.from_edges(3, [(0, 3)])
+        Graph(3, [(0, 3)])
 
 
 # -------------------------------------------------------------- adjacency
 
 def test_adjacency_examples():
     assert not adjacency_matrix(Graph(3, frozenset())).to_dense().any()
-    single = adjacency_matrix(Graph.from_edges(2, [(0, 1)]))
+    single = adjacency_matrix(Graph(2, [(0, 1)]))
     assert np.array_equal(single.to_dense(), [[0.0, 1.0], [1.0, 0.0]])
     c5 = adjacency_matrix(cycle(5)).to_dense()
     assert np.array_equal(c5[0], [0.0, 1.0, 0.0, 0.0, 1.0])
@@ -72,36 +89,36 @@ def test_adjacency_examples():
 # ------------------------------------------------------------ the bounds
 
 def test_hoffman_c5_is_sqrt5():
-    rep = hoffman_chi_bound(adjacency_matrix(cycle(5)))
+    rep = chi_lb(graph_range(cycle(5)))
     assert abs(rep.value - SQRT5) < 1e-10
     assert abs(rep.value - (rep.M - rep.m) / (-rep.m)) < 1e-12
 
 
 def test_hoffman_petersen_and_k4():
-    assert abs(hoffman_chi_bound(adjacency_matrix(petersen())).value - 2.5) < 1e-10
-    k4 = Graph.from_edges(4, oracles.complete_edges(4))
-    assert abs(hoffman_chi_bound(adjacency_matrix(k4)).value - 4.0) < 1e-10
+    assert abs(chi_lb(graph_range(petersen())).value - 2.5) < 1e-10
+    k4 = Graph(4, oracles.complete_edges(4))
+    assert abs(chi_lb(graph_range(k4)).value - 4.0) < 1e-10
 
 
 def test_hoffman_error_contracts():
     with pytest.raises(VacuousBoundError):
-        hoffman_chi_bound(adjacency_matrix(Graph(3, frozenset())))
+        chi_lb(graph_range(Graph(3, frozenset())))
     with pytest.raises(NoNegativeSpectrumError):
-        hoffman_chi_bound(SymMatrix(np.eye(3)))
+        chi_lb(spectral_range(SymMatrix(np.eye(3))))
 
 
 def test_ratio_bound_regular_graphs():
-    rep = ratio_bound(adjacency_matrix(cycle(5)))
+    rep = alpha_ratio_ub(graph_range(cycle(5)))
     assert rep.epsilon == 0.0
     assert abs(5.0 * rep.value - SQRT5) < 1e-10
-    pet = ratio_bound(adjacency_matrix(petersen()))
+    pet = alpha_ratio_ub(graph_range(petersen()))
     assert abs(pet.value - 0.4) < 1e-10  # alpha(Petersen) = 4 = 10 * 0.4
 
 
 def test_ratio_bound_p3_hand_computed():
     # A1 = (1,2,1), R = 4/3, eps = sqrt(mean((deg - R)^2)) = sqrt(2/9)
-    g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    rep = ratio_bound(adjacency_matrix(g))
+    g = Graph(3, [(0, 1), (1, 2)])
+    rep = alpha_ratio_ub(graph_range(g))
     m = -math.sqrt(2.0)
     R = 4.0 / 3.0
     eps = math.sqrt((2 * (1 - R) ** 2 + (2 - R) ** 2) / 3.0)
@@ -110,26 +127,19 @@ def test_ratio_bound_p3_hand_computed():
     assert abs(rep.value - (-m + 2 * eps) / (R - m - eps)) < 1e-12
 
 
-def test_ratio_bound_custom_r_on_regular_graph():
-    # R = M(A) on a regular graph keeps eps = 0 and reproduces the plain bound
-    a = adjacency_matrix(cycle(5))
-    rep = ratio_bound(a, R=2.0)
-    assert rep.epsilon == 0.0
-    assert abs(rep.value - ratio_bound(a).value) < 1e-14
-
-
 def test_ratio_bound_inapplicable():
-    a = adjacency_matrix(cycle(5))
+    rng = replace(graph_range(cycle(5)), R=-5.0)
     with pytest.raises(BoundInapplicableError):
-        ratio_bound(a, R=-5.0)
+        alpha_ratio_ub(rng)
+    assert set(bounds(rng, chi_lb, alpha_ratio_ub)) == {"chi_lb"}
 
 
 def test_fractional_bound_examples():
-    assert abs(fractional_chi_bound(adjacency_matrix(cycle(5))).value - SQRT5) < 1e-10
-    k4 = Graph.from_edges(4, oracles.complete_edges(4))
-    assert abs(fractional_chi_bound(adjacency_matrix(k4)).value - 4.0) < 1e-10
+    assert abs(chi_frac_lb(graph_range(cycle(5))).value - SQRT5) < 1e-10
+    k4 = Graph(4, oracles.complete_edges(4))
+    assert abs(chi_frac_lb(graph_range(k4)).value - 4.0) < 1e-10
     with pytest.raises(VacuousBoundError):
-        fractional_chi_bound(adjacency_matrix(Graph(2, frozenset())))
+        chi_frac_lb(graph_range(Graph(2, frozenset())))
 
 
 # ------------------------------------------------------------ brute force
@@ -182,12 +192,12 @@ def test_soundness_random_suite():
             for j in range(i + 1, n)
             if rng.random() < 0.45
         ]
-        g = Graph.from_edges(n, edges)
+        g = Graph(n, edges)
         if not g.edges:
             continue
-        a = adjacency_matrix(g)
+        spec = graph_range(g)
         chi = brute_force_chi(n, edges)
         alpha = brute_force_alpha(n, edges)
-        assert hoffman_chi_bound(a).value <= chi + 1e-9
-        assert n * ratio_bound(a).value >= alpha - 1e-9
-        assert fractional_chi_bound(a).value <= chi + 1e-9
+        assert chi_lb(spec).value <= chi + 1e-9
+        assert n * alpha_ratio_ub(spec).value >= alpha - 1e-9
+        assert chi_frac_lb(spec).value <= chi + 1e-9

@@ -7,7 +7,6 @@ import pytest
 import scipy.special as sps
 
 from hoffman import (
-    JacobiParams,
     SphereMeasure,
     bessel_first_zero,
     bessel_j,
@@ -129,8 +128,8 @@ def test_jacobi_trivial_degrees():
 
 
 def test_jacobi_legendre_value():
-    alpha = JacobiParams.for_dimension(3).alpha  # alpha = 0, Legendre
-    assert abs(jacobi(2, alpha, -1.0 / 3.0) - (-1.0 / 3.0)) < 1e-14
+    # alpha = (n - 3)/2 = 0 on S^2: the Legendre polynomials
+    assert abs(jacobi(2, 0.0, -1.0 / 3.0) - (-1.0 / 3.0)) < 1e-14
 
 
 def test_jacobi_against_scipy():
@@ -146,10 +145,9 @@ def test_jacobi_against_scipy():
 
 
 def test_jacobi_against_independent_legendre_recurrence():
-    alpha = JacobiParams.for_dimension(3).alpha
     for t in [-0.9, -1.0 / 3.0, 0.1, 0.77]:
         want = oracles.legendre_sequence(30, t)
-        got = jacobi_sequence(30, alpha, t)[:, 0]
+        got = jacobi_sequence(30, 0.0, t)[:, 0]
         assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
 
 
@@ -182,7 +180,7 @@ def test_jacobi_orthogonality_by_quadrature():
 def test_jacobi_tail_decay_for_spheres():
     # Szego-type decay: the probe max over [K, 2K] shrinks as K doubles
     for n in [3, 4, 6]:
-        alpha = JacobiParams.for_dimension(n).alpha
+        alpha = (n - 3) / 2.0
         t = np.array([-0.41])
         table = jacobi_sequence(1024, alpha, t)[:, 0]
         probes = [float(np.max(np.abs(table[k : 2 * k + 1]))) for k in (64, 128, 256)]
@@ -199,7 +197,7 @@ def test_jacobi_sequence_matches_pointwise_eval():
 
 def test_jacobi_domain_guards():
     with pytest.raises(ValueError):
-        JacobiParams(-0.6)
+        jacobi_sequence(4, -0.6, 0.0)
     with pytest.raises(ValueError):
         SphereMeasure(3, ((1.5, 1.0),))  # the inner products fed to the table
     with pytest.raises(ValueError):

@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 
 from hoffman.errors import UncertifiedRangeError, VacuousBoundError
-from hoffman.reports import KIND_ALPHA_RATIO_UB, KIND_CHI_LB
+from hoffman.reports import KIND_ALPHA_RATIO_UB, KIND_CHI_LB, alpha_ratio_ub, chi_lb
 from hoffman.sphere import (
     EigenSequence,
     SphereMeasure,
     eigenvalue_sequence,
     operator_range,
     optimize_sphere_measure,
-    single_t_bounds,
     sphere_measure_from_json,
     sphere_measure_to_json,
 )
@@ -41,8 +40,11 @@ def test_measure_validation():
         SphereMeasure(3, ((0.5, 1.0), (0.2, 2.0)))
     with pytest.raises(ValueError):
         SphereMeasure(3, ((float("nan"), 1.0),))
+    for dim in (3.9, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            SphereMeasure(dim, ((0.0, 1.0),))
     empty = SphereMeasure(3, ())
-    assert empty.is_zero() and empty.total_mass() == 0.0
+    assert not empty.weights().any() and empty.total_mass() == 0.0
 
 
 def test_measure_json_round_trip():
@@ -53,6 +55,8 @@ def test_measure_json_round_trip():
         sphere_measure_from_json({"dim": 3, "atoms": [[0.0, 1.0]], "extra": 1})
     with pytest.raises(ValueError):
         sphere_measure_from_json({"dim": 3, "atoms": [[0.0]]})
+    with pytest.raises(ValueError):
+        sphere_measure_from_json({"atoms": [[0.0, 1.0]]})
     with pytest.raises(ValueError):
         sphere_measure_from_json([3, [[0.0, 1.0]]])
 
@@ -192,6 +196,12 @@ def test_operator_range_tol_domain():
         operator_range(mu, K=0)
 
 
+def single_t_bounds(n, t):
+    """(alpha_ratio_ub, chi_lb) of the graph forbidding one inner product t."""
+    rng, _ = operator_range(SphereMeasure(n, ((t, 1.0),)))
+    return alpha_ratio_ub(rng), chi_lb(rng)
+
+
 def test_single_t_tight_case():
     alpha, chi = single_t_bounds(3, -1.0 / 3.0)
     assert alpha.kind == KIND_ALPHA_RATIO_UB and chi.kind == KIND_CHI_LB
@@ -217,22 +227,23 @@ def test_single_t_domain():
 
 
 def test_optimize_single_point_support():
-    mu, rep, _ = optimize_sphere_measure(3, [-1.0 / 3.0])
+    mu, rng, _ = optimize_sphere_measure(3, [-1.0 / 3.0])
     assert mu.atoms == ((-1.0 / 3.0, 1.0),)
-    assert abs(rep.value - 4.0) < 1e-9
+    assert abs(chi_lb(rng).value - 4.0) < 1e-9
 
 
 def test_optimize_circle_supports():
-    _, rep, _ = optimize_sphere_measure(2, [0.0])
-    assert abs(rep.value - 2.0) < 1e-9
-    _, rep, _ = optimize_sphere_measure(2, [-0.5])
-    assert abs(rep.value - 3.0) < 1e-9
+    _, rng, _ = optimize_sphere_measure(2, [0.0])
+    assert abs(chi_lb(rng).value - 2.0) < 1e-9
+    _, rng, _ = optimize_sphere_measure(2, [-0.5])
+    assert abs(chi_lb(rng).value - 3.0) < 1e-9
 
 
 def test_optimize_monotone_in_support():
-    _, r1, _ = optimize_sphere_measure(3, [-1.0 / 3.0])
-    _, r2, _ = optimize_sphere_measure(3, [-1.0 / 3.0, -0.8])
-    _, r3, _ = optimize_sphere_measure(3, [-1.0 / 3.0, -0.8, 0.2])
+    r1, r2, r3 = (
+        chi_lb(optimize_sphere_measure(3, support)[1])
+        for support in ([-1.0 / 3.0], [-1.0 / 3.0, -0.8], [-1.0 / 3.0, -0.8, 0.2])
+    )
     assert r2.value >= r1.value - 1e-8
     assert r3.value >= r2.value - 1e-8
     assert r3.value > 6.0  # strict gain over the single-point bound
@@ -258,12 +269,15 @@ def test_optimize_validation():
         optimize_sphere_measure(3, [0.2, 0.2])
     with pytest.raises(ValueError):
         optimize_sphere_measure(3, [1.0])
+    for n in (1, 3.5):
+        with pytest.raises(ValueError):
+            optimize_sphere_measure(n, [-0.5])
 
 
 def test_optimize_deterministic():
     a = optimize_sphere_measure(3, [-1.0 / 3.0, -0.8, 0.2])
     b = optimize_sphere_measure(3, [-1.0 / 3.0, -0.8, 0.2])
-    assert a[0] == b[0] and a[1].value == b[1].value
+    assert a[:2] == b[:2]
 
 
 def test_uncertified_error_carries_partial_range():

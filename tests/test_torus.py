@@ -9,7 +9,8 @@ targets along refining moduli.
 import numpy as np
 import pytest
 
-from hoffman.graphs import Graph, adjacency_matrix, hoffman_chi_bound, ratio_bound
+from hoffman.graphs import Graph, adjacency_matrix, spectral_range
+from hoffman.reports import alpha_ratio_ub, chi_lb
 from hoffman.torus import (
     CirculantGraph,
     build_torus_graph,
@@ -90,7 +91,7 @@ def test_spectrum_matches_dense_eigensolver():
         except ValueError:
             continue
         fft_spec = circulant_spectrum(g)
-        a = adjacency_matrix(Graph.from_edges(*circulant_edges(m, n, g.connection_set)))
+        a = adjacency_matrix(Graph(*circulant_edges(m, n, g.connection_set)))
         dense = np.linalg.eigvalsh(a.to_dense())[::-1]
         assert np.max(np.abs(fft_spec - dense)) < 1e-8
 
@@ -114,11 +115,11 @@ def test_discrete_bounds_sound_on_small_circulants():
     for m, radii in ((5, [1.0]), (7, [1.0]), (9, [1.0, 2.0]), (13, [1.0, 3.0])):
         g = build_torus_graph(m, 1, radii)
         n, edges = circulant_edges(g.modulus, g.dim, g.connection_set)
-        a = adjacency_matrix(Graph.from_edges(n, edges))
+        rng = spectral_range(adjacency_matrix(Graph(n, edges)))
         alpha_exact = brute_force_alpha(n, edges)
         chi_exact = brute_force_chi(n, edges)
-        assert ratio_bound(a).value >= alpha_exact / m - 1e-9
-        assert hoffman_chi_bound(a).value <= chi_exact + 1e-9
+        assert alpha_ratio_ub(rng).value >= alpha_exact / m - 1e-9
+        assert chi_lb(rng).value <= chi_exact + 1e-9
 
 
 def test_convergence_dim1_exact_at_every_modulus():
