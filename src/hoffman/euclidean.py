@@ -76,7 +76,6 @@ class ExtremaReport:
     inf_value: float
     sup_value: float
     inf_arg: float
-    sup_arg: float
     cutoff: float
     grid_points: int
 
@@ -281,14 +280,14 @@ def global_extrema(mu: RadialMeasure, tol: float = 1e-8) -> ExtremaReport:
     if tol < 1e-12:
         raise ValueError("tol below 1e-12 is not resolvable in double precision")
     if all(w == 0.0 for _, w in mu.atoms):
-        return ExtremaReport(0.0, 0.0, 0.0, 0.0, 0.0, 0)
+        return ExtremaReport(0.0, 0.0, 0.0, 0.0, 0)
     return _extrema_report(*_refined_extrema(mu, tol))
 
 
 def _extrema_report(lows, highs, cutoff: float, points: int) -> ExtremaReport:
     arg_min, val_min = min(lows, key=lambda p: p[1])
-    arg_max, val_max = max(highs, key=lambda p: p[1])
-    return ExtremaReport(val_min, val_max, arg_min, arg_max, cutoff, points)
+    val_max = max(v for _, v in highs)
+    return ExtremaReport(val_min, val_max, arg_min, cutoff, points)
 
 
 def radial_range(

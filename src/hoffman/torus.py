@@ -10,6 +10,7 @@ vertex to compare against dense eigensolvers and brute force.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,13 @@ _VERTEX_CAP = 2**24
 _CSV_HEADER = "m,discrete_chi_lb,discrete_alpha_ub,continuous_chi_lb,continuous_alpha_ub"
 
 
+def _dimension(n) -> int:
+    """n as an int; a bool or a non-integral number is refused, not truncated."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"dimension must be an integer, got {n!r}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class CirculantGraph:
     """Cayley graph of Z_m^n: x ~ y whenever x - y lies in the connection set."""
@@ -39,7 +47,7 @@ class CirculantGraph:
 
     def __post_init__(self):
         m = int(self.modulus)
-        n = int(self.dim)
+        n = _dimension(self.dim)
         if m < 3:
             raise ValueError(f"modulus must be at least 3, got {m}")
         if n < 1:
@@ -81,7 +89,7 @@ def build_torus_graph(m: int, n: int, radii, tol: float = 0.25) -> CirculantGrap
     Norms are taken on folded representatives, so the set is automatically
     symmetric; radii are in lattice units.
     """
-    m, n = int(m), int(n)
+    m, n = int(m), _dimension(n)
     if m < 3 or n < 1:
         raise ValueError("need modulus >= 3 and dimension >= 1")
     if m**n > _VERTEX_CAP:
@@ -150,7 +158,7 @@ def convergence_study(n: int, radii, moduli, tol: float = 0.25):
     (m, discrete_chi_lb, discrete_alpha_ub, continuous_chi_lb,
     continuous_alpha_ub); the continuous columns are constant.
     """
-    n = int(n)
+    n = _dimension(n)
     ms = [int(m) for m in moduli]
     if not ms or any(b <= a for a, b in zip(ms, ms[1:])):
         raise ValueError("moduli must be strictly increasing")

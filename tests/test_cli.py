@@ -15,9 +15,11 @@ import tracemalloc
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from hoffman.cli import OUTPUT_SCHEMA, _round_floats, run
+from hoffman.graphs import read_graph
 
 C5_TEXT = "0 1\n1 2\n2 3\n3 4\n4 0\n"
 EDGELESS_TEXT = "p edge 3 0\n"
@@ -401,9 +403,74 @@ def test_finite_refuses_graph_too_large_for_dense_path(capsys, tmp_path):
     assert "60000 vertices" in _one_error_line(capsys)
 
 
+# The finite parser's contract: exit code, and the stderr line (exit 1) or
+# the vacuous detail (exit 2).  A malformed file never exits 0.
+_FINITE_PARSE_CASES = [
+    ("", 1, "adjacency matrix needs at least one vertex"),
+    ("0\n", 1, "expected 'u v' pair, got '0'"),
+    ("0 1 2\n", 1, "expected 'u v' pair, got '0 1 2'"),
+    ("0 1\n1 2 3\n", 1, "expected 'u v' pair, got '1 2 3'"),
+    ("a b\n", 1, "expected 'u v' pair, got 'a b'"),
+    ("1e1 2\n", 1, "expected 'u v' pair, got '1e1 2'"),
+    ("1.5 2\n", 1, "expected 'u v' pair, got '1.5 2'"),
+    ("1_0 2\n", 1, "expected 'u v' pair, got '1_0 2'"),
+    ("0 1\n99999999999999999999 1\n", 1, "expected 'u v' pair, got '99999999999999999999 1'"),
+    ("0 1\n3000000000 1\n", 1, "vertex 3000000000 exceeds the largest index 2147483647"),
+    ("-1 2\n", 1, "edge (-1, 2) out of range for n=3"),
+    ("0 0\n", 1, "loop at vertex 0 not allowed"),
+    ("e 1 2\n", 1, "edge descriptor before problem header"),
+    ("p edge 3 1\np edge 3 1\ne 1 2\n", 1, "duplicate problem header"),
+    ("p node 3 1\n", 1, "malformed header line 'p node 3 1'"),
+    ("p edge 3\n", 2, "smallest spectral value 0 is nonnegative; bound is vacuous"),
+    ("p edge 99999999999999999999 1\ne 1 2\n", 1, "graph has 99999999999999999999 vertices"),
+    ("p edge 2 1\ne 1 3\n", 1, "edge (0, 2) out of range for n=2"),
+    ("p edge 3 1\ne 1 2\ne 2 2\n", 1, "loop at vertex 1 not allowed"),
+    ("p edge 3 1\ne 1\n", 1, "malformed edge line 'e 1'"),
+    ("p edge 3 1\ne 1 2 3\n", 1, "malformed edge line 'e 1 2 3'"),
+    ("p edge 3 1\ne # no endpoints\n", 1, "malformed edge line 'e'"),
+    ("p edge 3 1\nx 1 2\n", 1, "unrecognised line 'x 1 2' in DIMACS input"),
+    ("p edge 5 0\n", 2, "smallest spectral value 0 is nonnegative; bound is vacuous"),
+    ("0 1\n1 2\n2 0\np edge 4 1\ne 3 4\n", 1, "unrecognised line '0 1' in DIMACS input"),
+    ("p edge 4 1\ne 3 4\n0 1\n", 1, "unrecognised line '0 1' in DIMACS input"),
+]
+
+
+@pytest.mark.parametrize("text, code, message", _FINITE_PARSE_CASES)
+def test_finite_parse_contract(capsys, tmp_path, text, code, message):
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    assert run(["finite", str(path)]) == code
+    if code == 1:
+        assert _one_error_line(capsys).startswith(f"hoffman: {message}")
+    else:
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["detail"] == message
+
+
+def test_read_graph_peak_memory_on_64000_edges(tmp_path):
+    # 800 vertices, 64 000 edges: about 0.5 MB of text and 1 MB of pairs
+    rng = np.random.default_rng(3)
+    iu, ju = np.triu_indices(800, 1)
+    pick = rng.choice(iu.size, size=64_000, replace=False)
+    path = tmp_path / "g.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in zip(iu[pick].tolist(), ju[pick].tolist())))
+    tracemalloc.start()
+    try:
+        g = read_graph(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == 800 and len(g.edges) == 64_000
+    assert peak < 9 * 2**20
+
+
 # One small request per subcommand, with its expected stdout in
 # tests/pinned/<name>.out.  Input files are written to a temporary directory
 # whose path stands as "{dir}" in both the argv and the expected output.
+# The finite_*.txt graphs are committed beside the outputs and copied byte
+# for byte: they hold the edge-list formats' corner cases (comment lines,
+# duplicate and reversed edges, tabs, a CRLF line, a "+" sign).
 _PINNED_INPUTS = {
     "c5.txt": C5_TEXT,
     "radial.json": json.dumps({"dim": 3, "atoms": [[1.0, 0.6], [1.7, 0.4]]}),
@@ -412,6 +479,8 @@ _PINNED_INPUTS = {
 }
 PINNED_REQUESTS = {
     "finite_c5": ["finite", "{dir}/c5.txt"],
+    "finite_dimacs": ["finite", "{dir}/finite_dimacs.txt"],
+    "finite_plain": ["finite", "{dir}/finite_plain.txt"],
     "unit_distance_2": ["unit-distance", "-n", "2"],
     "euclidean_file": ["euclidean", "{dir}/radial.json"],
     "odd_distance": ["odd-distance", "--beta", "1.15", "-N", "5"],
@@ -427,6 +496,8 @@ PINNED_DIR = Path(__file__).resolve().parent / "pinned"
 def write_pinned_inputs(directory: Path) -> None:
     for name, text in _PINNED_INPUTS.items():
         (directory / name).write_text(text)
+    for path in PINNED_DIR.glob("finite_*.txt"):
+        (directory / path.name).write_bytes(path.read_bytes())
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_REQUESTS))

@@ -44,13 +44,13 @@ def graph_range(g):
 def test_parse_plain_edge_list():
     g = parse_graph("# comment\n0 1\n1 2\n\n2 3  # trailing\n")
     assert g.n == 4
-    assert sorted(g.edges) == [(0, 1), (1, 2), (2, 3)]
+    assert g.edges.tolist() == [[0, 1], [1, 2], [2, 3]]
 
 
 def test_parse_dimacs_header_is_one_indexed():
     g = parse_graph("c petersen-ish header\np edge 3 2\ne 1 2\ne 2 3\n")
     assert g.n == 3
-    assert sorted(g.edges) == [(0, 1), (1, 2)]
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
 
 
 def test_parse_rejects_plain_pairs_in_dimacs_input():
@@ -67,6 +67,24 @@ def test_parse_rejects_garbage():
     for text in ["0\n", "0 1 2\n", "a b\n", "p edge 2 1\ne 1 3\n", "0 0\n"]:
         with pytest.raises(ValueError):
             parse_graph(text)
+
+
+def test_graph_edges_match_the_set_of_sorted_pairs():
+    # reference: the normalisation as a Python set of (min, max) tuples
+    rng = np.random.default_rng(5)
+    pairs = rng.integers(0, 40, size=(300, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    expected = sorted({(min(u, v), max(u, v)) for u, v in pairs.tolist()})
+    as_tuples = [tuple(p) for p in pairs.tolist()]
+    for edges in [pairs, as_tuples, frozenset(as_tuples), iter(as_tuples)]:
+        g = Graph(40, edges)
+        assert g.edges.dtype == np.int64 and g.edges.shape == (len(expected), 2)
+        assert list(map(tuple, g.edges.tolist())) == expected
+        assert not g.edges.flags.writeable
+    assert Graph(3, []).edges.shape == (0, 2)
+    for bad in [[(0, 1, 2)], [(0, 2**70)], [(0, 2**31)]]:
+        with pytest.raises(ValueError):
+            Graph(2**40, bad)
 
 
 def test_graph_validates_loops_and_range():
@@ -193,7 +211,7 @@ def test_soundness_random_suite():
             if rng.random() < 0.45
         ]
         g = Graph(n, edges)
-        if not g.edges:
+        if not len(g.edges):
             continue
         spec = graph_range(g)
         chi = brute_force_chi(n, edges)

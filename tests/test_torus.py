@@ -44,6 +44,17 @@ def test_circulant_validation():
     assert g.vertex_count == 5 and g.degree == 2
 
 
+@pytest.mark.parametrize("dim", [1.5, 2.0, True, "2"])
+def test_non_integral_dimension_is_refused(dim):
+    # int() would truncate 1.5 to 1 and read True as 1
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        CirculantGraph(5, dim, frozenset({(1,), (4,)}))
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        build_torus_graph(8, dim, [1.0])
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        convergence_study(dim, [1.0], [8])
+
+
 def test_build_annulus_examples():
     g = build_torus_graph(12, 1, [1.0])
     assert g.connection_set == frozenset({(1,), (11,)})
