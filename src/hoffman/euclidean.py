@@ -23,11 +23,11 @@ from .specfun import bessel_first_zero, omega
 _POINTS_PER_PERIOD = 40
 _LP_GRID = 512
 _LP_ROUNDS = 40  # cutting-plane rounds before the optimizer gives up
-_REFINE_ITERS = 70
+_NEWTON_ITERS = 64  # bisection alone narrows a bracket 2**64-fold
+_NEWTON_RTOL = 1e-11
 _BLOCK_ELEMENTS = 1 << 14  # atoms x points per omega call
 # (first-window points) x (active atoms) above which a scan is refused
 _SCAN_BUDGET = 1e8
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -94,25 +94,36 @@ def radial_measure_from_json(obj) -> RadialMeasure:
     return RadialMeasure(obj["dim"], tuple(atoms))
 
 
+def _atom_blocks(mu: RadialMeasure, r: np.ndarray):
+    """Column blocks of the (active atoms x points) arguments t = d_i r_j.
+
+    Yields (cols, w, d, t): a slice of the points, the weights and radii of
+    the atoms with nonzero weight, and t for those points.  A block holds at
+    most _BLOCK_ELEMENTS elements (one column at least), so one omega call
+    covers many points while memory stays bounded for many atoms.
+    """
+    w = mu.weights()
+    d, w = mu.radii()[w != 0.0], w[w != 0.0]
+    if d.size == 0:
+        return
+    width = max(1, _BLOCK_ELEMENTS // d.size)
+    for s in range(0, r.size, width):
+        cols = slice(s, s + width)
+        yield cols, w, d, np.outer(d, r[cols])
+
+
 def fourier_radial(mu: RadialMeasure, r):
     """nuhat(r) = sum_i w_i Omega_n(d_i r); equals the total mass at r = 0.
 
-    Omega_n is evaluated on the (active atoms x points) block in column
-    blocks of at most _BLOCK_ELEMENTS elements, so one call covers many
-    points while memory stays bounded for measures with many atoms.
+    Omega_n is evaluated block by block over the active atoms and points.
     """
     arr = np.asarray(r, dtype=float)
     scalar = arr.ndim == 0
     rv = np.atleast_1d(arr).astype(float).ravel()
-    w = mu.weights()
-    d, w = mu.radii()[w != 0.0], w[w != 0.0]
     out = np.zeros_like(rv)
-    if d.size:
-        cols = max(1, _BLOCK_ELEMENTS // d.size)
-        for s in range(0, rv.size, cols):
-            block = omega(mu.dim, np.outer(d, rv[s : s + cols]))
-            # summed row by row, in atom order
-            out[s : s + cols] = np.sum(w[:, None] * block, axis=0)
+    for cols, w, _, t in _atom_blocks(mu, rv):
+        # summed row by row, in atom order
+        out[cols] = np.sum(w[:, None] * omega(mu.dim, t), axis=0)
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
@@ -137,34 +148,59 @@ def _float_gcd(values, rel_tol: float = 1e-9) -> float:
     return g
 
 
-def _refine(f, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray):
-    """Golden-section search on every bracket [lo_k, hi_k] at once.
+def _profile_jet(mu: RadialMeasure, r: np.ndarray) -> np.ndarray:
+    """(nuhat, nuhat', nuhat'') at the points r, as the rows of a (3, len(r)) array.
 
-    Minimizes sign_k * f on bracket k (sign +1 for a low, -1 for a high) with
-    the scalar algorithm applied element-wise, so each iteration evaluates f
-    once, on one vector holding every bracket's new point.  Returns
-    (args, values) with values in the unsigned scale of f.
+    Two omega calls per block give all three: Omega_n'(t) = -(t/n)
+    Omega_{n+2}(t) (DLMF 10.6.6), and the radial Helmholtz equation
+    Omega'' + ((n-1)/t) Omega' + Omega = 0 then gives Omega_n'' =
+    ((n-1)/n) Omega_{n+2} - Omega_n.  Both hold for n = 1, where Omega_1 = cos.
+    Row 0 is summed as in fourier_radial.
     """
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    k = lo.size
-    fcd = np.concatenate([sign, sign]) * f(np.concatenate([c, d]))
-    fc, fd = fcd[:k], fcd[k:]
-    for _ in range(_REFINE_ITERS):
-        left = fc < fd
-        a = np.where(left, a, c)
-        b = np.where(left, d, b)
-        kept = np.where(left, c, d)
-        f_kept = np.where(left, fc, fd)
-        probe = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
-        f_probe = sign * f(probe)
-        c = np.where(left, probe, kept)
-        d = np.where(left, kept, probe)
-        fc = np.where(left, f_probe, f_kept)
-        fd = np.where(left, f_kept, f_probe)
-    left = fc < fd
-    return np.where(left, c, d), sign * np.minimum(fc, fd)
+    n = mu.dim
+    out = np.zeros((3, r.size))
+    for cols, w, d, t in _atom_blocks(mu, r):
+        o_n, o_n2 = omega(n, t), omega(n + 2, t)
+        out[0, cols] = np.sum(w[:, None] * o_n, axis=0)
+        out[1, cols] = np.sum((-w * d / n)[:, None] * t * o_n2, axis=0)
+        out[2, cols] = np.sum((w * d * d)[:, None] * ((n - 1.0) / n * o_n2 - o_n), axis=0)
+    return out
+
+
+def _newton_refine(mu: RadialMeasure, r, lo, hi, sign):
+    """Safeguarded Newton on every bracket [lo_k, hi_k] at once, from r_k.
+
+    Minimizes g = sign_k * nuhat on bracket k (sign +1 for a low, -1 for a
+    high).  Each iteration evaluates the jet once, on the elements still
+    moving: the sign of g' shrinks the bracket, and the Newton step is taken
+    when g'' > 0 and it lands inside the bracket, the midpoint otherwise.  An
+    element stops once its step is below _NEWTON_RTOL * max(1, x).  Returns
+    (args, values), values in the unsigned scale of nuhat: each element's
+    last iterate, and the best value evaluated on its way, so that no value
+    is worse than its starting sample.  The argument is the last iterate,
+    not the best sample's: near a minimum, samples within about sqrt(eps)
+    of it differ by less than the rounding noise of nuhat.
+    """
+    x, a, b = r.copy(), lo.copy(), hi.copy()
+    args, best = r.copy(), np.full(r.size, np.inf)
+    live = np.arange(r.size)
+    for _ in range(_NEWTON_ITERS):
+        if live.size == 0:
+            break
+        xl, s = x[live], sign[live]
+        f, f1, f2 = _profile_jet(mu, xl)
+        g1, g2 = s * f1, s * f2
+        args[live] = xl
+        best[live] = np.minimum(best[live], s * f)
+        al = np.where(g1 < 0.0, xl, a[live])
+        bl = np.where(g1 > 0.0, xl, b[live])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = xl - g1 / g2
+        inside = (g2 > 0.0) & (newton >= al) & (newton <= bl)
+        nxt = np.where(inside, newton, 0.5 * (al + bl))
+        a[live], b[live], x[live] = al, bl, nxt
+        live = live[np.abs(nxt - xl) > _NEWTON_RTOL * np.maximum(1.0, xl)]
+    return args, sign * best
 
 
 def _window_scan(mu: RadialMeasure, tol: float):
@@ -242,7 +278,7 @@ def _window_scan(mu: RadialMeasure, tol: float):
 
 
 def _refined_extrema(mu: RadialMeasure, tol: float):
-    """Scan nuhat and golden-refine every competing extremal basin together.
+    """Scan nuhat and Newton-refine every competing extremal basin together.
 
     Returns (lows, highs, cutoff, points) with lows/highs lists of refined
     (arg, value) candidates; the first entry of each is the exact r = 0
@@ -250,8 +286,9 @@ def _refined_extrema(mu: RadialMeasure, tol: float):
     """
     low_r, high_r, cutoff, points, step = _window_scan(mu, tol)
     r = np.array(low_r + high_r)
-    args, vals = _refine(
-        lambda x: fourier_radial(mu, np.clip(x, 0.0, cutoff)),
+    args, vals = _newton_refine(
+        mu,
+        r,
         np.maximum(0.0, r - step),
         np.minimum(cutoff, r + step),
         np.repeat([1.0, -1.0], [len(low_r), len(high_r)]),
@@ -272,10 +309,14 @@ def global_extrema(mu: RadialMeasure, tol: float = 1e-8) -> ExtremaReport:
     at which point no point past the cutoff can move either extreme.  In
     dimension 1 the profile is periodic, so one period is scanned instead.
     Every grid-local low or high that could still be the global one is then
-    refined in a single batched golden-section pass over all such basins;
-    each profile evaluation covers every atom and point at once, in blocks
-    of at most 2^14 Bessel arguments.  A scan whose first window alone needs
-    more than 1e8 atom evaluations is refused with ConvergenceError.
+    refined in a single batched pass over all such basins: safeguarded
+    Newton on the exact derivatives of nuhat (from Omega_n and Omega_{n+2}),
+    bisecting whenever a step would leave the basin's bracket.  Each refined
+    value is at least as good as its grid sample, and inf_arg is the point
+    the iteration converged to.  Each profile evaluation covers every atom
+    and point at once, in blocks of at most 2^14 Bessel arguments.  A scan
+    whose first window alone needs more than 1e8 atom evaluations is
+    refused with ConvergenceError.
     """
     if tol < 1e-12:
         raise ValueError("tol below 1e-12 is not resolvable in double precision")

@@ -16,6 +16,7 @@ token before np.loadtxt reads the pairs.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -39,15 +40,17 @@ class Graph:
 
     edges is a read-only (k, 2) int64 array of the distinct pairs u < v, in
     lexicographic order.  The constructor takes that array or any iterable
-    of pairs, in either orientation and with repeats, and rejects loops,
-    endpoints outside 0..n-1 and endpoints of 2**31 or more.  Graphs compare
-    by identity.
+    of pairs, in either orientation and with repeats, and rejects an n that
+    is not an integer (bools included), loops, endpoints outside 0..n-1 and
+    endpoints of 2**31 or more.  Graphs compare by identity.
     """
 
     n: int
     edges: np.ndarray
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"vertex count must be an integer, got {self.n!r}")
         n = int(self.n)
         if n < 0:
             raise ValueError("vertex count must be nonnegative")

@@ -11,6 +11,7 @@ for orders up to 60 and arguments up to 1e6.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -191,8 +192,14 @@ def bessel_j(order: float, x):
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
+@functools.lru_cache(maxsize=128)
 def bessel_first_zero(order: float, tol: float = 1e-13) -> float:
-    """Smallest positive zero of J_order, located by bracketing and bisection."""
+    """Smallest positive zero of J_order, located by bracketing and bisection.
+
+    The zero is a pure function of (order, tol), so results are memoized in a
+    bounded cache: a process computes each order's zero once, however many
+    extrema passes and optimizer rounds ask for it.
+    """
     nu = float(order)
     if not (0.0 <= nu <= _ORDER_MAX):
         raise ValueError(f"order must lie in [0, {_ORDER_MAX:g}], got {nu!r}")
@@ -222,11 +229,13 @@ def omega(n: int, t):
     """Radial profile of the unit-sphere surface measure in dimension n.
 
     omega(n, t) = Gamma(n/2) (2/t)^{(n-2)/2} J_{(n-2)/2}(t), with omega(n, 0) = 1.
-    For n = 3 this is sin(t)/t; for n = 1 it degenerates to cos(t).
+    For n = 3 this is sin(t)/t; for n = 1 it degenerates to cos(t).  n runs
+    up to 66 so that the derivative omega'(n, t) = -(t/n) omega(n + 2, t)
+    (DLMF 10.6.6) is available for every measure dimension up to 64.
     """
     n = int(n)
-    if not (1 <= n <= 64):
-        raise ValueError(f"dimension must lie in [1, 64], got {n}")
+    if not (1 <= n <= 66):
+        raise ValueError(f"dimension must lie in [1, 66], got {n}")
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
     tv = np.atleast_1d(arr).astype(float).copy()

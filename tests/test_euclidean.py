@@ -4,13 +4,17 @@ import importlib
 import json
 import math
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+from scipy.special import jv, jvp
 
 import hoffman
 import hoffman.euclidean as euclidean
 from hoffman.cli import run
+from hoffman.specfun import bessel_first_zero
 from hoffman import (
     BoundInapplicableError,
     ConvergenceError,
@@ -270,13 +274,16 @@ def test_optimizer_deterministic_and_validated():
             optimize_radial_measure(n, [1.0])
 
 
+_GOLDEN_ITERS = 70
+
+
 def _golden_reference(f, lo, hi, sign):
     """Scalar golden-section search minimizing sign * f on [lo, hi]."""
     g = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c, d = b - g * (b - a), a + g * (b - a)
     fc, fd = sign * f(c), sign * f(d)
-    for _ in range(euclidean._REFINE_ITERS):
+    for _ in range(_GOLDEN_ITERS):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - g * (b - a)
@@ -288,15 +295,23 @@ def _golden_reference(f, lo, hi, sign):
     return (c, sign * fc) if fc < fd else (d, sign * fd)
 
 
-def _scalar_refine(f, lo, hi, sign):
-    pairs = [
-        _golden_reference(lambda x: float(f(np.array([x]))[0]), a, b, s)
-        for a, b, s in zip(lo, hi, sign)
-    ]
-    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+def _golden_extrema(mu, tol=1e-8):
+    """(inf, sup) of nuhat from the same scan, refined by scalar golden section."""
+    low_r, high_r, cutoff, _, step = euclidean._window_scan(mu, tol)
+
+    def f(x):
+        return fourier_radial(mu, min(max(x, 0.0), cutoff))
+
+    def refined(r, sign):
+        return _golden_reference(f, max(0.0, r - step), min(cutoff, r + step), sign)[1]
+
+    v0 = fourier_radial(mu, 0.0)
+    lows = [v0] + [refined(r, 1.0) for r in low_r]
+    highs = [v0] + [refined(r, -1.0) for r in high_r]
+    return min(lows), max(highs)
 
 
-def test_batched_refinement_matches_scalar_golden_section(monkeypatch):
+def test_batched_refinement_matches_scalar_golden_section():
     rng = np.random.default_rng(20261018)
     measures = []
     for i in range(20):
@@ -308,12 +323,89 @@ def test_batched_refinement_matches_scalar_golden_section(monkeypatch):
         measures.append(
             RadialMeasure(int(rng.integers(2, 7)), tuple(zip(radii, weights)))
         )
-    batched = [global_extrema(mu) for mu in measures]
-    monkeypatch.setattr(euclidean, "_refine", _scalar_refine)
-    for mu, fast in zip(measures, batched):
-        ref = global_extrema(mu)
-        assert abs(fast.inf_value - ref.inf_value) <= 1e-12
-        assert abs(fast.sup_value - ref.sup_value) <= 1e-12
+    for mu in measures:
+        fast = global_extrema(mu)
+        ref_inf, ref_sup = _golden_extrema(mu)
+        assert abs(fast.inf_value - ref_inf) <= 1e-12
+        assert abs(fast.sup_value - ref_sup) <= 1e-12
+
+        # per candidate: never worse than the grid sample it started from,
+        # and an interior result is a critical point of nuhat
+        low_r, high_r, cutoff, _, step = euclidean._window_scan(mu, 1e-8)
+        r = np.array(low_r + high_r)
+        sign = np.repeat([1.0, -1.0], [len(low_r), len(high_r)])
+        lo, hi = np.maximum(0.0, r - step), np.minimum(cutoff, r + step)
+        args, vals = euclidean._newton_refine(mu, r, lo, hi, sign)
+        assert np.all(sign * vals <= sign * fourier_radial(mu, r))
+        interior = (args > lo) & (args < hi)
+        slope = _closed_form_jet(mu, args[interior])[0]
+        assert np.all(np.abs(slope) <= 1e-9 * sum(abs(w) * d for d, w in mu.atoms))
+
+
+def _closed_form_jet(mu, r):
+    """(nuhat', nuhat'') from scipy's J_nu and its derivatives, for r > 0.
+
+    Omega_n(t) = c t^-nu J_nu(t) with nu = n/2 - 1 and c = Gamma(n/2) 2^nu,
+    differentiated by the product rule.
+    """
+    n = mu.dim
+    nu = n / 2.0 - 1.0
+    c = math.gamma(n / 2.0) * 2.0**nu
+    d1 = np.zeros_like(r)
+    d2 = np.zeros_like(r)
+    for d, w in mu.atoms:
+        t = d * r
+        j0, j1, j2 = jv(nu, t), jvp(nu, t, 1), jvp(nu, t, 2)
+        o1 = c * (t**-nu * j1 - nu * t ** (-nu - 1.0) * j0)
+        o2 = c * (
+            t**-nu * j2 - 2.0 * nu * t ** (-nu - 1.0) * j1 + nu * (nu + 1.0) * t ** (-nu - 2.0) * j0
+        )
+        d1 += w * d * o1
+        d2 += w * d * d * o2
+    return d1, d2
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8, 64])
+def test_profile_jet_matches_scipy_closed_forms(dim):
+    # from r = 1 on: near t = 0 the closed forms cancel, ~1e-8 at n = 64
+    r = np.linspace(1.0, 12.0, 400)
+    for atoms in (
+        ((0.5, 0.3), (1.0, 0.5), (2.5, 0.2)),
+        ((0.7, 1.0), (1.3, -0.6), (3.0, 0.45), (3.5, -0.2)),
+    ):
+        mu = RadialMeasure(dim, atoms)
+        value, d1, d2 = euclidean._profile_jet(mu, r)
+        want1, want2 = _closed_form_jet(mu, r)
+        assert np.max(np.abs(value - fourier_radial(mu, r))) <= 1e-13
+        assert np.max(np.abs(d1 - want1)) <= 1e-10
+        assert np.max(np.abs(d2 - want2)) <= 1e-10
+        # at r = 0: Omega_n'(0) = 0 and Omega_n''(0) = -1/n
+        at0 = euclidean._profile_jet(mu, np.zeros(1))[:, 0]
+        assert at0[1] == 0.0
+        assert at0[2] == pytest.approx(-sum(w * d * d for d, w in atoms) / dim, abs=1e-15)
+
+
+def test_dimension_64_extrema_use_omega_66():
+    mu = RadialMeasure(64, ((1.0, 0.7), (1.9, 0.3)))
+    ext = global_extrema(mu)
+    fine = fourier_radial(mu, np.linspace(0.0, ext.cutoff, 20_001))
+    assert ext.inf_value <= float(np.min(fine)) + 1e-12
+    assert ext.sup_value == pytest.approx(1.0, abs=1e-12)
+    assert abs(_closed_form_jet(mu, np.array([ext.inf_arg]))[0][0]) <= 1e-9
+
+
+def test_pinned_inf_arg_is_the_root_of_the_closed_form_derivative():
+    # the pinned euclidean_file measure: n = 3, Omega_3(t) = sin(t)/t and
+    # Omega_3'(t) = (t cos t - sin t)/t^2
+    atoms = ((1.0, 0.6), (1.7, 0.4))
+
+    def slope(r):
+        return sum(w * (r * d * math.cos(d * r) - math.sin(d * r)) / (d * r * r) for d, w in atoms)
+
+    root = brentq(slope, 3.5, 4.0, xtol=1e-15, rtol=1e-15)
+    pinned = json.loads((Path(__file__).parent / "pinned" / "euclidean_file.out").read_text())
+    assert abs(pinned["provenance"]["inf_arg"] - root) <= 1e-9
+    assert abs(global_extrema(RadialMeasure(3, atoms)).inf_arg - root) <= 1e-9
 
 
 def test_blocked_fourier_radial_matches_per_atom_loop():
@@ -341,6 +433,14 @@ _RANGE_CALLS = {
     "optimize": {"optimize_radial_measure": 1, "global_extrema": 0},
     "torus": {"radial_range": 1, "_refined_extrema": 1},
 }
+
+
+def test_optimize_computes_the_first_bessel_zero_once(capsys):
+    bessel_first_zero.cache_clear()
+    assert run(["optimize", "--mode", "radial", "--support", "1", "2"]) == 0
+    # the uniform measure's scan and every cutting-plane round share one zero
+    assert bessel_first_zero.cache_info().misses == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
 
 
 def _count_calls(monkeypatch, name):

@@ -94,6 +94,14 @@ def test_graph_validates_loops_and_range():
         Graph(3, [(0, 3)])
 
 
+def test_graph_refuses_non_integral_vertex_count():
+    # refused, not truncated: Graph(2.7, ...) was read as n = 2, True as 1
+    for n in (2.7, 3.0, True, np.float64(3.0), "3"):
+        with pytest.raises(ValueError, match="vertex count must be an integer"):
+            Graph(n, [(0, 1)])
+    assert Graph(np.int64(3), [(0, 1)]).n == 3
+
+
 # -------------------------------------------------------------- adjacency
 
 def test_adjacency_examples():
