@@ -391,9 +391,10 @@ def optimize_radial_measure(
     Solves the max-min game between weights and frequencies on a finite grid,
     then verifies the winner against the true continuous infimum; any
     frequency that beats the grid value is appended as a new constraint and
-    the game is re-solved (cutting planes).  Returns (measure, range): the
-    range is read from the extrema of the last round, which certified the
-    measure, as radial_range would read it.
+    the game is re-solved (cutting planes).  The payoff matrix is evaluated
+    once on the grid, and each round evaluates only its new columns.
+    Returns (measure, range): the range is read from the extrema of the last
+    round, which certified the measure, as radial_range would read it.
     """
     n = RadialMeasure(n, ()).dim  # the measure type validates the dimension
     if not (2 <= n <= 32):
@@ -408,12 +409,11 @@ def optimize_radial_measure(
 
     uniform = RadialMeasure(n, tuple((d, 1.0 / len(ds)) for d in ds))
     cutoff = _window_scan(uniform, tol)[2]
-    grid = list(np.linspace(0.0, cutoff, int(grid)))
     darr = np.array(ds)
+    payoff = omega(n, np.outer(darr, np.linspace(0.0, cutoff, int(grid))))
 
     mu = uniform
     for _ in range(_LP_ROUNDS):
-        payoff = omega(n, np.outer(darr, np.array(grid)))
         t_star, w = solve_matrix_game(payoff)
         mu = RadialMeasure(n, tuple(zip(ds, w)))
         lows, highs, cut_r, points = _refined_extrema(mu, tol)
@@ -422,7 +422,8 @@ def optimize_radial_measure(
             break
         # every basin beating the grid value is a violated constraint; adding
         # them all at once stops the game from cycling through near-tied dips
-        grid.extend(a for a, v in lows if v < t_star - tol)
+        cuts = np.array([a for a, v in lows if v < t_star - tol])
+        payoff = np.hstack([payoff, omega(n, np.outer(darr, cuts))])
     else:
         raise ConvergenceError(
             "cutting-plane rounds exhausted before certification",

@@ -204,7 +204,7 @@ def adjacency_matrix(g: Graph) -> SymMatrix:
     u, v = g.edges.T
     a[u, v] = 1.0
     a[v, u] = 1.0
-    return SymMatrix(a)
+    return SymMatrix._wrap(a)  # 0/1 and symmetric by construction
 
 
 def spectral_range(a: SymMatrix) -> SpectralRange:

@@ -1,8 +1,13 @@
-"""Dense-tableau simplex with Bland's rule, plus a matrix-game wrapper.
+"""Dense-tableau simplex with Dantzig pricing, plus a matrix-game wrapper.
 
 The LPs in this package are tiny (tens of rows, a few thousand columns at
-most), so a dense tableau with Bland's anti-cycling rule is plenty and keeps
-runs bit-deterministic across platforms.
+most), so a dense tableau is plenty and keeps runs bit-deterministic across
+platforms.  The entering column is the most negative reduced cost
+(Dantzig's rule); after _STALL_PIVOTS degenerate pivots in a row the solver
+switches to Bland's smallest-index rule until a pivot raises the objective,
+so it cannot cycle.  The leaving row is the smallest ratio, ties broken by
+the smallest basic index (Bland).  Each pivot is one rank-1 update of the
+whole tableau.
 """
 
 from __future__ import annotations
@@ -12,13 +17,16 @@ import numpy as np
 from .errors import ConvergenceError
 
 _PIVOT_EPS = 1e-11
+_STALL_PIVOTS = 8  # degenerate pivots in a row before Bland's rule takes over
 
 
-def simplex_maximize(A, b, c, max_iter: int | None = None):
+def simplex_maximize(A, b, c, max_iter: int | None = None, stats: dict | None = None):
     """Maximize c.x subject to A x <= b, x >= 0, with b >= 0.
 
     Returns (x, duals, value).  duals are the optimal multipliers of the row
-    constraints, read off the slack reduced costs of the final tableau.
+    constraints, read off the slack reduced costs of the final tableau.  If
+    stats is a dict, it receives the number of pivots ("pivots") and how
+    many of them Bland's rule chose ("bland_pivots").
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -26,6 +34,8 @@ def simplex_maximize(A, b, c, max_iter: int | None = None):
     m, n = A.shape
     if b.shape != (m,) or c.shape != (n,):
         raise ValueError("inconsistent LP dimensions")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
+        raise ValueError("LP data must be finite")
     if np.any(b < 0.0):
         raise ValueError("this solver requires b >= 0 (slack basis start)")
 
@@ -34,18 +44,25 @@ def simplex_maximize(A, b, c, max_iter: int | None = None):
     tab[:m, n : n + m] = np.eye(m)
     tab[:m, -1] = b
     tab[m, :n] = -c
-    basis = list(range(n, n + m))
+    basis = np.arange(n, n + m)
 
     if max_iter is None:
         max_iter = 2000 * (m + n)
-    for _ in range(max_iter):
+    stalled = bland = 0
+    for pivots in range(max_iter):
         reduced = tab[m, : n + m]
-        negative = np.nonzero(reduced < -_PIVOT_EPS)[0]
-        if negative.size == 0:
-            break
-        enter = int(negative[0])  # Bland: smallest index
+        if stalled >= _STALL_PIVOTS:
+            negative = np.flatnonzero(reduced < -_PIVOT_EPS)
+            if negative.size == 0:
+                break
+            enter = int(negative[0])  # Bland: smallest index
+            bland += 1
+        else:
+            enter = int(np.argmin(reduced))  # Dantzig: most negative
+            if reduced[enter] >= -_PIVOT_EPS:
+                break
         col = tab[:m, enter]
-        rows = np.nonzero(col > _PIVOT_EPS)[0]
+        rows = np.flatnonzero(col > _PIVOT_EPS)
         if rows.size == 0:
             raise ConvergenceError(
                 "LP unbounded; impossible for the games built here"
@@ -53,15 +70,16 @@ def simplex_maximize(A, b, c, max_iter: int | None = None):
         ratios = tab[rows, -1] / col[rows]
         best = ratios.min()
         ties = rows[ratios <= best + 1e-12]
-        leave = int(min(ties, key=lambda r: basis[r]))  # Bland tie-break
-        pivot = tab[leave, enter]
-        tab[leave] /= pivot
-        for r in range(m + 1):
-            if r != leave and tab[r, enter] != 0.0:
-                tab[r] -= tab[r, enter] * tab[leave]
+        leave = int(ties[np.argmin(basis[ties])])  # Bland tie-break
+        stalled = stalled + 1 if best <= _PIVOT_EPS else 0
+        prow = tab[leave] / tab[leave, enter]
+        tab -= np.outer(tab[:, enter], prow)
+        tab[leave] = prow
         basis[leave] = enter
     else:
         raise ConvergenceError("simplex iteration budget exhausted", iterations=max_iter)
+    if stats is not None:
+        stats.update(pivots=pivots, bland_pivots=bland)
 
     x = np.zeros(n)
     for row, var in enumerate(basis):
@@ -71,20 +89,23 @@ def simplex_maximize(A, b, c, max_iter: int | None = None):
     return x, duals, float(tab[m, -1])
 
 
-def solve_matrix_game(payoff):
+def solve_matrix_game(payoff, stats: dict | None = None):
     """Optimal mixture for max_w min_j sum_i w_i P[i, j] over the simplex.
 
     Returns (value, w).  Solved through the classical LP transform: shift the
     payoff positive, solve the column player's LP (which starts feasible from
-    the slack basis), and recover the row mixture from the duals.
+    the slack basis), and recover the row mixture from the duals.  stats is
+    passed on to simplex_maximize.
     """
     P = np.asarray(payoff, dtype=float)
     if P.ndim != 2 or P.size == 0:
         raise ValueError("payoff must be a nonempty 2-d array")
+    if not np.all(np.isfinite(P)):
+        raise ValueError("payoff entries must be finite")
     p, q = P.shape
     shift = 1.0 - float(P.min())
     Pp = P + shift
-    _, duals, total = simplex_maximize(Pp, np.ones(p), np.ones(q))
+    _, duals, total = simplex_maximize(Pp, np.ones(p), np.ones(q), stats=stats)
     if total <= 0.0:  # pragma: no cover - Pp > 0 forces a positive optimum
         raise ConvergenceError("degenerate game value")
     mass = duals.sum()

@@ -7,12 +7,19 @@ alternating cancellation cannot eat the target accuracy, Miller's backward
 recurrence in the intermediate band, and the Hankel asymptotic expansion for
 large argument.  The regime boundaries overlap, so coverage is exhaustive
 for orders up to 60 and arguments up to 1e6.
+
+The series and Hankel sums are not run one term per Python step: a chunk
+of terms is one (terms x elements) table, at most 16 terms and, unless one
+term alone is larger, 2^14 cells.  Its running products, sums and freeze
+masks come from ufunc accumulations that combine the terms in the order of
+the recurrence, so the results are the same bits as a term-by-term loop.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -23,14 +30,54 @@ _ARG_MAX = 1e6
 _LOG_SERIES_GATE = math.log(3e4)  # max-term cap: keeps cancellation below ~3e-12
 _LOG_OMEGA_GATE = math.log(1e4)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_LGAMMA_SHIFTS = np.arange(8.0)[:, None]
+# series and Hankel terms are tabulated a chunk at a time: at most
+# _TABLE_TERMS terms, and at most _TABLE_ELEMENTS cells unless one term
+# alone is larger
+_TABLE_TERMS = 16
+_TABLE_ELEMENTS = 1 << 14
+# ufunc.accumulate along axis 0 walks a table one column at a time, so wider
+# tables are accumulated by one whole-row operation per row instead
+_ACCUMULATE_WIDTH = 256
+
+
+def _running(ufunc, first: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None):
+    """out[0] = ufunc(first, rows[0]) and out[k] = ufunc(out[k-1], rows[k]).
+
+    The rows are combined strictly in order, as a term-by-term loop would.
+    Without out, rows is overwritten.
+    """
+    if out is None:
+        out = rows
+    if rows.shape[1] <= _ACCUMULATE_WIDTH:
+        if out is not rows:
+            out[...] = rows
+        ufunc(first, out[0], out=out[0])
+        return ufunc.accumulate(out, axis=0, out=out)
+    prev = first
+    for k in range(rows.shape[0]):
+        prev = ufunc(prev, rows[k], out=out[k])
+    return out
+
+
+def _table_rows(size: int) -> int:
+    """Terms per chunk of a (terms x elements) table over size elements."""
+    return max(1, min(_TABLE_TERMS, _TABLE_ELEMENTS // max(size, 1)))
 
 
 def _lgamma_arr(z: np.ndarray) -> np.ndarray:
     """Vectorized log-gamma for z > 0, good to ~1e-10 (used only for gating)."""
     z = np.asarray(z, dtype=float)
-    shift = np.zeros_like(z)
-    for i in range(8):
-        shift += np.log(z + i)
+    # log z + log(z + 1) + ... + log(z + 7), summed in that order: by one
+    # running sum over a table of the eight logs, or one row at a time when
+    # that table would exceed _TABLE_ELEMENTS
+    if z.size * _LGAMMA_SHIFTS.size <= _TABLE_ELEMENTS:
+        logs = np.log(z.reshape(1, -1) + _LGAMMA_SHIFTS)
+        shift = _running(np.add, logs[0], logs[1:])[-1].reshape(z.shape)
+    else:
+        shift = np.log(z)
+        for i in range(1, _LGAMMA_SHIFTS.size):
+            shift += np.log(z + i)
     zz = z + 8.0
     stirling = (
         (zz - 0.5) * np.log(zz)
@@ -58,19 +105,40 @@ def _ascending_sum(nu: float, x: np.ndarray, t0: np.ndarray) -> np.ndarray:
     """sum_m t_m with t_{m+1} = -(x/2)^2 t_m / ((m + 1)(nu + m + 1)).
 
     With t0 = (x/2)^nu / Gamma(nu + 1) this is the ascending series of
-    J_nu(x); with t0 = 1 it is Gamma(nu + 1) (2/x)^nu J_nu(x).
+    J_nu(x); with t0 = 1 it is Gamma(nu + 1) (2/x)^nu J_nu(x).  A chunk of
+    terms is one table: one division gives its ratios, one running product
+    its terms and one running sum its partial sums, so every bit matches a
+    term-by-term loop.  The sum stops at the first term where every element
+    has converged.
     """
-    term = t0.copy()
-    total = t0.copy()
-    q = 0.25 * x * x
-    for m in range(700):
-        term *= -q / ((m + 1.0) * (nu + m + 1.0))
-        total += term
-        if np.all(np.abs(term) <= 1e-17 * (1.0 + np.abs(total))):
-            break
-    else:  # pragma: no cover - gate keeps series short
-        raise ConvergenceError("Bessel series failed to converge", iterations=700)
-    return total
+    neg_q = -(0.25 * x * x)
+    rows = _table_rows(x.size)
+    # row 0 of each table carries the last term and partial sum of the
+    # previous chunk; both tables are reused by every chunk
+    terms = np.empty((rows + 1, x.size))
+    sums = np.empty_like(terms)
+    mag, tol = np.empty((2, rows, x.size))
+    small = np.empty((rows, x.size), dtype=bool)
+    terms[0] = sums[0] = t0
+    for m0 in range(0, 700, rows):
+        r = min(rows, 700 - m0)
+        ms = np.arange(m0, m0 + r, dtype=float)[:, None]
+        t, s = terms[1 : r + 1], sums[1 : r + 1]
+        np.divide(neg_q, (ms + 1.0) * (nu + ms + 1.0), out=t)
+        _running(np.multiply, terms[0], t)
+        _running(np.add, sums[0], t, s)
+        # |term| <= 1e-17 (1 + |sum|), elementwise
+        np.abs(s, out=tol[:r])
+        tol[:r] += 1.0
+        tol[:r] *= 1e-17
+        np.less_equal(np.abs(t, out=mag[:r]), tol[:r], out=small[:r])
+        done = small[:r].all(axis=1)
+        if done.any():
+            return s[int(np.argmax(done))]
+        terms[0], sums[0] = t[-1], s[-1]
+    raise ConvergenceError(  # pragma: no cover - gate keeps series short
+        "Bessel series failed to converge", iterations=700
+    )
 
 
 def _bessel_series(nu: float, x: np.ndarray) -> np.ndarray:
@@ -87,32 +155,58 @@ def _bessel_series(nu: float, x: np.ndarray) -> np.ndarray:
 
 
 def _bessel_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
-    """Hankel expansion; valid once x >= max(13, 0.8 nu^2)."""
+    """Hankel expansion; valid once x >= max(13, 0.8 nu^2).
+
+    An element freezes once a term stops shrinking or after a term below
+    1e-17.  Terms are tabulated a chunk at a time for the elements not yet
+    frozen: a running logical or gives the chunk's freeze masks and a
+    running sum over the live terms its P and Q partial sums, so every bit
+    matches a term-by-term loop over all elements.
+    """
     mu = 4.0 * nu * nu
-    p_sum = np.ones_like(x)
-    q_sum = np.zeros_like(x)
-    term = np.ones_like(x)
-    prev_mag = np.full_like(x, np.inf)
-    frozen = np.zeros(x.shape, dtype=bool)
-    for k in range(40):
-        term = term * (mu - (2.0 * k + 1.0) ** 2) / (8.0 * x * (k + 1.0))
-        mag = np.abs(term)
-        # freeze an element as soon as its terms stop shrinking
-        frozen |= mag >= prev_mag
-        live = ~frozen
-        j = k + 1
-        sign = -1.0 if (j // 2) % 2 else 1.0
-        if j % 2:
-            q_sum[live] += sign * term[live]
-        else:
-            p_sum[live] += sign * term[live]
-        frozen |= mag < 1e-17
-        if np.all(frozen):
-            break
-        prev_mag = mag
+    p_out, q_out = np.empty_like(x), np.empty_like(x)
+    # the elements not frozen yet, and their running state
+    act = np.arange(x.size)
+    p_sum, q_sum = np.ones_like(x), np.zeros_like(x)
+    term, prev_mag, eight_x = np.ones_like(x), np.full_like(x, np.inf), 8.0 * x
+    k0 = 0
+    while k0 < 40 and act.size:
+        ks = np.arange(k0, min(k0 + _table_rows(act.size), 40))
+        k0 += ks.size
+        # term j = k + 1 is (term k * (mu - (2k + 1)^2)) / (8 x (k + 1))
+        terms = np.multiply.outer(ks + 1.0, eight_x)
+        for i, k in enumerate(ks.tolist()):
+            num = term * (mu - (2.0 * k + 1.0) ** 2)
+            term = np.divide(num, terms[i], out=terms[i])
+        mag = np.abs(terms)
+        # term j is dropped once a term up to j grew or a term before j fell
+        # below 1e-17
+        stop = np.empty(terms.shape, dtype=bool)
+        np.greater_equal(mag[0], prev_mag, out=stop[0])
+        if ks.size > 1:
+            stop[1:] = (mag[1:] >= mag[:-1]) | (mag[:-1] < 1e-17)
+            _running(np.logical_or, stop[0], stop[1:])
+        # term j goes to Q when j is odd, to P when even, with sign
+        # (-1)^floor(j/2)
+        j = ks + 1
+        sign = np.where((j // 2) % 2 == 1, -1.0, 1.0)[:, None]
+        live = np.where(stop, 0.0, sign * terms)
+        odd = ks[0] % 2  # row i holds j = ks[0] + 1 + i
+        if ks.size > odd:
+            q_sum = _running(np.add, q_sum, live[odd::2])[-1]
+        if ks.size > 1 - odd:
+            p_sum = _running(np.add, p_sum, live[1 - odd :: 2])[-1]
+        term, prev_mag = terms[-1], mag[-1]
+        frozen = stop[-1] | (prev_mag < 1e-17)
+        if frozen.any():
+            p_out[act[frozen]], q_out[act[frozen]] = p_sum[frozen], q_sum[frozen]
+            going = ~frozen
+            act, eight_x, term, prev_mag = act[going], eight_x[going], term[going], prev_mag[going]
+            p_sum, q_sum = p_sum[going], q_sum[going]
+    p_out[act], q_out[act] = p_sum, q_sum
     phase = x - (0.5 * nu + 0.25) * math.pi
     return np.sqrt(2.0 / (math.pi * x)) * (
-        p_sum * np.cos(phase) - q_sum * np.sin(phase)
+        p_out * np.cos(phase) - q_out * np.sin(phase)
     )
 
 
@@ -233,6 +327,8 @@ def omega(n: int, t):
     up to 66 so that the derivative omega'(n, t) = -(t/n) omega(n + 2, t)
     (DLMF 10.6.6) is available for every measure dimension up to 64.
     """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"dimension must be an integer, got {n!r}")
     n = int(n)
     if not (1 <= n <= 66):
         raise ValueError(f"dimension must lie in [1, 66], got {n}")

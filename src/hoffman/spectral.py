@@ -33,6 +33,15 @@ class SymMatrix:
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
 
+    @classmethod
+    def _wrap(cls, a: np.ndarray) -> SymMatrix:
+        """Hold a, without a copy or a check, for a builder that made a
+        finite, symmetric float array and keeps no reference to it."""
+        a.flags.writeable = False
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "entries", a)
+        return obj
+
     @property
     def size(self) -> int:
         return self.entries.shape[0]

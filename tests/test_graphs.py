@@ -1,6 +1,7 @@
 """Finite-graph bounds and parsing, checked against brute-force oracles."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -110,6 +111,24 @@ def test_adjacency_examples():
     assert np.array_equal(single.to_dense(), [[0.0, 1.0], [1.0, 0.0]])
     c5 = adjacency_matrix(cycle(5)).to_dense()
     assert np.array_equal(c5[0], [0.0, 1.0, 0.0, 0.0, 1.0])
+
+
+def test_adjacency_matrix_is_built_once_without_temporaries():
+    # the dense matrix is wrapped as built: no copy and no float a - a.T for
+    # the symmetry check, so the peak is one n x n array
+    n = 400
+    g = Graph(n, [(i, (i + s) % n) for i in range(n) for s in (1, 7, 30)])
+    tracemalloc.start()
+    try:
+        a = adjacency_matrix(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n * 8
+    assert a.size == n and not a.to_dense().flags.writeable
+    with pytest.raises(ValueError):
+        a.to_dense()[0, 1] = 2.0
+    assert np.array_equal(a.to_dense(), a.to_dense().T)
 
 
 # ------------------------------------------------------------ the bounds

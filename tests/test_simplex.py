@@ -1,9 +1,12 @@
 """Dense-tableau simplex and the matrix-game reduction."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from hoffman import simplex_maximize, solve_matrix_game
+from hoffman import ConvergenceError, euclidean, simplex, simplex_maximize, solve_matrix_game
 
 
 def test_small_lp_known_optimum():
@@ -70,3 +73,88 @@ def test_game_determinism():
     v2, w2 = solve_matrix_game(p)
     assert v1 == v2
     assert np.array_equal(w1, w2)
+
+
+def test_game_value_matches_scipy_linprog():
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        p, q = int(rng.integers(2, 12)), int(rng.integers(2, 80))
+        payoff = rng.uniform(-2.0, 2.0, size=(p, q))
+        value, w = solve_matrix_game(payoff)
+        # max v s.t. w @ P >= v, sum w = 1, w >= 0, over (w, v)
+        res = linprog(
+            np.r_[np.zeros(p), -1.0],
+            A_ub=np.c_[-payoff.T, np.ones(q)],
+            b_ub=np.zeros(q),
+            A_eq=np.r_[np.ones(p), 0.0][None, :],
+            b_eq=[1.0],
+            bounds=[(0.0, None)] * p + [(None, None)],
+            method="highs",
+        )
+        assert res.status == 0
+        assert abs(value - (-res.fun)) < 1e-9
+        # the returned mixture is feasible and guarantees the value
+        assert np.min(w) >= -1e-12 and abs(np.sum(w) - 1.0) < 1e-12
+        assert np.min(w @ payoff) >= value - 1e-9
+
+
+# Beale (1955): Dantzig's rule with a smallest-index leaving row cycles
+# through degenerate bases at the origin forever
+BEALE_A = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]])
+BEALE_B = np.array([0.0, 0.0, 1.0])
+BEALE_C = np.array([0.75, -20.0, 0.5, -6.0])
+
+
+def test_beale_cycling_lp_ends_at_its_optimum_through_bland(monkeypatch):
+    stats = {}
+    x, duals, value = simplex_maximize(BEALE_A, BEALE_B, BEALE_C, stats=stats)
+    assert abs(value - 1.25) < 1e-12
+    assert np.allclose(x, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
+    assert abs(np.dot(duals, BEALE_B) - 1.25) < 1e-12
+    assert stats["bland_pivots"] > 0
+    ref = linprog(-BEALE_C, A_ub=BEALE_A, b_ub=BEALE_B, method="highs")
+    assert abs(-ref.fun - value) < 1e-12
+    # without the fallback, Dantzig's rule cycles until the budget runs out
+    monkeypatch.setattr(simplex, "_STALL_PIVOTS", math.inf)
+    with pytest.raises(ConvergenceError, match="budget"):
+        simplex_maximize(BEALE_A, BEALE_B, BEALE_C, max_iter=500)
+
+
+def test_non_finite_data_is_refused_up_front():
+    A, b, c = np.eye(2), np.ones(2), np.ones(2)
+    for bad in (math.nan, math.inf, -math.inf):
+        for which in range(3):
+            args = [A.copy(), b.copy(), c.copy()]
+            args[which][0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                simplex_maximize(*args)
+        payoff = np.array([[1.0, 2.0], [3.0, bad]])
+        with pytest.raises(ValueError, match="finite"):
+            solve_matrix_game(payoff)
+
+
+def _optimizer_pivots(monkeypatch, n, radii, **kw):
+    """Pivots of every game one optimize_radial_measure call solves."""
+    pivots = []
+
+    def counted(payoff):
+        stats = {}
+        out = solve_matrix_game(payoff, stats=stats)
+        pivots.append((payoff.shape, stats["pivots"]))
+        return out
+
+    monkeypatch.setattr(euclidean, "solve_matrix_game", counted)
+    euclidean.optimize_radial_measure(n, radii, **kw)
+    return pivots
+
+
+def test_radial_games_take_a_fifth_of_the_bland_pivots(monkeypatch):
+    # Bland's rule alone took 145 pivots on the first 2 x 512 game of the
+    # support {1, 2} and 1314 on the first 21 x 512 game of the odd shells
+    # 1, 3, ..., 41 (more in later rounds, as columns are added)
+    small = _optimizer_pivots(monkeypatch, 2, [1.0, 2.0])
+    assert small[0][0] == (2, 512)
+    assert max(k for _, k in small) <= 145 // 5
+    odd = _optimizer_pivots(monkeypatch, 2, [float(d) for d in range(1, 42, 2)], tol=1e-7)
+    assert odd[0][0] == (21, 512)
+    assert max(k for _, k in odd) <= 1314 // 5

@@ -12,6 +12,7 @@ from hoffman import (
     bessel_j,
     jacobi_sequence,
     omega,
+    specfun,
 )
 
 import oracles
@@ -112,6 +113,135 @@ def test_omega_domain_guards():
         omega(0, 1.0)
     with pytest.raises(ValueError):
         omega(2, -1.0)
+
+
+def test_omega_refuses_non_integral_dimension():
+    # int() used to truncate: 2.7 gave the n = 2 profile and True gave cos
+    for n in (2.7, 2.0, True, "3", None):
+        with pytest.raises(ValueError):
+            omega(n, 1.0)
+    assert omega(np.int64(3), math.pi / 2.0) == omega(3, math.pi / 2.0)
+
+
+# --------------------------------------- chunked kernels vs term-by-term loops
+# The term-by-term loops that specfun's chunked tables replaced, kept here as
+# references: every table kernel must reproduce its loop bit for bit.
+
+
+def _lgamma_loop(z):
+    z = np.asarray(z, dtype=float)
+    shift = np.zeros_like(z)
+    for i in range(8):
+        shift += np.log(z + i)
+    zz = z + 8.0
+    stirling = (
+        (zz - 0.5) * np.log(zz)
+        - zz
+        + 0.5 * math.log(2.0 * math.pi)
+        + 1.0 / (12.0 * zz)
+        - 1.0 / (360.0 * zz**3)
+    )
+    return stirling - shift
+
+
+def _ascending_loop(nu, x, t0):
+    term = t0.copy()
+    total = t0.copy()
+    q = 0.25 * x * x
+    for m in range(700):
+        term *= -q / ((m + 1.0) * (nu + m + 1.0))
+        total += term
+        if np.all(np.abs(term) <= 1e-17 * (1.0 + np.abs(total))):
+            return total
+    raise AssertionError("reference series did not converge")
+
+
+def _asymptotic_loop(nu, x):
+    mu = 4.0 * nu * nu
+    p_sum = np.ones_like(x)
+    q_sum = np.zeros_like(x)
+    term = np.ones_like(x)
+    prev_mag = np.full_like(x, np.inf)
+    frozen = np.zeros(x.shape, dtype=bool)
+    for k in range(40):
+        term = term * (mu - (2.0 * k + 1.0) ** 2) / (8.0 * x * (k + 1.0))
+        mag = np.abs(term)
+        frozen |= mag >= prev_mag
+        live = ~frozen
+        j = k + 1
+        sign = -1.0 if (j // 2) % 2 else 1.0
+        if j % 2:
+            q_sum[live] += sign * term[live]
+        else:
+            p_sum[live] += sign * term[live]
+        frozen |= mag < 1e-17
+        if np.all(frozen):
+            break
+        prev_mag = mag
+    phase = x - (0.5 * nu + 0.25) * math.pi
+    return np.sqrt(2.0 / (math.pi * x)) * (p_sum * np.cos(phase) - q_sum * np.sin(phase))
+
+
+# one element, 16-term chunks, 2..10-term chunks, and one-term chunks at the
+# 2^14-element block size
+_KERNEL_SIZES = (1, 7, 1000, 1500, 5000, 1 << 14)
+
+
+def test_lgamma_table_matches_loop():
+    rng = np.random.default_rng(101)
+    for size in _KERNEL_SIZES:
+        z = np.exp(rng.uniform(-3.0, 6.0, size))
+        assert np.array_equal(specfun._lgamma_arr(z), _lgamma_loop(z))
+    z = rng.uniform(0.5, 40.0, (21, 512))  # a whole payoff block, 2-d
+    assert np.array_equal(specfun._lgamma_arr(z), _lgamma_loop(z))
+    # one element at a time: a pairwise reduction would differ here
+    for v in np.exp(rng.uniform(-3.0, 6.0, 300)):
+        assert np.array_equal(specfun._lgamma_arr(np.array([v])), _lgamma_loop(np.array([v])))
+
+
+def test_ascending_series_table_matches_loop():
+    rng = np.random.default_rng(102)
+    for n in range(2, 67):
+        nu = 0.5 * n - 1.0
+        for size in _KERNEL_SIZES if n in (2, 3, 34, 66) else (1, 7, 1000):
+            x = rng.uniform(0.0, 12.0 + 0.3 * n, size)
+            for t0 in (np.ones(size), rng.uniform(-2.0, 2.0, size)):
+                assert np.array_equal(
+                    specfun._ascending_sum(nu, x, t0), _ascending_loop(nu, x, t0)
+                ), (n, size)
+
+
+def test_hankel_table_matches_loop():
+    rng = np.random.default_rng(103)
+    for n in range(2, 67):
+        nu = 0.5 * n - 1.0
+        lo = max(13.0, 0.8 * nu * nu)
+        for size in _KERNEL_SIZES if n in (2, 3, 34, 66) else (1, 7, 1000):
+            # near the regime edge the expansion needs all 40 terms
+            x = lo * np.exp(rng.uniform(0.0, 4.0, size))
+            assert np.array_equal(
+                specfun._bessel_asymptotic(nu, x), _asymptotic_loop(nu, x)
+            ), (n, size)
+
+
+def test_omega_and_bessel_match_loop_kernels_in_every_regime(monkeypatch):
+    rng = np.random.default_rng(104)
+    # series, Miller and Hankel arguments for every order
+    t = np.concatenate([[0.0], np.sort(np.exp(rng.uniform(-4.0, 7.5, 600)))])
+    block = rng.uniform(0.0, 60.0, (8, 1 << 11))
+    table = {}
+    for n in range(1, 67):
+        cases = [t, block] if n in (2, 3, 6, 34, 66) else [t]
+        table[n] = [(omega(n, a), bessel_j(0.5 * n - 1.0, a) if n > 1 else None) for a in cases]
+    monkeypatch.setattr(specfun, "_lgamma_arr", _lgamma_loop)
+    monkeypatch.setattr(specfun, "_ascending_sum", _ascending_loop)
+    monkeypatch.setattr(specfun, "_bessel_asymptotic", _asymptotic_loop)
+    for n, got in table.items():
+        cases = [t, block] if n in (2, 3, 6, 34, 66) else [t]
+        for a, (o, j) in zip(cases, got):
+            assert np.array_equal(o, omega(n, a)), n
+            if j is not None:
+                assert np.array_equal(j, bessel_j(0.5 * n - 1.0, a)), n
 
 
 # ------------------------------------------------------------------ jacobi
