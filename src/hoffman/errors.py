@@ -1,5 +1,14 @@
 """Domain-specific error signals shared across the package."""
 
+import numbers
+
+
+def require_integer(value, name: str) -> int:
+    """value as an int; a bool or a non-integral number is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
 
 class SpectralBoundError(Exception):
     """Base class for bound computations that cannot produce a meaningful value."""

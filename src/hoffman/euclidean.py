@@ -10,19 +10,17 @@ chromatic bound is (sup nuhat - inf nuhat)/(-inf nuhat) and the independence
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, require_integer
 from .reports import SpectralRange
-from .simplex import solve_matrix_game
+from .simplex import cutting_planes
 from .specfun import bessel_first_zero, omega
 
 _POINTS_PER_PERIOD = 40
 _LP_GRID = 512
-_LP_ROUNDS = 40  # cutting-plane rounds before the optimizer gives up
 _NEWTON_ITERS = 64  # bisection alone narrows a bracket 2**64-fold
 _NEWTON_RTOL = 1e-11
 _BLOCK_ELEMENTS = 1 << 14  # atoms x points per omega call
@@ -43,9 +41,7 @@ class RadialMeasure:
     atoms: tuple
 
     def __post_init__(self):
-        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral):
-            raise ValueError(f"dimension must be an integer, got {self.dim!r}")
-        n = int(self.dim)
+        n = require_integer(self.dim, "dimension")
         if not (1 <= n <= 64):
             raise ValueError(f"dimension must lie in [1, 64], got {n}")
         norm = []
@@ -360,7 +356,7 @@ def steinhardt_measure(beta: float, N: int) -> RadialMeasure:
     beta = float(beta)
     if not (1.0 < beta <= 10.0):
         raise ValueError(f"beta must lie in (1, 10], got {beta!r}")
-    N = int(N)
+    N = require_integer(N, "N")
     if not (0 <= N <= 10_000):
         raise ValueError(f"N must lie in [0, 10000], got {N}")
     scale = (beta - 1.0) / beta
@@ -402,31 +398,24 @@ def optimize_radial_measure(
     ds = sorted(float(d) for d in radii)
     if not ds or any(d <= 0.0 for d in ds) or len(set(ds)) != len(ds):
         raise ValueError("radii must be distinct and positive")
-    if not (16 <= int(grid) <= 100_000):
+    if not (16 <= require_integer(grid, "grid size") <= 100_000):
         raise ValueError(f"grid size must lie in [16, 100000], got {grid}")
     if tol < 1e-12:
         raise ValueError("tol below 1e-12 is not resolvable in double precision")
 
     uniform = RadialMeasure(n, tuple((d, 1.0 / len(ds)) for d in ds))
     cutoff = _window_scan(uniform, tol)[2]
-    darr = np.array(ds)
-    payoff = omega(n, np.outer(darr, np.linspace(0.0, cutoff, int(grid))))
 
-    mu = uniform
-    for _ in range(_LP_ROUNDS):
-        t_star, w = solve_matrix_game(payoff)
+    def oracle(t_star, w):
         mu = RadialMeasure(n, tuple(zip(ds, w)))
-        lows, highs, cut_r, points = _refined_extrema(mu, tol)
-        ext = _extrema_report(lows, highs, cut_r, points)
-        if ext.inf_value >= t_star - tol:
-            break
+        extrema = _refined_extrema(mu, tol)
         # every basin beating the grid value is a violated constraint; adding
         # them all at once stops the game from cycling through near-tied dips
-        cuts = np.array([a for a, v in lows if v < t_star - tol])
-        payoff = np.hstack([payoff, omega(n, np.outer(darr, cuts))])
-    else:
-        raise ConvergenceError(
-            "cutting-plane rounds exhausted before certification",
-            iterations=_LP_ROUNDS,
-        )
-    return mu, _range_from_extrema(mu, ext)
+        cuts = np.array([a for a, v in extrema[0] if v < t_star - tol])
+        return cuts, (mu, _range_from_extrema(mu, _extrema_report(*extrema)))
+
+    return cutting_planes(
+        lambda rs: omega(n, np.outer(ds, rs)),
+        np.linspace(0.0, cutoff, grid),
+        oracle,
+    )

@@ -16,12 +16,12 @@ token before np.loadtxt reads the pairs.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_integer
 from .reports import SpectralRange
 from .spectral import SymMatrix, numerical_range
 
@@ -49,9 +49,7 @@ class Graph:
     edges: np.ndarray
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
-            raise ValueError(f"vertex count must be an integer, got {self.n!r}")
-        n = int(self.n)
+        n = require_integer(self.n, "vertex count")
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         edges = self.edges

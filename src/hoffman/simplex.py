@@ -1,4 +1,4 @@
-"""Dense-tableau simplex with Dantzig pricing, plus a matrix-game wrapper.
+"""Dense-tableau simplex, matrix games, and the cutting-plane loop over them.
 
 The LPs in this package are tiny (tens of rows, a few thousand columns at
 most), so a dense tableau is plenty and keeps runs bit-deterministic across
@@ -18,6 +18,7 @@ from .errors import ConvergenceError
 
 _PIVOT_EPS = 1e-11
 _STALL_PIVOTS = 8  # degenerate pivots in a row before Bland's rule takes over
+_LP_ROUNDS = 40  # cutting-plane rounds before an optimizer gives up
 
 
 def simplex_maximize(A, b, c, max_iter: int | None = None, stats: dict | None = None):
@@ -94,8 +95,9 @@ def solve_matrix_game(payoff, stats: dict | None = None):
 
     Returns (value, w).  Solved through the classical LP transform: shift the
     payoff positive, solve the column player's LP (which starts feasible from
-    the slack basis), and recover the row mixture from the duals.  stats is
-    passed on to simplex_maximize.
+    the slack basis), and recover the row mixture from the duals.  value is
+    min_j (w P)_j, the payoff w itself guarantees, so tableau rounding can
+    never overstate it.  stats is passed on to simplex_maximize.
     """
     P = np.asarray(payoff, dtype=float)
     if P.ndim != 2 or P.size == 0:
@@ -112,5 +114,23 @@ def solve_matrix_game(payoff, stats: dict | None = None):
     if mass <= 0.0:  # pragma: no cover
         raise ConvergenceError("degenerate dual mixture")
     w = duals / mass
-    value = 1.0 / mass - shift
-    return float(value), w
+    return float((w @ P).min()), w
+
+
+def cutting_planes(columns, points, oracle):
+    """Kelley's cutting-plane loop over the matrix game on columns(points).
+
+    columns(xs) gives the payoff block of the points xs, one column each.
+    Each round solves the game on every point so far and calls
+    oracle(value, w), which returns (cuts, result): the points whose
+    columns w violates, and what the loop returns once there are none.
+    """
+    payoff = columns(points)
+    for _ in range(_LP_ROUNDS):
+        cuts, result = oracle(*solve_matrix_game(payoff))
+        if len(cuts) == 0:
+            return result
+        payoff = np.hstack([payoff, columns(cuts)])
+    raise ConvergenceError(
+        "cutting-plane rounds exhausted before certification", iterations=_LP_ROUNDS
+    )

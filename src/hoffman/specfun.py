@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, require_integer
 
 _ORDER_MAX = 60.0
 _ARG_MAX = 1e6
@@ -327,9 +326,7 @@ def omega(n: int, t):
     up to 66 so that the derivative omega'(n, t) = -(t/n) omega(n + 2, t)
     (DLMF 10.6.6) is available for every measure dimension up to 64.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValueError(f"dimension must be an integer, got {n!r}")
-    n = int(n)
+    n = require_integer(n, "dimension")
     if not (1 <= n <= 66):
         raise ValueError(f"dimension must lie in [1, 66], got {n}")
     arr = np.asarray(t, dtype=float)

@@ -12,15 +12,14 @@ eigenvalue set, and Hoffman-type bounds follow from its endpoints.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import UncertifiedRangeError, VacuousBoundError
+from .errors import UncertifiedRangeError, VacuousBoundError, require_integer
 from .reports import SpectralRange
-from .simplex import solve_matrix_game
+from .simplex import cutting_planes
 from .specfun import jacobi_sequence
 
 _K_PUBLIC_MAX = 10_000
@@ -41,9 +40,7 @@ class SphereMeasure:
     atoms: tuple
 
     def __post_init__(self):
-        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral):
-            raise ValueError(f"sphere dimension must be an integer, got {self.dim!r}")
-        n = int(self.dim)
+        n = require_integer(self.dim, "sphere dimension")
         if not (2 <= n <= 64):
             raise ValueError(f"sphere dimension must lie in [2, 64], got {n}")
         norm = []
@@ -103,22 +100,23 @@ def _jacobi_alpha(n: int) -> float:
     return (n - 3) / 2.0
 
 
+def _degree_table(n: int, ks, t) -> np.ndarray:
+    """Pbar_k(t_i) on S^(n-1), one row per degree k in ks: cos(k arccos t) for n = 2."""
+    ks = np.asarray(ks)
+    if n == 2:
+        return np.cos(np.outer(ks, np.arccos(np.clip(t, -1.0, 1.0))))
+    return jacobi_sequence(int(ks.max()), _jacobi_alpha(n), t)[ks]
+
+
 def eigenvalue_sequence(mu: SphereMeasure, K: int) -> EigenSequence:
     """lambda_k = sum_i w_i Pbar_k(t_i) for k = 0..K, with a (K, 2K] probe."""
-    K = int(K)
+    K = require_integer(K, "K")
     if not (1 <= K <= _K_PUBLIC_MAX):
         raise ValueError(f"K must lie in [1, {_K_PUBLIC_MAX}], got {K}")
     table = jacobi_sequence(2 * K, _jacobi_alpha(mu.dim), mu.inner_products())
     lam = table @ mu.weights()
     lam[0] = mu.total_mass()
     return EigenSequence(lam[: K + 1].copy(), K, float(np.max(np.abs(lam[K + 1 :]))))
-
-
-def _cosine_eigenvalues(mu: SphereMeasure, kmax: int) -> np.ndarray:
-    """Closed form for n = 2: lambda_k = sum_i w_i cos(k arccos t_i)."""
-    thetas = np.arccos(np.clip(mu.inner_products(), -1.0, 1.0))
-    k = np.arange(kmax + 1)
-    return np.cos(np.outer(k, thetas)) @ mu.weights()
 
 
 def _rational_angle_period(mu: SphereMeasure):
@@ -158,12 +156,12 @@ def operator_range(mu: SphereMeasure, K: int = 64, tol: float = 1e-8):
     if mu.dim == 2:
         period = _rational_angle_period(mu)
         kmax = period if period is not None else _N2_SCAN_K
-        lam = _cosine_eigenvalues(mu, kmax)
+        lam = _degree_table(2, np.arange(kmax + 1), mu.inner_products()) @ mu.weights()
         tail = 0.0 if period is not None else float(np.abs(mu.weights()).sum())
         rng = SpectralRange(float(lam.min()), float(lam.max()), R)
         return rng, EigenSequence(lam, kmax, tail)
 
-    k_cur = int(K)
+    k_cur = require_integer(K, "K")
     if k_cur < 1:
         raise ValueError(f"K must be positive, got {K}")
     while True:
@@ -188,42 +186,28 @@ def optimize_sphere_measure(n: int, support, K: int = 64, tol: float = 1e-8):
     """Best chromatic bound over probability measures on the given support.
 
     Maximizes s subject to sum_i w_i Pbar_k(t_i) >= s for k = 1..K,
-    sum w_i = 1, w >= 0 (a matrix game), then certifies the winner's true
-    eigenvalue infimum with operator_range; if the truncation missed a
-    deeper dip the row set is doubled and the game re-solved.  Returns
-    (measure, SpectralRange, EigenSequence): the range and sequence of the
-    last round's operator_range call, which certified the measure.
+    sum w_i = 1, w >= 0 (a matrix game), then checks the winner's true
+    eigenvalue infimum with operator_range; every degree whose eigenvalue
+    beats the game value is appended as a new column and the game re-solved
+    (cutting planes).  Returns (measure, SpectralRange, EigenSequence): the
+    range and sequence of the last round's operator_range call, which
+    certified the measure.
     """
     n = SphereMeasure(n, ()).dim  # the measure type validates the dimension
+    K = require_integer(K, "K")
+    if K < 1:
+        raise ValueError(f"K must be positive, got {K}")
     ts = sorted(float(t) for t in support)
     if not ts or len(set(ts)) != len(ts):
         raise ValueError("support must be nonempty with distinct inner products")
     if any(not (-1.0 <= t < 1.0) for t in ts):
         raise ValueError("support points must lie in [-1, 1)")
-    tarr = np.array(ts)
 
-    k_rows = max(1, int(K))
-    while True:
-        if n == 2:
-            rows = np.cos(
-                np.outer(np.arange(1, k_rows + 1), np.arccos(np.clip(tarr, -1, 1)))
-            )
-        else:
-            rows = jacobi_sequence(k_rows, _jacobi_alpha(n), tarr)[1:]
-        s_star, w = solve_matrix_game(rows.T)
+    def oracle(s_star, w):
         mu = SphereMeasure(n, tuple(zip(ts, w)))
         if s_star >= 0.0:
             raise VacuousBoundError("optimized infimum is nonnegative; vacuous on this support")
-        rng, seq = operator_range(mu, K=k_rows, tol=tol)
-        if rng.m >= s_star - tol:
-            break
-        if k_rows >= _K_CERT_CAP:
-            raise UncertifiedRangeError(
-                f"game value {s_star:.6e} not certified at truncation {k_rows}",
-                rng.m,
-                rng.M,
-                k_rows,
-                s_star - rng.m,
-            )
-        k_rows *= 2
-    return mu, rng, seq
+        rng, seq = operator_range(mu, K=K, tol=tol)
+        return np.flatnonzero(seq.values < s_star - tol), (mu, rng, seq)
+
+    return cutting_planes(lambda ks: _degree_table(n, ks, ts).T, np.arange(1, K + 1), oracle)

@@ -10,11 +10,11 @@ vertex to compare against dense eigensolvers and brute force.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_integer
 from .euclidean import RadialMeasure, radial_range
 from .reports import (
     KIND_ALPHA_RATIO_UB,
@@ -30,13 +30,6 @@ _VERTEX_CAP = 2**24
 _CSV_HEADER = "m,discrete_chi_lb,discrete_alpha_ub,continuous_chi_lb,continuous_alpha_ub"
 
 
-def _dimension(n) -> int:
-    """n as an int; a bool or a non-integral number is refused, not truncated."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValueError(f"dimension must be an integer, got {n!r}")
-    return int(n)
-
-
 @dataclass(frozen=True)
 class CirculantGraph:
     """Cayley graph of Z_m^n: x ~ y whenever x - y lies in the connection set."""
@@ -46,8 +39,8 @@ class CirculantGraph:
     connection_set: frozenset
 
     def __post_init__(self):
-        m = int(self.modulus)
-        n = _dimension(self.dim)
+        m = require_integer(self.modulus, "modulus")
+        n = require_integer(self.dim, "dimension")
         if m < 3:
             raise ValueError(f"modulus must be at least 3, got {m}")
         if n < 1:
@@ -89,7 +82,7 @@ def build_torus_graph(m: int, n: int, radii, tol: float = 0.25) -> CirculantGrap
     Norms are taken on folded representatives, so the set is automatically
     symmetric; radii are in lattice units.
     """
-    m, n = int(m), _dimension(n)
+    m, n = require_integer(m, "modulus"), require_integer(n, "dimension")
     if m < 3 or n < 1:
         raise ValueError("need modulus >= 3 and dimension >= 1")
     if m**n > _VERTEX_CAP:
@@ -158,8 +151,8 @@ def convergence_study(n: int, radii, moduli, tol: float = 0.25):
     (m, discrete_chi_lb, discrete_alpha_ub, continuous_chi_lb,
     continuous_alpha_ub); the continuous columns are constant.
     """
-    n = _dimension(n)
-    ms = [int(m) for m in moduli]
+    n = require_integer(n, "dimension")
+    ms = [require_integer(m, "modulus") for m in moduli]
     if not ms or any(b <= a for a, b in zip(ms, ms[1:])):
         raise ValueError("moduli must be strictly increasing")
     ds = [float(d) for d in radii]

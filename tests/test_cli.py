@@ -20,6 +20,7 @@ import pytest
 
 from hoffman.cli import OUTPUT_SCHEMA, _round_floats, run
 from hoffman.graphs import read_graph
+from hoffman.sphere import eigenvalue_sequence, optimize_sphere_measure
 
 C5_TEXT = "0 1\n1 2\n2 3\n3 4\n4 0\n"
 EDGELESS_TEXT = "p edge 3 0\n"
@@ -217,10 +218,34 @@ def test_optimize_sphere_mode(capsys):
 
 
 def test_optimize_sphere_reports_the_certifying_truncation(capsys):
-    # the game is re-solved on 8, then 16 rows before its value is certified
+    # the game on degrees 1..4 misses deeper dips, so the certifying
+    # operator_range call needs more degrees than --kmax
+    support = [-0.9, -0.6, -0.3, 0.0, 0.3]
     argv = ["optimize", "--mode", "sphere", "-n", "3", "--kmax", "4", "--support"]
-    assert run(argv + ["-0.9", "-0.6", "-0.3", "0.0", "0.3"]) == 0
-    assert _payload(capsys)["provenance"] == {"K": 16, "tail_bound": 0.131570958}
+    assert run(argv + [str(t) for t in support]) == 0
+    obj = _payload(capsys)
+    assert obj["measure"]["atoms"] == [
+        [-0.9, 0.1325714233],
+        [-0.6, 0.2290081313],
+        [-0.3, 0.09405060828],
+        [0.0, 0.04515865807],
+        [0.3, 0.499211179],
+    ]
+    chi = obj["bounds"]["chi_lb"]
+    assert chi["value"] == 8.398037189
+    # the reported truncation gives the printed range, and its tail probe
+    # passes operator_range's rule there
+    K = obj["provenance"]["K"]
+    assert K > 4
+    mu = optimize_sphere_measure(3, support, K=4)[0]
+    seq = eigenvalue_sequence(mu, K)
+    m, big = min(0.0, float(seq.values.min())), max(0.0, float(seq.values.max()))
+    assert _round_floats([m, big, seq.tail_bound]) == [
+        chi["m"],
+        chi["M"],
+        obj["provenance"]["tail_bound"],
+    ]
+    assert seq.tail_bound <= max(-m, 1e-8) and seq.tail_bound <= max(big, 1e-8)
 
 
 def test_torus_defaults_to_csv(capsys):

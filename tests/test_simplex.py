@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from hoffman import ConvergenceError, euclidean, simplex, simplex_maximize, solve_matrix_game
+from hoffman import (
+    ConvergenceError,
+    euclidean,
+    simplex,
+    simplex_maximize,
+    solve_matrix_game,
+    sphere,
+)
 
 
 def test_small_lp_known_optimum():
@@ -60,10 +67,8 @@ def test_game_value_certified_by_weights():
         value, w = solve_matrix_game(p)
         assert abs(np.sum(w) - 1.0) < 1e-10
         assert np.min(w) >= -1e-12
-        # the mixture achieves its claimed guaranteed payoff on every column
-        assert np.min(w @ p) >= value - 1e-9
-        # and the value is not beatable: some column holds the row player there
-        assert abs(np.min(w @ p) - value) < 1e-9
+        # the value is exactly the payoff the mixture guarantees
+        assert value == float(np.min(w @ p))
 
 
 def test_game_determinism():
@@ -133,8 +138,22 @@ def test_non_finite_data_is_refused_up_front():
             solve_matrix_game(payoff)
 
 
-def _optimizer_pivots(monkeypatch, n, radii, **kw):
-    """Pivots of every game one optimize_radial_measure call solves."""
+def test_cutting_planes_give_up_after_the_round_budget():
+    rounds = []
+
+    def never_certifies(value, w):
+        rounds.append(value)
+        return np.array([float(len(rounds))]), None
+
+    with pytest.raises(ConvergenceError, match="rounds exhausted") as exc:
+        simplex.cutting_planes(
+            lambda xs: np.vstack([np.cos(xs), np.sin(xs)]), np.array([0.0]), never_certifies
+        )
+    assert len(rounds) == simplex._LP_ROUNDS == exc.value.iterations
+
+
+def _optimizer_pivots(monkeypatch, optimizer, *args, **kw):
+    """(payoff shape, pivots) of every game one optimizer call solves."""
     pivots = []
 
     def counted(payoff):
@@ -143,8 +162,8 @@ def _optimizer_pivots(monkeypatch, n, radii, **kw):
         pivots.append((payoff.shape, stats["pivots"]))
         return out
 
-    monkeypatch.setattr(euclidean, "solve_matrix_game", counted)
-    euclidean.optimize_radial_measure(n, radii, **kw)
+    monkeypatch.setattr(simplex, "solve_matrix_game", counted)
+    optimizer(*args, **kw)
     return pivots
 
 
@@ -152,9 +171,19 @@ def test_radial_games_take_a_fifth_of_the_bland_pivots(monkeypatch):
     # Bland's rule alone took 145 pivots on the first 2 x 512 game of the
     # support {1, 2} and 1314 on the first 21 x 512 game of the odd shells
     # 1, 3, ..., 41 (more in later rounds, as columns are added)
-    small = _optimizer_pivots(monkeypatch, 2, [1.0, 2.0])
+    radial = euclidean.optimize_radial_measure
+    small = _optimizer_pivots(monkeypatch, radial, 2, [1.0, 2.0])
     assert small[0][0] == (2, 512)
     assert max(k for _, k in small) <= 145 // 5
-    odd = _optimizer_pivots(monkeypatch, 2, [float(d) for d in range(1, 42, 2)], tol=1e-7)
+    odd = _optimizer_pivots(monkeypatch, radial, 2, [float(d) for d in range(1, 42, 2)], tol=1e-7)
     assert odd[0][0] == (21, 512)
     assert max(k for _, k in odd) <= 1314 // 5
+    # the sphere game on degrees 1..4 misses deeper dips; each later game
+    # adds only the degrees the last mixture violated, where doubling K
+    # solved games on 8, then 16 columns
+    support = [-0.9, -0.6, -0.3, 0.0, 0.3]
+    games = _optimizer_pivots(monkeypatch, sphere.optimize_sphere_measure, 3, support, K=4)
+    columns = [shape[1] for shape, _ in games]
+    assert games[0][0] == (5, 4)
+    assert 4 < columns[1] < 8
+    assert all(a < b for a, b in zip(columns, columns[1:]))

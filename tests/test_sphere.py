@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from hoffman.euclidean import optimize_radial_measure, steinhardt_measure
 from hoffman.errors import UncertifiedRangeError, VacuousBoundError
 from hoffman.reports import KIND_ALPHA_RATIO_UB, KIND_CHI_LB, alpha_ratio_ub, chi_lb
 from hoffman.sphere import (
@@ -272,6 +273,35 @@ def test_optimize_validation():
     for n in (1, 3.5):
         with pytest.raises(ValueError):
             optimize_sphere_measure(n, [-0.5])
+
+
+def test_optimize_certifies_clustered_and_uniform_supports():
+    # half of the supports hold six points in [-0.590, -0.537], where the
+    # game's optimum keeps a dip just past the truncation
+    rng = np.random.default_rng(31)
+    for i in range(100):
+        n, size = int(rng.integers(3, 8)), int(rng.integers(24, 41))
+        points = rng.uniform(-0.95, 0.9, size)
+        if i % 2:
+            points[:6] = rng.uniform(-0.590, -0.537, 6)
+        mu, rng_, seq = optimize_sphere_measure(n, np.unique(points))
+        assert rng_.m == min(0.0, float(eigenvalue_sequence(mu, seq.K).values.min())) < 0.0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: operator_range(SphereMeasure(3, ((-0.5, 1.0),)), K=2.9), "K must be an integer"),
+        (lambda: eigenvalue_sequence(SphereMeasure(3, ((-0.5, 1.0),)), True), "K must be an integer"),
+        (lambda: steinhardt_measure(1.5, 2.7), "N must be an integer"),
+        (lambda: optimize_radial_measure(2, [1.0, 2.0], grid=100.9), "grid size must be an integer"),
+        (lambda: optimize_sphere_measure(3, [-0.5], K=0), "K must be positive"),
+    ],
+    ids=["operator_range-K", "eigenvalue_sequence-K", "steinhardt-N", "radial-grid", "sphere-K0"],
+)
+def test_counts_are_refused_not_truncated_or_clamped(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_optimize_deterministic():

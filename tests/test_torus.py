@@ -55,6 +55,16 @@ def test_non_integral_dimension_is_refused(dim):
         convergence_study(dim, [1.0], [8])
 
 
+@pytest.mark.parametrize("m", [8.5, 8.0, True])
+def test_non_integral_modulus_is_refused(m):
+    with pytest.raises(ValueError, match="modulus must be an integer"):
+        CirculantGraph(m, 1, frozenset({(1,), (7,)}))
+    with pytest.raises(ValueError, match="modulus must be an integer"):
+        build_torus_graph(m, 1, [1.0])
+    with pytest.raises(ValueError, match="modulus must be an integer"):
+        convergence_study(1, [1.0], [m, 16])
+
+
 def test_build_annulus_examples():
     g = build_torus_graph(12, 1, [1.0])
     assert g.connection_set == frozenset({(1,), (11,)})
