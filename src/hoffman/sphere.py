@@ -189,9 +189,11 @@ def optimize_sphere_measure(n: int, support, K: int = 64, tol: float = 1e-8):
     sum w_i = 1, w >= 0 (a matrix game), then checks the winner's true
     eigenvalue infimum with operator_range; every degree whose eigenvalue
     beats the game value is appended as a new column and the game re-solved
-    (cutting planes).  Returns (measure, SpectralRange, EigenSequence): the
-    range and sequence of the last round's operator_range call, which
-    certified the measure.
+    (cutting planes).  No degree past 8192 enters the game, and if only
+    those beat the game value (n = 2 scans to 10000) UncertifiedRangeError
+    is raised.  Returns (measure, SpectralRange, EigenSequence): the range
+    and sequence of the last round's operator_range call, which certified
+    the measure.
     """
     n = SphereMeasure(n, ()).dim  # the measure type validates the dimension
     K = require_integer(K, "K")
@@ -208,6 +210,10 @@ def optimize_sphere_measure(n: int, support, K: int = 64, tol: float = 1e-8):
         if s_star >= 0.0:
             raise VacuousBoundError("optimized infimum is nonnegative; vacuous on this support")
         rng, seq = operator_range(mu, K=K, tol=tol)
-        return np.flatnonzero(seq.values < s_star - tol), (mu, rng, seq)
+        cuts = np.flatnonzero(seq.values < s_star - tol)
+        if cuts.size and cuts[0] > _K_CERT_CAP:
+            msg = f"game value {s_star:.6e} not certified at truncation {_K_CERT_CAP}"
+            raise UncertifiedRangeError(msg, rng.m, rng.M, _K_CERT_CAP, s_star - rng.m)
+        return cuts[cuts <= _K_CERT_CAP], (mu, rng, seq)
 
     return cutting_planes(lambda ks: _degree_table(n, ks, ts).T, np.arange(1, K + 1), oracle)

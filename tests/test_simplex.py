@@ -12,7 +12,6 @@ from hoffman import (
     simplex,
     simplex_maximize,
     solve_matrix_game,
-    sphere,
 )
 
 
@@ -178,12 +177,3 @@ def test_radial_games_take_a_fifth_of_the_bland_pivots(monkeypatch):
     odd = _optimizer_pivots(monkeypatch, radial, 2, [float(d) for d in range(1, 42, 2)], tol=1e-7)
     assert odd[0][0] == (21, 512)
     assert max(k for _, k in odd) <= 1314 // 5
-    # the sphere game on degrees 1..4 misses deeper dips; each later game
-    # adds only the degrees the last mixture violated, where doubling K
-    # solved games on 8, then 16 columns
-    support = [-0.9, -0.6, -0.3, 0.0, 0.3]
-    games = _optimizer_pivots(monkeypatch, sphere.optimize_sphere_measure, 3, support, K=4)
-    columns = [shape[1] for shape, _ in games]
-    assert games[0][0] == (5, 4)
-    assert 4 < columns[1] < 8
-    assert all(a < b for a, b in zip(columns, columns[1:]))

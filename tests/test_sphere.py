@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from hoffman import simplex
 from hoffman.euclidean import optimize_radial_measure, steinhardt_measure
 from hoffman.errors import UncertifiedRangeError, VacuousBoundError
 from hoffman.reports import KIND_ALPHA_RATIO_UB, KIND_CHI_LB, alpha_ratio_ub, chi_lb
@@ -286,6 +287,33 @@ def test_optimize_certifies_clustered_and_uniform_supports():
             points[:6] = rng.uniform(-0.590, -0.537, 6)
         mu, rng_, seq = optimize_sphere_measure(n, np.unique(points))
         assert rng_.m == min(0.0, float(eigenvalue_sequence(mu, seq.K).values.min())) < 0.0
+
+
+def test_optimize_game_grows_by_the_violated_degrees(monkeypatch):
+    # the game on degrees 1..4 misses deeper dips; each later game adds
+    # only the degrees the last mixture violated, where doubling K solved
+    # games on 8, then 16 columns
+    columns = []
+    solve = simplex.solve_matrix_game
+
+    def counted(payoff):
+        columns.append(payoff.shape[1])
+        return solve(payoff)
+
+    monkeypatch.setattr(simplex, "solve_matrix_game", counted)
+    optimize_sphere_measure(3, [-0.9, -0.6, -0.3, 0.0, 0.3], K=4)
+    assert columns[0] == 4 and 4 < columns[1] < 8
+    assert all(a < b for a, b in zip(columns, columns[1:]))
+
+
+def test_optimize_circle_refuses_dips_past_the_certified_degrees():
+    # an irrational angle: the n = 2 scan runs to degree 10000, but the game
+    # takes no degree past 8192, so a mixture beaten only out there is
+    # refused rather than certified against the finite scan
+    with pytest.raises(UncertifiedRangeError, match="truncation 8192") as exc:
+        optimize_sphere_measure(2, [-0.038])
+    assert exc.value.k_used == 8192
+    assert exc.value.range[0] < -1.0 + 1e-6 and exc.value.tail_bound > 1e-8
 
 
 @pytest.mark.parametrize(
