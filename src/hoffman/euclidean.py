@@ -26,6 +26,9 @@ _NEWTON_RTOL = 1e-11
 _BLOCK_ELEMENTS = 1 << 14  # atoms x points per omega call
 # (first-window points) x (active atoms) above which a scan is refused
 _SCAN_BUDGET = 1e8
+# omega cells one optimizer call keeps of its scan tables (8 MB); a scan
+# segment that would pass it is evaluated the same way and not kept
+_KEPT_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -90,37 +93,67 @@ def radial_measure_from_json(obj) -> RadialMeasure:
     return RadialMeasure(obj["dim"], tuple(atoms))
 
 
-def _atom_blocks(mu: RadialMeasure, r: np.ndarray):
-    """Column blocks of the (active atoms x points) arguments t = d_i r_j.
-
-    Yields (cols, w, d, t): a slice of the points, the weights and radii of
-    the atoms with nonzero weight, and t for those points.  A block holds at
-    most _BLOCK_ELEMENTS elements (one column at least), so one omega call
-    covers many points while memory stays bounded for many atoms.
-    """
+def _active_atoms(mu: RadialMeasure):
+    """(d, w): the radii and weights of the atoms with nonzero weight."""
     w = mu.weights()
-    d, w = mu.radii()[w != 0.0], w[w != 0.0]
+    return mu.radii()[w != 0.0], w[w != 0.0]
+
+
+def _atom_blocks(d: np.ndarray, r: np.ndarray):
+    """Column blocks of the (atoms x points) arguments t = d_i r_j.
+
+    Yields (cols, t): a slice of the points and t for those points.  A block
+    holds at most _BLOCK_ELEMENTS elements (one column at least), so one
+    omega call covers many points while memory stays bounded for many atoms.
+    """
     if d.size == 0:
         return
     width = max(1, _BLOCK_ELEMENTS // d.size)
     for s in range(0, r.size, width):
         cols = slice(s, s + width)
-        yield cols, w, d, np.outer(d, r[cols])
+        yield cols, np.outer(d, r[cols])
 
 
-def fourier_radial(mu: RadialMeasure, r):
+def _weighted_rows(w: np.ndarray, blocks, size: int) -> np.ndarray:
+    """sum_i w_i table[i] for the (cols, table) omega blocks of size points.
+
+    Each block is summed row by row, in atom order.
+    """
+    out = np.zeros(size)
+    for cols, table in blocks:
+        out[cols] = np.sum(w[:, None] * table, axis=0)
+    return out
+
+
+def fourier_radial(mu: RadialMeasure, r, *, kept: dict | None = None):
     """nuhat(r) = sum_i w_i Omega_n(d_i r); equals the total mass at r = 0.
 
     Omega_n is evaluated block by block over the active atoms and points.
+    kept, if given, keeps those omega blocks keyed by the active radii and
+    the points, while all it holds stays within _KEPT_CELLS cells: a caller
+    that weights the same atoms and points many times (the optimizer's
+    rounds) evaluates omega for them once.  Kept or not, the blocks are
+    summed the same way, so the values are the same bits.
     """
     arr = np.asarray(r, dtype=float)
     scalar = arr.ndim == 0
     rv = np.atleast_1d(arr).astype(float).ravel()
-    out = np.zeros_like(rv)
-    for cols, w, _, t in _atom_blocks(mu, rv):
-        # summed row by row, in atom order
-        out[cols] = np.sum(w[:, None] * omega(mu.dim, t), axis=0)
+    d, w = _active_atoms(mu)
+    blocks = None
+    if kept is not None:
+        key = (d.tobytes(), rv.tobytes())
+        blocks = kept.get(key)
+    if blocks is None:
+        blocks = ((cols, omega(mu.dim, t)) for cols, t in _atom_blocks(d, rv))
+        if kept is not None and _kept_cells(kept) + d.size * rv.size <= _KEPT_CELLS:
+            blocks = kept[key] = list(blocks)
+    out = _weighted_rows(w, blocks, rv.size)
     return float(out[0]) if scalar else out.reshape(arr.shape)
+
+
+def _kept_cells(kept: dict) -> int:
+    """The omega cells held in a fourier_radial kept dict."""
+    return sum(table.size for blocks in kept.values() for _, table in blocks)
 
 
 def _tail_envelope(mu: RadialMeasure, r: float) -> float:
@@ -147,16 +180,17 @@ def _float_gcd(values, rel_tol: float = 1e-9) -> float:
 def _profile_jet(mu: RadialMeasure, r: np.ndarray) -> np.ndarray:
     """(nuhat, nuhat', nuhat'') at the points r, as the rows of a (3, len(r)) array.
 
-    Two omega calls per block give all three: Omega_n'(t) = -(t/n)
-    Omega_{n+2}(t) (DLMF 10.6.6), and the radial Helmholtz equation
-    Omega'' + ((n-1)/t) Omega' + Omega = 0 then gives Omega_n'' =
-    ((n-1)/n) Omega_{n+2} - Omega_n.  Both hold for n = 1, where Omega_1 = cos.
+    One omega pass per block, omega((n, n + 2), t), gives all three:
+    Omega_n'(t) = -(t/n) Omega_{n+2}(t) (DLMF 10.6.6), and the radial
+    Helmholtz equation Omega'' + ((n-1)/t) Omega' + Omega = 0 then gives
+    Omega_n'' = ((n-1)/n) Omega_{n+2} - Omega_n.  Both hold for n = 1, where Omega_1 = cos.
     Row 0 is summed as in fourier_radial.
     """
     n = mu.dim
+    d, w = _active_atoms(mu)
     out = np.zeros((3, r.size))
-    for cols, w, d, t in _atom_blocks(mu, r):
-        o_n, o_n2 = omega(n, t), omega(n + 2, t)
+    for cols, t in _atom_blocks(d, r):
+        o_n, o_n2 = omega((n, n + 2), t)
         out[0, cols] = np.sum(w[:, None] * o_n, axis=0)
         out[1, cols] = np.sum((-w * d / n)[:, None] * t * o_n2, axis=0)
         out[2, cols] = np.sum((w * d * d)[:, None] * ((n - 1.0) / n * o_n2 - o_n), axis=0)
@@ -199,12 +233,13 @@ def _newton_refine(mu: RadialMeasure, r, lo, hi, sign):
     return args, sign * best
 
 
-def _window_scan(mu: RadialMeasure, tol: float):
+def _window_scan(mu: RadialMeasure, tol: float, kept: dict | None = None):
     """Scan nuhat out to a cutoff past which neither extreme can move.
 
     Returns (low_r, high_r, cutoff, points, step): the grid points of every
     grid-local low and high that could still be the global one, the cutoff,
-    the number of points scanned and the grid step.
+    the number of points scanned and the grid step.  kept is passed on to
+    fourier_radial for every scan segment.
     """
     active = [(d, w) for d, w in mu.atoms if w != 0.0]
     d_max = max(d for d, _ in active)
@@ -222,7 +257,7 @@ def _window_scan(mu: RadialMeasure, tol: float):
     def scan(lo: float, hi: float):
         count = max(3, int(math.ceil((hi - lo) / step)) + 1)
         grid = np.linspace(lo, hi, count)
-        vals = fourier_radial(mu, grid)
+        vals = fourier_radial(mu, grid, kept=kept)
         left = np.empty(count, dtype=bool)
         right = np.empty(count, dtype=bool)
         left[0] = right[-1] = True
@@ -273,14 +308,14 @@ def _window_scan(mu: RadialMeasure, tol: float):
     return low_r, high_r, cutoff, points, step
 
 
-def _refined_extrema(mu: RadialMeasure, tol: float):
+def _refined_extrema(mu: RadialMeasure, tol: float, kept: dict | None = None):
     """Scan nuhat and Newton-refine every competing extremal basin together.
 
     Returns (lows, highs, cutoff, points) with lows/highs lists of refined
     (arg, value) candidates; the first entry of each is the exact r = 0
-    endpoint, so the lists are never empty.
+    endpoint, so the lists are never empty.  kept is passed on to the scan.
     """
-    low_r, high_r, cutoff, points, step = _window_scan(mu, tol)
+    low_r, high_r, cutoff, points, step = _window_scan(mu, tol, kept)
     r = np.array(low_r + high_r)
     args, vals = _newton_refine(
         mu,
@@ -290,10 +325,17 @@ def _refined_extrema(mu: RadialMeasure, tol: float):
         np.repeat([1.0, -1.0], [len(low_r), len(high_r)]),
     )
     refined = list(zip(args.tolist(), vals.tolist()))
-    v0 = fourier_radial(mu, 0.0)
+    v0 = _value_at_zero(mu)
     ref_lows = [(0.0, v0)] + refined[: len(low_r)]
     ref_highs = [(0.0, v0)] + refined[len(low_r) :]
     return ref_lows, ref_highs, cutoff, points
+
+
+def _value_at_zero(mu: RadialMeasure) -> float:
+    """nuhat(0) without a Bessel pass: Omega_n(0) = 1 exactly, so it is the
+    row sum fourier_radial(mu, 0.0) makes of a column of ones, bit for bit."""
+    d, w = _active_atoms(mu)
+    return float(_weighted_rows(w, [(slice(0, 1), np.ones((d.size, 1)))], 1)[0])
 
 
 def global_extrema(mu: RadialMeasure, tol: float = 1e-8) -> ExtremaReport:
@@ -388,7 +430,12 @@ def optimize_radial_measure(
     then verifies the winner against the true continuous infimum; any
     frequency that beats the grid value is appended as a new constraint and
     the game is re-solved (cutting planes).  The payoff matrix is evaluated
-    once on the grid, and each round evaluates only its new columns.
+    once on the grid, and each round evaluates only its new columns.  The
+    rounds scan the same segments for the same atoms with new weights, so
+    the call keeps each scan segment's omega table, per set of active
+    radii, and a round only re-weights it; the uniform measure's scan fills
+    the first tables.  Kept tables are capped at _KEPT_CELLS cells (8 MB);
+    past the cap a segment is evaluated anew, to the same bits.
     Returns (measure, range): the range is read from the extrema of the last
     round, which certified the measure, as radial_range would read it.
     """
@@ -404,11 +451,12 @@ def optimize_radial_measure(
         raise ValueError("tol below 1e-12 is not resolvable in double precision")
 
     uniform = RadialMeasure(n, tuple((d, 1.0 / len(ds)) for d in ds))
-    cutoff = _window_scan(uniform, tol)[2]
+    kept: dict = {}
+    cutoff = _window_scan(uniform, tol, kept)[2]
 
     def oracle(t_star, w):
         mu = RadialMeasure(n, tuple(zip(ds, w)))
-        extrema = _refined_extrema(mu, tol)
+        extrema = _refined_extrema(mu, tol, kept)
         # every basin beating the grid value is a violated constraint; adding
         # them all at once stops the game from cycling through near-tied dips
         cuts = np.array([a for a, v in extrema[0] if v < t_star - tol])

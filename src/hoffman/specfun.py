@@ -13,6 +13,11 @@ of terms is one (terms x elements) table, at most 16 terms and, unless one
 term alone is larger, 2^14 cells.  Its running products, sums and freeze
 masks come from ufunc accumulations that combine the terms in the order of
 the recurrence, so the results are the same bits as a term-by-term loop.
+
+The kernels take the Bessel order per element: a scalar, or an array aligned
+with the arguments.  One omega call can so serve several dimensions at once
+(omega((n, n + 2), t) for a Newton jet) in one pass through the series and
+Hankel tables; Miller's recurrence runs once per distinct order.
 """
 
 from __future__ import annotations
@@ -88,8 +93,21 @@ def _lgamma_arr(z: np.ndarray) -> np.ndarray:
     return stirling - shift
 
 
-def _series_log_maxterm(nu: float, x: np.ndarray) -> np.ndarray:
-    """log of the largest term of the ascending series for J_nu(x)."""
+def _take(a, mask):
+    """a[mask] for an array aligned with the mask; a scalar stands for every element."""
+    return a if np.ndim(a) == 0 else a[mask]
+
+
+def _lgamma_exact(z):
+    """math.lgamma of a scalar, or of an array once per distinct value."""
+    if np.ndim(z) == 0:
+        return math.lgamma(z)
+    values, index = np.unique(z, return_inverse=True)
+    return np.array([math.lgamma(v) for v in values.tolist()])[index]
+
+
+def _series_log_maxterm(nu, x: np.ndarray) -> np.ndarray:
+    """log of the largest term of the ascending series for J_nu(x), nu per element."""
     m_star = np.maximum(0.0, 0.5 * (-(nu + 2.0) + np.sqrt(nu * nu + x * x)))
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (
@@ -100,12 +118,13 @@ def _series_log_maxterm(nu: float, x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, out, -np.inf)
 
 
-def _ascending_sum(nu: float, x: np.ndarray, t0: np.ndarray) -> np.ndarray:
+def _ascending_sum(nu, x: np.ndarray, t0: np.ndarray) -> np.ndarray:
     """sum_m t_m with t_{m+1} = -(x/2)^2 t_m / ((m + 1)(nu + m + 1)).
 
-    With t0 = (x/2)^nu / Gamma(nu + 1) this is the ascending series of
-    J_nu(x); with t0 = 1 it is Gamma(nu + 1) (2/x)^nu J_nu(x).  A chunk of
-    terms is one table: one division gives its ratios, one running product
+    nu is a scalar or an array like x, one order per element.  With
+    t0 = (x/2)^nu / Gamma(nu + 1) this is the ascending series of J_nu(x);
+    with t0 = 1 it is Gamma(nu + 1) (2/x)^nu J_nu(x).  A chunk of terms is
+    one table: one division gives its ratios, one running product
     its terms and one running sum its partial sums, so every bit matches a
     term-by-term loop.  The sum stops at the first term where every element
     has converged.
@@ -140,21 +159,21 @@ def _ascending_sum(nu: float, x: np.ndarray, t0: np.ndarray) -> np.ndarray:
     )
 
 
-def _bessel_series(nu: float, x: np.ndarray) -> np.ndarray:
+def _bessel_series(nu, x: np.ndarray) -> np.ndarray:
     out = np.zeros_like(x)
     zero = x == 0.0
-    if nu == 0.0:
-        out[zero] = 1.0
-    xs = x[~zero]
+    out[zero & (nu == 0.0)] = 1.0
+    live = ~zero
+    xs, nu = x[live], _take(nu, live)
     if xs.size == 0:
         return out
-    t0 = np.exp(nu * np.log(xs / 2.0) - math.lgamma(nu + 1.0))
-    out[~zero] = _ascending_sum(nu, xs, t0)
+    t0 = np.exp(nu * np.log(xs / 2.0) - _lgamma_exact(nu + 1.0))
+    out[live] = _ascending_sum(nu, xs, t0)
     return out
 
 
-def _bessel_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
-    """Hankel expansion; valid once x >= max(13, 0.8 nu^2).
+def _bessel_asymptotic(nu, x: np.ndarray) -> np.ndarray:
+    """Hankel expansion; valid once x >= max(13, 0.8 nu^2), nu per element.
 
     An element freezes once a term stops shrinking or after a term below
     1e-17.  Terms are tabulated a chunk at a time for the elements not yet
@@ -201,7 +220,7 @@ def _bessel_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
             p_out[act[frozen]], q_out[act[frozen]] = p_sum[frozen], q_sum[frozen]
             going = ~frozen
             act, eight_x, term, prev_mag = act[going], eight_x[going], term[going], prev_mag[going]
-            p_sum, q_sum = p_sum[going], q_sum[going]
+            p_sum, q_sum, mu = p_sum[going], q_sum[going], _take(mu, going)
     p_out[act], q_out[act] = p_sum, q_sum
     phase = x - (0.5 * nu + 0.25) * math.pi
     return np.sqrt(2.0 / (math.pi * x)) * (
@@ -259,14 +278,20 @@ def _bessel_miller(nu: float, x: np.ndarray) -> np.ndarray:
     return saved * np.power(0.5 * x, s) / norm
 
 
-def bessel_j(order: float, x):
-    """J_order(x) for order in [0, 60] and x in [0, 1e6], accurate to ~1e-10."""
-    nu = float(order)
-    if not (0.0 <= nu <= _ORDER_MAX):
-        raise ValueError(f"order must lie in [0, {_ORDER_MAX:g}], got {nu!r}")
+def bessel_j(order, x):
+    """J_order(x) for order in [0, 60] and x in [0, 1e6], accurate to ~1e-10.
+
+    order is a scalar or an array of the shape of x, one order per element;
+    the series and Hankel regimes then take every order in one pass, and
+    Miller's recurrence runs once per distinct order.
+    """
     arr = np.asarray(x, dtype=float)
+    nu = np.asarray(order, dtype=float)
+    if not np.all((0.0 <= nu) & (nu <= _ORDER_MAX)):
+        raise ValueError(f"order must lie in [0, {_ORDER_MAX:g}], got {order!r}")
+    nu = float(nu) if nu.ndim == 0 else np.broadcast_to(nu, arr.shape).ravel()
     scalar = arr.ndim == 0
-    xv = np.atleast_1d(arr).astype(float).copy()
+    xv = arr.ravel()
     if not np.all(np.isfinite(xv)):
         raise ValueError("argument must be finite")
     if np.any(xv < 0.0) or np.any(xv > _ARG_MAX):
@@ -274,14 +299,16 @@ def bessel_j(order: float, x):
 
     out = np.empty_like(xv)
     series = _series_log_maxterm(nu, xv) <= _LOG_SERIES_GATE
-    asym = ~series & (xv >= max(13.0, 0.8 * nu * nu))
+    asym = ~series & (xv >= np.maximum(13.0, 0.8 * nu * nu))
     middle = ~(series | asym)
     if np.any(series):
-        out[series] = _bessel_series(nu, xv[series])
+        out[series] = _bessel_series(_take(nu, series), xv[series])
     if np.any(asym):
-        out[asym] = _bessel_asymptotic(nu, xv[asym])
+        out[asym] = _bessel_asymptotic(_take(nu, asym), xv[asym])
     if np.any(middle):
-        out[middle] = _bessel_miller(nu, xv[middle])
+        for order_k in np.unique(_take(nu, middle)).tolist():
+            sel = middle & (nu == order_k)
+            out[sel] = _bessel_miller(order_k, xv[sel])
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
@@ -318,30 +345,54 @@ def bessel_first_zero(order: float, tol: float = 1e-13) -> float:
     return 0.5 * (a + b)
 
 
-def omega(n: int, t):
+def omega(n, t):
     """Radial profile of the unit-sphere surface measure in dimension n.
 
     omega(n, t) = Gamma(n/2) (2/t)^{(n-2)/2} J_{(n-2)/2}(t), with omega(n, 0) = 1.
     For n = 3 this is sin(t)/t; for n = 1 it degenerates to cos(t).  n runs
     up to 66 so that the derivative omega'(n, t) = -(t/n) omega(n + 2, t)
     (DLMF 10.6.6) is available for every measure dimension up to 64.
+
+    n may also be a tuple of dimensions: the result then has one row per
+    dimension, row i = omega(n[i], t), all computed in one pass with the
+    order per element.  Rows agree with separate calls to ~1e-16: the series
+    sums every row's elements until all of them have converged.
     """
-    n = require_integer(n, "dimension")
-    if not (1 <= n <= 66):
-        raise ValueError(f"dimension must lie in [1, 66], got {n}")
+    dims = n if isinstance(n, tuple) else (n,)
+    dims = tuple(require_integer(k, "dimension") for k in dims)
+    for k in dims:
+        if not (1 <= k <= 66):
+            raise ValueError(f"dimension must lie in [1, 66], got {k}")
     arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    tv = np.atleast_1d(arr).astype(float).copy()
+    tv = arr.ravel()
     if not np.all(np.isfinite(tv)):
         raise ValueError("argument must be finite")
     if np.any(tv < 0.0) or np.any(tv > _ARG_MAX):
         raise ValueError(f"argument must lie in [0, {_ARG_MAX:g}]")
-    if n == 1:
-        out = np.cos(tv)
-        return float(out[0]) if scalar else out.reshape(arr.shape)
 
-    half = 0.5 * n
+    out = np.empty((len(dims), tv.size))
+    rows = [i for i, k in enumerate(dims) if k > 1]
+    for i, k in enumerate(dims):
+        if k == 1:
+            out[i] = np.cos(tv)
+    if rows:
+        out[rows] = _omega_pass([dims[i] for i in rows], tv)
+    if isinstance(n, tuple):
+        return out.reshape((len(dims),) + arr.shape)
+    return float(out[0, 0]) if arr.ndim == 0 else out[0].reshape(arr.shape)
+
+
+def _omega_pass(dims, t: np.ndarray) -> np.ndarray:
+    """omega(k, t) for every k >= 2 in dims, one row each, in one pass."""
+
+    def per_element(values):
+        # one dimension keeps a scalar order, as omega's single-row calls
+        return values[0] if len(values) == 1 else np.repeat(values, t.size)
+
+    half = per_element([0.5 * k for k in dims])
+    lgamma_half = per_element([math.lgamma(0.5 * k) for k in dims])
     nu = half - 1.0
+    tv = np.tile(t, len(dims))
     # largest term of the hypergeometric series for omega itself; while it is
     # small the series carries full absolute accuracy even where the Bessel
     # prefactor would amplify error
@@ -349,7 +400,7 @@ def omega(n: int, t):
     with np.errstate(divide="ignore", invalid="ignore"):
         log_max = (
             2.0 * m_star * np.log(tv / 2.0)
-            + math.lgamma(half)
+            + lgamma_half
             - _lgamma_arr(m_star + 1.0)
             - _lgamma_arr(half + m_star)
         )
@@ -359,13 +410,13 @@ def omega(n: int, t):
     out = np.empty_like(tv)
     if np.any(use_series):
         ts = tv[use_series]
-        out[use_series] = _ascending_sum(nu, ts, np.ones_like(ts))
+        out[use_series] = _ascending_sum(_take(nu, use_series), ts, np.ones_like(ts))
     rest = ~use_series
     if np.any(rest):
-        tr = tv[rest]
-        prefactor = np.exp(math.lgamma(half) + nu * np.log(2.0 / tr))
-        out[rest] = prefactor * bessel_j(nu, tr)
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+        tr, nu_r = tv[rest], _take(nu, rest)
+        prefactor = np.exp(_take(lgamma_half, rest) + nu_r * np.log(2.0 / tr))
+        out[rest] = prefactor * bessel_j(nu_r, tr)
+    return out.reshape(len(dims), t.size)
 
 
 def jacobi_sequence(kmax: int, alpha: float, t: np.ndarray) -> np.ndarray:

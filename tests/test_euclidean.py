@@ -487,3 +487,68 @@ def test_cli_runs_one_extrema_pass_per_request(
     assert run(argv) == 0
     assert {name: len(c) for name, c in calls.items()} == expected
     assert json.loads(capsys.readouterr().out)["status"] == "ok"
+
+
+@pytest.mark.parametrize("atoms", [1, 7, 8, 9, 161])
+def test_value_at_zero_is_fourier_radial_at_zero_bit_for_bit(atoms):
+    # numpy sums more than 8 elements pairwise, so 9 and 161 atoms check
+    # that the Bessel-free value reduces the weights as fourier_radial does
+    rng = np.random.default_rng(atoms)
+    radii = np.cumsum(rng.uniform(0.1, 1.0, atoms))
+    weights = rng.uniform(-1.0, 1.0, atoms)
+    weights[::5] = 0.0  # inactive atoms are skipped by both
+    mu = RadialMeasure(2, tuple(zip(radii.tolist(), weights.tolist())))
+    assert euclidean._value_at_zero(mu) == fourier_radial(mu, 0.0)
+    assert euclidean._value_at_zero(steinhardt_measure(1.05, atoms - 1)) == fourier_radial(
+        steinhardt_measure(1.05, atoms - 1), 0.0
+    )
+
+
+# the six-atom signed measure of the radial benchmark's seed 1
+_SIX_ATOMS = {
+    "dim": 2,
+    "atoms": [
+        [1.063275, -0.233551],
+        [1.197095, 0.216465],
+        [1.339258, -0.110219],
+        [1.4902, 0.256594],
+        [1.693844, 0.067413],
+        [1.904403, 0.115758],
+    ],
+}
+_OPTIMIZE_ARGV = ["optimize", "--mode", "radial", "--support", "1", "1.445305"]
+
+
+@pytest.mark.parametrize(
+    "argv, passes",
+    [
+        # eight cutting-plane rounds, one grid payoff and one uniform scan;
+        # the rounds re-weight the kept scan tables (75 passes without them
+        # and with one pass per jet order)
+        (_OPTIMIZE_ARGV, 34),
+        # scan and Newton jets, one pass per jet (11 with two)
+        (["euclidean", "{file}"], 6),
+    ],
+)
+def test_radial_requests_make_a_pinned_number_of_omega_passes(
+    argv, passes, monkeypatch, tmp_path, capsys
+):
+    path = tmp_path / "six.json"
+    path.write_text(json.dumps(_SIX_ATOMS))
+    argv = [a.replace("{file}", str(path)) for a in argv]
+    calls = _count_calls(monkeypatch, "omega")
+    assert run(argv) == 0
+    assert len(calls) == passes
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+
+
+def test_optimizer_output_does_not_depend_on_kept_scan_tables(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, "omega")
+    assert run(_OPTIMIZE_ARGV) == 0
+    kept, kept_calls = capsys.readouterr().out, len(calls)
+    calls.clear()
+    monkeypatch.setattr(euclidean, "_KEPT_CELLS", 0)
+    assert run(_OPTIMIZE_ARGV) == 0
+    assert capsys.readouterr().out == kept
+    # with nothing kept, every round evaluates its scan segments anew
+    assert len(calls) > kept_calls

@@ -109,15 +109,17 @@ def test_omega_bounded_by_one():
 
 
 def test_omega_domain_guards():
-    with pytest.raises(ValueError):
-        omega(0, 1.0)
+    # a tuple of dimensions is checked element by element
+    for n in (0, (2, 67), (0, 3)):
+        with pytest.raises(ValueError):
+            omega(n, 1.0)
     with pytest.raises(ValueError):
         omega(2, -1.0)
 
 
 def test_omega_refuses_non_integral_dimension():
     # int() used to truncate: 2.7 gave the n = 2 profile and True gave cos
-    for n in (2.7, 2.0, True, "3", None):
+    for n in (2.7, 2.0, True, "3", None, (2, 2.5)):
         with pytest.raises(ValueError):
             omega(n, 1.0)
     assert omega(np.int64(3), math.pi / 2.0) == omega(3, math.pi / 2.0)
@@ -242,6 +244,63 @@ def test_omega_and_bessel_match_loop_kernels_in_every_regime(monkeypatch):
             assert np.array_equal(o, omega(n, a)), n
             if j is not None:
                 assert np.array_equal(j, bessel_j(0.5 * n - 1.0, a)), n
+
+
+def test_kernels_take_one_order_per_element():
+    # the order-array kernels against the loops, which broadcast an order
+    # array elementwise; every element carries its own order
+    rng = np.random.default_rng(105)
+    for size in (1, 7, 1000, 5000):
+        nu = 0.5 * rng.integers(0, 66, size)
+        x = rng.uniform(0.0, 14.0, size)
+        t0 = rng.uniform(-2.0, 2.0, size)
+        assert np.array_equal(specfun._ascending_sum(nu, x, t0), _ascending_loop(nu, x, t0))
+        x = np.maximum(13.0, 0.8 * nu * nu) * np.exp(rng.uniform(0.0, 4.0, size))
+        assert np.array_equal(specfun._bessel_asymptotic(nu, x), _asymptotic_loop(nu, x))
+    # Miller runs per distinct order, so those elements are the same bits as
+    # one call per order; the series may add terms below 1e-17 for the others
+    nu = np.repeat([0.0, 2.5, 7.0, 31.0], 300)
+    x = np.tile(np.exp(rng.uniform(-4.0, 7.5, 300)), 4)
+    got = bessel_j(nu, x)
+    for order in (0.0, 2.5, 7.0, 31.0):
+        assert np.max(np.abs(got[nu == order] - bessel_j(order, x[nu == order]))) <= 1e-16
+
+
+def test_fused_omega_matches_separate_calls(monkeypatch):
+    # one pass for Omega_n and Omega_{n+2}, as the Newton jet asks, against
+    # two calls, with arguments in the series, Miller and Hankel regimes
+    ran = {"miller": 0, "hankel": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            ran[name] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(specfun, "_bessel_miller", counting("miller", specfun._bessel_miller))
+    monkeypatch.setattr(
+        specfun, "_bessel_asymptotic", counting("hankel", specfun._bessel_asymptotic)
+    )
+    rng = np.random.default_rng(106)
+    for n in range(1, 65):
+        hankel = max(13.0, 0.2 * (n + 2) ** 2)  # 0.8 nu^2 for the order of n + 2
+        t = np.concatenate(
+            [
+                [0.0],
+                rng.uniform(0.0, 2.0, 29),
+                rng.uniform(2.0, hankel, 100),
+                hankel * np.exp(rng.uniform(0.0, 2.0, 40)),
+            ]
+        )
+        shapes = (t, t.reshape(10, 17)) if n in (1, 2, 33, 64) else (t,)
+        for args in shapes + (0.0, float(t[-1])):
+            both = omega((n, n + 2), args)
+            assert both.shape == (2,) + np.shape(args)
+            assert np.max(np.abs(both[0] - omega(n, args))) <= 1e-15, n
+            assert np.max(np.abs(both[1] - omega(n + 2, args))) <= 1e-15, n
+        assert omega((n, n + 2), 0.0).tolist() == [1.0, 1.0]
+    assert ran["miller"] and ran["hankel"]
 
 
 # ------------------------------------------------------------------ jacobi
