@@ -18,6 +18,12 @@ The kernels take the Bessel order per element: a scalar, or an array aligned
 with the arguments.  One omega call can so serve several dimensions at once
 (omega((n, n + 2), t) for a Newton jet) in one pass through the series and
 Hankel tables; Miller's recurrence runs once per distinct order.
+
+The Jacobi tables go the other way: a sphere measure or support has only a
+few points, so the three-term recurrence runs over the degrees on Python
+floats, one point at a time, instead of one numpy call per degree on a
+short vector.  The operations per element are those of the vectorized
+recurrence, so the table is the same bits.
 """
 
 from __future__ import annotations
@@ -427,19 +433,32 @@ def jacobi_sequence(kmax: int, alpha: float, t: np.ndarray) -> np.ndarray:
     (k + 2 alpha) P~_k = (2k + 2 alpha - 1) t P~_{k-1} - (k - 1) P~_{k-2},
     which reduces to the Chebyshev recurrence at alpha = -1/2, the smallest
     alpha accepted (the circle S^1).
+
+    The recurrence runs over k on Python floats, once per point, with the
+    coefficients built once per call: p = (a_k * t * p1 - b_k * p2) / c_k is
+    the same IEEE operations in the same order as the elementwise numpy form,
+    so the table is the same bits, at a cost linear in points x degrees.
+    Any finite scalar or 1-D t is accepted, |t| > 1 included.
     """
+    kmax = require_integer(kmax, "kmax")
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    if not (alpha >= -0.5):
-        raise ValueError(f"alpha must be >= -1/2, got {alpha!r}")
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if not (-0.5 <= alpha < math.inf):
+        raise ValueError(f"alpha must be finite and >= -1/2, got {alpha!r}")
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
+        raise ValueError(f"t must be a scalar or a 1-D array, got shape {t.shape}")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("t must be finite")
+    t = np.atleast_1d(t)
+    two_alpha = 2.0 * float(alpha)
+    coeffs = [(2.0 * k + two_alpha - 1.0, k - 1.0, k + two_alpha) for k in range(2, kmax + 1)]
     vals = np.empty((kmax + 1, t.size))
-    vals[0] = 1.0
-    if kmax >= 1:
-        vals[1] = t
-    two_alpha = 2.0 * alpha
-    for k in range(2, kmax + 1):
-        vals[k] = ((2.0 * k + two_alpha - 1.0) * t * vals[k - 1] - (k - 1.0) * vals[k - 2]) / (
-            k + two_alpha
-        )
+    for j, x in enumerate(t.tolist()):
+        p2, p1 = 1.0, x
+        column = [p2, p1]
+        for a, b, c in coeffs:
+            p2, p1 = p1, (a * x * p1 - b * p2) / c
+            column.append(p1)
+        vals[:, j] = column[: kmax + 1]
     return vals

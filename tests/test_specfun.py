@@ -184,6 +184,22 @@ def _asymptotic_loop(nu, x):
     return np.sqrt(2.0 / (math.pi * x)) * (p_sum * np.cos(phase) - q_sum * np.sin(phase))
 
 
+# The degree-by-degree form of jacobi_sequence: one vectorized step over all
+# points per degree k.  The per-point recurrence must give the same bits.
+def _jacobi_loop_reference(kmax, alpha, t):
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    vals = np.empty((kmax + 1, t.size))
+    vals[0] = 1.0
+    if kmax >= 1:
+        vals[1] = t
+    two_alpha = 2.0 * alpha
+    for k in range(2, kmax + 1):
+        vals[k] = ((2.0 * k + two_alpha - 1.0) * t * vals[k - 1] - (k - 1.0) * vals[k - 2]) / (
+            k + two_alpha
+        )
+    return vals
+
+
 # one element, 16-term chunks, 2..10-term chunks, and one-term chunks at the
 # 2^14-element block size
 _KERNEL_SIZES = (1, 7, 1000, 1500, 5000, 1 << 14)
@@ -384,10 +400,49 @@ def test_jacobi_sequence_matches_pointwise_eval():
         assert np.max(np.abs(table[k] - want)) < 1e-13
 
 
+def test_jacobi_table_matches_degree_loop_bit_for_bit():
+    rng = np.random.default_rng(13)
+    ends = [-1.0, 0.0, 0.999]
+    point_sets = [np.array([])] + [np.array([v]) for v in ends]
+    point_sets.append(np.array(ends + [-0.41]))
+    point_sets.append(np.concatenate([ends, rng.uniform(-1.0, 1.0, 13)]))
+    point_sets.append(np.concatenate([ends, rng.uniform(-1.0, 1.0, 37)]))
+    for alpha in [-0.5, 0.0, 0.5, 1.0, 2.5, 30.5]:
+        for kmax in [0, 1, 2, 64, 1024]:
+            for t in point_sets:
+                got = jacobi_sequence(kmax, alpha, t)
+                assert got.shape == (kmax + 1, t.size) and got.flags.c_contiguous
+                assert np.array_equal(got, _jacobi_loop_reference(kmax, alpha, t)), (
+                    alpha,
+                    kmax,
+                    t.size,
+                )
+        assert np.array_equal(
+            jacobi_sequence(64, alpha, 0.3), _jacobi_loop_reference(64, alpha, 0.3)
+        )
+
+
 def test_jacobi_domain_guards():
     with pytest.raises(ValueError):
         jacobi_sequence(4, -0.6, 0.0)
     with pytest.raises(ValueError):
+        jacobi_sequence(4, math.inf, 0.0)
+    with pytest.raises(ValueError):
         SphereMeasure(3, ((1.5, 1.0),))  # the inner products fed to the table
     with pytest.raises(ValueError):
         jacobi_sequence(-1, 0.0, 0.0)
+    # the degree count is refused, not truncated, like every count
+    for kmax in [True, False, 2.0, 3.5, "3"]:
+        with pytest.raises(ValueError, match="kmax must be an integer"):
+            jacobi_sequence(kmax, 0.0, 0.3)
+    assert jacobi_sequence(np.int64(3), 0.0, 0.3).shape == (4, 1)
+    for t in [math.nan, [0.2, math.inf], np.array([-math.inf]), [0.1, math.nan]]:
+        with pytest.raises(ValueError, match="finite"):
+            jacobi_sequence(3, 0.5, t)
+    for kmax in [0, 3]:
+        with pytest.raises(ValueError, match="1-D"):
+            jacobi_sequence(kmax, 0.5, np.zeros((2, 2)))
+    # any finite t is a point of the recurrence, |t| > 1 included
+    t = np.array([-2.5, 1.5, 40.0])
+    assert np.array_equal(jacobi_sequence(5, 1.0, t), _jacobi_loop_reference(5, 1.0, t))
+    assert jacobi_sequence(2, 0.0, 1.5)[2, 0] == 2.875  # Legendre (3t^2 - 1)/2
