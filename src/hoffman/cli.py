@@ -4,6 +4,11 @@ Output is a single JSON object (or a CSV table for the torus scan) with a
 "schema" version field, all floats at 10 significant digits, keys sorted, so
 identical invocations are byte-identical.  Exit codes: 0 success, 2 vacuous
 bound, 1 input error.
+
+Options are parsed as plain ints, floats and strings.  The limits of every
+value (dimension, tolerance, truncation K, counts) are declared once, by the
+library function that uses the value; run() turns its ValueError into one
+line on stderr and exit 1.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .errors import (
     VacuousBoundError,
 )
 from .euclidean import (
+    _LP_GRID,
     optimize_radial_measure,
     radial_measure_from_json,
     radial_measure_to_json,
@@ -114,27 +120,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; the contract here is 1
     def error(self, message):
         raise _UsageError(message)
-
-
-def _bounded(cast, name: str, low, high):
-    """An argparse type: the option's text cast, and kept within [low, high]."""
-
-    def parse(text):
-        value = cast(text)
-        if not (low <= value <= high):
-            raise argparse.ArgumentTypeError(
-                f"{name} must lie in [{low:g}, {high:g}], got {text}"
-            )
-        return value
-
-    parse.__name__ = name  # argparse names the type in "invalid <name> value"
-    return parse
-
-
-_DIMENSION = _bounded(int, "dimension", 2, 32)
-_TOLERANCE = _bounded(float, "tolerance", 1e-12, 1e-3)
-_KMAX = _bounded(int, "kmax", 1, 10_000)
-_GRID = _bounded(int, "grid points", 16, 100_000)
 
 
 def _round_floats(obj):
@@ -237,15 +222,10 @@ def _cmd_optimize(args) -> dict:
     if args.mode == "radial":
         if args.kmax is not None:
             raise ValueError("--kmax applies only to --mode sphere")
-        grid = 512 if args.grid is None else args.grid
-        mu, rng = optimize_radial_measure(
-            args.dimension, args.support, tol=args.tol, grid=grid
-        )
+        mu, rng = optimize_radial_measure(args.dimension, args.support, tol=args.tol)
         measure = radial_measure_to_json(mu)
-        prov = {"grid_points": grid}
+        prov = {"grid_points": _LP_GRID}
     else:
-        if args.grid is not None:
-            raise ValueError("--grid applies only to --mode radial")
         kmax = 64 if args.kmax is None else args.kmax
         mu, rng, seq = optimize_sphere_measure(
             args.dimension, args.support, K=kmax, tol=args.tol
@@ -300,40 +280,38 @@ def _parser() -> _Parser:
     sp.add_argument("graph")
 
     sp = command("unit-distance", "Unit-distance graph of R^n.")
-    sp.add_argument("-n", "--dimension", type=_DIMENSION, default=2)
+    sp.add_argument("-n", "--dimension", type=int, default=2)
 
     sp = command("euclidean", "Bounds for a radial measure file.")
     sp.add_argument("measure")
-    sp.add_argument("--tol", type=_TOLERANCE, default=1e-8)
+    sp.add_argument("--tol", type=float, default=1e-8)
 
     sp = command("odd-distance", "Odd-distance divergence measure.")
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("-N", "--terms", type=int, required=True)
-    sp.add_argument("--tol", type=_TOLERANCE, default=1e-8)
+    sp.add_argument("--tol", type=float, default=1e-8)
 
     # -n defaults to 3 for -t; a measure file carries its own dimension
     sp = command("sphere", "Distance graphs on the sphere.")
     sp.add_argument("measure", nargs="?", default=None)
     sp.add_argument("-t", type=float, default=None)
-    sp.add_argument("-n", "--dimension", type=_DIMENSION, default=None)
-    sp.add_argument("--tol", type=_TOLERANCE, default=1e-8)
-    sp.add_argument("--kmax", type=_KMAX, default=64)
+    sp.add_argument("-n", "--dimension", type=int, default=None)
+    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--kmax", type=int, default=64)
 
-    # --kmax (default 64) is read by --mode sphere only, --grid (default 512)
-    # by --mode radial only
+    # --kmax (default 64) is read by --mode sphere only
     sp = command("optimize", "Optimize a measure on a support.")
     sp.add_argument("--mode", choices=("radial", "sphere"), required=True)
     sp.add_argument("--support", type=float, nargs="+", required=True)
-    sp.add_argument("-n", "--dimension", type=_DIMENSION, default=2)
-    sp.add_argument("--tol", type=_TOLERANCE, default=1e-8)
-    sp.add_argument("--kmax", type=_KMAX, default=None)
-    sp.add_argument("--grid", type=_GRID, default=None)
+    sp.add_argument("-n", "--dimension", type=int, default=2)
+    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--kmax", type=int, default=None)
 
     sp = command("torus", "Circulant convergence study.")
     sp.add_argument("--radii", type=float, nargs="+", required=True)
     sp.add_argument("--moduli", type=int, nargs="+", required=True)
     sp.add_argument("--annulus", type=float, default=0.25)
-    sp.add_argument("-n", "--dimension", type=_bounded(int, "dimension", 1, 32), default=2)
+    sp.add_argument("-n", "--dimension", type=int, default=2)
     sp.add_argument("--format", choices=("json", "csv"), default="csv")
 
     return p

@@ -10,6 +10,17 @@ def require_integer(value, name: str) -> int:
     return int(value)
 
 
+def require_tolerance(tol) -> float:
+    """tol, the tolerance a range is certified to; refused outside [1e-12, 1e-3].
+
+    Double precision resolves no smaller tolerance.  Every range function
+    checks its tol here, so the command line declares no range of its own.
+    """
+    if not (1e-12 <= tol <= 1e-3):
+        raise ValueError(f"tol must lie in [1e-12, 1e-3], got {tol!r}")
+    return tol
+
+
 class SpectralBoundError(Exception):
     """Base class for bound computations that cannot produce a meaningful value."""
 

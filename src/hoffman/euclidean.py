@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, require_integer
+from .errors import ConvergenceError, require_integer, require_tolerance
 from .reports import SpectralRange
 from .simplex import cutting_planes
 from .specfun import bessel_first_zero, omega
@@ -356,8 +356,7 @@ def global_extrema(mu: RadialMeasure, tol: float = 1e-8) -> ExtremaReport:
     whose first window alone needs more than 1e8 atom evaluations is
     refused with ConvergenceError.
     """
-    if tol < 1e-12:
-        raise ValueError("tol below 1e-12 is not resolvable in double precision")
+    tol = require_tolerance(tol)
     if all(w == 0.0 for _, w in mu.atoms):
         return ExtremaReport(0.0, 0.0, 0.0, 0.0, 0)
     return _extrema_report(*_refined_extrema(mu, tol))
@@ -422,14 +421,15 @@ def unit_distance_range(n: int) -> tuple[SpectralRange, float]:
 
 
 def optimize_radial_measure(
-    n: int, radii, tol: float = 1e-8, grid: int = _LP_GRID
+    n: int, radii, tol: float = 1e-8
 ) -> tuple[RadialMeasure, SpectralRange]:
     """Best chromatic bound over probability measures on the given radii.
 
-    Solves the max-min game between weights and frequencies on a finite grid,
-    then verifies the winner against the true continuous infimum; any
-    frequency that beats the grid value is appended as a new constraint and
-    the game is re-solved (cutting planes).  The payoff matrix is evaluated
+    Solves the max-min game between weights and frequencies on a grid of
+    _LP_GRID frequencies, then verifies the winner against the true
+    continuous infimum; any frequency that beats the grid value is appended
+    as a new constraint and the game is re-solved (cutting planes), so the
+    grid is only a warm start.  The payoff matrix is evaluated
     once on the grid, and each round evaluates only its new columns.  The
     rounds scan the same segments for the same atoms with new weights, so
     the call keeps each scan segment's omega table, per set of active
@@ -445,10 +445,7 @@ def optimize_radial_measure(
     ds = sorted(float(d) for d in radii)
     if not ds or any(d <= 0.0 for d in ds) or len(set(ds)) != len(ds):
         raise ValueError("radii must be distinct and positive")
-    if not (16 <= require_integer(grid, "grid size") <= 100_000):
-        raise ValueError(f"grid size must lie in [16, 100000], got {grid}")
-    if tol < 1e-12:
-        raise ValueError("tol below 1e-12 is not resolvable in double precision")
+    tol = require_tolerance(tol)
 
     uniform = RadialMeasure(n, tuple((d, 1.0 / len(ds)) for d in ds))
     kept: dict = {}
@@ -464,6 +461,6 @@ def optimize_radial_measure(
 
     return cutting_planes(
         lambda rs: omega(n, np.outer(ds, rs)),
-        np.linspace(0.0, cutoff, grid),
+        np.linspace(0.0, cutoff, _LP_GRID),
         oracle,
     )

@@ -39,6 +39,7 @@ _ORDER_MAX = 60.0
 _ARG_MAX = 1e6
 _LOG_SERIES_GATE = math.log(3e4)  # max-term cap: keeps cancellation below ~3e-12
 _LOG_OMEGA_GATE = math.log(1e4)
+_ZERO_TOL = 1e-13  # relative bracket width at which bessel_first_zero stops
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LGAMMA_SHIFTS = np.arange(8.0)[:, None]
 # series and Hankel terms are tabulated a chunk at a time: at most
@@ -319,10 +320,11 @@ def bessel_j(order, x):
 
 
 @functools.lru_cache(maxsize=128)
-def bessel_first_zero(order: float, tol: float = 1e-13) -> float:
-    """Smallest positive zero of J_order, located by bracketing and bisection.
+def bessel_first_zero(order: float) -> float:
+    """Smallest positive zero of J_order, located by bracketing and bisection
+    to a relative bracket width of _ZERO_TOL.
 
-    The zero is a pure function of (order, tol), so results are memoized in a
+    The zero is a pure function of the order, so results are memoized in a
     bounded cache: a process computes each order's zero once, however many
     extrema passes and optimizer rounds ask for it.
     """
@@ -342,7 +344,7 @@ def bessel_first_zero(order: float, tol: float = 1e-13) -> float:
             raise ConvergenceError("failed to bracket the first Bessel zero")
     for _ in range(200):
         mid = 0.5 * (a + b)
-        if b - a <= tol * max(1.0, mid):
+        if b - a <= _ZERO_TOL * max(1.0, mid):
             break
         if bessel_j(nu, mid) > 0.0:
             a = mid
@@ -399,19 +401,13 @@ def _omega_pass(dims, t: np.ndarray) -> np.ndarray:
     lgamma_half = per_element([math.lgamma(0.5 * k) for k in dims])
     nu = half - 1.0
     tv = np.tile(t, len(dims))
-    # largest term of the hypergeometric series for omega itself; while it is
-    # small the series carries full absolute accuracy even where the Bessel
+    # largest term of the hypergeometric series for omega itself, the Bessel
+    # series' largest term over its prefactor (t/2)^nu / Gamma(nu + 1); while it
+    # is small the series carries full absolute accuracy even where the Bessel
     # prefactor would amplify error
-    m_star = np.maximum(0.0, 0.5 * (-(half + 1.0) + np.sqrt((half - 1.0) ** 2 + tv**2)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_max = (
-            2.0 * m_star * np.log(tv / 2.0)
-            + lgamma_half
-            - _lgamma_arr(m_star + 1.0)
-            - _lgamma_arr(half + m_star)
-        )
-    log_max = np.where(tv > 0.0, log_max, -np.inf)
-    use_series = log_max <= _LOG_OMEGA_GATE
+        log_max = _series_log_maxterm(nu, tv) - nu * np.log(tv / 2.0) + lgamma_half
+    use_series = np.where(tv > 0.0, log_max, -np.inf) <= _LOG_OMEGA_GATE
 
     out = np.empty_like(tv)
     if np.any(use_series):

@@ -17,13 +17,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import UncertifiedRangeError, VacuousBoundError, require_integer
+from .errors import (
+    UncertifiedRangeError,
+    VacuousBoundError,
+    require_integer,
+    require_tolerance,
+)
 from .reports import SpectralRange
 from .simplex import cutting_planes
 from .specfun import jacobi_sequence
 
-_K_PUBLIC_MAX = 10_000
-_K_CERT_CAP = 8192
+# the largest truncation: no K past it is accepted, and K doubling stops at it
+_K_CAP = 8192
 _ANGLE_DENOM_CAP = 512
 _N2_SCAN_K = 10_000
 
@@ -108,11 +113,17 @@ def _degree_table(n: int, ks, t) -> np.ndarray:
     return jacobi_sequence(int(ks.max()), _jacobi_alpha(n), t)[ks]
 
 
+def _require_k(K) -> int:
+    """K as an int, refused outside [1, _K_CAP]: the one cap on every truncation."""
+    K = require_integer(K, "K")
+    if not (1 <= K <= _K_CAP):
+        raise ValueError(f"K must lie in [1, {_K_CAP}], got {K}")
+    return K
+
+
 def eigenvalue_sequence(mu: SphereMeasure, K: int) -> EigenSequence:
     """lambda_k = sum_i w_i Pbar_k(t_i) for k = 0..K, with a (K, 2K] probe."""
-    K = require_integer(K, "K")
-    if not (1 <= K <= _K_PUBLIC_MAX):
-        raise ValueError(f"K must lie in [1, {_K_PUBLIC_MAX}], got {K}")
+    K = _require_k(K)
     table = jacobi_sequence(2 * K, _jacobi_alpha(mu.dim), mu.inner_products())
     lam = table @ mu.weights()
     lam[0] = mu.total_mass()
@@ -140,17 +151,18 @@ def operator_range(mu: SphereMeasure, K: int = 64, tol: float = 1e-8):
     Returns (SpectralRange, EigenSequence): the range (m, M), with R = mass
     for a nonnegative measure, and the eigenvalue sequence it was read from.
     For n >= 3 the eigenvalues decay to 0, so 0 always lies in the closure
-    and the candidate extremes are 0-augmented; the truncation K is doubled
-    until the tail probe max falls below the extreme magnitudes (or below
-    tol when an extreme is near zero), and the sequence's K and tail_bound
-    name that truncation.  The probe is empirical, not a proof.  For n = 2
-    the eigenvalues are cos(k theta_i): with rational theta_i/pi the
-    sequence is periodic and scanned exactly over one period (tail_bound 0);
-    otherwise a long scan stands in for the equidistributed orbit, and
-    tail_bound is the trivial sum |w_i|.
+    and the candidate extremes are 0-augmented; the truncation K is doubled,
+    up to the cap 8192, until the tail probe max falls below the extreme
+    magnitudes (or below tol when an extreme is near zero), and the
+    sequence's K and tail_bound name that truncation.  K itself must lie in
+    [1, 8192] and tol in [1e-12, 1e-3].  The probe is empirical, not a
+    proof.  For n = 2 the eigenvalues are cos(k theta_i): with rational
+    theta_i/pi the sequence is periodic and scanned exactly over one period
+    (tail_bound 0); otherwise a long scan stands in for the equidistributed
+    orbit, and tail_bound is the trivial sum |w_i|.
     """
-    if not (1e-12 <= tol <= 1e-3):
-        raise ValueError(f"tol must lie in [1e-12, 1e-3], got {tol!r}")
+    tol = require_tolerance(tol)
+    k = _require_k(K)
     R = mu.total_mass() if all(w >= 0.0 for _, w in mu.atoms) else None
 
     if mu.dim == 2:
@@ -161,25 +173,22 @@ def operator_range(mu: SphereMeasure, K: int = 64, tol: float = 1e-8):
         rng = SpectralRange(float(lam.min()), float(lam.max()), R)
         return rng, EigenSequence(lam, kmax, tail)
 
-    k_cur = require_integer(K, "K")
-    if k_cur < 1:
-        raise ValueError(f"K must be positive, got {K}")
     while True:
-        seq = eigenvalue_sequence(mu, min(k_cur, _K_CERT_CAP))
+        seq = eigenvalue_sequence(mu, k)
         m = min(0.0, float(seq.values.min()))
         big = max(0.0, float(seq.values.max()))
         if seq.tail_bound <= max(-m, tol) and seq.tail_bound <= max(big, tol):
             return SpectralRange(m, big, R), seq
-        if k_cur >= _K_CERT_CAP:
+        if k == _K_CAP:
             raise UncertifiedRangeError(
                 f"tail probe {seq.tail_bound:.3e} still exceeds the extremes "
-                f"at truncation {k_cur}",
+                f"at truncation {k}",
                 m,
                 big,
-                k_cur,
+                k,
                 seq.tail_bound,
             )
-        k_cur *= 2
+        k = min(2 * k, _K_CAP)
 
 
 def optimize_sphere_measure(n: int, support, K: int = 64, tol: float = 1e-8):
@@ -196,9 +205,7 @@ def optimize_sphere_measure(n: int, support, K: int = 64, tol: float = 1e-8):
     the measure.
     """
     n = SphereMeasure(n, ()).dim  # the measure type validates the dimension
-    K = require_integer(K, "K")
-    if K < 1:
-        raise ValueError(f"K must be positive, got {K}")
+    K, tol = _require_k(K), require_tolerance(tol)
     ts = sorted(float(t) for t in support)
     if not ts or len(set(ts)) != len(ts):
         raise ValueError("support must be nonempty with distinct inner products")
@@ -211,9 +218,9 @@ def optimize_sphere_measure(n: int, support, K: int = 64, tol: float = 1e-8):
             raise VacuousBoundError("optimized infimum is nonnegative; vacuous on this support")
         rng, seq = operator_range(mu, K=K, tol=tol)
         cuts = np.flatnonzero(seq.values < s_star - tol)
-        if cuts.size and cuts[0] > _K_CERT_CAP:
-            msg = f"game value {s_star:.6e} not certified at truncation {_K_CERT_CAP}"
-            raise UncertifiedRangeError(msg, rng.m, rng.M, _K_CERT_CAP, s_star - rng.m)
-        return cuts[cuts <= _K_CERT_CAP], (mu, rng, seq)
+        if cuts.size and cuts[0] > _K_CAP:
+            msg = f"game value {s_star:.6e} not certified at truncation {_K_CAP}"
+            raise UncertifiedRangeError(msg, rng.m, rng.M, _K_CAP, s_star - rng.m)
+        return cuts[cuts <= _K_CAP], (mu, rng, seq)
 
     return cutting_planes(lambda ks: _degree_table(n, ks, ts).T, np.arange(1, K + 1), oracle)

@@ -30,6 +30,19 @@ _VERTEX_CAP = 2**24
 _CSV_HEADER = "m,discrete_chi_lb,discrete_alpha_ub,continuous_chi_lb,continuous_alpha_ub"
 
 
+def _require_size(m, n) -> tuple[int, int]:
+    """(m, n) as ints: modulus >= 3, dimension >= 1 and m^n within the vertex cap."""
+    m, n = require_integer(m, "modulus"), require_integer(n, "dimension")
+    if m < 3:
+        raise ValueError(f"modulus must be at least 3, got {m}")
+    if n < 1:
+        raise ValueError(f"dimension must be at least 1, got {n}")
+    # 3^24 > _VERTEX_CAP, so the exponent stays small however large n is
+    if m ** min(n, 24) > _VERTEX_CAP:
+        raise ValueError(f"{m}^{n} vertices exceed the cap {_VERTEX_CAP}")
+    return m, n
+
+
 @dataclass(frozen=True)
 class CirculantGraph:
     """Cayley graph of Z_m^n: x ~ y whenever x - y lies in the connection set."""
@@ -39,14 +52,7 @@ class CirculantGraph:
     connection_set: frozenset
 
     def __post_init__(self):
-        m = require_integer(self.modulus, "modulus")
-        n = require_integer(self.dim, "dimension")
-        if m < 3:
-            raise ValueError(f"modulus must be at least 3, got {m}")
-        if n < 1:
-            raise ValueError(f"dimension must be at least 1, got {n}")
-        if m**n > _VERTEX_CAP:
-            raise ValueError(f"{m}^{n} vertices exceed the cap {_VERTEX_CAP}")
+        m, n = _require_size(self.modulus, self.dim)
         cset = frozenset(tuple(int(c) % m for c in s) for s in self.connection_set)
         zero = (0,) * n
         for s in cset:
@@ -82,11 +88,7 @@ def build_torus_graph(m: int, n: int, radii, tol: float = 0.25) -> CirculantGrap
     Norms are taken on folded representatives, so the set is automatically
     symmetric; radii are in lattice units.
     """
-    m, n = require_integer(m, "modulus"), require_integer(n, "dimension")
-    if m < 3 or n < 1:
-        raise ValueError("need modulus >= 3 and dimension >= 1")
-    if m**n > _VERTEX_CAP:
-        raise ValueError(f"{m}^{n} vertices exceed the cap {_VERTEX_CAP}")
+    m, n = _require_size(m, n)
     ds = [float(d) for d in radii]
     if not ds or any(d <= 0.0 for d in ds):
         raise ValueError("radii must be positive")
@@ -149,10 +151,10 @@ def convergence_study(n: int, radii, moduli, tol: float = 0.25):
     round(d_i * m / m_ref) with m_ref the first modulus, so the first row is
     the coarsest discretization and later rows refine it.  Returns rows
     (m, discrete_chi_lb, discrete_alpha_ub, continuous_chi_lb,
-    continuous_alpha_ub); the continuous columns are constant.
+    continuous_alpha_ub); the continuous columns are constant.  Every
+    modulus is checked against the vertex cap before any work is done.
     """
-    n = require_integer(n, "dimension")
-    ms = [require_integer(m, "modulus") for m in moduli]
+    ms = [_require_size(m, n)[0] for m in moduli]
     if not ms or any(b <= a for a, b in zip(ms, ms[1:])):
         raise ValueError("moduli must be strictly increasing")
     ds = [float(d) for d in radii]

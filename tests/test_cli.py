@@ -19,8 +19,14 @@ import numpy as np
 import pytest
 
 from hoffman.cli import OUTPUT_SCHEMA, _round_floats, run
+from hoffman.euclidean import radial_measure_from_json, radial_range
 from hoffman.graphs import read_graph
-from hoffman.sphere import eigenvalue_sequence, optimize_sphere_measure
+from hoffman.sphere import (
+    SphereMeasure,
+    eigenvalue_sequence,
+    operator_range,
+    optimize_sphere_measure,
+)
 
 C5_TEXT = "0 1\n1 2\n2 3\n3 4\n4 0\n"
 EDGELESS_TEXT = "p edge 3 0\n"
@@ -309,13 +315,81 @@ def test_dimension_validation(capsys):
 
 def test_numeric_flag_validation(capsys):
     assert run(["sphere", "-t", "-0.5", "--tol", "0.01"]) == 1
-    assert "tolerance must lie in" in _one_error_line(capsys)
+    assert "tol must lie in [1e-12, 1e-3]" in _one_error_line(capsys)
     assert run(["optimize", "--mode", "sphere", "--kmax", "0", "--support", "-0.5"]) == 1
-    assert "kmax must lie in" in _one_error_line(capsys)
-    assert run(["optimize", "--mode", "radial", "--grid", "8", "--support", "1"]) == 1
-    assert "grid points must lie in" in _one_error_line(capsys)
+    assert "K must lie in [1, 8192]" in _one_error_line(capsys)
+    assert run(["optimize", "--mode", "radial", "--tol", "0.01", "--support", "1"]) == 1
+    assert "tol must lie in [1e-12, 1e-3]" in _one_error_line(capsys)
     assert run(["torus", "--radii", "1", "--moduli", "8", "-n", "0"]) == 1
-    assert "dimension must lie in [1, 32]" in _one_error_line(capsys)
+    assert "dimension must be at least 1" in _one_error_line(capsys)
+    assert run(["sphere", "-t", "0.3", "--kmax", "two"]) == 1
+    assert "invalid int value" in _one_error_line(capsys)
+
+
+def test_sphere_truncation_is_capped_at_8192(capsys):
+    # doubling 3000 -> 6000 -> 12000 stops at the cap, and the error names it
+    assert run(["sphere", "-n", "3", "-t", "0.9999999", "--kmax", "3000"]) == 1
+    line = _one_error_line(capsys)
+    assert "(K=8192," in line and "at truncation 8192" in line
+    assert run(["sphere", "-t", "0.3", "--kmax", "9000"]) == 1
+    assert "K must lie in [1, 8192], got 9000" in _one_error_line(capsys)
+
+
+def test_sphere_dimension_is_the_measure_types(capsys):
+    # SphereMeasure takes dimensions up to 64; the command line adds no cap of its own
+    assert run(["sphere", "-t", "0.3", "-n", "40"]) == 0
+    assert _payload(capsys)["dimension"] == 40
+    assert run(["sphere", "-t", "0.3", "-n", "65"]) == 1
+    assert "sphere dimension must lie in [2, 64]" in _one_error_line(capsys)
+
+
+def _library_accepts(call) -> bool:
+    try:
+        call()
+    except ValueError:
+        return False
+    return True
+
+
+def _cli_accepts(capsys, argv, refusal) -> bool:
+    """True on exit 0; a refusal must be exit 1 with one line naming the limit."""
+    code = run(argv)
+    if code == 0:
+        capsys.readouterr()
+        return True
+    assert code == 1 and refusal in _one_error_line(capsys), argv
+    return False
+
+
+_SPHERE = SphereMeasure(3, ((0.3, 1.0),))
+_RADIAL_FILE_ATOMS = {"dim": 2, "atoms": [[1.0, 1.0]]}
+
+
+@pytest.mark.parametrize(
+    "value, accepted", [("1e-12", True), ("1e-3", True), ("9.9e-13", False), ("1.1e-3", False)]
+)
+def test_tol_limit_is_the_librarys(capsys, tmp_path, value, accepted):
+    path = tmp_path / "radial.json"
+    path.write_text(json.dumps(_RADIAL_FILE_ATOMS))
+    mu = radial_measure_from_json(_RADIAL_FILE_ATOMS)
+    tol = float(value)
+    routes = [
+        (["sphere", "-t", "0.3", "--tol", value], lambda: operator_range(_SPHERE, tol=tol)),
+        (["euclidean", str(path), "--tol", value], lambda: radial_range(mu, tol)),
+    ]
+    for argv, call in routes:
+        assert _cli_accepts(capsys, argv, "tol must lie in [1e-12, 1e-3]") is accepted, argv
+        assert _library_accepts(call) is accepted, argv
+
+
+@pytest.mark.parametrize(
+    "value, accepted", [(1, True), (8192, True), (0, False), (8193, False)]
+)
+def test_kmax_limit_is_the_librarys(capsys, value, accepted):
+    argv = ["sphere", "-t", "0.3", "--kmax", str(value)]
+    assert _cli_accepts(capsys, argv, "K must lie in [1, 8192]") is accepted
+    assert _library_accepts(lambda: operator_range(_SPHERE, K=value)) is accepted
+    assert _library_accepts(lambda: eigenvalue_sequence(_SPHERE, value)) is accepted
 
 
 @pytest.mark.parametrize(
@@ -342,8 +416,9 @@ def test_option_of_another_mode_exits_1(capsys, tmp_path):
     assert "-n does not apply to a measure file" in _one_error_line(capsys)
     assert run(["optimize", "--mode", "radial", "--kmax", "64", "--support", "1"]) == 1
     assert "--kmax applies only to --mode sphere" in _one_error_line(capsys)
-    assert run(["optimize", "--mode", "sphere", "--grid", "512", "--support", "-0.5"]) == 1
-    assert "--grid applies only to --mode radial" in _one_error_line(capsys)
+    # the radial game grid is fixed, so no mode takes a --grid
+    assert run(["optimize", "--mode", "radial", "--grid", "512", "--support", "1"]) == 1
+    assert "unrecognized arguments: --grid" in _one_error_line(capsys)
 
 
 def test_round_floats_rejects_nonfinite():

@@ -137,6 +137,22 @@ def test_extrema_tol_guard():
         global_extrema(UNIT2, tol=1e-13)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: global_extrema(UNIT2, tol=0.01),
+        lambda: radial_range(UNIT2, tol=0.01),
+        lambda: optimize_radial_measure(2, [1.0, 2.0], tol=0.01),
+        lambda: optimize_radial_measure(2, [1.0, 2.0], tol=1e-13),
+    ],
+    ids=["global_extrema", "radial_range", "optimize-high", "optimize-low"],
+)
+def test_radial_tol_is_refused_at_both_ends(call):
+    # one require_tolerance: the radial functions refuse both ends, as operator_range does
+    with pytest.raises(ValueError, match=r"tol must lie in \[1e-12, 1e-3\]"):
+        call()
+
+
 def test_dimension_one_profile_is_cosine():
     ext = global_extrema(RadialMeasure(1, ((1.0, 1.0),)))
     assert abs(ext.inf_value + 1.0) < 1e-12

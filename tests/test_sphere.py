@@ -10,8 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from hoffman import simplex
-from hoffman.euclidean import optimize_radial_measure, steinhardt_measure
+from hoffman import simplex, sphere
+from hoffman.euclidean import steinhardt_measure
 from hoffman.errors import UncertifiedRangeError, VacuousBoundError
 from hoffman.reports import KIND_ALPHA_RATIO_UB, KIND_CHI_LB, alpha_ratio_ub, chi_lb
 from hoffman.sphere import (
@@ -322,14 +322,46 @@ def test_optimize_circle_refuses_dips_past_the_certified_degrees():
         (lambda: operator_range(SphereMeasure(3, ((-0.5, 1.0),)), K=2.9), "K must be an integer"),
         (lambda: eigenvalue_sequence(SphereMeasure(3, ((-0.5, 1.0),)), True), "K must be an integer"),
         (lambda: steinhardt_measure(1.5, 2.7), "N must be an integer"),
-        (lambda: optimize_radial_measure(2, [1.0, 2.0], grid=100.9), "grid size must be an integer"),
-        (lambda: optimize_sphere_measure(3, [-0.5], K=0), "K must be positive"),
+        (lambda: optimize_sphere_measure(3, [-0.5], K=0), r"K must lie in \[1, 8192\]"),
     ],
-    ids=["operator_range-K", "eigenvalue_sequence-K", "steinhardt-N", "radial-grid", "sphere-K0"],
+    ids=["operator_range-K", "eigenvalue_sequence-K", "steinhardt-N", "sphere-K0"],
 )
 def test_counts_are_refused_not_truncated_or_clamped(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_doubling_stops_at_the_cap_and_reports_it():
+    # 3000 -> 6000 -> 12000 would pass the cap: the last table is at 8192,
+    # and the error names that truncation, not 12000
+    mu = SphereMeasure(3, ((0.9999999, 1.0),))
+    with pytest.raises(UncertifiedRangeError, match="at truncation 8192$") as exc:
+        operator_range(mu, K=3000)
+    assert exc.value.k_used == 8192
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: operator_range(SphereMeasure(3, ((0.3, 1.0),)), K=9000),
+        lambda: eigenvalue_sequence(SphereMeasure(3, ((0.3, 1.0),)), 8193),
+        lambda: optimize_sphere_measure(3, [-0.5, 0.2], K=8193),
+        lambda: optimize_sphere_measure(3, [-0.5, 0.2], K=20_000),
+    ],
+    ids=["operator_range", "eigenvalue_sequence", "optimize-8193", "optimize-20000"],
+)
+def test_truncation_past_the_cap_is_refused(call):
+    with pytest.raises(ValueError, match=r"K must lie in \[1, 8192\]"):
+        call()
+
+
+def test_optimize_sphere_refuses_tol_before_work(monkeypatch):
+    def no_game(*args):
+        raise AssertionError("the game ran before tol was checked")
+
+    monkeypatch.setattr(sphere, "cutting_planes", no_game)
+    with pytest.raises(ValueError, match=r"tol must lie in \[1e-12, 1e-3\]"):
+        optimize_sphere_measure(3, [-0.5, 0.2], tol=0.01)
 
 
 def test_optimize_deterministic():

@@ -9,6 +9,7 @@ targets along refining moduli.
 import numpy as np
 import pytest
 
+from hoffman import torus
 from hoffman.graphs import Graph, adjacency_matrix, spectral_range
 from hoffman.reports import alpha_ratio_ub, chi_lb
 from hoffman.torus import (
@@ -172,6 +173,22 @@ def test_convergence_dim3_refines_toward_continuum():
     gaps = [abs(r[1] - cont_chi) / cont_chi for r in rows]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 0.02
+
+
+def test_convergence_study_refuses_sizes_before_the_scan(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("the continuous scan ran before the sizes were checked")
+
+    monkeypatch.setattr(torus, "radial_range", no_scan)
+    with pytest.raises(ValueError, match="exceed the cap"):
+        convergence_study(40, [1.0], [8])
+    with pytest.raises(ValueError, match="exceed the cap"):
+        convergence_study(2, [1.0], [8, 16, 8192])
+    with pytest.raises(ValueError, match="modulus must be at least 3"):
+        convergence_study(2, [1.0], [2, 8])
+    # a huge dimension is refused without computing m^n
+    with pytest.raises(ValueError, match="exceed the cap"):
+        CirculantGraph(3, 10**12, frozenset())
 
 
 def test_convergence_validation():
