@@ -333,16 +333,25 @@ def run(argv) -> int:
         args = _parser().parse_args(list(argv))
         if args.subcommand is None:
             raise _UsageError("a subcommand is required")
-        result = _DISPATCH[args.subcommand](args)
-    except VacuousBoundError as exc:
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "command": args.subcommand,
-            "status": "vacuous",
-            "detail": str(exc),
-        }
-        _emit_json(payload, args.output)
-        return 2
+        try:
+            result = _DISPATCH[args.subcommand](args)
+        except VacuousBoundError as exc:
+            payload = {
+                "schema": SCHEMA_VERSION,
+                "command": args.subcommand,
+                "status": "vacuous",
+                "detail": str(exc),
+            }
+            _emit_json(payload, args.output)
+            return 2
+        # written inside the try, so a failed -o write ends in one line too
+        if isinstance(result, str):
+            _emit(result, args.output)
+        else:
+            payload = {"schema": SCHEMA_VERSION, "command": args.subcommand, "status": "ok"}
+            payload.update(result)
+            _emit_json(payload, args.output)
+        return 0
     except UncertifiedRangeError as exc:
         m, big = exc.range
         print(
@@ -354,14 +363,6 @@ def run(argv) -> int:
     except (_UsageError, ConvergenceError, ValueError, OSError) as exc:
         print(f"hoffman: {exc}", file=sys.stderr)
         return 1
-
-    if isinstance(result, str):
-        _emit(result, args.output)
-        return 0
-    payload = {"schema": SCHEMA_VERSION, "command": args.subcommand, "status": "ok"}
-    payload.update(result)
-    _emit_json(payload, args.output)
-    return 0
 
 
 def main() -> None:

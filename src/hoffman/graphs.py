@@ -2,7 +2,7 @@
 
 All inner products use the uniform probability measure on the vertex set,
 (f, g) = (1/n) sum_v f(v) g(v), so the all-ones function has norm 1 and
-(A 1, 1) equals the average (weighted) degree.  Eigenvalues of the adjacency
+(A 1, 1) equals the average degree.  Eigenvalues of the adjacency
 operator under this convention coincide with the ordinary matrix eigenvalues.
 spectral_range is the finite case's range function; reports.bounds turns its
 range into the chromatic, ratio and fractional bounds.
@@ -208,7 +208,7 @@ def adjacency_matrix(g: Graph) -> SymMatrix:
 def spectral_range(a: SymMatrix) -> SpectralRange:
     """(m, M) of a from one eigen-solve, with R = (A 1, 1) and eps = ||A 1 - R 1||.
 
-    R is the average (weighted) degree, the R that minimises eps; eps
+    R is the average degree, the R that minimises eps; eps
     measures how far the all-ones function is from being an eigenfunction
     with value R, and vanishes for regular graphs.
     """

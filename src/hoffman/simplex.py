@@ -21,7 +21,7 @@ _STALL_PIVOTS = 8  # degenerate pivots in a row before Bland's rule takes over
 _LP_ROUNDS = 40  # cutting-plane rounds before an optimizer gives up
 
 
-def simplex_maximize(A, b, c, max_iter: int | None = None, stats: dict | None = None):
+def simplex_maximize(A, b, c, stats: dict | None = None):
     """Maximize c.x subject to A x <= b, x >= 0, with b >= 0.
 
     Returns (x, duals, value).  duals are the optimal multipliers of the row
@@ -47,10 +47,9 @@ def simplex_maximize(A, b, c, max_iter: int | None = None, stats: dict | None = 
     tab[m, :n] = -c
     basis = np.arange(n, n + m)
 
-    if max_iter is None:
-        max_iter = 2000 * (m + n)
+    budget = 2000 * (m + n)
     stalled = bland = 0
-    for pivots in range(max_iter):
+    for pivots in range(budget):
         reduced = tab[m, : n + m]
         if stalled >= _STALL_PIVOTS:
             negative = np.flatnonzero(reduced < -_PIVOT_EPS)
@@ -78,7 +77,7 @@ def simplex_maximize(A, b, c, max_iter: int | None = None, stats: dict | None = 
         tab[leave] = prow
         basis[leave] = enter
     else:
-        raise ConvergenceError("simplex iteration budget exhausted", iterations=max_iter)
+        raise ConvergenceError("simplex iteration budget exhausted", iterations=budget)
     if stats is not None:
         stats.update(pivots=pivots, bland_pivots=bland)
 

@@ -475,11 +475,36 @@ def _one_error_line(capsys):
     return captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["unit-distance"], "missing/x.json"),
+        (["unit-distance"], "."),
+        (["torus", "--radii", "1", "--moduli", "8"], "missing/x.csv"),
+        (["finite", "EDGELESS"], "missing/v.json"),
+    ],
+    ids=["json", "directory", "csv", "vacuous"],
+)
+def test_unwritable_output_exits_1_with_one_line(capsys, tmp_path, argv, target):
+    edgeless = tmp_path / "edgeless.txt"
+    edgeless.write_text(EDGELESS_TEXT)
+    argv = [str(edgeless) if a == "EDGELESS" else a for a in argv]
+    assert run([*argv, "-o", str(tmp_path / target)]) == 1
+    _one_error_line(capsys)
+
+
 def test_convergence_error_exits_1_with_one_line(capsys, tmp_path):
     path = tmp_path / "long_period.json"
     path.write_text(json.dumps({"dim": 1, "atoms": [[1.0, -0.5], [1.00001, 0.5]]}))
     assert run(["euclidean", str(path)]) == 1
     assert "period too long to scan" in _one_error_line(capsys)
+
+
+def test_incommensurable_dimension_1_radii_exit_1_with_one_line(capsys, tmp_path):
+    path = tmp_path / "incommensurable.json"
+    path.write_text(json.dumps({"dim": 1, "atoms": [[1.0, -0.5], [math.sqrt(2.0), 0.5]]}))
+    assert run(["euclidean", str(path)]) == 1
+    assert "need commensurable radii" in _one_error_line(capsys)
 
 
 def test_radial_scan_over_budget_exits_1_quickly(capsys):

@@ -75,6 +75,9 @@ def test_measure_validation():
         RadialMeasure(2, ((1.0, 1.0), (1.0, 0.5)))
     with pytest.raises(ValueError):
         RadialMeasure(0, ((1.0, 1.0),))
+    for weight in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="atoms must be finite"):
+            RadialMeasure(2, ((1.0, weight),))
     for dim in (2.7, 2.0, True, "2"):
         with pytest.raises(ValueError, match="dimension must be an integer"):
             RadialMeasure(dim, ((1.0, 1.0),))
@@ -160,6 +163,9 @@ def test_dimension_one_profile_is_cosine():
     # two commensurable pair distances: exact minimum of (cos r + cos 2r)/2 is -9/16
     ext2 = global_extrema(RadialMeasure(1, ((1.0, 0.5), (2.0, 0.5))))
     assert abs(ext2.inf_value + 9.0 / 16.0) < 1e-12
+    # incommensurable radii have no common period to scan
+    with pytest.raises(ValueError, match="commensurable radii"):
+        global_extrema(RadialMeasure(1, ((1.0, 0.5), (math.sqrt(2.0), 0.5))))
 
 
 def test_chromatic_bound_unit_shells():

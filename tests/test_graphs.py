@@ -9,6 +9,7 @@ import pytest
 
 from hoffman import (
     BoundInapplicableError,
+    BoundReport,
     Graph,
     NoNegativeSpectrumError,
     SymMatrix,
@@ -93,6 +94,8 @@ def test_graph_validates_loops_and_range():
         Graph(3, [(0, 0)])
     with pytest.raises(ValueError):
         Graph(3, [(0, 3)])
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        Graph(-1, [])
 
 
 def test_graph_refuses_non_integral_vertex_count():
@@ -150,6 +153,8 @@ def test_hoffman_error_contracts():
         chi_lb(graph_range(Graph(3, frozenset())))
     with pytest.raises(NoNegativeSpectrumError):
         chi_lb(spectral_range(SymMatrix(np.eye(3))))
+    with pytest.raises(ValueError, match="unknown bound kind 'chi_ub'"):
+        BoundReport("chi_ub", 3.0, -1.0, 2.0)
 
 
 def test_ratio_bound_regular_graphs():

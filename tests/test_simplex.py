@@ -30,6 +30,23 @@ def test_lp_rejects_negative_rhs():
         simplex_maximize(np.eye(2), np.array([-1.0, 1.0]), np.ones(2))
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: simplex_maximize(np.eye(2), np.ones(3), np.ones(2)), ValueError, "inconsistent"),
+        (lambda: simplex_maximize(np.eye(2), np.ones(2), np.ones(3)), ValueError, "inconsistent"),
+        # max x subject to -x <= 1: no row limits the entering column
+        (lambda: simplex_maximize([[-1.0]], [1.0], [1.0]), ConvergenceError, "unbounded"),
+        (lambda: solve_matrix_game([1.0, 2.0]), ValueError, "nonempty 2-d"),
+        (lambda: solve_matrix_game(np.zeros((0, 3))), ValueError, "nonempty 2-d"),
+    ],
+    ids=["rows", "columns", "unbounded", "1-d-payoff", "empty-payoff"],
+)
+def test_malformed_or_unbounded_lp_is_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_degenerate_lp_terminates():
     # redundant constraints force degenerate pivots; Bland's rule must exit
     A = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -118,10 +135,12 @@ def test_beale_cycling_lp_ends_at_its_optimum_through_bland(monkeypatch):
     assert stats["bland_pivots"] > 0
     ref = linprog(-BEALE_C, A_ub=BEALE_A, b_ub=BEALE_B, method="highs")
     assert abs(-ref.fun - value) < 1e-12
-    # without the fallback, Dantzig's rule cycles until the budget runs out
+    # without the fallback, Dantzig's rule cycles until the 2000 (m + n)
+    # pivot budget runs out
     monkeypatch.setattr(simplex, "_STALL_PIVOTS", math.inf)
-    with pytest.raises(ConvergenceError, match="budget"):
-        simplex_maximize(BEALE_A, BEALE_B, BEALE_C, max_iter=500)
+    with pytest.raises(ConvergenceError, match="budget") as exc:
+        simplex_maximize(BEALE_A, BEALE_B, BEALE_C)
+    assert exc.value.iterations == 2000 * (3 + 4)
 
 
 def test_non_finite_data_is_refused_up_front():

@@ -58,8 +58,13 @@ def test_bessel_domain_guards():
         bessel_j(-0.5, 1.0)
     with pytest.raises(ValueError):
         bessel_j(61.0, 1.0)
-    with pytest.raises(ValueError):
-        bessel_j(1.0, -0.1)
+    for bad in (-0.1, 1.5e6, math.nan, math.inf, [1.0, math.nan]):
+        with pytest.raises(ValueError, match="argument must be finite and lie in"):
+            bessel_j(1.0, bad)
+    # the first zero has no order check of its own: bessel_j refuses it
+    for order in (61, -1, math.nan):
+        with pytest.raises(ValueError, match=r"order must lie in \[0, 60\]"):
+            bessel_first_zero(order)
 
 
 def test_first_zero_examples():
@@ -113,8 +118,9 @@ def test_omega_domain_guards():
     for n in (0, (2, 67), (0, 3)):
         with pytest.raises(ValueError):
             omega(n, 1.0)
-    with pytest.raises(ValueError):
-        omega(2, -1.0)
+    for bad in (-1.0, 1.5e6, math.nan, -math.inf, [0.0, math.inf]):
+        with pytest.raises(ValueError, match="argument must be finite and lie in"):
+            omega(2, bad)
 
 
 def test_omega_refuses_non_integral_dimension():
@@ -130,6 +136,8 @@ def test_omega_refuses_non_integral_dimension():
 # references: every table kernel must reproduce its loop bit for bit.
 
 
+# The shifted Stirling series the regime gate used before its closed form:
+# the reference for the old gate's decisions.
 def _lgamma_loop(z):
     z = np.asarray(z, dtype=float)
     shift = np.zeros_like(z)
@@ -205,16 +213,32 @@ def _jacobi_loop_reference(kmax, alpha, t):
 _KERNEL_SIZES = (1, 7, 1000, 1500, 5000, 1 << 14)
 
 
-def test_lgamma_table_matches_loop():
-    rng = np.random.default_rng(101)
-    for size in _KERNEL_SIZES:
-        z = np.exp(rng.uniform(-3.0, 6.0, size))
-        assert np.array_equal(specfun._lgamma_arr(z), _lgamma_loop(z))
-    z = rng.uniform(0.5, 40.0, (21, 512))  # a whole payoff block, 2-d
-    assert np.array_equal(specfun._lgamma_arr(z), _lgamma_loop(z))
-    # one element at a time: a pairwise reduction would differ here
-    for v in np.exp(rng.uniform(-3.0, 6.0, 300)):
-        assert np.array_equal(specfun._lgamma_arr(np.array([v])), _lgamma_loop(np.array([v])))
+def test_gate_lgamma_closed_form_error():
+    z = np.exp(np.linspace(0.0, math.log(1e7), 20_001))
+    err = np.abs(specfun._lgamma_arr(z) - np.array([math.lgamma(v) for v in z.tolist()]))
+    assert err.max() <= 5.1e-4
+    assert err[z >= 2.0].max() <= 2.2e-5
+
+
+def test_regime_gates_agree_with_the_shifted_lgamma(monkeypatch):
+    # the closed form against the shifted Stirling series it replaced, on
+    # both gates: the Bessel series gate and omega's, whose log max term is
+    # the Bessel one over the prefactor (x/2)^nu / Gamma(nu + 1)
+    x = np.exp(np.linspace(math.log(1e-3), math.log(1e6), 10_001))
+    orders = [0.5 * i for i in range(121)]
+    closed = [specfun._series_log_maxterm(nu, x) for nu in orders]
+    monkeypatch.setattr(specfun, "_lgamma_arr", _lgamma_loop)
+    shifted = [specfun._series_log_maxterm(nu, x) for nu in orders]
+    for nu, new, old in zip(orders, closed, shifted):
+        over_prefactor = math.lgamma(nu + 1.0) - nu * np.log(x / 2.0)
+        for gate, shift in (
+            (specfun._LOG_SERIES_GATE, 0.0),
+            (specfun._LOG_OMEGA_GATE, over_prefactor),
+        ):
+            a, b = new + shift, old + shift
+            assert np.array_equal(a <= gate, b <= gate), nu
+            near = (np.abs(a - gate) <= 0.5) | (np.abs(b - gate) <= 0.5)
+            assert np.all(np.abs(a - b)[near] < 1e-6), nu
 
 
 def test_ascending_series_table_matches_loop():
