@@ -3,7 +3,7 @@
 Hoffman-type bounds computed from the extreme spectrum of adjacency-like
 operators, for three families: finite graphs, translation-invariant graphs
 on R^n with forbidden distances, and distance graphs on the unit sphere.
-Each family's range function (spectral_range, radial_range,
+Each family's range function (spectral_range of a Graph, radial_range,
 unit_distance_range, operator_range) returns one SpectralRange, and
 bounds(rng, chi_lb, ...) turns it into BoundReports.
 """
@@ -53,7 +53,6 @@ from .specfun import (
     jacobi_sequence,
     omega,
 )
-from .spectral import SymMatrix, numerical_range
 from .sphere import (
     EigenSequence,
     SphereMeasure,
@@ -89,7 +88,6 @@ __all__ = [
     "SpectralBoundError",
     "SpectralRange",
     "SphereMeasure",
-    "SymMatrix",
     "UncertifiedRangeError",
     "VacuousBoundError",
     "adjacency_matrix",
@@ -107,7 +105,6 @@ __all__ = [
     "fourier_radial",
     "global_extrema",
     "jacobi_sequence",
-    "numerical_range",
     "omega",
     "operator_range",
     "optimize_radial_measure",

@@ -34,7 +34,7 @@ from .euclidean import (
     steinhardt_measure,
     unit_distance_range,
 )
-from .graphs import adjacency_matrix, read_graph, spectral_range
+from .graphs import read_graph, spectral_range
 from .reports import BoundReport, alpha_ratio_ub, bounds, chi_frac_lb, chi_lb
 from .sphere import (
     SphereMeasure,
@@ -46,63 +46,6 @@ from .sphere import (
 from .torus import convergence_csv, convergence_study
 
 SCHEMA_VERSION = 1
-
-_COMMANDS = (
-    "finite",
-    "unit-distance",
-    "euclidean",
-    "odd-distance",
-    "sphere",
-    "optimize",
-    "torus",
-)
-
-_REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["kind", "value", "m", "M"],
-    "properties": {
-        "kind": {"enum": ["chi_lb", "alpha_ratio_ub", "chi_frac_lb"]},
-        "value": {"type": "number"},
-        "m": {"type": "number"},
-        "M": {"type": "number"},
-        "R": {"type": "number"},
-        "epsilon": {"type": "number"},
-    },
-}
-
-# Declared shape of every emitted JSON object; tests revalidate output with it.
-OUTPUT_SCHEMA = {
-    "type": "object",
-    "required": ["schema", "command"],
-    "properties": {
-        "schema": {"const": SCHEMA_VERSION},
-        "command": {"enum": list(_COMMANDS)},
-        "status": {"enum": ["ok", "vacuous"]},
-        "bounds": {
-            "type": "object",
-            "additionalProperties": _REPORT_SCHEMA,
-        },
-        "provenance": {"type": "object"},
-        "measure": {
-            "type": "object",
-            "required": ["dim", "atoms"],
-            "properties": {
-                "dim": {"type": "integer"},
-                "atoms": {
-                    "type": "array",
-                    "items": {
-                        "type": "array",
-                        "items": {"type": "number"},
-                        "minItems": 2,
-                        "maxItems": 2,
-                    },
-                },
-            },
-        },
-        "rows": {"type": "array", "items": {"type": "array"}},
-    },
-}
-
 
 class _UsageError(Exception):
     pass
@@ -156,7 +99,7 @@ def _load_json_file(path: str):
 
 def _cmd_finite(args) -> dict:
     g = read_graph(args.graph)
-    rng = spectral_range(adjacency_matrix(g))
+    rng = spectral_range(g)
     return {
         "graph": {"path": args.graph, "vertices": g.n, "edges": len(g.edges)},
         "bounds": bounds(rng, chi_lb, alpha_ratio_ub, chi_frac_lb),
@@ -325,6 +268,53 @@ _DISPATCH = {
     "sphere": _cmd_sphere,
     "optimize": _cmd_optimize,
     "torus": _cmd_torus,
+}
+
+
+_REPORT_SCHEMA = {
+    "type": "object",
+    "required": ["kind", "value", "m", "M"],
+    "properties": {
+        "kind": {"enum": ["chi_lb", "alpha_ratio_ub", "chi_frac_lb"]},
+        "value": {"type": "number"},
+        "m": {"type": "number"},
+        "M": {"type": "number"},
+        "R": {"type": "number"},
+        "epsilon": {"type": "number"},
+    },
+}
+
+# Declared shape of every emitted JSON object; tests revalidate output with it.
+OUTPUT_SCHEMA = {
+    "type": "object",
+    "required": ["schema", "command"],
+    "properties": {
+        "schema": {"const": SCHEMA_VERSION},
+        "command": {"enum": list(_DISPATCH)},
+        "status": {"enum": ["ok", "vacuous"]},
+        "bounds": {
+            "type": "object",
+            "additionalProperties": _REPORT_SCHEMA,
+        },
+        "provenance": {"type": "object"},
+        "measure": {
+            "type": "object",
+            "required": ["dim", "atoms"],
+            "properties": {
+                "dim": {"type": "integer"},
+                "atoms": {
+                    "type": "array",
+                    "items": {
+                        "type": "array",
+                        "items": {"type": "number"},
+                        "minItems": 2,
+                        "maxItems": 2,
+                    },
+                },
+            },
+        },
+        "rows": {"type": "array", "items": {"type": "array"}},
+    },
 }
 
 

@@ -4,8 +4,9 @@ All inner products use the uniform probability measure on the vertex set,
 (f, g) = (1/n) sum_v f(v) g(v), so the all-ones function has norm 1 and
 (A 1, 1) equals the average degree.  Eigenvalues of the adjacency
 operator under this convention coincide with the ordinary matrix eigenvalues.
-spectral_range is the finite case's range function; reports.bounds turns its
-range into the chromatic, ratio and fractional bounds.
+spectral_range(g) is the finite case's range function: it builds the dense
+adjacency matrix once and solves it once.  reports.bounds turns its range
+into the chromatic, ratio and fractional bounds.
 
 A Graph holds its edges as a (k, 2) int64 array.  Parsing, checking,
 deduplication and adjacency assembly are whole-array numpy operations: no
@@ -21,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import require_integer
+from .errors import ConvergenceError, require_integer
 from .reports import SpectralRange
-from .spectral import SymMatrix, numerical_range
 
 # the dense path holds several n x n float64 copies and solves in O(n^3);
 # at this size one copy alone is 0.8 GB
@@ -190,7 +190,8 @@ def read_graph(path) -> Graph:
         return parse_graph(fh.read())
 
 
-def adjacency_matrix(g: Graph) -> SymMatrix:
+def adjacency_matrix(g: Graph) -> np.ndarray:
+    """The read-only n x n float64 adjacency matrix, 0/1 and symmetric."""
     if g.n < 1:
         raise ValueError("adjacency matrix needs at least one vertex")
     if g.n > _DENSE_VERTEX_CAP:
@@ -202,18 +203,23 @@ def adjacency_matrix(g: Graph) -> SymMatrix:
     u, v = g.edges.T
     a[u, v] = 1.0
     a[v, u] = 1.0
-    return SymMatrix._wrap(a)  # 0/1 and symmetric by construction
+    a.flags.writeable = False
+    return a
 
 
-def spectral_range(a: SymMatrix) -> SpectralRange:
-    """(m, M) of a from one eigen-solve, with R = (A 1, 1) and eps = ||A 1 - R 1||.
+def spectral_range(g: Graph) -> SpectralRange:
+    """(m, M) of g's adjacency operator, with R = (A 1, 1) and eps = ||A 1 - R 1||.
 
-    R is the average degree, the R that minimises eps; eps
-    measures how far the all-ones function is from being an eigenfunction
-    with value R, and vanishes for regular graphs.
+    m and M come from one LAPACK symmetric eigen-solve without eigenvectors,
+    deterministic for identical inputs.  R is the average degree, the R that
+    minimises eps; eps measures how far the all-ones function is from being
+    an eigenfunction with value R, and vanishes for regular graphs.
     """
-    dense = a.to_dense()
-    R = float(dense.sum()) / a.size
-    eps = math.sqrt(float(np.mean((dense.sum(axis=1) - R) ** 2)))
-    m, M = numerical_range(a)
-    return SpectralRange(m, M, R, eps)
+    a = adjacency_matrix(g)
+    R = float(a.sum()) / g.n
+    eps = math.sqrt(float(np.mean((a.sum(axis=1) - R) ** 2)))
+    try:
+        vals = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
+    return SpectralRange(float(vals[0]), float(vals[-1]), R, eps)

@@ -2,12 +2,12 @@
 
 Every Hoffman-type bound depends only on the numerical range (m, M) of the
 operator, plus R = (A1, 1) and eps = ||A1 - R1|| for the ratio bound.  Each
-case produces one SpectralRange from one range function:
-graphs.spectral_range (finite graph), euclidean.radial_range (radial
-measure), euclidean.unit_distance_range (unit sphere of R^n),
-sphere.operator_range (sphere measure) and the two optimizers.  bounds()
-turns a range into BoundReports through the three constructors below, which
-hold the only copy of each formula and of its applicability checks.
+case produces one SpectralRange from one range function of its own input:
+graphs.spectral_range (a Graph), euclidean.radial_range (radial measure),
+euclidean.unit_distance_range (unit sphere of R^n), sphere.operator_range
+(sphere measure) and the two optimizers.  bounds() turns a range into
+BoundReports through the three constructors below, which hold the only copy
+of each formula and of its applicability checks.
 """
 
 from __future__ import annotations

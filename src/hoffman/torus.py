@@ -43,6 +43,17 @@ def _require_size(m, n) -> tuple[int, int]:
     return m, n
 
 
+def _require_annulus(radii, tol) -> tuple[list[float], float]:
+    """(radii, tol) as floats: radii positive, annulus half-width tol in (0, 1)."""
+    ds = [float(d) for d in radii]
+    if not ds or any(d <= 0.0 for d in ds):
+        raise ValueError("radii must be positive")
+    tol = float(tol)
+    if not (0.0 < tol < 1.0):
+        raise ValueError(f"annulus must lie in (0, 1), got {tol!r}")
+    return ds, tol
+
+
 @dataclass(frozen=True)
 class CirculantGraph:
     """Cayley graph of Z_m^n: x ~ y whenever x - y lies in the connection set."""
@@ -89,12 +100,7 @@ def build_torus_graph(m: int, n: int, radii, tol: float = 0.25) -> CirculantGrap
     symmetric; radii are in lattice units.
     """
     m, n = _require_size(m, n)
-    ds = [float(d) for d in radii]
-    if not ds or any(d <= 0.0 for d in ds):
-        raise ValueError("radii must be positive")
-    tol = float(tol)
-    if not (0.0 < tol < 1.0):
-        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
+    ds, tol = _require_annulus(radii, tol)
 
     fold2 = _folded(m) ** 2
     norm2 = np.zeros((m,) * n)
@@ -152,14 +158,12 @@ def convergence_study(n: int, radii, moduli, tol: float = 0.25):
     the coarsest discretization and later rows refine it.  Returns rows
     (m, discrete_chi_lb, discrete_alpha_ub, continuous_chi_lb,
     continuous_alpha_ub); the continuous columns are constant.  Every
-    modulus is checked against the vertex cap before any work is done.
+    modulus, radius and the annulus are checked before any work is done.
     """
     ms = [_require_size(m, n)[0] for m in moduli]
     if not ms or any(b <= a for a, b in zip(ms, ms[1:])):
         raise ValueError("moduli must be strictly increasing")
-    ds = [float(d) for d in radii]
-    if not ds or any(d <= 0.0 for d in ds):
-        raise ValueError("radii must be positive")
+    ds, tol = _require_annulus(radii, tol)
     m_ref = ms[0]
 
     uniform = RadialMeasure(n, tuple((d, 1.0 / len(ds)) for d in sorted(set(ds))))

@@ -47,7 +47,7 @@ def _verdict(capsys, idx, ok, detail):
 def test_acceptance_01_pentagon_sandwich(capsys):
     t0 = time.monotonic()
     g = Graph(5, frozenset(cycle_edges(5)))
-    rng = spectral_range(adjacency_matrix(g))
+    rng = spectral_range(g)
     chi = chi_lb(rng).value
     ratio = alpha_ratio_ub(rng).value
     alpha = brute_force_alpha(5, cycle_edges(5))
@@ -75,7 +75,7 @@ def test_acceptance_01_pentagon_sandwich(capsys):
 def test_acceptance_02_petersen(capsys):
     t0 = time.monotonic()
     g = Graph(10, frozenset(petersen_edges()))
-    rng = spectral_range(adjacency_matrix(g))
+    rng = spectral_range(g)
     chi = chi_lb(rng).value
     ratio = alpha_ratio_ub(rng).value
     alpha = brute_force_alpha(10, petersen_edges())
@@ -275,7 +275,7 @@ def test_acceptance_09_oracle_equivalence(capsys):
             continue  # annulus may be empty for an unlucky draw; redraw
         spec = circulant_spectrum(g)
         a = adjacency_matrix(Graph(*circulant_edges(m, n, g.connection_set)))
-        dense = np.linalg.eigvalsh(a.to_dense())[::-1]
+        dense = np.linalg.eigvalsh(a)[::-1]
         worst = max(worst, float(np.max(np.abs(spec - dense))))
         checked += 1
 
@@ -288,7 +288,7 @@ def test_acceptance_09_oracle_equivalence(capsys):
         edges = {(u, v) for u in range(nv) for v in range(u + 1, nv) if mask[u, v]}
         if not edges:
             continue
-        spec_range = spectral_range(adjacency_matrix(Graph(nv, frozenset(edges))))
+        spec_range = spectral_range(Graph(nv, frozenset(edges)))
         sound &= chi_lb(spec_range).value <= brute_force_chi(nv, edges) + 1e-9
         sound &= alpha_ratio_ub(spec_range).value >= brute_force_alpha(nv, edges) / nv - 1e-9
         graphs_checked += 1

@@ -514,6 +514,22 @@ def test_radial_scan_over_budget_exits_1_quickly(capsys):
     assert "scan too large" in _one_error_line(capsys)
 
 
+def test_finite_makes_one_eigen_solve(capsys, monkeypatch, tmp_path):
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        solved.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    path = tmp_path / "c5.txt"
+    path.write_text(C5_TEXT)
+    assert run(["finite", str(path)]) == 0
+    assert solved == [(5, 5)]
+    assert _payload(capsys)["status"] == "ok"
+
+
 def test_finite_refuses_graph_too_large_for_dense_path(capsys, tmp_path):
     path = tmp_path / "big.txt"
     path.write_text("p edge 60000 1\ne 1 2\n")

@@ -12,7 +12,7 @@ from hoffman import (
     BoundReport,
     Graph,
     NoNegativeSpectrumError,
-    SymMatrix,
+    SpectralRange,
     VacuousBoundError,
     adjacency_matrix,
     alpha_ratio_ub,
@@ -35,10 +35,6 @@ def cycle(n):
 
 def petersen():
     return Graph(10, oracles.petersen_edges())
-
-
-def graph_range(g):
-    return spectral_range(adjacency_matrix(g))
 
 
 # ---------------------------------------------------------------- parsing
@@ -109,16 +105,16 @@ def test_graph_refuses_non_integral_vertex_count():
 # -------------------------------------------------------------- adjacency
 
 def test_adjacency_examples():
-    assert not adjacency_matrix(Graph(3, frozenset())).to_dense().any()
+    assert not adjacency_matrix(Graph(3, frozenset())).any()
     single = adjacency_matrix(Graph(2, [(0, 1)]))
-    assert np.array_equal(single.to_dense(), [[0.0, 1.0], [1.0, 0.0]])
-    c5 = adjacency_matrix(cycle(5)).to_dense()
+    assert np.array_equal(single, [[0.0, 1.0], [1.0, 0.0]])
+    c5 = adjacency_matrix(cycle(5))
     assert np.array_equal(c5[0], [0.0, 1.0, 0.0, 0.0, 1.0])
 
 
 def test_adjacency_matrix_is_built_once_without_temporaries():
-    # the dense matrix is wrapped as built: no copy and no float a - a.T for
-    # the symmetry check, so the peak is one n x n array
+    # the dense matrix is returned as built: no copy and no float a - a.T for
+    # a symmetry check, so the peak is one n x n array
     n = 400
     g = Graph(n, [(i, (i + s) % n) for i in range(n) for s in (1, 7, 30)])
     tracemalloc.start()
@@ -128,47 +124,116 @@ def test_adjacency_matrix_is_built_once_without_temporaries():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * n * n * 8
-    assert a.size == n and not a.to_dense().flags.writeable
+    assert a.shape == (n, n) and a.dtype == np.float64 and not a.flags.writeable
     with pytest.raises(ValueError):
-        a.to_dense()[0, 1] = 2.0
-    assert np.array_equal(a.to_dense(), a.to_dense().T)
+        a[0, 1] = 2.0
+    assert np.array_equal(a, a.T)
+
+
+# -------------------------------------------------------------- the range
+
+def _random_graph(rng, n, p):
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+
+
+def test_range_of_c5_matches_closed_form():
+    want = oracles.cycle_spectrum(5)
+    rng = spectral_range(cycle(5))
+    assert abs(rng.m - want[-1]) < 1e-10 and abs(rng.M - want[0]) < 1e-10
+    assert abs(rng.m - (-1.6180339887498949)) < 1e-10 and abs(rng.M - 2.0) < 1e-10
+
+
+def test_range_of_petersen():
+    rng = spectral_range(petersen())
+    assert abs(rng.m + 2.0) < 1e-10 and abs(rng.M - 3.0) < 1e-10
+
+
+def test_range_of_k2():
+    rng = spectral_range(Graph(2, [(0, 1)]))
+    assert abs(rng.m + 1.0) < 1e-14 and abs(rng.M - 1.0) < 1e-14
+
+
+def test_range_of_edgeless_graph_is_zero():
+    assert spectral_range(Graph(3, frozenset())) == SpectralRange(0.0, 0.0, 0.0, 0.0)
+
+
+def test_range_is_the_extreme_eigenvalues():
+    # m is the smallest eigenvalue and M the largest, checked against the
+    # general (nonsymmetric) eigensolver
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        g = _random_graph(rng, 8, 0.5)
+        vals = np.linalg.eigvals(adjacency_matrix(g)).real
+        r = spectral_range(g)
+        assert abs(r.m - vals.min()) < 1e-10 and abs(r.M - vals.max()) < 1e-10
+
+
+def test_range_is_invariant_under_relabeling():
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        g = _random_graph(rng, 12, 0.4)
+        base = spectral_range(g)
+        p = rng.permutation(12)
+        relabeled = spectral_range(Graph(12, p[g.edges]))
+        assert np.allclose(
+            [base.m, base.M, base.R, base.epsilon],
+            [relabeled.m, relabeled.M, relabeled.R, relabeled.epsilon],
+            atol=1e-10,
+        )
+
+
+def test_rayleigh_quotients_inside_range():
+    rng = np.random.default_rng(17)
+    g = _random_graph(rng, 15, 0.4)
+    a = adjacency_matrix(g)
+    r = spectral_range(g)
+    for _ in range(100):
+        f = rng.standard_normal(15)
+        f /= np.linalg.norm(f)
+        q = float(f @ a @ f)
+        assert r.m - 1e-10 <= q <= r.M + 1e-10
+
+
+def test_range_is_deterministic():
+    g = _random_graph(np.random.default_rng(29), 9, 0.5)
+    assert spectral_range(g) == spectral_range(g)
 
 
 # ------------------------------------------------------------ the bounds
 
 def test_hoffman_c5_is_sqrt5():
-    rep = chi_lb(graph_range(cycle(5)))
+    rep = chi_lb(spectral_range(cycle(5)))
     assert abs(rep.value - SQRT5) < 1e-10
     assert abs(rep.value - (rep.M - rep.m) / (-rep.m)) < 1e-12
 
 
 def test_hoffman_petersen_and_k4():
-    assert abs(chi_lb(graph_range(petersen())).value - 2.5) < 1e-10
+    assert abs(chi_lb(spectral_range(petersen())).value - 2.5) < 1e-10
     k4 = Graph(4, oracles.complete_edges(4))
-    assert abs(chi_lb(graph_range(k4)).value - 4.0) < 1e-10
+    assert abs(chi_lb(spectral_range(k4)).value - 4.0) < 1e-10
 
 
 def test_hoffman_error_contracts():
-    with pytest.raises(VacuousBoundError):
-        chi_lb(graph_range(Graph(3, frozenset())))
-    with pytest.raises(NoNegativeSpectrumError):
-        chi_lb(spectral_range(SymMatrix(np.eye(3))))
+    # the edgeless graph has m = 0: no negative spectrum, so the bound is vacuous
+    with pytest.raises(NoNegativeSpectrumError) as exc:
+        chi_lb(spectral_range(Graph(3, frozenset())))
+    assert isinstance(exc.value, VacuousBoundError)
     with pytest.raises(ValueError, match="unknown bound kind 'chi_ub'"):
         BoundReport("chi_ub", 3.0, -1.0, 2.0)
 
 
 def test_ratio_bound_regular_graphs():
-    rep = alpha_ratio_ub(graph_range(cycle(5)))
+    rep = alpha_ratio_ub(spectral_range(cycle(5)))
     assert rep.epsilon == 0.0
     assert abs(5.0 * rep.value - SQRT5) < 1e-10
-    pet = alpha_ratio_ub(graph_range(petersen()))
+    pet = alpha_ratio_ub(spectral_range(petersen()))
     assert abs(pet.value - 0.4) < 1e-10  # alpha(Petersen) = 4 = 10 * 0.4
 
 
 def test_ratio_bound_p3_hand_computed():
     # A1 = (1,2,1), R = 4/3, eps = sqrt(mean((deg - R)^2)) = sqrt(2/9)
     g = Graph(3, [(0, 1), (1, 2)])
-    rep = alpha_ratio_ub(graph_range(g))
+    rep = alpha_ratio_ub(spectral_range(g))
     m = -math.sqrt(2.0)
     R = 4.0 / 3.0
     eps = math.sqrt((2 * (1 - R) ** 2 + (2 - R) ** 2) / 3.0)
@@ -178,18 +243,18 @@ def test_ratio_bound_p3_hand_computed():
 
 
 def test_ratio_bound_inapplicable():
-    rng = replace(graph_range(cycle(5)), R=-5.0)
+    rng = replace(spectral_range(cycle(5)), R=-5.0)
     with pytest.raises(BoundInapplicableError):
         alpha_ratio_ub(rng)
     assert set(bounds(rng, chi_lb, alpha_ratio_ub)) == {"chi_lb"}
 
 
 def test_fractional_bound_examples():
-    assert abs(chi_frac_lb(graph_range(cycle(5))).value - SQRT5) < 1e-10
+    assert abs(chi_frac_lb(spectral_range(cycle(5))).value - SQRT5) < 1e-10
     k4 = Graph(4, oracles.complete_edges(4))
-    assert abs(chi_frac_lb(graph_range(k4)).value - 4.0) < 1e-10
+    assert abs(chi_frac_lb(spectral_range(k4)).value - 4.0) < 1e-10
     with pytest.raises(VacuousBoundError):
-        chi_frac_lb(graph_range(Graph(2, frozenset())))
+        chi_frac_lb(spectral_range(Graph(2, frozenset())))
 
 
 # ------------------------------------------------------------ brute force
@@ -245,7 +310,7 @@ def test_soundness_random_suite():
         g = Graph(n, edges)
         if not len(g.edges):
             continue
-        spec = graph_range(g)
+        spec = spectral_range(g)
         chi = brute_force_chi(n, edges)
         alpha = brute_force_alpha(n, edges)
         assert chi_lb(spec).value <= chi + 1e-9

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from hoffman import torus
+from hoffman.cli import run
 from hoffman.graphs import Graph, adjacency_matrix, spectral_range
 from hoffman.reports import alpha_ratio_ub, chi_lb
 from hoffman.torus import (
@@ -114,7 +115,7 @@ def test_spectrum_matches_dense_eigensolver():
             continue
         fft_spec = circulant_spectrum(g)
         a = adjacency_matrix(Graph(*circulant_edges(m, n, g.connection_set)))
-        dense = np.linalg.eigvalsh(a.to_dense())[::-1]
+        dense = np.linalg.eigvalsh(a)[::-1]
         assert np.max(np.abs(fft_spec - dense)) < 1e-8
 
 
@@ -137,7 +138,7 @@ def test_discrete_bounds_sound_on_small_circulants():
     for m, radii in ((5, [1.0]), (7, [1.0]), (9, [1.0, 2.0]), (13, [1.0, 3.0])):
         g = build_torus_graph(m, 1, radii)
         n, edges = circulant_edges(g.modulus, g.dim, g.connection_set)
-        rng = spectral_range(adjacency_matrix(Graph(n, edges)))
+        rng = spectral_range(Graph(n, edges))
         alpha_exact = brute_force_alpha(n, edges)
         chi_exact = brute_force_chi(n, edges)
         assert alpha_ratio_ub(rng).value >= alpha_exact / m - 1e-9
@@ -189,6 +190,17 @@ def test_convergence_study_refuses_sizes_before_the_scan(monkeypatch):
     # a huge dimension is refused without computing m^n
     with pytest.raises(ValueError, match="exceed the cap"):
         CirculantGraph(3, 10**12, frozenset())
+
+
+def test_torus_refuses_annulus_before_the_scan(monkeypatch, capsys):
+    def no_scan(*args):
+        raise AssertionError("the continuous scan ran before the annulus was checked")
+
+    monkeypatch.setattr(torus, "radial_range", no_scan)
+    assert run(["torus", "--radii", "1", "--moduli", "8", "--annulus", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "hoffman: annulus must lie in (0, 1), got 2.0\n"
 
 
 def test_convergence_validation():
