@@ -445,14 +445,24 @@ def jacobi_sequence(kmax: int, alpha: float, t: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(t)):
         raise ValueError("t must be finite")
     t = np.atleast_1d(t)
-    two_alpha = 2.0 * float(alpha)
-    coeffs = [(2.0 * k + two_alpha - 1.0, k - 1.0, k + two_alpha) for k in range(2, kmax + 1)]
-    vals = np.empty((kmax + 1, t.size))
-    for j, x in enumerate(t.tolist()):
-        p2, p1 = 1.0, x
-        column = [p2, p1]
+    return _jacobi_rows(np.empty((0, t.size)), kmax, float(alpha), t)
+
+
+def _jacobi_rows(table: np.ndarray, kmax: int, alpha: float, t: np.ndarray) -> np.ndarray:
+    """table, the first rows of jacobi_sequence's values at t, grown to rows 0..kmax.
+
+    The one copy of the recurrence: each point resumes from its last two
+    rows, so the new rows are the same bits as a fresh table's.
+    """
+    start, two_alpha = len(table), 2.0 * alpha
+    ks = range(max(start, 2), kmax + 1)
+    coeffs = [(2.0 * k + two_alpha - 1.0, k - 1.0, k + two_alpha) for k in ks]
+    vals = np.concatenate([table, np.empty((kmax + 1 - start, t.size))])
+    last = zip(*table[start - 2 :].tolist()) if start >= 2 else ((1.0, x) for x in t.tolist())
+    for j, (x, (p2, p1)) in enumerate(zip(t.tolist(), last)):
+        column = [p2, p1][start:]
         for a, b, c in coeffs:
             p2, p1 = p1, (a * x * p1 - b * p2) / c
             column.append(p1)
-        vals[:, j] = column[: kmax + 1]
+        vals[start:, j] = column[: kmax + 1 - start]
     return vals

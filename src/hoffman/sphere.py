@@ -25,7 +25,7 @@ from .errors import (
 )
 from .reports import SpectralRange
 from .simplex import cutting_planes
-from .specfun import jacobi_sequence
+from .specfun import _jacobi_rows
 
 # the largest truncation: no K past it is accepted, and K doubling stops at it
 _K_CAP = 8192
@@ -78,7 +78,7 @@ class EigenSequence:
     """Eigenvalues lambda_k for k = 0..K plus an empirical tail probe.
 
     tail_bound is the largest |lambda_k| observed on the probe window
-    (K, 2K]; it is reported, not assumed.
+    (K, 2K], reported, not assumed; both read one table's rows 0..2K.
     """
 
     values: np.ndarray
@@ -100,17 +100,34 @@ def sphere_measure_from_json(obj) -> SphereMeasure:
     return SphereMeasure(obj["dim"], tuple(atoms))
 
 
-def _jacobi_alpha(n: int) -> float:
-    """The Jacobi parameter of degree-k harmonics on S^(n-1)."""
-    return (n - 3) / 2.0
+class _JacobiTable:
+    """Pbar_k(t_i) on S^(n-1) for one support, made and dropped by one call.
 
+    rows(k) grows it in place to degrees 0..k, the recurrence resuming from
+    its last two rows: each (degree, point) cell is computed once per call.
+    """
 
-def _degree_table(n: int, ks, t) -> np.ndarray:
-    """Pbar_k(t_i) on S^(n-1), one row per degree k in ks: cos(k arccos t) for n = 2."""
-    ks = np.asarray(ks)
-    if n == 2:
-        return np.cos(np.outer(ks, np.arccos(np.clip(t, -1.0, 1.0))))
-    return jacobi_sequence(int(ks.max()), _jacobi_alpha(n), t)[ks]
+    def __init__(self, n: int, t: np.ndarray):
+        self.n, self.t, self.values = n, t, np.empty((0, t.size))
+        self.alpha = (n - 3) / 2.0  # the Jacobi parameter of degree-k harmonics
+
+    def rows(self, kmax: int) -> np.ndarray:
+        if kmax >= len(self.values):
+            self.values = _jacobi_rows(self.values, kmax, self.alpha, self.t)
+        return self.values[: kmax + 1]
+
+    def degrees(self, ks) -> np.ndarray:
+        """One row per degree k in ks: cos(k arccos t) for n = 2."""
+        ks = np.asarray(ks)
+        if self.n == 2:
+            return np.cos(np.outer(ks, np.arccos(np.clip(self.t, -1.0, 1.0))))
+        return self.rows(int(ks.max()))[ks]
+
+    def sequence(self, mu: SphereMeasure, K: int) -> EigenSequence:
+        """eigenvalue_sequence(mu, K) for a measure on this table's support."""
+        lam = self.rows(2 * K) @ mu.weights()
+        lam[0] = mu.total_mass()
+        return EigenSequence(lam[: K + 1].copy(), K, float(np.max(np.abs(lam[K + 1 :]))))
 
 
 def _require_k(K) -> int:
@@ -123,11 +140,7 @@ def _require_k(K) -> int:
 
 def eigenvalue_sequence(mu: SphereMeasure, K: int) -> EigenSequence:
     """lambda_k = sum_i w_i Pbar_k(t_i) for k = 0..K, with a (K, 2K] probe."""
-    K = _require_k(K)
-    table = jacobi_sequence(2 * K, _jacobi_alpha(mu.dim), mu.inner_products())
-    lam = table @ mu.weights()
-    lam[0] = mu.total_mass()
-    return EigenSequence(lam[: K + 1].copy(), K, float(np.max(np.abs(lam[K + 1 :]))))
+    return _JacobiTable(mu.dim, mu.inner_products()).sequence(mu, _require_k(K))
 
 
 def _rational_angle_period(mu: SphereMeasure):
@@ -159,22 +172,26 @@ def operator_range(mu: SphereMeasure, K: int = 64, tol: float = 1e-8):
     proof.  For n = 2 the eigenvalues are cos(k theta_i): with rational
     theta_i/pi the sequence is periodic and scanned exactly over one period
     (tail_bound 0); otherwise a long scan stands in for the equidistributed
-    orbit, and tail_bound is the trivial sum |w_i|.
+    orbit, and tail_bound is the trivial sum |w_i|.  Every doubling reads
+    one Jacobi table grown in place: rows 0..2K_final are computed once.
     """
-    tol = require_tolerance(tol)
-    k = _require_k(K)
+    tol, k = require_tolerance(tol), _require_k(K)
+    return _range(mu, k, tol, _JacobiTable(mu.dim, mu.inner_products()))
+
+
+def _range(mu: SphereMeasure, k: int, tol: float, table: _JacobiTable):
     R = mu.total_mass() if all(w >= 0.0 for _, w in mu.atoms) else None
 
     if mu.dim == 2:
         period = _rational_angle_period(mu)
         kmax = period if period is not None else _N2_SCAN_K
-        lam = _degree_table(2, np.arange(kmax + 1), mu.inner_products()) @ mu.weights()
+        lam = table.degrees(np.arange(kmax + 1)) @ mu.weights()
         tail = 0.0 if period is not None else float(np.abs(mu.weights()).sum())
         rng = SpectralRange(float(lam.min()), float(lam.max()), R)
         return rng, EigenSequence(lam, kmax, tail)
 
     while True:
-        seq = eigenvalue_sequence(mu, k)
+        seq = table.sequence(mu, k)
         m = min(0.0, float(seq.values.min()))
         big = max(0.0, float(seq.values.max()))
         if seq.tail_bound <= max(-m, tol) and seq.tail_bound <= max(big, tol):
@@ -200,9 +217,10 @@ def optimize_sphere_measure(n: int, support, K: int = 64, tol: float = 1e-8):
     beats the game value is appended as a new column and the game re-solved
     (cutting planes).  No degree past 8192 enters the game, and if only
     those beat the game value (n = 2 scans to 10000) UncertifiedRangeError
-    is raised.  Returns (measure, SpectralRange, EigenSequence): the range
-    and sequence of the last round's operator_range call, which certified
-    the measure.
+    is raised.  The payoff and every round's range, probe and cuts read one
+    Jacobi table of the support, grown in place.  Returns (measure,
+    SpectralRange, EigenSequence): the range and sequence of the last
+    round's operator_range check, which certified the measure.
     """
     n = SphereMeasure(n, ()).dim  # the measure type validates the dimension
     K, tol = _require_k(K), require_tolerance(tol)
@@ -212,15 +230,17 @@ def optimize_sphere_measure(n: int, support, K: int = 64, tol: float = 1e-8):
     if any(not (-1.0 <= t < 1.0) for t in ts):
         raise ValueError("support points must lie in [-1, 1)")
 
+    table = _JacobiTable(n, np.array(ts))  # one per call, like the radial omega tables
+
     def oracle(s_star, w):
         mu = SphereMeasure(n, tuple(zip(ts, w)))
         if s_star >= 0.0:
             raise VacuousBoundError("optimized infimum is nonnegative; vacuous on this support")
-        rng, seq = operator_range(mu, K=K, tol=tol)
+        rng, seq = _range(mu, K, tol, table)
         cuts = np.flatnonzero(seq.values < s_star - tol)
         if cuts.size and cuts[0] > _K_CAP:
             msg = f"game value {s_star:.6e} not certified at truncation {_K_CAP}"
             raise UncertifiedRangeError(msg, rng.m, rng.M, _K_CAP, s_star - rng.m)
         return cuts[cuts <= _K_CAP], (mu, rng, seq)
 
-    return cutting_planes(lambda ks: _degree_table(n, ks, ts).T, np.arange(1, K + 1), oracle)
+    return cutting_planes(lambda ks: table.degrees(ks).T, np.arange(1, K + 1), oracle)

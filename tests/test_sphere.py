@@ -14,6 +14,7 @@ from hoffman import simplex, sphere
 from hoffman.euclidean import steinhardt_measure
 from hoffman.errors import UncertifiedRangeError, VacuousBoundError
 from hoffman.reports import KIND_ALPHA_RATIO_UB, KIND_CHI_LB, alpha_ratio_ub, chi_lb
+from hoffman.specfun import jacobi_sequence
 from hoffman.sphere import (
     EigenSequence,
     SphereMeasure,
@@ -375,3 +376,57 @@ def test_uncertified_error_carries_partial_range():
     assert err.range == (-0.4, 0.9)
     assert err.k_used == 128 and err.tail_bound == 0.5
     assert "probe too large" in str(err)
+
+
+# ------------------------------------------------------- one table per call
+
+
+def test_table_grown_in_steps_matches_a_fresh_table_bit_for_bit():
+    # alpha = (n - 3)/2 is 0, 0.5, 2.5 and 30.5 for n = 3, 4, 8 and 64
+    t = np.array([-1.0, -0.7, 0.0, 0.31, 0.999])
+    for n in (3, 4, 8, 64):
+        table = sphere._JacobiTable(n, t)
+        for rows in (1, 2, 5, 64, 1024):
+            got = table.rows(rows - 1)
+            assert got.shape == (rows, t.size)
+            assert np.array_equal(got, jacobi_sequence(rows - 1, (n - 3) / 2.0, t)), (n, rows)
+
+
+def _count_grown_rows(monkeypatch):
+    """Record (first new row, last row, points) of every Jacobi table growth."""
+    grown = []
+    rows = sphere._jacobi_rows
+
+    def counted(table, kmax, alpha, t):
+        grown.append((len(table), kmax, t.size))
+        return rows(table, kmax, alpha, t)
+
+    monkeypatch.setattr(sphere, "_jacobi_rows", counted)
+    return grown
+
+
+def test_optimizer_computes_each_table_cell_once(monkeypatch):
+    # 16 points on S^2: the payoff, four rounds of doubling and the cuts all
+    # read one table, so the cells computed are its final rows x points
+    grown = _count_grown_rows(monkeypatch)
+    optimize_sphere_measure(3, np.linspace(-0.95, 0.85, 16), K=64)
+    assert len(grown) > 2
+    assert [start for start, _, _ in grown] == [0] + [kmax + 1 for _, kmax, _ in grown[:-1]]
+    cells = sum((kmax + 1 - start) * points for start, kmax, points in grown)
+    assert cells == (grown[-1][1] + 1) * 16
+
+
+def test_operator_range_grows_its_table_across_doublings(monkeypatch):
+    grown = _count_grown_rows(monkeypatch)
+    _, seq = operator_range(SphereMeasure(3, ((0.999, 1.0),)))
+    assert seq.K > 64 and len(grown) > 1
+    assert sum(kmax + 1 - start for start, kmax, _ in grown) == 2 * seq.K + 1
+
+
+def test_no_table_outlives_its_call(monkeypatch):
+    grown = _count_grown_rows(monkeypatch)
+    support = np.linspace(-0.95, 0.85, 16)
+    optimize_sphere_measure(4, support, K=16)
+    first = list(grown)
+    optimize_sphere_measure(4, support, K=16)
+    assert first and grown == first + first and first[0][0] == 0
