@@ -78,7 +78,7 @@ class EigenSequence:
     """Eigenvalues lambda_k for k = 0..K plus an empirical tail probe.
 
     tail_bound is the largest |lambda_k| observed on the probe window
-    (K, 2K], reported, not assumed; both read one table's rows 0..2K.
+    (K, 2K], reported, not assumed; for n >= 3 both read a table's rows 0..2K.
     """
 
     values: np.ndarray
