@@ -157,13 +157,27 @@ def _kept_cells(kept: dict) -> int:
 
 
 def _tail_envelope(mu: RadialMeasure, r: float) -> float:
-    """Upper bound for |nuhat| beyond r, from |J_nu(t)| <= sqrt(2/(pi t))."""
+    """Upper bound for |nuhat| at every radius from r on, dimension n >= 2.
+
+    |Omega_n(t)| = Gamma(n/2) (2/t)^nu |J_nu(t)| with nu = (n - 2)/2, and
+    J_nu^2 + Y_nu^2 bounds J_nu^2 (Watson, Theory of Bessel Functions,
+    §13.74, from Nicholson's integral, DLMF 10.9.30):
+    - nu = 0: t (J_0^2 + Y_0^2) increases to 2/pi, so |J_0(t)| <= sqrt(2/(pi t));
+    - nu >= 1/2 and t > nu: sqrt(t^2 - nu^2) (J_nu^2 + Y_nu^2) increases to
+      2/pi, so |J_nu(t)| <= sqrt(2/pi) (t^2 - nu^2)^(-1/4).  The plain
+      sqrt(2/(pi t)) is not a bound here: sqrt(pi t/2) |J_2(t)| reaches 1.0094.
+    Both decrease in t, so the value at r bounds every radius beyond.  The
+    window's first cutoff is (j_{n/2,1} + 4 pi) / d_min, so every d r from
+    it on exceeds n/2 > nu.
+    """
     n = mu.dim
-    c = math.gamma(n / 2.0) * 2.0 ** ((n - 2) / 2.0) * math.sqrt(2.0 / math.pi)
-    power = (n - 1) / 2.0
-    return float(
-        sum(abs(w) * c * (d * r) ** (-power) for d, w in mu.atoms if w != 0.0)
-    )
+    nu = (n - 2) / 2.0
+    c = math.gamma(n / 2.0) * 2.0**nu * math.sqrt(2.0 / math.pi)
+
+    def bessel_bound(t):  # t^-nu |J_nu(t)| <= sqrt(2/pi) bessel_bound(t)
+        return t**-0.5 if n == 2 else t**-nu * (t * t - nu * nu) ** -0.25
+
+    return float(sum(abs(w) * c * bessel_bound(d * r) for d, w in mu.atoms if w != 0.0))
 
 
 def _float_gcd(values, rel_tol: float = 1e-9) -> float:

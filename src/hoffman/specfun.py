@@ -6,16 +6,22 @@ the ascending power series while its largest term stays small enough that
 alternating cancellation cannot eat the target accuracy, Miller's backward
 recurrence in the intermediate band, and the Hankel asymptotic expansion for
 large argument.  The regime boundaries overlap, so coverage is exhaustive
-for orders up to 60 and arguments up to 1e6.  The series regime is chosen
+for orders up to 60 and arguments up to 1e6.  The series regime is gated
 by the log of the series' largest term, its log-gammas from unshifted
 Stirling (DLMF 5.11.1, at most 5.1e-4 off): a gate threshold is a
-cancellation budget, not a sharp limit, so it needs no more.
+cancellation budget, not a sharp limit, so it needs no more.  The gate is
+evaluated per order, not per call: a search over the doubles finds where
+it stops passing, memoized, so a call chooses the regime by comparing its
+arguments with that limit, and the formula itself decides only the few
+ulps around it where its rounding is ragged.
 
 The series and Hankel sums are not run one term per Python step: a chunk
-of terms is one (terms x elements) table, at most 16 terms and, unless one
-term alone is larger, 2^14 cells.  Its running products, sums and freeze
-masks come from ufunc accumulations that combine the terms in the order of
-the recurrence, so the results are the same bits as a term-by-term loop.
+of terms is one (terms x elements) table, of up to 64 series terms or all
+40 Hankel terms and, unless one term alone is larger, 2^14 cells, so the
+sum over a small input is one table.  Its running products, sums and
+freeze masks come from ufunc accumulations that combine the terms in the
+order of the recurrence, so the results are the same bits as a
+term-by-term loop.
 
 The kernels take the Bessel order per element: a scalar, or an array aligned
 with the arguments.  One omega call can so serve several dimensions at once
@@ -45,37 +51,39 @@ _LOG_OMEGA_GATE = math.log(1e4)
 _ZERO_TOL = 1e-13  # relative bracket width at which bessel_first_zero stops
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # series and Hankel terms are tabulated a chunk at a time: at most
-# _TABLE_TERMS terms, and at most _TABLE_ELEMENTS cells unless one term
-# alone is larger
-_TABLE_TERMS = 16
+# _SERIES_TERMS or _HANKEL_TERMS (all of them) terms, and at most
+# _TABLE_ELEMENTS cells unless one term alone is larger
+_SERIES_TERMS = 64
+_HANKEL_TERMS = 40
 _TABLE_ELEMENTS = 1 << 14
+# ulps on each side of a series gate's crossing that are searched for the
+# stretch where rounding makes the gate ragged
+_GATE_BAND = 128
 # ufunc.accumulate along axis 0 walks a table one column at a time, so wider
 # tables are accumulated by one whole-row operation per row instead
 _ACCUMULATE_WIDTH = 256
 
 
-def _running(ufunc, first: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None):
-    """out[0] = ufunc(first, rows[0]) and out[k] = ufunc(out[k-1], rows[k]).
+def _running(ufunc, table: np.ndarray) -> np.ndarray:
+    """table[k] = ufunc(table[k - 1], table[k]) for k >= 1, in place.
 
-    The rows are combined strictly in order, as a term-by-term loop would.
-    Without out, rows is overwritten.
+    Row 0 carries the value the rows start from, and the rows are combined
+    strictly in order, as a term-by-term loop would.
     """
-    if out is None:
-        out = rows
-    if rows.shape[1] <= _ACCUMULATE_WIDTH:
-        if out is not rows:
-            out[...] = rows
-        ufunc(first, out[0], out=out[0])
-        return ufunc.accumulate(out, axis=0, out=out)
-    prev = first
-    for k in range(rows.shape[0]):
-        prev = ufunc(prev, rows[k], out=out[k])
-    return out
+    if table.shape[1] <= _ACCUMULATE_WIDTH:
+        return ufunc.accumulate(table, axis=0, out=table)
+    for k in range(1, table.shape[0]):
+        ufunc(table[k - 1], table[k], out=table[k])
+    return table
 
 
-def _table_rows(size: int) -> int:
-    """Terms per chunk of a (terms x elements) table over size elements."""
-    return max(1, min(_TABLE_TERMS, _TABLE_ELEMENTS // max(size, 1)))
+def _table_rows(size: int, terms: int) -> int:
+    """Terms per chunk of a (terms x elements) table over size elements.
+
+    A sum of at most terms terms fits one table while it stays within
+    _TABLE_ELEMENTS cells, so a small input makes one pass.
+    """
+    return max(1, min(terms, _TABLE_ELEMENTS // max(size, 1)))
 
 
 def _lgamma_arr(z: np.ndarray) -> np.ndarray:
@@ -124,6 +132,76 @@ def _series_log_maxterm(nu, x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, out, -np.inf)
 
 
+def _bessel_gate(nu, x: np.ndarray) -> np.ndarray:
+    """Where bessel_j sums the ascending series: its largest term is small."""
+    return _series_log_maxterm(nu, x) <= _LOG_SERIES_GATE
+
+
+def _omega_gate(nu, x: np.ndarray) -> np.ndarray:
+    """Where omega sums its own series, the Bessel one over the prefactor
+    (x/2)^nu / Gamma(nu + 1): while that series' largest term is small it
+    carries full absolute accuracy even where the prefactor would amplify
+    error."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_max = _series_log_maxterm(nu, x) - nu * np.log(x / 2.0) + _lgamma_exact(nu + 1.0)
+    return np.where(x > 0.0, log_max, -np.inf) <= _LOG_OMEGA_GATE
+
+
+@functools.lru_cache(maxsize=256)
+def _series_limits(gate, nu: float) -> tuple[float, float]:
+    """(lo, hi) for gate at order nu: it passes at every double in [0, lo] and
+    fails at every double in (hi, _ARG_MAX].
+
+    Mathematically the gate holds on an interval [0, L], but its rounding
+    makes it ragged within a few ulps of L; the doubles in (lo, hi] are left
+    to the gate itself.  A search over the bit patterns of the doubles, which
+    order as the doubles do, finds a crossing; the ulps around it then give
+    lo and hi, once the stretch they span sits well inside the searched band.
+    Like bessel_first_zero, a pure function of the order, memoized.
+    """
+    top = int(np.float64(_ARG_MAX).view(np.int64))
+    lo, hi = 0, top + 1  # gate passes at lo; hi stands for a failure
+    while hi - lo > 1:
+        step = (hi - lo + 255) // 256
+        cand = np.arange(lo + step, hi, step, dtype=np.int64)
+        fails = ~gate(nu, cand.view(np.float64))
+        k = int(np.argmax(fails)) if fails.any() else cand.size
+        lo, hi = (int(cand[k - 1]) if k else lo), (int(cand[k]) if k < cand.size else hi)
+    band = _GATE_BAND
+    while True:
+        near = np.arange(max(lo - band, 0), min(lo + band, top) + 1, dtype=np.int64)
+        ok = gate(nu, near.view(np.float64))
+        first_fail = int(np.argmin(ok)) if not ok.all() else near.size
+        last_pass = near.size - 1 - int(np.argmax(ok[::-1]))
+        if (first_fail >= band // 2 or near[0] == 0) and (
+            last_pass < near.size - band // 2 or near[-1] == top
+        ):
+            edges = near[[first_fail - 1, last_pass]].view(np.float64)
+            return float(edges[0]), float(edges[1])
+        band *= 8  # pragma: no cover - the ragged stretch is a few ulps wide
+
+
+def _series_mask(gate, nu, x: np.ndarray, lo, hi) -> np.ndarray:
+    """gate(nu, x) from its limits; lo and hi are scalars or aligned with x."""
+    series = x <= lo
+    ragged = (x <= hi) & ~series
+    if ragged.any():
+        series[ragged] = gate(_take(nu, ragged), x[ragged])
+    return series
+
+
+def _order_limits(gate, nu):
+    """_series_limits for a scalar order, or arrays (lo, hi) aligned with an
+    order array, looked up once per distinct order."""
+    if np.ndim(nu) == 0:
+        return _series_limits(gate, nu)
+    lo, hi = np.empty((2, nu.size))
+    for order in set(nu.tolist()):
+        sel = nu == order
+        lo[sel], hi[sel] = _series_limits(gate, order)
+    return lo, hi
+
+
 def _ascending_sum(nu, x: np.ndarray, t0: np.ndarray) -> np.ndarray:
     """sum_m t_m with t_{m+1} = -(x/2)^2 t_m / ((m + 1)(nu + m + 1)).
 
@@ -136,7 +214,7 @@ def _ascending_sum(nu, x: np.ndarray, t0: np.ndarray) -> np.ndarray:
     has converged.
     """
     neg_q = -(0.25 * x * x)
-    rows = _table_rows(x.size)
+    rows = _table_rows(x.size, _SERIES_TERMS)
     # row 0 of each table carries the last term and partial sum of the
     # previous chunk; both tables are reused by every chunk
     terms = np.empty((rows + 1, x.size))
@@ -149,8 +227,9 @@ def _ascending_sum(nu, x: np.ndarray, t0: np.ndarray) -> np.ndarray:
         ms = np.arange(m0, m0 + r, dtype=float)[:, None]
         t, s = terms[1 : r + 1], sums[1 : r + 1]
         np.divide(neg_q, (ms + 1.0) * (nu + ms + 1.0), out=t)
-        _running(np.multiply, terms[0], t)
-        _running(np.add, sums[0], t, s)
+        _running(np.multiply, terms[: r + 1])
+        s[...] = t
+        _running(np.add, sums[: r + 1])
         # |term| <= 1e-17 (1 + |sum|), elementwise
         np.abs(s, out=tol[:r])
         tol[:r] += 1.0
@@ -194,14 +273,18 @@ def _bessel_asymptotic(nu, x: np.ndarray) -> np.ndarray:
     p_sum, q_sum = np.ones_like(x), np.zeros_like(x)
     term, prev_mag, eight_x = np.ones_like(x), np.full_like(x, np.inf), 8.0 * x
     k0 = 0
-    while k0 < 40 and act.size:
-        ks = np.arange(k0, min(k0 + _table_rows(act.size), 40))
+    while k0 < _HANKEL_TERMS and act.size:
+        ks = np.arange(k0, min(k0 + _table_rows(act.size, _HANKEL_TERMS), _HANKEL_TERMS))
         k0 += ks.size
-        # term j = k + 1 is (term k * (mu - (2k + 1)^2)) / (8 x (k + 1))
+        # term j = k + 1 is (term k * (mu - (2k + 1)^2)) / (8 x (k + 1)): one
+        # table of numerators and one of denominators, then two in-place
+        # operations per term
+        nums = np.empty((ks.size, act.size))
+        np.subtract(mu, ((2.0 * ks + 1.0) ** 2)[:, None], out=nums)
         terms = np.multiply.outer(ks + 1.0, eight_x)
-        for i, k in enumerate(ks.tolist()):
-            num = term * (mu - (2.0 * k + 1.0) ** 2)
-            term = np.divide(num, terms[i], out=terms[i])
+        for num, den in zip(nums, terms):
+            np.multiply(term, num, num)
+            term = np.divide(num, den, den)
         mag = np.abs(terms)
         # term j is dropped once a term up to j grew or a term before j fell
         # below 1e-17
@@ -209,17 +292,19 @@ def _bessel_asymptotic(nu, x: np.ndarray) -> np.ndarray:
         np.greater_equal(mag[0], prev_mag, out=stop[0])
         if ks.size > 1:
             stop[1:] = (mag[1:] >= mag[:-1]) | (mag[:-1] < 1e-17)
-            _running(np.logical_or, stop[0], stop[1:])
+            _running(np.logical_or, stop)
         # term j goes to Q when j is odd, to P when even, with sign
-        # (-1)^floor(j/2)
+        # (-1)^floor(j/2); row 2 + i of live holds j = ks[0] + 1 + i, and the
+        # rows before each sum's first term carry its partial sum
         j = ks + 1
         sign = np.where((j // 2) % 2 == 1, -1.0, 1.0)[:, None]
-        live = np.where(stop, 0.0, sign * terms)
-        odd = ks[0] % 2  # row i holds j = ks[0] + 1 + i
-        if ks.size > odd:
-            q_sum = _running(np.add, q_sum, live[odd::2])[-1]
-        if ks.size > 1 - odd:
-            p_sum = _running(np.add, p_sum, live[1 - odd :: 2])[-1]
+        live = np.empty((ks.size + 2, act.size))
+        np.multiply(sign, terms, out=live[2:])
+        np.copyto(live[2:], 0.0, where=stop)
+        odd = ks[0] % 2
+        live[odd], live[1 - odd] = q_sum, p_sum
+        q_sum = _running(np.add, live[odd::2])[-1]
+        p_sum = _running(np.add, live[1 - odd :: 2])[-1]
         term, prev_mag = terms[-1], mag[-1]
         frozen = stop[-1] | (prev_mag < 1e-17)
         if frozen.any():
@@ -308,7 +393,7 @@ def bessel_j(order, x):
     xv = arr.ravel()
 
     out = np.empty_like(xv)
-    series = _series_log_maxterm(nu, xv) <= _LOG_SERIES_GATE
+    series = _series_mask(_bessel_gate, nu, xv, *_order_limits(_bessel_gate, nu))
     asym = ~series & (xv >= np.maximum(13.0, 0.8 * nu * nu))
     middle = ~(series | asym)
     if np.any(series):
@@ -376,13 +461,14 @@ def omega(n, t):
     arr = _argument(t)
     tv = arr.ravel()
 
-    out = np.empty((len(dims), tv.size))
-    rows = [i for i, k in enumerate(dims) if k > 1]
-    for i, k in enumerate(dims):
-        if k == 1:
-            out[i] = np.cos(tv)
-    if rows:
-        out[rows] = _omega_pass([dims[i] for i in rows], tv)
+    if 1 in dims:  # Omega_1 = cos
+        out = np.empty((len(dims), tv.size))
+        out[[i for i, k in enumerate(dims) if k == 1]] = np.cos(tv)
+        rows = [i for i, k in enumerate(dims) if k > 1]
+        if rows:
+            out[rows] = _omega_pass([dims[i] for i in rows], tv)
+    else:
+        out = _omega_pass(dims, tv)
     if isinstance(n, tuple):
         return out.reshape((len(dims),) + arr.shape)
     return float(out[0, 0]) if arr.ndim == 0 else out[0].reshape(arr.shape)
@@ -390,32 +476,29 @@ def omega(n, t):
 
 def _omega_pass(dims, t: np.ndarray) -> np.ndarray:
     """omega(k, t) for every k >= 2 in dims, one row each, in one pass."""
-
-    def per_element(values):
+    # per dimension: the order, the series limits and log Gamma(nu + 1)
+    per_dim = [
+        (nu, *_series_limits(_omega_gate, nu), math.lgamma(nu + 1.0))
+        for nu in (0.5 * k - 1.0 for k in dims)
+    ]
+    if len(dims) == 1:
         # one dimension keeps a scalar order, as omega's single-row calls
-        return values[0] if len(values) == 1 else np.repeat(values, t.size)
-
-    half = per_element([0.5 * k for k in dims])
-    lgamma_half = per_element([math.lgamma(0.5 * k) for k in dims])
-    nu = half - 1.0
-    tv = np.tile(t, len(dims))
-    # largest term of the hypergeometric series for omega itself, the Bessel
-    # series' largest term over its prefactor (t/2)^nu / Gamma(nu + 1); while it
-    # is small the series carries full absolute accuracy even where the Bessel
-    # prefactor would amplify error
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_max = _series_log_maxterm(nu, tv) - nu * np.log(tv / 2.0) + lgamma_half
-    use_series = np.where(tv > 0.0, log_max, -np.inf) <= _LOG_OMEGA_GATE
+        (nu, lo, hi, lgamma_nu1), tv = per_dim[0], t
+    else:
+        nu, lo, hi, lgamma_nu1 = np.repeat(np.array(per_dim).T, t.size, axis=1)
+        tv = np.concatenate([t] * len(dims))
+    use_series = _series_mask(_omega_gate, nu, tv, lo, hi)
+    if use_series.all():
+        return _ascending_sum(nu, tv, np.ones_like(tv)).reshape(len(dims), t.size)
 
     out = np.empty_like(tv)
     if np.any(use_series):
         ts = tv[use_series]
         out[use_series] = _ascending_sum(_take(nu, use_series), ts, np.ones_like(ts))
     rest = ~use_series
-    if np.any(rest):
-        tr, nu_r = tv[rest], _take(nu, rest)
-        prefactor = np.exp(_take(lgamma_half, rest) + nu_r * np.log(2.0 / tr))
-        out[rest] = prefactor * bessel_j(nu_r, tr)
+    tr, nu_r = tv[rest], _take(nu, rest)
+    prefactor = np.exp(_take(lgamma_nu1, rest) + nu_r * np.log(2.0 / tr))
+    out[rest] = prefactor * bessel_j(nu_r, tr)
     return out.reshape(len(dims), t.size)
 
 

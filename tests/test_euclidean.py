@@ -407,6 +407,23 @@ def test_profile_jet_matches_scipy_closed_forms(dim):
         assert at0[2] == pytest.approx(-sum(w * d * d for d, w in atoms) / dim, abs=1e-15)
 
 
+def test_tail_envelope_bounds_omega_past_the_first_cutoff():
+    # |Omega_n(t)| from scipy against the envelope of a unit atom at radius 1,
+    # from the first window's cutoff on; sqrt(2/(pi t)) alone, the envelope
+    # for every n before, falls below |Omega_n| for n >= 4
+    for n in range(2, 65):
+        nu = (n - 2) / 2.0
+        mu = RadialMeasure(n, ((1.0, 1.0),))
+        cutoff = bessel_first_zero(n / 2.0) + 4.0 * math.pi
+        t = cutoff + np.concatenate([np.linspace(0.0, 30.0, 1501), np.linspace(30.0, 2000.0, 400)])
+        log_scale = math.lgamma(n / 2.0) + nu * np.log(2.0 / t)
+        value = np.exp(log_scale) * np.abs(jv(nu, t))
+        envelope = np.array([euclidean._tail_envelope(mu, r) for r in t.tolist()])
+        assert np.all(value <= envelope), n
+        plain = np.exp(log_scale) * np.sqrt(2.0 / (math.pi * t))
+        assert np.any(value > plain) == (n >= 4), n
+
+
 def test_dimension_64_extrema_use_omega_66():
     mu = RadialMeasure(64, ((1.0, 0.7), (1.9, 0.3)))
     ext = global_extrema(mu)

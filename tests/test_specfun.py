@@ -208,9 +208,10 @@ def _jacobi_loop_reference(kmax, alpha, t):
     return vals
 
 
-# one element, 16-term chunks, 2..10-term chunks, and one-term chunks at the
-# 2^14-element block size
-_KERNEL_SIZES = (1, 7, 1000, 1500, 5000, 1 << 14)
+# a sum in one table: all 64 series terms up to 256 elements and all 40
+# Hankel terms up to 409; then 16-, 10- and 3-term chunks, and one-term
+# chunks at the 2^14-element block size
+_KERNEL_SIZES = (1, 7, 256, 409, 1000, 1500, 5000, 1 << 14)
 
 
 def test_gate_lgamma_closed_form_error():
@@ -239,6 +240,52 @@ def test_regime_gates_agree_with_the_shifted_lgamma(monkeypatch):
             assert np.array_equal(a <= gate, b <= gate), nu
             near = (np.abs(a - gate) <= 0.5) | (np.abs(b - gate) <= 0.5)
             assert np.all(np.abs(a - b)[near] < 1e-6), nu
+
+
+def _ulps_around(x, count):
+    """The doubles within count ulps of x, x included."""
+    return (np.float64(x).view(np.int64) + np.arange(-count, count + 1)).view(np.float64)
+
+
+def test_series_limits_decide_as_the_gate_formula():
+    # one comparison with the memoized limits, and the formula in the few
+    # ulps where its rounding is ragged, against the formula at every
+    # argument: both gates, every order 0, 1/2, ..., 60
+    grid = np.exp(np.linspace(math.log(1e-3), math.log(1e6), 20_001))
+    ragged = 0
+    for nu in [0.5 * i for i in range(121)]:
+        for gate in (specfun._bessel_gate, specfun._omega_gate):
+            lo, hi = specfun._series_limits(gate, nu)
+            assert 0.0 < lo <= hi < specfun._ARG_MAX
+            assert np.float64(hi).view(np.int64) - np.float64(lo).view(np.int64) < 64
+            ragged += lo < hi
+            x = np.concatenate([[0.0], grid, _ulps_around(lo, 64), _ulps_around(hi, 64)])
+            want = gate(nu, x)
+            assert np.array_equal(specfun._series_mask(gate, nu, x, lo, hi), want), nu
+            assert want[x <= lo].all() and not want[x > hi].any(), nu
+            # per element, as a Newton jet's fused pass looks them up
+            orders = np.full(x.size, nu)
+            assert np.array_equal(
+                specfun._series_mask(gate, orders, x, *specfun._order_limits(gate, orders)), want
+            )
+    assert ragged  # the stretch between lo and hi is real, not hypothetical
+
+
+def test_memoized_limits_make_no_gate_evaluation(monkeypatch):
+    # once an order's limits are memoized, the regime choice is comparisons
+    rng = np.random.default_rng(107)
+    t = np.concatenate([[0.0], np.sort(np.exp(rng.uniform(-4.0, 6.0, 60)))])
+    first = [(omega((n, n + 2), t), bessel_j(0.5 * n - 1.0, t)) for n in range(2, 65)]
+
+    def refuse(*args):
+        raise AssertionError("the gate formula was evaluated")
+
+    monkeypatch.setattr(specfun, "_series_log_maxterm", refuse)
+    for n, (both, j) in zip(range(2, 65), first):
+        assert np.array_equal(omega((n, n + 2), t), both), n
+        assert np.array_equal(bessel_j(0.5 * n - 1.0, t), j), n
+    mixed = bessel_j(np.repeat([0.0, 2.5], t.size), np.tile(t, 2))
+    assert np.array_equal(mixed, np.concatenate([first[0][1], first[5][1]]))
 
 
 def test_ascending_series_table_matches_loop():
@@ -275,6 +322,10 @@ def test_omega_and_bessel_match_loop_kernels_in_every_regime(monkeypatch):
     for n in range(1, 67):
         cases = [t, block] if n in (2, 3, 6, 34, 66) else [t]
         table[n] = [(omega(n, a), bessel_j(0.5 * n - 1.0, a) if n > 1 else None) for a in cases]
+    # the references decide every regime by the gate formula itself, with the
+    # shifted log-gamma; with the limits stood in for, none is memoized from
+    # the patched formula
+    monkeypatch.setattr(specfun, "_series_limits", lambda gate, nu: (0.0, specfun._ARG_MAX))
     monkeypatch.setattr(specfun, "_lgamma_arr", _lgamma_loop)
     monkeypatch.setattr(specfun, "_ascending_sum", _ascending_loop)
     monkeypatch.setattr(specfun, "_bessel_asymptotic", _asymptotic_loop)
