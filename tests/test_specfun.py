@@ -250,10 +250,11 @@ def _ulps_around(x, count):
 def test_series_limits_decide_as_the_gate_formula():
     # one comparison with the memoized limits, and the formula in the few
     # ulps where its rounding is ragged, against the formula at every
-    # argument: both gates, every order 0, 1/2, ..., 60
+    # argument: both gates, every order 0, 1/2, ..., 60 and a few others
     grid = np.exp(np.linspace(math.log(1e-3), math.log(1e6), 20_001))
     ragged = 0
-    for nu in [0.5 * i for i in range(121)]:
+    others = np.random.default_rng(108).uniform(0.0, 60.0, 8).tolist()
+    for nu in [0.5 * i for i in range(121)] + others:
         for gate in (specfun._bessel_gate, specfun._omega_gate):
             lo, hi = specfun._series_limits(gate, nu)
             assert 0.0 < lo <= hi < specfun._ARG_MAX
