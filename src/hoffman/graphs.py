@@ -10,13 +10,19 @@ into the chromatic, ratio and fractional bounds.
 
 A Graph holds its edges as a (k, 2) int64 array.  Parsing, checking,
 deduplication and adjacency assembly are whole-array numpy operations: no
-Python loop runs per edge, and the parser looks only at each line's first
-token before np.loadtxt reads the pairs.
+Python loop runs per edge or per well-formed line.  The parser reads every
+line's first bytes at once from the text's UTF-8 bytes, checks the line
+order on index arrays and reads all rows with one np.loadtxt call.  Python
+reads only "c" and "p" lines and lines that start with whitespace or
+another byte, and searches a refused text for the first bad line to name
+it.
 """
 
 from __future__ import annotations
 
+import io
 import math
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -84,51 +90,24 @@ class Graph:
         object.__setattr__(self, "edges", pairs)
 
 
-# a line that starts with one of these can only be a "u v" pair
-_PAIR_START = frozenset("0123456789+-")
+# str.splitlines' one-byte line breaks besides "\n"; "\r\n", "\x85", "\u2028"
+# and "\u2029" become "\n" in the text, before it is encoded
+_BYTE_BREAKS = b"\v\f\r\x1c\x1d\x1e"
+_TO_NEWLINE = bytes.maketrans(_BYTE_BREAKS, b"\n" * len(_BYTE_BREAKS))
 
+# what a line's first byte makes it: a "u v" row, a line np.loadtxt skips,
+# an "e u v" row, or a line read in Python.  An "e" followed by a space or
+# tab is an "e u v" row without Python.
+_SKIP, _PAIR, _EDGE, _OTHER = range(4)
+_FIRST_BYTE = np.full(256, _OTHER, dtype=np.int8)
+_FIRST_BYTE[list(b"0123456789+-")] = _PAIR
+_FIRST_BYTE[list(b"#\n")] = _SKIP
 
-def _edge_rows(lines, header: list):
-    """Yield the "u v" text of each edge line, checking the lines around them.
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
-    Looks only at a line's first token: np.loadtxt reads the pairs.  Appends
-    the n of the "p edge n m" header to header when it is read.  A DIMACS
-    row is an "e u v" line without its "e", so it is 1-indexed.
-    """
-    first_pair = None
-    for raw in lines:
-        if raw[:1] not in _PAIR_START:
-            line = raw.lstrip()
-            if not line or line[0] == "#":
-                continue
-            after = line[1:2]
-            token = line[0] if after in ("", "#") or after.isspace() else None
-            if token == "c":
-                continue
-            if token == "p":
-                parts = _content(line).split()
-                if header:
-                    raise ValueError("duplicate problem header")
-                if len(parts) < 3 or parts[1] != "edge":
-                    raise ValueError(f"malformed header line {_content(line)!r}")
-                header.append(int(parts[2]))
-                if first_pair is not None:
-                    raise ValueError(f"unrecognised line {first_pair!r} in DIMACS input")
-                continue
-            if token == "e":
-                if not header:
-                    raise ValueError("edge descriptor before problem header")
-                row = line[1:]
-                rest = row.lstrip()
-                if not rest or rest[0] == "#":  # np.loadtxt would skip the row
-                    raise ValueError(f"malformed edge line {_content(line)!r}")
-                yield row
-                continue
-        if header:
-            raise ValueError(f"unrecognised line {_content(raw)!r} in DIMACS input")
-        if first_pair is None:
-            first_pair = _content(raw)
-        yield raw
+# a str may hold lone surrogates (not one read from a UTF-8 file); they pass
+# through the bytes as they are
+_SURROGATES = "surrogatepass"
 
 
 def _content(line: str) -> str:
@@ -136,48 +115,161 @@ def _content(line: str) -> str:
     return line.split("#", 1)[0].strip()
 
 
-def _int_pairs(rows) -> np.ndarray:
-    """The rows as a (k, 2) int64 array; ValueError unless each is two integers."""
+def _header_vertices(line: str) -> int | None:
+    """N of a "p edge N [M]" line, or None unless N and M are decimal integers and N >= 0."""
+    parts = _content(line).split()
+    if len(parts) not in (3, 4) or parts[1] != "edge":
+        return None
+    if not all(map(_DECIMAL.fullmatch, parts[2:])):
+        return None
+    try:
+        n = int(parts[2])
+    except ValueError:  # more digits than int() converts
+        return None
+    return n if n >= 0 else None
+
+
+def _line_bytes(text: str) -> tuple[bytearray, np.ndarray]:
+    """The text as UTF-8 with each line break one b"\n", and the offset of each break.
+
+    Line i of the bytes is text.splitlines()[i]; a last line, after the
+    appended break, is empty.
+    """
+    # each rewrite runs only on a text that needs it: a miss costs a memchr
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if not text.isascii():
+        for brk in "\x85\u2028\u2029":
+            text = text.replace(brk, "\n")
+    buf = bytearray(text, "utf-8", _SURROGATES)
+    if any(brk in buf for brk in _BYTE_BREAKS):
+        buf = buf.translate(_TO_NEWLINE)
+    buf.append(ord("\n"))
+    return buf, np.flatnonzero(np.frombuffer(buf, np.uint8) == ord("\n"))
+
+
+def _loaded_pairs(buf: bytearray, end: int, rows: int) -> np.ndarray | None:
+    """The pairs of buf[:end] as a (rows, 2) int64 array; None unless it holds exactly that."""
     with warnings.catch_warnings():
         # no rows at all is an edgeless graph, not worth a warning
         warnings.simplefilter("ignore", UserWarning)
-        pairs = np.loadtxt(rows, dtype=np.int64, comments="#", ndmin=2)
-    if pairs.size and pairs.shape[1] != 2:
-        raise ValueError(f"expected 2 integers per line, got {pairs.shape[1]}")
-    return pairs.reshape(-1, 2)
+        try:
+            pairs = np.loadtxt(
+                io.StringIO(str(memoryview(buf)[:end], "utf-8", _SURROGATES)),
+                dtype=np.int64,
+                comments="#",
+                ndmin=2,
+            )
+        except ValueError:
+            return None
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    return pairs if pairs.shape == (rows, 2) else None
 
 
-def _read_pairs(lines) -> tuple[np.ndarray, int | None]:
-    """The edge pairs of the lines as written, and the header's n if any."""
-    header = []
-    try:
-        return _int_pairs(_edge_rows(lines, header)), (header[0] if header else None)
-    except ValueError:
-        # name the first malformed line; a misplaced line raises again from
-        # _edge_rows if it comes first
-        dimacs = []
-        for row in _edge_rows(lines, dimacs):
-            try:
-                _int_pairs([row])
-            except ValueError:
-                if dimacs:
-                    raise ValueError(f"malformed edge line {_content('e' + row)!r}") from None
-                raise ValueError(f"expected 'u v' pair, got {_content(row)!r}") from None
-        raise
+def _edge_pairs(text: str) -> tuple[np.ndarray, int | None]:
+    """The edge pairs of the text as written, and the header's N if it has one."""
+    buf, ends = _line_bytes(text)
+    data = np.frombuffer(buf, np.uint8)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    first = data[starts]
+    kind = _FIRST_BYTE[first]
+    at = np.flatnonzero(first == ord("e"))
+    second = data[starts[at] + 1]
+    at = at[(second == ord(" ")) | (second == ord("\t"))]
+    kind[at] = _EDGE
+    data[starts[at]] = ord(" ")
+    headers = []  # (line index, line) of each "p" line
+    for i in np.flatnonzero(kind == _OTHER).tolist():
+        line = buf[starts[i] : ends[i]].decode("utf-8", _SURROGATES).lstrip()
+        after = line[1:2]
+        token = line[:1] if after in ("", "#") or after.isspace() else ""
+        if token in ("c", "e", "p"):  # blank the letter where the line has it
+            at = ends[i] - len(line.encode("utf-8", _SURROGATES))
+            data[at] = ord(" " if token == "e" else "#")
+        if token == "p":
+            headers.append((i, line))
+        skipped = token in ("c", "p") or line[:1] in ("", "#")
+        kind[i] = _EDGE if token == "e" else _SKIP if skipped else _PAIR
+    rows = np.flatnonzero((kind == _PAIR) | (kind == _EDGE))
+    misplaced = _misplaced(kind, headers)
+    pairs = None if misplaced else _loaded_pairs(buf, len(buf), len(rows))
+    if pairs is None:
+        raise ValueError(_first_fault(text.splitlines(), buf, ends, kind, rows, misplaced))
+    return pairs, (_header_vertices(headers[0][1]) if headers else None)
+
+
+def _misplaced(kind, headers) -> list[tuple[int, str, int]]:
+    """The first line of each way the lines break the format's order.
+
+    Each is (line index, message format, index of the line whose content
+    the message names): a second header, a malformed header, pair lines
+    before or after a header, or an "e" line before it (or in a text
+    without one).
+    """
+    unrecognised = "unrecognised line {!r} in DIMACS input"
+    pair_at = np.flatnonzero(kind == _PAIR)
+    edge_at = np.flatnonzero(kind == _EDGE)
+    h = headers[0][0] if headers else len(kind)
+    found = []
+    if len(headers) > 1:
+        found.append((headers[1][0], "duplicate problem header", headers[1][0]))
+    if headers and _header_vertices(headers[0][1]) is None:
+        found.append((h, "malformed header line {!r}", h))
+    elif headers and pair_at.size and pair_at[0] < h:
+        found.append((h, unrecognised, pair_at[0]))
+    late = pair_at[pair_at > h]
+    if late.size:
+        found.append((late[0], unrecognised, late[0]))
+    if edge_at.size and edge_at[0] < h:
+        found.append((edge_at[0], "edge descriptor before problem header", edge_at[0]))
+    return found
+
+
+def _first_fault(lines, buf, ends, kind, rows, misplaced) -> str:
+    """The message for the first bad line: misplaced, or a row that is not two integers.
+
+    The rows before the first misplaced line are bisected with np.loadtxt.
+    """
+    stop, message, named = min(misplaced, default=(len(kind), None, None))
+    rows = rows[rows < stop]
+
+    def loads(k):
+        return k == 0 or _loaded_pairs(buf, ends[rows[k - 1]], k) is not None
+
+    if not loads(len(rows)):
+        lo, hi = 0, len(rows)  # rows[:lo] load, rows[:hi] do not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if loads(mid) else (lo, mid)
+        named = rows[hi - 1]
+        edge = kind[named] == _EDGE
+        message = "malformed edge line {!r}" if edge else "expected 'u v' pair, got {!r}"
+    return message.format(_content(lines[named]))
 
 
 def parse_graph(text: str) -> Graph:
     """Parse plain edge-list text or a DIMACS-like format.
 
     Plain format: one "u v" pair per line, 0-indexed, '#' starts a comment;
-    n is the largest endpoint plus one.  DIMACS-like: a "p edge n m" header,
-    'c' comment lines, and 1-indexed "e u v" edge lines; a text with a
-    header holds no plain pair line, before or after it.  Endpoints are
-    decimal integers with an optional sign that fit in int64.
+    n is the largest endpoint plus one.  DIMACS-like: a "p edge N M" header
+    (M may be left out), 'c' comment lines, and 1-indexed "e u v" edge
+    lines; a text with a header holds no plain pair line, before or after
+    it.  N and M are decimal integers, N >= 0.  Endpoints are integers as
+    np.loadtxt reads them: decimal, with an optional sign, inside int64.
+    Lines are those of str.splitlines.  A refused text raises ValueError
+    naming its first bad line.
+
+    Each line's first byte (and for "e" its second) is read from the
+    text's UTF-8 bytes for every line at once.  Only lines that start
+    otherwise ("c" and "p" lines, leading whitespace, another letter or
+    byte) are read in Python.  The "e" letters are blanked in place, the
+    line order is checked on index arrays, and one np.loadtxt call reads
+    every row.
     """
-    # the line list lives only inside _read_pairs, so Graph's temporaries
-    # do not add to its memory peak
-    pairs, n = _read_pairs(text.splitlines())
+    # the line arrays live only inside _edge_pairs, so Graph's temporaries
+    # do not add to their memory peak
+    pairs, n = _edge_pairs(text)
     if n is not None:
         pairs -= 1
     else:
@@ -213,11 +305,15 @@ def spectral_range(g: Graph) -> SpectralRange:
     m and M come from one LAPACK symmetric eigen-solve without eigenvectors,
     deterministic for identical inputs.  R is the average degree, the R that
     minimises eps; eps measures how far the all-ones function is from being
-    an eigenfunction with value R, and vanishes for regular graphs.
+    an eigenfunction with value R, and vanishes for regular graphs.  Both
+    come from the edge list's degree counts.
     """
     a = adjacency_matrix(g)
-    R = float(a.sum()) / g.n
-    eps = math.sqrt(float(np.mean((a.sum(axis=1) - R) ** 2)))
+    # the degrees are exact integers, so R and eps have the bits of the
+    # dense row sums
+    degrees = np.bincount(g.edges.ravel(), minlength=g.n)
+    R = float(degrees.sum()) / g.n
+    eps = math.sqrt(float(np.mean((degrees - R) ** 2)))
     try:
         vals = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover

@@ -3,9 +3,10 @@
 Nothing here imports the package under test: Bessel values come from the
 plain ascending series with incremental terms, zeros from interval
 bisection, polynomial values from the textbook unnormalized recurrences,
-graph spectra from closed forms, and independence and chromatic numbers by
-exhaustive search.  Graphs are plain (n, edges) data: a vertex count and
-an iterable of (u, v) pairs on 0..n-1.  Agreement with the package is then
+graph spectra from closed forms, independence and chromatic numbers by
+exhaustive search, and edge-list text by a walk over its lines, one Python
+step per line.  Graphs are plain (n, edges) data: a vertex count and an
+iterable of (u, v) pairs on 0..n-1.  Agreement with the package is then
 evidence, not tautology.
 """
 
@@ -13,6 +14,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
+import warnings
+
+import numpy as np
 
 ALPHA_CAP = 30
 CHI_CAP = 20
@@ -193,3 +198,97 @@ def brute_force_chi(n: int, edges) -> int:
         return bt(0, 0)
 
     return next(k for k in range(2, n + 1) if colorable(k))
+
+
+# ------------------------------------------------------- edge-list text
+
+# a line that starts with one of these can only be a "u v" pair
+_PAIR_START = frozenset("0123456789+-")
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _edge_rows(lines, header: list):
+    """Yield the "u v" text of each edge line, checking the lines around them.
+
+    Looks only at a line's first token: np.loadtxt reads the pairs.  Appends
+    the n of the "p edge n m" header to header when it is read.  A DIMACS
+    row is an "e u v" line without its "e", so it is 1-indexed.
+    """
+    first_pair = None
+    for raw in lines:
+        if raw[:1] not in _PAIR_START:
+            line = raw.lstrip()
+            if not line or line[0] == "#":
+                continue
+            after = line[1:2]
+            token = line[0] if after in ("", "#") or after.isspace() else None
+            if token == "c":
+                continue
+            if token == "p":
+                parts = _content(line).split()
+                if header:
+                    raise ValueError("duplicate problem header")
+                if (
+                    len(parts) not in (3, 4)
+                    or parts[1] != "edge"
+                    or not all(_DECIMAL.fullmatch(p) for p in parts[2:])
+                    or int(parts[2]) < 0
+                ):
+                    raise ValueError(f"malformed header line {_content(line)!r}")
+                header.append(int(parts[2]))
+                if first_pair is not None:
+                    raise ValueError(f"unrecognised line {first_pair!r} in DIMACS input")
+                continue
+            if token == "e":
+                if not header:
+                    raise ValueError("edge descriptor before problem header")
+                row = line[1:]
+                rest = row.lstrip()
+                if not rest or rest[0] == "#":  # np.loadtxt would skip the row
+                    raise ValueError(f"malformed edge line {_content(line)!r}")
+                yield row
+                continue
+        if header:
+            raise ValueError(f"unrecognised line {_content(raw)!r} in DIMACS input")
+        if first_pair is None:
+            first_pair = _content(raw)
+        yield raw
+
+
+def _content(line: str) -> str:
+    """The line without its comment and surrounding whitespace."""
+    return line.split("#", 1)[0].strip()
+
+
+def _int_pairs(rows) -> np.ndarray:
+    """The rows as a (k, 2) int64 array; ValueError unless each is two integers."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        pairs = np.loadtxt(rows, dtype=np.int64, comments="#", ndmin=2)
+    if pairs.size and pairs.shape[1] != 2:
+        raise ValueError(f"expected 2 integers per line, got {pairs.shape[1]}")
+    return pairs.reshape(-1, 2)
+
+
+def edge_text_pairs(text: str) -> tuple[np.ndarray, int | None]:
+    """The edge pairs of plain or DIMACS text as written, and the header's n if any.
+
+    One Python step per line of text.splitlines(); ValueError names the
+    first bad line.  Pairs of a DIMACS text are still 1-indexed.
+    """
+    lines = text.splitlines()
+    header = []
+    try:
+        return _int_pairs(_edge_rows(lines, header)), (header[0] if header else None)
+    except ValueError:
+        # name the first malformed line; a misplaced line raises again from
+        # _edge_rows if it comes first
+        dimacs = []
+        for row in _edge_rows(lines, dimacs):
+            try:
+                _int_pairs([row])
+            except ValueError:
+                if dimacs:
+                    raise ValueError(f"malformed edge line {_content('e' + row)!r}") from None
+                raise ValueError(f"expected 'u v' pair, got {_content(row)!r}") from None
+        raise

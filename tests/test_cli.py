@@ -562,6 +562,9 @@ _FINITE_PARSE_CASES = [
     ("e 1 2\n", 1, "edge descriptor before problem header"),
     ("p edge 3 1\np edge 3 1\ne 1 2\n", 1, "duplicate problem header"),
     ("p node 3 1\n", 1, "malformed header line 'p node 3 1'"),
+    ("p edge abc 1\n", 1, "malformed header line 'p edge abc 1'"),
+    ("p edge 3 x\n", 1, "malformed header line 'p edge 3 x'"),
+    ("p edge -2 0\n", 1, "malformed header line 'p edge -2 0'"),
     ("p edge 3\n", 2, "smallest spectral value 0 is nonnegative; bound is vacuous"),
     ("p edge 99999999999999999999 1\ne 1 2\n", 1, "graph has 99999999999999999999 vertices"),
     ("p edge 2 1\ne 1 3\n", 1, "edge (0, 2) out of range for n=2"),
@@ -603,6 +606,24 @@ def test_read_graph_peak_memory_on_64000_edges(tmp_path):
     finally:
         tracemalloc.stop()
     assert g.n == 800 and len(g.edges) == 64_000
+    assert peak < 9 * 2**20
+
+
+def test_read_graph_peak_memory_on_25000_dimacs_edges(tmp_path):
+    # the DIMACS counterpart: 800 vertices, 25 000 "e u v" lines
+    rng = np.random.default_rng(4)
+    iu, ju = np.triu_indices(800, 1)
+    pick = rng.choice(iu.size, size=25_000, replace=False)
+    path = tmp_path / "g.txt"
+    rows = "".join(f"e {u + 1} {v + 1}\n" for u, v in zip(iu[pick].tolist(), ju[pick].tolist()))
+    path.write_text("c seeded graph\np edge 800 25000\n" + rows)
+    tracemalloc.start()
+    try:
+        g = read_graph(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == 800 and len(g.edges) == 25_000
     assert peak < 9 * 2**20
 
 

@@ -1,6 +1,8 @@
 """Finite-graph bounds and parsing, checked against brute-force oracles."""
 
 import math
+import random
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -65,6 +67,111 @@ def test_parse_rejects_garbage():
     for text in ["0\n", "0 1 2\n", "a b\n", "p edge 2 1\ne 1 3\n", "0 0\n"]:
         with pytest.raises(ValueError):
             parse_graph(text)
+
+
+# The differential test's texts: row lines, lines the parser skips, line
+# breaks, and malformed lines.  Every entry of _MALFORMED appears in some
+# text; each is bad where it stands or out of place in some texts.
+_BREAKS = ["\n"] * 6 + ["\r\n", "\r", "\v", "\f", "\x85", "\u2028"]
+_SKIPPED = ["", "   ", "c a comment", "c", "c\tx", "c#x", "# hash", "\t# tab", "\xa0# nbsp"]
+_HEADERS = ["p edge 9 4", "p edge 9", "p\tedge 9 4", " p edge 9 4", "p edge +9 4  # header"]
+_MALFORMED = [
+    "0", "0 1 2", "a b", "1e1 2", "1.5 2", "1_0 2", "99999999999999999999 1", "x 1 2",
+    "e1 2", "cx", "\u00e9 1", "\u0663 1", "\u200b0 1", "\ud800 1", "0 0", "-1 2",
+    "e", "e # no endpoints", "e\t", "e 1", "e 1 2 3", "e \u0661 2", "e 1 x", " e\t# none",
+    "p", "p edge", "p node 3 1", "p edge abc 1", "p edge 3 x", "p edge -2 0",
+    "p edge 3 1 9", "p edge \u0663 1", "p edge 9 4", "e 1 2", "0 1",
+]
+
+
+def _pair_line(rng, first):
+    u = rng.randrange(first, first + 9)
+    v = first + (u - first + rng.randrange(1, 9)) % 9
+    sign = lambda x: rng.choice(["", "", "+"]) + str(x)
+    lead = rng.choice(["", "", "", " ", "\t"])
+    tail = rng.choice(["", "", "", " # trailing", "#", "  "])
+    return lead + sign(u) + rng.choice([" ", "\t", "  ", " \t"]) + sign(v) + tail
+
+
+def _parse_case(rng, i):
+    """One text: plain (0-indexed pairs), DIMACS, or pairs around a header."""
+    style = rng.choice(["plain", "plain", "dimacs", "dimacs", "mixed"])
+    rows = rng.randrange(0, 12)
+    if style == "dimacs":
+        e = lambda: rng.choice(["e ", "e\t", "e \t", " e "]) + _pair_line(rng, 1).lstrip()
+        lines = [rng.choice(_SKIPPED) for _ in range(rng.randrange(0, 3))]
+        lines += [rng.choice(_HEADERS)] + [e() for _ in range(rows)]
+    else:
+        lines = [_pair_line(rng, 0) for _ in range(rows)]
+        if style == "mixed":  # before, between or after the pairs
+            lines.insert(rng.randrange(rows + 1), rng.choice(_HEADERS))
+    for _ in range(rng.randrange(0, 4)):
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(_SKIPPED))
+    if i % 2:
+        lines.insert(rng.randrange(len(lines) + 1), _MALFORMED[i // 2 % len(_MALFORMED)])
+    text = "".join(line + rng.choice(_BREAKS) for line in lines)
+    return text[:-1] if text and rng.random() < 0.2 else text
+
+
+def _reference_graph(text):
+    pairs, n = oracles.edge_text_pairs(text)
+    if n is not None:
+        pairs = pairs - 1
+    else:
+        n = int(pairs.max()) + 1 if len(pairs) else 0
+    return Graph(max(n, 0), pairs)
+
+
+def _outcome(parse, text):
+    try:
+        g = parse(text)
+    except ValueError as exc:
+        return "refused", str(exc)
+    return g.n, g.edges.tolist()
+
+
+def test_parse_matches_the_line_by_line_reference():
+    # the reference walks text.splitlines() one line at a time and names
+    # the first bad line; parse_graph must read the same graph or refuse
+    # with the same message
+    rng = random.Random(19)
+    texts = [_parse_case(rng, i) for i in range(700)]
+    outcomes = [_outcome(parse_graph, text) for text in texts]
+    for text, got in zip(texts, outcomes):
+        assert got == _outcome(_reference_graph, text), repr(text)
+    parsed = sum(got[0] != "refused" for got in outcomes)
+    assert 200 < parsed < 600, parsed
+
+
+def _python_calls(parse, text):
+    """How many Python-level calls parse(text) makes, as sys.setprofile sees them."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        parse(text)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+@pytest.mark.parametrize("dimacs", [False, True])
+def test_parse_makes_no_python_call_per_line(dimacs):
+    # 97 vertices, k edge lines (with repeats); a header and a comment line
+    # are read the same way at every size
+    def text(k):
+        rows = [(i % 97, (i % 97 + 1 + i // 97 % 96) % 97) for i in range(k)]
+        if dimacs:
+            return f"c k = {k}\np edge 97 {k}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in rows)
+        return f"# k = {k}\n" + "".join(f"{u} {v}\n" for u, v in rows)
+
+    parse_graph(text(10))  # the first call fills caches once per process
+    assert _python_calls(parse_graph, text(10)) == _python_calls(parse_graph, text(10_000))
 
 
 def test_graph_edges_match_the_set_of_sorted_pairs():
@@ -141,6 +248,24 @@ def test_range_of_c5_matches_closed_form():
     rng = spectral_range(cycle(5))
     assert abs(rng.m - want[-1]) < 1e-10 and abs(rng.M - want[0]) < 1e-10
     assert abs(rng.m - (-1.6180339887498949)) < 1e-10 and abs(rng.M - 2.0) < 1e-10
+
+
+def test_range_r_and_eps_have_the_bits_of_the_dense_row_sums():
+    # spectral_range takes R and eps from the edge list's degree counts; the
+    # dense 0/1 row sums are the same integers, so every bit agrees
+    rng = np.random.default_rng(7)
+    for n, p in [(1, 0.0), (2, 1.0), (9, 0.3), (60, 0.1), (250, 0.04), (400, 0.5)]:
+        active = n - n // 5  # the last fifth of the vertices stays isolated
+        iu, ju = np.triu_indices(active, 1)
+        keep = rng.random(iu.size) < p
+        g = Graph(n, np.stack([iu[keep], ju[keep]], axis=1))
+        a = adjacency_matrix(g)
+        R = float(a.sum()) / g.n
+        eps = math.sqrt(float(np.mean((a.sum(axis=1) - R) ** 2)))
+        got = spectral_range(g)
+        assert (got.R.hex(), got.epsilon.hex()) == (R.hex(), eps.hex())
+        if n >= 5:
+            assert not a[active:].any() and got.epsilon > 0
 
 
 def test_range_of_petersen():
