@@ -35,9 +35,9 @@ _KEPT_CELLS = 1 << 20
 class RadialMeasure:
     """Signed measure supported on spheres; atoms are (radius, weight) pairs.
 
-    Radii must be positive and strictly increasing.  Dimension 1 (point pairs
-    on the line, profile cos) is accepted for the lattice oracle; the bounds
-    of interest live in dimension >= 2.
+    Radii must be positive, strictly increasing and below about 1.3e154 (a
+    finite square).  Dimension 1 (point pairs on the line, profile cos) is
+    accepted for the lattice oracle; the bounds live in dimension >= 2.
     """
 
     dim: int
@@ -51,8 +51,9 @@ class RadialMeasure:
         prev = 0.0
         for radius, weight in self.atoms:
             r, w = float(radius), float(weight)
-            if not (math.isfinite(r) and math.isfinite(w)):
-                raise ValueError("atoms must be finite")
+            # the profile's curvature scales as r^2, so r^2 must be finite too
+            if not (math.isfinite(r * r) and math.isfinite(w)):
+                raise ValueError("atoms must be finite, radii below about 1.3e154")
             if r <= prev:
                 raise ValueError("radii must be positive and strictly increasing")
             prev = r
@@ -211,14 +212,15 @@ def _profile_jet(mu: RadialMeasure, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _newton_refine(mu: RadialMeasure, r, lo, hi, sign):
+def _newton_refine(mu: RadialMeasure, r, lo, hi, sign, cutoff: float):
     """Safeguarded Newton on every bracket [lo_k, hi_k] at once, from r_k.
 
     Minimizes g = sign_k * nuhat on bracket k (sign +1 for a low, -1 for a
     high).  Each iteration evaluates the jet once, on the elements still
     moving: the sign of g' shrinks the bracket, and the Newton step is taken
     when g'' > 0 and it lands inside the bracket, the midpoint otherwise.  An
-    element stops once its step is below _NEWTON_RTOL * max(1, x).  Returns
+    element stops once its step is below _NEWTON_RTOL * max(min(1, cutoff),
+    x), a floor on the scan window's scale, whatever the radii's.  Returns
     (args, values), values in the unsigned scale of nuhat: each element's
     last iterate, and the best value evaluated on its way, so that no value
     is worse than its starting sample.  The argument is the last iterate,
@@ -243,7 +245,7 @@ def _newton_refine(mu: RadialMeasure, r, lo, hi, sign):
         inside = (g2 > 0.0) & (newton >= al) & (newton <= bl)
         nxt = np.where(inside, newton, 0.5 * (al + bl))
         a[live], b[live], x[live] = al, bl, nxt
-        live = live[np.abs(nxt - xl) > _NEWTON_RTOL * np.maximum(1.0, xl)]
+        live = live[np.abs(nxt - xl) > _NEWTON_RTOL * np.maximum(min(1.0, cutoff), xl)]
     return args, sign * best
 
 
@@ -337,6 +339,7 @@ def _refined_extrema(mu: RadialMeasure, tol: float, kept: dict | None = None):
         np.maximum(0.0, r - step),
         np.minimum(cutoff, r + step),
         np.repeat([1.0, -1.0], [len(low_r), len(high_r)]),
+        cutoff,
     )
     refined = list(zip(args.tolist(), vals.tolist()))
     v0 = _value_at_zero(mu)

@@ -30,7 +30,6 @@ from .specfun import _jacobi_rows
 # the largest truncation: no K past it is accepted, and K doubling stops at it
 _K_CAP = 8192
 _ANGLE_DENOM_CAP = 512
-_N2_SCAN_K = 10_000
 
 
 @dataclass(frozen=True)
@@ -79,6 +78,8 @@ class EigenSequence:
 
     tail_bound is the largest |lambda_k| observed on the probe window
     (K, 2K], reported, not assumed; for n >= 3 both read a table's rows 0..2K.
+    The n = 2 range holds its lower sequence instead: K is the period P, and
+    tail_bound is the free atoms' mass sum |w_i| (0 when none is free).
     """
 
     values: np.ndarray
@@ -110,6 +111,8 @@ class _JacobiTable:
     def __init__(self, n: int, t: np.ndarray):
         self.n, self.t, self.values = n, t, np.empty((0, t.size))
         self.alpha = (n - 3) / 2.0  # the Jacobi parameter of degree-k harmonics
+        if n == 2:
+            self.period, self.free = _circle_split(t)
 
     def rows(self, kmax: int) -> np.ndarray:
         if kmax >= len(self.values):
@@ -117,10 +120,10 @@ class _JacobiTable:
         return self.values[: kmax + 1]
 
     def degrees(self, ks) -> np.ndarray:
-        """One row per degree k in ks: cos(k arccos t) for n = 2."""
+        """One row per degree k in ks: for n = 2, cos(k arccos t), -1 if free."""
         ks = np.asarray(ks)
         if self.n == 2:
-            return np.cos(np.outer(ks, np.arccos(np.clip(self.t, -1.0, 1.0))))
+            return np.where(self.free, -1.0, np.cos(np.outer(ks, np.arccos(self.t))))
         return self.rows(int(ks.max()))[ks]
 
     def sequence(self, mu: SphereMeasure, K: int) -> EigenSequence:
@@ -143,37 +146,35 @@ def eigenvalue_sequence(mu: SphereMeasure, K: int) -> EigenSequence:
     return _JacobiTable(mu.dim, mu.inner_products()).sequence(mu, _require_k(K))
 
 
-def _rational_angle_period(mu: SphereMeasure):
-    """Common period of k -> cos(k theta_i) when every theta_i/pi is rational."""
-    period = 1
-    for t, _ in mu.atoms:
-        theta = math.acos(max(-1.0, min(1.0, t)))
+def _circle_split(t: np.ndarray):
+    """(P, free): in order, an atom is periodic while theta_i/pi = p/q with
+    q <= 512 (to 1e-12) keeps the period P = 2 lcm(q) of k -> cos(k theta_i)
+    within _K_CAP; free marks every other atom."""
+    period, free = 1, np.zeros(t.size, dtype=bool)
+    for i, tv in enumerate(t.tolist()):
+        theta = math.acos(tv)
         frac = Fraction(theta / math.pi).limit_denominator(_ANGLE_DENOM_CAP)
-        if abs(theta - float(frac) * math.pi) > 1e-12:
-            return None
-        q = frac.denominator
-        period = period * q // math.gcd(period, q)
-        if 2 * period > _N2_SCAN_K:
-            return None
-    return 2 * period
+        lcm = math.lcm(period, frac.denominator)
+        free[i] = abs(theta - float(frac) * math.pi) > 1e-12 or 2 * lcm > _K_CAP
+        period = period if free[i] else lcm
+    return 2 * period, free
 
 
 def operator_range(mu: SphereMeasure, K: int = 64, tol: float = 1e-8):
-    """Probe-checked endpoints of the eigenvalue closure, with their evidence.
+    """Endpoints of the eigenvalue closure, with their evidence.
 
     Returns (SpectralRange, EigenSequence): the range (m, M), with R = mass
-    for a nonnegative measure, and the eigenvalue sequence it was read from.
-    For n >= 3 the eigenvalues decay to 0, so 0 always lies in the closure
-    and the candidate extremes are 0-augmented; the truncation K is doubled,
-    up to the cap 8192, until the tail probe max falls below the extreme
-    magnitudes (or below tol when an extreme is near zero), and the
-    sequence's K and tail_bound name that truncation.  K itself must lie in
-    [1, 8192] and tol in [1e-12, 1e-3].  The probe is empirical, not a
-    proof.  For n = 2 the eigenvalues are cos(k theta_i): with rational
-    theta_i/pi the sequence is periodic and scanned exactly over one period
-    (tail_bound 0); otherwise a long scan stands in for the equidistributed
-    orbit, and tail_bound is the trivial sum |w_i|.  Every doubling reads
-    one Jacobi table grown in place: rows 0..2K_final are computed once.
+    for a nonnegative measure, and the sequence it was read from.  K lies in
+    [1, 8192] and tol in [1e-12, 1e-3].  For n >= 3 the eigenvalues decay
+    to 0, so 0 lies in the closure and the extremes are 0-augmented; K is
+    doubled, up to 8192, until the empirical tail probe (not a proof) falls
+    below the extreme magnitudes (or below tol near zero), reading one
+    Jacobi table grown in place.  For n = 2, lambda_k = sum_i w_i
+    cos(k theta_i) and K is unused: m is the minimum over k <= P of the
+    lower sequence sum_periodic w_i cos(k theta_i) - sum_free |w_i|
+    (_circle_split), and M the larger of its maximum and sum_i w_i.  No
+    lambda_k is below m, which is the infimum when 1 and the free
+    theta_i/pi are rationally independent (Kronecker; Hardy & Wright, ch. 23).
     """
     tol, k = require_tolerance(tol), _require_k(K)
     return _range(mu, k, tol, _JacobiTable(mu.dim, mu.inner_products()))
@@ -183,12 +184,10 @@ def _range(mu: SphereMeasure, k: int, tol: float, table: _JacobiTable):
     R = mu.total_mass() if all(w >= 0.0 for _, w in mu.atoms) else None
 
     if mu.dim == 2:
-        period = _rational_angle_period(mu)
-        kmax = period if period is not None else _N2_SCAN_K
-        lam = table.degrees(np.arange(kmax + 1)) @ mu.weights()
-        tail = 0.0 if period is not None else float(np.abs(mu.weights()).sum())
-        rng = SpectralRange(float(lam.min()), float(lam.max()), R)
-        return rng, EigenSequence(lam, kmax, tail)
+        w = mu.weights()
+        lam = table.degrees(np.arange(table.period + 1)) @ np.where(table.free, np.abs(w), w)
+        rng = SpectralRange(float(lam.min()), max(float(lam.max()), mu.total_mass()), R)
+        return rng, EigenSequence(lam, table.period, float(np.abs(w[table.free]).sum()))
 
     while True:
         seq = table.sequence(mu, k)
@@ -215,12 +214,13 @@ def optimize_sphere_measure(n: int, support, K: int = 64, tol: float = 1e-8):
     sum w_i = 1, w >= 0 (a matrix game), then checks the winner's true
     eigenvalue infimum with operator_range; every degree whose eigenvalue
     beats the game value is appended as a new column and the game re-solved
-    (cutting planes).  No degree past 8192 enters the game, and if only
-    those beat the game value (n = 2 scans to 10000) UncertifiedRangeError
-    is raised.  The payoff and every round's range, probe and cuts read one
-    Jacobi table of the support, grown in place.  Returns (measure,
-    SpectralRange, EigenSequence): the range and sequence of the last
-    round's operator_range check, which certified the measure.
+    (cutting planes).  For n = 2 the payoff rows of the free atoms are -1
+    (_JacobiTable.degrees), so the game values the lower sequence that
+    operator_range reads, and every cut is a degree <= P <= 8192.  The
+    payoff and every round's range, probe and cuts read one Jacobi table of
+    the support, grown in place.  Returns (measure, SpectralRange,
+    EigenSequence): the range and sequence of the last round's
+    operator_range check, which certified the measure.
     """
     n = SphereMeasure(n, ()).dim  # the measure type validates the dimension
     K, tol = _require_k(K), require_tolerance(tol)
@@ -237,10 +237,6 @@ def optimize_sphere_measure(n: int, support, K: int = 64, tol: float = 1e-8):
         if s_star >= 0.0:
             raise VacuousBoundError("optimized infimum is nonnegative; vacuous on this support")
         rng, seq = _range(mu, K, tol, table)
-        cuts = np.flatnonzero(seq.values < s_star - tol)
-        if cuts.size and cuts[0] > _K_CAP:
-            msg = f"game value {s_star:.6e} not certified at truncation {_K_CAP}"
-            raise UncertifiedRangeError(msg, rng.m, rng.M, _K_CAP, s_star - rng.m)
-        return cuts[cuts <= _K_CAP], (mu, rng, seq)
+        return np.flatnonzero(seq.values < s_star - tol), (mu, rng, seq)
 
     return cutting_planes(lambda ks: table.degrees(ks).T, np.arange(1, K + 1), oracle)

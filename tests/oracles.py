@@ -102,6 +102,21 @@ def chebyshev_value(k: int, t: float) -> float:
     return math.cos(k * math.acos(max(-1.0, min(1.0, t))))
 
 
+def circle_eigenvalue_extremes(thetas, weights, kmax: int) -> tuple[float, float]:
+    """(min, max) of sum_i w_i cos(k theta_i) over the degrees k = 0..kmax.
+
+    The angles are taken as given (pi p/q computed directly, not recovered
+    from cos), and the degrees are evaluated in blocks of 2^14.
+    """
+    th, w = np.asarray(thetas, dtype=float), np.asarray(weights, dtype=float)
+    lo, hi = math.inf, -math.inf
+    for start in range(0, kmax + 1, 1 << 14):
+        k = np.arange(start, min(kmax + 1, start + (1 << 14)), dtype=float)
+        lam = np.cos(np.outer(k, th)) @ w
+        lo, hi = min(lo, float(lam.min())), max(hi, float(lam.max()))
+    return lo, hi
+
+
 def circulant_edges(modulus: int, dim: int, connection_set) -> tuple:
     """Vertex form (n, edges) of the Cayley graph of Z_m^dim: x ~ x + s.
 

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -144,6 +145,37 @@ def test_non_integral_measure_dimension_exits_1(capsys, tmp_path, command, measu
     assert "dimension must be an integer" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "measure, message",
+    [
+        ({"dim": 3, "atoms": [[1e308, 1.0]]}, "radii below about 1.3e154"),
+        ({"dim": 3, "atoms": [[1.0, 1.0], [2e154, 1.0]]}, "radii below about 1.3e154"),
+        ({"dim": 2, "atoms": [[1.0, 1.0], [1.0, 0.5]]}, "radii must be positive and strictly"),
+    ],
+    ids=["1e308", "2e154", "repeated"],
+)
+def test_bad_radial_measure_exits_1_with_one_line(capsys, tmp_path, measure, message):
+    path = tmp_path / "measure.json"
+    path.write_text(json.dumps(measure))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning would raise here
+        assert run(["euclidean", str(path)]) == 1
+    assert message in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_radial_bounds_do_not_depend_on_the_scale(capsys, tmp_path, dim):
+    # scaling every radius by s scales the profile's argument by 1/s, so the
+    # range and the printed bounds are the same at every scale
+    path = tmp_path / "measure.json"
+    printed = set()
+    for radius in (1.0, 1e4, 1e8, 1e10, 1e150):
+        path.write_text(json.dumps({"dim": dim, "atoms": [[radius, 1.0]]}))
+        assert run(["euclidean", str(path)]) == 0
+        printed.add(_payload(capsys)["bounds"]["chi_lb"]["value"])
+    assert len(printed) == 1, printed
+
+
 def test_odd_distance_measure(capsys):
     assert run(["odd-distance", "--beta", "1.3", "-N", "10"]) == 0
     obj = _payload(capsys)
@@ -189,6 +221,31 @@ def test_sphere_t_reports_the_certifying_truncation(capsys, dim, t, provenance):
     obj = _payload(capsys)
     assert obj["provenance"] == provenance
     assert obj["dimension"] == int(dim) and obj["t"] == float(t)
+
+
+def test_circle_with_irrational_angles_reports_the_infimum(capsys, tmp_path):
+    # no theta_i/pi of these atoms is p/q with q <= 512: the orbit comes
+    # arbitrarily close to -1 at every atom at once, so m = -1, where a
+    # finite scan of degrees stops above it (2.045782224 at 10 000 degrees)
+    path = tmp_path / "five.json"
+    atoms = [[t, 0.2] for t in (-0.7, -0.2, 0.1, 0.45, 0.8)]
+    path.write_text(json.dumps({"dim": 2, "atoms": atoms}))
+    assert run(["sphere", str(path)]) == 0
+    obj = _payload(capsys)
+    assert obj["status"] == "ok"
+    assert obj["bounds"]["chi_lb"]["value"] == 2.0
+    assert obj["bounds"]["alpha_ratio_ub"]["value"] == 0.5
+    assert obj["provenance"] == {"K": 2, "tail_bound": 1.0}
+    # theta = 4.5e-4 rad is free too; 10 000 degrees reached only -0.9999999966
+    assert run(["sphere", "-n", "2", "-t", "0.9999999"]) == 0
+    assert _payload(capsys)["bounds"]["chi_lb"]["value"] == 2.0
+
+
+def test_optimize_circle_with_irrational_angles_exits_0(capsys):
+    argv = ["optimize", "--mode", "sphere", "-n", "2", "--support", "-0.7", "-0.2", "0.1"]
+    assert run(argv) == 0
+    obj = _payload(capsys)
+    assert obj["bounds"]["chi_lb"]["value"] == 2.0 and obj["provenance"]["K"] == 2
 
 
 def test_sphere_needs_exactly_one_input(capsys, tmp_path):

@@ -357,7 +357,7 @@ def test_batched_refinement_matches_scalar_golden_section():
         r = np.array(low_r + high_r)
         sign = np.repeat([1.0, -1.0], [len(low_r), len(high_r)])
         lo, hi = np.maximum(0.0, r - step), np.minimum(cutoff, r + step)
-        args, vals = euclidean._newton_refine(mu, r, lo, hi, sign)
+        args, vals = euclidean._newton_refine(mu, r, lo, hi, sign, cutoff)
         assert np.all(sign * vals <= sign * fourier_radial(mu, r))
         interior = (args > lo) & (args < hi)
         slope = _closed_form_jet(mu, args[interior])[0]

@@ -25,7 +25,7 @@ from hoffman.sphere import (
     sphere_measure_to_json,
 )
 
-from oracles import chebyshev_value, legendre_sequence
+from oracles import chebyshev_value, circle_eigenvalue_extremes, legendre_sequence
 
 
 def test_measure_validation():
@@ -155,10 +155,61 @@ def test_operator_range_circle_rational_angles():
 
 
 def test_operator_range_circle_irrational_angle():
-    # cos(k) equidistributes, so the scan approaches -1 from above
-    m, M = _endpoints(SphereMeasure(2, ((math.cos(1.0), 1.0),)))
-    assert -1.0 - 1e-12 <= m < -0.999
-    assert M == 1.0
+    # cos(k) is dense in [-1, 1], so the infimum -1 is not attained but is m
+    rng, seq = operator_range(SphereMeasure(2, ((math.cos(1.0), 1.0),)))
+    assert (rng.m, rng.M) == (-1.0, 1.0)
+    assert seq.tail_bound == 1.0
+
+
+def test_operator_range_circle_mixed_atoms():
+    # theta = pi/2 is periodic (P = 4), theta = 1 is free: m = -0.5 - 0.25
+    mu = SphereMeasure(2, ((0.0, 0.5), (math.cos(1.0), -0.25)))
+    rng, seq = operator_range(mu)
+    assert seq.K == 4 and seq.tail_bound == 0.25
+    assert np.allclose(seq.values, [0.25, -0.25, -0.75, -0.25, 0.25], atol=1e-15)
+    assert rng.m == -0.75 and rng.M == 0.25 and rng.R is None
+
+
+def test_operator_range_circle_equal_weights_on_free_atoms_reach_minus_one():
+    # independent irrational angles: the orbit comes arbitrarily close to
+    # every angle at once, so the infimum is -sum w = -1, exactly
+    for k in range(1, 6):
+        ts = [-0.7, -0.2, 0.1, 0.45, 0.8][:k]
+        rng, seq = operator_range(SphereMeasure(2, tuple((t, 1.0 / k) for t in ts)))
+        assert (rng.m, rng.M, rng.R) == (-1.0, 1.0, 1.0)
+        assert chi_lb(rng).value == 2.0 and alpha_ratio_ub(rng).value == 0.5
+
+
+def _circle_sweep_measure(rng):
+    """(measure, exact angles): 1-5 atoms at angles pi p/q or at 6-digit t."""
+    thetas, size = {}, int(rng.integers(1, 6))
+    while len(thetas) < size:
+        if rng.random() < 0.5:
+            q = int(rng.integers(2, 41))
+            p = int(rng.integers(1, q + 1))
+            theta = math.pi * p / q
+            t = math.cos(theta)
+        else:
+            t = round(float(rng.uniform(-0.999999, 0.999999)), 6)
+            theta = math.acos(t)
+        if t < 1.0:
+            thetas.setdefault(t, theta)
+    ts = sorted(thetas)
+    ws = rng.uniform(-1.0, 1.0, len(ts)) if rng.random() < 0.5 else rng.uniform(0.0, 1.0, len(ts))
+    return SphereMeasure(2, tuple(zip(ts, ws.tolist()))), [thetas[t] for t in ts]
+
+
+def test_operator_range_circle_is_sound_against_a_long_cosine_scan():
+    # every lambda_k is at least m, and M is a value the closure holds: both
+    # ends lie at or below the extremes of 200 000 degrees of the cosines at
+    # the exact angles
+    rng = np.random.default_rng(2020)
+    for _ in range(120):
+        mu, thetas = _circle_sweep_measure(rng)
+        lo, hi = circle_eigenvalue_extremes(thetas, mu.weights(), 200_000)
+        got, _ = operator_range(mu)
+        assert got.m <= lo + 1e-10, mu
+        assert got.M <= hi + 1e-10, mu
 
 
 def test_operator_range_zero_measure():
@@ -307,14 +358,23 @@ def test_optimize_game_grows_by_the_violated_degrees(monkeypatch):
     assert all(a < b for a, b in zip(columns, columns[1:]))
 
 
-def test_optimize_circle_refuses_dips_past_the_certified_degrees():
-    # an irrational angle: the n = 2 scan runs to degree 10000, but the game
-    # takes no degree past 8192, so a mixture beaten only out there is
-    # refused rather than certified against the finite scan
-    with pytest.raises(UncertifiedRangeError, match="truncation 8192") as exc:
-        optimize_sphere_measure(2, [-0.038])
-    assert exc.value.k_used == 8192
-    assert exc.value.range[0] < -1.0 + 1e-6 and exc.value.tail_bound > 1e-8
+def test_optimize_circle_irrational_angle_reaches_the_infimum():
+    # an irrational angle is a free atom: its payoff row is -1, the game's
+    # value is the closure's infimum -1, and the oracle certifies it without
+    # a degree past the period
+    mu, rng, seq = optimize_sphere_measure(2, [-0.038])
+    assert mu.atoms == ((-0.038, 1.0),)
+    assert rng.m == -1.0 and chi_lb(rng).value == 2.0
+    assert seq.K == 2 and seq.tail_bound == 1.0
+
+
+def test_optimize_circle_mixed_support_is_sound():
+    # periodic and free atoms in one game: the certified m lies at or below
+    # every eigenvalue of the optimized measure
+    ts = [-0.7, -0.5, 0.0, 0.1]
+    mu, rng, _ = optimize_sphere_measure(2, ts)
+    lo, _ = circle_eigenvalue_extremes([math.acos(t) for t in ts], mu.weights(), 200_000)
+    assert rng.m <= lo + 1e-10 and rng.m < 0.0
 
 
 @pytest.mark.parametrize(
