@@ -1,11 +1,12 @@
 """Spectral bounds for the independence ratio and chromatic number.
 
 Hoffman-type bounds computed from the extreme spectrum of adjacency-like
-operators, for three families: finite graphs, translation-invariant graphs
-on R^n with forbidden distances, and distance graphs on the unit sphere.
-Each family's range function (spectral_range of a Graph, radial_range,
-unit_distance_range, operator_range) returns one SpectralRange, and
-bounds(rng, chi_lb, ...) turns it into BoundReports.
+operators, for four families: finite graphs, translation-invariant graphs
+on R^n with forbidden distances, distance graphs on the unit sphere, and
+annulus circulants on Z_m^n.  Each family's range function (spectral_range
+of a Graph, radial_range, unit_distance_range, operator_range,
+circulant_range) returns one SpectralRange, and bounds(rng, chi_lb, ...)
+turns it into BoundReports.
 """
 
 from .errors import (
@@ -62,20 +63,13 @@ from .sphere import (
     sphere_measure_from_json,
     sphere_measure_to_json,
 )
-from .torus import (
-    CirculantGraph,
-    build_torus_graph,
-    circulant_spectrum,
-    convergence_csv,
-    convergence_study,
-)
+from .torus import circulant_range, convergence_csv, convergence_study
 
 __version__ = "1.0.0"
 
 __all__ = [
     "BoundInapplicableError",
     "BoundReport",
-    "CirculantGraph",
     "ConvergenceError",
     "EigenSequence",
     "ExtremaReport",
@@ -95,10 +89,9 @@ __all__ = [
     "bessel_first_zero",
     "bessel_j",
     "bounds",
-    "build_torus_graph",
     "chi_frac_lb",
     "chi_lb",
-    "circulant_spectrum",
+    "circulant_range",
     "convergence_csv",
     "convergence_study",
     "eigenvalue_sequence",

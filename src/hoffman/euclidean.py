@@ -36,8 +36,9 @@ class RadialMeasure:
     """Signed measure supported on spheres; atoms are (radius, weight) pairs.
 
     Radii must be positive, strictly increasing and below about 1.3e154 (a
-    finite square).  Dimension 1 (point pairs on the line, profile cos) is
-    accepted for the lattice oracle; the bounds live in dimension >= 2.
+    finite square), and sum |w_i| max(1, r_i^2) must be finite.  Dimension
+    1 (point pairs on the line, profile cos) is accepted for the lattice
+    oracle; the bounds live in dimension >= 2.
     """
 
     dim: int
@@ -48,12 +49,16 @@ class RadialMeasure:
         if not (1 <= n <= 64):
             raise ValueError(f"dimension must lie in [1, 64], got {n}")
         norm = []
-        prev = 0.0
+        prev = scale = 0.0
         for radius, weight in self.atoms:
             r, w = float(radius), float(weight)
             # the profile's curvature scales as r^2, so r^2 must be finite too
             if not (math.isfinite(r * r) and math.isfinite(w)):
                 raise ValueError("atoms must be finite, radii below about 1.3e154")
+            # and so must the profile's value, slope and curvature summed over atoms
+            scale += abs(w) * max(1.0, r * r)
+            if not math.isfinite(scale):
+                raise ValueError("sum of |weight| * max(1, radius^2) must be finite")
             if r <= prev:
                 raise ValueError("radii must be positive and strictly increasing")
             prev = r

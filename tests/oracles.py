@@ -3,11 +3,12 @@
 Nothing here imports the package under test: Bessel values come from the
 plain ascending series with incremental terms, zeros from interval
 bisection, polynomial values from the textbook unnormalized recurrences,
-graph spectra from closed forms, independence and chromatic numbers by
-exhaustive search, and edge-list text by a walk over its lines, one Python
-step per line.  Graphs are plain (n, edges) data: a vertex count and an
-iterable of (u, v) pairs on 0..n-1.  Agreement with the package is then
-evidence, not tautology.
+graph spectra from closed forms, circulant connection sets one vector at a
+time, independence and chromatic numbers by exhaustive search, and
+edge-list text by a walk over its lines, one Python step per line.
+Graphs are plain (n, edges) data: a vertex count and an iterable of (u, v)
+pairs on 0..n-1.  Agreement with the package is then evidence, not
+tautology.
 """
 
 from __future__ import annotations
@@ -115,6 +116,20 @@ def circle_eigenvalue_extremes(thetas, weights, kmax: int) -> tuple[float, float
         lam = np.cos(np.outer(k, th)) @ w
         lo, hi = min(lo, float(lam.min())), max(hi, float(lam.max()))
     return lo, hi
+
+
+def annulus_connection_set(m: int, n: int, radii, tol: float) -> frozenset:
+    """Residue vectors s != 0 of Z_m^n with | ||s|| - d | <= tol for some radius d.
+
+    The norm is taken one vector at a time on folded coordinates (j for
+    j <= m/2, j - m beyond), so the set is closed under negation.
+    """
+    members = set()
+    for s in itertools.product(range(m), repeat=n):
+        norm = math.sqrt(sum((c if c <= m / 2 else c - m) ** 2 for c in s))
+        if norm > 0.0 and any(abs(norm - d) <= tol for d in radii):
+            members.add(s)
+    return frozenset(members)
 
 
 def circulant_edges(modulus: int, dim: int, connection_set) -> tuple:

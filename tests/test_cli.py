@@ -151,8 +151,12 @@ def test_non_integral_measure_dimension_exits_1(capsys, tmp_path, command, measu
         ({"dim": 3, "atoms": [[1e308, 1.0]]}, "radii below about 1.3e154"),
         ({"dim": 3, "atoms": [[1.0, 1.0], [2e154, 1.0]]}, "radii below about 1.3e154"),
         ({"dim": 2, "atoms": [[1.0, 1.0], [1.0, 0.5]]}, "radii must be positive and strictly"),
+        # finite radius and weight, but the profile's curvature w r^2 overflows
+        ({"dim": 3, "atoms": [[1e10, 1e300]]}, "max(1, radius^2) must be finite"),
+        # each weight is finite, their sum is not
+        ({"dim": 3, "atoms": [[1.0, 1e308], [2.0, 1e308]]}, "max(1, radius^2) must be finite"),
     ],
-    ids=["1e308", "2e154", "repeated"],
+    ids=["1e308", "2e154", "repeated", "huge-weight", "two-1e308-weights"],
 )
 def test_bad_radial_measure_exits_1_with_one_line(capsys, tmp_path, measure, message):
     path = tmp_path / "measure.json"

@@ -81,6 +81,9 @@ def test_measure_validation():
     for dim in (2.7, 2.0, True, "2"):
         with pytest.raises(ValueError, match="dimension must be an integer"):
             RadialMeasure(dim, ((1.0, 1.0),))
+    for atoms in (((1e10, 1e300),), ((1.0, 1e308), (2.0, -1e308))):
+        with pytest.raises(ValueError, match=r"max\(1, radius\^2\) must be finite"):
+            RadialMeasure(3, atoms)
 
 
 def test_measure_json_round_trip():
@@ -470,7 +473,7 @@ _RANGE_CALLS = {
     "sphere": {"operator_range": 1},
     # the last cutting-plane round's extrema give the range: no further pass
     "optimize": {"optimize_radial_measure": 1, "global_extrema": 0},
-    "torus": {"radial_range": 1, "_refined_extrema": 1},
+    "torus": {"radial_range": 1, "_refined_extrema": 1, "circulant_range": 1},
 }
 
 

@@ -1,9 +1,10 @@
 """Tests for circulant torus discretizations.
 
-The FFT spectrum is checked against closed forms for cycles and against a
-dense eigensolver on random instances; the discrete Hoffman bounds are
-checked against brute force on small circulants and against their continuous
-targets along refining moduli.
+The half-box FFT range is checked against closed forms for cycles and K4
+and against a dense eigensolver on the vertex-by-vertex form of random
+instances, whose connection sets come from a plain-Python oracle; the
+discrete Hoffman bounds are checked against brute force on small circulants
+and against their continuous targets along refining moduli.
 """
 
 import numpy as np
@@ -13,15 +14,10 @@ from hoffman import torus
 from hoffman.cli import run
 from hoffman.graphs import Graph, adjacency_matrix, spectral_range
 from hoffman.reports import alpha_ratio_ub, chi_lb
-from hoffman.torus import (
-    CirculantGraph,
-    build_torus_graph,
-    circulant_spectrum,
-    convergence_csv,
-    convergence_study,
-)
+from hoffman.torus import circulant_range, convergence_csv, convergence_study
 
 from oracles import (
+    annulus_connection_set,
     brute_force_alpha,
     brute_force_chi,
     circulant_edges,
@@ -29,30 +25,12 @@ from oracles import (
     cycle_spectrum,
 )
 
-def test_circulant_validation():
-    with pytest.raises(ValueError):
-        CirculantGraph(2, 1, frozenset({(1,)}))
-    with pytest.raises(ValueError):
-        CirculantGraph(5, 0, frozenset())
-    with pytest.raises(ValueError):
-        CirculantGraph(256, 4, frozenset({(1, 0, 0, 0), (255, 0, 0, 0)}))
-    with pytest.raises(ValueError):
-        CirculantGraph(5, 1, frozenset({(0,)}))
-    with pytest.raises(ValueError):
-        CirculantGraph(5, 1, frozenset({(1,)}))  # missing -1 mod 5
-    with pytest.raises(ValueError):
-        CirculantGraph(5, 2, frozenset({(1,), (4,)}))  # arity mismatch
-    g = CirculantGraph(5, 1, frozenset({(1,), (4,)}))
-    assert g.vertex_count == 5 and g.degree == 2
-
 
 @pytest.mark.parametrize("dim", [1.5, 2.0, True, "2"])
 def test_non_integral_dimension_is_refused(dim):
     # int() would truncate 1.5 to 1 and read True as 1
     with pytest.raises(ValueError, match="dimension must be an integer"):
-        CirculantGraph(5, dim, frozenset({(1,), (4,)}))
-    with pytest.raises(ValueError, match="dimension must be an integer"):
-        build_torus_graph(8, dim, [1.0])
+        circulant_range(8, dim, [1.0])
     with pytest.raises(ValueError, match="dimension must be an integer"):
         convergence_study(dim, [1.0], [8])
 
@@ -60,46 +38,63 @@ def test_non_integral_dimension_is_refused(dim):
 @pytest.mark.parametrize("m", [8.5, 8.0, True])
 def test_non_integral_modulus_is_refused(m):
     with pytest.raises(ValueError, match="modulus must be an integer"):
-        CirculantGraph(m, 1, frozenset({(1,), (7,)}))
-    with pytest.raises(ValueError, match="modulus must be an integer"):
-        build_torus_graph(m, 1, [1.0])
+        circulant_range(m, 1, [1.0])
     with pytest.raises(ValueError, match="modulus must be an integer"):
         convergence_study(1, [1.0], [m, 16])
 
 
 def test_build_annulus_examples():
-    g = build_torus_graph(12, 1, [1.0])
-    assert g.connection_set == frozenset({(1,), (11,)})
-    g = build_torus_graph(6, 1, [1.0, 2.0])
-    assert g.connection_set == frozenset({(1,), (2,), (4,), (5,)})
-    g = build_torus_graph(8, 2, [1.0])
-    assert g.degree == 4
-    assert (1, 0) in g.connection_set and (0, 7) in g.connection_set
+    assert annulus_connection_set(12, 1, [1.0], 0.25) == {(1,), (11,)}
+    assert annulus_connection_set(6, 1, [1.0, 2.0], 0.25) == {(1,), (2,), (4,), (5,)}
+    s = annulus_connection_set(8, 2, [1.0], 0.25)
+    assert s == {(1, 0), (7, 0), (0, 1), (0, 7)}
+    # R is the size of the connection set
+    assert circulant_range(12, 1, [1.0]).R == 2.0
+    assert circulant_range(6, 1, [1.0, 2.0]).R == 4.0
+    assert circulant_range(8, 2, [1.0]).R == 4.0
+    # the annulus around 0.5 reaches 0, but 0 is never in the set
+    assert annulus_connection_set(12, 1, [0.5], 0.75) == {(1,), (11,)}
+    assert circulant_range(12, 1, [0.5], 0.75).R == 2.0
+    # sqrt(5) is within 0.3 of 2: the knight moves join the axis steps
+    assert circulant_range(8, 2, [2.0], 0.3).R == len(
+        annulus_connection_set(8, 2, [2.0], 0.3)
+    ) == 12
 
 
 def test_build_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        build_torus_graph(12, 1, [0.4])  # annulus catches nothing
-    with pytest.raises(ValueError):
-        build_torus_graph(12, 1, [])
-    with pytest.raises(ValueError):
-        build_torus_graph(12, 1, [-1.0])
-    with pytest.raises(ValueError):
-        build_torus_graph(12, 1, [1.0], tol=1.5)
-    with pytest.raises(ValueError):
-        build_torus_graph(4097, 2, [1.0])
+    with pytest.raises(ValueError, match="connection set empty"):
+        circulant_range(12, 1, [0.4])  # annulus catches nothing
+    with pytest.raises(ValueError, match="radii must be positive"):
+        circulant_range(12, 1, [])
+    with pytest.raises(ValueError, match="radii must be positive"):
+        circulant_range(12, 1, [-1.0])
+    with pytest.raises(ValueError, match="annulus must lie in"):
+        circulant_range(12, 1, [1.0], tol=1.5)
+    with pytest.raises(ValueError, match="annulus must lie in"):
+        circulant_range(12, 1, [1.0], tol=1.0)
+    with pytest.raises(ValueError, match="modulus must be at least 3"):
+        circulant_range(2, 1, [1.0])
+    with pytest.raises(ValueError, match="dimension must be at least 1"):
+        circulant_range(5, 0, [1.0])
+    with pytest.raises(ValueError, match="exceed the cap"):
+        circulant_range(4097, 2, [1.0])
+    with pytest.raises(ValueError, match="exceed the cap"):
+        circulant_range(256, 4, [1.0])
 
 
 def test_spectrum_cycles_match_closed_form():
     for m in (5, 7, 12):
-        spec = circulant_spectrum(build_torus_graph(m, 1, [1.0]))
-        assert np.allclose(spec, cycle_spectrum(m), atol=1e-12)
+        rng = circulant_range(m, 1, [1.0])
+        spec = cycle_spectrum(m)
+        assert abs(rng.m - spec[-1]) < 1e-12 and abs(rng.M - spec[0]) < 1e-12
+        assert rng.R == 2.0
 
 
 def test_spectrum_complete_graph():
     # radii {1, 2} on Z_4 connect everything: K4 has spectrum 3, -1, -1, -1
-    spec = circulant_spectrum(build_torus_graph(4, 1, [1.0, 2.0]))
-    assert np.allclose(spec, [3.0, -1.0, -1.0, -1.0], atol=1e-12)
+    rng = circulant_range(4, 1, [1.0, 2.0])
+    assert abs(rng.m + 1.0) < 1e-12 and abs(rng.M - 3.0) < 1e-12
+    assert rng.R == 3.0
 
 
 def test_spectrum_matches_dense_eigensolver():
@@ -109,40 +104,39 @@ def test_spectrum_matches_dense_eigensolver():
         m = int(rng.integers(4, 11 if n == 2 else 31))
         max_r = (m // 2) if n == 1 else int(m / 1.5)
         radii = sorted(rng.choice(np.arange(1, max(2, max_r)), size=1) + 0.0)
-        try:
-            g = build_torus_graph(m, n, radii)
-        except ValueError:
+        cset = annulus_connection_set(m, n, radii, 0.25)
+        if not cset:
+            with pytest.raises(ValueError, match="connection set empty"):
+                circulant_range(m, n, radii)
             continue
-        fft_spec = circulant_spectrum(g)
-        a = adjacency_matrix(Graph(*circulant_edges(m, n, g.connection_set)))
-        dense = np.linalg.eigvalsh(a)[::-1]
-        assert np.max(np.abs(fft_spec - dense)) < 1e-8
+        got = circulant_range(m, n, radii)
+        dense = np.linalg.eigvalsh(adjacency_matrix(Graph(*circulant_edges(m, n, cset))))
+        assert abs(got.m - dense[0]) < 1e-8 and abs(got.M - dense[-1]) < 1e-8
+        assert got.R == len(cset)
 
 
 def test_expanded_graph_is_the_cycle():
-    g = build_torus_graph(5, 1, [1.0])
-    n, edges = circulant_edges(g.modulus, g.dim, g.connection_set)
+    n, edges = circulant_edges(5, 1, annulus_connection_set(5, 1, [1.0], 0.25))
     want = {tuple(sorted(e)) for e in cycle_edges(5)}
     assert n == 5 and set(edges) == want
 
 
 def test_expanded_graph_edge_count():
-    g = build_torus_graph(8, 2, [1.0])
-    n, edges = circulant_edges(g.modulus, g.dim, g.connection_set)
+    cset = annulus_connection_set(8, 2, [1.0], 0.25)
+    n, edges = circulant_edges(8, 2, cset)
     assert n == 64
-    assert len(edges) == 64 * g.degree // 2
+    assert len(edges) == 64 * len(cset) // 2
 
 
 def test_discrete_bounds_sound_on_small_circulants():
     # exact alpha and chi by brute force; Hoffman bounds must bracket them
     for m, radii in ((5, [1.0]), (7, [1.0]), (9, [1.0, 2.0]), (13, [1.0, 3.0])):
-        g = build_torus_graph(m, 1, radii)
-        n, edges = circulant_edges(g.modulus, g.dim, g.connection_set)
-        rng = spectral_range(Graph(n, edges))
+        n, edges = circulant_edges(m, 1, annulus_connection_set(m, 1, radii, 0.25))
         alpha_exact = brute_force_alpha(n, edges)
         chi_exact = brute_force_chi(n, edges)
-        assert alpha_ratio_ub(rng).value >= alpha_exact / m - 1e-9
-        assert chi_lb(rng).value <= chi_exact + 1e-9
+        for rng in (spectral_range(Graph(n, edges)), circulant_range(m, 1, radii)):
+            assert alpha_ratio_ub(rng).value >= alpha_exact / m - 1e-9
+            assert chi_lb(rng).value <= chi_exact + 1e-9
 
 
 def test_convergence_dim1_exact_at_every_modulus():
@@ -189,7 +183,7 @@ def test_convergence_study_refuses_sizes_before_the_scan(monkeypatch):
         convergence_study(2, [1.0], [2, 8])
     # a huge dimension is refused without computing m^n
     with pytest.raises(ValueError, match="exceed the cap"):
-        CirculantGraph(3, 10**12, frozenset())
+        circulant_range(3, 10**12, [1.0])
 
 
 def test_torus_refuses_annulus_before_the_scan(monkeypatch, capsys):
