@@ -5,8 +5,9 @@ operators, for four families: finite graphs, translation-invariant graphs
 on R^n with forbidden distances, distance graphs on the unit sphere, and
 annulus circulants on Z_m^n.  Each family's range function (spectral_range
 of a Graph, radial_range, unit_distance_range, operator_range,
-circulant_range) returns one SpectralRange, and bounds(rng, chi_lb, ...)
-turns it into BoundReports.
+circulant_range) returns one SpectralRange, which carries the evidence it
+was read from in its provenance; the two optimizers return (measure,
+SpectralRange).  bounds(rng, chi_lb, ...) turns a range into BoundReports.
 """
 
 from .errors import (
@@ -18,10 +19,8 @@ from .errors import (
     VacuousBoundError,
 )
 from .euclidean import (
-    ExtremaReport,
     RadialMeasure,
     fourier_radial,
-    global_extrema,
     optimize_radial_measure,
     radial_measure_from_json,
     radial_measure_to_json,
@@ -72,7 +71,6 @@ __all__ = [
     "BoundReport",
     "ConvergenceError",
     "EigenSequence",
-    "ExtremaReport",
     "Graph",
     "KIND_ALPHA_RATIO_UB",
     "KIND_CHI_FRAC_LB",
@@ -96,7 +94,6 @@ __all__ = [
     "convergence_study",
     "eigenvalue_sequence",
     "fourier_radial",
-    "global_extrema",
     "jacobi_sequence",
     "omega",
     "operator_range",

@@ -26,7 +26,6 @@ from .errors import (
     VacuousBoundError,
 )
 from .euclidean import (
-    _LP_GRID,
     optimize_radial_measure,
     radial_measure_from_json,
     radial_measure_to_json,
@@ -94,7 +93,12 @@ def _emit_json(payload: dict, path: str | None) -> None:
 
 def _load_json_file(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not JSON ({exc})") from None
 
 
 def _cmd_finite(args) -> dict:
@@ -107,37 +111,33 @@ def _cmd_finite(args) -> dict:
 
 
 def _cmd_unit_distance(args) -> dict:
-    rng, z = unit_distance_range(args.dimension)
+    rng = unit_distance_range(args.dimension)
     return {
         "dimension": args.dimension,
         "bounds": bounds(rng, chi_lb, alpha_ratio_ub),
-        "provenance": {"bessel_first_zero": z},
+        "provenance": rng.provenance,
     }
 
 
 def _cmd_euclidean(args) -> dict:
     mu = radial_measure_from_json(_load_json_file(args.measure))
-    rng, ext = radial_range(mu, args.tol)
+    rng = radial_range(mu, args.tol)
     return {
         "measure": radial_measure_to_json(mu),
         "bounds": bounds(rng, chi_lb, alpha_ratio_ub),
-        "provenance": {
-            "cutoff": ext.cutoff,
-            "grid_points": ext.grid_points,
-            "inf_arg": ext.inf_arg,
-        },
+        "provenance": rng.provenance,
     }
 
 
 def _cmd_odd_distance(args) -> dict:
     mu = steinhardt_measure(args.beta, args.terms)
-    rng, ext = radial_range(mu, args.tol)
+    rng = radial_range(mu, args.tol)
     return {
         "beta": float(args.beta),
         "terms": int(args.terms),
         "measure_mass": mu.total_mass(),
         "bounds": bounds(rng, chi_lb),
-        "provenance": {"cutoff": ext.cutoff, "grid_points": ext.grid_points},
+        "provenance": rng.provenance,
     }
 
 
@@ -153,11 +153,11 @@ def _cmd_sphere(args) -> dict:
         dim = 3 if args.dimension is None else args.dimension
         mu = SphereMeasure(dim, ((args.t, 1.0),))
         echo = {"dimension": dim, "t": args.t}
-    rng, seq = operator_range(mu, K=args.kmax, tol=args.tol)
+    rng = operator_range(mu, K=args.kmax, tol=args.tol)
     return {
         **echo,
         "bounds": bounds(rng, chi_lb, alpha_ratio_ub),
-        "provenance": {"K": seq.K, "tail_bound": seq.tail_bound},
+        "provenance": rng.provenance,
     }
 
 
@@ -167,21 +167,17 @@ def _cmd_optimize(args) -> dict:
             raise ValueError("--kmax applies only to --mode sphere")
         mu, rng = optimize_radial_measure(args.dimension, args.support, tol=args.tol)
         measure = radial_measure_to_json(mu)
-        prov = {"grid_points": _LP_GRID}
     else:
         kmax = 64 if args.kmax is None else args.kmax
-        mu, rng, seq = optimize_sphere_measure(
-            args.dimension, args.support, K=kmax, tol=args.tol
-        )
+        mu, rng = optimize_sphere_measure(args.dimension, args.support, K=kmax, tol=args.tol)
         measure = sphere_measure_to_json(mu)
-        prov = {"K": seq.K, "tail_bound": seq.tail_bound}
     return {
         "mode": args.mode,
         "dimension": args.dimension,
         "support": [float(s) for s in args.support],
         "measure": measure,
         "bounds": bounds(rng, chi_lb),
-        "provenance": prov,
+        "provenance": rng.provenance,
     }
 
 

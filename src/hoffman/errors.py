@@ -1,6 +1,7 @@
 """Domain-specific error signals shared across the package."""
 
 import numbers
+import sys
 
 
 def require_integer(value, name: str) -> int:
@@ -19,6 +20,17 @@ def require_tolerance(tol) -> float:
     if not (1e-12 <= tol <= 1e-3):
         raise ValueError(f"tol must lie in [1e-12, 1e-3], got {tol!r}")
     return tol
+
+
+def require_mass(weights) -> None:
+    """Refuse 0 < sum |w_i| < the smallest normal double: subnormal weights keep
+    too few digits for a bound.  An all-zero measure stays (its bounds are vacuous)."""
+    mass = sum(abs(w) for w in weights)
+    if 0.0 < mass < sys.float_info.min:
+        raise ValueError(
+            f"sum of |weight| {mass:.3g} is below the smallest normal double "
+            f"{sys.float_info.min:.3g}; scale the weights up"
+        )
 
 
 class SpectralBoundError(Exception):

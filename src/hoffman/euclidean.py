@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, require_integer, require_tolerance
+from .errors import ConvergenceError, require_integer, require_mass, require_tolerance
 from .reports import SpectralRange
 from .simplex import cutting_planes
 from .specfun import bessel_first_zero, omega
@@ -36,9 +36,10 @@ class RadialMeasure:
     """Signed measure supported on spheres; atoms are (radius, weight) pairs.
 
     Radii must be positive, strictly increasing and below about 1.3e154 (a
-    finite square), and sum |w_i| max(1, r_i^2) must be finite.  Dimension
-    1 (point pairs on the line, profile cos) is accepted for the lattice
-    oracle; the bounds live in dimension >= 2.
+    finite square), sum |w_i| max(1, r_i^2) must be finite and sum |w_i| be
+    0 or a normal double (require_mass).  Dimension 1 (point pairs on the
+    line, profile cos) is the continuum target of `torus -n 1`; the other
+    bounds live in dimension >= 2.
     """
 
     dim: int
@@ -63,6 +64,7 @@ class RadialMeasure:
                 raise ValueError("radii must be positive and strictly increasing")
             prev = r
             norm.append((r, w))
+        require_mass(w for _, w in norm)
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "atoms", tuple(norm))
 
@@ -74,15 +76,6 @@ class RadialMeasure:
 
     def total_mass(self) -> float:
         return float(sum(w for _, w in self.atoms))
-
-
-@dataclass(frozen=True)
-class ExtremaReport:
-    inf_value: float
-    sup_value: float
-    inf_arg: float
-    cutoff: float
-    grid_points: int
 
 
 def radial_measure_to_json(mu: RadialMeasure) -> dict:
@@ -360,8 +353,8 @@ def _value_at_zero(mu: RadialMeasure) -> float:
     return float(_weighted_rows(w, [(slice(0, 1), np.ones((d.size, 1)))], 1)[0])
 
 
-def global_extrema(mu: RadialMeasure, tol: float = 1e-8) -> ExtremaReport:
-    """Certified inf and sup of nuhat over [0, infinity).
+def radial_range(mu: RadialMeasure, tol: float = 1e-8) -> SpectralRange:
+    """The spectral range [inf nuhat, sup nuhat] of mu over [0, infinity).
 
     The profile is scanned densely out to a cutoff and the window is grown
     until the Bessel-decay envelope beyond the cutoff is smaller than the
@@ -377,36 +370,23 @@ def global_extrema(mu: RadialMeasure, tol: float = 1e-8) -> ExtremaReport:
     and point at once, in blocks of at most 2^14 Bessel arguments.  A scan
     whose first window alone needs more than 1e8 atom evaluations is
     refused with ConvergenceError.
+    R = nuhat(0), the total mass, is given only for a nonnegative measure.
+    The provenance is {cutoff, grid_points, inf_arg}; a measure with no
+    nonzero weight scans nothing and has the range (0, 0).
     """
     tol = require_tolerance(tol)
     if all(w == 0.0 for _, w in mu.atoms):
-        return ExtremaReport(0.0, 0.0, 0.0, 0.0, 0)
-    return _extrema_report(*_refined_extrema(mu, tol))
+        return _extrema_range(mu, [(0.0, 0.0)], [(0.0, 0.0)], 0.0, 0)
+    return _extrema_range(mu, *_refined_extrema(mu, tol))
 
 
-def _extrema_report(lows, highs, cutoff: float, points: int) -> ExtremaReport:
+def _extrema_range(mu: RadialMeasure, lows, highs, cutoff: float, points: int) -> SpectralRange:
+    """The range refined (arg, value) lows and highs give, with the scan's provenance."""
     arg_min, val_min = min(lows, key=lambda p: p[1])
     val_max = max(v for _, v in highs)
-    return ExtremaReport(val_min, val_max, arg_min, cutoff, points)
-
-
-def radial_range(
-    mu: RadialMeasure, tol: float = 1e-8
-) -> tuple[SpectralRange, ExtremaReport]:
-    """The spectral range [inf nuhat, sup nuhat] of mu, with its evidence.
-
-    Returns (SpectralRange, ExtremaReport): the range, read from one
-    global_extrema pass, and that pass's report.  R = nuhat(0), the total
-    mass, is given only for a nonnegative measure: the density bound needs a
-    nonnegative operator.
-    """
-    ext = global_extrema(mu, tol)
-    return _range_from_extrema(mu, ext), ext
-
-
-def _range_from_extrema(mu: RadialMeasure, ext: ExtremaReport) -> SpectralRange:
-    nonneg = all(w >= 0.0 for _, w in mu.atoms)
-    return SpectralRange(ext.inf_value, ext.sup_value, mu.total_mass() if nonneg else None)
+    R = mu.total_mass() if all(w >= 0.0 for _, w in mu.atoms) else None
+    prov = {"cutoff": cutoff, "grid_points": points, "inf_arg": arg_min}
+    return SpectralRange(val_min, val_max, R, provenance=prov)
 
 
 def steinhardt_measure(beta: float, N: int) -> RadialMeasure:
@@ -427,19 +407,20 @@ def steinhardt_measure(beta: float, N: int) -> RadialMeasure:
     return RadialMeasure(2, atoms)
 
 
-def unit_distance_range(n: int) -> tuple[SpectralRange, float]:
+def unit_distance_range(n: int) -> SpectralRange:
     """Closed-form range of the unit-distance graph of R^n, without a scan.
 
     The profile of the single unit sphere is Omega_n, whose global minimum
     sits at the first zero j of J_{n/2}, and Omega_n(0) = 1 is its maximum.
-    Returns (SpectralRange(v, 1, R=1), j) with v = Omega_n(j), which gives
-    the chromatic bound (1 - v)/(-v) and the density bound (-v)/(1 - v).
+    Returns SpectralRange(v, 1, R=1) with v = Omega_n(j) and provenance
+    {bessel_first_zero: j}, which gives the chromatic bound (1 - v)/(-v) and
+    the density bound (-v)/(1 - v).
     """
     n = RadialMeasure(n, ()).dim  # the measure type validates the dimension
     if not (2 <= n <= 32):
         raise ValueError(f"dimension must lie in [2, 32], got {n}")
     z = bessel_first_zero(n / 2.0)
-    return SpectralRange(float(omega(n, z)), 1.0, 1.0), z
+    return SpectralRange(float(omega(n, z)), 1.0, 1.0, provenance={"bessel_first_zero": z})
 
 
 def optimize_radial_measure(
@@ -459,7 +440,8 @@ def optimize_radial_measure(
     the first tables.  Kept tables are capped at _KEPT_CELLS cells (8 MB);
     past the cap a segment is evaluated anew, to the same bits.
     Returns (measure, range): the range is read from the extrema of the last
-    round, which certified the measure, as radial_range would read it.
+    round, which certified the measure, as radial_range would read it, and
+    carries that round's scan provenance.
     """
     n = RadialMeasure(n, ()).dim  # the measure type validates the dimension
     if not (2 <= n <= 32):
@@ -479,7 +461,7 @@ def optimize_radial_measure(
         # every basin beating the grid value is a violated constraint; adding
         # them all at once stops the game from cycling through near-tied dips
         cuts = np.array([a for a, v in extrema[0] if v < t_star - tol])
-        return cuts, (mu, _range_from_extrema(mu, _extrema_report(*extrema)))
+        return cuts, (mu, _extrema_range(mu, *extrema))
 
     return cutting_planes(
         lambda rs: omega(n, np.outer(ds, rs)),

@@ -279,7 +279,11 @@ def parse_graph(text: str) -> Graph:
 
 def read_graph(path) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+    return parse_graph(text)
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:

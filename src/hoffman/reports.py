@@ -5,14 +5,15 @@ operator, plus R = (A1, 1) and eps = ||A1 - R1|| for the ratio bound.  Each
 case produces one SpectralRange from one range function of its own input:
 graphs.spectral_range (a Graph), euclidean.radial_range (radial measure),
 euclidean.unit_distance_range (unit sphere of R^n), sphere.operator_range
-(sphere measure) and the two optimizers.  bounds() turns a range into
-BoundReports through the three constructors below, which hold the only copy
-of each formula and of its applicability checks.
+(sphere measure), torus.circulant_range (annulus circulant) and the two
+optimizers; the range carries the evidence it was read from.  bounds() turns
+a range into BoundReports through the three constructors below, which hold
+the only copy of each formula and of its applicability checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import BoundInapplicableError, NoNegativeSpectrumError
 
@@ -32,13 +33,15 @@ class SpectralRange:
 
     R = (A1, 1) and epsilon = ||A1 - R1|| describe how the all-ones function
     is mapped; R is None when the operator is not nonnegative (a signed
-    measure), so the ratio and fractional bounds do not apply.
+    measure), so the ratio and fractional bounds do not apply.  provenance
+    holds the evidence the command line prints; it takes no part in equality.
     """
 
     m: float
     M: float
     R: float | None = None
     epsilon: float = 0.0
+    provenance: dict = field(default_factory=dict, compare=False)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .errors import (
     UncertifiedRangeError,
     VacuousBoundError,
     require_integer,
+    require_mass,
     require_tolerance,
 )
 from .reports import SpectralRange
@@ -38,6 +39,7 @@ class SphereMeasure:
 
     Every t lies in [-1, 1): the endpoint 1 would make points adjacent to
     themselves, so it is excluded from the closure of the forbidden set.
+    sum |w_i| is 0 or a normal double (require_mass).
     """
 
     dim: int
@@ -59,6 +61,7 @@ class SphereMeasure:
                 raise ValueError("inner products must be strictly increasing")
             prev = tv
             norm.append((tv, w))
+        require_mass(w for _, w in norm)
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "atoms", tuple(norm))
 
@@ -77,9 +80,7 @@ class EigenSequence:
     """Eigenvalues lambda_k for k = 0..K plus an empirical tail probe.
 
     tail_bound is the largest |lambda_k| observed on the probe window
-    (K, 2K], reported, not assumed; for n >= 3 both read a table's rows 0..2K.
-    The n = 2 range holds its lower sequence instead: K is the period P, and
-    tail_bound is the free atoms' mass sum |w_i| (0 when none is free).
+    (K, 2K], reported, not assumed; both read a table's rows 0..2K.
     """
 
     values: np.ndarray
@@ -160,11 +161,11 @@ def _circle_split(t: np.ndarray):
     return 2 * period, free
 
 
-def operator_range(mu: SphereMeasure, K: int = 64, tol: float = 1e-8):
+def operator_range(mu: SphereMeasure, K: int = 64, tol: float = 1e-8) -> SpectralRange:
     """Endpoints of the eigenvalue closure, with their evidence.
 
-    Returns (SpectralRange, EigenSequence): the range (m, M), with R = mass
-    for a nonnegative measure, and the sequence it was read from.  K lies in
+    Returns the range (m, M), with R = mass for a nonnegative measure and
+    provenance {K, tail_bound} of the sequence it was read from.  K lies in
     [1, 8192] and tol in [1e-12, 1e-3].  For n >= 3 the eigenvalues decay
     to 0, so 0 lies in the closure and the extremes are 0-augmented; K is
     doubled, up to 8192, until the empirical tail probe (not a proof) falls
@@ -175,26 +176,30 @@ def operator_range(mu: SphereMeasure, K: int = 64, tol: float = 1e-8):
     (_circle_split), and M the larger of its maximum and sum_i w_i.  No
     lambda_k is below m, which is the infimum when 1 and the free
     theta_i/pi are rationally independent (Kronecker; Hardy & Wright, ch. 23).
+    The provenance then holds K = P and tail_bound = sum_free |w_i|.
     """
     tol, k = require_tolerance(tol), _require_k(K)
-    return _range(mu, k, tol, _JacobiTable(mu.dim, mu.inner_products()))
+    return _range(mu, k, tol, _JacobiTable(mu.dim, mu.inner_products()))[0]
 
 
 def _range(mu: SphereMeasure, k: int, tol: float, table: _JacobiTable):
+    """(range, the eigenvalues by degree it was read from) of operator_range."""
     R = mu.total_mass() if all(w >= 0.0 for _, w in mu.atoms) else None
 
     if mu.dim == 2:
         w = mu.weights()
         lam = table.degrees(np.arange(table.period + 1)) @ np.where(table.free, np.abs(w), w)
-        rng = SpectralRange(float(lam.min()), max(float(lam.max()), mu.total_mass()), R)
-        return rng, EigenSequence(lam, table.period, float(np.abs(w[table.free]).sum()))
+        prov = {"K": table.period, "tail_bound": float(np.abs(w[table.free]).sum())}
+        big = max(float(lam.max()), mu.total_mass())
+        return SpectralRange(float(lam.min()), big, R, provenance=prov), lam
 
     while True:
         seq = table.sequence(mu, k)
         m = min(0.0, float(seq.values.min()))
         big = max(0.0, float(seq.values.max()))
         if seq.tail_bound <= max(-m, tol) and seq.tail_bound <= max(big, tol):
-            return SpectralRange(m, big, R), seq
+            prov = {"K": seq.K, "tail_bound": seq.tail_bound}
+            return SpectralRange(m, big, R, provenance=prov), seq.values
         if k == _K_CAP:
             raise UncertifiedRangeError(
                 f"tail probe {seq.tail_bound:.3e} still exceeds the extremes "
@@ -218,9 +223,9 @@ def optimize_sphere_measure(n: int, support, K: int = 64, tol: float = 1e-8):
     (_JacobiTable.degrees), so the game values the lower sequence that
     operator_range reads, and every cut is a degree <= P <= 8192.  The
     payoff and every round's range, probe and cuts read one Jacobi table of
-    the support, grown in place.  Returns (measure, SpectralRange,
-    EigenSequence): the range and sequence of the last round's
-    operator_range check, which certified the measure.
+    the support, grown in place.  Returns (measure, SpectralRange): the
+    range of the last round's operator_range check, which certified the
+    measure, with that check's provenance.
     """
     n = SphereMeasure(n, ()).dim  # the measure type validates the dimension
     K, tol = _require_k(K), require_tolerance(tol)
@@ -236,7 +241,7 @@ def optimize_sphere_measure(n: int, support, K: int = 64, tol: float = 1e-8):
         mu = SphereMeasure(n, tuple(zip(ts, w)))
         if s_star >= 0.0:
             raise VacuousBoundError("optimized infimum is nonnegative; vacuous on this support")
-        rng, seq = _range(mu, K, tol, table)
-        return np.flatnonzero(seq.values < s_star - tol), (mu, rng, seq)
+        rng, lam = _range(mu, K, tol, table)
+        return np.flatnonzero(lam < s_star - tol), (mu, rng)
 
     return cutting_planes(lambda ks: table.degrees(ks).T, np.arange(1, K + 1), oracle)

@@ -114,7 +114,7 @@ def convergence_study(n: int, radii, moduli, tol: float = 0.25):
     m_ref = ms[0]
 
     uniform = RadialMeasure(n, tuple((d, 1.0 / len(ds)) for d in sorted(set(ds))))
-    cont_chi, cont_alpha = _bound_values(radial_range(uniform)[0])
+    cont_chi, cont_alpha = _bound_values(radial_range(uniform))
 
     rows = []
     for m in ms:

@@ -36,7 +36,7 @@ from oracles import (
 
 def _single_t_bounds(n, t):
     """(alpha_ratio_ub, chi_lb) of the graph forbidding one inner product t."""
-    rng, _ = operator_range(SphereMeasure(n, ((t, 1.0),)))
+    rng = operator_range(SphereMeasure(n, ((t, 1.0),)))
     return alpha_ratio_ub(rng), chi_lb(rng)
 
 
@@ -102,7 +102,7 @@ def test_acceptance_02_petersen(capsys):
 
 def test_acceptance_03_plane_unit_distance(capsys):
     t0 = time.monotonic()
-    rng, _ = unit_distance_range(2)
+    rng = unit_distance_range(2)
     chi, alpha = chi_lb(rng), alpha_ratio_ub(rng)
     elapsed = time.monotonic() - t0
     product = chi.value * alpha.value
@@ -137,7 +137,7 @@ def test_acceptance_04_dimensions_3_to_8(capsys):
         8: 34.921573752476,
     }
     t0 = time.monotonic()
-    values = {n: chi_lb(unit_distance_range(n)[0]).value for n in range(3, 9)}
+    values = {n: chi_lb(unit_distance_range(n)).value for n in range(3, 9)}
     elapsed = time.monotonic() - t0
     increasing = all(values[n] < values[n + 1] for n in range(3, 8))
     matched = all(abs(values[n] - goldens[n]) < 1e-8 for n in range(3, 9))
@@ -193,7 +193,7 @@ def test_acceptance_07_odd_distance_divergence(capsys):
     t0 = time.monotonic()
     schedule = ((1.3, 10), (1.15, 40), (1.05, 160))
     values = [
-        chi_lb(radial_range(steinhardt_measure(beta, N))[0]).value
+        chi_lb(radial_range(steinhardt_measure(beta, N))).value
         for beta, N in schedule
     ]
     elapsed = time.monotonic() - t0
@@ -214,7 +214,7 @@ def test_acceptance_07_odd_distance_divergence(capsys):
 def test_acceptance_08_optimizer_soundness(capsys):
     t0 = time.monotonic()
     radial_base = chi_lb(optimize_radial_measure(2, [1.0])[1]).value
-    target = chi_lb(unit_distance_range(2)[0]).value
+    target = chi_lb(unit_distance_range(2)).value
     sphere_base = chi_lb(optimize_sphere_measure(3, [-1.0 / 3.0])[1]).value
 
     rng = np.random.default_rng(2024)

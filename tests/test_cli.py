@@ -5,6 +5,7 @@ follow the 0 / 2 (vacuous) / 1 (input error) contract, and identical
 invocations must produce byte-identical output.
 """
 
+import ast
 import json
 import math
 import os
@@ -19,9 +20,17 @@ import jsonschema
 import numpy as np
 import pytest
 
+import hoffman.cli
 from hoffman.cli import OUTPUT_SCHEMA, _round_floats, run
-from hoffman.euclidean import radial_measure_from_json, radial_range
-from hoffman.graphs import read_graph
+from hoffman.euclidean import (
+    RadialMeasure,
+    optimize_radial_measure,
+    radial_measure_from_json,
+    radial_range,
+    steinhardt_measure,
+    unit_distance_range,
+)
+from hoffman.graphs import read_graph, spectral_range
 from hoffman.sphere import (
     SphereMeasure,
     eigenvalue_sequence,
@@ -90,6 +99,24 @@ def test_finite_omits_an_inapplicable_ratio_bound(capsys, tmp_path):
 def test_finite_missing_file_exits_1(capsys, tmp_path):
     assert run(["finite", str(tmp_path / "nope.txt")]) == 1
     assert capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        ("finite", b"\xff\xfe0 1\n", "not UTF-8 text"),
+        ("euclidean", b'{"dim": 2, "atoms": [[1.0, 1.0]]}\xff', "not UTF-8 text"),
+        ("sphere", b"\xff", "not UTF-8 text"),
+        ("euclidean", b'{"dim": 2, "atoms": [[1.0, 1.0]', "not JSON"),
+        ("sphere", b'{"dim": 3, "atoms": [[-0.5, 1.0]', "not JSON"),
+    ],
+    ids=["finite-bytes", "euclidean-bytes", "sphere-bytes", "euclidean-cut", "sphere-cut"],
+)
+def test_unreadable_input_file_is_named_in_one_line(capsys, tmp_path, command, content, message):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    assert run([command, str(path)]) == 1
+    assert _one_error_line(capsys).startswith(f"hoffman: {path}: {message} (")
 
 
 def test_unit_distance_plane(capsys):
@@ -165,6 +192,29 @@ def test_bad_radial_measure_exits_1_with_one_line(capsys, tmp_path, measure, mes
         warnings.simplefilter("error")  # an overflow warning would raise here
         assert run(["euclidean", str(path)]) == 1
     assert message in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "command, dim, position", [("euclidean", 2, 1.0), ("sphere", 3, 0.5)]
+)
+def test_measure_too_small_to_compute_exits_1(capsys, tmp_path, command, dim, position):
+    # a subnormal weight keeps about 3 significant digits: the scale-invariant
+    # bound came out as 3.483435583 (plane) and 3.284424379 (S^2), both wrong
+    path = tmp_path / "measure.json"
+
+    def request(weight):
+        path.write_text(json.dumps({"dim": dim, "atoms": [[position, weight]]}))
+        return run([command, str(path)])
+
+    assert request(1e-320) == 1
+    assert "below the smallest normal double" in _one_error_line(capsys)
+    values = []
+    for weight in (sys.float_info.min, 1.0):
+        assert request(weight) == 0
+        values.append({k: b["value"] for k, b in _payload(capsys)["bounds"].items()})
+    assert values[0] == values[1]
+    assert request(0.0) == 2  # no nonzero weight: accepted, and vacuous
+    assert _payload(capsys)["status"] == "vacuous"
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
@@ -730,3 +780,66 @@ def test_pinned_output(capsys, tmp_path, name):
     assert run(argv) == 0
     out = capsys.readouterr().out.replace(str(tmp_path), "{dir}")
     assert out == (PINNED_DIR / f"{name}.out").read_text()
+
+
+def test_cli_imports_no_private_name_from_the_package():
+    tree = ast.parse(Path(hoffman.cli.__file__).read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or node.module.startswith("hoffman"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
+# Per JSON subcommand, a request and the library range behind it (None for
+# torus, whose rows come from many ranges).  The command line prints the
+# range's own provenance, and none when it is empty.
+_PROVENANCE_REQUESTS = {
+    "finite": (
+        PINNED_REQUESTS["finite_dimacs"],
+        lambda d: spectral_range(read_graph(d / "finite_dimacs.txt")),
+    ),
+    "unit-distance": (PINNED_REQUESTS["unit_distance_2"], lambda d: unit_distance_range(2)),
+    "euclidean": (
+        PINNED_REQUESTS["euclidean_file"],
+        lambda d: radial_range(RadialMeasure(3, ((1.0, 0.6), (1.7, 0.4)))),
+    ),
+    "odd-distance": (
+        PINNED_REQUESTS["odd_distance"],
+        lambda d: radial_range(steinhardt_measure(1.15, 5)),
+    ),
+    "sphere-t": (
+        PINNED_REQUESTS["sphere_t"],
+        lambda d: operator_range(SphereMeasure(4, ((-0.25, 1.0),))),
+    ),
+    "sphere-file": (
+        PINNED_REQUESTS["sphere_file"],
+        lambda d: operator_range(SphereMeasure(4, ((-0.5, 0.7), (0.2, 0.3))), K=32),
+    ),
+    "optimize-radial": (
+        PINNED_REQUESTS["optimize_radial"],
+        lambda d: optimize_radial_measure(2, [1.0, 2.0])[1],
+    ),
+    "optimize-sphere": (
+        PINNED_REQUESTS["optimize_sphere"],
+        lambda d: optimize_sphere_measure(4, [-0.5, 0.2])[1],
+    ),
+    "torus": (["torus", "--radii", "2", "--moduli", "8", "-n", "2", "--format", "json"], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROVENANCE_REQUESTS))
+def test_printed_provenance_is_the_ranges(capsys, tmp_path, name):
+    write_pinned_inputs(tmp_path)
+    argv, library = _PROVENANCE_REQUESTS[name]
+    assert run([a.replace("{dir}", str(tmp_path)) for a in argv]) == 0
+    printed = _payload(capsys).get("provenance")
+    provenance = {} if library is None else library(tmp_path).provenance
+    if name in ("finite", "torus"):
+        assert printed is None and provenance == {}
+    else:
+        assert printed == _round_floats(provenance) != {}

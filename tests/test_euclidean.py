@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import pkgutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,6 @@ from hoffman import (
     alpha_ratio_ub,
     chi_lb,
     fourier_radial,
-    global_extrema,
     omega,
     optimize_radial_measure,
     radial_measure_from_json,
@@ -46,16 +46,16 @@ SINC_MIN = -0.21723362821122166
 
 
 def chromatic(mu):
-    return chi_lb(radial_range(mu)[0])
+    return chi_lb(radial_range(mu))
 
 
 def density(mu):
-    return alpha_ratio_ub(radial_range(mu)[0])
+    return alpha_ratio_ub(radial_range(mu))
 
 
 def unit_distance(n):
     """(chi_lb, alpha_ratio_ub) of the unit-distance graph of R^n."""
-    rng, _ = unit_distance_range(n)
+    rng = unit_distance_range(n)
     return chi_lb(rng), alpha_ratio_ub(rng)
 
 
@@ -84,6 +84,12 @@ def test_measure_validation():
     for atoms in (((1e10, 1e300),), ((1.0, 1e308), (2.0, -1e308))):
         with pytest.raises(ValueError, match=r"max\(1, radius\^2\) must be finite"):
             RadialMeasure(3, atoms)
+    # a subnormal sum |w| is refused, cancelling weights too; zero is not
+    for atoms in (((1.0, 1e-320),), ((1.0, 3e-309), (2.0, -3e-309))):
+        with pytest.raises(ValueError, match="below the smallest normal double"):
+            RadialMeasure(2, atoms)
+    assert RadialMeasure(2, ((1.0, sys.float_info.min),)).total_mass() == sys.float_info.min
+    assert RadialMeasure(2, ((1.0, 0.0),)).total_mass() == 0.0
 
 
 def test_measure_json_round_trip():
@@ -111,13 +117,13 @@ def test_fourier_radial_examples():
 
 
 def test_global_extrema_unit_shells():
-    e2 = global_extrema(UNIT2)
-    assert abs(e2.inf_value - J0_MIN) < 1e-10
-    assert abs(e2.inf_arg - J11) < 1e-6
-    assert abs(e2.sup_value - 1.0) < 1e-12
-    e3 = global_extrema(UNIT3)
-    assert abs(e3.inf_value - SINC_MIN) < 1e-10
-    assert abs(e3.inf_arg - SINC_ARG) < 1e-6
+    e2 = radial_range(UNIT2)
+    assert abs(e2.m - J0_MIN) < 1e-10
+    assert abs(e2.provenance["inf_arg"] - J11) < 1e-6
+    assert abs(e2.M - 1.0) < 1e-12
+    e3 = radial_range(UNIT3)
+    assert abs(e3.m - SINC_MIN) < 1e-10
+    assert abs(e3.provenance["inf_arg"] - SINC_ARG) < 1e-6
 
 
 def test_extrema_report_invariants():
@@ -126,32 +132,32 @@ def test_extrema_report_invariants():
         radii = np.sort(rng.uniform(0.5, 4.0, 3))
         weights = rng.uniform(0.05, 1.0, 3)
         mu = RadialMeasure(2, tuple(zip(radii, weights)))
-        ext = global_extrema(mu)
+        ext = radial_range(mu)
         nu0 = fourier_radial(mu, 0.0)
-        assert ext.inf_value <= nu0 <= ext.sup_value
-        assert 0.0 <= ext.inf_arg <= ext.cutoff
-        assert ext.grid_points > 0
+        assert ext.m <= nu0 <= ext.M
+        assert 0.0 <= ext.provenance["inf_arg"] <= ext.provenance["cutoff"]
+        assert ext.provenance["grid_points"] > 0
 
 
 def test_zero_measure_extrema():
-    ext = global_extrema(RadialMeasure(2, ((1.0, 0.0),)))
-    assert ext.inf_value == ext.sup_value == 0.0
+    ext = radial_range(RadialMeasure(2, ((1.0, 0.0),)))
+    assert ext.m == ext.M == 0.0
 
 
 def test_extrema_tol_guard():
     with pytest.raises(ValueError):
-        global_extrema(UNIT2, tol=1e-13)
+        radial_range(UNIT2, tol=1e-13)
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: global_extrema(UNIT2, tol=0.01),
+        lambda: radial_range(UNIT2, tol=1e-13),
         lambda: radial_range(UNIT2, tol=0.01),
         lambda: optimize_radial_measure(2, [1.0, 2.0], tol=0.01),
         lambda: optimize_radial_measure(2, [1.0, 2.0], tol=1e-13),
     ],
-    ids=["global_extrema", "radial_range", "optimize-high", "optimize-low"],
+    ids=["radial_range-low", "radial_range", "optimize-high", "optimize-low"],
 )
 def test_radial_tol_is_refused_at_both_ends(call):
     # one require_tolerance: the radial functions refuse both ends, as operator_range does
@@ -160,15 +166,15 @@ def test_radial_tol_is_refused_at_both_ends(call):
 
 
 def test_dimension_one_profile_is_cosine():
-    ext = global_extrema(RadialMeasure(1, ((1.0, 1.0),)))
-    assert abs(ext.inf_value + 1.0) < 1e-12
-    assert abs(ext.inf_arg - math.pi) < 1e-7
+    ext = radial_range(RadialMeasure(1, ((1.0, 1.0),)))
+    assert abs(ext.m + 1.0) < 1e-12
+    assert abs(ext.provenance["inf_arg"] - math.pi) < 1e-7
     # two commensurable pair distances: exact minimum of (cos r + cos 2r)/2 is -9/16
-    ext2 = global_extrema(RadialMeasure(1, ((1.0, 0.5), (2.0, 0.5))))
-    assert abs(ext2.inf_value + 9.0 / 16.0) < 1e-12
+    ext2 = radial_range(RadialMeasure(1, ((1.0, 0.5), (2.0, 0.5))))
+    assert abs(ext2.m + 9.0 / 16.0) < 1e-12
     # incommensurable radii have no common period to scan
     with pytest.raises(ValueError, match="commensurable radii"):
-        global_extrema(RadialMeasure(1, ((1.0, 0.5), (math.sqrt(2.0), 0.5))))
+        radial_range(RadialMeasure(1, ((1.0, 0.5), (math.sqrt(2.0), 0.5))))
 
 
 def test_chromatic_bound_unit_shells():
@@ -203,7 +209,7 @@ def test_density_bound_values_and_duality():
         radii = np.sort(rng.uniform(0.5, 3.0, 2))
         weights = rng.uniform(0.1, 1.0, 2)
         mu = RadialMeasure(3, tuple(zip(radii, weights)))
-        rng_mu, _ = radial_range(mu)
+        rng_mu = radial_range(mu)
         prod = chi_lb(rng_mu).value * alpha_ratio_ub(rng_mu).value
         assert abs(prod - 1.0) < 1e-9
 
@@ -279,11 +285,12 @@ def test_optimizer_odd_distances_beat_single_shell():
 
 def test_optimizer_cutting_plane_soundness():
     mu, rng = optimize_radial_measure(3, [1.0, 1.8, 2.6])
-    ext = global_extrema(mu)
-    fine = fourier_radial(mu, np.linspace(0.0, ext.cutoff, 5120))
+    ext = radial_range(mu)
+    fine = fourier_radial(mu, np.linspace(0.0, ext.provenance["cutoff"], 5120))
     assert float(np.min(fine)) >= rng.m - 10.0 * 1e-8
     # reported value reproduces from the certified extrema of the measure
-    assert abs(chi_lb(rng).value - (ext.sup_value - ext.inf_value) / (-ext.inf_value)) < 1e-9
+    assert abs(chi_lb(rng).value - (ext.M - ext.m) / (-ext.m)) < 1e-9
+    assert rng.provenance == ext.provenance
 
 
 def test_optimizer_deterministic_and_validated():
@@ -349,10 +356,10 @@ def test_batched_refinement_matches_scalar_golden_section():
             RadialMeasure(int(rng.integers(2, 7)), tuple(zip(radii, weights)))
         )
     for mu in measures:
-        fast = global_extrema(mu)
+        fast = radial_range(mu)
         ref_inf, ref_sup = _golden_extrema(mu)
-        assert abs(fast.inf_value - ref_inf) <= 1e-12
-        assert abs(fast.sup_value - ref_sup) <= 1e-12
+        assert abs(fast.m - ref_inf) <= 1e-12
+        assert abs(fast.M - ref_sup) <= 1e-12
 
         # per candidate: never worse than the grid sample it started from,
         # and an interior result is a critical point of nuhat
@@ -429,11 +436,11 @@ def test_tail_envelope_bounds_omega_past_the_first_cutoff():
 
 def test_dimension_64_extrema_use_omega_66():
     mu = RadialMeasure(64, ((1.0, 0.7), (1.9, 0.3)))
-    ext = global_extrema(mu)
-    fine = fourier_radial(mu, np.linspace(0.0, ext.cutoff, 20_001))
-    assert ext.inf_value <= float(np.min(fine)) + 1e-12
-    assert ext.sup_value == pytest.approx(1.0, abs=1e-12)
-    assert abs(_closed_form_jet(mu, np.array([ext.inf_arg]))[0][0]) <= 1e-9
+    ext = radial_range(mu)
+    fine = fourier_radial(mu, np.linspace(0.0, ext.provenance["cutoff"], 20_001))
+    assert ext.m <= float(np.min(fine)) + 1e-12
+    assert ext.M == pytest.approx(1.0, abs=1e-12)
+    assert abs(_closed_form_jet(mu, np.array([ext.provenance["inf_arg"]]))[0][0]) <= 1e-9
 
 
 def test_pinned_inf_arg_is_the_root_of_the_closed_form_derivative():
@@ -447,7 +454,7 @@ def test_pinned_inf_arg_is_the_root_of_the_closed_form_derivative():
     root = brentq(slope, 3.5, 4.0, xtol=1e-15, rtol=1e-15)
     pinned = json.loads((Path(__file__).parent / "pinned" / "euclidean_file.out").read_text())
     assert abs(pinned["provenance"]["inf_arg"] - root) <= 1e-9
-    assert abs(global_extrema(RadialMeasure(3, atoms)).inf_arg - root) <= 1e-9
+    assert abs(radial_range(RadialMeasure(3, atoms)).provenance["inf_arg"] - root) <= 1e-9
 
 
 def test_blocked_fourier_radial_matches_per_atom_loop():
@@ -472,7 +479,7 @@ _RANGE_CALLS = {
     "odd-distance": {"radial_range": 1, "_refined_extrema": 1},
     "sphere": {"operator_range": 1},
     # the last cutting-plane round's extrema give the range: no further pass
-    "optimize": {"optimize_radial_measure": 1, "global_extrema": 0},
+    "optimize": {"optimize_radial_measure": 1, "radial_range": 0},
     "torus": {"radial_range": 1, "_refined_extrema": 1, "circulant_range": 1},
 }
 

@@ -6,6 +6,7 @@ simplex case t = -1/3 on S^2 pins the bound values exactly.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -48,6 +49,12 @@ def test_measure_validation():
             SphereMeasure(dim, ((0.0, 1.0),))
     empty = SphereMeasure(3, ())
     assert not empty.weights().any() and empty.total_mass() == 0.0
+    # a subnormal sum |w| is refused, cancelling weights too; zero is not
+    for atoms in (((0.5, 1e-320),), ((-0.5, 3e-309), (0.5, -3e-309))):
+        with pytest.raises(ValueError, match="below the smallest normal double"):
+            SphereMeasure(3, atoms)
+    assert SphereMeasure(3, ((0.5, sys.float_info.min),)).total_mass() == sys.float_info.min
+    assert SphereMeasure(3, ((0.5, 0.0),)).total_mass() == 0.0
 
 
 def test_measure_json_round_trip():
@@ -135,7 +142,7 @@ def test_tail_probe_is_max_over_next_window():
 
 
 def _endpoints(mu, **kwargs):
-    rng, _ = operator_range(mu, **kwargs)
+    rng = operator_range(mu, **kwargs)
     return rng.m, rng.M
 
 
@@ -156,17 +163,18 @@ def test_operator_range_circle_rational_angles():
 
 def test_operator_range_circle_irrational_angle():
     # cos(k) is dense in [-1, 1], so the infimum -1 is not attained but is m
-    rng, seq = operator_range(SphereMeasure(2, ((math.cos(1.0), 1.0),)))
+    rng = operator_range(SphereMeasure(2, ((math.cos(1.0), 1.0),)))
     assert (rng.m, rng.M) == (-1.0, 1.0)
-    assert seq.tail_bound == 1.0
+    assert rng.provenance["tail_bound"] == 1.0
 
 
 def test_operator_range_circle_mixed_atoms():
     # theta = pi/2 is periodic (P = 4), theta = 1 is free: m = -0.5 - 0.25
     mu = SphereMeasure(2, ((0.0, 0.5), (math.cos(1.0), -0.25)))
-    rng, seq = operator_range(mu)
-    assert seq.K == 4 and seq.tail_bound == 0.25
-    assert np.allclose(seq.values, [0.25, -0.25, -0.75, -0.25, 0.25], atol=1e-15)
+    rng = operator_range(mu)
+    assert rng.provenance == {"K": 4, "tail_bound": 0.25}
+    _, lam = sphere._range(mu, 64, 1e-8, sphere._JacobiTable(2, mu.inner_products()))
+    assert np.allclose(lam, [0.25, -0.25, -0.75, -0.25, 0.25], atol=1e-15)
     assert rng.m == -0.75 and rng.M == 0.25 and rng.R is None
 
 
@@ -175,7 +183,7 @@ def test_operator_range_circle_equal_weights_on_free_atoms_reach_minus_one():
     # every angle at once, so the infimum is -sum w = -1, exactly
     for k in range(1, 6):
         ts = [-0.7, -0.2, 0.1, 0.45, 0.8][:k]
-        rng, seq = operator_range(SphereMeasure(2, tuple((t, 1.0 / k) for t in ts)))
+        rng = operator_range(SphereMeasure(2, tuple((t, 1.0 / k) for t in ts)))
         assert (rng.m, rng.M, rng.R) == (-1.0, 1.0, 1.0)
         assert chi_lb(rng).value == 2.0 and alpha_ratio_ub(rng).value == 0.5
 
@@ -207,7 +215,7 @@ def test_operator_range_circle_is_sound_against_a_long_cosine_scan():
     for _ in range(120):
         mu, thetas = _circle_sweep_measure(rng)
         lo, hi = circle_eigenvalue_extremes(thetas, mu.weights(), 200_000)
-        got, _ = operator_range(mu)
+        got = operator_range(mu)
         assert got.m <= lo + 1e-10, mu
         assert got.M <= hi + 1e-10, mu
 
@@ -252,7 +260,7 @@ def test_operator_range_tol_domain():
 
 def single_t_bounds(n, t):
     """(alpha_ratio_ub, chi_lb) of the graph forbidding one inner product t."""
-    rng, _ = operator_range(SphereMeasure(n, ((t, 1.0),)))
+    rng = operator_range(SphereMeasure(n, ((t, 1.0),)))
     return alpha_ratio_ub(rng), chi_lb(rng)
 
 
@@ -281,15 +289,15 @@ def test_single_t_domain():
 
 
 def test_optimize_single_point_support():
-    mu, rng, _ = optimize_sphere_measure(3, [-1.0 / 3.0])
+    mu, rng = optimize_sphere_measure(3, [-1.0 / 3.0])
     assert mu.atoms == ((-1.0 / 3.0, 1.0),)
     assert abs(chi_lb(rng).value - 4.0) < 1e-9
 
 
 def test_optimize_circle_supports():
-    _, rng, _ = optimize_sphere_measure(2, [0.0])
+    _, rng = optimize_sphere_measure(2, [0.0])
     assert abs(chi_lb(rng).value - 2.0) < 1e-9
-    _, rng, _ = optimize_sphere_measure(2, [-0.5])
+    _, rng = optimize_sphere_measure(2, [-0.5])
     assert abs(chi_lb(rng).value - 3.0) < 1e-9
 
 
@@ -304,7 +312,7 @@ def test_optimize_monotone_in_support():
 
 
 def test_optimize_weights_form_probability_measure():
-    mu, _, _ = optimize_sphere_measure(3, [-1.0 / 3.0, -0.8, 0.2])
+    mu, _ = optimize_sphere_measure(3, [-1.0 / 3.0, -0.8, 0.2])
     w = mu.weights()
     assert np.all(w >= -1e-12)
     assert abs(float(np.sum(w)) - 1.0) < 1e-9
@@ -337,8 +345,9 @@ def test_optimize_certifies_clustered_and_uniform_supports():
         points = rng.uniform(-0.95, 0.9, size)
         if i % 2:
             points[:6] = rng.uniform(-0.590, -0.537, 6)
-        mu, rng_, seq = optimize_sphere_measure(n, np.unique(points))
-        assert rng_.m == min(0.0, float(eigenvalue_sequence(mu, seq.K).values.min())) < 0.0
+        mu, rng_ = optimize_sphere_measure(n, np.unique(points))
+        K = rng_.provenance["K"]
+        assert rng_.m == min(0.0, float(eigenvalue_sequence(mu, K).values.min())) < 0.0
 
 
 def test_optimize_game_grows_by_the_violated_degrees(monkeypatch):
@@ -362,17 +371,17 @@ def test_optimize_circle_irrational_angle_reaches_the_infimum():
     # an irrational angle is a free atom: its payoff row is -1, the game's
     # value is the closure's infimum -1, and the oracle certifies it without
     # a degree past the period
-    mu, rng, seq = optimize_sphere_measure(2, [-0.038])
+    mu, rng = optimize_sphere_measure(2, [-0.038])
     assert mu.atoms == ((-0.038, 1.0),)
     assert rng.m == -1.0 and chi_lb(rng).value == 2.0
-    assert seq.K == 2 and seq.tail_bound == 1.0
+    assert rng.provenance == {"K": 2, "tail_bound": 1.0}
 
 
 def test_optimize_circle_mixed_support_is_sound():
     # periodic and free atoms in one game: the certified m lies at or below
     # every eigenvalue of the optimized measure
     ts = [-0.7, -0.5, 0.0, 0.1]
-    mu, rng, _ = optimize_sphere_measure(2, ts)
+    mu, rng = optimize_sphere_measure(2, ts)
     lo, _ = circle_eigenvalue_extremes([math.acos(t) for t in ts], mu.weights(), 200_000)
     assert rng.m <= lo + 1e-10 and rng.m < 0.0
 
@@ -478,9 +487,9 @@ def test_optimizer_computes_each_table_cell_once(monkeypatch):
 
 def test_operator_range_grows_its_table_across_doublings(monkeypatch):
     grown = _count_grown_rows(monkeypatch)
-    _, seq = operator_range(SphereMeasure(3, ((0.999, 1.0),)))
-    assert seq.K > 64 and len(grown) > 1
-    assert sum(kmax + 1 - start for start, kmax, _ in grown) == 2 * seq.K + 1
+    K = operator_range(SphereMeasure(3, ((0.999, 1.0),))).provenance["K"]
+    assert K > 64 and len(grown) > 1
+    assert sum(kmax + 1 - start for start, kmax, _ in grown) == 2 * K + 1
 
 
 def test_no_table_outlives_its_call(monkeypatch):
