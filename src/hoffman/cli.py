@@ -19,6 +19,7 @@ import json
 import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .errors import (
     ConvergenceError,
@@ -64,19 +65,35 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _round_floats(obj):
-    """10 significant digits on every float, recursively."""
-    if isinstance(obj, BoundReport):
-        return _round_floats(obj.as_dict())
+def _json(obj, indent: str = "") -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), in one pass, with every float
+    at 10 significant digits; a non-finite float is refused."""
     if isinstance(obj, float):
-        if not math.isfinite(obj):
+        rounded = float(f"{obj:.10g}")  # inf above 1.797693134e308 too
+        if not math.isfinite(rounded):
             raise ValueError(f"non-finite value {obj!r} in output")
-        return float(f"{obj:.10g}")
+        return repr(rounded)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    inner = indent + "  "
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+        brackets = "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_json(obj[k], inner)}" for k in sorted(obj)]
+    elif isinstance(obj, (list, tuple)):
+        brackets = "[]"
+        items = [_json(v, inner) for v in obj]
+    elif isinstance(obj, BoundReport):
+        return _json(obj.as_dict(), indent)
+    elif obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    elif isinstance(obj, int):
+        return int.__repr__(obj)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    sep = ",\n" + inner
+    return f"{brackets[0]}\n{inner}{sep.join(items)}\n{indent}{brackets[1]}"
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -88,7 +105,7 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _emit_json(payload: dict, path: str | None) -> None:
-    _emit(json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n", path)
+    _emit(_json(payload) + "\n", path)
 
 
 def _load_json_file(path: str):
@@ -209,9 +226,10 @@ def _parser() -> _Parser:
     """
     p = _Parser(prog="hoffman", description="Spectral bounds for distance graphs.")
     sub = p.add_subparsers(dest="subcommand")
+    p.commands = {}  # name -> subparser, for run() to parse a subcommand's argv alone
 
     def command(name, description):
-        sp = sub.add_parser(name, description=description)
+        sp = p.commands[name] = sub.add_parser(name, description=description)
         sp.add_argument("-o", "--output", default=None)
         return sp
 
@@ -316,7 +334,13 @@ OUTPUT_SCHEMA = {
 
 def run(argv) -> int:
     try:
-        args = _parser().parse_args(list(argv))
+        argv = list(argv)
+        # a subcommand's own parser reads argv[1:], as the top-level one would
+        sub = _parser().commands.get(argv[0]) if argv else None
+        if sub is None:  # empty argv, an unknown name or a top-level option
+            args = _parser().parse_args(argv)
+        else:
+            args = sub.parse_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
         if args.subcommand is None:
             raise _UsageError("a subcommand is required")
         try:

@@ -1,5 +1,6 @@
 """Domain-specific error signals shared across the package."""
 
+import math
 import numbers
 import sys
 
@@ -23,9 +24,11 @@ def require_tolerance(tol) -> float:
 
 
 def require_mass(weights) -> None:
-    """Refuse 0 < sum |w_i| < the smallest normal double: subnormal weights keep
-    too few digits for a bound.  An all-zero measure stays (its bounds are vacuous)."""
+    """Refuse sum |w_i| = inf, or 0 < sum |w_i| < the smallest normal double: subnormal
+    weights keep too few digits for a bound.  An all-zero measure stays (vacuous bounds)."""
     mass = sum(abs(w) for w in weights)
+    if not math.isfinite(mass):
+        raise ValueError("sum of |weight| overflows a double; scale the weights down")
     if 0.0 < mass < sys.float_info.min:
         raise ValueError(
             f"sum of |weight| {mass:.3g} is below the smallest normal double "

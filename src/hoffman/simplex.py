@@ -45,35 +45,36 @@ def simplex_maximize(A, b, c, stats: dict | None = None):
     tab[:m, n : n + m] = np.eye(m)
     tab[:m, -1] = b
     tab[m, :n] = -c
-    basis = np.arange(n, n + m)
+    basis = list(range(n, n + m))
+    # views of the tableau, which every pivot updates in place
+    reduced, rhs = tab[m, : n + m], tab[:m, -1]
 
     budget = 2000 * (m + n)
     stalled = bland = 0
     for pivots in range(budget):
-        reduced = tab[m, : n + m]
         if stalled >= _STALL_PIVOTS:
-            negative = np.flatnonzero(reduced < -_PIVOT_EPS)
-            if negative.size == 0:
+            negative = reduced < -_PIVOT_EPS
+            enter = int(negative.argmax())  # Bland: smallest index
+            if not negative[enter]:
                 break
-            enter = int(negative[0])  # Bland: smallest index
             bland += 1
         else:
-            enter = int(np.argmin(reduced))  # Dantzig: most negative
+            enter = int(reduced.argmin())  # Dantzig: most negative
             if reduced[enter] >= -_PIVOT_EPS:
                 break
-        col = tab[:m, enter]
-        rows = np.flatnonzero(col > _PIVOT_EPS)
-        if rows.size == 0:
+        # the ratio test on Python floats: m is at most tens of rows
+        col = tab[:m, enter].tolist()
+        ratios = [(r / a, i) for i, (a, r) in enumerate(zip(col, rhs.tolist())) if a > _PIVOT_EPS]
+        if not ratios:
             raise ConvergenceError(
                 "LP unbounded; impossible for the games built here"
             )
-        ratios = tab[rows, -1] / col[rows]
-        best = ratios.min()
-        ties = rows[ratios <= best + 1e-12]
-        leave = int(ties[np.argmin(basis[ties])])  # Bland tie-break
+        best = min(r for r, _ in ratios)
+        # Bland tie-break: the smallest basic index among the tied rows
+        leave = min((i for r, i in ratios if r <= best + 1e-12), key=basis.__getitem__)
         stalled = stalled + 1 if best <= _PIVOT_EPS else 0
         prow = tab[leave] / tab[leave, enter]
-        tab -= np.outer(tab[:, enter], prow)
+        tab -= tab[:, enter, None] * prow
         tab[leave] = prow
         basis[leave] = enter
     else:

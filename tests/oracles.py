@@ -4,8 +4,9 @@ Nothing here imports the package under test: Bessel values come from the
 plain ascending series with incremental terms, zeros from interval
 bisection, polynomial values from the textbook unnormalized recurrences,
 graph spectra from closed forms, circulant connection sets one vector at a
-time, independence and chromatic numbers by exhaustive search, and
-edge-list text by a walk over its lines, one Python step per line.
+time, independence and chromatic numbers by exhaustive search,
+edge-list text by a walk over its lines, one Python step per line, and
+simplex pivots by numpy calls on index arrays, one tableau row set per step.
 Graphs are plain (n, edges) data: a vertex count and an iterable of (u, v)
 pairs on 0..n-1.  Agreement with the package is then evidence, not
 tautology.
@@ -322,3 +323,58 @@ def edge_text_pairs(text: str) -> tuple[np.ndarray, int | None]:
                     raise ValueError(f"malformed edge line {_content('e' + row)!r}") from None
                 raise ValueError(f"expected 'u v' pair, got {_content(row)!r}") from None
         raise
+
+
+# ------------------------------------------------------- simplex pivots
+
+def simplex_maximize_pivots(A, b, c, stall_pivots: int = 8, eps: float = 1e-11):
+    """(x, duals, value, stats) of max c.x s.t. A x <= b, x >= 0, b >= 0.
+
+    The same rules as the package's dense tableau (Dantzig's entering
+    column, Bland's after stall_pivots degenerate pivots in a row, the
+    smallest ratio with ties to the smallest basic index), with the ratio
+    test on numpy index arrays and the update as np.outer, so a pivot in
+    either does the same IEEE operations on the same values.
+    """
+    A, b, c = (np.asarray(v, dtype=float) for v in (A, b, c))
+    m, n = A.shape
+    tab = np.zeros((m + 1, n + m + 1))
+    tab[:m, :n] = A
+    tab[:m, n : n + m] = np.eye(m)
+    tab[:m, -1] = b
+    tab[m, :n] = -c
+    basis = np.arange(n, n + m)
+    stalled = bland = 0
+    for pivots in range(2000 * (m + n)):
+        reduced = tab[m, : n + m]
+        if stalled >= stall_pivots:
+            negative = np.flatnonzero(reduced < -eps)
+            if negative.size == 0:
+                break
+            enter = int(negative[0])
+            bland += 1
+        else:
+            enter = int(np.argmin(reduced))
+            if reduced[enter] >= -eps:
+                break
+        col = tab[:m, enter]
+        rows = np.flatnonzero(col > eps)
+        if rows.size == 0:
+            raise ValueError("LP unbounded")
+        ratios = tab[rows, -1] / col[rows]
+        best = ratios.min()
+        ties = rows[ratios <= best + 1e-12]
+        leave = int(ties[np.argmin(basis[ties])])
+        stalled = stalled + 1 if best <= eps else 0
+        prow = tab[leave] / tab[leave, enter]
+        tab -= np.outer(tab[:, enter], prow)
+        tab[leave] = prow
+        basis[leave] = enter
+    else:
+        raise RuntimeError("pivot budget exhausted")
+    x = np.zeros(n)
+    for row, var in enumerate(basis):
+        if var < n:
+            x[var] = tab[row, -1]
+    stats = {"pivots": pivots, "bland_pivots": bland}
+    return x, tab[m, n : n + m].copy(), float(tab[m, -1]), stats

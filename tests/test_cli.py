@@ -19,9 +19,11 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hoffman.cli
-from hoffman.cli import OUTPUT_SCHEMA, _round_floats, run
+from hoffman.cli import OUTPUT_SCHEMA, _json, run
 from hoffman.euclidean import (
     RadialMeasure,
     optimize_radial_measure,
@@ -31,6 +33,7 @@ from hoffman.euclidean import (
     unit_distance_range,
 )
 from hoffman.graphs import read_graph, spectral_range
+from hoffman.reports import BoundReport
 from hoffman.sphere import (
     SphereMeasure,
     eigenvalue_sequence,
@@ -217,6 +220,18 @@ def test_measure_too_small_to_compute_exits_1(capsys, tmp_path, command, dim, po
     assert _payload(capsys)["status"] == "vacuous"
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sphere_measure_whose_mass_overflows_exits_1(capsys, tmp_path, dim):
+    # each weight is finite, but the eigenvalues summed them to inf (n = 3) or
+    # nan (n = 2) after numpy overflow warnings
+    path = tmp_path / "measure.json"
+    path.write_text(json.dumps({"dim": dim, "atoms": [[0.1, 1e308], [0.2, 1e308]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning would raise here
+        assert run(["sphere", str(path)]) == 1
+    assert "sum of |weight| overflows a double" in _one_error_line(capsys)
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
 def test_radial_bounds_do_not_depend_on_the_scale(capsys, tmp_path, dim):
     # scaling every radius by s scales the profile's argument by 1/s, so the
@@ -357,7 +372,7 @@ def test_optimize_sphere_reports_the_certifying_truncation(capsys):
     mu = optimize_sphere_measure(3, support, K=4)[0]
     seq = eigenvalue_sequence(mu, K)
     m, big = min(0.0, float(seq.values.min())), max(0.0, float(seq.values.max()))
-    assert _round_floats([m, big, seq.tail_bound]) == [
+    assert json.loads(_json([m, big, seq.tail_bound])) == [
         chi["m"],
         chi["M"],
         obj["provenance"]["tail_bound"],
@@ -532,11 +547,64 @@ def test_option_of_another_mode_exits_1(capsys, tmp_path):
     assert "unrecognized arguments: --grid" in _one_error_line(capsys)
 
 
-def test_round_floats_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        _round_floats({"x": float("nan")})
-    with pytest.raises(ValueError):
-        _round_floats([float("inf")])
+def test_json_rejects_nonfinite():
+    with pytest.raises(ValueError, match="^non-finite value nan in output$"):
+        _json({"x": float("nan")})
+    with pytest.raises(ValueError, match="^non-finite value inf in output$"):
+        _json([float("inf")])
+    # a finite float whose 10-digit rounding overflows is refused too;
+    # json.dumps of the rounded value printed Infinity, which is not JSON
+    with pytest.raises(ValueError, match="non-finite value -1.7976931348623157e"):
+        _json({"m": -sys.float_info.max})
+
+
+def _rounded(obj):
+    """10 significant digits on every float, recursively, as a separate pass."""
+    if isinstance(obj, BoundReport):
+        return _rounded(obj.as_dict())
+    if isinstance(obj, float):
+        return float(f"{obj:.10g}")
+    if isinstance(obj, dict):
+        return {k: _rounded(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_rounded(v) for v in obj]
+    return obj
+
+
+# every finite double whose 10-digit rounding is finite too
+_FINITE = st.floats(min_value=-1.797693134e308, max_value=1.797693134e308)
+_TEXT = st.text() | st.sampled_from(["", "\x00\x1f\x7f", '"\\/', "\u2028é€", "\ud800", "🂡"])
+_BOUND_REPORTS = st.builds(
+    BoundReport,
+    kind=st.sampled_from(["chi_lb", "alpha_ratio_ub", "chi_frac_lb"]),
+    value=_FINITE,
+    m=_FINITE,
+    M=_FINITE,
+    R=st.none() | _FINITE,
+    epsilon=st.none() | _FINITE,
+)
+_LEAVES = (
+    _FINITE
+    | st.sampled_from([-0.0, 0.0, 1e-05, 5e-324, 1.797693134e308, 12345678901.5])
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.booleans()
+    | st.none()
+    | _TEXT
+    | _BOUND_REPORTS
+)
+_JSON_OBJECTS = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_OBJECTS)
+def test_json_is_json_dumps_of_the_rounded_object(obj):
+    assert _json(obj) == json.dumps(_rounded(obj), sort_keys=True, indent=2)
 
 
 def _fresh_process_stdout(argv):
@@ -782,6 +850,60 @@ def test_pinned_output(capsys, tmp_path, name):
     assert out == (PINNED_DIR / f"{name}.out").read_text()
 
 
+# bench-like requests of every subcommand, beside the pinned ones
+_PARSE_REQUESTS = [
+    *PINNED_REQUESTS.values(),
+    ["finite", "{dir}/g.txt", "-o", "{dir}/out.json"],
+    ["unit-distance", "--dimension", "5"],
+    ["euclidean", "{dir}/r.json", "--tol", "1e-7"],
+    ["odd-distance", "--beta", "1.021734", "-N", "2"],
+    ["sphere", "-n", "2", "-t", "-0.8090169943749475"],
+    ["sphere", "-n", "5", "-t", "-4.5e-05", "--tol", "1e-9"],
+    ["sphere", "{dir}/s.json", "--kmax", "128"],
+    ["optimize", "--mode", "sphere", "-n", "7", "--kmax", "512", "--support", "-0.95", "-0.71", "0.8"],
+    ["optimize", "--mode", "radial", "-n", "3", "--support", "1.0", "1.8"],
+    ["torus", "--radii", "2", "3", "--moduli", "8", "16", "--annulus", "0.5", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSE_REQUESTS, ids=" ".join)
+def test_subcommand_parser_reads_what_the_top_level_parser_reads(monkeypatch, tmp_path, argv):
+    argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+    parsed = []
+    monkeypatch.setitem(hoffman.cli._DISPATCH, argv[0], lambda args: parsed.append(args) or {})
+    assert run(argv) == 0
+    assert vars(parsed[0]) == vars(hoffman.cli._parser().parse_args(argv))
+    assert parsed[0].subcommand == argv[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["frobnicate"], ["frobnicate", "-t", "1"], ["unit-distance", "--kmax", "3"],
+     ["sphere", "-t"], ["optimize", "--mode", "cubic", "--support", "1"], ["-n", "3", "sphere"]],
+    ids=" ".join,
+)
+def test_refused_argv_keeps_the_top_level_message(capsys, argv):
+    try:
+        hoffman.cli._parser().parse_args(argv)
+        message = "a subcommand is required"  # the only refusal left to run()
+    except hoffman.cli._UsageError as exc:
+        message = str(exc)
+    assert run(argv) == 1
+    assert _one_error_line(capsys) == f"hoffman: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["sphere", "-h"], ["optimize", "--help"]])
+def test_help_exits_0_with_the_top_level_parsers_text(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        hoffman.cli._parser().parse_args(argv)
+    expected = capsys.readouterr().out
+    assert exc.value.code == 0 and expected.startswith("usage: hoffman")
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_cli_imports_no_private_name_from_the_package():
     tree = ast.parse(Path(hoffman.cli.__file__).read_text())
     private = [
@@ -842,4 +964,4 @@ def test_printed_provenance_is_the_ranges(capsys, tmp_path, name):
     if name in ("finite", "torus"):
         assert printed is None and provenance == {}
     else:
-        assert printed == _round_floats(provenance) != {}
+        assert printed == json.loads(_json(provenance)) != {}

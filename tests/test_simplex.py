@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import oracles
+
 from hoffman import (
     ConvergenceError,
     euclidean,
     simplex,
     simplex_maximize,
     solve_matrix_game,
+    sphere,
 )
 
 
@@ -196,3 +199,66 @@ def test_radial_games_take_a_fifth_of_the_bland_pivots(monkeypatch):
     odd = _optimizer_pivots(monkeypatch, radial, 2, [float(d) for d in range(1, 42, 2)], tol=1e-7)
     assert odd[0][0] == (21, 512)
     assert max(k for _, k in odd) <= 1314 // 5
+
+
+def _same_pivots_as_the_reference(A, b, c) -> dict:
+    """The stats of simplex_maximize, after checking it against the oracle's pivots bit for bit."""
+    stats = {}
+    x, duals, value = simplex_maximize(A, b, c, stats=stats)
+    ref_x, ref_duals, ref_value, ref_stats = oracles.simplex_maximize_pivots(A, b, c)
+    assert np.array_equal(x, ref_x) and np.array_equal(duals, ref_duals)
+    assert value == ref_value and stats == ref_stats
+    return stats
+
+
+def _game_lp(payoff):
+    """solve_matrix_game's LP of a payoff: the shifted payoff, b = 1, c = 1."""
+    return payoff + (1.0 - payoff.min()), np.ones(payoff.shape[0]), np.ones(payoff.shape[1])
+
+
+def test_pivots_match_the_reference_on_seeded_games():
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        p, q = int(rng.integers(2, 12)), int(rng.integers(2, 80))
+        _same_pivots_as_the_reference(*_game_lp(rng.uniform(-2.0, 2.0, size=(p, q))))
+
+
+def test_pivots_match_the_reference_where_blands_rule_fires():
+    assert _same_pivots_as_the_reference(BEALE_A, BEALE_B, BEALE_C)["bland_pivots"] > 0
+    A = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    _same_pivots_as_the_reference(A, np.ones(4), np.ones(2))
+
+
+def test_pivots_match_the_reference_on_tied_ratios():
+    # repeated rows of a small-integer payoff tie in every ratio test whose
+    # column is positive on them, so the Bland tie-break decides the row;
+    # nudged by 2e-13, they tie only within the test's 1e-12
+    rng = np.random.default_rng(31)
+    for nudge in (0.0, 2e-13):
+        for _ in range(30):
+            base = rng.integers(-2, 3, size=(int(rng.integers(2, 6)), int(rng.integers(2, 12))))
+            payoff = base[rng.integers(0, len(base), size=2 * len(base))].astype(float)
+            payoff += nudge * rng.integers(0, 2, size=payoff.shape)
+            _same_pivots_as_the_reference(*_game_lp(payoff))
+
+
+@pytest.mark.parametrize("rows", [8, 12, 16])
+def test_pivots_match_the_reference_on_optimize_shapes(monkeypatch, rows):
+    # games of 8-16 support points by 64-512 degrees, seeded and from the
+    # sphere optimizer's own rounds
+    rng = np.random.default_rng(rows)
+    for cols in (64, 128, 256, 512):
+        _same_pivots_as_the_reference(*_game_lp(rng.uniform(-1.0, 1.0, size=(rows, cols))))
+    games = []
+    solve = simplex.simplex_maximize
+
+    def recorded(A, b, c, stats=None):
+        games.append((A, b, c))
+        return solve(A, b, c, stats)
+
+    monkeypatch.setattr(simplex, "simplex_maximize", recorded)
+    support = -0.95 + 1.75 / rows * (np.arange(rows) + rng.uniform(0.2, 0.8, rows))
+    sphere.optimize_sphere_measure(3 + rows % 5, support, K=64 * (rows // 4))
+    assert games and all(A.shape[0] == rows for A, _, _ in games)
+    for game in games:
+        _same_pivots_as_the_reference(*game)

@@ -55,6 +55,10 @@ def test_measure_validation():
             SphereMeasure(3, atoms)
     assert SphereMeasure(3, ((0.5, sys.float_info.min),)).total_mass() == sys.float_info.min
     assert SphereMeasure(3, ((0.5, 0.0),)).total_mass() == 0.0
+    # so is a sum |w| that overflows, cancelling weights too
+    for atoms in (((0.1, 1e308), (0.2, 1e308)), ((0.1, 1e308), (0.2, -1e308))):
+        with pytest.raises(ValueError, match="overflows a double"):
+            SphereMeasure(3, atoms)
 
 
 def test_measure_json_round_trip():
