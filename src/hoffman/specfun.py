@@ -1,27 +1,31 @@
 """Bessel functions, radial Fourier profiles, and normalized Jacobi polynomials.
 
-Everything here is evaluated in pure numpy to double precision with an
-absolute-accuracy target of 1e-10.  Three regimes cover the Bessel domain:
-the ascending power series while its largest term stays small enough that
-alternating cancellation cannot eat the target accuracy, Miller's backward
-recurrence in the intermediate band, and the Hankel asymptotic expansion for
-large argument.  The regime boundaries overlap, so coverage is exhaustive
-for orders up to 60 and arguments up to 1e6.  The series regime is gated
-by the log of the series' largest term, its log-gammas from unshifted
-Stirling (DLMF 5.11.1, at most 5.1e-4 off): a gate threshold is a
-cancellation budget, not a sharp limit, so it needs no more.  The gate is
-evaluated per order, not per call: a search over the doubles finds where
-it stops passing, memoized, so a call chooses the regime by comparing its
-arguments with that limit, and the formula itself decides only the few
-ulps around it where its rounding is ragged.
+Everything here is evaluated in pure numpy to double precision.  Each Bessel
+order has one regime map, found once and memoized: three edges on the
+argument axis that send every argument to one kernel.  omega's own series
+(the J-series over its prefactor) runs while its largest term stays within
+1e4, the J-series while its largest term stays within 3e4, the Hankel
+expansion from max(13, 0.8 nu^2) on, and Miller's backward recurrence in
+between, for orders up to 60 and arguments up to 1e6.  The series limits
+come from a bisection on the closed-form log of the largest term, its
+log-gammas from unshifted Stirling (DLMF 5.11.1, at most 5.1e-4 off): a
+limit is a cancellation budget, not a sharp edge, so it needs no more.
 
-The series and Hankel sums are not run one term per Python step: a chunk
-of terms is one (terms x elements) table, of up to 64 series terms or all
-40 Hankel terms and, unless one term alone is larger, 2^14 cells, so the
-sum over a small input is one table.  Its running products, sums and
-freeze masks come from ufunc accumulations that combine the terms in the
-order of the recurrence, so the results are the same bits as a
-term-by-term loop.
+Accuracy is a measured budget: _OMEGA_ABS_ERR bounds |omega(n, t) -
+Omega_n(t)| for n in [1, 66] and t in [0, 1e6].  Against mpmath, on
+seeded arguments in every regime of every dimension, the largest errors
+were 3.6e-12 in the J-series band of n = 2, 2.1e-12 in omega's own series,
+3.7e-14 for Hankel, 4e-19 for Miller and 6e-17 for cos (n = 1).
+
+A series or Hankel sum is one (terms x elements) table: one division gives
+the ratios of consecutive terms, one running product the terms, and a sum
+over the rows adds them in the order of the recurrence, which keeps
+sin(t)/t within 8.7e-13 where pairwise summation gives 1.7e-12.  Up to 256
+arguments a table takes every term (64 series, 40 Hankel) in one
+accumulation.  A wider table counts the terms its own arguments need and
+runs row by row, and a call with more than 1024 arguments is sorted into
+blocks of 1024, so that large arguments, which need few Hankel terms, do
+not pay for small ones.
 
 The kernels take the Bessel order per element: a scalar, or an array aligned
 with the arguments.  One omega call can so serve several dimensions at once
@@ -48,20 +52,21 @@ _ORDER_MAX = 60.0
 _ARG_MAX = 1e6
 _LOG_SERIES_GATE = math.log(3e4)  # max-term cap: keeps cancellation below ~3e-12
 _LOG_OMEGA_GATE = math.log(1e4)
+# bound on |omega(n, t) - Omega_n(t)| for n in [1, 66] and t in [0, 1e6]: the
+# largest error measured against mpmath, 3.6e-12, with margin
+_OMEGA_ABS_ERR = 1e-11
 _ZERO_TOL = 1e-13  # relative bracket width at which bessel_first_zero stops
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-# series and Hankel terms are tabulated a chunk at a time: at most
-# _SERIES_TERMS or _HANKEL_TERMS (all of them) terms, and at most
-# _TABLE_ELEMENTS cells unless one term alone is larger
-_SERIES_TERMS = 64
+_TERM_TOL = 1e-17  # a sum's table ends once every later term is below this
+_SERIES_TERMS = 64  # any argument the regime map sends to a series needs at most 50
 _HANKEL_TERMS = 40
-_TABLE_ELEMENTS = 1 << 14
-# ulps on each side of a series gate's crossing that are searched for the
-# stretch where rounding makes the gate ragged
-_GATE_BAND = 128
+# k + 1 for ratio k of a sum, and (2k + 1)^2 for Hankel ratio k, as columns
+_STEPS = np.arange(1.0, _SERIES_TERMS + 1.0)[:, None]
+_HANKEL_SQUARES = (2.0 * _STEPS[:_HANKEL_TERMS] - 1.0) ** 2
 # ufunc.accumulate along axis 0 walks a table one column at a time, so wider
 # tables are accumulated by one whole-row operation per row instead
 _ACCUMULATE_WIDTH = 256
+_TABLE_WIDTH = 1024  # arguments per series or Hankel table
 
 
 def _running(ufunc, table: np.ndarray) -> np.ndarray:
@@ -77,13 +82,33 @@ def _running(ufunc, table: np.ndarray) -> np.ndarray:
     return table
 
 
-def _table_rows(size: int, terms: int) -> int:
-    """Terms per chunk of a (terms x elements) table over size elements.
+def _row_sum(table: np.ndarray) -> np.ndarray:
+    """The sum of a table's rows, added in row order.
 
-    A sum of at most terms terms fits one table while it stays within
-    _TABLE_ELEMENTS cells, so a small input makes one pass.
+    Across the rows of a table two or more columns wide, numpy's reduce adds
+    in order; a single column it adds pairwise, so a narrow table is
+    accumulated instead.
     """
-    return max(1, min(terms, _TABLE_ELEMENTS // max(size, 1)))
+    if table.shape[1] <= _ACCUMULATE_WIDTH:
+        return _running(np.add, table)[-1]
+    return np.add.reduce(table, axis=0)
+
+
+def _in_blocks(table_sum, x: np.ndarray, *aligned) -> np.ndarray:
+    """table_sum(x, *aligned), in blocks of at most _TABLE_WIDTH arguments.
+
+    A wider x is taken in increasing order, so that each block's table is
+    as long as its own arguments need and stays within _TABLE_WIDTH columns.
+    aligned holds scalars or arrays aligned with x.
+    """
+    if x.size <= _TABLE_WIDTH:
+        return table_sum(x, *aligned)
+    out = np.empty_like(x)
+    order = np.argsort(x)
+    for s in range(0, x.size, _TABLE_WIDTH):
+        sel = order[s : s + _TABLE_WIDTH]
+        out[sel] = table_sum(x[sel], *(_take(a, sel) for a in aligned))
+    return out
 
 
 def _lgamma_arr(z: np.ndarray) -> np.ndarray:
@@ -106,14 +131,6 @@ def _take(a, mask):
     return a if np.ndim(a) == 0 else a[mask]
 
 
-def _lgamma_exact(z):
-    """math.lgamma of a scalar, or of an array once per distinct value."""
-    if np.ndim(z) == 0:
-        return math.lgamma(z)
-    values, index = np.unique(z, return_inverse=True)
-    return np.array([math.lgamma(v) for v in values.tolist()])[index]
-
-
 def _series_log_maxterm(nu, x: np.ndarray) -> np.ndarray:
     """log of the largest term of the ascending series for J_nu(x), nu per element.
 
@@ -132,193 +149,117 @@ def _series_log_maxterm(nu, x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, out, -np.inf)
 
 
-def _bessel_gate(nu, x: np.ndarray) -> np.ndarray:
-    """Where bessel_j sums the ascending series: its largest term is small."""
-    return _series_log_maxterm(nu, x) <= _LOG_SERIES_GATE
-
-
-def _omega_gate(nu, x: np.ndarray) -> np.ndarray:
-    """Where omega sums its own series, the Bessel one over the prefactor
-    (x/2)^nu / Gamma(nu + 1): while that series' largest term is small it
-    carries full absolute accuracy even where the prefactor would amplify
-    error."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_max = _series_log_maxterm(nu, x) - nu * np.log(x / 2.0) + _lgamma_exact(nu + 1.0)
-    return np.where(x > 0.0, log_max, -np.inf) <= _LOG_OMEGA_GATE
+def _last_passing(passes) -> float:
+    """Where a plain bisection of [0, _ARG_MAX] ends: a double at which passes
+    holds while it fails at the next double up (passes must hold near 0 and
+    fail at _ARG_MAX)."""
+    lo, hi = 0.0, _ARG_MAX
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+    return lo
 
 
 @functools.lru_cache(maxsize=256)
-def _series_limits(gate, nu: float) -> tuple[float, float]:
-    """(lo, hi) for gate at order nu: it passes at every double in [0, lo] and
-    fails at every double in (hi, _ARG_MAX].
+def _regime_map(nu: float) -> tuple:
+    """Order nu's regime map: (omega's edges, bessel_j's edges, log Gamma(nu + 1)).
 
-    The largest series term grows with x, so the gate holds on an interval
-    [0, L], but its rounding makes it ragged within a few ulps of L (hi - lo
-    is at most 45 ulps for orders 0, 1/2, ..., 60); the doubles in (lo, hi]
-    are left to the gate itself.  A search over the bit patterns of the
-    doubles, which order as the doubles do, finds a crossing; the ulps
-    around it then give lo and hi, once the stretch they span sits well
-    inside the searched band.  Like bessel_first_zero, a pure function of
-    the order, memoized.
+    An argument goes to the kernel numbered by how many edges lie below it:
+    0 omega's own series, 1 the J-series, 2 Miller, 3 Hankel.  x_O is where
+    omega's own series (the J-series over its prefactor (x/2)^nu / Gamma(nu +
+    1)) stops keeping its largest term within _LOG_OMEGA_GATE, and x_S where
+    the J-series stops keeping it within _LOG_SERIES_GATE; each is found by a
+    bisection on _series_log_maxterm.  Hankel is valid from max(13, 0.8
+    nu^2), and Miller takes what lies between.  omega's edges are the running
+    maximum of (x_O, x_S, Hankel's start); bessel_j's leave out its own
+    series.  Like bessel_first_zero, a pure function of the order, memoized.
     """
-    top = int(np.float64(_ARG_MAX).view(np.int64))
-    lo, hi = 0, top + 1  # gate passes at lo; hi stands for a failure
-    while hi - lo > 1:
-        step = (hi - lo + 255) // 256
-        cand = np.arange(lo + step, hi, step, dtype=np.int64)
-        fails = ~gate(nu, cand.view(np.float64))
-        k = int(np.argmax(fails)) if fails.any() else cand.size
-        lo, hi = (int(cand[k - 1]) if k else lo), (int(cand[k]) if k < cand.size else hi)
-    band = _GATE_BAND
-    while True:
-        near = np.arange(max(lo - band, 0), min(lo + band, top) + 1, dtype=np.int64)
-        ok = gate(nu, near.view(np.float64))
-        first_fail = int(np.argmin(ok)) if not ok.all() else near.size
-        last_pass = near.size - 1 - int(np.argmax(ok[::-1]))
-        if (first_fail >= band // 2 or near[0] == 0) and (
-            last_pass < near.size - band // 2 or near[-1] == top
-        ):
-            edges = near[[first_fail - 1, last_pass]].view(np.float64)
-            return float(edges[0]), float(edges[1])
-        band *= 8  # pragma: no cover - the ragged stretch is a few ulps wide
+    lg = math.lgamma(nu + 1.0)
+    x_s = _last_passing(lambda x: _series_log_maxterm(nu, x) <= _LOG_SERIES_GATE)
+    x_o = _last_passing(
+        lambda x: _series_log_maxterm(nu, x) - nu * math.log(x / 2.0) + lg <= _LOG_OMEGA_GATE
+    )
+    hankel = max(13.0, 0.8 * nu * nu)
+    j_end = max(x_o, x_s)
+    return (x_o, j_end, max(j_end, hankel)), (-1.0, x_s, max(x_s, hankel)), lg
 
 
-def _series_mask(gate, nu, x: np.ndarray, lo, hi) -> np.ndarray:
-    """gate(nu, x) from its limits; lo and hi are scalars or aligned with x."""
-    series = x <= lo
-    ragged = (x <= hi) & ~series
-    if ragged.any():
-        series[ragged] = gate(_take(nu, ragged), x[ragged])
-    return series
-
-
-def _order_limits(gate, nu):
-    """_series_limits for a scalar order, or arrays (lo, hi) aligned with an
-    order array, looked up once per distinct order."""
-    if np.ndim(nu) == 0:
-        return _series_limits(gate, nu)
-    lo, hi = np.empty((2, nu.size))
-    for order in set(nu.tolist()):
-        sel = nu == order
-        lo[sel], hi[sel] = _series_limits(gate, order)
-    return lo, hi
-
-
-def _ascending_sum(nu, x: np.ndarray, t0: np.ndarray) -> np.ndarray:
-    """sum_m t_m with t_{m+1} = -(x/2)^2 t_m / ((m + 1)(nu + m + 1)).
+def _ascending_sum(nu, x: np.ndarray, t0) -> np.ndarray:
+    """sum_m t_m with t_{m+1} = -(x/2)^2 t_m / ((m + 1)(nu + m + 1)), nu per element.
 
     nu is a scalar or an array like x, one order per element.  With
     t0 = (x/2)^nu / Gamma(nu + 1) this is the ascending series of J_nu(x);
-    with t0 = 1 it is Gamma(nu + 1) (2/x)^nu J_nu(x).  A chunk of terms is
-    one table: one division gives its ratios, one running product
-    its terms and one running sum its partial sums, so every bit matches a
-    term-by-term loop.  The sum stops at the first term where every element
-    has converged.
+    with t0 = 1 it is Gamma(nu + 1) (2/x)^nu J_nu(x).
     """
-    neg_q = -(0.25 * x * x)
-    rows = _table_rows(x.size, _SERIES_TERMS)
-    # row 0 of each table carries the last term and partial sum of the
-    # previous chunk; both tables are reused by every chunk
-    terms = np.empty((rows + 1, x.size))
-    sums = np.empty_like(terms)
-    mag, tol = np.empty((2, rows, x.size))
-    small = np.empty((rows, x.size), dtype=bool)
-    terms[0] = sums[0] = t0
-    for m0 in range(0, 700, rows):
-        r = min(rows, 700 - m0)
-        ms = np.arange(m0, m0 + r, dtype=float)[:, None]
-        t, s = terms[1 : r + 1], sums[1 : r + 1]
-        np.divide(neg_q, (ms + 1.0) * (nu + ms + 1.0), out=t)
-        _running(np.multiply, terms[: r + 1])
-        s[...] = t
-        _running(np.add, sums[: r + 1])
-        # |term| <= 1e-17 (1 + |sum|), elementwise
-        np.abs(s, out=tol[:r])
-        tol[:r] += 1.0
-        tol[:r] *= 1e-17
-        np.less_equal(np.abs(t, out=mag[:r]), tol[:r], out=small[:r])
-        done = small[:r].all(axis=1)
-        if done.any():
-            return s[int(np.argmax(done))]
-        terms[0], sums[0] = t[-1], s[-1]
-    raise ConvergenceError(  # pragma: no cover - gate keeps series short
-        "Bessel series failed to converge", iterations=700
-    )
+    return _in_blocks(_series_table, x, nu, t0)
 
 
-def _bessel_series(nu, x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    zero = x == 0.0
-    out[zero & (nu == 0.0)] = 1.0
-    live = ~zero
-    xs, nu = x[live], _take(nu, live)
-    if xs.size == 0:
-        return out
-    t0 = np.exp(nu * np.log(xs / 2.0) - _lgamma_exact(nu + 1.0))
-    out[live] = _ascending_sum(nu, xs, t0)
-    return out
+def _series_table(x: np.ndarray, nu, t0) -> np.ndarray:
+    """_ascending_sum as one (terms x elements) table.
+
+    One division gives its ratios, one running product its terms, and a sum
+    over the rows adds them in the order of the recurrence.  A narrow table
+    takes all _SERIES_TERMS terms, which costs less than counting them; a
+    wide one as many as the block's largest argument and smallest order
+    need for every later term to fall below _TERM_TOL.
+    """
+    count = _SERIES_TERMS
+    if x.size > _ACCUMULATE_WIDTH:
+        q_max, nu_min = 0.25 * float(x.max()) ** 2, float(np.min(nu))
+        count, bound = 0, float(np.max(np.abs(t0)))
+        while bound > _TERM_TOL and count < _SERIES_TERMS:
+            count += 1
+            bound *= q_max / (count * (nu_min + count))
+    ms = _STEPS[:count]
+    terms = np.empty((count + 1, x.size))
+    terms[0] = t0
+    np.divide(-0.25 * x * x, ms * (nu + ms), out=terms[1:])
+    return _row_sum(_running(np.multiply, terms))
+
+
+def _bessel_series(nu, x: np.ndarray, lg) -> np.ndarray:
+    """J_nu(x) by the ascending series; lg = log Gamma(nu + 1), aligned like nu."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t0 = np.where(x > 0.0, np.exp(nu * np.log(x / 2.0) - lg), nu == 0.0)
+    return _ascending_sum(nu, x, t0)
 
 
 def _bessel_asymptotic(nu, x: np.ndarray) -> np.ndarray:
-    """Hankel expansion; valid once x >= max(13, 0.8 nu^2), nu per element.
+    """Hankel expansion (DLMF 10.17.3), valid once x >= max(13, 0.8 nu^2), nu per element."""
+    return _in_blocks(_hankel_table, x, nu)
 
-    An element freezes once a term stops shrinking or after a term below
-    1e-17.  Terms are tabulated a chunk at a time for the elements not yet
-    frozen: a running logical or gives the chunk's freeze masks and a
-    running sum over the live terms its P and Q partial sums, so every bit
-    matches a term-by-term loop over all elements.
+
+def _hankel_table(x: np.ndarray, nu) -> np.ndarray:
+    """_bessel_asymptotic as one (terms x elements) table.
+
+    Term k + 1 is term k times (mu - (2k + 1)^2) / (8 x (k + 1)), mu = 4 nu^2;
+    even terms go to P and odd ones to Q, with sign (-1)^floor(k/2), which
+    the table folds into its ratios.  On this domain |ratio k| falls and then
+    grows past 1 for good, where the expansion starts to diverge, so a term
+    is kept while the ratio that made it is below 1.  P and Q are sums over
+    the rows, in the order of the recurrence.  A narrow table takes all 40
+    terms; a wide one as many as the block's smallest argument and largest
+    order need for every later term to fall below _TERM_TOL.
     """
     mu = 4.0 * nu * nu
-    p_out, q_out = np.empty_like(x), np.empty_like(x)
-    # the elements not frozen yet, and their running state
-    act = np.arange(x.size)
-    p_sum, q_sum = np.ones_like(x), np.zeros_like(x)
-    term, prev_mag, eight_x = np.ones_like(x), np.full_like(x, np.inf), 8.0 * x
-    k0 = 0
-    while k0 < _HANKEL_TERMS and act.size:
-        ks = np.arange(k0, min(k0 + _table_rows(act.size, _HANKEL_TERMS), _HANKEL_TERMS))
-        k0 += ks.size
-        # term j = k + 1 is (term k * (mu - (2k + 1)^2)) / (8 x (k + 1)): one
-        # table of numerators and one of denominators, then two in-place
-        # operations per term
-        nums = np.empty((ks.size, act.size))
-        np.subtract(mu, ((2.0 * ks + 1.0) ** 2)[:, None], out=nums)
-        terms = np.multiply.outer(ks + 1.0, eight_x)
-        for num, den in zip(nums, terms):
-            np.multiply(term, num, num)
-            term = np.divide(num, den, den)
-        mag = np.abs(terms)
-        # term j is dropped once a term up to j grew or a term before j fell
-        # below 1e-17
-        stop = np.empty(terms.shape, dtype=bool)
-        np.greater_equal(mag[0], prev_mag, out=stop[0])
-        if ks.size > 1:
-            stop[1:] = (mag[1:] >= mag[:-1]) | (mag[:-1] < 1e-17)
-            _running(np.logical_or, stop)
-        # term j goes to Q when j is odd, to P when even, with sign
-        # (-1)^floor(j/2); row 2 + i of live holds j = ks[0] + 1 + i, and the
-        # rows before each sum's first term carry its partial sum
-        j = ks + 1
-        sign = np.where((j // 2) % 2 == 1, -1.0, 1.0)[:, None]
-        live = np.empty((ks.size + 2, act.size))
-        np.multiply(sign, terms, out=live[2:])
-        np.copyto(live[2:], 0.0, where=stop)
-        odd = ks[0] % 2
-        live[odd], live[1 - odd] = q_sum, p_sum
-        q_sum = _running(np.add, live[odd::2])[-1]
-        p_sum = _running(np.add, live[1 - odd :: 2])[-1]
-        term, prev_mag = terms[-1], mag[-1]
-        frozen = stop[-1] | (prev_mag < 1e-17)
-        if frozen.any():
-            p_out[act[frozen]], q_out[act[frozen]] = p_sum[frozen], q_sum[frozen]
-            going = ~frozen
-            act, eight_x, term, prev_mag = act[going], eight_x[going], term[going], prev_mag[going]
-            p_sum, q_sum, mu = p_sum[going], q_sum[going], _take(mu, going)
-    p_out[act], q_out[act] = p_sum, q_sum
+    count = _HANKEL_TERMS
+    if x.size > _ACCUMULATE_WIDTH:
+        x_min, mu_max = float(x.min()), float(np.max(mu))
+        count, bound = 0, 1.0
+        while bound > _TERM_TOL and count < _HANKEL_TERMS:
+            bound *= max(mu_max, (2.0 * count + 1.0) ** 2) / (8.0 * x_min * (count + 1.0))
+            count += 1
+    terms = np.empty((count + 1, x.size))
+    terms[0] = 1.0
+    ratios = terms[1:]
+    np.subtract(mu, _HANKEL_SQUARES[:count], out=ratios)
+    ratios /= _STEPS[:count] * (8.0 * x)
+    np.negative(ratios[1::2], out=ratios[1::2])  # term k + 1 changes sign when even
+    diverging = np.abs(ratios) >= 1.0
+    _running(np.multiply, terms)
+    np.copyto(ratios, 0.0, where=diverging)
+    p, q = _row_sum(terms[0::2]), _row_sum(terms[1::2])
     phase = x - (0.5 * nu + 0.25) * math.pi
-    return np.sqrt(2.0 / (math.pi * x)) * (
-        p_out * np.cos(phase) - q_out * np.sin(phase)
-    )
+    return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(phase) - q * np.sin(phase))
 
 
 def _bessel_miller(nu: float, x: np.ndarray) -> np.ndarray:
@@ -371,6 +312,35 @@ def _bessel_miller(nu: float, x: np.ndarray) -> np.ndarray:
     return saved * np.power(0.5 * x, s) / norm
 
 
+def _by_regime(nu, x: np.ndarray, regime: np.ndarray, lg, scaled: bool) -> np.ndarray:
+    """Each element by the kernel its regime names: 0 omega's own series,
+    1 the J-series, 2 Miller, 3 Hankel.  nu and lg = log Gamma(nu + 1) are
+    scalars or aligned with x.  scaled gives omega's values, the J kernels'
+    times the prefactor Gamma(nu + 1) (2/x)^nu, and otherwise J_nu's.
+    Miller's recurrence runs once per distinct order.
+    """
+    out = np.empty_like(x)
+    for k in np.flatnonzero(np.bincount(regime, minlength=4)).tolist():
+        sel = regime == k
+        xs, nus, lgs = x[sel], _take(nu, sel), _take(lg, sel)
+        if k == 0:
+            out[sel] = _ascending_sum(nus, xs, 1.0)
+            continue
+        if k == 1:
+            val = _bessel_series(nus, xs, lgs)
+        elif k == 2:
+            val, orders = np.empty_like(xs), np.broadcast_to(nus, xs.shape)
+            for order in set(orders.tolist()):
+                one = orders == order
+                val[one] = _bessel_miller(order, xs[one])
+        else:
+            val = _bessel_asymptotic(nus, xs)
+        if scaled:
+            val *= np.exp(lgs + nus * np.log(2.0 / xs))
+        out[sel] = val
+    return out
+
+
 def _argument(x) -> np.ndarray:
     """x as a float array, refused unless every element is finite and in [0, _ARG_MAX]."""
     arr = np.asarray(x, dtype=float)
@@ -380,33 +350,27 @@ def _argument(x) -> np.ndarray:
 
 
 def bessel_j(order, x):
-    """J_order(x) for order in [0, 60] and x in [0, 1e6], accurate to ~1e-10.
+    """J_order(x) for order in [0, 60] and x in [0, 1e6], within _OMEGA_ABS_ERR.
 
-    order is a scalar or an array of the shape of x, one order per element;
-    the series and Hankel regimes then take every order in one pass, and
-    Miller's recurrence runs once per distinct order.
+    Each element goes to the kernel that its order's regime map names, the
+    map omega reads: the ascending series, Miller's recurrence or the
+    Hankel expansion (against mpmath, at most 2.7e-12 off on orders 0 to 60
+    in steps of 1.5).  order is a scalar or an array of the shape of x, one
+    order per element; each distinct order is evaluated on its own.
     """
     nu = np.asarray(order, dtype=float)
     if not np.all((0.0 <= nu) & (nu <= _ORDER_MAX)):
         raise ValueError(f"order must lie in [0, {_ORDER_MAX:g}], got {order!r}")
     arr = _argument(x)
-    nu = float(nu) if nu.ndim == 0 else np.broadcast_to(nu, arr.shape).ravel()
-    scalar = arr.ndim == 0
     xv = arr.ravel()
-
+    nu = np.broadcast_to(nu, arr.shape).ravel()
     out = np.empty_like(xv)
-    series = _series_mask(_bessel_gate, nu, xv, *_order_limits(_bessel_gate, nu))
-    asym = ~series & (xv >= np.maximum(13.0, 0.8 * nu * nu))
-    middle = ~(series | asym)
-    if np.any(series):
-        out[series] = _bessel_series(_take(nu, series), xv[series])
-    if np.any(asym):
-        out[asym] = _bessel_asymptotic(_take(nu, asym), xv[asym])
-    if np.any(middle):
-        for order_k in np.unique(_take(nu, middle)).tolist():
-            sel = middle & (nu == order_k)
-            out[sel] = _bessel_miller(order_k, xv[sel])
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    for value in set(nu.tolist()):
+        sel = nu == value
+        _, edges, lg = _regime_map(value)
+        xs = xv[sel]
+        out[sel] = _by_regime(value, xs, np.searchsorted(edges, xs), lg, scaled=False)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 @functools.lru_cache(maxsize=128)
@@ -450,10 +414,16 @@ def omega(n, t):
     up to 66 so that the derivative omega'(n, t) = -(t/n) omega(n + 2, t)
     (DLMF 10.6.6) is available for every measure dimension up to 64.
 
+    Each element goes straight to the kernel its order's regime map names:
+    omega's own series, the J-series, Miller or Hankel, the last three times
+    the prefactor Gamma(nu + 1) (2/t)^nu.  Every value is within
+    _OMEGA_ABS_ERR of Omega_n.
+
     n may also be a tuple of dimensions: the result then has one row per
     dimension, row i = omega(n[i], t), all computed in one pass with the
-    order per element.  Rows agree with separate calls to ~1e-16: the series
-    sums every row's elements until all of them have converged.
+    order per element.  A row agrees with a separate call's to about 1e-17:
+    a wide table's length, and a sorted block's members, come from all of
+    the call's elements.
     """
     dims = n if isinstance(n, tuple) else (n,)
     dims = tuple(require_integer(k, "dimension") for k in dims)
@@ -478,30 +448,18 @@ def omega(n, t):
 
 def _omega_pass(dims, t: np.ndarray) -> np.ndarray:
     """omega(k, t) for every k >= 2 in dims, one row each, in one pass."""
-    # per dimension: the order, the series limits and log Gamma(nu + 1)
-    per_dim = [
-        (nu, *_series_limits(_omega_gate, nu), math.lgamma(nu + 1.0))
-        for nu in (0.5 * k - 1.0 for k in dims)
-    ]
+    orders = [0.5 * k - 1.0 for k in dims]
+    maps = [_regime_map(nu) for nu in orders]
     if len(dims) == 1:
         # one dimension keeps a scalar order, as omega's single-row calls
-        (nu, lo, hi, lgamma_nu1), tv = per_dim[0], t
+        (nu,), lg, tv = orders, maps[0][2], t
+        regime = np.searchsorted(maps[0][0], t)
     else:
-        nu, lo, hi, lgamma_nu1 = np.repeat(np.array(per_dim).T, t.size, axis=1)
+        nu = np.array(orders).repeat(t.size)
+        lg = np.array([m[2] for m in maps]).repeat(t.size)
         tv = np.concatenate([t] * len(dims))
-    use_series = _series_mask(_omega_gate, nu, tv, lo, hi)
-    if use_series.all():
-        return _ascending_sum(nu, tv, np.ones_like(tv)).reshape(len(dims), t.size)
-
-    out = np.empty_like(tv)
-    if np.any(use_series):
-        ts = tv[use_series]
-        out[use_series] = _ascending_sum(_take(nu, use_series), ts, np.ones_like(ts))
-    rest = ~use_series
-    tr, nu_r = tv[rest], _take(nu, rest)
-    prefactor = np.exp(_take(lgamma_nu1, rest) + nu_r * np.log(2.0 / tr))
-    out[rest] = prefactor * bessel_j(nu_r, tr)
-    return out.reshape(len(dims), t.size)
+        regime = np.concatenate([np.searchsorted(m[0], t) for m in maps])
+    return _by_regime(nu, tv, regime, lg, scaled=True).reshape(len(dims), t.size)
 
 
 def jacobi_sequence(kmax: int, alpha: float, t: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Independent oracles used to derive the expected values frozen in tests.
 
 Nothing here imports the package under test: Bessel values come from the
-plain ascending series with incremental terms, zeros from interval
+plain ascending series with incremental terms or from mpmath's
+arbitrary-precision J_nu, zeros from interval
 bisection, polynomial values from the textbook unnormalized recurrences,
 graph spectra from closed forms, circulant connection sets one vector at a
 time, independence and chromatic numbers by exhaustive search,
@@ -19,6 +20,7 @@ import math
 import re
 import warnings
 
+import mpmath
 import numpy as np
 
 ALPHA_CAP = 30
@@ -38,6 +40,25 @@ def bessel_series(nu: float, x: float) -> float:
         if abs(term) < 1e-30:
             break
     return total
+
+
+def omega_mpmath(n: int, x: float) -> float:
+    """Omega_n(x) = Gamma(n/2) (2/x)^((n-2)/2) J_((n-2)/2)(x), cos x for n = 1,
+    from mpmath at 40 significant digits, rounded once to a double."""
+    if x == 0.0:
+        return 1.0
+    with mpmath.workdps(40):
+        xm = mpmath.mpf(x)
+        if n == 1:
+            return float(mpmath.cos(xm))
+        nu = mpmath.mpf(n) / 2 - 1
+        return float(mpmath.gamma(nu + 1) * (2 / xm) ** nu * mpmath.besselj(nu, xm))
+
+
+def bessel_j_mpmath(nu: float, x: float) -> float:
+    """J_nu(x) from mpmath at 40 significant digits, rounded once to a double."""
+    with mpmath.workdps(40):
+        return float(mpmath.besselj(nu, x))
 
 
 def bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:

@@ -28,8 +28,8 @@ def test_oracles_import_nothing_from_hoffman():
 
 
 def test_package_imports_only_numpy_and_the_standard_library():
-    # pyproject lists numpy as the only runtime dependency; scipy, jsonschema
-    # and hypothesis are installed for the tests alone
+    # pyproject lists numpy as the only runtime dependency; scipy, jsonschema,
+    # hypothesis and mpmath are installed for the tests alone
     allowed = {"numpy"} | set(sys.stdlib_module_names)
     modules = sorted((Path(__file__).resolve().parent.parent / "src" / "hoffman").glob("*.py"))
     assert modules
