@@ -5,8 +5,9 @@ order has one regime map, found once and memoized: three edges on the
 argument axis that send every argument to one kernel.  omega's own series
 (the J-series over its prefactor) runs while its largest term stays within
 1e4, the J-series while its largest term stays within 3e4, the Hankel
-expansion from max(13, 0.8 nu^2) on, and Miller's backward recurrence in
-between, for orders up to 60 and arguments up to 1e6.  The series limits
+expansion above max(13, 0.8 nu^2), and Miller's backward recurrence in
+between, for orders up to 60 and arguments up to 1e6; an argument equal to
+an edge belongs to the regime below it.  The series limits
 come from a bisection on the closed-form log of the largest term, its
 log-gammas from unshifted Stirling (DLMF 5.11.1, at most 5.1e-4 off): a
 limit is a cancellation budget, not a sharp edge, so it needs no more.
@@ -22,10 +23,10 @@ the ratios of consecutive terms, one running product the terms, and a sum
 over the rows adds them in the order of the recurrence, which keeps
 sin(t)/t within 8.7e-13 where pairwise summation gives 1.7e-12.  Up to 256
 arguments a table takes every term (64 series, 40 Hankel) in one
-accumulation.  A wider table counts the terms its own arguments need and
-runs row by row, and a call with more than 1024 arguments is sorted into
-blocks of 1024, so that large arguments, which need few Hankel terms, do
-not pay for small ones.
+accumulation.  A wider call is sorted, and each block of up to 1024
+neighbouring arguments gets a table that counts the terms its own arguments
+need and runs row by row, so that large arguments, which need few Hankel
+terms, do not pay for small ones.
 
 The kernels take the Bessel order per element: a scalar, or an array aligned
 with the arguments.  One omega call can so serve several dimensions at once
@@ -63,10 +64,11 @@ _HANKEL_TERMS = 40
 # k + 1 for ratio k of a sum, and (2k + 1)^2 for Hankel ratio k, as columns
 _STEPS = np.arange(1.0, _SERIES_TERMS + 1.0)[:, None]
 _HANKEL_SQUARES = (2.0 * _STEPS[:_HANKEL_TERMS] - 1.0) ** 2
-# ufunc.accumulate along axis 0 walks a table one column at a time, so wider
-# tables are accumulated by one whole-row operation per row instead
+# ufunc.accumulate along axis 0 walks a table one column at a time, so a call
+# with more arguments than this is sorted, and its tables count their terms
+# and run one whole-row operation per row
 _ACCUMULATE_WIDTH = 256
-_TABLE_WIDTH = 1024  # arguments per series or Hankel table
+_BLOCK_WIDTH = 1024  # arguments per series or Hankel table
 
 
 def _running(ufunc, table: np.ndarray) -> np.ndarray:
@@ -95,19 +97,18 @@ def _row_sum(table: np.ndarray) -> np.ndarray:
 
 
 def _in_blocks(table_sum, x: np.ndarray, *aligned) -> np.ndarray:
-    """table_sum(x, *aligned), in blocks of at most _TABLE_WIDTH arguments.
+    """table_sum(x, *aligned), one table per _BLOCK_WIDTH consecutive arguments.
 
-    A wider x is taken in increasing order, so that each block's table is
-    as long as its own arguments need and stays within _TABLE_WIDTH columns.
-    aligned holds scalars or arrays aligned with x.
+    _by_regime hands a kernel more than _ACCUMULATE_WIDTH arguments in
+    increasing order, so each block's table is as long as its own arguments
+    need.  aligned holds scalars or arrays aligned with x.
     """
-    if x.size <= _TABLE_WIDTH:
+    if x.size <= _BLOCK_WIDTH:  # one block, without the copies
         return table_sum(x, *aligned)
     out = np.empty_like(x)
-    order = np.argsort(x)
-    for s in range(0, x.size, _TABLE_WIDTH):
-        sel = order[s : s + _TABLE_WIDTH]
-        out[sel] = table_sum(x[sel], *(_take(a, sel) for a in aligned))
+    for s in range(0, x.size, _BLOCK_WIDTH):
+        block = slice(s, s + _BLOCK_WIDTH)
+        out[block] = table_sum(x[block], *(_take(a, block) for a in aligned))
     return out
 
 
@@ -163,13 +164,14 @@ def _last_passing(passes) -> float:
 def _regime_map(nu: float) -> tuple:
     """Order nu's regime map: (omega's edges, bessel_j's edges, log Gamma(nu + 1)).
 
-    An argument goes to the kernel numbered by how many edges lie below it:
+    An argument goes to the kernel numbered by how many edges lie strictly
+    below it, so an argument equal to an edge belongs to the regime below:
     0 omega's own series, 1 the J-series, 2 Miller, 3 Hankel.  x_O is where
     omega's own series (the J-series over its prefactor (x/2)^nu / Gamma(nu +
     1)) stops keeping its largest term within _LOG_OMEGA_GATE, and x_S where
     the J-series stops keeping it within _LOG_SERIES_GATE; each is found by a
-    bisection on _series_log_maxterm.  Hankel is valid from max(13, 0.8
-    nu^2), and Miller takes what lies between.  omega's edges are the running
+    bisection on _series_log_maxterm.  Hankel takes the arguments above
+    max(13, 0.8 nu^2), and Miller what lies between.  omega's edges are the running
     maximum of (x_O, x_S, Hankel's start); bessel_j's leave out its own
     series.  Like bessel_first_zero, a pure function of the order, memoized.
     """
@@ -224,7 +226,7 @@ def _bessel_series(nu, x: np.ndarray, lg) -> np.ndarray:
 
 
 def _bessel_asymptotic(nu, x: np.ndarray) -> np.ndarray:
-    """Hankel expansion (DLMF 10.17.3), valid once x >= max(13, 0.8 nu^2), nu per element."""
+    """Hankel expansion (DLMF 10.17.3), for x > max(13, 0.8 nu^2), nu per element."""
     return _in_blocks(_hankel_table, x, nu)
 
 
@@ -318,10 +320,27 @@ def _by_regime(nu, x: np.ndarray, regime: np.ndarray, lg, scaled: bool) -> np.nd
     scalars or aligned with x.  scaled gives omega's values, the J kernels'
     times the prefactor Gamma(nu + 1) (2/x)^nu, and otherwise J_nu's.
     Miller's recurrence runs once per distinct order.
+
+    More than _ACCUMULATE_WIDTH elements are sorted by regime and then by
+    argument, so that each regime is one slice and its series or Hankel
+    blocks hold neighbouring arguments.
     """
+    counts = np.bincount(regime, minlength=4).tolist()
+    if x.size <= _ACCUMULATE_WIDTH:
+        parts = [(k, regime == k) for k in range(4) if counts[k]]
+        return _kernels(nu, x, parts, lg, scaled)
+    order = np.argsort(regime * (2.0 * _ARG_MAX) + x)
+    ends = np.cumsum(counts).tolist()
+    parts = [(k, slice(ends[k] - counts[k], ends[k])) for k in range(4) if counts[k]]
     out = np.empty_like(x)
-    for k in np.flatnonzero(np.bincount(regime, minlength=4)).tolist():
-        sel = regime == k
+    out[order] = _kernels(_take(nu, order), x[order], parts, _take(lg, order), scaled)
+    return out
+
+
+def _kernels(nu, x: np.ndarray, parts, lg, scaled: bool) -> np.ndarray:
+    """_by_regime's values, with parts the (regime, selection) of each kernel."""
+    out = np.empty_like(x)
+    for k, sel in parts:
         xs, nus, lgs = x[sel], _take(nu, sel), _take(lg, sel)
         if k == 0:
             out[sel] = _ascending_sum(nus, xs, 1.0)
@@ -329,15 +348,23 @@ def _by_regime(nu, x: np.ndarray, regime: np.ndarray, lg, scaled: bool) -> np.nd
         if k == 1:
             val = _bessel_series(nus, xs, lgs)
         elif k == 2:
-            val, orders = np.empty_like(xs), np.broadcast_to(nus, xs.shape)
-            for order in set(orders.tolist()):
-                one = orders == order
-                val[one] = _bessel_miller(order, xs[one])
+            val = _per_order(_bessel_miller, nus, xs)
         else:
             val = _bessel_asymptotic(nus, xs)
         if scaled:
             val *= np.exp(lgs + nus * np.log(2.0 / xs))
         out[sel] = val
+    return out
+
+
+def _per_order(kernel, nu, x: np.ndarray) -> np.ndarray:
+    """kernel(order, x) for each distinct order of nu, a scalar or an array like x."""
+    if np.ndim(nu) == 0:
+        return kernel(float(nu), x)
+    out = np.empty_like(x)
+    for order in set(nu.tolist()):
+        one = nu == order
+        out[one] = kernel(order, x[one])
     return out
 
 
@@ -362,14 +389,14 @@ def bessel_j(order, x):
     if not np.all((0.0 <= nu) & (nu <= _ORDER_MAX)):
         raise ValueError(f"order must lie in [0, {_ORDER_MAX:g}], got {order!r}")
     arr = _argument(x)
-    xv = arr.ravel()
-    nu = np.broadcast_to(nu, arr.shape).ravel()
-    out = np.empty_like(xv)
-    for value in set(nu.tolist()):
-        sel = nu == value
+    if nu.ndim:
+        nu = np.broadcast_to(nu, arr.shape).ravel()
+
+    def one_order(value, xs):
         _, edges, lg = _regime_map(value)
-        xs = xv[sel]
-        out[sel] = _by_regime(value, xs, np.searchsorted(edges, xs), lg, scaled=False)
+        return _by_regime(value, xs, np.searchsorted(edges, xs), lg, scaled=False)
+
+    out = _per_order(one_order, nu, arr.ravel())
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 

@@ -1,5 +1,6 @@
 """Bessel functions, their zeros, the radial profile Omega_n, Jacobi polynomials."""
 
+import itertools
 import math
 
 import numpy as np
@@ -213,8 +214,8 @@ def _jacobi_loop_reference(kmax, alpha, t):
 
 
 # up to 256 elements a table takes all 64 series or 40 Hankel terms in one
-# accumulation; up to 1024 it counts its terms and runs row by row; wider
-# calls are sorted into blocks of 1024
+# accumulation; a wider one counts its terms and runs row by row, one table
+# per 1024 arguments
 _KERNEL_SIZES = (1, 7, 256, 257, 1024, 1025, 5000, 1 << 14)
 
 
@@ -311,10 +312,12 @@ def test_omega_within_its_error_budget_against_mpmath():
 def test_omega_sends_each_element_to_one_kernel(monkeypatch):
     # each element of one omega call reaches exactly the kernel its order's
     # map names, through no gate formula and not through bessel_j; the
-    # J-series reaches _ascending_sum through _bessel_series
+    # J-series reaches _ascending_sum through _bessel_series; 122 elements
+    # per call, and 602 for the sorted dispatch of wider calls
     rng = np.random.default_rng(107)
-    t = np.concatenate([[0.0], np.sort(np.exp(rng.uniform(-4.0, 7.5, 60)))])
-    first = {n: omega((n, n + 2), t) for n in range(1, 65)}
+    narrow = np.concatenate([[0.0], np.sort(np.exp(rng.uniform(-4.0, 7.5, 60)))])
+    wide = np.concatenate([[0.0], np.exp(rng.uniform(-4.0, 7.5, 300))])
+    first = {(n, t.size): omega((n, n + 2), t) for n in range(1, 65) for t in (narrow, wide)}
     seen = []
 
     def counting(name, fn):
@@ -333,15 +336,15 @@ def test_omega_sends_each_element_to_one_kernel(monkeypatch):
     monkeypatch.setattr(specfun, "_series_log_maxterm", refuse)
     monkeypatch.setattr(specfun, "bessel_j", refuse)
     ran = set()
-    for n in range(1, 65):
+    for n, t in itertools.product(range(1, 65), (narrow, wide)):
         seen.clear()
-        assert np.array_equal(omega((n, n + 2), t), first[n]), n
+        assert np.array_equal(omega((n, n + 2), t), first[n, t.size]), n
         want = []
         for k in (n, n + 2):
             if k > 1:
                 regime = np.searchsorted(specfun._regime_map(0.5 * k - 1.0)[0], t)
                 want += [(kernels[r], v) for r, v in zip(regime.tolist(), t.tolist())]
-        assert sorted(seen) == sorted(want), n
+        assert sorted(seen) == sorted(want), (n, t.size)
         ran |= {name for name, _ in seen}
     assert ran == set(kernels)
 
