@@ -259,6 +259,8 @@ def _window_scan(mu: RadialMeasure, tol: float, kept: dict | None = None):
     d_max = max(d for d, _ in active)
     d_min = min(d for d, _ in active)
     step = 2.0 * math.pi / (_POINTS_PER_PERIOD * d_max)
+    if math.isinf(step):  # and so is the cutoff: their ratio would be nan
+        raise ValueError(f"radii too small to scan: radius {d_max:.3g} gives an infinite step")
     # |nuhat''| <= sum |w| d^2, so a true extremum between samples can beat its
     # neighbouring sample by at most m2 step^2 / 8; every grid-local extremum
     # within that margin of the best sample is a candidate basin
@@ -369,7 +371,8 @@ def radial_range(mu: RadialMeasure, tol: float = 1e-8) -> SpectralRange:
     the iteration converged to.  Each profile evaluation covers every atom
     and point at once, in blocks of at most 2^14 Bessel arguments.  A scan
     whose first window alone needs more than 1e8 atom evaluations is
-    refused with ConvergenceError.
+    refused with ConvergenceError, and radii too small for a finite grid
+    step (below about 9e-310) with ValueError.
     R = nuhat(0), the total mass, is given only for a nonnegative measure.
     The provenance is {cutoff, grid_points, inf_arg}; a measure with no
     nonzero weight scans nothing and has the range (0, 0).

@@ -8,9 +8,8 @@ argument axis that send every argument to one kernel.  omega's own series
 expansion above max(13, 0.8 nu^2), and Miller's backward recurrence in
 between, for orders up to 60 and arguments up to 1e6; an argument equal to
 an edge belongs to the regime below it.  The series limits
-come from a bisection on the closed-form log of the largest term, its
-log-gammas from unshifted Stirling (DLMF 5.11.1, at most 5.1e-4 off): a
-limit is a cancellation budget, not a sharp edge, so it needs no more.
+come from a bisection, one Python float at a time, on the log of the
+largest term, its log-gammas from math.lgamma.
 
 Accuracy is a measured budget: _OMEGA_ABS_ERR bounds |omega(n, t) -
 Omega_n(t)| for n in [1, 66] and t in [0, 1e6].  Against mpmath, on
@@ -57,7 +56,6 @@ _LOG_OMEGA_GATE = math.log(1e4)
 # largest error measured against mpmath, 3.6e-12, with margin
 _OMEGA_ABS_ERR = 1e-11
 _ZERO_TOL = 1e-13  # relative bracket width at which bessel_first_zero stops
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _TERM_TOL = 1e-17  # a sum's table ends once every later term is below this
 _SERIES_TERMS = 64  # any argument the regime map sends to a series needs at most 50
 _HANKEL_TERMS = 40
@@ -112,42 +110,20 @@ def _in_blocks(table_sum, x: np.ndarray, *aligned) -> np.ndarray:
     return out
 
 
-def _lgamma_arr(z: np.ndarray) -> np.ndarray:
-    """Stirling's formula for log Gamma(z), z >= 1 (DLMF 5.11.1), for the gate only.
-
-    No shift: the error is at most 5.1e-4 at z = 1 and 2.2e-5 from z = 2 on.
-    Its only arguments are m* + 1 and nu + m* + 1, both >= 1.
-    """
-    return (
-        (z - 0.5) * np.log(z)
-        - z
-        + _HALF_LOG_2PI
-        + 1.0 / (12.0 * z)
-        - 1.0 / (360.0 * z**3)
-    )
-
-
 def _take(a, mask):
     """a[mask] for an array aligned with the mask; a scalar stands for every element."""
     return a if np.ndim(a) == 0 else a[mask]
 
 
-def _series_log_maxterm(nu, x: np.ndarray) -> np.ndarray:
-    """log of the largest term of the ascending series for J_nu(x), nu per element.
+def _series_log_maxterm(nu: float, x: float) -> float:
+    """log of the largest term of the ascending series for J_nu(x), x > 0.
 
-    The term is the one at m* = max(0, (sqrt(nu^2 + x^2) - nu - 2) / 2).  With
-    _lgamma_arr's closed form the log is at most about 1e-3 off, and under
-    1e-6 near the gates' thresholds, where m* is large; a threshold is a
-    cancellation budget with far more slack than that.
+    The term is the one at m* = max(0, (sqrt(nu^2 + x^2) - nu - 2) / 2), a
+    real index at which the log-gammas are math.lgamma's.
     """
-    m_star = np.maximum(0.0, 0.5 * (-(nu + 2.0) + np.sqrt(nu * nu + x * x)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (
-            (nu + 2.0 * m_star) * np.log(x / 2.0)
-            - _lgamma_arr(m_star + 1.0)
-            - _lgamma_arr(nu + m_star + 1.0)
-        )
-    return np.where(x > 0.0, out, -np.inf)
+    m_star = max(0.0, 0.5 * (-(nu + 2.0) + math.sqrt(nu * nu + x * x)))
+    powers = (nu + 2.0 * m_star) * math.log(x / 2.0)
+    return powers - math.lgamma(m_star + 1.0) - math.lgamma(nu + m_star + 1.0)
 
 
 def _last_passing(passes) -> float:
@@ -169,11 +145,11 @@ def _regime_map(nu: float) -> tuple:
     0 omega's own series, 1 the J-series, 2 Miller, 3 Hankel.  x_O is where
     omega's own series (the J-series over its prefactor (x/2)^nu / Gamma(nu +
     1)) stops keeping its largest term within _LOG_OMEGA_GATE, and x_S where
-    the J-series stops keeping it within _LOG_SERIES_GATE; each is found by a
-    bisection on _series_log_maxterm.  Hankel takes the arguments above
-    max(13, 0.8 nu^2), and Miller what lies between.  omega's edges are the running
-    maximum of (x_O, x_S, Hankel's start); bessel_j's leave out its own
-    series.  Like bessel_first_zero, a pure function of the order, memoized.
+    the J-series stops keeping it within _LOG_SERIES_GATE, each the last double
+    at which _series_log_maxterm passes, found by bisection.  Hankel takes
+    the arguments above max(13, 0.8 nu^2), and Miller what lies between.
+    omega's edges are the running maximum of (x_O, x_S, Hankel's start);
+    bessel_j's leave out its own series.  Memoized, like bessel_first_zero.
     """
     lg = math.lgamma(nu + 1.0)
     x_s = _last_passing(lambda x: _series_log_maxterm(nu, x) <= _LOG_SERIES_GATE)
@@ -185,24 +161,17 @@ def _regime_map(nu: float) -> tuple:
     return (x_o, j_end, max(j_end, hankel)), (-1.0, x_s, max(x_s, hankel)), lg
 
 
-def _ascending_sum(nu, x: np.ndarray, t0) -> np.ndarray:
+def _series_table(x: np.ndarray, nu, t0) -> np.ndarray:
     """sum_m t_m with t_{m+1} = -(x/2)^2 t_m / ((m + 1)(nu + m + 1)), nu per element.
 
-    nu is a scalar or an array like x, one order per element.  With
-    t0 = (x/2)^nu / Gamma(nu + 1) this is the ascending series of J_nu(x);
-    with t0 = 1 it is Gamma(nu + 1) (2/x)^nu J_nu(x).
-    """
-    return _in_blocks(_series_table, x, nu, t0)
-
-
-def _series_table(x: np.ndarray, nu, t0) -> np.ndarray:
-    """_ascending_sum as one (terms x elements) table.
-
-    One division gives its ratios, one running product its terms, and a sum
-    over the rows adds them in the order of the recurrence.  A narrow table
-    takes all _SERIES_TERMS terms, which costs less than counting them; a
-    wide one as many as the block's largest argument and smallest order
-    need for every later term to fall below _TERM_TOL.
+    With t0 = (x/2)^nu / Gamma(nu + 1) this is the ascending series of
+    J_nu(x); with t0 = 1 it is Gamma(nu + 1) (2/x)^nu J_nu(x).  The sum is
+    one (terms x elements) table: one division gives its ratios, one running
+    product its terms, and a sum over the rows adds them in the order of the
+    recurrence.  A narrow table takes all _SERIES_TERMS terms, which costs
+    less than counting them; a wide one as many as the block's largest
+    argument and smallest order need for every later term to fall below
+    _TERM_TOL.
     """
     count = _SERIES_TERMS
     if x.size > _ACCUMULATE_WIDTH:
@@ -218,29 +187,18 @@ def _series_table(x: np.ndarray, nu, t0) -> np.ndarray:
     return _row_sum(_running(np.multiply, terms))
 
 
-def _bessel_series(nu, x: np.ndarray, lg) -> np.ndarray:
-    """J_nu(x) by the ascending series; lg = log Gamma(nu + 1), aligned like nu."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t0 = np.where(x > 0.0, np.exp(nu * np.log(x / 2.0) - lg), nu == 0.0)
-    return _ascending_sum(nu, x, t0)
-
-
-def _bessel_asymptotic(nu, x: np.ndarray) -> np.ndarray:
-    """Hankel expansion (DLMF 10.17.3), for x > max(13, 0.8 nu^2), nu per element."""
-    return _in_blocks(_hankel_table, x, nu)
-
-
 def _hankel_table(x: np.ndarray, nu) -> np.ndarray:
-    """_bessel_asymptotic as one (terms x elements) table.
+    """Hankel expansion of J_nu(x) (DLMF 10.17.3), x > max(13, 0.8 nu^2), nu per element.
 
-    Term k + 1 is term k times (mu - (2k + 1)^2) / (8 x (k + 1)), mu = 4 nu^2;
-    even terms go to P and odd ones to Q, with sign (-1)^floor(k/2), which
-    the table folds into its ratios.  On this domain |ratio k| falls and then
-    grows past 1 for good, where the expansion starts to diverge, so a term
-    is kept while the ratio that made it is below 1.  P and Q are sums over
-    the rows, in the order of the recurrence.  A narrow table takes all 40
-    terms; a wide one as many as the block's smallest argument and largest
-    order need for every later term to fall below _TERM_TOL.
+    One (terms x elements) table: term k + 1 is term k times (mu - (2k + 1)^2) /
+    (8 x (k + 1)), mu = 4 nu^2; even terms go to P and odd ones to Q, with sign
+    (-1)^floor(k/2), which the table folds into its ratios.  On this domain
+    |ratio k| falls and then grows past 1 for good, where the expansion starts
+    to diverge, so a term is kept while the ratio that made it is below 1.  P
+    and Q are sums over the rows, in the order of the recurrence.  A narrow
+    table takes all 40 terms; a wide one as many as the block's smallest
+    argument and largest order need for every later term to fall below
+    _TERM_TOL.
     """
     mu = 4.0 * nu * nu
     count = _HANKEL_TERMS
@@ -343,15 +301,16 @@ def _kernels(nu, x: np.ndarray, parts, lg, scaled: bool) -> np.ndarray:
     for k, sel in parts:
         xs, nus, lgs = x[sel], _take(nu, sel), _take(lg, sel)
         if k == 0:
-            out[sel] = _ascending_sum(nus, xs, 1.0)
-            continue
-        if k == 1:
-            val = _bessel_series(nus, xs, lgs)
+            val = _in_blocks(_series_table, xs, nus, 1.0)
+        elif k == 1:  # the J-series, from t0 = (x/2)^nu / Gamma(nu + 1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t0 = np.where(xs > 0.0, np.exp(nus * np.log(xs / 2.0) - lgs), nus == 0.0)
+            val = _in_blocks(_series_table, xs, nus, t0)
         elif k == 2:
             val = _per_order(_bessel_miller, nus, xs)
         else:
-            val = _bessel_asymptotic(nus, xs)
-        if scaled:
+            val = _in_blocks(_hankel_table, xs, nus)
+        if scaled and k > 0:  # omega's own series is scaled already
             val *= np.exp(lgs + nus * np.log(2.0 / xs))
         out[sel] = val
     return out
@@ -382,21 +341,16 @@ def bessel_j(order, x):
     Each element goes to the kernel that its order's regime map names, the
     map omega reads: the ascending series, Miller's recurrence or the
     Hankel expansion (against mpmath, at most 2.7e-12 off on orders 0 to 60
-    in steps of 1.5).  order is a scalar or an array of the shape of x, one
-    order per element; each distinct order is evaluated on its own.
+    in steps of 1.5).  order is one number; an array of orders is refused.
     """
     nu = np.asarray(order, dtype=float)
-    if not np.all((0.0 <= nu) & (nu <= _ORDER_MAX)):
-        raise ValueError(f"order must lie in [0, {_ORDER_MAX:g}], got {order!r}")
+    if nu.ndim or not 0.0 <= nu <= _ORDER_MAX:
+        raise ValueError(f"order must be a scalar in [0, {_ORDER_MAX:g}], got {order!r}")
     arr = _argument(x)
-    if nu.ndim:
-        nu = np.broadcast_to(nu, arr.shape).ravel()
-
-    def one_order(value, xs):
-        _, edges, lg = _regime_map(value)
-        return _by_regime(value, xs, np.searchsorted(edges, xs), lg, scaled=False)
-
-    out = _per_order(one_order, nu, arr.ravel())
+    nu = float(nu)
+    _, edges, lg = _regime_map(nu)
+    xs = arr.ravel()
+    out = _by_regime(nu, xs, np.searchsorted(edges, xs), lg, scaled=False)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 

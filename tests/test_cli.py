@@ -185,8 +185,20 @@ def test_non_integral_measure_dimension_exits_1(capsys, tmp_path, command, measu
         ({"dim": 3, "atoms": [[1e10, 1e300]]}, "max(1, radius^2) must be finite"),
         # each weight is finite, their sum is not
         ({"dim": 3, "atoms": [[1.0, 1e308], [2.0, 1e308]]}, "max(1, radius^2) must be finite"),
+        # the grid step 2 pi / (40 r) overflows, and so did the cutoff: their
+        # ratio was nan, and the scan's int(ceil(nan)) raised
+        ({"dim": 2, "atoms": [[1e-320, 1.0]]}, "radii too small to scan"),
+        ({"dim": 1, "atoms": [[1e-320, 1.0], [2e-320, -0.5]]}, "radii too small to scan"),
     ],
-    ids=["1e308", "2e154", "repeated", "huge-weight", "two-1e308-weights"],
+    ids=[
+        "1e308",
+        "2e154",
+        "repeated",
+        "huge-weight",
+        "two-1e308-weights",
+        "tiny-radius",
+        "tiny-radii-dim1",
+    ],
 )
 def test_bad_radial_measure_exits_1_with_one_line(capsys, tmp_path, measure, message):
     path = tmp_path / "measure.json"
