@@ -120,7 +120,7 @@ def _weighted_rows(w: np.ndarray, blocks, size: int) -> np.ndarray:
     """
     out = np.zeros(size)
     for cols, table in blocks:
-        out[cols] = np.sum(w[:, None] * table, axis=0)
+        out[cols] = np.add.reduce(w[:, None] * table, axis=0)
     return out
 
 
@@ -190,10 +190,13 @@ def _float_gcd(values, rel_tol: float = 1e-9) -> float:
     return g
 
 
-def _profile_jet(mu: RadialMeasure, r: np.ndarray) -> np.ndarray:
-    """(nuhat, nuhat', nuhat'') at the points r, as the rows of a (3, len(r)) array.
+def _profile_jet(mu: RadialMeasure):
+    """r -> (nuhat, nuhat', nuhat'') at the points r, the rows of a (3, len(r)) array.
 
-    One omega pass per block, omega((n, n + 2), t), gives all three:
+    The active atoms and the rows' coefficients are read once, here, so
+    _newton_refine builds them once per refinement; each of its iterations
+    is one call of the jet, the rest is bookkeeping on Python floats.  One
+    omega pass per block, omega((n, n + 2), t), gives all three rows:
     Omega_n'(t) = -(t/n) Omega_{n+2}(t) (DLMF 10.6.6), and the radial
     Helmholtz equation Omega'' + ((n-1)/t) Omega' + Omega = 0 then gives
     Omega_n'' = ((n-1)/n) Omega_{n+2} - Omega_n.  Both hold for n = 1, where Omega_1 = cos.
@@ -201,21 +204,27 @@ def _profile_jet(mu: RadialMeasure, r: np.ndarray) -> np.ndarray:
     """
     n = mu.dim
     d, w = _active_atoms(mu)
-    out = np.zeros((3, r.size))
-    for cols, t in _atom_blocks(d, r):
-        o_n, o_n2 = omega((n, n + 2), t)
-        out[0, cols] = np.sum(w[:, None] * o_n, axis=0)
-        out[1, cols] = np.sum((-w * d / n)[:, None] * t * o_n2, axis=0)
-        out[2, cols] = np.sum((w * d * d)[:, None] * ((n - 1.0) / n * o_n2 - o_n), axis=0)
-    return out
+    c0, c1, c2, k = w[:, None], (-w * d / n)[:, None], (w * d * d)[:, None], (n - 1.0) / n
+
+    def jet(r: np.ndarray) -> np.ndarray:
+        out = np.zeros((3, r.size))
+        for cols, t in _atom_blocks(d, r):
+            o_n, o_n2 = omega((n, n + 2), t)
+            out[0, cols] = np.add.reduce(c0 * o_n, axis=0)
+            out[1, cols] = np.add.reduce(c1 * t * o_n2, axis=0)
+            out[2, cols] = np.add.reduce(c2 * (k * o_n2 - o_n), axis=0)
+        return out
+
+    return jet
 
 
 def _newton_refine(mu: RadialMeasure, r, lo, hi, sign, cutoff: float):
     """Safeguarded Newton on every bracket [lo_k, hi_k] at once, from r_k.
 
     Minimizes g = sign_k * nuhat on bracket k (sign +1 for a low, -1 for a
-    high).  Each iteration evaluates the jet once, on the elements still
-    moving: the sign of g' shrinks the bracket, and the Newton step is taken
+    high).  Each iteration is one jet evaluation, one omega pass over the
+    elements still moving, and then per-element bookkeeping on Python
+    floats: the sign of g' shrinks the bracket, and the Newton step is taken
     when g'' > 0 and it lands inside the bracket, the midpoint otherwise.  An
     element stops once its step is below _NEWTON_RTOL * max(min(1, cutoff),
     x), a floor on the scan window's scale, whatever the radii's.  Returns
@@ -225,26 +234,30 @@ def _newton_refine(mu: RadialMeasure, r, lo, hi, sign, cutoff: float):
     not the best sample's: near a minimum, samples within about sqrt(eps)
     of it differ by less than the rounding noise of nuhat.
     """
-    x, a, b = r.copy(), lo.copy(), hi.copy()
-    args, best = r.copy(), np.full(r.size, np.inf)
-    live = np.arange(r.size)
+    jet = _profile_jet(mu)
+    floor = min(1.0, cutoff)
+    x, a, b, s = r.tolist(), lo.tolist(), hi.tolist(), sign.tolist()
+    args, best = list(x), [math.inf] * len(x)
+    live = range(len(x))
     for _ in range(_NEWTON_ITERS):
-        if live.size == 0:
+        if not live:
             break
-        xl, s = x[live], sign[live]
-        f, f1, f2 = _profile_jet(mu, xl)
-        g1, g2 = s * f1, s * f2
-        args[live] = xl
-        best[live] = np.minimum(best[live], s * f)
-        al = np.where(g1 < 0.0, xl, a[live])
-        bl = np.where(g1 > 0.0, xl, b[live])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = xl - g1 / g2
-        inside = (g2 > 0.0) & (newton >= al) & (newton <= bl)
-        nxt = np.where(inside, newton, 0.5 * (al + bl))
-        a[live], b[live], x[live] = al, bl, nxt
-        live = live[np.abs(nxt - xl) > _NEWTON_RTOL * np.maximum(min(1.0, cutoff), xl)]
-    return args, sign * best
+        moving = []
+        for i, f, f1, f2 in zip(live, *jet(np.array([x[i] for i in live])).tolist()):
+            xi, g1, g2 = x[i], s[i] * f1, s[i] * f2
+            args[i] = xi
+            best[i] = min(s[i] * f, best[i])  # a tie keeps the new value, as np.minimum does
+            if g1 < 0.0:
+                a[i] = xi
+            elif g1 > 0.0:
+                b[i] = xi
+            x[i] = 0.5 * (a[i] + b[i])
+            if g2 > 0.0 and a[i] <= (newton := xi - g1 / g2) <= b[i]:
+                x[i] = newton
+            if abs(x[i] - xi) > _NEWTON_RTOL * max(floor, xi):
+                moving.append(i)
+        live = moving
+    return np.array(args), sign * np.array(best)
 
 
 def _window_scan(mu: RadialMeasure, tol: float, kept: dict | None = None):

@@ -29,6 +29,7 @@ from hoffman import (
     radial_measure_from_json,
     radial_measure_to_json,
     radial_range,
+    specfun,
     steinhardt_measure,
     unit_distance_range,
 )
@@ -258,9 +259,17 @@ def test_unit_distance_bound_examples():
 
 
 def test_unit_distance_matches_scan():
+    # two routes to one range: the closed form never scans or refines
     chi, alpha = unit_distance(2)
     assert abs(chi.value - chromatic(UNIT2).value) < 1e-9
     assert abs(alpha.value - density(UNIT2).value) < 1e-9
+    for n in range(2, 33):
+        scanned = radial_range(RadialMeasure(n, ((1.0, 1.0),)))
+        closed = unit_distance_range(n)
+        assert abs(scanned.m - closed.m) <= 2.0 * specfun._OMEGA_ABS_ERR, n
+        assert scanned.M == closed.M == scanned.R == closed.R == 1.0, n
+        zero = bessel_first_zero(n / 2.0)
+        assert scanned.provenance["inf_arg"] == pytest.approx(zero, rel=1e-9, abs=0.0), n
 
 
 def test_optimizer_single_shell_matches_closed_form():
@@ -374,6 +383,88 @@ def test_batched_refinement_matches_scalar_golden_section():
         assert np.all(np.abs(slope) <= 1e-9 * sum(abs(w) * d for d, w in mu.atoms))
 
 
+def _newton_refine_reference(mu, r, lo, hi, sign, cutoff):
+    """euclidean._newton_refine with its bookkeeping as whole-array numpy
+    operations on the live elements: the form it had before the per-element
+    loop on Python floats, which must give the same iterates, bit for bit."""
+    jet = euclidean._profile_jet(mu)
+    x, a, b = r.copy(), lo.copy(), hi.copy()
+    args, best = r.copy(), np.full(r.size, np.inf)
+    live = np.arange(r.size)
+    for _ in range(euclidean._NEWTON_ITERS):
+        if live.size == 0:
+            break
+        xl, s = x[live], sign[live]
+        f, f1, f2 = jet(xl)
+        g1, g2 = s * f1, s * f2
+        args[live] = xl
+        best[live] = np.minimum(best[live], s * f)
+        al = np.where(g1 < 0.0, xl, a[live])
+        bl = np.where(g1 > 0.0, xl, b[live])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = xl - g1 / g2
+        inside = (g2 > 0.0) & (newton >= al) & (newton <= bl)
+        nxt = np.where(inside, newton, 0.5 * (al + bl))
+        a[live], b[live], x[live] = al, bl, nxt
+        live = live[np.abs(nxt - xl) > euclidean._NEWTON_RTOL * np.maximum(min(1.0, cutoff), xl)]
+    return args, sign * best
+
+
+def _same_refinement_as_the_reference(mu, r, lo, hi, sign, cutoff):
+    got = euclidean._newton_refine(mu, r, lo, hi, sign, cutoff)
+    want = _newton_refine_reference(mu, r, lo, hi, sign, cutoff)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), mu
+    return got
+
+
+@pytest.mark.parametrize("iters", [1, 2, 3, euclidean._NEWTON_ITERS])
+def test_refinement_matches_the_reference_on_seeded_measures(iters, monkeypatch):
+    # fewer iterations return earlier iterates, so those are compared too
+    monkeypatch.setattr(euclidean, "_NEWTON_ITERS", iters)
+    rng = np.random.default_rng(20261019)
+    for i in range(32):
+        k = int(rng.integers(1, 13))
+        radii = np.sort(rng.choice(np.arange(1, 60), size=k, replace=False)) / 20.0
+        weights = rng.uniform(0.05, 1.0, k)
+        if i % 2:
+            weights[rng.choice(k, size=max(1, k // 2), replace=False)] *= -1.0
+        mu = RadialMeasure(i % 8 + 1, tuple(zip(radii, weights)))
+        low_r, high_r, cutoff, _, step = euclidean._window_scan(mu, 1e-8)
+        r = np.array(low_r + high_r)
+        sign = np.repeat([1.0, -1.0], [len(low_r), len(high_r)])
+        lo, hi = np.maximum(0.0, r - step), np.minimum(cutoff, r + step)
+        _same_refinement_as_the_reference(mu, r, lo, hi, sign, cutoff)
+
+
+def test_refinement_matches_the_reference_on_every_branch():
+    # nuhat = 0.6 Omega_3(r) + 0.4 Omega_3(1.7 r) falls from 1 at r = 0 to
+    # its minimum near r = 3.78; the scan's cutoff is 17.06, step 0.092
+    mu = RadialMeasure(3, ((1.0, 0.6), (1.7, 0.4)))
+    _, _, cutoff, _, step = euclidean._window_scan(mu, 1e-8)
+    cases = [  # (r, lo, hi, sign), lows and highs in one call
+        (3.7, 3.6, 3.8, 1.0),  # the Newton step lands inside the bracket
+        (3.0, 2.95, 3.05, 1.0),  # it leaves the bracket: midpoint
+        (0.3, 0.0, 0.6, 1.0),  # g'' < 0 on a bracket touching r = 0
+        (0.0, 0.0, step, 1.0),  # g' = 0 and g'' < 0: the midpoint, not a zero step
+        (3.7, 3.6, 3.8, -1.0),  # g'' < 0 for a high
+        (0.0, 0.0, step, -1.0),  # g' = 0 at r = 0: stops on its first iterate
+        (cutoff, cutoff - step, cutoff, 1.0),  # touches the cutoff, steps out
+    ]
+    r, lo, hi, sign = (np.array(c) for c in zip(*cases))
+    f, f1, f2 = euclidean._profile_jet(mu)(r)
+    g1, g2 = sign * f1, sign * f2
+    with np.errstate(divide="ignore"):
+        newton = r - g1 / g2
+    assert (g2 > 0.0).tolist() == [True, True, False, False, False, True, True]
+    inside = (g2 > 0.0) & (newton >= lo) & (newton <= hi)
+    assert inside.tolist() == [True, False, False, False, False, True, False]
+    args, _ = _same_refinement_as_the_reference(mu, r, lo, hi, sign, cutoff)
+    assert args[3] == pytest.approx(step, rel=1e-9) and args[5] == 0.0 and args[6] == cutoff
+    for k in range(len(cases)):  # and each element alone
+        one = slice(k, k + 1)
+        _same_refinement_as_the_reference(mu, r[one], lo[one], hi[one], sign[one], cutoff)
+
+
 def _closed_form_jet(mu, r):
     """(nuhat', nuhat'') from scipy's J_nu and its derivatives, for r > 0.
 
@@ -406,13 +497,13 @@ def test_profile_jet_matches_scipy_closed_forms(dim):
         ((0.7, 1.0), (1.3, -0.6), (3.0, 0.45), (3.5, -0.2)),
     ):
         mu = RadialMeasure(dim, atoms)
-        value, d1, d2 = euclidean._profile_jet(mu, r)
+        value, d1, d2 = euclidean._profile_jet(mu)(r)
         want1, want2 = _closed_form_jet(mu, r)
         assert np.max(np.abs(value - fourier_radial(mu, r))) <= 1e-13
         assert np.max(np.abs(d1 - want1)) <= 1e-10
         assert np.max(np.abs(d2 - want2)) <= 1e-10
         # at r = 0: Omega_n'(0) = 0 and Omega_n''(0) = -1/n
-        at0 = euclidean._profile_jet(mu, np.zeros(1))[:, 0]
+        at0 = euclidean._profile_jet(mu)(np.zeros(1))[:, 0]
         assert at0[1] == 0.0
         assert at0[2] == pytest.approx(-sum(w * d * d for d, w in atoms) / dim, abs=1e-15)
 
@@ -577,6 +668,8 @@ _OPTIMIZE_ARGV = ["optimize", "--mode", "radial", "--support", "1", "1.445305"]
         (_OPTIMIZE_ARGV, 34),
         # scan and Newton jets, one pass per jet (11 with two)
         (["euclidean", "{file}"], 6),
+        # one scan pass and four Newton jets
+        (["odd-distance", "--beta", "1.55", "-N", "2"], 5),
     ],
 )
 def test_radial_requests_make_a_pinned_number_of_omega_passes(
