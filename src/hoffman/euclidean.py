@@ -29,6 +29,8 @@ _SCAN_BUDGET = 1e8
 # omega cells one optimizer call keeps of its scan tables (8 MB); a scan
 # segment that would pass it is evaluated the same way and not kept
 _KEPT_CELLS = 1 << 20
+# _float_gcd stops once a remainder is below this fraction of the largest value
+_GCD_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -179,8 +181,8 @@ def _tail_envelope(mu: RadialMeasure, r: float) -> float:
     return float(sum(abs(w) * c * bessel_bound(d * r) for d, w in mu.atoms if w != 0.0))
 
 
-def _float_gcd(values, rel_tol: float = 1e-9) -> float:
-    tol = rel_tol * max(values)
+def _float_gcd(values) -> float:
+    tol = _GCD_RTOL * max(values)
     g = values[0]
     for v in values[1:]:
         a, b = g, v

@@ -1,21 +1,24 @@
 """Bessel functions, radial Fourier profiles, and normalized Jacobi polynomials.
 
-Everything here is evaluated in pure numpy to double precision.  Each Bessel
-order has one regime map, found once and memoized: three edges on the
-argument axis that send every argument to one kernel.  omega's own series
-(the J-series over its prefactor) runs while its largest term stays within
-1e4, the J-series while its largest term stays within 3e4, the Hankel
-expansion above max(13, 0.8 nu^2), and Miller's backward recurrence in
-between, for orders up to 60 and arguments up to 1e6; an argument equal to
-an edge belongs to the regime below it.  The series limits
-come from a bisection, one Python float at a time, on the log of the
-largest term, its log-gammas from math.lgamma.
+Everything here is evaluated in pure numpy to double precision.  A Bessel
+value comes from one of three kernels, for orders up to 60 and arguments up
+to 1e6: the ascending series, summed as Gamma(nu + 1) (2/x)^nu J_nu(x) from
+1, Miller's backward recurrence or the Hankel expansion.  Each order has two
+regime maps, found once and memoized, whose two edges send every argument to
+one kernel: the series while its largest term stays within a cap, Hankel
+above max(13, 0.8 nu^2) and Miller in between; an argument equal to an edge
+belongs to the regime below it.  bessel_j's cap is 3e4 on J_nu's series, and
+omega's 1e4 on its own sum, or bessel_j's limit where that lies further
+(n = 2 and 3).  The series limits come from a bisection, one Python float at
+a time, on the log of the largest term, its log-gammas from math.lgamma.
 
-Accuracy is a measured budget: _OMEGA_ABS_ERR bounds |omega(n, t) -
-Omega_n(t)| for n in [1, 66] and t in [0, 1e6].  Against mpmath, on
-seeded arguments in every regime of every dimension, the largest errors
-were 3.6e-12 in the J-series band of n = 2, 2.1e-12 in omega's own series,
-3.7e-14 for Hankel, 4e-19 for Miller and 6e-17 for cos (n = 1).
+Accuracy is a measured budget: _OMEGA_ABS_ERR bounds the error of omega
+(n in [1, 66]) and of bessel_j on [0, 1e6].  Against mpmath, on 1000 seeded
+arguments per regime of each map (uniform in a band, log-uniform from
+Hankel's edge to 1e6; default_rng(2711) for n = 1..66, 2712 for the orders
+0, 1/2, ..., 60), the largest errors were 7.0e-12 in bessel_j's series
+(order 36, x = 33.01), 3.7e-12 in omega's (n = 2), 6.3e-14 for Hankel,
+4.2e-15 for Miller and 1.1e-16 for cos (n = 1).
 
 A series or Hankel sum is one (terms x elements) table: one division gives
 the ratios of consecutive terms, one running product the terms, and a sum
@@ -50,10 +53,10 @@ from .errors import ConvergenceError, require_integer
 
 _ORDER_MAX = 60.0
 _ARG_MAX = 1e6
-_LOG_SERIES_GATE = math.log(3e4)  # max-term cap: keeps cancellation below ~3e-12
-_LOG_OMEGA_GATE = math.log(1e4)
-# bound on |omega(n, t) - Omega_n(t)| for n in [1, 66] and t in [0, 1e6]: the
-# largest error measured against mpmath, 3.6e-12, with margin
+_LOG_SERIES_GATE = math.log(3e4)  # cap on the largest term of J_nu's series
+_LOG_OMEGA_GATE = math.log(1e4)  # cap on the largest term of omega's series
+# error budget of omega and bessel_j: the largest error measured against
+# mpmath, 7.0e-12, with margin
 _OMEGA_ABS_ERR = 1e-11
 _ZERO_TOL = 1e-13  # relative bracket width at which bessel_first_zero stops
 _TERM_TOL = 1e-17  # a sum's table ends once every later term is below this
@@ -140,16 +143,15 @@ def _last_passing(passes) -> float:
 def _regime_map(nu: float) -> tuple:
     """Order nu's regime map: (omega's edges, bessel_j's edges, log Gamma(nu + 1)).
 
-    An argument goes to the kernel numbered by how many edges lie strictly
-    below it, so an argument equal to an edge belongs to the regime below:
-    0 omega's own series, 1 the J-series, 2 Miller, 3 Hankel.  x_O is where
-    omega's own series (the J-series over its prefactor (x/2)^nu / Gamma(nu +
-    1)) stops keeping its largest term within _LOG_OMEGA_GATE, and x_S where
-    the J-series stops keeping it within _LOG_SERIES_GATE, each the last double
-    at which _series_log_maxterm passes, found by bisection.  Hankel takes
-    the arguments above max(13, 0.8 nu^2), and Miller what lies between.
-    omega's edges are the running maximum of (x_O, x_S, Hankel's start);
-    bessel_j's leave out its own series.  Memoized, like bessel_first_zero.
+    An argument goes to the kernel numbered by how many of a map's two edges
+    lie strictly below it: 0 the series, 1 Miller, 2 Hankel.  x_S is where
+    J_nu's series stops keeping its largest term within _LOG_SERIES_GATE,
+    and x_O where the series over its prefactor (x/2)^nu / Gamma(nu + 1)
+    stops keeping it within _LOG_OMEGA_GATE, each the last double at which
+    _series_log_maxterm passes, found by bisection.  omega's series ends at
+    max(x_O, x_S), which of omega's orders is x_S only for n = 2 and 3, and
+    bessel_j's at x_S; Hankel takes the arguments above max(13, 0.8 nu^2)
+    and Miller what lies between.  Memoized, like bessel_first_zero.
     """
     lg = math.lgamma(nu + 1.0)
     x_s = _last_passing(lambda x: _series_log_maxterm(nu, x) <= _LOG_SERIES_GATE)
@@ -157,17 +159,17 @@ def _regime_map(nu: float) -> tuple:
         lambda x: _series_log_maxterm(nu, x) - nu * math.log(x / 2.0) + lg <= _LOG_OMEGA_GATE
     )
     hankel = max(13.0, 0.8 * nu * nu)
-    j_end = max(x_o, x_s)
-    return (x_o, j_end, max(j_end, hankel)), (-1.0, x_s, max(x_s, hankel)), lg
+    x_o = max(x_o, x_s)
+    return (x_o, max(x_o, hankel)), (x_s, max(x_s, hankel)), lg
 
 
-def _series_table(x: np.ndarray, nu, t0) -> np.ndarray:
-    """sum_m t_m with t_{m+1} = -(x/2)^2 t_m / ((m + 1)(nu + m + 1)), nu per element.
+def _series_table(x: np.ndarray, nu) -> np.ndarray:
+    """Gamma(nu + 1) (2/x)^nu J_nu(x) = sum_m t_m, t_0 = 1, nu per element.
 
-    With t0 = (x/2)^nu / Gamma(nu + 1) this is the ascending series of
-    J_nu(x); with t0 = 1 it is Gamma(nu + 1) (2/x)^nu J_nu(x).  The sum is
-    one (terms x elements) table: one division gives its ratios, one running
-    product its terms, and a sum over the rows adds them in the order of the
+    t_{m+1} = -(x/2)^2 t_m / ((m + 1)(nu + m + 1)) is the ascending series of
+    J_nu over its prefactor (x/2)^nu / Gamma(nu + 1).  The sum is one (terms
+    x elements) table: one division gives its ratios, one running product
+    its terms, and a sum over the rows adds them in the order of the
     recurrence.  A narrow table takes all _SERIES_TERMS terms, which costs
     less than counting them; a wide one as many as the block's largest
     argument and smallest order need for every later term to fall below
@@ -176,13 +178,13 @@ def _series_table(x: np.ndarray, nu, t0) -> np.ndarray:
     count = _SERIES_TERMS
     if x.size > _ACCUMULATE_WIDTH:
         q_max, nu_min = 0.25 * float(x.max()) ** 2, float(np.min(nu))
-        count, bound = 0, float(np.max(np.abs(t0)))
+        count, bound = 0, 1.0
         while bound > _TERM_TOL and count < _SERIES_TERMS:
             count += 1
             bound *= q_max / (count * (nu_min + count))
     ms = _STEPS[:count]
     terms = np.empty((count + 1, x.size))
-    terms[0] = t0
+    terms[0] = 1.0
     np.divide(-0.25 * x * x, ms * (nu + ms), out=terms[1:])
     return _row_sum(_running(np.multiply, terms))
 
@@ -226,23 +228,19 @@ def _bessel_miller(nu: float, x: np.ndarray) -> np.ndarray:
     """Backward recurrence with series normalization; x > 0 required."""
     n_int = int(math.floor(nu))
     s = nu - n_int
-    integer_order = s < 1e-12
     top = max(nu, float(np.max(x)))
     start = n_int + 2 + int(
         math.ceil(top - nu) + 2.2 * math.sqrt(40.0 * max(top, 1.0)) + 30
     )
     if start % 2:
         start += 1
-
-    if integer_order:
-        s = 0.0
-        gammas = None
+    # the coefficients g_k of the normalization sum (x/2)^s = sum_k g_k J_{s+2k}
+    if s < 1e-12:  # an integer order: 1 = J_0 + 2 J_2 + 2 J_4 + ...
+        s, gammas = 0.0, [1.0] + [2.0] * (start // 2)
     else:
-        # coefficients of the normalization sum  (x/2)^s = sum_k g_k J_{s+2k}
-        gammas = np.empty(start // 2 + 1)
-        gammas[0] = math.gamma(s + 1.0)
+        gammas = [math.gamma(s + 1.0)]
         for k in range(start // 2):
-            gammas[k + 1] = gammas[k] * (s + 2 * k + 2) / (s + 2 * k) * (s + k) / (k + 1)
+            gammas.append(gammas[k] * (s + 2 * k + 2) / (s + 2 * k) * (s + k) / (k + 1))
 
     inv_x = 2.0 / x
     f_up = np.zeros_like(x)
@@ -254,10 +252,7 @@ def _bessel_miller(nu: float, x: np.ndarray) -> np.ndarray:
         f_up = f
         f = f_down
         if k % 2 == 0:
-            if integer_order:
-                norm += f if k == 0 else 2.0 * f
-            else:
-                norm += gammas[k // 2] * f
+            norm += gammas[k // 2] * f
         if k == n_int:
             saved = f.copy()
         big = np.abs(f) > 1e250
@@ -267,29 +262,27 @@ def _bessel_miller(nu: float, x: np.ndarray) -> np.ndarray:
             f_up *= factor
             norm *= factor
             saved *= factor
-    if integer_order:
-        return saved / norm
     return saved * np.power(0.5 * x, s) / norm
 
 
 def _by_regime(nu, x: np.ndarray, regime: np.ndarray, lg, scaled: bool) -> np.ndarray:
-    """Each element by the kernel its regime names: 0 omega's own series,
-    1 the J-series, 2 Miller, 3 Hankel.  nu and lg = log Gamma(nu + 1) are
-    scalars or aligned with x.  scaled gives omega's values, the J kernels'
-    times the prefactor Gamma(nu + 1) (2/x)^nu, and otherwise J_nu's.
-    Miller's recurrence runs once per distinct order.
+    """Each element by the kernel its regime names: 0 the series, 1 Miller,
+    2 Hankel.  nu and lg = log Gamma(nu + 1) are scalars or aligned with x.
+    scaled gives omega's values, Miller's and Hankel's times Gamma(nu + 1)
+    (2/x)^nu, and otherwise J_nu's, the series' times (x/2)^nu / Gamma(nu +
+    1).  Miller's recurrence runs once per distinct order.
 
     More than _ACCUMULATE_WIDTH elements are sorted by regime and then by
     argument, so that each regime is one slice and its series or Hankel
     blocks hold neighbouring arguments.
     """
-    counts = np.bincount(regime, minlength=4).tolist()
+    counts = np.bincount(regime, minlength=3).tolist()
     if x.size <= _ACCUMULATE_WIDTH:
-        parts = [(k, regime == k) for k in range(4) if counts[k]]
+        parts = [(k, regime == k) for k in range(3) if counts[k]]
         return _kernels(nu, x, parts, lg, scaled)
     order = np.argsort(regime * (2.0 * _ARG_MAX) + x)
     ends = np.cumsum(counts).tolist()
-    parts = [(k, slice(ends[k] - counts[k], ends[k])) for k in range(4) if counts[k]]
+    parts = [(k, slice(ends[k] - counts[k], ends[k])) for k in range(3) if counts[k]]
     out = np.empty_like(x)
     out[order] = _kernels(_take(nu, order), x[order], parts, _take(lg, order), scaled)
     return out
@@ -301,16 +294,15 @@ def _kernels(nu, x: np.ndarray, parts, lg, scaled: bool) -> np.ndarray:
     for k, sel in parts:
         xs, nus, lgs = x[sel], _take(nu, sel), _take(lg, sel)
         if k == 0:
-            val = _in_blocks(_series_table, xs, nus, 1.0)
-        elif k == 1:  # the J-series, from t0 = (x/2)^nu / Gamma(nu + 1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t0 = np.where(xs > 0.0, np.exp(nus * np.log(xs / 2.0) - lgs), nus == 0.0)
-            val = _in_blocks(_series_table, xs, nus, t0)
-        elif k == 2:
+            val = _in_blocks(_series_table, xs, nus)
+            if not scaled:  # J_0(0) = 1, J_nu(0) = 0 for nu > 0
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    val *= np.where(xs > 0.0, np.exp(nus * np.log(xs / 2.0) - lgs), nus == 0.0)
+        elif k == 1:
             val = _per_order(_bessel_miller, nus, xs)
         else:
             val = _in_blocks(_hankel_table, xs, nus)
-        if scaled and k > 0:  # omega's own series is scaled already
+        if scaled and k > 0:
             val *= np.exp(lgs + nus * np.log(2.0 / xs))
         out[sel] = val
     return out
@@ -338,10 +330,10 @@ def _argument(x) -> np.ndarray:
 def bessel_j(order, x):
     """J_order(x) for order in [0, 60] and x in [0, 1e6], within _OMEGA_ABS_ERR.
 
-    Each element goes to the kernel that its order's regime map names, the
-    map omega reads: the ascending series, Miller's recurrence or the
-    Hankel expansion (against mpmath, at most 2.7e-12 off on orders 0 to 60
-    in steps of 1.5).  order is one number; an array of orders is refused.
+    Each element goes to the kernel that bessel_j's regime map for the order
+    names: the series, Miller's recurrence or the Hankel expansion (against
+    mpmath, at most 7.0e-12 off on the module docstring's sample).  order is
+    one number; an array of orders is refused.
     """
     nu = np.asarray(order, dtype=float)
     if nu.ndim or not 0.0 <= nu <= _ORDER_MAX:
@@ -366,8 +358,7 @@ def bessel_first_zero(order: float) -> float:
     """
     nu = float(order)
     a = nu + 1.0
-    fa = bessel_j(nu, a)
-    if fa <= 0.0:  # pragma: no cover - first zero always exceeds order + 1
+    if bessel_j(nu, a) <= 0.0:  # pragma: no cover - first zero always exceeds order + 1
         raise ConvergenceError("bracket start landed past the first zero")
     step = 0.5
     b = a + step
@@ -395,10 +386,10 @@ def omega(n, t):
     up to 66 so that the derivative omega'(n, t) = -(t/n) omega(n + 2, t)
     (DLMF 10.6.6) is available for every measure dimension up to 64.
 
-    Each element goes straight to the kernel its order's regime map names:
-    omega's own series, the J-series, Miller or Hankel, the last three times
-    the prefactor Gamma(nu + 1) (2/t)^nu.  Every value is within
-    _OMEGA_ABS_ERR of Omega_n.
+    Each element goes straight to the kernel that omega's regime map for its
+    order names: the series, which sums omega's value itself, or Miller or
+    Hankel, times the prefactor Gamma(nu + 1) (2/t)^nu.  Every value is
+    within _OMEGA_ABS_ERR of Omega_n.
 
     n may also be a tuple of dimensions: the result then has one row per
     dimension, row i = omega(n[i], t), all computed in one pass with the

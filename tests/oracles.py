@@ -61,6 +61,15 @@ def bessel_j_mpmath(nu: float, x: float) -> float:
         return float(mpmath.besselj(nu, x))
 
 
+def bessel_first_zero_mpmath(nu: float) -> tuple[float, float]:
+    """(j, |J_nu'(j)|) for j the first positive zero of J_nu, from mpmath at
+    40 significant digits, each rounded once to a double; at a zero of J_nu,
+    J_nu' = -J_(nu+1) (DLMF 10.6.2)."""
+    with mpmath.workdps(40):
+        j = mpmath.besseljzero(mpmath.mpf(nu), 1)
+        return float(j), float(abs(mpmath.besselj(nu + 1, j)))
+
+
 def bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
     flo = f(lo)
     if flo == 0.0:

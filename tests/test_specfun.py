@@ -86,6 +86,19 @@ def test_first_zeros_against_scipy():
         assert abs(bessel_first_zero(float(order)) - want) < 1e-10
 
 
+def test_first_zeros_against_mpmath_for_every_order_the_package_uses():
+    # radial_range and unit_distance_range ask for the orders n/2 with
+    # n = 2..32; here 0, 1/2, ..., 16.  The bisection stops once its bracket
+    # is at most _ZERO_TOL max(1, mid) wide and returns the midpoint, so it
+    # lies within half that of a sign change of the computed J_nu, and with
+    # |bessel_j - J_nu| <= _OMEGA_ABS_ERR that sign change lies within
+    # _OMEGA_ABS_ERR / |J_nu'(j)| of the zero j, to first order in the error
+    for nu in [0.5 * i for i in range(33)]:
+        j, slope = oracles.bessel_first_zero_mpmath(nu)
+        bound = 0.5 * specfun._ZERO_TOL * max(1.0, j) + specfun._OMEGA_ABS_ERR / slope
+        assert abs(bessel_first_zero(nu) - j) <= bound, nu
+
+
 def test_first_zero_is_a_sign_change():
     for nu in [0.0, 0.75, 2.5, 7.0, 30.0]:
         z = bessel_first_zero(nu)
@@ -146,8 +159,8 @@ def test_omega_refuses_non_integral_dimension():
 _BUDGET = specfun._OMEGA_ABS_ERR
 
 
-def _ascending_loop(nu, x, t0):
-    term = t0 * np.ones_like(x)
+def _ascending_loop(nu, x):
+    term = np.ones_like(x)
     total = term.copy()
     q = 0.25 * x * x
     for m in range(700):
@@ -213,23 +226,32 @@ def _ulps_around(x, count):
 
 def test_regime_map_limits_are_where_the_gates_stop_passing():
     # the bisection's invariant at both series limits: the gate passes there
-    # and fails one double up; then the edges of both maps from the limits
+    # and fails one double up.  omega's series limit is its own gate's for
+    # every order from 1 on (n >= 4), so the merged series band widens
+    # omega's series only for n = 2 and 3, where it ends at bessel_j's limit
     others = np.random.default_rng(108).uniform(0.0, 60.0, 8).tolist()
     for nu in [0.5 * i for i in range(121)] + others:
-        (x_o, j_end, h_o), (below, x_s, h_j), lg = specfun._regime_map(nu)
-        assert lg == math.lgamma(nu + 1.0) and below < 0.0
-        for limit, log_max, gate in (
-            (x_s, lambda x: specfun._series_log_maxterm(nu, x), specfun._LOG_SERIES_GATE),
-            (
-                x_o,
-                lambda x: specfun._series_log_maxterm(nu, x) - nu * math.log(x / 2.0) + lg,
-                specfun._LOG_OMEGA_GATE,
-            ),
-        ):
-            assert 10.0 < limit < 60.0, nu
-            assert log_max(limit) <= gate < log_max(np.nextafter(limit, math.inf)), nu
+        (x_o, h_o), (x_s, h_j), lg = specfun._regime_map(nu)
+        assert lg == math.lgamma(nu + 1.0)
+
+        def j_log_max(x):
+            return specfun._series_log_maxterm(nu, x)
+
+        def omega_log_max(x):
+            return specfun._series_log_maxterm(nu, x) - nu * math.log(x / 2.0) + lg
+
+        above_o, above_s = np.nextafter(x_o, math.inf), np.nextafter(x_s, math.inf)
+        assert 10.0 < x_s <= x_o < 60.0, nu
+        assert j_log_max(x_s) <= specfun._LOG_SERIES_GATE < j_log_max(above_s), nu
+        assert specfun._LOG_OMEGA_GATE < omega_log_max(above_o), nu
+        own = omega_log_max(x_o) <= specfun._LOG_OMEGA_GATE
+        assert own or x_o == x_s, nu
+        if nu >= 1.0:  # x_O >= x_S
+            assert own, nu
+        if nu in (0.0, 0.5):  # x_O < x_S
+            assert not own, nu
         hankel = max(13.0, 0.8 * nu * nu)
-        assert (j_end, h_o, h_j) == (max(x_o, x_s), max(x_o, x_s, hankel), max(x_s, hankel))
+        assert (h_o, h_j) == (max(x_o, hankel), max(x_s, hankel))
 
 
 def test_omega_agrees_with_mpmath_around_every_regime_limit():
@@ -240,7 +262,7 @@ def test_omega_agrees_with_mpmath_around_every_regime_limit():
     worst = 0.0
     for n in range(2, 67):
         nu = 0.5 * n - 1.0
-        omega_edges, (_, *j_edges), _ = specfun._regime_map(nu)
+        omega_edges, j_edges, _ = specfun._regime_map(nu)
         x = np.concatenate([_ulps_around(e, 2) for e in sorted(set(omega_edges))])
         want = np.array([oracles.omega_mpmath(n, v) for v in x.tolist()])
         worst = max(worst, float(np.max(np.abs(omega(n, x) - want))))
@@ -269,13 +291,13 @@ def test_omega_within_its_error_budget_against_mpmath():
 
 
 def test_bessel_within_its_stated_error_against_mpmath():
-    # bessel_j's docstring states its error on orders 0 to 60 in steps of
-    # 1.5; fresh seeded arguments, four per regime of bessel_j's map for each
-    # of those 41 orders, Hankel's on a log scale out to 1e6
+    # bessel_j's budget is _OMEGA_ABS_ERR; fresh seeded arguments, four per
+    # regime of bessel_j's map for each order 0 to 60 in steps of 1.5,
+    # Hankel's on a log scale out to 1e6
     rng = np.random.default_rng(2507)
     worst = 0.0
     for nu in [1.5 * i for i in range(41)]:
-        _, (_, *edges), _ = specfun._regime_map(nu)
+        _, edges, _ = specfun._regime_map(nu)
         bounds = [0.0, *edges]
         spans = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
         x = np.concatenate(
@@ -289,9 +311,10 @@ def test_bessel_within_its_stated_error_against_mpmath():
 
 def test_omega_sends_each_element_to_one_kernel(monkeypatch):
     # each element of one omega call reaches exactly the kernel its order's
-    # map names, through no gate formula and not through bessel_j; both
-    # series regimes reach _series_table; 122 elements per call, and 602 for
-    # the sorted dispatch of wider calls
+    # map names, through no gate formula and not through bessel_j, and each
+    # element of a bessel_j call the kernel bessel_j's map names: the series,
+    # Miller or Hankel; 122 elements per omega call, and 602 for the sorted
+    # dispatch of wider calls
     rng = np.random.default_rng(107)
     narrow = np.concatenate([[0.0], np.sort(np.exp(rng.uniform(-4.0, 7.5, 60)))])
     wide = np.concatenate([[0.0], np.exp(rng.uniform(-4.0, 7.5, 300))])
@@ -309,8 +332,12 @@ def test_omega_sends_each_element_to_one_kernel(monkeypatch):
     def refuse(*args):
         raise AssertionError("omega went through a gate formula or bessel_j")
 
-    kernels = ("_series_table", "_series_table", "_bessel_miller", "_hankel_table")
-    for name in set(kernels):
+    def dispatched(edges, t):
+        regime = np.searchsorted(edges, t)
+        return [(kernels[r], v) for r, v in zip(regime.tolist(), t.tolist())]
+
+    kernels = ("_series_table", "_bessel_miller", "_hankel_table")
+    for name in kernels:
         monkeypatch.setattr(specfun, name, counting(name, getattr(specfun, name)))
     monkeypatch.setattr(specfun, "_series_log_maxterm", refuse)
     monkeypatch.setattr(specfun, "bessel_j", refuse)
@@ -321,10 +348,13 @@ def test_omega_sends_each_element_to_one_kernel(monkeypatch):
         want = []
         for k in (n, n + 2):
             if k > 1:
-                regime = np.searchsorted(specfun._regime_map(0.5 * k - 1.0)[0], t)
-                want += [(kernels[r], v) for r, v in zip(regime.tolist(), t.tolist())]
+                want += dispatched(specfun._regime_map(0.5 * k - 1.0)[0], t)
         assert sorted(seen) == sorted(want), (n, t.size)
         ran |= {name for name, _ in seen}
+        if n in (1, 16, 33, 64):  # bessel_j on the order of n + 2, n/2
+            seen.clear()
+            bessel_j(0.5 * n, t)  # the package's name; specfun's refuses
+            assert sorted(seen) == sorted(dispatched(specfun._regime_map(0.5 * n)[1], t)), n
     assert ran == set(kernels)
 
 
@@ -334,9 +364,8 @@ def test_ascending_series_table_matches_loop():
         nu = 0.5 * n - 1.0
         for size in _KERNEL_SIZES if n in (2, 3, 34, 66) else (1, 7, 1000):
             x = rng.uniform(0.0, 12.0 + 0.3 * n, size)
-            for t0 in (np.ones(size), rng.uniform(-2.0, 2.0, size)):
-                got = specfun._in_blocks(specfun._series_table, x, nu, t0)
-                assert np.max(np.abs(got - _ascending_loop(nu, x, t0))) <= _BUDGET, (n, size)
+            got = specfun._in_blocks(specfun._series_table, x, nu)
+            assert np.max(np.abs(got - _ascending_loop(nu, x))) <= _BUDGET, (n, size)
 
 
 def test_hankel_table_matches_loop():
@@ -366,7 +395,7 @@ def test_omega_and_bessel_match_loop_kernels_in_every_regime(monkeypatch):
         table[n] = [(omega(n, a), bessel_j(0.5 * n - 1.0, a) if n > 1 else None) for a in cases]
     # the references: the term-by-term loops in place of the tables, on the
     # same regime maps
-    monkeypatch.setattr(specfun, "_series_table", lambda x, nu, t0: _ascending_loop(nu, x, t0))
+    monkeypatch.setattr(specfun, "_series_table", lambda x, nu: _ascending_loop(nu, x))
     monkeypatch.setattr(specfun, "_hankel_table", lambda x, nu: _asymptotic_loop(nu, x))
     for n, got in table.items():
         cases = [t, block] if n in (2, 3, 6, 34, 66) else [t]
@@ -383,9 +412,8 @@ def test_kernels_take_one_order_per_element():
     for size in (1, 7, 1000, 5000):
         nu = 0.5 * rng.integers(0, 66, size)
         x = rng.uniform(0.0, 14.0, size)
-        t0 = rng.uniform(-2.0, 2.0, size)
-        got = specfun._in_blocks(specfun._series_table, x, nu, t0)
-        assert np.max(np.abs(got - _ascending_loop(nu, x, t0))) <= _BUDGET
+        got = specfun._in_blocks(specfun._series_table, x, nu)
+        assert np.max(np.abs(got - _ascending_loop(nu, x))) <= _BUDGET
         x = np.maximum(13.0, 0.8 * nu * nu) * np.exp(rng.uniform(0.0, 4.0, size))
         got = specfun._in_blocks(specfun._hankel_table, x, nu)
         assert np.max(np.abs(got - _asymptotic_loop(nu, x))) <= _BUDGET
