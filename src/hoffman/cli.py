@@ -43,7 +43,7 @@ from .sphere import (
     sphere_measure_from_json,
     sphere_measure_to_json,
 )
-from .torus import convergence_csv, convergence_study
+from .torus import COLUMNS, convergence_csv, convergence_study
 
 SCHEMA_VERSION = 1
 
@@ -118,6 +118,15 @@ def _load_json_file(path: str):
             raise ValueError(f"{path}: not JSON ({exc})") from None
 
 
+def _given(args, **options) -> dict:
+    """{parameter: value} for each {parameter: option} the command line gave.
+
+    An option left out is not passed on, so the library function's own
+    default applies and is declared only there.
+    """
+    return {k: getattr(args, a) for k, a in options.items() if getattr(args, a) is not None}
+
+
 def _cmd_finite(args) -> dict:
     g = read_graph(args.graph)
     rng = spectral_range(g)
@@ -138,7 +147,7 @@ def _cmd_unit_distance(args) -> dict:
 
 def _cmd_euclidean(args) -> dict:
     mu = radial_measure_from_json(_load_json_file(args.measure))
-    rng = radial_range(mu, args.tol)
+    rng = radial_range(mu, **_given(args, tol="tol"))
     return {
         "measure": radial_measure_to_json(mu),
         "bounds": bounds(rng, chi_lb, alpha_ratio_ub),
@@ -148,7 +157,7 @@ def _cmd_euclidean(args) -> dict:
 
 def _cmd_odd_distance(args) -> dict:
     mu = steinhardt_measure(args.beta, args.terms)
-    rng = radial_range(mu, args.tol)
+    rng = radial_range(mu, **_given(args, tol="tol"))
     return {
         "beta": float(args.beta),
         "terms": int(args.terms),
@@ -170,7 +179,7 @@ def _cmd_sphere(args) -> dict:
         dim = 3 if args.dimension is None else args.dimension
         mu = SphereMeasure(dim, ((args.t, 1.0),))
         echo = {"dimension": dim, "t": args.t}
-    rng = operator_range(mu, K=args.kmax, tol=args.tol)
+    rng = operator_range(mu, **_given(args, K="kmax", tol="tol"))
     return {
         **echo,
         "bounds": bounds(rng, chi_lb, alpha_ratio_ub),
@@ -182,11 +191,11 @@ def _cmd_optimize(args) -> dict:
     if args.mode == "radial":
         if args.kmax is not None:
             raise ValueError("--kmax applies only to --mode sphere")
-        mu, rng = optimize_radial_measure(args.dimension, args.support, tol=args.tol)
+        mu, rng = optimize_radial_measure(args.dimension, args.support, **_given(args, tol="tol"))
         measure = radial_measure_to_json(mu)
     else:
-        kmax = 64 if args.kmax is None else args.kmax
-        mu, rng = optimize_sphere_measure(args.dimension, args.support, K=kmax, tol=args.tol)
+        options = _given(args, K="kmax", tol="tol")
+        mu, rng = optimize_sphere_measure(args.dimension, args.support, **options)
         measure = sphere_measure_to_json(mu)
     return {
         "mode": args.mode,
@@ -199,20 +208,14 @@ def _cmd_optimize(args) -> dict:
 
 
 def _cmd_torus(args) -> dict | str:
-    rows = convergence_study(args.dimension, args.radii, args.moduli, tol=args.annulus)
+    rows = convergence_study(args.dimension, args.radii, args.moduli, **_given(args, tol="annulus"))
     if args.format == "csv":
         return convergence_csv(rows)
     return {
         "dimension": args.dimension,
         "radii": [float(d) for d in args.radii],
         "moduli": [int(m) for m in args.moduli],
-        "columns": [
-            "m",
-            "discrete_chi_lb",
-            "discrete_alpha_ub",
-            "continuous_chi_lb",
-            "continuous_alpha_ub",
-        ],
+        "columns": list(COLUMNS),
         "rows": [list(r) for r in rows],
     }
 
@@ -241,33 +244,33 @@ def _parser() -> _Parser:
 
     sp = command("euclidean", "Bounds for a radial measure file.")
     sp.add_argument("measure")
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=float, default=None)
 
     sp = command("odd-distance", "Odd-distance divergence measure.")
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("-N", "--terms", type=int, required=True)
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=float, default=None)
 
     # -n defaults to 3 for -t; a measure file carries its own dimension
     sp = command("sphere", "Distance graphs on the sphere.")
     sp.add_argument("measure", nargs="?", default=None)
     sp.add_argument("-t", type=float, default=None)
     sp.add_argument("-n", "--dimension", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--kmax", type=int, default=64)
+    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--kmax", type=int, default=None)
 
-    # --kmax (default 64) is read by --mode sphere only
+    # --kmax is read by --mode sphere only
     sp = command("optimize", "Optimize a measure on a support.")
     sp.add_argument("--mode", choices=("radial", "sphere"), required=True)
     sp.add_argument("--support", type=float, nargs="+", required=True)
     sp.add_argument("-n", "--dimension", type=int, default=2)
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=float, default=None)
     sp.add_argument("--kmax", type=int, default=None)
 
     sp = command("torus", "Circulant convergence study.")
     sp.add_argument("--radii", type=float, nargs="+", required=True)
     sp.add_argument("--moduli", type=int, nargs="+", required=True)
-    sp.add_argument("--annulus", type=float, default=0.25)
+    sp.add_argument("--annulus", type=float, default=None)
     sp.add_argument("-n", "--dimension", type=int, default=2)
     sp.add_argument("--format", choices=("json", "csv"), default="csv")
 

@@ -23,6 +23,29 @@ def require_tolerance(tol) -> float:
     return tol
 
 
+def require_measure_object(obj) -> tuple:
+    """(dim, atoms) of a measure file's object, the atoms as pairs of floats.
+
+    The object has exactly the keys 'dim' and 'atoms', and atoms is a list
+    of pairs of numbers: an int or a float is a number, a string or a bool
+    is not.  The measure type then checks dim and the values themselves.
+    """
+    if not isinstance(obj, dict) or set(obj) != {"dim", "atoms"}:
+        raise ValueError("measure object must have exactly the keys 'dim' and 'atoms'")
+    if not isinstance(obj["atoms"], (list, tuple)):
+        raise ValueError(f"malformed atoms list: a {type(obj['atoms']).__name__}, not a list")
+    for atom in obj["atoms"]:
+        if not (isinstance(atom, (list, tuple)) and len(atom) == 2):
+            raise ValueError(f"malformed atoms list: {atom!r} is not a pair")
+        for x in atom:
+            if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                raise ValueError(f"malformed atoms list: {x!r} in {atom!r} is not a number")
+    try:
+        return obj["dim"], tuple((float(a), float(b)) for a, b in obj["atoms"])
+    except OverflowError as exc:  # an int past the largest double
+        raise ValueError(f"malformed atoms list: {exc}") from None
+
+
 def require_mass(weights) -> None:
     """Refuse sum |w_i| = inf, or 0 < sum |w_i| < the smallest normal double: subnormal
     weights keep too few digits for a bound.  An all-zero measure stays (vacuous bounds)."""

@@ -14,10 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, require_integer, require_mass, require_tolerance
+from .errors import (
+    ConvergenceError,
+    require_integer,
+    require_mass,
+    require_measure_object,
+    require_tolerance,
+)
 from .reports import SpectralRange
 from .simplex import cutting_planes
-from .specfun import bessel_first_zero, omega
+from .specfun import _row_sum, bessel_first_zero, omega
 
 _POINTS_PER_PERIOD = 40
 _LP_GRID = 512
@@ -85,13 +91,7 @@ def radial_measure_to_json(mu: RadialMeasure) -> dict:
 
 
 def radial_measure_from_json(obj) -> RadialMeasure:
-    if not isinstance(obj, dict) or set(obj) != {"dim", "atoms"}:
-        raise ValueError("measure object must have exactly the keys 'dim' and 'atoms'")
-    try:
-        atoms = [(float(r), float(w)) for r, w in obj["atoms"]]
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed atoms list: {exc}") from exc
-    return RadialMeasure(obj["dim"], tuple(atoms))
+    return RadialMeasure(*require_measure_object(obj))
 
 
 def _active_atoms(mu: RadialMeasure):
@@ -115,45 +115,42 @@ def _atom_blocks(d: np.ndarray, r: np.ndarray):
         yield cols, np.outer(d, r[cols])
 
 
-def _weighted_rows(w: np.ndarray, blocks, size: int) -> np.ndarray:
-    """sum_i w_i table[i] for the (cols, table) omega blocks of size points.
+def fourier_radial(mu: RadialMeasure, r):
+    """nuhat(r) = sum_i w_i Omega_n(d_i r); equals the total mass at r = 0.
 
-    Each block is summed row by row, in atom order.
+    Omega_n is evaluated block by block over the active atoms and points,
+    and each block's rows are added in atom order (specfun._row_sum), a
+    lone column too, however the points are cut into blocks.
     """
-    out = np.zeros(size)
+    arr = np.asarray(r, dtype=float)
+    out = _profile(mu, np.atleast_1d(arr).ravel())
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def _profile(mu: RadialMeasure, r: np.ndarray, kept: dict | None = None) -> np.ndarray:
+    """nuhat at the points of the 1-d array r, summed as fourier_radial sums it.
+
+    kept, if given, keeps the omega blocks keyed by the active radii and the
+    points, while all it holds stays within _KEPT_CELLS cells: the
+    optimizer's rounds scan the same atoms and points with new weights, so
+    omega runs for them once.  Kept or not, the blocks are summed the same
+    way, so the values are the same bits.
+    """
+    d, w = _active_atoms(mu)
+    key = (d.tobytes(), r.tobytes())
+    blocks = None if kept is None else kept.get(key)
+    if blocks is None:
+        blocks = ((cols, omega(mu.dim, t)) for cols, t in _atom_blocks(d, r))
+        if kept is not None and _kept_cells(kept) + d.size * r.size <= _KEPT_CELLS:
+            blocks = kept[key] = list(blocks)
+    out = np.zeros(r.size)
     for cols, table in blocks:
-        out[cols] = np.add.reduce(w[:, None] * table, axis=0)
+        out[cols] = _row_sum(w[:, None] * table)
     return out
 
 
-def fourier_radial(mu: RadialMeasure, r, *, kept: dict | None = None):
-    """nuhat(r) = sum_i w_i Omega_n(d_i r); equals the total mass at r = 0.
-
-    Omega_n is evaluated block by block over the active atoms and points.
-    kept, if given, keeps those omega blocks keyed by the active radii and
-    the points, while all it holds stays within _KEPT_CELLS cells: a caller
-    that weights the same atoms and points many times (the optimizer's
-    rounds) evaluates omega for them once.  Kept or not, the blocks are
-    summed the same way, so the values are the same bits.
-    """
-    arr = np.asarray(r, dtype=float)
-    scalar = arr.ndim == 0
-    rv = np.atleast_1d(arr).astype(float).ravel()
-    d, w = _active_atoms(mu)
-    blocks = None
-    if kept is not None:
-        key = (d.tobytes(), rv.tobytes())
-        blocks = kept.get(key)
-    if blocks is None:
-        blocks = ((cols, omega(mu.dim, t)) for cols, t in _atom_blocks(d, rv))
-        if kept is not None and _kept_cells(kept) + d.size * rv.size <= _KEPT_CELLS:
-            blocks = kept[key] = list(blocks)
-    out = _weighted_rows(w, blocks, rv.size)
-    return float(out[0]) if scalar else out.reshape(arr.shape)
-
-
 def _kept_cells(kept: dict) -> int:
-    """The omega cells held in a fourier_radial kept dict."""
+    """The omega cells held in a _profile kept dict."""
     return sum(table.size for blocks in kept.values() for _, table in blocks)
 
 
@@ -161,22 +158,22 @@ def _tail_envelope(mu: RadialMeasure, r: float) -> float:
     """Upper bound for |nuhat| at every radius from r on, dimension n >= 2.
 
     |Omega_n(t)| = Gamma(n/2) (2/t)^nu |J_nu(t)| with nu = (n - 2)/2, and
-    J_nu^2 + Y_nu^2 bounds J_nu^2 (Watson, Theory of Bessel Functions,
-    §13.74, from Nicholson's integral, DLMF 10.9.30):
-    - nu = 0: t (J_0^2 + Y_0^2) increases to 2/pi, so |J_0(t)| <= sqrt(2/(pi t));
-    - nu >= 1/2 and t > nu: sqrt(t^2 - nu^2) (J_nu^2 + Y_nu^2) increases to
-      2/pi, so |J_nu(t)| <= sqrt(2/pi) (t^2 - nu^2)^(-1/4).  The plain
-      sqrt(2/(pi t)) is not a bound here: sqrt(pi t/2) |J_2(t)| reaches 1.0094.
-    Both decrease in t, so the value at r bounds every radius beyond.  The
-    window's first cutoff is (j_{n/2,1} + 4 pi) / d_min, so every d r from
-    it on exceeds n/2 > nu.
+    J_nu^2 + Y_nu^2 bounds J_nu^2.  For nu = 0 and for every nu >= 1/2 once
+    t > nu, sqrt(t^2 - nu^2) (J_nu^2 + Y_nu^2) increases to 2/pi (Watson,
+    Theory of Bessel Functions, §13.74, from Nicholson's integral, DLMF
+    10.9.30), so |J_nu(t)| <= sqrt(2/pi) (t^2 - nu^2)^(-1/4), which is
+    sqrt(2/(pi t)) at nu = 0.  That plain sqrt(2/(pi t)) is not a bound for
+    larger orders: sqrt(pi t/2) |J_2(t)| reaches 1.0094.  The bound decreases
+    in t, so its value at r bounds every radius beyond.  The window's first
+    cutoff is (j_{n/2,1} + 4 pi) / d_min, so every d r from it on exceeds
+    n/2 > nu.
     """
     n = mu.dim
     nu = (n - 2) / 2.0
     c = math.gamma(n / 2.0) * 2.0**nu * math.sqrt(2.0 / math.pi)
 
     def bessel_bound(t):  # t^-nu |J_nu(t)| <= sqrt(2/pi) bessel_bound(t)
-        return t**-0.5 if n == 2 else t**-nu * (t * t - nu * nu) ** -0.25
+        return t**-nu * (t * t - nu * nu) ** -0.25
 
     return float(sum(abs(w) * c * bessel_bound(d * r) for d, w in mu.atoms if w != 0.0))
 
@@ -202,7 +199,8 @@ def _profile_jet(mu: RadialMeasure):
     Omega_n'(t) = -(t/n) Omega_{n+2}(t) (DLMF 10.6.6), and the radial
     Helmholtz equation Omega'' + ((n-1)/t) Omega' + Omega = 0 then gives
     Omega_n'' = ((n-1)/n) Omega_{n+2} - Omega_n.  Both hold for n = 1, where Omega_1 = cos.
-    Row 0 is summed as in fourier_radial.
+    Row 0 is summed as in fourier_radial at two points or more; numpy adds a
+    lone column pairwise.
     """
     n = mu.dim
     d, w = _active_atoms(mu)
@@ -267,8 +265,10 @@ def _window_scan(mu: RadialMeasure, tol: float, kept: dict | None = None):
 
     Returns (low_r, high_r, cutoff, points, step): the grid points of every
     grid-local low and high that could still be the global one, the cutoff,
-    the number of points scanned and the grid step.  kept is passed on to
-    fourier_radial for every scan segment.
+    the number of points scanned and the grid step.  The first sample is
+    r = 0, and the samples that attain the lowest and the highest value are
+    candidates themselves, so neither list is empty.  kept is passed on to
+    _profile for every scan segment.
     """
     active = [(d, w) for d, w in mu.atoms if w != 0.0]
     d_max = max(d for d, _ in active)
@@ -282,26 +282,23 @@ def _window_scan(mu: RadialMeasure, tol: float, kept: dict | None = None):
     m2 = sum(abs(w) * d * d for d, w in active)
     margin = m2 * step * step / 8.0
 
-    lows: list = []
-    highs: list = []
+    # per sign s, +1 for lows and -1 for highs: (r, s nuhat) at every
+    # grid-local minimum of s nuhat, and the least s nuhat sampled
+    found = {1.0: [], -1.0: []}
+    best = {1.0: math.inf, -1.0: math.inf}
 
-    def scan(lo: float, hi: float):
+    def scan(lo: float, hi: float) -> int:
         count = max(3, int(math.ceil((hi - lo) / step)) + 1)
         grid = np.linspace(lo, hi, count)
-        vals = fourier_radial(mu, grid, kept=kept)
-        left = np.empty(count, dtype=bool)
-        right = np.empty(count, dtype=bool)
-        left[0] = right[-1] = True
-        left[1:] = vals[1:] <= vals[:-1]
-        right[:-1] = vals[:-1] <= vals[1:]
-        for i in np.flatnonzero(left & right):
-            lows.append((float(grid[i]), float(vals[i])))
-        left[1:] = vals[1:] >= vals[:-1]
-        right[:-1] = vals[:-1] >= vals[1:]
-        right[-1] = True
-        for i in np.flatnonzero(left & right):
-            highs.append((float(grid[i]), float(vals[i])))
-        return float(vals.min()), float(vals.max()), count
+        vals = _profile(mu, grid, kept)
+        for s, local in found.items():
+            g = s * vals
+            at = np.ones(count, dtype=bool)  # no neighbour in the segment is lower
+            at[1:] &= g[1:] <= g[:-1]
+            at[:-1] &= g[:-1] <= g[1:]
+            local.extend(zip(grid[at].tolist(), g[at].tolist()))
+            best[s] = min(best[s], float(g.min()))
+        return count
 
     if mu.dim == 1:
         g = _float_gcd([d for d, _ in active])
@@ -312,7 +309,6 @@ def _window_scan(mu: RadialMeasure, tol: float, kept: dict | None = None):
         cutoff = 2.0 * math.pi / g + step
         if cutoff / step > 2e6:
             raise ConvergenceError("dimension-1 period too long to scan")
-        val_min, val_max, points = scan(0.0, cutoff)
     else:
         cutoff = (bessel_first_zero(mu.dim / 2.0) + 4.0 * math.pi) / d_min
         if cutoff / step * len(active) > _SCAN_BUDGET:
@@ -320,54 +316,47 @@ def _window_scan(mu: RadialMeasure, tol: float, kept: dict | None = None):
                 f"profile scan too large: about {cutoff / step * len(active):.3g} "
                 f"atom evaluations in the first window, limit {_SCAN_BUDGET:.3g}"
             )
-        val_min, val_max, points = scan(0.0, cutoff)
-        for _ in range(80):
-            env = _tail_envelope(mu, cutoff)
-            if env <= max(-val_min, tol) and env <= max(val_max, tol):
-                break
-            new_cutoff = cutoff * 1.6
-            v_min, v_max, extra = scan(cutoff, new_cutoff)
-            points += extra
-            val_min = min(val_min, v_min)
-            val_max = max(val_max, v_max)
-            cutoff = new_cutoff
-        else:  # pragma: no cover - envelope decays for every nonzero measure
-            raise ConvergenceError("extrema window budget exhausted")
+    points = scan(0.0, cutoff)
+    for _ in range(80):
+        # one period holds every value in dimension 1; else the envelope past
+        # the cutoff must be below -inf nuhat and sup nuhat, that is -best[s]
+        env = 0.0 if mu.dim == 1 else _tail_envelope(mu, cutoff)
+        if all(env <= max(-b, tol) for b in best.values()):
+            break
+        new_cutoff = cutoff * 1.6
+        points += scan(cutoff, new_cutoff)
+        cutoff = new_cutoff
+    else:  # pragma: no cover - envelope decays for every nonzero measure
+        raise ConvergenceError("extrema window budget exhausted")
 
-    low_r = [r for r, v in lows if v <= val_min + margin]
-    high_r = [r for r, v in highs if v >= val_max - margin]
+    low_r, high_r = ([r for r, g in found[s] if g <= best[s] + margin] for s in (1.0, -1.0))
     return low_r, high_r, cutoff, points, step
 
 
 def _refined_extrema(mu: RadialMeasure, tol: float, kept: dict | None = None):
-    """Scan nuhat and Newton-refine every competing extremal basin together.
+    """The range of nuhat from one scan and one batched refinement, and its lows.
 
-    Returns (lows, highs, cutoff, points) with lows/highs lists of refined
-    (arg, value) candidates; the first entry of each is the exact r = 0
-    endpoint, so the lists are never empty.  kept is passed on to the scan.
+    Returns (range, lows): the SpectralRange radial_range describes, and the
+    refined (arg, value) of every low basin in scan order, which the
+    optimizer cuts with.  m is the first least refined low, so a minimum at
+    the scan's first sample, r = 0, keeps inf_arg 0.0.  kept is passed on
+    to the scan.
     """
-    low_r, high_r, cutoff, points, step = _window_scan(mu, tol, kept)
-    r = np.array(low_r + high_r)
-    args, vals = _newton_refine(
-        mu,
-        r,
-        np.maximum(0.0, r - step),
-        np.minimum(cutoff, r + step),
-        np.repeat([1.0, -1.0], [len(low_r), len(high_r)]),
-        cutoff,
-    )
-    refined = list(zip(args.tolist(), vals.tolist()))
-    v0 = _value_at_zero(mu)
-    ref_lows = [(0.0, v0)] + refined[: len(low_r)]
-    ref_highs = [(0.0, v0)] + refined[len(low_r) :]
-    return ref_lows, ref_highs, cutoff, points
-
-
-def _value_at_zero(mu: RadialMeasure) -> float:
-    """nuhat(0) without a Bessel pass: Omega_n(0) = 1 exactly, so it is the
-    row sum fourier_radial(mu, 0.0) makes of a column of ones, bit for bit."""
-    d, w = _active_atoms(mu)
-    return float(_weighted_rows(w, [(slice(0, 1), np.ones((d.size, 1)))], 1)[0])
+    arg_min = val_min = val_max = cutoff = 0.0
+    points, lows = 0, []
+    if any(w != 0.0 for _, w in mu.atoms):  # else nothing to scan: the range (0, 0)
+        low_r, high_r, cutoff, points, step = _window_scan(mu, tol, kept)
+        r = np.array(low_r + high_r)
+        sign = np.repeat([1.0, -1.0], [len(low_r), len(high_r)])
+        lo, hi = np.maximum(0.0, r - step), np.minimum(cutoff, r + step)
+        args, vals = _newton_refine(mu, r, lo, hi, sign, cutoff)
+        refined = list(zip(args.tolist(), vals.tolist()))
+        lows = refined[: len(low_r)]
+        arg_min, val_min = min(lows, key=lambda p: p[1])
+        val_max = max(v for _, v in refined[len(low_r) :])
+    R = mu.total_mass() if all(w >= 0.0 for _, w in mu.atoms) else None
+    prov = {"cutoff": cutoff, "grid_points": points, "inf_arg": arg_min}
+    return SpectralRange(val_min, val_max, R, provenance=prov), lows
 
 
 def radial_range(mu: RadialMeasure, tol: float = 1e-8) -> SpectralRange:
@@ -378,7 +367,8 @@ def radial_range(mu: RadialMeasure, tol: float = 1e-8) -> SpectralRange:
     extreme values already found (or than tol when an extreme is near zero),
     at which point no point past the cutoff can move either extreme.  In
     dimension 1 the profile is periodic, so one period is scanned instead.
-    Every grid-local low or high that could still be the global one is then
+    The scan starts at r = 0, where nuhat is the total mass.  Every
+    grid-local low or high that could still be the global one is then
     refined in a single batched pass over all such basins: safeguarded
     Newton on the exact derivatives of nuhat (from Omega_n and Omega_{n+2}),
     bisecting whenever a step would leave the basin's bracket.  Each refined
@@ -392,19 +382,7 @@ def radial_range(mu: RadialMeasure, tol: float = 1e-8) -> SpectralRange:
     The provenance is {cutoff, grid_points, inf_arg}; a measure with no
     nonzero weight scans nothing and has the range (0, 0).
     """
-    tol = require_tolerance(tol)
-    if all(w == 0.0 for _, w in mu.atoms):
-        return _extrema_range(mu, [(0.0, 0.0)], [(0.0, 0.0)], 0.0, 0)
-    return _extrema_range(mu, *_refined_extrema(mu, tol))
-
-
-def _extrema_range(mu: RadialMeasure, lows, highs, cutoff: float, points: int) -> SpectralRange:
-    """The range refined (arg, value) lows and highs give, with the scan's provenance."""
-    arg_min, val_min = min(lows, key=lambda p: p[1])
-    val_max = max(v for _, v in highs)
-    R = mu.total_mass() if all(w >= 0.0 for _, w in mu.atoms) else None
-    prov = {"cutoff": cutoff, "grid_points": points, "inf_arg": arg_min}
-    return SpectralRange(val_min, val_max, R, provenance=prov)
+    return _refined_extrema(mu, require_tolerance(tol))[0]
 
 
 def steinhardt_measure(beta: float, N: int) -> RadialMeasure:
@@ -425,6 +403,15 @@ def steinhardt_measure(beta: float, N: int) -> RadialMeasure:
     return RadialMeasure(2, atoms)
 
 
+def _require_dimension(n) -> int:
+    """n as an int in [2, 32], the dimensions unit_distance_range and
+    optimize_radial_measure accept; RadialMeasure checks the type first."""
+    n = RadialMeasure(n, ()).dim
+    if not (2 <= n <= 32):
+        raise ValueError(f"dimension must lie in [2, 32], got {n}")
+    return n
+
+
 def unit_distance_range(n: int) -> SpectralRange:
     """Closed-form range of the unit-distance graph of R^n, without a scan.
 
@@ -434,9 +421,7 @@ def unit_distance_range(n: int) -> SpectralRange:
     {bessel_first_zero: j}, which gives the chromatic bound (1 - v)/(-v) and
     the density bound (-v)/(1 - v).
     """
-    n = RadialMeasure(n, ()).dim  # the measure type validates the dimension
-    if not (2 <= n <= 32):
-        raise ValueError(f"dimension must lie in [2, 32], got {n}")
+    n = _require_dimension(n)
     z = bessel_first_zero(n / 2.0)
     return SpectralRange(float(omega(n, z)), 1.0, 1.0, provenance={"bessel_first_zero": z})
 
@@ -461,9 +446,7 @@ def optimize_radial_measure(
     round, which certified the measure, as radial_range would read it, and
     carries that round's scan provenance.
     """
-    n = RadialMeasure(n, ()).dim  # the measure type validates the dimension
-    if not (2 <= n <= 32):
-        raise ValueError(f"dimension must lie in [2, 32], got {n}")
+    n = _require_dimension(n)
     ds = sorted(float(d) for d in radii)
     if not ds or any(d <= 0.0 for d in ds) or len(set(ds)) != len(ds):
         raise ValueError("radii must be distinct and positive")
@@ -475,11 +458,11 @@ def optimize_radial_measure(
 
     def oracle(t_star, w):
         mu = RadialMeasure(n, tuple(zip(ds, w)))
-        extrema = _refined_extrema(mu, tol, kept)
+        rng, lows = _refined_extrema(mu, tol, kept)
         # every basin beating the grid value is a violated constraint; adding
         # them all at once stops the game from cycling through near-tied dips
-        cuts = np.array([a for a, v in extrema[0] if v < t_star - tol])
-        return cuts, (mu, _extrema_range(mu, *extrema))
+        cuts = np.array([a for a, v in lows if v < t_star - tol])
+        return cuts, (mu, rng)
 
     return cutting_planes(
         lambda rs: omega(n, np.outer(ds, rs)),

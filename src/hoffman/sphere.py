@@ -22,6 +22,7 @@ from .errors import (
     VacuousBoundError,
     require_integer,
     require_mass,
+    require_measure_object,
     require_tolerance,
 )
 from .reports import SpectralRange
@@ -93,13 +94,7 @@ def sphere_measure_to_json(mu: SphereMeasure) -> dict:
 
 
 def sphere_measure_from_json(obj) -> SphereMeasure:
-    if not isinstance(obj, dict) or set(obj) != {"dim", "atoms"}:
-        raise ValueError("measure object must have exactly the keys 'dim' and 'atoms'")
-    try:
-        atoms = [(float(t), float(w)) for t, w in obj["atoms"]]
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed atoms list: {exc}") from exc
-    return SphereMeasure(obj["dim"], tuple(atoms))
+    return SphereMeasure(*require_measure_object(obj))
 
 
 class _JacobiTable:

@@ -25,7 +25,8 @@ from .reports import (
 
 _VERTEX_CAP = 2**24
 
-_CSV_HEADER = "m,discrete_chi_lb,discrete_alpha_ub,continuous_chi_lb,continuous_alpha_ub"
+# the columns of a convergence_study row, as the CSV header and the JSON output name them
+COLUMNS = ("m", "discrete_chi_lb", "discrete_alpha_ub", "continuous_chi_lb", "continuous_alpha_ub")
 
 
 def _require_size(m, n) -> tuple[int, int]:
@@ -129,7 +130,7 @@ def convergence_study(n: int, radii, moduli, tol: float = 0.25):
 
 def convergence_csv(rows) -> str:
     """CSV text for a convergence table: header plus 10-significant-digit rows."""
-    lines = [_CSV_HEADER]
+    lines = [",".join(COLUMNS)]
     for m, dchi, dalpha, cchi, calpha in rows:
         cells = [str(int(m))] + [f"{float(v):.10g}" for v in (dchi, dalpha, cchi, calpha)]
         lines.append(",".join(cells))

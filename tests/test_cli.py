@@ -176,6 +176,49 @@ def test_non_integral_measure_dimension_exits_1(capsys, tmp_path, command, measu
 
 
 @pytest.mark.parametrize(
+    "command, measure, message",
+    [
+        # float() would read these strings and bools as numbers
+        ("sphere", {"dim": 3, "atoms": [["-0.5", True]]}, "'-0.5' in ['-0.5', True] is not a"),
+        ("euclidean", {"dim": 2, "atoms": [["1.5", "1"], [" 2 ", "-0.25"]]}, "'1.5' in"),
+        ("euclidean", {"dim": 2, "atoms": [[1.0, True]]}, "True in [1.0, True] is not a number"),
+        ("sphere", {"dim": 3, "atoms": [[-0.5, 1.0], [False, 1.0]]}, "False in"),
+        ("euclidean", {"dim": 2, "atoms": [[1.0, None]]}, "None in"),
+        ("sphere", {"dim": 3, "atoms": [[-0.5, [1.0]]]}, "[1.0] in"),
+        ("euclidean", {"dim": 2, "atoms": [[1.0]]}, "[1.0] is not a pair"),
+        ("sphere", {"dim": 3, "atoms": [[-0.5, 1.0, 2.0]]}, "is not a pair"),
+        ("euclidean", {"dim": 2, "atoms": "1.0 1.0"}, "a str, not a list"),
+        ("sphere", {"dim": 3, "atoms": {"-0.5": 1.0}}, "a dict, not a list"),
+        # an integer past the largest double
+        ("euclidean", {"dim": 2, "atoms": [[1.0, 10**400]]}, "too large to convert to float"),
+    ],
+)
+def test_measure_file_atoms_must_be_json_numbers(capsys, tmp_path, command, measure, message):
+    path = tmp_path / "measure.json"
+    path.write_text(json.dumps(measure))
+    assert run([command, str(path)]) == 1
+    err = _one_error_line(capsys)
+    assert err.startswith("hoffman: malformed atoms list: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "command, ints, floats",
+    [
+        ("euclidean", [[1, 1], [2, -1]], [[1.0, 1.0], [2.0, -1.0]]),
+        ("sphere", [[-0.5, 1], [0, -2]], [[-0.5, 1.0], [0.0, -2.0]]),
+    ],
+)
+def test_measure_file_accepts_integer_atoms(capsys, tmp_path, command, ints, floats):
+    outputs = []
+    for atoms in (ints, floats):
+        path = tmp_path / "measure.json"
+        path.write_text(json.dumps({"dim": 3, "atoms": atoms}))
+        assert run([command, str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
     "measure, message",
     [
         ({"dim": 3, "atoms": [[1e308, 1.0]]}, "radii below about 1.3e154"),
@@ -501,6 +544,30 @@ def _cli_accepts(capsys, argv, refusal) -> bool:
 
 _SPHERE = SphereMeasure(3, ((0.3, 1.0),))
 _RADIAL_FILE_ATOMS = {"dim": 2, "atoms": [[1.0, 1.0]]}
+
+
+@pytest.mark.parametrize(
+    "argv, defaults",
+    [
+        (["euclidean", "{file}"], ["--tol", "1e-8"]),
+        (["odd-distance", "--beta", "1.3", "-N", "3"], ["--tol", "1e-8"]),
+        (["sphere", "-t", "-0.3"], ["--tol", "1e-8", "--kmax", "64"]),
+        (["optimize", "--mode", "radial", "--support", "1", "1.5"], ["--tol", "1e-8"]),
+        (["optimize", "--mode", "sphere", "--support", "-0.5"], ["--tol", "1e-8", "--kmax", "64"]),
+        (["torus", "--radii", "2", "--moduli", "8", "12"], ["--annulus", "0.25"]),
+    ],
+)
+def test_left_out_options_take_the_library_defaults(capsys, tmp_path, argv, defaults):
+    # the parsers declare no default of their own: an option left out is not
+    # passed on, and the library's default gives the same output as spelling it
+    path = tmp_path / "radial.json"
+    path.write_text(json.dumps(_RADIAL_FILE_ATOMS))
+    argv = [a.replace("{file}", str(path)) for a in argv]
+    outputs = []
+    for args in (argv, argv + defaults):
+        assert run(args) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(

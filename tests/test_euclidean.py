@@ -630,18 +630,26 @@ def test_cli_runs_one_extrema_pass_per_request(
 
 
 @pytest.mark.parametrize("atoms", [1, 7, 8, 9, 161])
-def test_value_at_zero_is_fourier_radial_at_zero_bit_for_bit(atoms):
-    # numpy sums more than 8 elements pairwise, so 9 and 161 atoms check
-    # that the Bessel-free value reduces the weights as fourier_radial does
+def test_range_reads_nuhat_at_zero_from_the_scan(atoms):
+    # r = 0 is the scan's first sample: a nonnegative measure's M, and a
+    # nonpositive one's m, is nuhat(0) bit for bit.  numpy sums a lone column
+    # of 8 or more elements pairwise, so 9 and 161 atoms check that the range
+    # and fourier_radial at one point both sum the weights in atom order
     rng = np.random.default_rng(atoms)
     radii = np.cumsum(rng.uniform(0.1, 1.0, atoms))
     weights = rng.uniform(-1.0, 1.0, atoms)
     weights[::5] = 0.0  # inactive atoms are skipped by both
-    for mu in (
-        RadialMeasure(2, tuple(zip(radii.tolist(), weights.tolist()))),
-        steinhardt_measure(1.05, atoms - 1),
-    ):
-        assert euclidean._value_at_zero(mu) == fourier_radial(mu, 0.0)
+    mixed = RadialMeasure(2, tuple(zip(radii.tolist(), weights.tolist())))
+    nonpositive = RadialMeasure(2, tuple(zip(radii.tolist(), (-np.abs(weights)).tolist())))
+    nonnegative = steinhardt_measure(1.05, atoms - 1)
+
+    got = radial_range(nonnegative)
+    assert got.M == fourier_radial(nonnegative, 0.0) == nonnegative.total_mass()
+    got = radial_range(nonpositive)
+    assert got.m == fourier_radial(nonpositive, 0.0)
+    assert got.provenance["inf_arg"] == 0.0
+    got = radial_range(mixed)
+    assert got.m <= fourier_radial(mixed, 0.0) <= got.M
 
 
 # the six-atom signed measure of the radial benchmark's seed 1
