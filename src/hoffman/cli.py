@@ -21,11 +21,7 @@ import re
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .errors import (
-    ConvergenceError,
-    UncertifiedRangeError,
-    VacuousBoundError,
-)
+from .errors import ConvergenceError, VacuousBoundError, read_text
 from .euclidean import (
     optimize_radial_measure,
     radial_measure_from_json,
@@ -109,13 +105,10 @@ def _emit_json(payload: dict, path: str | None) -> None:
 
 
 def _load_json_file(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not JSON ({exc})") from None
+    try:  # read_text's ValueError is not a JSONDecodeError
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON ({exc})") from None
 
 
 def _given(args, **options) -> dict:
@@ -365,14 +358,6 @@ def run(argv) -> int:
             payload.update(result)
             _emit_json(payload, args.output)
         return 0
-    except UncertifiedRangeError as exc:
-        m, big = exc.range
-        print(
-            f"hoffman: uncertified range [{m:.10g}, {big:.10g}] "
-            f"(K={exc.k_used}, tail={exc.tail_bound:.3g}): {exc}",
-            file=sys.stderr,
-        )
-        return 1
     except (_UsageError, ConvergenceError, ValueError, OSError) as exc:
         print(f"hoffman: {exc}", file=sys.stderr)
         return 1

@@ -5,11 +5,27 @@ import numbers
 import sys
 
 
-def require_integer(value, name: str) -> int:
-    """value as an int; a bool or a non-integral number is refused, not truncated."""
+def require_integer(value, name: str, lo=None, hi=None) -> int:
+    """value as an int; a bool or a non-integral number is refused, not truncated.
+
+    Given lo and hi, an integer outside [lo, hi] is refused too, not clamped.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    n = int(value)
+    if lo is not None and not lo <= n <= hi:
+        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {n}")
+    return n
+
+
+def read_text(path) -> str:
+    """The text of the UTF-8 file at path; other bytes are refused with one
+    line naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def require_tolerance(tol) -> float:
@@ -86,11 +102,13 @@ class ConvergenceError(RuntimeError):
 class UncertifiedRangeError(ConvergenceError):
     """A spectral range could not be certified within the truncation budget.
 
-    Carries the best uncertified estimate so callers can still inspect it.
+    Carries the best uncertified estimate so callers can still inspect it;
+    its text is the one line that names it, the truncation and the tail.
     """
 
     def __init__(self, message, m, M, k_used, tail_bound):
-        super().__init__(message)
+        line = f"uncertified range [{m:.10g}, {M:.10g}] (K={k_used}, tail={tail_bound:.3g})"
+        super().__init__(f"{line}: {message}")
         self.range = (m, M)
         self.k_used = k_used
         self.tail_bound = tail_bound

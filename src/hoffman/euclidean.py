@@ -54,9 +54,7 @@ class RadialMeasure:
     atoms: tuple
 
     def __post_init__(self):
-        n = require_integer(self.dim, "dimension")
-        if not (1 <= n <= 64):
-            raise ValueError(f"dimension must lie in [1, 64], got {n}")
+        n = require_integer(self.dim, "dimension", 1, 64)
         norm = []
         prev = scale = 0.0
         for radius, weight in self.atoms:
@@ -83,7 +81,8 @@ class RadialMeasure:
         return np.array([w for _, w in self.atoms])
 
     def total_mass(self) -> float:
-        return float(sum(w for _, w in self.atoms))
+        """sum w_i, added in atom order as nuhat(0) adds it (sum() compensates on Python 3.12+)."""
+        return float(np.cumsum([0.0, *self.weights()])[-1])
 
 
 def radial_measure_to_json(mu: RadialMeasure) -> dict:
@@ -199,8 +198,8 @@ def _profile_jet(mu: RadialMeasure):
     Omega_n'(t) = -(t/n) Omega_{n+2}(t) (DLMF 10.6.6), and the radial
     Helmholtz equation Omega'' + ((n-1)/t) Omega' + Omega = 0 then gives
     Omega_n'' = ((n-1)/n) Omega_{n+2} - Omega_n.  Both hold for n = 1, where Omega_1 = cos.
-    Row 0 is summed as in fourier_radial at two points or more; numpy adds a
-    lone column pairwise.
+    Each block's rows are added in atom order (specfun._row_sum), as
+    fourier_radial adds them, so at r = 0 row 0 has its bits, the total mass.
     """
     n = mu.dim
     d, w = _active_atoms(mu)
@@ -210,9 +209,9 @@ def _profile_jet(mu: RadialMeasure):
         out = np.zeros((3, r.size))
         for cols, t in _atom_blocks(d, r):
             o_n, o_n2 = omega((n, n + 2), t)
-            out[0, cols] = np.add.reduce(c0 * o_n, axis=0)
-            out[1, cols] = np.add.reduce(c1 * t * o_n2, axis=0)
-            out[2, cols] = np.add.reduce(c2 * (k * o_n2 - o_n), axis=0)
+            out[0, cols] = _row_sum(c0 * o_n)
+            out[1, cols] = _row_sum(c1 * t * o_n2)
+            out[2, cols] = _row_sum(c2 * (k * o_n2 - o_n))
         return out
 
     return jet
@@ -395,9 +394,7 @@ def steinhardt_measure(beta: float, N: int) -> RadialMeasure:
     beta = float(beta)
     if not (1.0 < beta <= 10.0):
         raise ValueError(f"beta must lie in (1, 10], got {beta!r}")
-    N = require_integer(N, "N")
-    if not (0 <= N <= 10_000):
-        raise ValueError(f"N must lie in [0, 10000], got {N}")
+    N = require_integer(N, "N", 0, 10_000)
     scale = (beta - 1.0) / beta
     atoms = tuple((2.0 * k + 1.0, scale * beta ** (-k)) for k in range(N + 1))
     return RadialMeasure(2, atoms)
@@ -405,11 +402,8 @@ def steinhardt_measure(beta: float, N: int) -> RadialMeasure:
 
 def _require_dimension(n) -> int:
     """n as an int in [2, 32], the dimensions unit_distance_range and
-    optimize_radial_measure accept; RadialMeasure checks the type first."""
-    n = RadialMeasure(n, ()).dim
-    if not (2 <= n <= 32):
-        raise ValueError(f"dimension must lie in [2, 32], got {n}")
-    return n
+    optimize_radial_measure accept."""
+    return require_integer(n, "dimension", 2, 32)
 
 
 def unit_distance_range(n: int) -> SpectralRange:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, require_integer
+from .errors import ConvergenceError, read_text, require_integer
 from .reports import SpectralRange
 
 # the dense path holds several n x n float64 copies and solves in O(n^3);
@@ -278,12 +278,7 @@ def parse_graph(text: str) -> Graph:
 
 
 def read_graph(path) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
-    return parse_graph(text)
+    return parse_graph(read_text(path))
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:

@@ -21,14 +21,16 @@ Hankel's edge to 1e6; default_rng(2711) for n = 1..66, 2712 for the orders
 4.2e-15 for Miller and 1.1e-16 for cos (n = 1).
 
 A series or Hankel sum is one (terms x elements) table: one division gives
-the ratios of consecutive terms, one running product the terms, and a sum
-over the rows adds them in the order of the recurrence, which keeps
-sin(t)/t within 8.7e-13 where pairwise summation gives 1.7e-12.  Up to 256
-arguments a table takes every term (64 series, 40 Hankel) in one
-accumulation.  A wider call is sorted, and each block of up to 1024
-neighbouring arguments gets a table that counts the terms its own arguments
-need and runs row by row, so that large arguments, which need few Hankel
-terms, do not pay for small ones.
+the ratios of consecutive terms, one running product the terms, and
+_row_sum adds the rows in the order of the recurrence, which keeps sin(t)/t
+within 8.7e-13 where pairwise summation gives 1.7e-12.  _row_sum is the
+package's one row sum, the radial profile's too: numpy's reduce, which adds
+the rows of two or more columns in order, and for a lone column, which
+reduce adds pairwise, an accumulation.  Up to 256 arguments a table takes
+every term (64 series, 40 Hankel) in one accumulation.  A wider call is
+sorted, and each block of up to 1024 neighbouring arguments gets a table
+that counts the terms its own arguments need and runs row by row, so that
+large arguments, which need few Hankel terms, do not pay for small ones.
 
 The kernels take the Bessel order per element: a scalar, or an array aligned
 with the arguments.  One omega call can so serve several dimensions at once
@@ -86,30 +88,29 @@ def _running(ufunc, table: np.ndarray) -> np.ndarray:
 
 
 def _row_sum(table: np.ndarray) -> np.ndarray:
-    """The sum of a table's rows, added in row order.
+    """The sum of a table's rows, added in row order, as a term-by-term loop adds.
 
-    Across the rows of a table two or more columns wide, numpy's reduce adds
-    in order; a single column it adds pairwise, so a narrow table is
-    accumulated instead.
+    numpy's reduce adds the rows of a table two or more columns wide in
+    order, but a single column pairwise, so a lone column is accumulated.
     """
-    if table.shape[1] <= _ACCUMULATE_WIDTH:
+    if table.shape[1] == 1:
         return _running(np.add, table)[-1]
     return np.add.reduce(table, axis=0)
 
 
-def _in_blocks(table_sum, x: np.ndarray, *aligned) -> np.ndarray:
-    """table_sum(x, *aligned), one table per _BLOCK_WIDTH consecutive arguments.
+def _in_blocks(table_sum, x: np.ndarray, nu) -> np.ndarray:
+    """table_sum(x, nu), one table per _BLOCK_WIDTH consecutive arguments.
 
     _by_regime hands a kernel more than _ACCUMULATE_WIDTH arguments in
     increasing order, so each block's table is as long as its own arguments
-    need.  aligned holds scalars or arrays aligned with x.
+    need.  nu is a scalar or an array aligned with x.
     """
     if x.size <= _BLOCK_WIDTH:  # one block, without the copies
-        return table_sum(x, *aligned)
+        return table_sum(x, nu)
     out = np.empty_like(x)
     for s in range(0, x.size, _BLOCK_WIDTH):
         block = slice(s, s + _BLOCK_WIDTH)
-        out[block] = table_sum(x[block], *(_take(a, block) for a in aligned))
+        out[block] = table_sum(x[block], _take(nu, block))
     return out
 
 
@@ -298,24 +299,18 @@ def _kernels(nu, x: np.ndarray, parts, lg, scaled: bool) -> np.ndarray:
             if not scaled:  # J_0(0) = 1, J_nu(0) = 0 for nu > 0
                 with np.errstate(divide="ignore", invalid="ignore"):
                     val *= np.where(xs > 0.0, np.exp(nus * np.log(xs / 2.0) - lgs), nus == 0.0)
-        elif k == 1:
-            val = _per_order(_bessel_miller, nus, xs)
+        elif k == 1 and np.ndim(nus) == 0:
+            val = _bessel_miller(nus, xs)
+        elif k == 1:  # Miller's recurrence runs once per distinct order
+            val = np.empty_like(xs)
+            for order in set(nus.tolist()):
+                one = nus == order
+                val[one] = _bessel_miller(order, xs[one])
         else:
             val = _in_blocks(_hankel_table, xs, nus)
         if scaled and k > 0:
             val *= np.exp(lgs + nus * np.log(2.0 / xs))
         out[sel] = val
-    return out
-
-
-def _per_order(kernel, nu, x: np.ndarray) -> np.ndarray:
-    """kernel(order, x) for each distinct order of nu, a scalar or an array like x."""
-    if np.ndim(nu) == 0:
-        return kernel(float(nu), x)
-    out = np.empty_like(x)
-    for order in set(nu.tolist()):
-        one = nu == order
-        out[one] = kernel(order, x[one])
     return out
 
 
@@ -398,10 +393,7 @@ def omega(n, t):
     the call's elements.
     """
     dims = n if isinstance(n, tuple) else (n,)
-    dims = tuple(require_integer(k, "dimension") for k in dims)
-    for k in dims:
-        if not (1 <= k <= 66):
-            raise ValueError(f"dimension must lie in [1, 66], got {k}")
+    dims = tuple(require_integer(k, "dimension", 1, 66) for k in dims)
     arr = _argument(t)
     tv = arr.ravel()
 

@@ -47,9 +47,7 @@ class SphereMeasure:
     atoms: tuple
 
     def __post_init__(self):
-        n = require_integer(self.dim, "sphere dimension")
-        if not (2 <= n <= 64):
-            raise ValueError(f"sphere dimension must lie in [2, 64], got {n}")
+        n = require_integer(self.dim, "sphere dimension", 2, 64)
         norm = []
         prev = -math.inf
         for t, weight in self.atoms:
@@ -131,10 +129,7 @@ class _JacobiTable:
 
 def _require_k(K) -> int:
     """K as an int, refused outside [1, _K_CAP]: the one cap on every truncation."""
-    K = require_integer(K, "K")
-    if not (1 <= K <= _K_CAP):
-        raise ValueError(f"K must lie in [1, {_K_CAP}], got {K}")
-    return K
+    return require_integer(K, "K", 1, _K_CAP)
 
 
 def eigenvalue_sequence(mu: SphereMeasure, K: int) -> EigenSequence:

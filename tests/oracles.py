@@ -289,14 +289,18 @@ def _edge_rows(lines, header: list):
                 parts = _content(line).split()
                 if header:
                     raise ValueError("duplicate problem header")
-                if (
-                    len(parts) not in (3, 4)
-                    or parts[1] != "edge"
-                    or not all(_DECIMAL.fullmatch(p) for p in parts[2:])
-                    or int(parts[2]) < 0
-                ):
+                well_formed = (
+                    len(parts) in (3, 4)
+                    and parts[1] == "edge"
+                    and all(_DECIMAL.fullmatch(p) for p in parts[2:])
+                )
+                try:
+                    n = int(parts[2]) if well_formed else -1
+                except ValueError:  # more digits than int() converts
+                    n = -1
+                if n < 0:
                     raise ValueError(f"malformed header line {_content(line)!r}")
-                header.append(int(parts[2]))
+                header.append(n)
                 if first_pair is not None:
                     raise ValueError(f"unrecognised line {first_pair!r} in DIMACS input")
                 continue

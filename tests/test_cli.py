@@ -489,9 +489,13 @@ def test_all_floats_carry_ten_significant_digits(capsys, c5_path):
 
 
 def test_dimension_validation(capsys):
-    assert run(["unit-distance", "-n", "1"]) == 1
-    assert run(["unit-distance", "-n", "33"]) == 1
-    assert capsys.readouterr().err
+    # unit-distance and optimize --mode radial take [2, 32], and say so, not
+    # RadialMeasure's [1, 64]
+    radial = ["optimize", "--mode", "radial", "--support", "1", "2", "-n"]
+    argvs = [["unit-distance", "-n", n] for n in ("1", "33", "100")] + [radial + ["0"], radial + ["65"]]
+    for argv in argvs:
+        assert run(argv) == 1
+        assert "dimension must lie in [2, 32], got" in _one_error_line(capsys), argv
 
 
 def test_numeric_flag_validation(capsys):
@@ -635,6 +639,15 @@ def test_json_rejects_nonfinite():
     # json.dumps of the rounded value printed Infinity, which is not JSON
     with pytest.raises(ValueError, match="non-finite value -1.7976931348623157e"):
         _json({"m": -sys.float_info.max})
+
+
+def test_json_refuses_what_json_dumps_refuses():
+    # another type is a TypeError with json.dumps's message, not a string
+    for bad in (object(), {1, 2}, b"bytes"):
+        with pytest.raises(TypeError) as exc:
+            json.dumps(bad)
+        with pytest.raises(TypeError, match=f"^{exc.value}$"):
+            _json({"x": [bad]})
 
 
 def _rounded(obj):

@@ -633,8 +633,9 @@ def test_cli_runs_one_extrema_pass_per_request(
 def test_range_reads_nuhat_at_zero_from_the_scan(atoms):
     # r = 0 is the scan's first sample: a nonnegative measure's M, and a
     # nonpositive one's m, is nuhat(0) bit for bit.  numpy sums a lone column
-    # of 8 or more elements pairwise, so 9 and 161 atoms check that the range
-    # and fourier_radial at one point both sum the weights in atom order
+    # of 8 or more elements pairwise, so 8, 9 and 161 atoms check that the
+    # range, fourier_radial, a Newton jet at one point and the total mass all
+    # sum the weights in atom order
     rng = np.random.default_rng(atoms)
     radii = np.cumsum(rng.uniform(0.1, 1.0, atoms))
     weights = rng.uniform(-1.0, 1.0, atoms)
@@ -650,6 +651,9 @@ def test_range_reads_nuhat_at_zero_from_the_scan(atoms):
     assert got.provenance["inf_arg"] == 0.0
     got = radial_range(mixed)
     assert got.m <= fourier_radial(mixed, 0.0) <= got.M
+    for mu in (nonnegative, nonpositive, mixed):
+        at0 = euclidean._profile_jet(mu)(np.zeros(1))[0, 0]
+        assert at0 == fourier_radial(mu, 0.0) == mu.total_mass(), mu
 
 
 # the six-atom signed measure of the radial benchmark's seed 1

@@ -81,6 +81,7 @@ _MALFORMED = [
     "e", "e # no endpoints", "e\t", "e 1", "e 1 2 3", "e \u0661 2", "e 1 x", " e\t# none",
     "p", "p edge", "p node 3 1", "p edge abc 1", "p edge 3 x", "p edge -2 0",
     "p edge 3 1 9", "p edge \u0663 1", "p edge 9 4", "e 1 2", "0 1",
+    "p edge " + "9" * 5000 + " 1",  # more digits than int() converts
 ]
 
 

@@ -358,6 +358,25 @@ def test_omega_sends_each_element_to_one_kernel(monkeypatch):
     assert ran == set(kernels)
 
 
+def test_row_sum_adds_rows_in_order_at_every_width():
+    # _row_sum leans on numpy's reduce adding the rows of two or more columns
+    # in order; a lone column, which reduce adds pairwise, it accumulates
+    rng = np.random.default_rng(30)
+    pairwise_differs = False
+    for cols in range(1, 301):
+        rows = int(rng.integers(1, 70))
+        for layout in ("contiguous", "strided"):
+            table = rng.standard_normal((2 * rows, cols)) * 10.0 ** rng.integers(-6, 7, (2 * rows, 1))
+            table = table[:rows].copy() if layout == "contiguous" else table[0::2]
+            want = table[0].tolist()
+            for row in table[1:].tolist():
+                want = [a + b for a, b in zip(want, row)]
+            if cols == 1:
+                pairwise_differs |= float(np.add.reduce(table, axis=0)[0]) != want[0]
+            assert specfun._row_sum(table).tolist() == want, (cols, rows, layout)
+    assert pairwise_differs
+
+
 def test_ascending_series_table_matches_loop():
     rng = np.random.default_rng(102)
     for n in range(2, 67):

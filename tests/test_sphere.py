@@ -448,7 +448,7 @@ def test_uncertified_error_carries_partial_range():
     err = UncertifiedRangeError("probe too large", -0.4, 0.9, 128, 0.5)
     assert err.range == (-0.4, 0.9)
     assert err.k_used == 128 and err.tail_bound == 0.5
-    assert "probe too large" in str(err)
+    assert str(err) == "uncertified range [-0.4, 0.9] (K=128, tail=0.5): probe too large"
 
 
 # ------------------------------------------------------- one table per call
