@@ -1,4 +1,4 @@
-"""Domain-specific error signals shared across the package."""
+"""Domain-specific error signals, input checks and the in-order sum shared across the package."""
 
 import math
 import numbers
@@ -29,8 +29,9 @@ def read_text(path) -> str:
 
 
 def require_tolerance(tol) -> float:
-    """tol, the tolerance a range is certified to; refused outside [1e-12, 1e-3].
+    """tol, the tolerance a range is computed to; refused outside [1e-12, 1e-3].
 
+    The range functions meet it by a probe or a scan, not by a proof.
     Double precision resolves no smaller tolerance.  Every range function
     checks its tol here, so the command line declares no range of its own.
     """
@@ -62,10 +63,19 @@ def require_measure_object(obj) -> tuple:
         raise ValueError(f"malformed atoms list: {exc}") from None
 
 
+def ordered_sum(values) -> float:
+    """The sum of values added one by one in order from 0.0, the same bits
+    on every Python (sum() compensates its float additions from 3.12 on)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def require_mass(weights) -> None:
     """Refuse sum |w_i| = inf, or 0 < sum |w_i| < the smallest normal double: subnormal
     weights keep too few digits for a bound.  An all-zero measure stays (vacuous bounds)."""
-    mass = sum(abs(w) for w in weights)
+    mass = ordered_sum(abs(w) for w in weights)
     if not math.isfinite(mass):
         raise ValueError("sum of |weight| overflows a double; scale the weights down")
     if 0.0 < mass < sys.float_info.min:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     ConvergenceError,
+    ordered_sum,
     require_integer,
     require_mass,
     require_measure_object,
@@ -81,8 +82,8 @@ class RadialMeasure:
         return np.array([w for _, w in self.atoms])
 
     def total_mass(self) -> float:
-        """sum w_i, added in atom order as nuhat(0) adds it (sum() compensates on Python 3.12+)."""
-        return float(np.cumsum([0.0, *self.weights()])[-1])
+        """sum w_i, added in atom order as nuhat(0) adds it."""
+        return ordered_sum(w for _, w in self.atoms)
 
 
 def radial_measure_to_json(mu: RadialMeasure) -> dict:
@@ -174,7 +175,7 @@ def _tail_envelope(mu: RadialMeasure, r: float) -> float:
     def bessel_bound(t):  # t^-nu |J_nu(t)| <= sqrt(2/pi) bessel_bound(t)
         return t**-nu * (t * t - nu * nu) ** -0.25
 
-    return float(sum(abs(w) * c * bessel_bound(d * r) for d, w in mu.atoms if w != 0.0))
+    return ordered_sum(abs(w) * c * bessel_bound(d * r) for d, w in mu.atoms if w != 0.0)
 
 
 def _float_gcd(values) -> float:
@@ -278,7 +279,7 @@ def _window_scan(mu: RadialMeasure, tol: float, kept: dict | None = None):
     # |nuhat''| <= sum |w| d^2, so a true extremum between samples can beat its
     # neighbouring sample by at most m2 step^2 / 8; every grid-local extremum
     # within that margin of the best sample is a candidate basin
-    m2 = sum(abs(w) * d * d for d, w in active)
+    m2 = ordered_sum(abs(w) * d * d for d, w in active)
     margin = m2 * step * step / 8.0
 
     # per sign s, +1 for lows and -1 for highs: (r, s nuhat) at every
@@ -437,8 +438,8 @@ def optimize_radial_measure(
     the first tables.  Kept tables are capped at _KEPT_CELLS cells (8 MB);
     past the cap a segment is evaluated anew, to the same bits.
     Returns (measure, range): the range is read from the extrema of the last
-    round, which certified the measure, as radial_range would read it, and
-    carries that round's scan provenance.
+    round, whose scan found no cut for the measure, as radial_range would
+    read it, and carries that round's scan provenance.
     """
     n = _require_dimension(n)
     ds = sorted(float(d) for d in radii)

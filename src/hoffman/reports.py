@@ -1,4 +1,4 @@
-"""Spectral ranges, and the bound values they certify.
+"""Spectral ranges, and the bound values read from them.
 
 Every Hoffman-type bound depends only on the numerical range (m, M) of the
 operator, plus R = (A1, 1) and eps = ||A1 - R1|| for the ratio bound.  Each

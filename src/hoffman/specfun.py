@@ -3,22 +3,24 @@
 Everything here is evaluated in pure numpy to double precision.  A Bessel
 value comes from one of three kernels, for orders up to 60 and arguments up
 to 1e6: the ascending series, summed as Gamma(nu + 1) (2/x)^nu J_nu(x) from
-1, Miller's backward recurrence or the Hankel expansion.  Each order has two
-regime maps, found once and memoized, whose two edges send every argument to
-one kernel: the series while its largest term stays within a cap, Hankel
-above max(13, 0.8 nu^2) and Miller in between; an argument equal to an edge
-belongs to the regime below it.  bessel_j's cap is 3e4 on J_nu's series, and
-omega's 1e4 on its own sum, or bessel_j's limit where that lies further
-(n = 2 and 3).  The series limits come from a bisection, one Python float at
-a time, on the log of the largest term, its log-gammas from math.lgamma.
+1, the upward recurrence from Hankel's J_s and J_{s+1} (s = 0 or 1/2), or
+the Hankel expansion.  Each order has one regime map, which omega and
+bessel_j both read, found once and memoized: two edges that send every
+argument to one kernel, the series while the largest term of J_nu's series
+stays within 3e4, Hankel above max(13, 0.8 nu^2) and the recurrence in
+between; an argument equal to an edge belongs to the regime below it.  The
+series limit comes from a bisection, one Python float at a time, on the log
+of the largest term, its log-gammas from math.lgamma.
 
 Accuracy is a measured budget: _OMEGA_ABS_ERR bounds the error of omega
 (n in [1, 66]) and of bessel_j on [0, 1e6].  Against mpmath, on 1000 seeded
-arguments per regime of each map (uniform in a band, log-uniform from
-Hankel's edge to 1e6; default_rng(2711) for n = 1..66, 2712 for the orders
-0, 1/2, ..., 60), the largest errors were 7.0e-12 in bessel_j's series
-(order 36, x = 33.01), 3.7e-12 in omega's (n = 2), 6.3e-14 for Hankel,
-4.2e-15 for Miller and 1.1e-16 for cos (n = 1).
+arguments per regime of each order (uniform in a band, log-uniform from
+Hankel's edge to 1e6, and from 1 to 1e6 for cos; default_rng(2711) for
+omega with n = 1..66, 2712 for bessel_j on the orders 0, 1/2, ..., 60),
+the largest errors were 7.0e-12 in bessel_j's series (order 36, x = 33.01),
+3.4e-12 in omega's (n = 2), 3.9e-14 for the recurrence (order 59, x =
+48.90, past its turning point), 6.3e-14 for Hankel and 5.6e-17 for cos
+(n = 1).
 
 A series or Hankel sum is one (terms x elements) table: one division gives
 the ratios of consecutive terms, one running product the terms, and
@@ -34,8 +36,8 @@ large arguments, which need few Hankel terms, do not pay for small ones.
 
 The kernels take the Bessel order per element: a scalar, or an array aligned
 with the arguments.  One omega call can so serve several dimensions at once
-(omega((n, n + 2), t) for a Newton jet) in one pass through the series and
-Hankel tables; Miller's recurrence runs once per distinct order.
+(omega((n, n + 2), t) for a Newton jet) in one pass through the three
+kernels.
 
 The Jacobi tables go the other way: a sphere measure or support has only a
 few points, so the three-term recurrence runs over the degrees on Python
@@ -56,7 +58,6 @@ from .errors import ConvergenceError, require_integer
 _ORDER_MAX = 60.0
 _ARG_MAX = 1e6
 _LOG_SERIES_GATE = math.log(3e4)  # cap on the largest term of J_nu's series
-_LOG_OMEGA_GATE = math.log(1e4)  # cap on the largest term of omega's series
 # error budget of omega and bessel_j: the largest error measured against
 # mpmath, 7.0e-12, with margin
 _OMEGA_ABS_ERR = 1e-11
@@ -71,7 +72,7 @@ _HANKEL_SQUARES = (2.0 * _STEPS[:_HANKEL_TERMS] - 1.0) ** 2
 # with more arguments than this is sorted, and its tables count their terms
 # and run one whole-row operation per row
 _ACCUMULATE_WIDTH = 256
-_BLOCK_WIDTH = 1024  # arguments per series or Hankel table
+_BLOCK_WIDTH = 1024  # arguments per series, recurrence or Hankel block
 
 
 def _running(ufunc, table: np.ndarray) -> np.ndarray:
@@ -130,38 +131,22 @@ def _series_log_maxterm(nu: float, x: float) -> float:
     return powers - math.lgamma(m_star + 1.0) - math.lgamma(nu + m_star + 1.0)
 
 
-def _last_passing(passes) -> float:
-    """Where a plain bisection of [0, _ARG_MAX] ends: a double at which passes
-    holds while it fails at the next double up (passes must hold near 0 and
-    fail at _ARG_MAX)."""
-    lo, hi = 0.0, _ARG_MAX
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        lo, hi = (mid, hi) if passes(mid) else (lo, mid)
-    return lo
-
-
 @functools.lru_cache(maxsize=256)
 def _regime_map(nu: float) -> tuple:
-    """Order nu's regime map: (omega's edges, bessel_j's edges, log Gamma(nu + 1)).
+    """Order nu's regime map, which omega and bessel_j both read: ((x_S, x_H),
+    log Gamma(nu + 1)).
 
-    An argument goes to the kernel numbered by how many of a map's two edges
-    lie strictly below it: 0 the series, 1 Miller, 2 Hankel.  x_S is where
-    J_nu's series stops keeping its largest term within _LOG_SERIES_GATE,
-    and x_O where the series over its prefactor (x/2)^nu / Gamma(nu + 1)
-    stops keeping it within _LOG_OMEGA_GATE, each the last double at which
-    _series_log_maxterm passes, found by bisection.  omega's series ends at
-    max(x_O, x_S), which of omega's orders is x_S only for n = 2 and 3, and
-    bessel_j's at x_S; Hankel takes the arguments above max(13, 0.8 nu^2)
-    and Miller what lies between.  Memoized, like bessel_first_zero.
+    An argument goes to the kernel numbered by how many of the two edges lie
+    strictly below it: 0 the series, 1 the upward recurrence, 2 Hankel.
+    x_S is where a plain bisection of [0, _ARG_MAX] ends: a double at which
+    _series_log_maxterm keeps the largest term of J_nu's series within
+    _LOG_SERIES_GATE, while the next double up does not.  x_H = max(x_S, 13,
+    0.8 nu^2) is where Hankel takes over.  Memoized, like bessel_first_zero.
     """
-    lg = math.lgamma(nu + 1.0)
-    x_s = _last_passing(lambda x: _series_log_maxterm(nu, x) <= _LOG_SERIES_GATE)
-    x_o = _last_passing(
-        lambda x: _series_log_maxterm(nu, x) - nu * math.log(x / 2.0) + lg <= _LOG_OMEGA_GATE
-    )
-    hankel = max(13.0, 0.8 * nu * nu)
-    x_o = max(x_o, x_s)
-    return (x_o, max(x_o, hankel)), (x_s, max(x_s, hankel)), lg
+    lo, hi = 0.0, _ARG_MAX
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if _series_log_maxterm(nu, mid) <= _LOG_SERIES_GATE else (lo, mid)
+    return (lo, max(lo, 13.0, 0.8 * nu * nu)), math.lgamma(nu + 1.0)
 
 
 def _series_table(x: np.ndarray, nu) -> np.ndarray:
@@ -225,57 +210,37 @@ def _hankel_table(x: np.ndarray, nu) -> np.ndarray:
     return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(phase) - q * np.sin(phase))
 
 
-def _bessel_miller(nu: float, x: np.ndarray) -> np.ndarray:
-    """Backward recurrence with series normalization; x > 0 required."""
-    n_int = int(math.floor(nu))
-    s = nu - n_int
-    top = max(nu, float(np.max(x)))
-    start = n_int + 2 + int(
-        math.ceil(top - nu) + 2.2 * math.sqrt(40.0 * max(top, 1.0)) + 30
-    )
-    if start % 2:
-        start += 1
-    # the coefficients g_k of the normalization sum (x/2)^s = sum_k g_k J_{s+2k}
-    if s < 1e-12:  # an integer order: 1 = J_0 + 2 J_2 + 2 J_4 + ...
-        s, gammas = 0.0, [1.0] + [2.0] * (start // 2)
-    else:
-        gammas = [math.gamma(s + 1.0)]
-        for k in range(start // 2):
-            gammas.append(gammas[k] * (s + 2 * k + 2) / (s + 2 * k) * (s + k) / (k + 1))
+def _upward_table(x: np.ndarray, nu) -> np.ndarray:
+    """J_nu(x) by the upward recurrence from Hankel's J_s and J_{s+1}, nu per element.
 
-    inv_x = 2.0 / x
-    f_up = np.zeros_like(x)
-    f = np.full_like(x, 1e-280)
-    norm = np.zeros_like(x)
-    saved = np.zeros_like(x)
-    for k in range(start, -1, -1):
-        f_down = (s + k + 1.0) * inv_x * f - f_up
-        f_up = f
-        f = f_down
-        if k % 2 == 0:
-            norm += gammas[k // 2] * f
-        if k == n_int:
-            saved = f.copy()
-        big = np.abs(f) > 1e250
-        if np.any(big):
-            factor = np.where(big, 1e-250, 1.0)
-            f *= factor
-            f_up *= factor
-            norm *= factor
-            saved *= factor
-    return saved * np.power(0.5 * x, s) / norm
+    s = nu - floor(nu) is 0 or 1/2, and J_{k+1} = (2k/x) J_k - J_{k-1} (DLMF
+    10.6.1) runs up from order s + 1, one whole-array step per order, until
+    each element reaches its own nu.  The recurrence is stable upward while
+    the order stays below the argument (DLMF 3.6; Gautschi, SIAM Review 9,
+    1967) and loses little in the few orders past it that the middle band
+    asks for.  The band starts at x_S >= 14.1 for every order, so both
+    Hankel sums stay inside their domain x > 13.
+    """
+    steps = np.floor(nu)
+    s = nu - steps
+    below, at = _hankel_table(x, s), _hankel_table(x, s + 1.0)
+    out = np.where(steps == 0.0, below, at)
+    for k in range(1, int(np.max(steps))):
+        below, at = at, (2.0 * (s + k) / x) * at - below
+        np.copyto(out, at, where=steps == k + 1.0)
+    return out
 
 
 def _by_regime(nu, x: np.ndarray, regime: np.ndarray, lg, scaled: bool) -> np.ndarray:
-    """Each element by the kernel its regime names: 0 the series, 1 Miller,
-    2 Hankel.  nu and lg = log Gamma(nu + 1) are scalars or aligned with x.
-    scaled gives omega's values, Miller's and Hankel's times Gamma(nu + 1)
-    (2/x)^nu, and otherwise J_nu's, the series' times (x/2)^nu / Gamma(nu +
-    1).  Miller's recurrence runs once per distinct order.
+    """Each element by the kernel its regime names: 0 the series, 1 the upward
+    recurrence, 2 Hankel.  nu and lg = log Gamma(nu + 1) are scalars or
+    aligned with x.  scaled gives omega's values, the recurrence's and
+    Hankel's times Gamma(nu + 1) (2/x)^nu, and otherwise J_nu's, the series'
+    times (x/2)^nu / Gamma(nu + 1).
 
     More than _ACCUMULATE_WIDTH elements are sorted by regime and then by
-    argument, so that each regime is one slice and its series or Hankel
-    blocks hold neighbouring arguments.
+    argument, so that each regime is one slice and its blocks hold
+    neighbouring arguments.
     """
     counts = np.bincount(regime, minlength=3).tolist()
     if x.size <= _ACCUMULATE_WIDTH:
@@ -294,21 +259,11 @@ def _kernels(nu, x: np.ndarray, parts, lg, scaled: bool) -> np.ndarray:
     out = np.empty_like(x)
     for k, sel in parts:
         xs, nus, lgs = x[sel], _take(nu, sel), _take(lg, sel)
-        if k == 0:
-            val = _in_blocks(_series_table, xs, nus)
-            if not scaled:  # J_0(0) = 1, J_nu(0) = 0 for nu > 0
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    val *= np.where(xs > 0.0, np.exp(nus * np.log(xs / 2.0) - lgs), nus == 0.0)
-        elif k == 1 and np.ndim(nus) == 0:
-            val = _bessel_miller(nus, xs)
-        elif k == 1:  # Miller's recurrence runs once per distinct order
-            val = np.empty_like(xs)
-            for order in set(nus.tolist()):
-                one = nus == order
-                val[one] = _bessel_miller(order, xs[one])
-        else:
-            val = _in_blocks(_hankel_table, xs, nus)
-        if scaled and k > 0:
+        val = _in_blocks((_series_table, _upward_table, _hankel_table)[k], xs, nus)
+        if k == 0 and not scaled:  # J_0(0) = 1, J_nu(0) = 0 for nu > 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                val *= np.where(xs > 0.0, np.exp(nus * np.log(xs / 2.0) - lgs), nus == 0.0)
+        elif k > 0 and scaled:
             val *= np.exp(lgs + nus * np.log(2.0 / xs))
         out[sel] = val
     return out
@@ -325,17 +280,17 @@ def _argument(x) -> np.ndarray:
 def bessel_j(order, x):
     """J_order(x) for order in [0, 60] and x in [0, 1e6], within _OMEGA_ABS_ERR.
 
-    Each element goes to the kernel that bessel_j's regime map for the order
-    names: the series, Miller's recurrence or the Hankel expansion (against
-    mpmath, at most 7.0e-12 off on the module docstring's sample).  order is
-    one number; an array of orders is refused.
+    Each element goes to the kernel that the order's regime map names: the
+    series, the upward recurrence or the Hankel expansion (against mpmath,
+    at most 7.0e-12 off on the module docstring's sample).  order is one
+    number; an array of orders is refused.
     """
     nu = np.asarray(order, dtype=float)
     if nu.ndim or not 0.0 <= nu <= _ORDER_MAX:
         raise ValueError(f"order must be a scalar in [0, {_ORDER_MAX:g}], got {order!r}")
     arr = _argument(x)
     nu = float(nu)
-    _, edges, lg = _regime_map(nu)
+    edges, lg = _regime_map(nu)
     xs = arr.ravel()
     out = _by_regime(nu, xs, np.searchsorted(edges, xs), lg, scaled=False)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
@@ -381,10 +336,10 @@ def omega(n, t):
     up to 66 so that the derivative omega'(n, t) = -(t/n) omega(n + 2, t)
     (DLMF 10.6.6) is available for every measure dimension up to 64.
 
-    Each element goes straight to the kernel that omega's regime map for its
-    order names: the series, which sums omega's value itself, or Miller or
-    Hankel, times the prefactor Gamma(nu + 1) (2/t)^nu.  Every value is
-    within _OMEGA_ABS_ERR of Omega_n.
+    Each element goes straight to the kernel that its order's regime map
+    names: the series, which sums omega's value itself, or the upward
+    recurrence or Hankel, times the prefactor Gamma(nu + 1) (2/t)^nu.
+    Every value is within _OMEGA_ABS_ERR of Omega_n.
 
     n may also be a tuple of dimensions: the result then has one row per
     dimension, row i = omega(n[i], t), all computed in one pass with the
@@ -416,11 +371,11 @@ def _omega_pass(dims, t: np.ndarray) -> np.ndarray:
     maps = [_regime_map(nu) for nu in orders]
     if len(dims) == 1:
         # one dimension keeps a scalar order, as omega's single-row calls
-        (nu,), lg, tv = orders, maps[0][2], t
+        (nu,), lg, tv = orders, maps[0][1], t
         regime = np.searchsorted(maps[0][0], t)
     else:
         nu = np.array(orders).repeat(t.size)
-        lg = np.array([m[2] for m in maps]).repeat(t.size)
+        lg = np.array([m[1] for m in maps]).repeat(t.size)
         tv = np.concatenate([t] * len(dims))
         regime = np.concatenate([np.searchsorted(m[0], t) for m in maps])
     return _by_regime(nu, tv, regime, lg, scaled=True).reshape(len(dims), t.size)

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     UncertifiedRangeError,
     VacuousBoundError,
+    ordered_sum,
     require_integer,
     require_mass,
     require_measure_object,
@@ -71,7 +72,7 @@ class SphereMeasure:
         return np.array([w for _, w in self.atoms])
 
     def total_mass(self) -> float:
-        return float(sum(w for _, w in self.atoms))
+        return ordered_sum(w for _, w in self.atoms)
 
 
 @dataclass(frozen=True)
@@ -214,8 +215,8 @@ def optimize_sphere_measure(n: int, support, K: int = 64, tol: float = 1e-8):
     operator_range reads, and every cut is a degree <= P <= 8192.  The
     payoff and every round's range, probe and cuts read one Jacobi table of
     the support, grown in place.  Returns (measure, SpectralRange): the
-    range of the last round's operator_range check, which certified the
-    measure, with that check's provenance.
+    range of the last round's operator_range check, whose tail probe
+    accepted the measure, with that check's provenance.
     """
     n = SphereMeasure(n, ()).dim  # the measure type validates the dimension
     K, tol = _require_k(K), require_tolerance(tol)

@@ -41,6 +41,8 @@ from hoffman.sphere import (
     optimize_sphere_measure,
 )
 
+import oracles
+
 C5_TEXT = "0 1\n1 2\n2 3\n3 4\n4 0\n"
 EDGELESS_TEXT = "p edge 3 0\n"
 
@@ -298,6 +300,18 @@ def test_radial_bounds_do_not_depend_on_the_scale(capsys, tmp_path, dim):
         assert run(["euclidean", str(path)]) == 0
         printed.add(_payload(capsys)["bounds"]["chi_lb"]["value"])
     assert len(printed) == 1, printed
+
+
+def test_dimension_64_minimum_matches_mpmath(capsys, tmp_path):
+    # one shell at radius 1: m is Omega_64 at its first minimum, the first
+    # zero of J_32 (Omega_64' = -(t/64) Omega_66); the series that took it
+    # once read m wrong from its 6th digit
+    path = tmp_path / "shell.json"
+    path.write_text(json.dumps({"dim": 64, "atoms": [[1.0, 1.0]]}))
+    assert run(["euclidean", str(path)]) == 0
+    m = _payload(capsys)["bounds"]["chi_lb"]["m"]
+    want = oracles.omega_mpmath(64, oracles.bessel_first_zero_mpmath(32.0)[0])
+    assert abs(m - want) <= 1e-9 * abs(want)
 
 
 def test_odd_distance_measure(capsys):

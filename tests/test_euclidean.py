@@ -15,6 +15,7 @@ from scipy.special import jv, jvp
 import hoffman
 import hoffman.euclidean as euclidean
 from hoffman.cli import run
+from hoffman.errors import ordered_sum
 from hoffman.specfun import bessel_first_zero
 from hoffman import (
     BoundInapplicableError,
@@ -91,6 +92,24 @@ def test_measure_validation():
             RadialMeasure(2, atoms)
     assert RadialMeasure(2, ((1.0, sys.float_info.min),)).total_mass() == sys.float_info.min
     assert RadialMeasure(2, ((1.0, 0.0),)).total_mass() == 0.0
+
+
+def test_package_sums_add_in_order_on_every_python():
+    # Python's sum() compensates from 3.12 on: these terms add to 1.0 there,
+    # and to 0.0 one by one in order, on every version, as the package adds
+    terms = [1e16, 1.0, -1e16]
+    assert ordered_sum(terms) == 0.0 and math.fsum(terms) == 1.0
+    assert ordered_sum([]) == 0.0 and ordered_sum([-0.0]) == 0.0
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        values = (rng.standard_normal(20) * 10.0 ** rng.integers(-8, 17, 20)).tolist()
+        total = 0.0
+        for v in values:
+            total += v
+        assert ordered_sum(values) == total
+    atoms = list(zip((1.0, 2.0, 3.0), terms))
+    assert RadialMeasure(2, tuple(atoms)).total_mass() == 0.0
+    assert hoffman.SphereMeasure(3, tuple(zip((-0.5, 0.0, 0.5), terms))).total_mass() == 0.0
 
 
 def test_measure_json_round_trip():

@@ -225,48 +225,32 @@ def _ulps_around(x, count):
 
 
 def test_regime_map_limits_are_where_the_gates_stop_passing():
-    # the bisection's invariant at both series limits: the gate passes there
-    # and fails one double up.  omega's series limit is its own gate's for
-    # every order from 1 on (n >= 4), so the merged series band widens
-    # omega's series only for n = 2 and 3, where it ends at bessel_j's limit
+    # the bisection's invariant at the series limit: the gate passes at x_S
+    # and fails one double up; Hankel's edge is the rule's, and omega and
+    # bessel_j read the same map
     others = np.random.default_rng(108).uniform(0.0, 60.0, 8).tolist()
     for nu in [0.5 * i for i in range(121)] + others:
-        (x_o, h_o), (x_s, h_j), lg = specfun._regime_map(nu)
+        (x_s, x_h), lg = specfun._regime_map(nu)
         assert lg == math.lgamma(nu + 1.0)
-
-        def j_log_max(x):
-            return specfun._series_log_maxterm(nu, x)
-
-        def omega_log_max(x):
-            return specfun._series_log_maxterm(nu, x) - nu * math.log(x / 2.0) + lg
-
-        above_o, above_s = np.nextafter(x_o, math.inf), np.nextafter(x_s, math.inf)
-        assert 10.0 < x_s <= x_o < 60.0, nu
-        assert j_log_max(x_s) <= specfun._LOG_SERIES_GATE < j_log_max(above_s), nu
-        assert specfun._LOG_OMEGA_GATE < omega_log_max(above_o), nu
-        own = omega_log_max(x_o) <= specfun._LOG_OMEGA_GATE
-        assert own or x_o == x_s, nu
-        if nu >= 1.0:  # x_O >= x_S
-            assert own, nu
-        if nu in (0.0, 0.5):  # x_O < x_S
-            assert not own, nu
-        hankel = max(13.0, 0.8 * nu * nu)
-        assert (h_o, h_j) == (max(x_o, hankel), max(x_s, hankel))
+        log_max = specfun._series_log_maxterm
+        assert 14.1 < x_s < 50.0, nu  # the recurrence's Hankel sums need x > 13
+        assert log_max(nu, x_s) <= specfun._LOG_SERIES_GATE, nu
+        assert specfun._LOG_SERIES_GATE < log_max(nu, np.nextafter(x_s, math.inf)), nu
+        assert x_h == max(x_s, 13.0, 0.8 * nu * nu), nu
 
 
 def test_omega_agrees_with_mpmath_around_every_regime_limit():
-    # two ulps on each side of every edge of omega's map and of bessel_j's,
-    # for every dimension with a map (n = 1 is cos); the map from the
-    # bisection leaves no ragged stretch to the gate formula, and the
-    # kernels on both sides of an edge keep the budget there
+    # two ulps on each side of both edges of every order's map, for omega in
+    # every dimension with a map (n = 1 is cos) and for bessel_j on the same
+    # orders; the map from the bisection leaves no ragged stretch to the
+    # gate formula, and the kernels on both sides of an edge keep the budget
     worst = 0.0
     for n in range(2, 67):
         nu = 0.5 * n - 1.0
-        omega_edges, j_edges, _ = specfun._regime_map(nu)
-        x = np.concatenate([_ulps_around(e, 2) for e in sorted(set(omega_edges))])
+        edges, _ = specfun._regime_map(nu)
+        x = np.concatenate([_ulps_around(e, 2) for e in sorted(set(edges))])
         want = np.array([oracles.omega_mpmath(n, v) for v in x.tolist()])
         worst = max(worst, float(np.max(np.abs(omega(n, x) - want))))
-        x = np.concatenate([_ulps_around(e, 2) for e in sorted(set(j_edges))])
         want = np.array([oracles.bessel_j_mpmath(nu, v) for v in x.tolist()])
         worst = max(worst, float(np.max(np.abs(bessel_j(nu, x) - want))))
     assert worst <= _BUDGET
@@ -297,7 +281,7 @@ def test_bessel_within_its_stated_error_against_mpmath():
     rng = np.random.default_rng(2507)
     worst = 0.0
     for nu in [1.5 * i for i in range(41)]:
-        _, edges, _ = specfun._regime_map(nu)
+        edges, _ = specfun._regime_map(nu)
         bounds = [0.0, *edges]
         spans = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
         x = np.concatenate(
@@ -309,23 +293,47 @@ def test_bessel_within_its_stated_error_against_mpmath():
     assert worst <= _BUDGET
 
 
+def test_bessel_past_the_turning_point_against_mpmath():
+    # from order 28 on, x_S < nu, and the middle band's recurrence runs past
+    # its turning point for the arguments in (x_S, nu); fresh seeded
+    # arguments there, for J_nu and for omega on the same orders
+    assert specfun._regime_map(27.5)[0][0] > 27.5
+    rng = np.random.default_rng(3101)
+    worst = 0.0
+    for nu in [0.5 * i for i in range(56, 121)]:
+        (x_s, _), _ = specfun._regime_map(nu)
+        assert x_s < nu, nu
+        x = rng.uniform(x_s, nu, 6)
+        want = np.array([oracles.bessel_j_mpmath(nu, v) for v in x.tolist()])
+        worst = max(worst, float(np.max(np.abs(bessel_j(nu, x) - want))))
+        if nu <= 32.0:  # an order of omega's, n = 2 nu + 2 <= 66
+            n = int(2.0 * nu) + 2
+            want = np.array([oracles.omega_mpmath(n, v) for v in x.tolist()])
+            worst = max(worst, float(np.max(np.abs(omega(n, x) - want))))
+    assert worst <= _BUDGET
+
+
 def test_omega_sends_each_element_to_one_kernel(monkeypatch):
-    # each element of one omega call reaches exactly the kernel its order's
-    # map names, through no gate formula and not through bessel_j, and each
-    # element of a bessel_j call the kernel bessel_j's map names: the series,
-    # Miller or Hankel; 122 elements per omega call, and 602 for the sorted
-    # dispatch of wider calls
+    # each element of one omega call, and of one bessel_j call, reaches
+    # exactly the kernel its order's map names, through no gate formula and
+    # (for omega) not through bessel_j: the series, the upward recurrence or
+    # Hankel; the two Hankel sums the recurrence starts from are counted on
+    # their own, twice per element of the recurrence.  122 elements per omega
+    # call, and 602 for the sorted dispatch of wider calls
     rng = np.random.default_rng(107)
     narrow = np.concatenate([[0.0], np.sort(np.exp(rng.uniform(-4.0, 7.5, 60)))])
     wide = np.concatenate([[0.0], np.exp(rng.uniform(-4.0, 7.5, 300))])
     first = {(n, t.size): omega((n, n + 2), t) for n in range(1, 65) for t in (narrow, wide)}
-    seen = []
+    seen, nested, inside = [], [], []
 
     def counting(name, fn):
-        def counted(*args):
-            x = args[1] if name == "_bessel_miller" else args[0]  # Miller takes nu first
-            seen.extend((name, v) for v in x.tolist())
-            return fn(*args)
+        def counted(x, nu):
+            (nested if inside else seen).extend((name, v) for v in x.tolist())
+            inside.append(name)
+            try:
+                return fn(x, nu)
+            finally:
+                inside.pop()
 
         return counted
 
@@ -336,7 +344,10 @@ def test_omega_sends_each_element_to_one_kernel(monkeypatch):
         regime = np.searchsorted(edges, t)
         return [(kernels[r], v) for r, v in zip(regime.tolist(), t.tolist())]
 
-    kernels = ("_series_table", "_bessel_miller", "_hankel_table")
+    def starts():  # the recurrence's two Hankel sums per element
+        return [("_hankel_table", v) for name, v in seen if name == "_upward_table"] * 2
+
+    kernels = ("_series_table", "_upward_table", "_hankel_table")
     for name in kernels:
         monkeypatch.setattr(specfun, name, counting(name, getattr(specfun, name)))
     monkeypatch.setattr(specfun, "_series_log_maxterm", refuse)
@@ -344,17 +355,21 @@ def test_omega_sends_each_element_to_one_kernel(monkeypatch):
     ran = set()
     for n, t in itertools.product(range(1, 65), (narrow, wide)):
         seen.clear()
+        nested.clear()
         assert np.array_equal(omega((n, n + 2), t), first[n, t.size]), n
         want = []
         for k in (n, n + 2):
             if k > 1:
                 want += dispatched(specfun._regime_map(0.5 * k - 1.0)[0], t)
         assert sorted(seen) == sorted(want), (n, t.size)
+        assert sorted(nested) == sorted(starts()), (n, t.size)
         ran |= {name for name, _ in seen}
         if n in (1, 16, 33, 64):  # bessel_j on the order of n + 2, n/2
             seen.clear()
+            nested.clear()
             bessel_j(0.5 * n, t)  # the package's name; specfun's refuses
-            assert sorted(seen) == sorted(dispatched(specfun._regime_map(0.5 * n)[1], t)), n
+            assert sorted(seen) == sorted(dispatched(specfun._regime_map(0.5 * n)[0], t)), n
+            assert sorted(nested) == sorted(starts()), n
     assert ran == set(kernels)
 
 
@@ -405,7 +420,7 @@ def test_hankel_table_matches_loop():
 
 def test_omega_and_bessel_match_loop_kernels_in_every_regime(monkeypatch):
     rng = np.random.default_rng(104)
-    # series, Miller and Hankel arguments for every order
+    # series, recurrence and Hankel arguments for every order
     t = np.concatenate([[0.0], np.sort(np.exp(rng.uniform(-4.0, 7.5, 600)))])
     block = rng.uniform(0.0, 60.0, (8, 1 << 11))
     table = {}
@@ -440,8 +455,8 @@ def test_kernels_take_one_order_per_element():
 
 def test_fused_omega_matches_separate_calls(monkeypatch):
     # one pass for Omega_n and Omega_{n+2}, as the Newton jet asks, against
-    # two calls, with arguments in the series, Miller and Hankel regimes
-    ran = {"miller": 0, "hankel": 0}
+    # two calls, with arguments in the series, recurrence and Hankel regimes
+    ran = {"upward": 0, "hankel": 0}
 
     def counting(name, fn):
         def counted(*args):
@@ -450,7 +465,7 @@ def test_fused_omega_matches_separate_calls(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(specfun, "_bessel_miller", counting("miller", specfun._bessel_miller))
+    monkeypatch.setattr(specfun, "_upward_table", counting("upward", specfun._upward_table))
     monkeypatch.setattr(specfun, "_hankel_table", counting("hankel", specfun._hankel_table))
     rng = np.random.default_rng(106)
     for n in range(1, 65):
@@ -470,7 +485,7 @@ def test_fused_omega_matches_separate_calls(monkeypatch):
             assert np.max(np.abs(both[0] - omega(n, args))) <= 1e-15, n
             assert np.max(np.abs(both[1] - omega(n + 2, args))) <= 1e-15, n
         assert omega((n, n + 2), 0.0).tolist() == [1.0, 1.0]
-    assert ran["miller"] and ran["hankel"]
+    assert ran["upward"] and ran["hankel"]
 
 
 # ------------------------------------------------------------------ jacobi

@@ -55,6 +55,12 @@ def test_build_annulus_examples():
     # the annulus around 0.5 reaches 0, but 0 is never in the set
     assert annulus_connection_set(12, 1, [0.5], 0.75) == {(1,), (11,)}
     assert circulant_range(12, 1, [0.5], 0.75).R == 2.0
+    # the norm-2 vectors lie exactly on the annulus edge, |2 - 1.75| = 0.25,
+    # and the edge belongs to the annulus: S is the four double steps
+    s = annulus_connection_set(8, 2, [1.75], 0.25)
+    assert s == {(2, 0), (6, 0), (0, 2), (0, 6)}
+    edge = circulant_range(8, 2, [1.75], 0.25)
+    assert (edge.m, edge.M, edge.R) == (-4.0, 4.0, len(s))
     # sqrt(5) is within 0.3 of 2: the knight moves join the axis steps
     assert circulant_range(8, 2, [2.0], 0.3).R == len(
         annulus_connection_set(8, 2, [2.0], 0.3)
