@@ -38,6 +38,10 @@ _SCAN_BUDGET = 1e8
 _KEPT_CELLS = 1 << 20
 # _float_gcd stops once a remainder is below this fraction of the largest value
 _GCD_RTOL = 1e-9
+# the optimizer's local reduction: its Newton steps, and the residual and
+# step size (weights, multipliers, relative radii) below which they end
+_REDUCTION_ITERS = 8
+_REDUCTION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -421,6 +425,55 @@ def unit_distance_range(n: int) -> SpectralRange:
     return SpectralRange(float(omega(n, z)), 1.0, 1.0, provenance={"bessel_first_zero": z})
 
 
+def _reduction_newton(n: int, d, w, r, lam, s: float, cutoff: float):
+    """Newton on the local reduction of the radial game; (w, r) or None.
+
+    Unknowns: the weights w of the atoms d, the basin radii r_b, the
+    multipliers lam_b and the level s.  Equations: nuhat'(r_b) = 0 and
+    nuhat(r_b) = s per basin, sum_b lam_b Omega_n(d_i r_b) = s per atom,
+    and sum w = sum lam = 1.  That is one equation more than unknowns, and
+    a consistent one (sum_i w_i of the atoms' rows is sum_b lam_b of the
+    basins'), so each step is a least-squares solve.  Each iteration is one
+    omega((n, n + 2), t) pass over atoms x basins, and the derivatives come
+    from _profile_jet's identities.  Newton stops after the first of at most
+    _REDUCTION_ITERS steps that is below _REDUCTION_TOL (radii relative, the
+    rest absolute) and was taken from a residual below it too, which keeps
+    out a least-squares point of an inconsistent system, where the steps
+    vanish as well.  Returns the point it stops at if its w and lam are
+    nonnegative; None if not, if it does not stop, or once an iterate is not
+    finite or a radius leaves (0, cutoff], before omega sees it.
+    """
+    p, k = d.size, r.size
+    c1, c2, c3 = (-d / n)[:, None], (d * d)[:, None], (n - 1.0) / n
+    basin, atom = np.arange(k), 2 * k + np.arange(p)
+    # rows: nuhat' and nuhat - s per basin, the atoms' rows, the two sums;
+    # columns: w, r, lam, s
+    jac = np.zeros((p + 2 * k + 2, p + 2 * k + 1))
+    jac[k:-2, -1] = -1.0
+    jac[-2, :p] = jac[-1, p + k : -1] = 1.0
+    scale = np.ones(p + 2 * k)
+    x, converged = np.concatenate([w, r, lam, [s]]), False
+    for _ in range(_REDUCTION_ITERS + 1):
+        w, r, lam, s = x[:p], x[p : p + k], x[p + k : -1], x[-1]
+        if not (np.isfinite(x).all() and (r > 0.0).all() and (r <= cutoff).all()):
+            return None
+        if converged:
+            return (w, r) if (w >= 0.0).all() and (lam >= 0.0).all() else None
+        t = np.outer(d, r)
+        o_n, o_n2 = omega((n, n + 2), t)
+        o1, o2 = c1 * t * o_n2, c2 * (c3 * o_n2 - o_n)  # d/dr, d^2/dr^2 of Omega_n(d_i r)
+        g1 = w @ o1
+        jac[:k, :p], jac[basin, p + basin] = o1.T, w @ o2
+        jac[k : 2 * k, :p], jac[k + basin, p + basin] = o_n.T, g1
+        jac[atom, p : p + k], jac[atom, p + k : -1] = o1 * lam, o_n
+        f = np.concatenate([g1, w @ o_n - s, o_n @ lam - s, [w.sum() - 1.0, lam.sum() - 1.0]])
+        step = np.linalg.lstsq(jac, f, rcond=None)[0]
+        scale[p : p + k] = r
+        x = x - step
+        converged = max(np.abs(f).max(), (np.abs(step[:-1]) / scale).max()) <= _REDUCTION_TOL
+    return None
+
+
 def optimize_radial_measure(
     n: int, radii, tol: float = 1e-8
 ) -> tuple[RadialMeasure, SpectralRange]:
@@ -429,17 +482,35 @@ def optimize_radial_measure(
     Solves the max-min game between weights and frequencies on a grid of
     _LP_GRID frequencies, then verifies the winner against the true
     continuous infimum; any frequency that beats the grid value is appended
-    as a new constraint and the game is re-solved (cutting planes), so the
-    grid is only a warm start.  The payoff matrix is evaluated
-    once on the grid, and each round evaluates only its new columns.  The
-    rounds scan the same segments for the same atoms with new weights, so
-    the call keeps each scan segment's omega table, per set of active
+    as a new constraint and the game is re-solved (Kelley's cutting planes),
+    so the grid is only a warm start.  The payoff matrix is evaluated once
+    on the grid, and each round evaluates only its new columns.
+
+    After the first round, the local reduction of the semi-infinite program
+    (Hettich & Kortanek, SIAM Review 35, 1993) is solved once: on the
+    basins whose refined lows lie at or below the game value, Newton finds
+    the weights, basin radii and multipliers at which every such basin sits
+    at one level (_reduction_newton), from the round's weights, its refined
+    lows and the game's column mixture gathered onto the nearest basin.
+    The Newton measure is certified by its own scan and refinement, like any
+    round's measure, and is returned only if its certified m is at least
+    the first round's and it passes the stop rule below: if the first round
+    passed it already, its m must be higher; if not, the basin radii join
+    the game as columns and the Newton measure must pass the stop rule
+    against the re-solved game.  Otherwise, and whenever Newton fails,
+    Kelley's rounds go on.  A measure passes the stop rule when none of its
+    lows is more than tol below the game value, which bounds the optimum
+    from above; so the printed bound is the certified range of the printed
+    measure, within tol of the optimum whichever way it was found.
+
+    The rounds scan the same segments for the same atoms with new weights,
+    so the call keeps each scan segment's omega table, per set of active
     radii, and a round only re-weights it; the uniform measure's scan fills
     the first tables.  Kept tables are capped at _KEPT_CELLS cells (8 MB);
-    past the cap a segment is evaluated anew, to the same bits.
-    Returns (measure, range): the range is read from the extrema of the last
-    round, whose scan found no cut for the measure, as radial_range would
-    read it, and carries that round's scan provenance.
+    past the cap a segment is evaluated anew, to the same bits.  Returns
+    (measure, range): the range is read from the extrema of the returned
+    measure, as radial_range would read it, and carries that scan's
+    provenance.
     """
     n = _require_dimension(n)
     ds = sorted(float(d) for d in radii)
@@ -450,17 +521,46 @@ def optimize_radial_measure(
     uniform = RadialMeasure(n, tuple((d, 1.0 / len(ds)) for d in ds))
     kept: dict = {}
     cutoff = _window_scan(uniform, tol, kept)[2]
+    grid = np.linspace(0.0, cutoff, _LP_GRID)
+    pending = []  # the Newton measure and its extrema, for the next game's stop rule
 
-    def oracle(t_star, w):
+    def certified(w):
         mu = RadialMeasure(n, tuple(zip(ds, w)))
-        rng, lows = _refined_extrema(mu, tol, kept)
+        return (mu, *_refined_extrema(mu, tol, kept))
+
+    def reduction(t_star, w, y, lows, window):
+        """(measure, range, lows, basin radii) of the certified Newton point, or None."""
+        on = w > 0.0
+        r = np.array([a for a, v in lows if v <= t_star])
+        if on.sum() < 2 or r.size == 0:  # a lone weight is the whole measure already
+            return None
+        lam = np.zeros(r.size)  # y gathered onto the nearest basin, so it sums to 1 too
+        np.add.at(lam, np.abs(grid[:, None] - r).argmin(axis=1), y)
+        found = _reduction_newton(n, np.array(ds)[on], w[on], r, lam, t_star, window)
+        if found is None:
+            return None
+        w_n = np.zeros(len(ds))
+        w_n[on] = found[0]
+        return (*certified(w_n), found[1])
+
+    def oracle(t_star, w, y):
+        if pending:
+            mu, rng, lows = pending.pop()
+            if all(v >= t_star - tol for _, v in lows):
+                return (), (mu, rng)
+        mu, rng, lows = certified(w)
         # every basin beating the grid value is a violated constraint; adding
         # them all at once stops the game from cycling through near-tied dips
         cuts = np.array([a for a, v in lows if v < t_star - tol])
+        window = rng.provenance["cutoff"]  # the round's scan, which holds every low
+        # only the first game is on the grid alone: every later one has cuts
+        if y.size == grid.size and (found := reduction(t_star, w, y, lows, window)) is not None:
+            mu_n, rng_n, lows_n, r = found
+            if len(cuts) == 0 and rng_n.m > rng.m:
+                return cuts, (mu_n, rng_n)
+            if len(cuts) > 0 and rng_n.m >= rng.m:
+                pending.append((mu_n, rng_n, lows_n))
+                return r, (mu, rng)
         return cuts, (mu, rng)
 
-    return cutting_planes(
-        lambda rs: omega(n, np.outer(ds, rs)),
-        np.linspace(0.0, cutoff, _LP_GRID),
-        oracle,
-    )
+    return cutting_planes(lambda rs: omega(n, np.outer(ds, rs)), grid, oracle)

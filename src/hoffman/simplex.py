@@ -91,13 +91,16 @@ def simplex_maximize(A, b, c, stats: dict | None = None):
 
 
 def solve_matrix_game(payoff, stats: dict | None = None):
-    """Optimal mixture for max_w min_j sum_i w_i P[i, j] over the simplex.
+    """Optimal mixtures for max_w min_j sum_i w_i P[i, j] over the simplex.
 
-    Returns (value, w).  Solved through the classical LP transform: shift the
-    payoff positive, solve the column player's LP (which starts feasible from
-    the slack basis), and recover the row mixture from the duals.  value is
-    min_j (w P)_j, the payoff w itself guarantees, so tableau rounding can
-    never overstate it.  stats is passed on to simplex_maximize.
+    Returns (lower, w, y, upper).  Solved through the classical LP
+    transform: shift the payoff positive, solve the column player's LP
+    (which starts feasible from the slack basis), read the column mixture y
+    from its solution x as x / sum x, and recover the row mixture w from the
+    duals.  lower is min_j (w P)_j, the payoff w itself guarantees, and
+    upper is max_i (P y)_i, the most y concedes, so by weak duality lower <=
+    value <= upper whatever the tableau's rounding.  stats is passed on to
+    simplex_maximize.
     """
     P = np.asarray(payoff, dtype=float)
     if P.ndim != 2 or P.size == 0:
@@ -107,14 +110,14 @@ def solve_matrix_game(payoff, stats: dict | None = None):
     p, q = P.shape
     shift = 1.0 - float(P.min())
     Pp = P + shift
-    _, duals, total = simplex_maximize(Pp, np.ones(p), np.ones(q), stats=stats)
+    x, duals, total = simplex_maximize(Pp, np.ones(p), np.ones(q), stats=stats)
     if total <= 0.0:  # pragma: no cover - Pp > 0 forces a positive optimum
         raise ConvergenceError("degenerate game value")
     mass = duals.sum()
     if mass <= 0.0:  # pragma: no cover
         raise ConvergenceError("degenerate dual mixture")
-    w = duals / mass
-    return float((w @ P).min()), w
+    w, y = duals / mass, x / x.sum()
+    return float((w @ P).min()), w, y, float((P @ y).max())
 
 
 def cutting_planes(columns, points, oracle):
@@ -122,12 +125,14 @@ def cutting_planes(columns, points, oracle):
 
     columns(xs) gives the payoff block of the points xs, one column each.
     Each round solves the game on every point so far and calls
-    oracle(value, w), which returns (cuts, result): the points whose
-    columns w violates, and what the loop returns once there are none.
+    oracle(value, w, y) with the game's lower value and both mixtures; it
+    returns (cuts, result): the points to add as columns, and what the loop
+    returns once there are none.
     """
     payoff = columns(points)
     for _ in range(_LP_ROUNDS):
-        cuts, result = oracle(*solve_matrix_game(payoff))
+        value, w, y, _ = solve_matrix_game(payoff)
+        cuts, result = oracle(value, w, y)
         if len(cuts) == 0:
             return result
         payoff = np.hstack([payoff, columns(cuts)])

@@ -228,7 +228,7 @@ def optimize_sphere_measure(n: int, support, K: int = 64, tol: float = 1e-8):
 
     table = _JacobiTable(n, np.array(ts))  # one per call, like the radial omega tables
 
-    def oracle(s_star, w):
+    def oracle(s_star, w, _y):  # the column mixture y is not needed here
         mu = SphereMeasure(n, tuple(zip(ts, w)))
         if s_star >= 0.0:
             raise VacuousBoundError("optimized infimum is nonnegative; vacuous on this support")

@@ -321,6 +321,70 @@ def test_optimizer_cutting_plane_soundness():
     assert rng.provenance == ext.provenance
 
 
+@pytest.mark.parametrize(
+    "n, grids", [("2", (512, 128, 32, 8)), ("32", (512, 32))], ids=["bench", "n32"]
+)
+def test_optimizer_prints_one_optimum_whatever_the_grid(monkeypatch, capsys, n, grids):
+    # Kelley alone printed 4.254901983, ...980, ...988 and ...935 for the
+    # four grids, and at n = 32, where the first round already passes its
+    # absolute stop test, 1235656.268 and 1238933.811
+    printed = set()
+    for grid in grids:
+        monkeypatch.setattr(euclidean, "_LP_GRID", grid)
+        assert run(["optimize", "--mode", "radial", "-n", n, "--support", "1", "1.445305"]) == 0
+        printed.add(json.loads(capsys.readouterr().out)["bounds"]["chi_lb"]["value"])
+    assert printed == {4.254901988 if n == "2" else 1239706.458}
+
+
+def _spied_reduction(monkeypatch):
+    """Record (basins, result) of every local reduction the optimizer runs."""
+    found, newton = [], euclidean._reduction_newton
+
+    def spy(n, d, w, r, lam, s, cutoff):
+        found.append((r.size, newton(n, d, w, r, lam, s, cutoff)))
+        return found[-1][1]
+
+    monkeypatch.setattr(euclidean, "_reduction_newton", spy)
+    return found
+
+
+def test_reduction_solves_three_active_basins(monkeypatch):
+    found = _spied_reduction(monkeypatch)
+    mu, rng = optimize_radial_measure(2, [0.5, 1.0, 1.5, 2.0, 2.5])
+    [(basins, (w, r))] = found
+    assert basins == 3 and mu.weights().tolist() == w.tolist()
+    # the returned measure is Newton's, and its certified lows at the three
+    # basins sit at one level, up to omega's error (2e-13 apart here)
+    low = {round(a, 6): v for a, v in euclidean._refined_extrema(mu, 1e-8)[1]}
+    levels = [low[round(b, 6)] for b in r.tolist()]
+    assert max(levels) - min(levels) <= specfun._OMEGA_ABS_ERR and min(levels) == rng.m
+
+
+def test_reduction_never_certifies_less_than_kelley(monkeypatch):
+    rng = np.random.default_rng(32)
+    supports = []
+    for _ in range(20):  # dimensions 2-6, 2-5 radii
+        n, size = int(rng.integers(2, 7)), int(rng.integers(2, 6))
+        supports.append((n, sorted(np.round(rng.uniform(0.5, 3.0, size), 4).tolist())))
+    found = _spied_reduction(monkeypatch)
+    reduced = [optimize_radial_measure(n, radii)[1].m for n, radii in supports]
+    assert sum(out is not None for _, out in found) >= 15
+    monkeypatch.setattr(euclidean, "_reduction_newton", lambda *args: None)  # Kelley alone
+    for (n, radii), m in zip(supports, reduced):
+        assert m >= optimize_radial_measure(n, radii)[1].m - 1e-12, (n, radii)
+
+
+def test_unconverged_reduction_prints_the_kelley_output(monkeypatch, capsys):
+    # one Newton step cannot reach the tolerance: the optimizer's rounds and
+    # output are those of Kelley's loop alone, as pinned before the reduction
+    found = _spied_reduction(monkeypatch)
+    monkeypatch.setattr(euclidean, "_REDUCTION_ITERS", 1)
+    assert run(["optimize", "--mode", "radial", "--support", "1", "2"]) == 0
+    assert found == [(1, None)]
+    pinned = Path(__file__).parent / "pinned" / "optimize_radial_kelley.out"
+    assert capsys.readouterr().out == pinned.read_text()
+
+
 def test_optimizer_deterministic_and_validated():
     a = optimize_radial_measure(2, [1.0, 2.0])
     b = optimize_radial_measure(2, [1.0, 2.0])
@@ -693,10 +757,11 @@ _OPTIMIZE_ARGV = ["optimize", "--mode", "radial", "--support", "1", "1.445305"]
 @pytest.mark.parametrize(
     "argv, passes",
     [
-        # eight cutting-plane rounds, one grid payoff and one uniform scan;
-        # the rounds re-weight the kept scan tables (75 passes without them
-        # and with one pass per jet order)
-        (_OPTIMIZE_ARGV, 34),
+        # the uniform scan and the grid payoff; the first round's and the
+        # Newton measure's extrema, whose scans re-weight the kept tables
+        # (four and three jets); three Newton steps of the local reduction
+        # and the basin's column
+        (_OPTIMIZE_ARGV, 13),
         # scan and Newton jets, one pass per jet (11 with two)
         (["euclidean", "{file}"], 6),
         # one scan pass and four Newton jets

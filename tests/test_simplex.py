@@ -60,21 +60,21 @@ def test_degenerate_lp_terminates():
 
 def test_rock_paper_scissors_value_zero():
     p = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
-    value, w = solve_matrix_game(p)
+    value, w, _, _ = solve_matrix_game(p)
     assert abs(value) < 1e-12
     assert np.allclose(w, np.ones(3) / 3.0, atol=1e-12)
 
 
 def test_two_by_two_mixed_game():
     p = np.array([[2.0, 1.0], [1.0, 2.0]])
-    value, w = solve_matrix_game(p)
+    value, w, _, _ = solve_matrix_game(p)
     assert abs(value - 1.5) < 1e-12
     assert np.allclose(w, [0.5, 0.5], atol=1e-12)
 
 
 def test_dominant_row_gets_all_weight():
     p = np.array([[1.0, 2.0], [3.0, 4.0]])
-    value, w = solve_matrix_game(p)
+    value, w, _, _ = solve_matrix_game(p)
     assert abs(value - 3.0) < 1e-12
     assert np.allclose(w, [0.0, 1.0], atol=1e-12)
 
@@ -83,7 +83,7 @@ def test_game_value_certified_by_weights():
     rng = np.random.default_rng(13)
     for _ in range(20):
         p = rng.uniform(-3.0, 3.0, size=(int(rng.integers(2, 6)), int(rng.integers(2, 9))))
-        value, w = solve_matrix_game(p)
+        value, w, _, _ = solve_matrix_game(p)
         assert abs(np.sum(w) - 1.0) < 1e-10
         assert np.min(w) >= -1e-12
         # the value is exactly the payoff the mixture guarantees
@@ -93,10 +93,10 @@ def test_game_value_certified_by_weights():
 def test_game_determinism():
     rng = np.random.default_rng(19)
     p = rng.uniform(-1.0, 1.0, size=(4, 7))
-    v1, w1 = solve_matrix_game(p)
-    v2, w2 = solve_matrix_game(p)
-    assert v1 == v2
-    assert np.array_equal(w1, w2)
+    v1, w1, y1, u1 = solve_matrix_game(p)
+    v2, w2, y2, u2 = solve_matrix_game(p)
+    assert v1 == v2 and u1 == u2
+    assert np.array_equal(w1, w2) and np.array_equal(y1, y2)
 
 
 def test_game_value_matches_scipy_linprog():
@@ -104,7 +104,7 @@ def test_game_value_matches_scipy_linprog():
     for _ in range(40):
         p, q = int(rng.integers(2, 12)), int(rng.integers(2, 80))
         payoff = rng.uniform(-2.0, 2.0, size=(p, q))
-        value, w = solve_matrix_game(payoff)
+        value, w, _, _ = solve_matrix_game(payoff)
         # max v s.t. w @ P >= v, sum w = 1, w >= 0, over (w, v)
         res = linprog(
             np.r_[np.zeros(p), -1.0],
@@ -120,6 +120,19 @@ def test_game_value_matches_scipy_linprog():
         # the returned mixture is feasible and guarantees the value
         assert np.min(w) >= -1e-12 and abs(np.sum(w) - 1.0) < 1e-12
         assert np.min(w @ payoff) >= value - 1e-9
+
+
+def test_game_mixtures_bracket_the_value():
+    # weak duality: the row mixture guarantees lower, the column mixture
+    # concedes at most upper, and at an optimal tableau the two meet
+    rng = np.random.default_rng(37)
+    for _ in range(60):
+        p, q = int(rng.integers(2, 12)), int(rng.integers(2, 300))
+        payoff = rng.uniform(-2.0, 2.0, size=(p, q))
+        lower, w, y, upper = solve_matrix_game(payoff)
+        assert np.min(y) >= 0.0 and abs(np.sum(y) - 1.0) < 1e-12
+        assert upper == float(np.max(payoff @ y))
+        assert lower <= upper <= lower + 1e-9
 
 
 # Beale (1955): Dantzig's rule with a smallest-index leaving row cycles
@@ -162,7 +175,7 @@ def test_non_finite_data_is_refused_up_front():
 def test_cutting_planes_give_up_after_the_round_budget():
     rounds = []
 
-    def never_certifies(value, w):
+    def never_certifies(value, w, y):
         rounds.append(value)
         return np.array([float(len(rounds))]), None
 
@@ -194,10 +207,14 @@ def test_radial_games_take_a_fifth_of_the_bland_pivots(monkeypatch):
     # 1, 3, ..., 41 (more in later rounds, as columns are added)
     radial = euclidean.optimize_radial_measure
     small = _optimizer_pivots(monkeypatch, radial, 2, [1.0, 2.0])
-    assert small[0][0] == (2, 512)
+    # the grid game, then the game with the local reduction's one basin
+    assert [shape for shape, _ in small] == [(2, 512), (2, 513)]
     assert max(k for _, k in small) <= 145 // 5
     odd = _optimizer_pivots(monkeypatch, radial, 2, [float(d) for d in range(1, 42, 2)], tol=1e-7)
-    assert odd[0][0] == (21, 512)
+    # eleven weights on one low basin: the reduction fails and Kelley's
+    # rounds go on, each game with the columns of the last
+    assert odd[0][0] == (21, 512) and len(odd) == 17
+    assert all(a[1] < b[1] for (a, _), (b, _) in zip(odd, odd[1:]))
     assert max(k for _, k in odd) <= 1314 // 5
 
 

@@ -340,9 +340,19 @@ def test_optimize_validation():
             optimize_sphere_measure(n, [-0.5])
 
 
-def test_optimize_certifies_clustered_and_uniform_supports():
+def test_optimize_certifies_clustered_and_uniform_supports(monkeypatch):
     # half of the supports hold six points in [-0.590, -0.537], where the
-    # game's optimum keeps a dip just past the truncation
+    # game's optimum keeps a dip just past the truncation; every game's two
+    # mixtures bracket its value within 1e-9
+    gaps = []
+    solve = simplex.solve_matrix_game
+
+    def bracketed(payoff):
+        lower, w, y, upper = solve(payoff)
+        gaps.append(upper - lower)
+        return lower, w, y, upper
+
+    monkeypatch.setattr(simplex, "solve_matrix_game", bracketed)
     rng = np.random.default_rng(31)
     for i in range(100):
         n, size = int(rng.integers(3, 8)), int(rng.integers(24, 41))
@@ -352,6 +362,7 @@ def test_optimize_certifies_clustered_and_uniform_supports():
         mu, rng_ = optimize_sphere_measure(n, np.unique(points))
         K = rng_.provenance["K"]
         assert rng_.m == min(0.0, float(eigenvalue_sequence(mu, K).values.min())) < 0.0
+    assert len(gaps) >= 100 and 0.0 <= min(gaps) and max(gaps) <= 1e-9
 
 
 def test_optimize_game_grows_by_the_violated_degrees(monkeypatch):
