@@ -24,7 +24,7 @@ from .errors import (
 )
 from .reports import SpectralRange
 from .simplex import cutting_planes
-from .specfun import _row_sum, bessel_first_zero, omega
+from .specfun import _ARG_MAX, _row_sum, bessel_first_zero, omega
 
 _POINTS_PER_PERIOD = 40
 _LP_GRID = 512
@@ -292,6 +292,11 @@ def _window_scan(mu: RadialMeasure, tol: float, kept: dict | None = None):
     best = {1.0: math.inf, -1.0: math.inf}
 
     def scan(lo: float, hi: float) -> int:
+        if d_max * hi > _ARG_MAX:  # omega would refuse the segment's last point
+            raise ValueError(
+                f"profile scan past Omega_n's domain: radii {d_min:.6g} to {d_max:.6g} "
+                f"need a scan out to {hi:.6g}, and {d_max:.6g} x {hi:.6g} exceeds {_ARG_MAX:g}"
+            )
         count = max(3, int(math.ceil((hi - lo) / step)) + 1)
         grid = np.linspace(lo, hi, count)
         vals = _profile(mu, grid, kept)
@@ -380,8 +385,10 @@ def radial_range(mu: RadialMeasure, tol: float = 1e-8) -> SpectralRange:
     the iteration converged to.  Each profile evaluation covers every atom
     and point at once, in blocks of at most 2^14 Bessel arguments.  A scan
     whose first window alone needs more than 1e8 atom evaluations is
-    refused with ConvergenceError, and radii too small for a finite grid
-    step (below about 9e-310) with ValueError.
+    refused with ConvergenceError; radii too small for a finite grid step
+    (below about 9e-310), and a scan segment whose last point times the
+    largest radius passes omega's domain (1e6), before it is evaluated, with
+    ValueError.
     R = nuhat(0), the total mass, is given only for a nonnegative measure.
     The provenance is {cutoff, grid_points, inf_arg}; a measure with no
     nonzero weight scans nothing and has the range (0, 0).
@@ -426,7 +433,7 @@ def unit_distance_range(n: int) -> SpectralRange:
 
 
 def _reduction_newton(n: int, d, w, r, lam, s: float, cutoff: float):
-    """Newton on the local reduction of the radial game; (w, r) or None.
+    """Newton on the local reduction of the radial game; (w, r, lam) or None.
 
     Unknowns: the weights w of the atoms d, the basin radii r_b, the
     multipliers lam_b and the level s.  Equations: nuhat'(r_b) = 0 and
@@ -439,9 +446,9 @@ def _reduction_newton(n: int, d, w, r, lam, s: float, cutoff: float):
     _REDUCTION_ITERS steps that is below _REDUCTION_TOL (radii relative, the
     rest absolute) and was taken from a residual below it too, which keeps
     out a least-squares point of an inconsistent system, where the steps
-    vanish as well.  Returns the point it stops at if its w and lam are
-    nonnegative; None if not, if it does not stop, or once an iterate is not
-    finite or a radius leaves (0, cutoff], before omega sees it.
+    vanish as well.  Returns the point it stops at if w and lam >= 0, weak
+    duality's precondition; None if not, if it does not stop, or once an
+    iterate is not finite or a radius leaves (0, cutoff], before omega sees it.
     """
     p, k = d.size, r.size
     c1, c2, c3 = (-d / n)[:, None], (d * d)[:, None], (n - 1.0) / n
@@ -458,7 +465,7 @@ def _reduction_newton(n: int, d, w, r, lam, s: float, cutoff: float):
         if not (np.isfinite(x).all() and (r > 0.0).all() and (r <= cutoff).all()):
             return None
         if converged:
-            return (w, r) if (w >= 0.0).all() and (lam >= 0.0).all() else None
+            return (w, r, lam) if (w >= 0.0).all() and (lam >= 0.0).all() else None
         t = np.outer(d, r)
         o_n, o_n2 = omega((n, n + 2), t)
         o1, o2 = c1 * t * o_n2, c2 * (c3 * o_n2 - o_n)  # d/dr, d^2/dr^2 of Omega_n(d_i r)
@@ -489,19 +496,20 @@ def optimize_radial_measure(
     After the first round, the local reduction of the semi-infinite program
     (Hettich & Kortanek, SIAM Review 35, 1993) is solved once: on the
     basins whose refined lows lie at or below the game value, Newton finds
-    the weights, basin radii and multipliers at which every such basin sits
-    at one level (_reduction_newton), from the round's weights, its refined
-    lows and the game's column mixture gathered onto the nearest basin.
-    The Newton measure is certified by its own scan and refinement, like any
-    round's measure, and is returned only if its certified m is at least
-    the first round's and it passes the stop rule below: if the first round
-    passed it already, its m must be higher; if not, the basin radii join
-    the game as columns and the Newton measure must pass the stop rule
-    against the re-solved game.  Otherwise, and whenever Newton fails,
-    Kelley's rounds go on.  A measure passes the stop rule when none of its
-    lows is more than tol below the game value, which bounds the optimum
-    from above; so the printed bound is the certified range of the printed
-    measure, within tol of the optimum whichever way it was found.
+    the weights, basin radii r_b and multipliers lam_b at which every such
+    basin sits at one level (_reduction_newton), from the round's weights,
+    its refined lows and the game's column mixture gathered onto the nearest
+    basin.  As lam >= 0 sums to 1 (within _REDUCTION_TOL), weak duality
+    bounds the optimum from above: every probability measure on the radii
+    has inf nuhat <= sum_b lam_b nuhat(r_b) <= U = max_i sum_b lam_b
+    Omega_n(d_i r_b), over every radius of the support.  The Newton measure,
+    certified by its own scan and refinement, is returned at once if its m
+    is at least the first round's and U - tol.  Otherwise, and whenever
+    Newton fails, Kelley's rounds go on alone from the first round's cuts,
+    until no low is more than tol below the game value, which bounds the
+    optimum from above too.  So the printed bound is the certified range of
+    the printed measure, within tol of the optimum either way, and no round
+    hands a measure on to the next.
 
     The rounds scan the same segments for the same atoms with new weights,
     so the call keeps each scan segment's omega table, per set of active
@@ -522,45 +530,36 @@ def optimize_radial_measure(
     kept: dict = {}
     cutoff = _window_scan(uniform, tol, kept)[2]
     grid = np.linspace(0.0, cutoff, _LP_GRID)
-    pending = []  # the Newton measure and its extrema, for the next game's stop rule
 
     def certified(w):
         mu = RadialMeasure(n, tuple(zip(ds, w)))
         return (mu, *_refined_extrema(mu, tol, kept))
 
-    def reduction(t_star, w, y, lows, window):
-        """(measure, range, lows, basin radii) of the certified Newton point, or None."""
+    def reduction(t_star, w, y, lows, rng):
+        """(measure, range) of the Newton point if its m is at least rng.m and U - tol."""
         on = w > 0.0
         r = np.array([a for a, v in lows if v <= t_star])
         if on.sum() < 2 or r.size == 0:  # a lone weight is the whole measure already
             return None
         lam = np.zeros(r.size)  # y gathered onto the nearest basin, so it sums to 1 too
         np.add.at(lam, np.abs(grid[:, None] - r).argmin(axis=1), y)
+        window = rng.provenance["cutoff"]  # the round's scan, which holds every low
         found = _reduction_newton(n, np.array(ds)[on], w[on], r, lam, t_star, window)
         if found is None:
             return None
         w_n = np.zeros(len(ds))
-        w_n[on] = found[0]
-        return (*certified(w_n), found[1])
+        w_n[on], r, lam = found
+        upper = float((omega(n, np.outer(ds, r)) @ lam).max())
+        mu_n, rng_n, _ = certified(w_n)
+        return (mu_n, rng_n) if rng_n.m >= max(rng.m, upper - tol) else None
 
     def oracle(t_star, w, y):
-        if pending:
-            mu, rng, lows = pending.pop()
-            if all(v >= t_star - tol for _, v in lows):
-                return (), (mu, rng)
         mu, rng, lows = certified(w)
+        # only the first game is on the grid alone: every later one has cuts
+        if y.size == grid.size and (found := reduction(t_star, w, y, lows, rng)) is not None:
+            return (), found
         # every basin beating the grid value is a violated constraint; adding
         # them all at once stops the game from cycling through near-tied dips
-        cuts = np.array([a for a, v in lows if v < t_star - tol])
-        window = rng.provenance["cutoff"]  # the round's scan, which holds every low
-        # only the first game is on the grid alone: every later one has cuts
-        if y.size == grid.size and (found := reduction(t_star, w, y, lows, window)) is not None:
-            mu_n, rng_n, lows_n, r = found
-            if len(cuts) == 0 and rng_n.m > rng.m:
-                return cuts, (mu_n, rng_n)
-            if len(cuts) > 0 and rng_n.m >= rng.m:
-                pending.append((mu_n, rng_n, lows_n))
-                return r, (mu, rng)
-        return cuts, (mu, rng)
+        return np.array([a for a, v in lows if v < t_star - tol]), (mu, rng)
 
     return cutting_planes(lambda rs: omega(n, np.outer(ds, rs)), grid, oracle)

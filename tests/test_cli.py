@@ -255,6 +255,25 @@ def test_bad_radial_measure_exits_1_with_one_line(capsys, tmp_path, measure, mes
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["euclidean", "{file}"], ["optimize", "--mode", "radial", "--support", "1", "62000"]],
+    ids=["euclidean", "optimize"],
+)
+def test_scan_past_bessel_domain_exits_1_before_scanning(capsys, tmp_path, argv):
+    # the scan used to evaluate most of its 6.5e6 points, for 2.7 s, before
+    # omega refused an argument past 1e6
+    path = tmp_path / "measure.json"
+    path.write_text(json.dumps({"dim": 2, "atoms": [[1.0, 0.5], [62000.0, 0.5]]}))
+    t0 = time.monotonic()
+    assert run([a.replace("{file}", str(path)) for a in argv]) == 1
+    assert time.monotonic() - t0 < 0.5
+    assert _one_error_line(capsys) == (
+        "hoffman: profile scan past Omega_n's domain: radii 1 to 62000 need a scan"
+        " out to 16.3981, and 62000 x 16.3981 exceeds 1e+06\n"
+    )
+
+
+@pytest.mark.parametrize(
     "command, dim, position", [("euclidean", 2, 1.0), ("sphere", 3, 0.5)]
 )
 def test_measure_too_small_to_compute_exits_1(capsys, tmp_path, command, dim, position):

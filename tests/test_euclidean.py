@@ -351,7 +351,7 @@ def _spied_reduction(monkeypatch):
 def test_reduction_solves_three_active_basins(monkeypatch):
     found = _spied_reduction(monkeypatch)
     mu, rng = optimize_radial_measure(2, [0.5, 1.0, 1.5, 2.0, 2.5])
-    [(basins, (w, r))] = found
+    [(basins, (w, r, _))] = found
     assert basins == 3 and mu.weights().tolist() == w.tolist()
     # the returned measure is Newton's, and its certified lows at the three
     # basins sit at one level, up to omega's error (2e-13 apart here)
@@ -361,17 +361,33 @@ def test_reduction_solves_three_active_basins(monkeypatch):
 
 
 def test_reduction_never_certifies_less_than_kelley(monkeypatch):
+    # the Newton point drops the atom 2.4097 and is rejected; when its basin
+    # radii were fed to the game as columns, Kelley's rounds ended at m =
+    # -4.03327719e-4, 1.2e-10 below Kelley alone's -4.03327596e-4
+    supports = [(7, [0.5968, 0.9367, 1.5278, 2.4097, 2.5699, 2.888])]
     rng = np.random.default_rng(32)
-    supports = []
     for _ in range(20):  # dimensions 2-6, 2-5 radii
         n, size = int(rng.integers(2, 7)), int(rng.integers(2, 6))
         supports.append((n, sorted(np.round(rng.uniform(0.5, 3.0, size), 4).tolist())))
     found = _spied_reduction(monkeypatch)
-    reduced = [optimize_radial_measure(n, radii)[1].m for n, radii in supports]
-    assert sum(out is not None for _, out in found) >= 15
+    reduced = []
+    for n, radii in supports:
+        found.clear()
+        reduced.append((optimize_radial_measure(n, radii), found[0][1] if found else None))
+    assert sum(out is not None for _, out in reduced) >= 15
     monkeypatch.setattr(euclidean, "_reduction_newton", lambda *args: None)  # Kelley alone
-    for (n, radii), m in zip(supports, reduced):
-        assert m >= optimize_radial_measure(n, radii)[1].m - 1e-12, (n, radii)
+    accepted = 0
+    for (n, radii), ((mu, rng), out) in zip(supports, reduced):
+        kelley = optimize_radial_measure(n, radii)
+        assert rng.m >= kelley[1].m - 1e-12, (n, radii)
+        if out is None or not np.isin(out[0], mu.weights()).all():  # failed or rejected
+            assert (mu, rng) == kelley, (n, radii)
+            continue
+        accepted += 1
+        _, r, lam = out  # weak duality: no measure on the radii has an infimum above U
+        upper = float((omega(n, np.outer(radii, r)) @ lam).max())
+        assert upper - 1e-8 <= rng.m <= upper and upper >= kelley[1].m, (n, radii)
+    assert accepted >= 15
 
 
 def test_unconverged_reduction_prints_the_kelley_output(monkeypatch, capsys):
@@ -760,7 +776,7 @@ _OPTIMIZE_ARGV = ["optimize", "--mode", "radial", "--support", "1", "1.445305"]
         # the uniform scan and the grid payoff; the first round's and the
         # Newton measure's extrema, whose scans re-weight the kept tables
         # (four and three jets); three Newton steps of the local reduction
-        # and the basin's column
+        # and the pass that reads its bound U
         (_OPTIMIZE_ARGV, 13),
         # scan and Newton jets, one pass per jet (11 with two)
         (["euclidean", "{file}"], 6),
