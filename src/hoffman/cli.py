@@ -126,6 +126,7 @@ def _cmd_finite(args) -> dict:
     return {
         "graph": {"path": args.graph, "vertices": g.n, "edges": len(g.edges)},
         "bounds": bounds(rng, chi_lb, alpha_ratio_ub, chi_frac_lb),
+        "provenance": rng.provenance,
     }
 
 

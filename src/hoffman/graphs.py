@@ -4,9 +4,18 @@ All inner products use the uniform probability measure on the vertex set,
 (f, g) = (1/n) sum_v f(v) g(v), so the all-ones function has norm 1 and
 (A 1, 1) equals the average degree.  Eigenvalues of the adjacency
 operator under this convention coincide with the ordinary matrix eigenvalues.
-spectral_range(g) is the finite case's range function: it builds the dense
-adjacency matrix once and solves it once.  reports.bounds turns its range
-into the chromatic, ratio and fractional bounds.
+spectral_range(g) is the finite case's range function, and reports.bounds
+turns its range into the chromatic, ratio and fractional bounds.  It takes
+one of two paths:
+
+- dense: one LAPACK eigen-solve of the n x n adjacency matrix (eigvalsh);
+- lanczos, for graphs with 512 to 10000 vertices and at most n^2 / 32
+  edges, where it measured faster: Lanczos on the edge list gives M as its
+  largest Ritz value, and one floating-point Cholesky factorization of
+  A + tI, t just above -lambda_min, proves m = -t - delta <= lambda_min
+  (Higham, Accuracy and Stability, Thm 10.3; delta is about n^2 2^-53 t).
+  When Lanczos does not converge within its step cap or the factorization
+  fails, the graph takes the dense path.
 
 A Graph holds its edges as a (k, 2) int64 array.  Parsing, checking,
 deduplication and adjacency assembly are whole-array numpy operations: no
@@ -25,15 +34,32 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import ConvergenceError, read_text, require_integer
 from .reports import SpectralRange
 
-# the dense path holds several n x n float64 copies and solves in O(n^3);
-# at this size one copy alone is 0.8 GB
+# both paths hold two n x n float64 arrays (the matrix and LAPACK's copy of
+# it) and work in O(n^3): the dense eigen-solve, and the Cholesky factor
+# that proves m on the Lanczos path.  At this size one array is 0.8 GB.
 _DENSE_VERTEX_CAP = 10_000
+
+# The Lanczos path runs on graphs with at least this many vertices and
+# 32 |E| <= n^2 (average degree at most n / 16).  Below either edge, eigvalsh
+# was as fast or faster on one BLAS thread (crossover data in CHANGES.md).
+_LANCZOS_MIN_VERTICES = 512
+_LANCZOS_MAX_STEPS = 200
+_LANCZOS_CHECK_EVERY = 10  # steps between two eigen-solves of the tridiagonal T
+# a Ritz pair has converged when its residual is at most this times
+# max(1, theta_max)
+_LANCZOS_RTOL = 1e-11
+_DGKS = 1 / math.sqrt(2.0)
+_UNIT_ROUNDOFF = Fraction(1, 2**53)
+_SMALLEST_SUBNORMAL = Fraction(1, 2**1074)
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # a Graph's vertex indices stay below this, so that the pair key
 # lo * span + hi (span <= this) fits in int64
@@ -281,40 +307,163 @@ def read_graph(path) -> Graph:
     return parse_graph(read_text(path))
 
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    """The read-only n x n float64 adjacency matrix, 0/1 and symmetric."""
+def _shifted_adjacency(g: Graph, t: float) -> np.ndarray:
+    """A + tI as a new writable n x n float64 array; t is stored exactly."""
     if g.n < 1:
         raise ValueError("adjacency matrix needs at least one vertex")
     if g.n > _DENSE_VERTEX_CAP:
         raise ValueError(
-            f"graph has {g.n} vertices; the dense eigen-solve takes at most "
-            f"{_DENSE_VERTEX_CAP}"
+            f"graph has {g.n} vertices; the dense eigen-solve and the Cholesky "
+            f"factor take at most {_DENSE_VERTEX_CAP}"
         )
     a = np.zeros((g.n, g.n))
     u, v = g.edges.T
     a[u, v] = 1.0
     a[v, u] = 1.0
+    a.flat[:: g.n + 1] = t
+    return a
+
+
+def adjacency_matrix(g: Graph) -> np.ndarray:
+    """The read-only n x n float64 adjacency matrix, 0/1 and symmetric."""
+    a = _shifted_adjacency(g, 0.0)
     a.flags.writeable = False
     return a
+
+
+def _lanczos_extremes(g: Graph) -> tuple[float, float, float, int] | None:
+    """(theta_min, theta_max, ||r_min||, steps) of Lanczos on A, or None.
+
+    Lanczos with full reorthogonalization (the three-term step, then
+    classical Gram-Schmidt against the whole basis) starts from the fixed
+    positive vector 1 + frac(i * golden ratio), which has a positive overlap
+    with every component's Perron vector.  A v is two np.bincount calls on
+    the edge list; no dense A is formed.  Every _LANCZOS_CHECK_EVERY
+    steps the tridiagonal T is solved, and the run stops once both extreme
+    Ritz residuals beta_k |s_k| are at most _LANCZOS_RTOL * max(1,
+    theta_max).  A beta_k that small (an invariant Krylov space, as on
+    K_{a,b} at step 3) stops it too.  None when _LANCZOS_MAX_STEPS comes
+    first.
+    """
+    n = g.n
+    u, v = np.ascontiguousarray(g.edges.T)
+    basis = np.empty((_LANCZOS_MAX_STEPS + 1, n))
+    alpha = np.empty(_LANCZOS_MAX_STEPS)
+    beta = np.empty(_LANCZOS_MAX_STEPS)
+    x = 1.0 + (np.arange(n) * _GOLDEN) % 1.0
+    basis[0] = x / np.linalg.norm(x)
+    for j in range(_LANCZOS_MAX_STEPS):
+        q, done = basis[j], basis[: j + 1]
+        w = np.bincount(u, q[v], n) + np.bincount(v, q[u], n)
+        alpha[j] = q @ w
+        w -= alpha[j] * q
+        if j:
+            w -= beta[j - 1] * basis[j - 1]
+        # a second Gram-Schmidt pass only when the first one cancelled much
+        # (Daniel, Gragg, Kaufman and Stewart, Math. Comp. 30, 1976)
+        b = float(np.linalg.norm(w))
+        for _ in range(2):
+            before = b
+            w -= done.T @ (done @ w)
+            b = float(np.linalg.norm(w))
+            if b > _DGKS * before:
+                break
+        beta[j] = b
+        k = j + 1
+        if k % _LANCZOS_CHECK_EVERY == 0 or b <= _LANCZOS_RTOL:
+            off = beta[: k - 1]
+            theta, s = np.linalg.eigh(np.diag(alpha[:k]) + np.diag(off, 1) + np.diag(off, -1))
+            r_min, r_max = b * abs(s[-1, 0]), b * abs(s[-1, -1])
+            if max(r_min, r_max) <= _LANCZOS_RTOL * max(1.0, theta[-1]):
+                return float(theta[0]), float(theta[-1]), float(r_min), k
+        basis[k] = w / b
+    return None
+
+
+def _proven_floor(n: int, t: float) -> float:
+    """The largest float at most -t - delta, a lower bound on lambda_min(A)
+    once floating-point Cholesky of the n x n matrix B = A + tI completed.
+
+    Higham (Accuracy and Stability, Thm 10.3): a Cholesky factorization
+    that runs to completion, in any order of the inner products, gives
+    B + dB = L L^T with |dB| <= g |L| |L^T|, g = gamma_{n+1} =
+    (n+1)u / (1 - (n+1)u), u = 2^-53; its proof needs no definiteness of B
+    (Rump, BIT 46, 2006).  An off-diagonal entry divided through a
+    reciprocal takes one rounding more and stays inside n + 1.  dB's
+    diagonal gives ||l_i||^2 <= b_ii / (1 - g) = t / (1 - g), so
+    ||dB||_2 <= g ||L||_F^2 <= g n t / (1 - g).  L L^T is positive definite,
+    so lambda_min(A) = lambda_min(B) - t >= -t - g n t / (1 - g).
+    Underflow adds at most eta = 2^-1074 per product and quotient; the term
+    4n (2(n+1) + t) eta, of the form Rump uses, covers it.  The sum is taken
+    in exact rationals and rounded down.
+    """
+    t_exact = Fraction(t)
+    g = (n + 1) * _UNIT_ROUNDOFF / (1 - (n + 1) * _UNIT_ROUNDOFF)
+    delta = g * n * t_exact / (1 - g) + 4 * n * (2 * (n + 1) + t_exact) * _SMALLEST_SUBNORMAL
+    bound = -t_exact - delta
+    m = float(bound)
+    return m if Fraction(m) <= bound else math.nextafter(m, -math.inf)
+
+
+def _lanczos_range(g: Graph) -> tuple[float, float, dict] | None:
+    """(m, M, provenance) from Lanczos and one Cholesky factor, or None.
+
+    M is the largest Ritz value.  t = -theta_min + ||r_min|| + a margin of
+    16 n u (theta_max - theta_min), so A + tI is positive definite by a
+    margin above Cholesky's rounding when theta_min is within ||r_min|| of
+    lambda_min.  The factor overwrites the one n x n buffer that holds
+    A + tI; if it completes, m = _proven_floor(n, t).  None below the
+    measured crossover (n < 512 or 32 |E| > n^2), above the dense cap, for
+    an edgeless graph, when Lanczos did not converge, and when the
+    factorization failed (a smaller eigenvalue that Lanczos missed makes it
+    fail).
+    """
+    n = g.n
+    if not _LANCZOS_MIN_VERTICES <= n <= _DENSE_VERTEX_CAP or not 0 < 32 * len(g.edges) <= n * n:
+        return None
+    found = _lanczos_extremes(g)
+    if found is None:
+        return None
+    theta_min, theta_max, r_min, steps = found
+    margin = 16 * n * float(_UNIT_ROUNDOFF) * (theta_max - theta_min)
+    t = -theta_min + r_min + margin
+    b = _shifted_adjacency(g, t)
+    try:
+        with np.errstate(invalid="raise"):
+            _umath_linalg.cholesky_lo(b, out=b)
+    except FloatingPointError:
+        return None
+    return _proven_floor(n, t), theta_max, {"solver": "lanczos", "steps": steps, "shift": t}
 
 
 def spectral_range(g: Graph) -> SpectralRange:
     """(m, M) of g's adjacency operator, with R = (A 1, 1) and eps = ||A 1 - R 1||.
 
-    m and M come from one LAPACK symmetric eigen-solve without eigenvectors,
-    deterministic for identical inputs.  R is the average degree, the R that
-    minimises eps; eps measures how far the all-ones function is from being
-    an eigenfunction with value R, and vanishes for regular graphs.  Both
-    come from the edge list's degree counts.
+    Above the crossover (512 <= n <= 10000 and 0 < 32 |E| <= n^2) M is the
+    largest Lanczos Ritz value and m a proven lower bound on the smallest
+    eigenvalue, from one Cholesky factorization of A + tI (_lanczos_range
+    and _proven_floor); provenance is {"solver": "lanczos", "steps": k,
+    "shift": t}.  Below it, or when Lanczos does not converge within its
+    step cap or the factorization fails, m and M come from one LAPACK
+    symmetric eigen-solve without eigenvectors, and provenance is
+    {"solver": "dense"}.  Both paths are deterministic for identical
+    inputs.  R is the average degree, the R that minimises eps;
+    eps measures how far the all-ones function is from being an
+    eigenfunction with value R, and vanishes for regular graphs.  Both come
+    from the edge list's degree counts.
     """
-    a = adjacency_matrix(g)
+    found = _lanczos_range(g)
+    if found is None:
+        a = adjacency_matrix(g)
+        try:
+            vals = np.linalg.eigvalsh(a)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
+        found = float(vals[0]), float(vals[-1]), {"solver": "dense"}
+    m, M, provenance = found
     # the degrees are exact integers, so R and eps have the bits of the
     # dense row sums
     degrees = np.bincount(g.edges.ravel(), minlength=g.n)
     R = float(degrees.sum()) / g.n
     eps = math.sqrt(float(np.mean((degrees - R) ** 2)))
-    try:
-        vals = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    return SpectralRange(float(vals[0]), float(vals[-1]), R, eps)
+    return SpectralRange(m, M, R, eps, provenance)

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hoffman.cli
+import hoffman.graphs
 from hoffman.cli import OUTPUT_SCHEMA, _json, run
 from hoffman.euclidean import (
     RadialMeasure,
@@ -819,19 +820,37 @@ def test_radial_scan_over_budget_exits_1_quickly(capsys):
 
 
 def test_finite_makes_one_eigen_solve(capsys, monkeypatch, tmp_path):
-    solved = []
+    # C5 takes the dense path: one eigvalsh call; a large sparse graph takes
+    # the Lanczos path: no eigvalsh call and one Cholesky factorization
+    solved, factored = [], []
     eigvalsh = np.linalg.eigvalsh
+    cholesky_lo = hoffman.graphs._umath_linalg.cholesky_lo
 
     def counted(a):
         solved.append(a.shape)
         return eigvalsh(a)
 
+    def counted_factor(b, out):
+        factored.append(b.shape)
+        return cholesky_lo(b, out=out)
+
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(hoffman.graphs._umath_linalg, "cholesky_lo", counted_factor)
     path = tmp_path / "c5.txt"
     path.write_text(C5_TEXT)
     assert run(["finite", str(path)]) == 0
-    assert solved == [(5, 5)]
-    assert _payload(capsys)["status"] == "ok"
+    assert (solved, factored) == ([(5, 5)], [])
+    payload = _payload(capsys)
+    assert payload["status"] == "ok" and payload["provenance"] == {"solver": "dense"}
+
+    solved.clear()
+    n = 600
+    path = tmp_path / "circulant.txt"
+    path.write_text("".join(f"{i} {(i + s) % n}\n" for i in range(n) for s in (1, 7, 30)))
+    assert run(["finite", str(path)]) == 0
+    assert (solved, factored) == ([], [(n, n)])
+    payload = _payload(capsys)
+    assert payload["status"] == "ok" and payload["provenance"]["solver"] == "lanczos"
 
 
 def test_finite_refuses_graph_too_large_for_dense_path(capsys, tmp_path):
@@ -1086,7 +1105,7 @@ def test_printed_provenance_is_the_ranges(capsys, tmp_path, name):
     assert run([a.replace("{dir}", str(tmp_path)) for a in argv]) == 0
     printed = _payload(capsys).get("provenance")
     provenance = {} if library is None else library(tmp_path).provenance
-    if name in ("finite", "torus"):
+    if name == "torus":
         assert printed is None and provenance == {}
     else:
         assert printed == json.loads(_json(provenance)) != {}

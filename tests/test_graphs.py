@@ -5,6 +5,7 @@ import random
 import sys
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from hoffman import (
     spectral_range,
 )
 
+import hoffman.graphs
 import oracles
 from oracles import brute_force_alpha, brute_force_chi
 
@@ -323,6 +325,112 @@ def test_rayleigh_quotients_inside_range():
 def test_range_is_deterministic():
     g = _random_graph(np.random.default_rng(29), 9, 0.5)
     assert spectral_range(g) == spectral_range(g)
+
+
+# ------------------------------------------------------ the Lanczos path
+
+def _lanczos_sweep():
+    """(name, graph) pairs above the Lanczos crossover, seeded."""
+    rng = np.random.default_rng(2024)
+
+    def gnp(n, degree, offset=0):
+        iu, ju = np.triu_indices(n, 1)
+        keep = rng.random(iu.size) < degree / (n - 1)
+        return np.stack([iu[keep], ju[keep]], axis=1) + offset
+
+    left, right = np.nonzero(rng.random((300, 300)) < 6 / 300)
+    yield "sparse", Graph(600, gnp(600, 5))
+    yield "mid-density", Graph(520, gnp(520, 30))
+    # two components and 150 isolated vertices
+    yield "disconnected", Graph(700, np.vstack([gnp(300, 6), gnp(250, 4, 300)]))
+    yield "bipartite", Graph(600, np.stack([left, right + 300], axis=1))
+    yield "circulant", Graph(600, [(i, (i + s) % 600) for i in range(600) for s in (1, 7, 30)])
+    # the Krylov space of K_{a,b} is invariant at step 3
+    yield "K_17,600", Graph(617, [(i, j) for i in range(17) for j in range(17, 617)])
+    yield "star", Graph(600, [(0, i) for i in range(1, 600)])
+
+
+@pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in _lanczos_sweep()])
+def test_lanczos_range_encloses_the_dense_solve(g):
+    # m is proven: at most lambda_min, and close to it; M is the top Ritz value
+    vals = np.linalg.eigvalsh(adjacency_matrix(g))
+    rng = spectral_range(g)
+    tol = 1e-9 * max(1.0, rng.M)
+    assert rng.provenance["solver"] == "lanczos"
+    assert rng.m <= vals[0] and vals[0] - rng.m <= tol
+    assert abs(rng.M - vals[-1]) <= tol
+
+
+def test_lanczos_step_cap_falls_back_to_the_dense_solve():
+    # a long path's end gaps are about pi^2 / n^2: Lanczos hits its step cap
+    g = Graph(512, [(i, i + 1) for i in range(511)])
+    vals = np.linalg.eigvalsh(adjacency_matrix(g))
+    assert hoffman.graphs._lanczos_extremes(g) is None
+    rng = spectral_range(g)
+    assert rng.provenance == {"solver": "dense"}
+    assert (rng.m, rng.M) == (float(vals[0]), float(vals[-1]))
+
+
+def test_unproven_ritz_value_falls_back_to_the_dense_solve(monkeypatch):
+    # a smallest Ritz value 1e-6 too high makes A + tI indefinite: the
+    # factorization fails, and m comes from eigvalsh, never from the Ritz value
+    lanczos = hoffman.graphs._lanczos_extremes
+    cholesky_lo = hoffman.graphs._umath_linalg.cholesky_lo
+    factored = []
+
+    def raised(g):
+        theta_min, theta_max, r_min, steps = lanczos(g)
+        return theta_min + 1e-6, theta_max, r_min, steps
+
+    def counted(b, out):
+        factored.append(b.shape)
+        return cholesky_lo(b, out=out)
+
+    monkeypatch.setattr(hoffman.graphs, "_lanczos_extremes", raised)
+    monkeypatch.setattr(hoffman.graphs._umath_linalg, "cholesky_lo", counted)
+    g = dict(_lanczos_sweep())["sparse"]
+    vals = np.linalg.eigvalsh(adjacency_matrix(g))
+    rng = spectral_range(g)
+    assert factored == [(600, 600)]
+    assert rng.provenance == {"solver": "dense"}
+    assert (rng.m, rng.M) == (float(vals[0]), float(vals[-1]))
+
+
+def test_lanczos_range_is_bitwise_deterministic():
+    g = dict(_lanczos_sweep())["circulant"]
+    first, second = spectral_range(g), spectral_range(g)
+    assert first.provenance["solver"] == "lanczos"
+    assert (first.m.hex(), first.M.hex()) == (second.m.hex(), second.M.hex())
+    assert first.provenance == second.provenance
+
+
+def test_proven_floor_rounds_the_cholesky_bound_down():
+    # -t - gamma_{n+1} n t / (1 - gamma_{n+1}), and the underflow term below it
+    u = Fraction(1, 2**53)
+    for n, t in [(512, 4.5), (1000, 5.159970941785031), (10_000, 101.0)]:
+        gamma = (n + 1) * u / (1 - (n + 1) * u)
+        bound = -Fraction(t) - gamma * n * Fraction(t) / (1 - gamma)
+        m = hoffman.graphs._proven_floor(n, t)
+        assert Fraction(m) < bound < Fraction(math.nextafter(m, math.inf)) + Fraction(1, 2**1000)
+
+
+def test_in_place_cholesky_contract():
+    # the Lanczos path proves m with numpy's private gufunc, which writes L
+    # over the buffer that held the matrix (np.linalg.cholesky allocates a
+    # third n x n array) and, under errstate(invalid="raise"), raises on a
+    # matrix that is not positive definite; a numpy that changes either
+    # fails here rather than in a bound
+    cholesky_lo = hoffman.graphs._umath_linalg.cholesky_lo
+    x = np.random.default_rng(5).standard_normal((40, 40))
+    a = x @ x.T + np.eye(40)
+    b = a.copy()
+    with np.errstate(invalid="raise"):
+        assert cholesky_lo(b, out=b) is b
+    assert np.array_equal(b, np.linalg.cholesky(a))
+    assert np.array_equal(b, np.tril(b))
+    c = a - (np.linalg.eigvalsh(a)[0] + 1e-3) * np.eye(40)
+    with pytest.raises(FloatingPointError), np.errstate(invalid="raise"):
+        cholesky_lo(c, out=c)
 
 
 # ------------------------------------------------------------ the bounds
