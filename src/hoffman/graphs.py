@@ -8,14 +8,21 @@ spectral_range(g) is the finite case's range function, and reports.bounds
 turns its range into the chromatic, ratio and fractional bounds.  It takes
 one of two paths:
 
-- dense: one LAPACK eigen-solve of the n x n adjacency matrix (eigvalsh);
-- lanczos, for graphs with 512 to 10000 vertices and at most n^2 / 32
-  edges, where it measured faster: Lanczos on the edge list gives M as its
-  largest Ritz value, and one floating-point Cholesky factorization of
-  A + tI, t just above -lambda_min, proves m = -t - delta <= lambda_min
-  (Higham, Accuracy and Stability, Thm 10.3; delta is about n^2 2^-53 t).
-  When Lanczos does not converge within its step cap or the factorization
-  fails, the graph takes the dense path.
+- dense, below 512 vertices: one LAPACK eigen-solve of the n x n adjacency
+  matrix (eigvalsh);
+- lanczos, for graphs with 512 to 10000 vertices and at least one edge,
+  where it measured faster: Lanczos gives M as its largest Ritz value, and
+  one floating-point Cholesky factorization of A + tI, t just above
+  -lambda_min, proves m = -t - delta <= lambda_min (Higham, Accuracy and
+  Stability, Thm 10.3; delta is about n^2 2^-53 t).  Lanczos multiplies by
+  A with the edge list up to n^2 / 32 edges and with the dense buffer that
+  is later factored above that, and stops once the error estimates of its
+  extreme Ritz values (Kato-Temple) are small.  When Lanczos cannot
+  converge by its step cap or the factorization fails, the graph takes the
+  dense path; an edgeless graph takes it too.
+
+LAPACK gets each symmetric matrix as its column-major view a.T: the same
+bits, which numpy copies into LAPACK's layout without transposing.
 
 A Graph holds its edges as a (k, 2) int64 array.  Parsing, checking,
 deduplication and adjacency assembly are whole-array numpy operations: no
@@ -47,13 +54,15 @@ from .reports import SpectralRange
 # that proves m on the Lanczos path.  At this size one array is 0.8 GB.
 _DENSE_VERTEX_CAP = 10_000
 
-# The Lanczos path runs on graphs with at least this many vertices and
-# 32 |E| <= n^2 (average degree at most n / 16).  Below either edge, eigvalsh
-# was as fast or faster on one BLAS thread (crossover data in CHANGES.md).
+# The Lanczos path runs on graphs with at least this many vertices; below
+# it eigvalsh was as fast or faster on one BLAS thread.  Lanczos multiplies
+# by A through the edge list while 32 |E| <= n^2 (average degree at most
+# n / 16) and through the dense buffer above that, where np.bincount on the
+# edges was slower than the matrix-vector product (data in CHANGES.md).
 _LANCZOS_MIN_VERTICES = 512
 _LANCZOS_MAX_STEPS = 200
 _LANCZOS_CHECK_EVERY = 10  # steps between two eigen-solves of the tridiagonal T
-# a Ritz pair has converged when its residual is at most this times
+# a Ritz value has converged when its error estimate is at most this times
 # max(1, theta_max)
 _LANCZOS_RTOL = 1e-11
 _DGKS = 1 / math.sqrt(2.0)
@@ -307,8 +316,8 @@ def read_graph(path) -> Graph:
     return parse_graph(read_text(path))
 
 
-def _shifted_adjacency(g: Graph, t: float) -> np.ndarray:
-    """A + tI as a new writable n x n float64 array; t is stored exactly."""
+def _adjacency(g: Graph) -> np.ndarray:
+    """A as a new writable n x n float64 array."""
     if g.n < 1:
         raise ValueError("adjacency matrix needs at least one vertex")
     if g.n > _DENSE_VERTEX_CAP:
@@ -320,41 +329,42 @@ def _shifted_adjacency(g: Graph, t: float) -> np.ndarray:
     u, v = g.edges.T
     a[u, v] = 1.0
     a[v, u] = 1.0
-    a.flat[:: g.n + 1] = t
     return a
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """The read-only n x n float64 adjacency matrix, 0/1 and symmetric."""
-    a = _shifted_adjacency(g, 0.0)
+    a = _adjacency(g)
     a.flags.writeable = False
     return a
 
 
-def _lanczos_extremes(g: Graph) -> tuple[float, float, float, int] | None:
-    """(theta_min, theta_max, ||r_min||, steps) of Lanczos on A, or None.
+def _lanczos_extremes(n: int, matvec) -> tuple[float, float, float, int] | None:
+    """(theta_min, theta_max, e_min, steps) of Lanczos on the n x n A, or None.
 
-    Lanczos with full reorthogonalization (the three-term step, then
-    classical Gram-Schmidt against the whole basis) starts from the fixed
-    positive vector 1 + frac(i * golden ratio), which has a positive overlap
-    with every component's Perron vector.  A v is two np.bincount calls on
-    the edge list; no dense A is formed.  Every _LANCZOS_CHECK_EVERY
-    steps the tridiagonal T is solved, and the run stops once both extreme
-    Ritz residuals beta_k |s_k| are at most _LANCZOS_RTOL * max(1,
-    theta_max).  A beta_k that small (an invariant Krylov space, as on
-    K_{a,b} at step 3) stops it too.  None when _LANCZOS_MAX_STEPS comes
-    first.
+    matvec(q) returns A q.  Lanczos with full reorthogonalization (the
+    three-term step, then classical Gram-Schmidt against the whole basis)
+    starts from the fixed positive vector 1 + frac(i * golden ratio), which
+    has a positive overlap with every component's Perron vector.  Every
+    _LANCZOS_CHECK_EVERY steps the tridiagonal T is solved, and each extreme
+    Ritz value's error is estimated as e = min(r, r^2 / gap), r = beta_k |s_k|
+    its residual and gap its distance to the next Ritz value of T
+    (Kato-Temple; Parlett, The Symmetric Eigenvalue Problem, sec. 11.7).
+    The run stops once both e are at most _LANCZOS_RTOL * max(1,
+    theta_max); a beta_k that small (an invariant Krylov space, as on
+    K_{a,b} at step 3) stops it too.  From half of _LANCZOS_MAX_STEPS on,
+    the run gives up (None) once the larger e, extrapolated at its decay
+    rate since the previous check, cannot reach that tolerance by the cap.
     """
-    n = g.n
-    u, v = np.ascontiguousarray(g.edges.T)
     basis = np.empty((_LANCZOS_MAX_STEPS + 1, n))
     alpha = np.empty(_LANCZOS_MAX_STEPS)
     beta = np.empty(_LANCZOS_MAX_STEPS)
     x = 1.0 + (np.arange(n) * _GOLDEN) % 1.0
     basis[0] = x / np.linalg.norm(x)
+    last = math.inf  # the larger e at the previous check
     for j in range(_LANCZOS_MAX_STEPS):
         q, done = basis[j], basis[: j + 1]
-        w = np.bincount(u, q[v], n) + np.bincount(v, q[u], n)
+        w = matvec(q)
         alpha[j] = q @ w
         w -= alpha[j] * q
         if j:
@@ -373,9 +383,22 @@ def _lanczos_extremes(g: Graph) -> tuple[float, float, float, int] | None:
         if k % _LANCZOS_CHECK_EVERY == 0 or b <= _LANCZOS_RTOL:
             off = beta[: k - 1]
             theta, s = np.linalg.eigh(np.diag(alpha[:k]) + np.diag(off, 1) + np.diag(off, -1))
-            r_min, r_max = b * abs(s[-1, 0]), b * abs(s[-1, -1])
-            if max(r_min, r_max) <= _LANCZOS_RTOL * max(1.0, theta[-1]):
-                return float(theta[0]), float(theta[-1]), float(r_min), k
+            gaps = (theta[1] - theta[0], theta[-1] - theta[-2]) if k > 1 else (0.0, 0.0)
+            e_min, e_max = (
+                r if r >= gap else r * r / gap
+                for r, gap in zip((b * abs(s[-1, 0]), b * abs(s[-1, -1])), gaps)
+            )
+            e, tol = max(e_min, e_max), _LANCZOS_RTOL * max(1.0, theta[-1])
+            if e <= tol:
+                return float(theta[0]), float(theta[-1]), float(e_min), k
+            # earlier, e rises and falls while a Ritz value settles near an
+            # eigenvalue that a later one undercuts: on the Lanczos-path
+            # bench graphs of seeds 1-30 the extrapolation misjudged runs
+            # that converged up to step 70
+            left = (_LANCZOS_MAX_STEPS - k) / _LANCZOS_CHECK_EVERY
+            if 2 * k >= _LANCZOS_MAX_STEPS and e * (e / last) ** left > tol:
+                return None
+            last = e
         basis[k] = w / b
     return None
 
@@ -408,29 +431,41 @@ def _proven_floor(n: int, t: float) -> float:
 def _lanczos_range(g: Graph) -> tuple[float, float, dict] | None:
     """(m, M, provenance) from Lanczos and one Cholesky factor, or None.
 
-    M is the largest Ritz value.  t = -theta_min + ||r_min|| + a margin of
-    16 n u (theta_max - theta_min), so A + tI is positive definite by a
-    margin above Cholesky's rounding when theta_min is within ||r_min|| of
-    lambda_min.  The factor overwrites the one n x n buffer that holds
-    A + tI; if it completes, m = _proven_floor(n, t).  None below the
-    measured crossover (n < 512 or 32 |E| > n^2), above the dense cap, for
-    an edgeless graph, when Lanczos did not converge, and when the
-    factorization failed (a smaller eigenvalue that Lanczos missed makes it
-    fail).
+    The one n x n buffer b = A is built first.  Lanczos multiplies by A
+    with the edge list's two np.bincount calls when 32 |E| <= n^2 (average
+    degree at most n / 16), and with b @ q above that.  M is the largest
+    Ritz value.  t = -theta_min + e_min + a margin of 16 n u (theta_max -
+    theta_min), e_min the smallest Ritz value's error estimate, so A + tI
+    is positive definite by a margin above Cholesky's rounding when
+    theta_min is within e_min of lambda_min.  b gets t on its diagonal and
+    is factored in place, through its column-major view b.T: for a
+    symmetric b LAPACK receives the same bits, and numpy's copy into
+    LAPACK's layout reads it contiguously.  If the factorization completes,
+    m = _proven_floor(n, t), so m sits below lambda_min by about n^2 u |m|;
+    the error estimate only picks t and never enters m.  None below the
+    measured crossover (n < 512), above the dense cap, for an edgeless
+    graph, when Lanczos gave up, and when the factorization failed (a
+    smaller eigenvalue that Lanczos missed makes it fail).
     """
     n = g.n
-    if not _LANCZOS_MIN_VERTICES <= n <= _DENSE_VERTEX_CAP or not 0 < 32 * len(g.edges) <= n * n:
+    if not _LANCZOS_MIN_VERTICES <= n <= _DENSE_VERTEX_CAP or len(g.edges) == 0:
         return None
-    found = _lanczos_extremes(g)
+    b = _adjacency(g)
+    if 32 * len(g.edges) <= n * n:
+        u, v = np.ascontiguousarray(g.edges.T)
+        found = _lanczos_extremes(n, lambda q: np.bincount(u, q[v], n) + np.bincount(v, q[u], n))
+    else:
+        found = _lanczos_extremes(n, lambda q: b @ q)
     if found is None:
         return None
-    theta_min, theta_max, r_min, steps = found
+    theta_min, theta_max, e_min, steps = found
     margin = 16 * n * float(_UNIT_ROUNDOFF) * (theta_max - theta_min)
-    t = -theta_min + r_min + margin
-    b = _shifted_adjacency(g, t)
+    t = -theta_min + e_min + margin
+    b.flat[:: n + 1] = t
+    bt = b.T
     try:
         with np.errstate(invalid="raise"):
-            _umath_linalg.cholesky_lo(b, out=b)
+            _umath_linalg.cholesky_lo(bt, out=bt)
     except FloatingPointError:
         return None
     return _proven_floor(n, t), theta_max, {"solver": "lanczos", "steps": steps, "shift": t}
@@ -439,13 +474,17 @@ def _lanczos_range(g: Graph) -> tuple[float, float, dict] | None:
 def spectral_range(g: Graph) -> SpectralRange:
     """(m, M) of g's adjacency operator, with R = (A 1, 1) and eps = ||A 1 - R 1||.
 
-    Above the crossover (512 <= n <= 10000 and 0 < 32 |E| <= n^2) M is the
+    Above the crossover (512 <= n <= 10000 and at least one edge) M is the
     largest Lanczos Ritz value and m a proven lower bound on the smallest
     eigenvalue, from one Cholesky factorization of A + tI (_lanczos_range
-    and _proven_floor); provenance is {"solver": "lanczos", "steps": k,
-    "shift": t}.  Below it, or when Lanczos does not converge within its
-    step cap or the factorization fails, m and M come from one LAPACK
-    symmetric eigen-solve without eigenvectors, and provenance is
+    and _proven_floor); m sits below lambda_min by about n^2 u |m|, u =
+    2^-53, and provenance is {"solver": "lanczos", "steps": k, "shift": t}.
+    Lanczos multiplies through the edge list when 32 |E| <= n^2 and through
+    the dense buffer of A otherwise, and stops on the Kato-Temple error
+    estimates of its extreme Ritz values.  Below the crossover, or when
+    Lanczos gives up or the factorization fails, m and M come from one
+    LAPACK symmetric eigen-solve without eigenvectors of the column-major
+    view A.T (A's bits, copied without a transpose), and provenance is
     {"solver": "dense"}.  Both paths are deterministic for identical
     inputs.  R is the average degree, the R that minimises eps;
     eps measures how far the all-ones function is from being an
@@ -456,7 +495,7 @@ def spectral_range(g: Graph) -> SpectralRange:
     if found is None:
         a = adjacency_matrix(g)
         try:
-            vals = np.linalg.eigvalsh(a)
+            vals = np.linalg.eigvalsh(a.T)
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
         found = float(vals[0]), float(vals[-1]), {"solver": "dense"}

@@ -348,6 +348,13 @@ def _lanczos_sweep():
     # the Krylov space of K_{a,b} is invariant at step 3
     yield "K_17,600", Graph(617, [(i, j) for i in range(17) for j in range(17, 617)])
     yield "star", Graph(600, [(0, i) for i in range(1, 600)])
+    # with 32 |E| > n^2 Lanczos multiplies by the dense buffer
+    yield "G(600,1/5)", Graph(600, gnp(600, 599 / 5))
+    yield "G(512,1/2)", Graph(512, gnp(512, 511 / 2))
+    iu, ju = np.triu_indices(600, 1)
+    parts = iu // 200 != ju // 200
+    yield "K_200,200,200", Graph(600, np.stack([iu[parts], ju[parts]], axis=1))
+    yield "band circulant", Graph(800, [(i, (i + s) % 800) for i in range(800) for s in range(1, 81)])
 
 
 @pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in _lanczos_sweep()])
@@ -361,14 +368,48 @@ def test_lanczos_range_encloses_the_dense_solve(g):
     assert abs(rng.M - vals[-1]) <= tol
 
 
-def test_lanczos_step_cap_falls_back_to_the_dense_solve():
-    # a long path's end gaps are about pi^2 / n^2: Lanczos hits its step cap
-    g = Graph(512, [(i, i + 1) for i in range(511)])
-    vals = np.linalg.eigvalsh(adjacency_matrix(g))
-    assert hoffman.graphs._lanczos_extremes(g) is None
-    rng = spectral_range(g)
-    assert rng.provenance == {"solver": "dense"}
-    assert (rng.m, rng.M) == (float(vals[0]), float(vals[-1]))
+def test_lanczos_step_cap_falls_back_to_the_dense_solve(monkeypatch):
+    # a long path's end gaps are about pi^2 / n^2, and a band circulant's
+    # bottom eigenvalues crowd too: Lanczos cannot converge by its
+    # 200-step cap, gives up by half of it, and the dense solve prints the range
+    lanczos = hoffman.graphs._lanczos_extremes
+    steps = []
+
+    def counted(n, matvec):
+        calls = []
+        found = lanczos(n, lambda q: calls.append(None) or matvec(q))
+        steps.append(len(calls))
+        return found
+
+    monkeypatch.setattr(hoffman.graphs, "_lanczos_extremes", counted)
+    path = Graph(512, [(i, i + 1) for i in range(511)])
+    band = Graph(1000, [(i, (i + s) % 1000) for i in range(1000) for s in (1, 2, 3)])
+    for g in (path, band):
+        vals = np.linalg.eigvalsh(adjacency_matrix(g))
+        rng = spectral_range(g)
+        assert rng.provenance == {"solver": "dense"}
+        assert (rng.m, rng.M) == (float(vals[0]), float(vals[-1]))
+    assert len(steps) == 2 and max(steps) <= hoffman.graphs._LANCZOS_MAX_STEPS // 2
+
+
+def test_edge_list_and_dense_matvecs_give_the_same_ritz_values(monkeypatch):
+    # the edge list's np.bincount product that spectral_range uses on a
+    # sparse graph, against the dense A @ q it uses when 32 |E| > n^2
+    lanczos = hoffman.graphs._lanczos_extremes
+    used = []
+
+    def kept(n, matvec):
+        used.append(matvec)
+        return lanczos(n, matvec)
+
+    monkeypatch.setattr(hoffman.graphs, "_lanczos_extremes", kept)
+    g = dict(_lanczos_sweep())["mid-density"]
+    assert spectral_range(g).provenance["solver"] == "lanczos"
+    a = adjacency_matrix(g)
+    edges = lanczos(g.n, used[0])
+    dense = lanczos(g.n, lambda q: a @ q)
+    tol = 1e-12 * max(1.0, edges[1])
+    assert abs(edges[0] - dense[0]) <= tol and abs(edges[1] - dense[1]) <= tol
 
 
 def test_unproven_ritz_value_falls_back_to_the_dense_solve(monkeypatch):
@@ -378,9 +419,9 @@ def test_unproven_ritz_value_falls_back_to_the_dense_solve(monkeypatch):
     cholesky_lo = hoffman.graphs._umath_linalg.cholesky_lo
     factored = []
 
-    def raised(g):
-        theta_min, theta_max, r_min, steps = lanczos(g)
-        return theta_min + 1e-6, theta_max, r_min, steps
+    def raised(n, matvec):
+        theta_min, theta_max, e_min, steps = lanczos(n, matvec)
+        return theta_min + 1e-6, theta_max, e_min, steps
 
     def counted(b, out):
         factored.append(b.shape)
@@ -397,11 +438,33 @@ def test_unproven_ritz_value_falls_back_to_the_dense_solve(monkeypatch):
 
 
 def test_lanczos_range_is_bitwise_deterministic():
-    g = dict(_lanczos_sweep())["circulant"]
-    first, second = spectral_range(g), spectral_range(g)
-    assert first.provenance["solver"] == "lanczos"
-    assert (first.m.hex(), first.M.hex()) == (second.m.hex(), second.M.hex())
-    assert first.provenance == second.provenance
+    # on the edge list's product and on the dense one
+    sweep = dict(_lanczos_sweep())
+    for g in (sweep["circulant"], sweep["G(512,1/2)"]):
+        first, second = spectral_range(g), spectral_range(g)
+        assert first.provenance["solver"] == "lanczos"
+        assert (first.m.hex(), first.M.hex()) == (second.m.hex(), second.M.hex())
+        assert first.provenance == second.provenance
+
+
+def test_dense_lanczos_range_holds_one_matrix():
+    # Lanczos multiplies by the buffer that is then factored in place.
+    # LAPACK's copy of it is numpy's own malloc, which tracemalloc does not
+    # see, so the two n x n arrays the process holds trace as one; a quarter
+    # of one more covers the tridiagonal solves and the O(n) vectors
+    n = 800
+    iu, ju = np.triu_indices(n, 1)
+    keep = np.random.default_rng(800).random(iu.size) < 1 / 5
+    g = Graph(n, np.stack([iu[keep], ju[keep]], axis=1))
+    tracemalloc.start()
+    try:
+        rng = spectral_range(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rng.provenance["solver"] == "lanczos"
+    matrix, basis = 8 * n * n, 8 * (hoffman.graphs._LANCZOS_MAX_STEPS + 1) * n
+    assert peak <= matrix + basis + matrix // 4
 
 
 def test_proven_floor_rounds_the_cholesky_bound_down():
@@ -415,22 +478,33 @@ def test_proven_floor_rounds_the_cholesky_bound_down():
 
 
 def test_in_place_cholesky_contract():
-    # the Lanczos path proves m with numpy's private gufunc, which writes L
-    # over the buffer that held the matrix (np.linalg.cholesky allocates a
-    # third n x n array) and, under errstate(invalid="raise"), raises on a
-    # matrix that is not positive definite; a numpy that changes either
-    # fails here rather than in a bound
+    # the Lanczos path proves m with numpy's private gufunc, called on the
+    # buffer's column-major view bt = b.T with out=bt: it writes L over bt
+    # (so b holds L^T; np.linalg.cholesky allocates a third n x n array)
+    # and, under errstate(invalid="raise"), raises on a matrix that is not
+    # positive definite; a numpy that changes either fails here rather than
+    # in a bound
     cholesky_lo = hoffman.graphs._umath_linalg.cholesky_lo
     x = np.random.default_rng(5).standard_normal((40, 40))
     a = x @ x.T + np.eye(40)
     b = a.copy()
+    bt = b.T
     with np.errstate(invalid="raise"):
-        assert cholesky_lo(b, out=b) is b
-    assert np.array_equal(b, np.linalg.cholesky(a))
-    assert np.array_equal(b, np.tril(b))
+        assert cholesky_lo(bt, out=bt) is bt
+    assert np.array_equal(b, np.linalg.cholesky(a).T)
+    assert np.array_equal(b, np.triu(b))
     c = a - (np.linalg.eigvalsh(a)[0] + 1e-3) * np.eye(40)
+    ct = c.T
     with pytest.raises(FloatingPointError), np.errstate(invalid="raise"):
-        cholesky_lo(c, out=c)
+        cholesky_lo(ct, out=ct)
+
+
+def test_eigvalsh_of_the_column_major_view_has_the_same_bits():
+    # the dense path hands LAPACK A.T: for a symmetric A the same matrix
+    x = np.random.default_rng(6).standard_normal((60, 60))
+    g = _random_graph(np.random.default_rng(7), 60, 0.3)
+    for a in (x + x.T, adjacency_matrix(g)):
+        assert np.linalg.eigvalsh(a.T).tobytes() == np.linalg.eigvalsh(a).tobytes()
 
 
 # ------------------------------------------------------------ the bounds
