@@ -5,24 +5,27 @@ All inner products use the uniform probability measure on the vertex set,
 (A 1, 1) equals the average degree.  Eigenvalues of the adjacency
 operator under this convention coincide with the ordinary matrix eigenvalues.
 spectral_range(g) is the finite case's range function, and reports.bounds
-turns its range into the chromatic, ratio and fractional bounds.  It takes
-one of two paths:
+turns its range into the chromatic, ratio and fractional bounds.  It builds
+the n x n matrix A once, in one float64 buffer, and picks one of two paths:
 
-- dense, below 512 vertices: one LAPACK eigen-solve of the n x n adjacency
-  matrix (eigvalsh);
+- dense, below 512 vertices or without an edge: one LAPACK eigen-solve of
+  A (eigvalsh) gives m and M;
 - lanczos, for graphs with 512 to 10000 vertices and at least one edge,
-  where it measured faster: Lanczos gives M as its largest Ritz value, and
-  one floating-point Cholesky factorization of A + tI, t just above
-  -lambda_min, proves m = -t - delta <= lambda_min (Higham, Accuracy and
-  Stability, Thm 10.3; delta is about n^2 2^-53 t).  Lanczos multiplies by
-  A with the edge list up to n^2 / 32 edges and with the dense buffer that
-  is later factored above that, and stops once the error estimates of its
-  extreme Ritz values (Kato-Temple) are small.  When Lanczos cannot
-  converge by its step cap or the factorization fails, the graph takes the
-  dense path; an edgeless graph takes it too.
+  where it measured faster: Lanczos gives M as its largest Ritz value.  It
+  multiplies by A through the edge list while 32 |E| <= n^2 (average degree
+  at most n / 16) and through the buffer above that, and stops once the
+  error estimates of its extreme Ritz values (Kato-Temple) are small.  The
+  buffer then gets t on its diagonal, t just above -lambda_min, and is
+  factored in place: a completed floating-point Cholesky factorization of
+  A + tI proves m = -t - delta <= lambda_min (Higham, Accuracy and
+  Stability, Thm 10.3; delta is about n^2 2^-53 t).
 
-LAPACK gets each symmetric matrix as its column-major view a.T: the same
-bits, which numpy copies into LAPACK's layout without transposing.
+When Lanczos cannot converge by its step cap, the untouched buffer goes to
+eigvalsh.  When the factorization fails (the smallest Ritz value missed a
+smaller eigenvalue), the factor has left NaN in the buffer, so A is built
+a second time for eigvalsh.  LAPACK gets each symmetric matrix as its
+column-major view a.T: the same bits, which numpy copies into LAPACK's
+layout without transposing.
 
 A Graph holds its edges as a (k, 2) int64 array.  Parsing, checking,
 deduplication and adjacency assembly are whole-array numpy operations: no
@@ -54,11 +57,9 @@ from .reports import SpectralRange
 # that proves m on the Lanczos path.  At this size one array is 0.8 GB.
 _DENSE_VERTEX_CAP = 10_000
 
-# The Lanczos path runs on graphs with at least this many vertices; below
-# it eigvalsh was as fast or faster on one BLAS thread.  Lanczos multiplies
-# by A through the edge list while 32 |E| <= n^2 (average degree at most
-# n / 16) and through the dense buffer above that, where np.bincount on the
-# edges was slower than the matrix-vector product (data in CHANGES.md).
+# below this many vertices eigvalsh was as fast as Lanczos or faster on one
+# BLAS thread; above average degree n / 16, np.bincount on the edges was
+# slower than the dense matrix-vector product (data in CHANGES.md)
 _LANCZOS_MIN_VERTICES = 512
 _LANCZOS_MAX_STEPS = 200
 _LANCZOS_CHECK_EVERY = 10  # steps between two eigen-solves of the tridiagonal T
@@ -428,78 +429,55 @@ def _proven_floor(n: int, t: float) -> float:
     return m if Fraction(m) <= bound else math.nextafter(m, -math.inf)
 
 
-def _lanczos_range(g: Graph) -> tuple[float, float, dict] | None:
-    """(m, M, provenance) from Lanczos and one Cholesky factor, or None.
-
-    The one n x n buffer b = A is built first.  Lanczos multiplies by A
-    with the edge list's two np.bincount calls when 32 |E| <= n^2 (average
-    degree at most n / 16), and with b @ q above that.  M is the largest
-    Ritz value.  t = -theta_min + e_min + a margin of 16 n u (theta_max -
-    theta_min), e_min the smallest Ritz value's error estimate, so A + tI
-    is positive definite by a margin above Cholesky's rounding when
-    theta_min is within e_min of lambda_min.  b gets t on its diagonal and
-    is factored in place, through its column-major view b.T: for a
-    symmetric b LAPACK receives the same bits, and numpy's copy into
-    LAPACK's layout reads it contiguously.  If the factorization completes,
-    m = _proven_floor(n, t), so m sits below lambda_min by about n^2 u |m|;
-    the error estimate only picks t and never enters m.  None below the
-    measured crossover (n < 512), above the dense cap, for an edgeless
-    graph, when Lanczos gave up, and when the factorization failed (a
-    smaller eigenvalue that Lanczos missed makes it fail).
-    """
-    n = g.n
-    if not _LANCZOS_MIN_VERTICES <= n <= _DENSE_VERTEX_CAP or len(g.edges) == 0:
-        return None
-    b = _adjacency(g)
-    if 32 * len(g.edges) <= n * n:
-        u, v = np.ascontiguousarray(g.edges.T)
-        found = _lanczos_extremes(n, lambda q: np.bincount(u, q[v], n) + np.bincount(v, q[u], n))
-    else:
-        found = _lanczos_extremes(n, lambda q: b @ q)
-    if found is None:
-        return None
-    theta_min, theta_max, e_min, steps = found
-    margin = 16 * n * float(_UNIT_ROUNDOFF) * (theta_max - theta_min)
-    t = -theta_min + e_min + margin
-    b.flat[:: n + 1] = t
-    bt = b.T
-    try:
-        with np.errstate(invalid="raise"):
-            _umath_linalg.cholesky_lo(bt, out=bt)
-    except FloatingPointError:
-        return None
-    return _proven_floor(n, t), theta_max, {"solver": "lanczos", "steps": steps, "shift": t}
-
-
 def spectral_range(g: Graph) -> SpectralRange:
     """(m, M) of g's adjacency operator, with R = (A 1, 1) and eps = ||A 1 - R 1||.
 
-    Above the crossover (512 <= n <= 10000 and at least one edge) M is the
-    largest Lanczos Ritz value and m a proven lower bound on the smallest
-    eigenvalue, from one Cholesky factorization of A + tI (_lanczos_range
-    and _proven_floor); m sits below lambda_min by about n^2 u |m|, u =
-    2^-53, and provenance is {"solver": "lanczos", "steps": k, "shift": t}.
-    Lanczos multiplies through the edge list when 32 |E| <= n^2 and through
-    the dense buffer of A otherwise, and stops on the Kato-Temple error
-    estimates of its extreme Ritz values.  Below the crossover, or when
-    Lanczos gives up or the factorization fails, m and M come from one
-    LAPACK symmetric eigen-solve without eigenvectors of the column-major
-    view A.T (A's bits, copied without a transpose), and provenance is
-    {"solver": "dense"}.  Both paths are deterministic for identical
-    inputs.  R is the average degree, the R that minimises eps;
-    eps measures how far the all-ones function is from being an
-    eigenfunction with value R, and vanishes for regular graphs.  Both come
-    from the edge list's degree counts.
+    The path is the module docstring's.  On the Lanczos path the shift is
+    t = -theta_min + e_min + 16 n u (theta_max - theta_min), u = 2^-53 and
+    e_min the smallest Ritz value's error estimate, so A + tI is positive
+    definite by a margin above Cholesky's rounding when theta_min is within
+    e_min of lambda_min.  The estimate only picks t: m = _proven_floor(n,
+    t), below lambda_min by about n^2 u |m|, and provenance is {"solver":
+    "lanczos", "steps": k, "shift": t}.  On the dense path m and M are
+    eigvalsh's, and provenance is {"solver": "dense"}.  Both paths are
+    deterministic for identical inputs.  R is the average degree, the R
+    that minimises eps; eps measures how far the all-ones function is from
+    being an eigenfunction with value R, and vanishes for regular graphs.
+    Both come from the edge list's degree counts.
     """
-    found = _lanczos_range(g)
+    n = g.n
+    a = _adjacency(g)
+    found = None
+    if n >= _LANCZOS_MIN_VERTICES and len(g.edges):
+        if 32 * len(g.edges) <= n * n:
+            u, v = np.ascontiguousarray(g.edges.T)
+            found = _lanczos_extremes(
+                n, lambda q: np.bincount(u, q[v], n) + np.bincount(v, q[u], n)
+            )
+        else:
+            found = _lanczos_extremes(n, lambda q: a @ q)
+    if found is not None:
+        theta_min, theta_max, e_min, steps = found
+        margin = 16 * n * float(_UNIT_ROUNDOFF) * (theta_max - theta_min)
+        t = -theta_min + e_min + margin
+        a.flat[:: n + 1] = t
+        at = a.T
+        try:
+            with np.errstate(invalid="raise"):
+                _umath_linalg.cholesky_lo(at, out=at)
+        except FloatingPointError:
+            found = None
+            del a, at  # the failed factor holds NaN
+            a = _adjacency(g)
     if found is None:
-        a = adjacency_matrix(g)
         try:
             vals = np.linalg.eigvalsh(a.T)
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
-        found = float(vals[0]), float(vals[-1]), {"solver": "dense"}
-    m, M, provenance = found
+        m, M, provenance = float(vals[0]), float(vals[-1]), {"solver": "dense"}
+    else:
+        m, M = _proven_floor(n, t), theta_max
+        provenance = {"solver": "lanczos", "steps": steps, "shift": t}
     # the degrees are exact integers, so R and eps have the bits of the
     # dense row sums
     degrees = np.bincount(g.edges.ravel(), minlength=g.n)

@@ -958,6 +958,10 @@ def test_read_graph_peak_memory_on_25000_dimacs_edges(tmp_path):
 # duplicate and reversed edges, tabs, a CRLF line, a "+" sign).
 _PINNED_INPUTS = {
     "c5.txt": C5_TEXT,
+    # 600 vertices of degree 6: the Lanczos path, through the edge list
+    "circulant_600.txt": "".join(
+        f"{i} {(i + s) % 600}\n" for i in range(600) for s in (1, 7, 30)
+    ),
     "radial.json": json.dumps({"dim": 3, "atoms": [[1.0, 0.6], [1.7, 0.4]]}),
     # certifies at its own --kmax 32, with no K doubling
     "sphere.json": json.dumps({"dim": 4, "atoms": [[-0.5, 0.7], [0.2, 0.3]]}),
@@ -966,6 +970,7 @@ PINNED_REQUESTS = {
     "finite_c5": ["finite", "{dir}/c5.txt"],
     "finite_dimacs": ["finite", "{dir}/finite_dimacs.txt"],
     "finite_plain": ["finite", "{dir}/finite_plain.txt"],
+    "finite_lanczos": ["finite", "{dir}/circulant_600.txt"],
     "unit_distance_2": ["unit-distance", "-n", "2"],
     "euclidean_file": ["euclidean", "{dir}/radial.json"],
     "odd_distance": ["odd-distance", "--beta", "1.15", "-N", "5"],

@@ -1,7 +1,9 @@
 """Finite-graph bounds and parsing, checked against brute-force oracles."""
 
 import math
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -431,10 +433,44 @@ def test_unproven_ritz_value_falls_back_to_the_dense_solve(monkeypatch):
     monkeypatch.setattr(hoffman.graphs._umath_linalg, "cholesky_lo", counted)
     g = dict(_lanczos_sweep())["sparse"]
     vals = np.linalg.eigvalsh(adjacency_matrix(g))
+    assemblies = _counted_assemblies(monkeypatch)
     rng = spectral_range(g)
     assert factored == [(600, 600)]
+    # the failed factor overwrote the buffer, so A is built a second time
+    assert assemblies == [600, 600]
     assert rng.provenance == {"solver": "dense"}
     assert (rng.m, rng.M) == (float(vals[0]), float(vals[-1]))
+
+
+def _counted_assemblies(monkeypatch) -> list:
+    """A list that gets each assembly's vertex count from now on."""
+    adjacency = hoffman.graphs._adjacency
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return adjacency(g)
+
+    monkeypatch.setattr(hoffman.graphs, "_adjacency", counted)
+    return calls
+
+
+def test_spectral_range_assembles_a_once(monkeypatch):
+    # both solvers share the one buffer: Lanczos multiplies by it on a dense
+    # graph, the factor overwrites it, and a give-up hands it to eigvalsh
+    sweep = dict(_lanczos_sweep())
+    cases = [
+        (cycle(5), "dense"),
+        (_random_graph(np.random.default_rng(500), 500, 0.2), "dense"),
+        (sweep["sparse"], "lanczos"),  # the edge list's product
+        (sweep["G(512,1/2)"], "lanczos"),  # the buffer's product
+        (Graph(512, [(i, i + 1) for i in range(511)]), "dense"),  # Lanczos gives up
+    ]
+    assemblies = _counted_assemblies(monkeypatch)
+    for g, solver in cases:
+        assemblies.clear()
+        assert spectral_range(g).provenance["solver"] == solver
+        assert assemblies == [g.n]
 
 
 def test_lanczos_range_is_bitwise_deterministic():
@@ -465,6 +501,63 @@ def test_dense_lanczos_range_holds_one_matrix():
     assert rng.provenance["solver"] == "lanczos"
     matrix, basis = 8 * n * n, 8 * (hoffman.graphs._LANCZOS_MAX_STEPS + 1) * n
     assert peak <= matrix + basis + matrix // 4
+
+
+# Prints the growth of the process's peak resident memory (VmHWM) in one
+# spectral_range call above its resident memory (VmRSS) before it, in bytes.
+# A factorization and an eigen-solve of a 1000 x 1000 matrix run first, so
+# that the BLAS library's one-time setup of its work buffers is not counted.
+_PEAK_SCRIPT = """
+import sys
+import numpy as np
+from hoffman.graphs import Graph, spectral_range
+
+def status(key):
+    with open("/proc/self/status") as f:
+        fields = dict(line.split(":", 1) for line in f)
+    return int(fields[key].split()[0]) * 1024
+
+n, band = int(sys.argv[1]), int(sys.argv[2])
+i = np.arange(n)
+s = np.arange(1, band + 1)
+g = Graph(n, np.stack([np.repeat(i, band), (i[:, None] + s).ravel() % n], axis=1))
+x = np.eye(1000) + 1.0
+np.linalg.cholesky(x), np.linalg.eigvalsh(x)
+del i, s, x
+before = status("VmRSS")
+solver = spectral_range(g).provenance["solver"]
+print(solver, status("VmHWM") - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+@pytest.mark.parametrize(
+    "n, band, solver",
+    # the band circulant with distances 1-80 converges multiplying by the
+    # buffer; the cycle (distance 1) gives up and eigvalsh solves the buffer
+    [(2000, 80, "lanczos"), (1500, 1, "dense")],
+    ids=["dense product", "give-up"],
+)
+def test_real_memory_peak_is_two_matrices(n, band, solver):
+    # tracemalloc does not see LAPACK's copy of the matrix; the process's
+    # high-water mark does.  The buffer and LAPACK's copy of it are the two
+    # n x n arrays; a quarter of one more covers LAPACK's workspace, the
+    # tridiagonal solves and the O(n) vectors
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_SCRIPT, str(n), str(band)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    printed, growth = proc.stdout.split()
+    matrix, basis = 8 * n * n, 8 * (hoffman.graphs._LANCZOS_MAX_STEPS + 1) * n
+    assert printed == solver
+    assert int(growth) <= 2 * matrix + basis + matrix // 4
 
 
 def test_proven_floor_rounds_the_cholesky_bound_down():

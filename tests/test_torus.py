@@ -7,6 +7,8 @@ discrete Hoffman bounds are checked against brute force on small circulants
 and against their continuous targets along refining moduli.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,26 @@ def test_spectrum_matches_dense_eigensolver():
         dense = np.linalg.eigvalsh(adjacency_matrix(Graph(*circulant_edges(m, n, cset))))
         assert abs(got.m - dense[0]) < 1e-8 and abs(got.M - dense[-1]) < 1e-8
         assert got.R == len(cset)
+
+
+@pytest.mark.parametrize(
+    "m, n, radii",
+    [(600, 1, [1.0, 7.0, 30.0]), (1024, 1, [1.0, 5.0, 11.0]), (24, 2, [3.0])],
+    ids=["Z_600", "Z_1024", "Z_24^2"],
+)
+def test_lanczos_range_of_the_vertex_form_matches_the_fft(m, n, radii):
+    # above 512 vertices the finite route is Lanczos with a proven m: it
+    # stays below the FFT's minimum, up to the FFT's own rounding, and close
+    fft = circulant_range(m, n, radii)
+    vertices, edges = circulant_edges(m, n, annulus_connection_set(m, n, radii, 0.25))
+    finite = spectral_range(Graph(vertices, edges))
+    scale = max(1.0, finite.M)
+    fft_rounding = 8 * math.log2(vertices) * np.finfo(float).eps * fft.R
+    assert finite.provenance["solver"] == "lanczos"
+    assert finite.m <= fft.m + fft_rounding
+    assert fft.m - finite.m <= 1e-9 * scale
+    assert abs(finite.M - fft.M) <= 1e-9 * scale
+    assert finite.R == fft.R
 
 
 def test_expanded_graph_is_the_cycle():
