@@ -5,27 +5,32 @@ All inner products use the uniform probability measure on the vertex set,
 (A 1, 1) equals the average degree.  Eigenvalues of the adjacency
 operator under this convention coincide with the ordinary matrix eigenvalues.
 spectral_range(g) is the finite case's range function, and reports.bounds
-turns its range into the chromatic, ratio and fractional bounds.  It builds
-the n x n matrix A once, in one float64 buffer, and picks one of two paths:
+turns its range into the chromatic, ratio and fractional bounds:
 
-- dense, below 512 vertices or without an edge: one LAPACK eigen-solve of
-  A (eigvalsh) gives m and M;
+- dense, below 512 vertices or without an edge: eigvalsh of the n x n
+  float64 matrix A gives m and M;
 - lanczos, for graphs with 512 to 10000 vertices and at least one edge,
-  where it measured faster: Lanczos gives M as its largest Ritz value.  It
-  multiplies by A through the edge list while 32 |E| <= n^2 (average degree
-  at most n / 16) and through the buffer above that, and stops once the
-  error estimates of its extreme Ritz values (Kato-Temple) are small.  The
-  buffer then gets t on its diagonal, t just above -lambda_min, and is
-  factored in place: a completed floating-point Cholesky factorization of
-  A + tI proves m = -t - delta <= lambda_min (Higham, Accuracy and
-  Stability, Thm 10.3; delta is about n^2 2^-53 t).
+  where it measured faster: Lanczos gives M as its largest Ritz value, and
+  stops once the error estimates of its extreme Ritz values (Kato-Temple)
+  are small.  A completed floating-point Cholesky factorization of A + tI,
+  t just above -lambda_min, proves m = -t - delta <= lambda_min (Higham,
+  Accuracy and Stability, Thm 10.3; delta is about n^2 2^-53 t).  While
+  16 |E| <= n^2, Lanczos multiplies through the arc list (both directions of
+  each edge, sorted by source and then target; np.add.reduceat sums each
+  vertex's neighbours in that order), and the factor first eliminates the
+  independent set I that greedy takes from the vertices with deg(v)^2 <= n,
+  by degree and then frac(v * golden ratio).  I's columns need no sum
+  (l_vv = fl(sqrt(t)), l_jv = fl(1 / l_vv)), so only S = (A + tI)_JJ less
+  their products, J the other vertices, is built and factored in place;
+  deg(v)^2 <= n keeps those products at most n per vertex of I.  Above
+  that density Lanczos multiplies by the buffer A, which is then factored
+  whole in place.
 
-When Lanczos cannot converge by its step cap, the untouched buffer goes to
-eigvalsh.  When the factorization fails (the smallest Ritz value missed a
-smaller eigenvalue), the factor has left NaN in the buffer, so A is built
-a second time for eigvalsh.  LAPACK gets each symmetric matrix as its
-column-major view a.T: the same bits, which numpy copies into LAPACK's
-layout without transposing.
+A give-up at Lanczos's step cap sends A to eigvalsh (the buffer, or A built
+then), and so does a failed factorization (the smallest Ritz value missed
+a smaller eigenvalue), with A built anew as the factor left NaN.  LAPACK
+gets each symmetric matrix as its column-major view a.T: the same bits,
+which numpy copies into LAPACK's layout without transposing.
 
 A Graph holds its edges as a (k, 2) int64 array.  Parsing, checking,
 deduplication and adjacency assembly are whole-array numpy operations: no
@@ -58,8 +63,10 @@ from .reports import SpectralRange
 _DENSE_VERTEX_CAP = 10_000
 
 # below this many vertices eigvalsh was as fast as Lanczos or faster on one
-# BLAS thread; above average degree n / 16, np.bincount on the edges was
-# slower than the dense matrix-vector product (data in CHANGES.md)
+# BLAS thread.  The arc list's product beat the dense one at density 1/8
+# (one BLAS thread: 325 against 392 us at n = 1000) and lost 3x at 1/2.  At
+# 1/5 (the 800/160 bench slot) it won only while the host was busy, and the
+# benchmark's latency tail rose 14 %, hence 16 |E| <= n^2 in spectral_range
 _LANCZOS_MIN_VERTICES = 512
 _LANCZOS_MAX_STEPS = 200
 _LANCZOS_CHECK_EVERY = 10  # steps between two eigen-solves of the tridiagonal T
@@ -340,6 +347,86 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return a
 
 
+def _arcs(g: Graph) -> np.ndarray:
+    """The arcs' targets, sorted by source and then target: v's run has deg(v) of them."""
+    # flat index j of the sorted pairs is the arc from endpoint j ^ 1 to
+    # endpoint j, so a stable sort by source puts a vertex's lower
+    # neighbours, ascending, before its higher ones.  The vertex cap keeps
+    # sources below 2^16, where numpy's stable sort is a radix sort
+    sources = g.edges[:, ::-1].astype(np.uint16, order="C").ravel()
+    return g.edges.ravel()[np.argsort(sources, kind="stable")]
+
+
+def _arc_product(n: int, dst: np.ndarray, degrees: np.ndarray):
+    """q -> A q by np.add.reduceat over the arc list."""
+    # reduceat would give an empty segment a wrong value (at the end, an
+    # IndexError), so isolated vertices are left out
+    hit = np.flatnonzero(degrees)
+    starts = (np.cumsum(degrees) - degrees)[hit]
+
+    def product(q):
+        w = np.zeros(n)
+        w[hit] = np.add.reduceat(q[dst], starts)
+        return w
+
+    return product
+
+
+def _eliminated(g: Graph, degrees: np.ndarray) -> np.ndarray:
+    """The mask of the module docstring's greedy independent set I, found in rounds.
+
+    A free vertex whose key is below each free neighbour's is taken, and its
+    neighbours stop being free; the keys are distinct, so the least is taken.
+    """
+    n, (u, v) = g.n, g.edges.T
+    key = np.where(degrees**2 <= n, degrees + (np.arange(n) * _GOLDEN) % 1.0, np.inf)
+    taken, free = np.zeros(n, dtype=bool), np.isfinite(key)
+    while free.any():
+        k = np.where(free, key, np.inf)
+        take = free.copy()
+        take[np.where(k[u] < k[v], v, u)] = False
+        taken |= take
+        free &= ~take
+        free[u[take[v]]] = free[v[take[u]]] = False
+    return taken
+
+
+def _schur_first(g: Graph, dst, degrees, taken, t: float) -> np.ndarray:
+    """S = (A + tI)_JJ less one fl(r * r) per common neighbour in I, r = fl(1 / fl(sqrt(t))).
+
+    I = taken and J is the rest.  The terms are subtracted one at a time in
+    the order of I, as Cholesky eliminating I first does.
+    """
+    m = g.n - int(np.count_nonzero(taken))
+    pos = np.cumsum(~taken) - 1  # a vertex's index in J
+    lo, hi = g.edges.T
+    keep = ~(taken[lo] | taken[hi])
+    rows, cols = pos[lo[keep]], pos[hi[keep]]
+    s = np.zeros((m, m))
+    s[rows, cols] = s[cols, rows] = 1.0
+    s.flat[:: m + 1] = t
+    # (x, y) runs over the ordered pairs of p's neighbours, p in I in order
+    p = np.flatnonzero(taken)
+    d, sq = degrees[p], degrees[p] ** 2
+    first, dp = np.repeat((np.cumsum(degrees) - degrees)[p], sq), np.repeat(d, sq)
+    at = np.arange(len(dp)) - np.repeat(np.cumsum(sq) - sq, sq)  # the pair's index for its p
+    x, y = pos[dst[first + at // dp]], pos[dst[first + at % dp]]
+    r = 1.0 / math.sqrt(t)
+    np.subtract.at(s.ravel(), x * m + y, r * r)
+    return s
+
+
+def _factors(b: np.ndarray) -> bool:
+    """Whether Cholesky of the symmetric b completes; b then holds L^T, else NaN."""
+    bt = b.T
+    try:
+        with np.errstate(invalid="raise"):
+            _umath_linalg.cholesky_lo(bt, out=bt)
+    except FloatingPointError:
+        return False
+    return True
+
+
 def _lanczos_extremes(n: int, matvec) -> tuple[float, float, float, int] | None:
     """(theta_min, theta_max, e_min, steps) of Lanczos on the n x n A, or None.
 
@@ -420,6 +507,12 @@ def _proven_floor(n: int, t: float) -> float:
     Underflow adds at most eta = 2^-1074 per product and quotient; the term
     4n (2(n+1) + t) eta, of the form Rump uses, covers it.  The sum is taken
     in exact rationals and rounded down.
+
+    The Schur-first factor is this factorization of P B P^T, with I first:
+    the same n, diagonal t and eigenvalues.  I's columns are Cholesky's own
+    (their products with earlier columns of I are exact zeros), and an entry
+    of S subtracts its terms from I one at a time before LAPACK subtracts
+    the rest: one order of its inner product, of at most n - 1 terms.
     """
     t_exact = Fraction(t)
     g = (n + 1) * _UNIT_ROUNDOFF / (1 - (n + 1) * _UNIT_ROUNDOFF)
@@ -440,36 +533,39 @@ def spectral_range(g: Graph) -> SpectralRange:
     t), below lambda_min by about n^2 u |m|, and provenance is {"solver":
     "lanczos", "steps": k, "shift": t}.  On the dense path m and M are
     eigvalsh's, and provenance is {"solver": "dense"}.  Both paths are
-    deterministic for identical inputs.  R is the average degree, the R
-    that minimises eps; eps measures how far the all-ones function is from
-    being an eigenfunction with value R, and vanishes for regular graphs.
-    Both come from the edge list's degree counts.
+    deterministic for identical inputs on a fixed BLAS thread count: the arc
+    list's product is independent of it, but done @ w in Gram-Schmidt and
+    the dense a @ q split their sums across threads.  R is the average
+    degree, the R that minimises eps; eps measures how far the all-ones
+    function is from being an eigenfunction with value R, and vanishes for
+    regular graphs.  Both come from the edge list's degree counts.
     """
     n = g.n
-    a = _adjacency(g)
-    found = None
-    if n >= _LANCZOS_MIN_VERTICES and len(g.edges):
-        if 32 * len(g.edges) <= n * n:
-            u, v = np.ascontiguousarray(g.edges.T)
-            found = _lanczos_extremes(
-                n, lambda q: np.bincount(u, q[v], n) + np.bincount(v, q[u], n)
-            )
+    a = found = None
+    if _LANCZOS_MIN_VERTICES <= n <= _DENSE_VERTEX_CAP and len(g.edges):
+        if 16 * len(g.edges) <= n * n:
+            degrees = np.bincount(g.edges.ravel(), minlength=n)
+            dst = _arcs(g)
+            found = _lanczos_extremes(n, _arc_product(n, dst, degrees))
         else:
+            a = _adjacency(g)
             found = _lanczos_extremes(n, lambda q: a @ q)
     if found is not None:
         theta_min, theta_max, e_min, steps = found
         margin = 16 * n * float(_UNIT_ROUNDOFF) * (theta_max - theta_min)
         t = -theta_min + e_min + margin
-        a.flat[:: n + 1] = t
-        at = a.T
-        try:
-            with np.errstate(invalid="raise"):
-                _umath_linalg.cholesky_lo(at, out=at)
-        except FloatingPointError:
-            found = None
-            del a, at  # the failed factor holds NaN
-            a = _adjacency(g)
+        if a is None:
+            b = _schur_first(g, dst, degrees, _eliminated(g, degrees), t)
+            del dst  # only S and LAPACK's copy of it stay for the factor
+        else:
+            b = a
+            b.flat[:: n + 1] = t
+        if not _factors(b):
+            found = a = None  # the failed factor holds NaN
+        del b
     if found is None:
+        if a is None:
+            a = _adjacency(g)
         try:
             vals = np.linalg.eigvalsh(a.T)
         except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -478,9 +574,9 @@ def spectral_range(g: Graph) -> SpectralRange:
     else:
         m, M = _proven_floor(n, t), theta_max
         provenance = {"solver": "lanczos", "steps": steps, "shift": t}
-    # the degrees are exact integers, so R and eps have the bits of the
-    # dense row sums
-    degrees = np.bincount(g.edges.ravel(), minlength=g.n)
+    # exact integer degrees give R and eps the bits of the dense row sums;
+    # counted before A, they raised the dense paths' peak by 9 MB at n = 2000
+    degrees = np.bincount(g.edges.ravel(), minlength=n)
     R = float(degrees.sum()) / g.n
     eps = math.sqrt(float(np.mean((degrees - R) ** 2)))
     return SpectralRange(m, M, R, eps, provenance)

@@ -821,7 +821,8 @@ def test_radial_scan_over_budget_exits_1_quickly(capsys):
 
 def test_finite_makes_one_eigen_solve(capsys, monkeypatch, tmp_path):
     # C5 takes the dense path: one eigvalsh call; a large sparse graph takes
-    # the Lanczos path: no eigvalsh call and one Cholesky factorization
+    # the Lanczos path: no eigvalsh call and one Cholesky factorization, of
+    # the Schur complement left after the eliminated independent set
     solved, factored = [], []
     eigvalsh = np.linalg.eigvalsh
     cholesky_lo = hoffman.graphs._umath_linalg.cholesky_lo
@@ -847,8 +848,11 @@ def test_finite_makes_one_eigen_solve(capsys, monkeypatch, tmp_path):
     n = 600
     path = tmp_path / "circulant.txt"
     path.write_text("".join(f"{i} {(i + s) % n}\n" for i in range(n) for s in (1, 7, 30)))
+    g = hoffman.graphs.read_graph(path)
+    degrees = np.bincount(g.edges.ravel(), minlength=n)
+    kept = n - int(np.count_nonzero(hoffman.graphs._eliminated(g, degrees)))
     assert run(["finite", str(path)]) == 0
-    assert (solved, factored) == ([], [(n, n)])
+    assert kept < n and (solved, factored) == ([], [(kept, kept)])
     payload = _payload(capsys)
     assert payload["status"] == "ok" and payload["provenance"]["solver"] == "lanczos"
 

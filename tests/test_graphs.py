@@ -350,7 +350,7 @@ def _lanczos_sweep():
     # the Krylov space of K_{a,b} is invariant at step 3
     yield "K_17,600", Graph(617, [(i, j) for i in range(17) for j in range(17, 617)])
     yield "star", Graph(600, [(0, i) for i in range(1, 600)])
-    # with 32 |E| > n^2 Lanczos multiplies by the dense buffer
+    # with 16 |E| > n^2 Lanczos multiplies by the dense buffer
     yield "G(600,1/5)", Graph(600, gnp(600, 599 / 5))
     yield "G(512,1/2)", Graph(512, gnp(512, 511 / 2))
     iu, ju = np.triu_indices(600, 1)
@@ -394,9 +394,33 @@ def test_lanczos_step_cap_falls_back_to_the_dense_solve(monkeypatch):
     assert len(steps) == 2 and max(steps) <= hoffman.graphs._LANCZOS_MAX_STEPS // 2
 
 
-def test_edge_list_and_dense_matvecs_give_the_same_ritz_values(monkeypatch):
-    # the edge list's np.bincount product that spectral_range uses on a
-    # sparse graph, against the dense A @ q it uses when 32 |E| > n^2
+def test_arc_product_matches_the_dense_product():
+    # np.add.reduceat over the sorted arc list; an isolated vertex is an
+    # empty segment, where reduceat alone would give a wrong value (or an
+    # IndexError at index n - 1), so isolated vertices sit first, in the
+    # middle and last
+    rng = np.random.default_rng(31)
+    graphs = [
+        Graph(9, [(1, 2), (2, 4), (1, 5), (2, 5), (5, 7), (2, 7)]),  # 0, 3, 6, 8 isolated
+        Graph(9, [(0, i) for i in range(1, 9)]),  # a star
+        Graph(2, [(0, 1)]),
+        Graph(5, [(1, 3)]),
+        dict(_lanczos_sweep())["disconnected"],  # 150 isolated vertices, last
+    ]
+    for g in graphs:
+        degrees = np.bincount(g.edges.ravel(), minlength=g.n)
+        product = hoffman.graphs._arc_product(g.n, hoffman.graphs._arcs(g), degrees)
+        a = adjacency_matrix(g)
+        q = rng.random(g.n)
+        got, want = product(q), a @ q
+        # sums of at most deg(v) terms from [0, 1), in two orders
+        assert np.all(np.abs(got - want) <= 2 * degrees * np.finfo(float).eps * want)
+        assert np.all(got[degrees == 0] == 0.0)
+
+
+def test_arc_list_and_dense_products_give_the_same_ritz_values(monkeypatch):
+    # the sorted arc list's np.add.reduceat product that spectral_range uses
+    # on a sparse graph, against the dense A @ q it uses when 16 |E| > n^2
     lanczos = hoffman.graphs._lanczos_extremes
     used = []
 
@@ -408,10 +432,71 @@ def test_edge_list_and_dense_matvecs_give_the_same_ritz_values(monkeypatch):
     g = dict(_lanczos_sweep())["mid-density"]
     assert spectral_range(g).provenance["solver"] == "lanczos"
     a = adjacency_matrix(g)
-    edges = lanczos(g.n, used[0])
+    arcs = lanczos(g.n, used[0])
     dense = lanczos(g.n, lambda q: a @ q)
-    tol = 1e-12 * max(1.0, edges[1])
-    assert abs(edges[0] - dense[0]) <= tol and abs(edges[1] - dense[1]) <= tol
+    tol = 1e-12 * max(1.0, arcs[1])
+    assert abs(arcs[0] - dense[0]) <= tol and abs(arcs[1] - dense[1]) <= tol
+
+
+def test_eliminated_set_is_the_greedy_independent_set():
+    # the rounds give the set that greedy takes one vertex at a time: the
+    # vertices with deg(v)^2 <= n by degree, then by frac(v * golden ratio),
+    # each unless a neighbour was taken before it
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    for name, g in _lanczos_sweep():
+        degrees = np.bincount(g.edges.ravel(), minlength=g.n)
+        neighbours = [[] for _ in range(g.n)]
+        for u, v in g.edges.tolist():
+            neighbours[u].append(v)
+            neighbours[v].append(u)
+        key = degrees + (np.arange(g.n) * golden) % 1.0
+        want = np.zeros(g.n, dtype=bool)
+        for v in np.argsort(key).tolist():
+            if degrees[v] ** 2 <= g.n and not any(want[w] for w in neighbours[v]):
+                want[v] = True
+        assert np.array_equal(hoffman.graphs._eliminated(g, degrees), want), name
+
+
+def _textbook_schur(a, taken, t):
+    """The trailing block of P (A + tI) P^T after textbook Cholesky's first |I| columns.
+
+    P puts the vertices of I = taken first, both parts in index order.  Each
+    step is the outer-product form: l_kk = sqrt(b_kk), the column divided
+    by it, and the trailing block less the column's outer product (only its
+    nonzero rows: the other terms are exact zeros).
+    """
+    order = np.concatenate([np.flatnonzero(taken), np.flatnonzero(~taken)])
+    b = (a + t * np.eye(len(a)))[np.ix_(order, order)]
+    k_count = int(np.count_nonzero(taken))
+    for k in range(k_count):
+        b[k, k] = math.sqrt(b[k, k])
+        b[k + 1 :, k] /= b[k, k]
+        nz = k + 1 + np.flatnonzero(b[k + 1 :, k])
+        b[np.ix_(nz, nz)] -= np.outer(b[nz, k], b[nz, k])
+    return b[k_count:, k_count:]
+
+
+@pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in _lanczos_sweep()])
+def test_schur_first_factor_is_cholesky_in_another_order(g):
+    # the eliminated set is independent; the Schur buffer has the bits of
+    # textbook Cholesky run on the eliminated columns first; and at t =
+    # -lambda_min +- 1e-6 its factor completes exactly when the dense factor
+    # of A + tI does, and then proves m <= lambda_min
+    graphs = hoffman.graphs
+    a = adjacency_matrix(g)
+    lam = np.linalg.eigvalsh(a)[0]
+    degrees = np.bincount(g.edges.ravel(), minlength=g.n)
+    taken = graphs._eliminated(g, degrees)
+    u, v = g.edges.T
+    assert not np.any(taken[u] & taken[v])
+    assert np.all(degrees[taken] ** 2 <= g.n)
+    for t in (-lam + 1e-6, -lam - 1e-6):
+        s = graphs._schur_first(g, graphs._arcs(g), degrees, taken, t)
+        assert s.tobytes() == _textbook_schur(a, taken, t).tobytes()
+        completes = graphs._factors(s)
+        assert completes == graphs._factors(a + t * np.eye(g.n)) == (t > -lam)
+        if completes:
+            assert graphs._proven_floor(g.n, t) <= lam
 
 
 def test_unproven_ritz_value_falls_back_to_the_dense_solve(monkeypatch):
@@ -433,48 +518,60 @@ def test_unproven_ritz_value_falls_back_to_the_dense_solve(monkeypatch):
     monkeypatch.setattr(hoffman.graphs._umath_linalg, "cholesky_lo", counted)
     g = dict(_lanczos_sweep())["sparse"]
     vals = np.linalg.eigvalsh(adjacency_matrix(g))
+    degrees = np.bincount(g.edges.ravel(), minlength=g.n)
+    kept = g.n - int(np.count_nonzero(hoffman.graphs._eliminated(g, degrees)))
     assemblies = _counted_assemblies(monkeypatch)
     rng = spectral_range(g)
-    assert factored == [(600, 600)]
-    # the failed factor overwrote the buffer, so A is built a second time
-    assert assemblies == [600, 600]
+    # the factor gets the Schur buffer on the vertices left after the
+    # elimination; when it fails, A is built for eigvalsh
+    assert kept < 400 and factored == [(kept, kept)]
+    assert assemblies == [("S", kept), ("A", 600)]
     assert rng.provenance == {"solver": "dense"}
     assert (rng.m, rng.M) == (float(vals[0]), float(vals[-1]))
 
 
 def _counted_assemblies(monkeypatch) -> list:
-    """A list that gets each assembly's vertex count from now on."""
-    adjacency = hoffman.graphs._adjacency
+    """A list that gets ("A", n) for each assembly of A and ("S", |J|) for each Schur buffer."""
+    adjacency, schur_first = hoffman.graphs._adjacency, hoffman.graphs._schur_first
     calls = []
 
-    def counted(g):
-        calls.append(g.n)
+    def counted_a(g):
+        calls.append(("A", g.n))
         return adjacency(g)
 
-    monkeypatch.setattr(hoffman.graphs, "_adjacency", counted)
+    def counted_s(*args):
+        s = schur_first(*args)
+        calls.append(("S", len(s)))
+        return s
+
+    monkeypatch.setattr(hoffman.graphs, "_adjacency", counted_a)
+    monkeypatch.setattr(hoffman.graphs, "_schur_first", counted_s)
     return calls
 
 
 def test_spectral_range_assembles_a_once(monkeypatch):
-    # both solvers share the one buffer: Lanczos multiplies by it on a dense
-    # graph, the factor overwrites it, and a give-up hands it to eigvalsh
+    # one n x n matrix per request: the dense path's A; on the Lanczos path
+    # A for the dense product, which the factor then overwrites, or after the
+    # arc-list product only the Schur buffer; and A for eigvalsh after a give-up
     sweep = dict(_lanczos_sweep())
     cases = [
-        (cycle(5), "dense"),
-        (_random_graph(np.random.default_rng(500), 500, 0.2), "dense"),
-        (sweep["sparse"], "lanczos"),  # the edge list's product
-        (sweep["G(512,1/2)"], "lanczos"),  # the buffer's product
-        (Graph(512, [(i, i + 1) for i in range(511)]), "dense"),  # Lanczos gives up
+        (cycle(5), "dense", "A"),
+        (_random_graph(np.random.default_rng(500), 500, 0.2), "dense", "A"),
+        (sweep["sparse"], "lanczos", "S"),  # the arc list's product
+        (sweep["mid-density"], "lanczos", "S"),  # the arc list's, 5 % eliminated
+        (sweep["G(600,1/5)"], "lanczos", "A"),  # the buffer's product
+        (sweep["G(512,1/2)"], "lanczos", "A"),
+        (Graph(512, [(i, i + 1) for i in range(511)]), "dense", "A"),  # Lanczos gives up
     ]
     assemblies = _counted_assemblies(monkeypatch)
-    for g, solver in cases:
+    for g, solver, kind in cases:
         assemblies.clear()
         assert spectral_range(g).provenance["solver"] == solver
-        assert assemblies == [g.n]
+        assert len(assemblies) == 1 and assemblies[0][0] == kind
 
 
 def test_lanczos_range_is_bitwise_deterministic():
-    # on the edge list's product and on the dense one
+    # on the arc list's product and on the dense one
     sweep = dict(_lanczos_sweep())
     for g in (sweep["circulant"], sweep["G(512,1/2)"]):
         first, second = spectral_range(g), spectral_range(g)
@@ -517,10 +614,10 @@ def status(key):
         fields = dict(line.split(":", 1) for line in f)
     return int(fields[key].split()[0]) * 1024
 
-n, band = int(sys.argv[1]), int(sys.argv[2])
+n, distances = int(sys.argv[1]), [int(d) for d in sys.argv[2].split(",")]
 i = np.arange(n)
-s = np.arange(1, band + 1)
-g = Graph(n, np.stack([np.repeat(i, band), (i[:, None] + s).ravel() % n], axis=1))
+s = np.array(distances)
+g = Graph(n, np.stack([np.repeat(i, len(s)), (i[:, None] + s).ravel() % n], axis=1))
 x = np.eye(1000) + 1.0
 np.linalg.cholesky(x), np.linalg.eigvalsh(x)
 del i, s, x
@@ -532,22 +629,31 @@ print(solver, status("VmHWM") - before)
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 @pytest.mark.parametrize(
-    "n, band, solver",
-    # the band circulant with distances 1-80 converges multiplying by the
-    # buffer; the cycle (distance 1) gives up and eigvalsh solves the buffer
-    [(2000, 80, "lanczos"), (1500, 1, "dense")],
-    ids=["dense product", "give-up"],
+    "n, distances, solver",
+    # circulants: distances 1-300 (density 0.3) converge multiplying by the
+    # buffer; six scattered distances converge on the arc list, and the factor
+    # eliminates a fifth of the vertices first; the cycle (distance 1) gives
+    # up and eigvalsh solves A
+    [
+        (2000, "1-300", "lanczos"),
+        (2000, "1,2,5,11,30,97", "lanczos"),
+        (1500, "1", "dense"),
+    ],
+    ids=["dense product", "elimination", "give-up"],
 )
-def test_real_memory_peak_is_two_matrices(n, band, solver):
+def test_real_memory_peak_is_two_matrices(n, distances, solver):
     # tracemalloc does not see LAPACK's copy of the matrix; the process's
-    # high-water mark does.  The buffer and LAPACK's copy of it are the two
-    # n x n arrays; a quarter of one more covers LAPACK's workspace, the
-    # tridiagonal solves and the O(n) vectors
+    # high-water mark does.  The factored or solved matrix and LAPACK's copy
+    # of it are the two n x n arrays; a quarter of one more covers LAPACK's
+    # workspace, the tridiagonal solves and the O(n) and O(|E|) vectors
+    if "-" in distances:
+        lo, hi = map(int, distances.split("-"))
+        distances = ",".join(map(str, range(lo, hi + 1)))
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _PEAK_SCRIPT, str(n), str(band)],
+        [sys.executable, "-c", _PEAK_SCRIPT, str(n), distances],
         capture_output=True,
         text=True,
         env=env,
