@@ -15,16 +15,14 @@ turns its range into the chromatic, ratio and fractional bounds:
   are small.  A completed floating-point Cholesky factorization of A + tI,
   t just above -lambda_min, proves m = -t - delta <= lambda_min (Higham,
   Accuracy and Stability, Thm 10.3; delta is about n^2 2^-53 t).  While
-  16 |E| <= n^2, Lanczos multiplies through the arc list (both directions of
-  each edge, sorted by source and then target; np.add.reduceat sums each
-  vertex's neighbours in that order), and the factor first eliminates the
-  independent set I that greedy takes from the vertices with deg(v)^2 <= n,
-  by degree and then frac(v * golden ratio).  I's columns need no sum
-  (l_vv = fl(sqrt(t)), l_jv = fl(1 / l_vv)), so only S = (A + tI)_JJ less
-  their products, J the other vertices, is built and factored in place;
-  deg(v)^2 <= n keeps those products at most n per vertex of I.  Above
-  that density Lanczos multiplies by the buffer A, which is then factored
-  whole in place.
+  16 |E| <= n^2, Lanczos sums each vertex's run of the arc list, sorted by
+  source and then target, with np.add.reduceat, and the factor first
+  eliminates the independent set I that greedy takes from the vertices with
+  deg(v)^2 <= n, by degree and then frac(v * golden ratio).  I's columns
+  need no sum (l_vv = fl(sqrt(t)), l_jv = fl(1 / l_vv)), so only S =
+  (A + tI)_JJ less their products, J the other vertices, is built and
+  factored in place.  Above that density Lanczos multiplies by the buffer
+  A, which is then factored whole in place.
 
 A give-up at Lanczos's step cap sends A to eigvalsh (the buffer, or A built
 then), and so does a failed factorization (the smallest Ritz value missed
@@ -46,6 +44,7 @@ from __future__ import annotations
 
 import io
 import math
+import mmap
 import re
 import warnings
 from dataclasses import dataclass
@@ -64,9 +63,8 @@ _DENSE_VERTEX_CAP = 10_000
 
 # below this many vertices eigvalsh was as fast as Lanczos or faster on one
 # BLAS thread.  The arc list's product beat the dense one at density 1/8
-# (one BLAS thread: 325 against 392 us at n = 1000) and lost 3x at 1/2.  At
-# 1/5 (the 800/160 bench slot) it won only while the host was busy, and the
-# benchmark's latency tail rose 14 %, hence 16 |E| <= n^2 in spectral_range
+# and lost 3x at 1/2; at 1/5 (the 800/160 bench slot) the benchmark's
+# latency tail rose 14 %, hence 16 |E| <= n^2 in spectral_range
 _LANCZOS_MIN_VERTICES = 512
 _LANCZOS_MAX_STEPS = 200
 _LANCZOS_CHECK_EVERY = 10  # steps between two eigen-solves of the tridiagonal T
@@ -347,37 +345,42 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return a
 
 
-def _arcs(g: Graph) -> np.ndarray:
-    """The arcs' targets, sorted by source and then target: v's run has deg(v) of them."""
-    # flat index j of the sorted pairs is the arc from endpoint j ^ 1 to
-    # endpoint j, so a stable sort by source puts a vertex's lower
-    # neighbours, ascending, before its higher ones.  The vertex cap keeps
-    # sources below 2^16, where numpy's stable sort is a radix sort
-    sources = g.edges[:, ::-1].astype(np.uint16, order="C").ravel()
-    return g.edges.ravel()[np.argsort(sources, kind="stable")]
+def _mapped(count: int, dtype) -> np.ndarray:
+    """An uninitialised array in its own mapping: dropped, it leaves no resident heap pages."""
+    return np.frombuffer(mmap.mmap(-1, max(count, 1) * np.dtype(dtype).itemsize), dtype, count)
 
 
-def _arc_product(n: int, dst: np.ndarray, degrees: np.ndarray):
-    """q -> A q by np.add.reduceat over the arc list."""
-    # reduceat would give an empty segment a wrong value (at the end, an
-    # IndexError), so isolated vertices are left out
-    hit = np.flatnonzero(degrees)
-    starts = (np.cumsum(degrees) - degrees)[hit]
+def _arcs(g: Graph, degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The arcs' targets sorted by source, then target, and each source's first arc's index."""
+    # an isolated vertex gets one arc, to n.  The keys source * 2^16 + target
+    # (the vertex cap is below 2^16) stay int64, which np.take needs no copy of
+    lone = np.flatnonzero(degrees == 0)
+    arcs = _mapped(g.edges.size + len(lone), np.int64)
+    pairs = arcs[: g.edges.size].reshape(-1, 2)
+    np.left_shift(g.edges[:, ::-1], 16, out=pairs)
+    pairs |= g.edges
+    arcs[g.edges.size :] = lone << 16 | g.n
+    arcs.sort()
+    arcs &= 0xFFFF
+    runs = np.maximum(degrees, 1)
+    return arcs, np.cumsum(runs) - runs
+
+
+def _arc_product(dst: np.ndarray, starts: np.ndarray):
+    """q -> A q: np.add.reduceat sums each vertex's run of the arc list."""
+    n = len(starts)
+    padded, gathered = np.zeros(n + 1), _mapped(len(dst), np.float64)  # padded[n] stays 0
 
     def product(q):
-        w = np.zeros(n)
-        w[hit] = np.add.reduceat(q[dst], starts)
-        return w
+        padded[:n] = q
+        return np.add.reduceat(np.take(padded, dst, out=gathered, mode="clip"), starts)
 
     return product
 
 
 def _eliminated(g: Graph, degrees: np.ndarray) -> np.ndarray:
-    """The mask of the module docstring's greedy independent set I, found in rounds.
-
-    A free vertex whose key is below each free neighbour's is taken, and its
-    neighbours stop being free; the keys are distinct, so the least is taken.
-    """
+    """The module docstring's greedy independent set I, as a mask: in each round a free
+    vertex whose key is below its free neighbours' is taken, and they stop being free."""
     n, (u, v) = g.n, g.edges.T
     key = np.where(degrees**2 <= n, degrees + (np.arange(n) * _GOLDEN) % 1.0, np.inf)
     taken, free = np.zeros(n, dtype=bool), np.isfinite(key)
@@ -391,28 +394,29 @@ def _eliminated(g: Graph, degrees: np.ndarray) -> np.ndarray:
     return taken
 
 
-def _schur_first(g: Graph, dst, degrees, taken, t: float) -> np.ndarray:
+def _schur_first(g: Graph, dst, starts, degrees, taken, t: float) -> np.ndarray:
     """S = (A + tI)_JJ less one fl(r * r) per common neighbour in I, r = fl(1 / fl(sqrt(t))).
 
-    I = taken and J is the rest.  The terms are subtracted one at a time in
-    the order of I, as Cholesky eliminating I first does.
+    I = taken and J is the rest.  Each entry's terms are subtracted one at a
+    time, in any order as they are equal.  I is walked by degree d, at most
+    n + |arcs| neighbour pairs at once, so the pair keys take O(n + |E|).
     """
     m = g.n - int(np.count_nonzero(taken))
     pos = np.cumsum(~taken) - 1  # a vertex's index in J
     lo, hi = g.edges.T
-    keep = ~(taken[lo] | taken[hi])
-    rows, cols = pos[lo[keep]], pos[hi[keep]]
+    if m < g.n:  # J's edges, in J's indices
+        keep = ~(taken[lo] | taken[hi])
+        lo, hi = pos[lo[keep]], pos[hi[keep]]
     s = np.zeros((m, m))
-    s[rows, cols] = s[cols, rows] = 1.0
+    s[lo, hi] = s[hi, lo] = 1.0
     s.flat[:: m + 1] = t
-    # (x, y) runs over the ordered pairs of p's neighbours, p in I in order
-    p = np.flatnonzero(taken)
-    d, sq = degrees[p], degrees[p] ** 2
-    first, dp = np.repeat((np.cumsum(degrees) - degrees)[p], sq), np.repeat(d, sq)
-    at = np.arange(len(dp)) - np.repeat(np.cumsum(sq) - sq, sq)  # the pair's index for its p
-    x, y = pos[dst[first + at // dp]], pos[dst[first + at % dp]]
     r = 1.0 / math.sqrt(t)
-    np.subtract.at(s.ravel(), x * m + y, r * r)
+    for d in np.unique(degrees[taken]).tolist():
+        first = starts[taken & (degrees == d)]
+        step = (g.n + len(dst)) // max(d * d, 1)  # d^2 <= n: at least 1
+        for i in range(0, len(first), step):
+            nb = pos[dst[first[i : i + step, None] + np.arange(d)]]
+            np.subtract.at(s.ravel(), (nb[:, :, None] * m + nb[:, None, :]).ravel(), r * r)
     return s
 
 
@@ -541,21 +545,25 @@ def spectral_range(g: Graph) -> SpectralRange:
     regular graphs.  Both come from the edge list's degree counts.
     """
     n = g.n
-    a = found = None
-    if _LANCZOS_MIN_VERTICES <= n <= _DENSE_VERTEX_CAP and len(g.edges):
-        if 16 * len(g.edges) <= n * n:
-            degrees = np.bincount(g.edges.ravel(), minlength=n)
-            dst = _arcs(g)
-            found = _lanczos_extremes(n, _arc_product(n, dst, degrees))
-        else:
-            a = _adjacency(g)
-            found = _lanczos_extremes(n, lambda q: a @ q)
+    lanczos = _LANCZOS_MIN_VERTICES <= n <= _DENSE_VERTEX_CAP and len(g.edges)
+    # the arc list's path builds no A first; _adjacency refuses a bad n
+    a = None if lanczos and 16 * len(g.edges) <= n * n else _adjacency(g)
+    # exact integer degrees give R and eps the bits of the dense row sums.
+    # np.bincount would copy the read-only edges (9.6 MB at 600k edges)
+    degrees = np.zeros(n, dtype=np.int64)
+    np.add.at(degrees, g.edges.ravel(), 1)
+    found = None
+    if lanczos and a is None:
+        dst, starts = _arcs(g, degrees)
+        found = _lanczos_extremes(n, _arc_product(dst, starts))
+    elif lanczos:
+        found = _lanczos_extremes(n, lambda q: a @ q)
     if found is not None:
         theta_min, theta_max, e_min, steps = found
         margin = 16 * n * float(_UNIT_ROUNDOFF) * (theta_max - theta_min)
         t = -theta_min + e_min + margin
         if a is None:
-            b = _schur_first(g, dst, degrees, _eliminated(g, degrees), t)
+            b = _schur_first(g, dst, starts, degrees, _eliminated(g, degrees), t)
             del dst  # only S and LAPACK's copy of it stay for the factor
         else:
             b = a
@@ -574,9 +582,6 @@ def spectral_range(g: Graph) -> SpectralRange:
     else:
         m, M = _proven_floor(n, t), theta_max
         provenance = {"solver": "lanczos", "steps": steps, "shift": t}
-    # exact integer degrees give R and eps the bits of the dense row sums;
-    # counted before A, they raised the dense paths' peak by 9 MB at n = 2000
-    degrees = np.bincount(g.edges.ravel(), minlength=n)
     R = float(degrees.sum()) / g.n
     eps = math.sqrt(float(np.mean((degrees - R) ** 2)))
     return SpectralRange(m, M, R, eps, provenance)

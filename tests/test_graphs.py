@@ -395,10 +395,9 @@ def test_lanczos_step_cap_falls_back_to_the_dense_solve(monkeypatch):
 
 
 def test_arc_product_matches_the_dense_product():
-    # np.add.reduceat over the sorted arc list; an isolated vertex is an
-    # empty segment, where reduceat alone would give a wrong value (or an
-    # IndexError at index n - 1), so isolated vertices sit first, in the
-    # middle and last
+    # np.add.reduceat over the sorted arc list; an isolated vertex would be
+    # an empty segment, where reduceat gives a wrong value (or an IndexError
+    # at index n - 1), so isolated vertices sit first, in the middle and last
     rng = np.random.default_rng(31)
     graphs = [
         Graph(9, [(1, 2), (2, 4), (1, 5), (2, 5), (5, 7), (2, 7)]),  # 0, 3, 6, 8 isolated
@@ -409,7 +408,7 @@ def test_arc_product_matches_the_dense_product():
     ]
     for g in graphs:
         degrees = np.bincount(g.edges.ravel(), minlength=g.n)
-        product = hoffman.graphs._arc_product(g.n, hoffman.graphs._arcs(g), degrees)
+        product = hoffman.graphs._arc_product(*hoffman.graphs._arcs(g, degrees))
         a = adjacency_matrix(g)
         q = rng.random(g.n)
         got, want = product(q), a @ q
@@ -491,7 +490,7 @@ def test_schur_first_factor_is_cholesky_in_another_order(g):
     assert not np.any(taken[u] & taken[v])
     assert np.all(degrees[taken] ** 2 <= g.n)
     for t in (-lam + 1e-6, -lam - 1e-6):
-        s = graphs._schur_first(g, graphs._arcs(g), degrees, taken, t)
+        s = graphs._schur_first(g, *graphs._arcs(g, degrees), degrees, taken, t)
         assert s.tobytes() == _textbook_schur(a, taken, t).tobytes()
         completes = graphs._factors(s)
         assert completes == graphs._factors(a + t * np.eye(g.n)) == (t > -lam)
@@ -614,13 +613,18 @@ def status(key):
         fields = dict(line.split(":", 1) for line in f)
     return int(fields[key].split()[0]) * 1024
 
-n, distances = int(sys.argv[1]), [int(d) for d in sys.argv[2].split(",")]
-i = np.arange(n)
-s = np.array(distances)
-g = Graph(n, np.stack([np.repeat(i, len(s)), (i[:, None] + s).ravel() % n], axis=1))
+n, kind, sizes = int(sys.argv[1]), sys.argv[2], [int(d) for d in sys.argv[3].split(",")]
+if kind == "circulant":  # sizes are the distances
+    i = np.arange(n)
+    s = np.array(sizes)
+    g = Graph(n, np.stack([np.repeat(i, len(s)), (i[:, None] + s).ravel() % n], axis=1))
+    del i, s
+else:  # the complete bipartite graph K_{a, n - a}, a = sizes[0]
+    a = sizes[0]
+    g = Graph(n, np.stack([np.repeat(np.arange(a), n - a), np.tile(np.arange(a, n), a)], axis=1))
 x = np.eye(1000) + 1.0
 np.linalg.cholesky(x), np.linalg.eigvalsh(x)
-del i, s, x
+del x
 before = status("VmRSS")
 solver = spectral_range(g).provenance["solver"]
 print(solver, status("VmHWM") - before)
@@ -629,31 +633,35 @@ print(solver, status("VmHWM") - before)
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 @pytest.mark.parametrize(
-    "n, distances, solver",
+    "n, kind, sizes, solver",
     # circulants: distances 1-300 (density 0.3) converge multiplying by the
-    # buffer; six scattered distances converge on the arc list, and the factor
-    # eliminates a fifth of the vertices first; the cycle (distance 1) gives
-    # up and eigvalsh solves A
+    # buffer, distances 1-80 (density 0.08) on the arc list with nothing
+    # eliminated, and six scattered distances on the arc list with a fifth
+    # of the vertices eliminated; K_{44,1956} eliminates its 1956 leaves,
+    # 3.8 million neighbour pairs; the cycle (distance 1) gives up and
+    # eigvalsh solves A
     [
-        (2000, "1-300", "lanczos"),
-        (2000, "1,2,5,11,30,97", "lanczos"),
-        (1500, "1", "dense"),
+        (2000, "circulant", "1-300", "lanczos"),
+        (2000, "circulant", "1-80", "lanczos"),
+        (2000, "circulant", "1,2,5,11,30,97", "lanczos"),
+        (2000, "bipartite", "44", "lanczos"),
+        (1500, "circulant", "1", "dense"),
     ],
-    ids=["dense product", "elimination", "give-up"],
+    ids=["dense product", "arc list", "elimination", "bipartite elimination", "give-up"],
 )
-def test_real_memory_peak_is_two_matrices(n, distances, solver):
+def test_real_memory_peak_is_two_matrices(n, kind, sizes, solver):
     # tracemalloc does not see LAPACK's copy of the matrix; the process's
     # high-water mark does.  The factored or solved matrix and LAPACK's copy
     # of it are the two n x n arrays; a quarter of one more covers LAPACK's
     # workspace, the tridiagonal solves and the O(n) and O(|E|) vectors
-    if "-" in distances:
-        lo, hi = map(int, distances.split("-"))
-        distances = ",".join(map(str, range(lo, hi + 1)))
+    if "-" in sizes:
+        lo, hi = map(int, sizes.split("-"))
+        sizes = ",".join(map(str, range(lo, hi + 1)))
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _PEAK_SCRIPT, str(n), distances],
+        [sys.executable, "-c", _PEAK_SCRIPT, str(n), kind, sizes],
         capture_output=True,
         text=True,
         env=env,
