@@ -21,7 +21,7 @@ import re
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .errors import ConvergenceError, VacuousBoundError, read_text
+from .errors import ConvergenceError, VacuousBoundError, read_text, ten_digits
 from .euclidean import (
     optimize_radial_measure,
     radial_measure_from_json,
@@ -31,7 +31,7 @@ from .euclidean import (
     unit_distance_range,
 )
 from .graphs import read_graph, spectral_range
-from .reports import BoundReport, alpha_ratio_ub, bounds, chi_frac_lb, chi_lb
+from .reports import KINDS, alpha_ratio_ub, bounds, chi_frac_lb, chi_lb
 from .sphere import (
     SphereMeasure,
     operator_range,
@@ -62,10 +62,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _json(obj, indent: str = "") -> str:
-    """json.dumps(obj, sort_keys=True, indent=2), in one pass, with every float
-    at 10 significant digits; a non-finite float is refused."""
+    """json.dumps(obj, sort_keys=True, indent=2) of a plain JSON value, in one
+    pass, with every float printed by ten_digits; a non-finite float is refused."""
     if isinstance(obj, float):
-        rounded = float(f"{obj:.10g}")  # inf above 1.797693134e308 too
+        rounded = float(ten_digits(obj))  # inf above 1.797693134e308 too
         if not math.isfinite(rounded):
             raise ValueError(f"non-finite value {obj!r} in output")
         return repr(rounded)
@@ -78,8 +78,6 @@ def _json(obj, indent: str = "") -> str:
     elif isinstance(obj, (list, tuple)):
         brackets = "[]"
         items = [_json(v, inner) for v in obj]
-    elif isinstance(obj, BoundReport):
-        return _json(obj.as_dict(), indent)
     elif obj is None or isinstance(obj, bool):
         return "null" if obj is None else "true" if obj else "false"
     elif isinstance(obj, int):
@@ -100,10 +98,6 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(payload: dict, path: str | None) -> None:
-    _emit(_json(payload) + "\n", path)
-
-
 def _load_json_file(path: str):
     try:  # read_text's ValueError is not a JSONDecodeError
         return json.loads(read_text(path))
@@ -120,45 +114,39 @@ def _given(args, **options) -> dict:
     return {k: getattr(args, a) for k, a in options.items() if getattr(args, a) is not None}
 
 
-def _cmd_finite(args) -> dict:
-    g = read_graph(args.graph)
-    rng = spectral_range(g)
+def _report(rng, *constructors, **echo) -> dict:
+    """A range command's payload: the echo fields, the bounds the constructors
+    give for rng, and the evidence rng was read from."""
+    reports = bounds(rng, *constructors)
     return {
-        "graph": {"path": args.graph, "vertices": g.n, "edges": len(g.edges)},
-        "bounds": bounds(rng, chi_lb, alpha_ratio_ub, chi_frac_lb),
+        **echo,
+        "bounds": {kind: rep.as_dict() for kind, rep in reports.items()},
         "provenance": rng.provenance,
     }
+
+
+def _cmd_finite(args) -> dict:
+    g = read_graph(args.graph)
+    graph = {"path": args.graph, "vertices": g.n, "edges": len(g.edges)}
+    return _report(spectral_range(g), chi_lb, alpha_ratio_ub, chi_frac_lb, graph=graph)
 
 
 def _cmd_unit_distance(args) -> dict:
     rng = unit_distance_range(args.dimension)
-    return {
-        "dimension": args.dimension,
-        "bounds": bounds(rng, chi_lb, alpha_ratio_ub),
-        "provenance": rng.provenance,
-    }
+    return _report(rng, chi_lb, alpha_ratio_ub, dimension=args.dimension)
 
 
 def _cmd_euclidean(args) -> dict:
     mu = radial_measure_from_json(_load_json_file(args.measure))
     rng = radial_range(mu, **_given(args, tol="tol"))
-    return {
-        "measure": radial_measure_to_json(mu),
-        "bounds": bounds(rng, chi_lb, alpha_ratio_ub),
-        "provenance": rng.provenance,
-    }
+    return _report(rng, chi_lb, alpha_ratio_ub, measure=radial_measure_to_json(mu))
 
 
 def _cmd_odd_distance(args) -> dict:
     mu = steinhardt_measure(args.beta, args.terms)
     rng = radial_range(mu, **_given(args, tol="tol"))
-    return {
-        "beta": float(args.beta),
-        "terms": int(args.terms),
-        "measure_mass": mu.total_mass(),
-        "bounds": bounds(rng, chi_lb),
-        "provenance": rng.provenance,
-    }
+    echo = {"beta": float(args.beta), "terms": int(args.terms), "measure_mass": mu.total_mass()}
+    return _report(rng, chi_lb, **echo)
 
 
 def _cmd_sphere(args) -> dict:
@@ -174,31 +162,21 @@ def _cmd_sphere(args) -> dict:
         mu = SphereMeasure(dim, ((args.t, 1.0),))
         echo = {"dimension": dim, "t": args.t}
     rng = operator_range(mu, **_given(args, K="kmax", tol="tol"))
-    return {
-        **echo,
-        "bounds": bounds(rng, chi_lb, alpha_ratio_ub),
-        "provenance": rng.provenance,
-    }
+    return _report(rng, chi_lb, alpha_ratio_ub, **echo)
 
 
 def _cmd_optimize(args) -> dict:
     if args.mode == "radial":
         if args.kmax is not None:
             raise ValueError("--kmax applies only to --mode sphere")
-        mu, rng = optimize_radial_measure(args.dimension, args.support, **_given(args, tol="tol"))
-        measure = radial_measure_to_json(mu)
+        optimize, to_json = optimize_radial_measure, radial_measure_to_json
     else:
-        options = _given(args, K="kmax", tol="tol")
-        mu, rng = optimize_sphere_measure(args.dimension, args.support, **options)
-        measure = sphere_measure_to_json(mu)
-    return {
-        "mode": args.mode,
-        "dimension": args.dimension,
-        "support": [float(s) for s in args.support],
-        "measure": measure,
-        "bounds": bounds(rng, chi_lb),
-        "provenance": rng.provenance,
-    }
+        optimize, to_json = optimize_sphere_measure, sphere_measure_to_json
+    mu, rng = optimize(args.dimension, args.support, **_given(args, K="kmax", tol="tol"))
+    support = [float(s) for s in args.support]
+    return _report(
+        rng, chi_lb, mode=args.mode, dimension=args.dimension, support=support, measure=to_json(mu)
+    )
 
 
 def _cmd_torus(args) -> dict | str:
@@ -286,7 +264,7 @@ _REPORT_SCHEMA = {
     "type": "object",
     "required": ["kind", "value", "m", "M"],
     "properties": {
-        "kind": {"enum": ["chi_lb", "alpha_ratio_ub", "chi_frac_lb"]},
+        "kind": {"enum": list(KINDS)},
         "value": {"type": "number"},
         "m": {"type": "number"},
         "M": {"type": "number"},
@@ -341,24 +319,15 @@ def run(argv) -> int:
         if args.subcommand is None:
             raise _UsageError("a subcommand is required")
         try:
-            result = _DISPATCH[args.subcommand](args)
+            result, code = _DISPATCH[args.subcommand](args), 0
         except VacuousBoundError as exc:
-            payload = {
-                "schema": SCHEMA_VERSION,
-                "command": args.subcommand,
-                "status": "vacuous",
-                "detail": str(exc),
-            }
-            _emit_json(payload, args.output)
-            return 2
+            result, code = {"status": "vacuous", "detail": str(exc)}, 2
+        if not isinstance(result, str):  # a vacuous result's status replaces "ok"
+            head = {"schema": SCHEMA_VERSION, "command": args.subcommand, "status": "ok"}
+            result = _json({**head, **result}) + "\n"
         # written inside the try, so a failed -o write ends in one line too
-        if isinstance(result, str):
-            _emit(result, args.output)
-        else:
-            payload = {"schema": SCHEMA_VERSION, "command": args.subcommand, "status": "ok"}
-            payload.update(result)
-            _emit_json(payload, args.output)
-        return 0
+        _emit(result, args.output)
+        return code
     except (_UsageError, ConvergenceError, ValueError, OSError) as exc:
         print(f"hoffman: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,5 @@
-"""Domain-specific error signals, input checks and the in-order sum shared across the package."""
+"""Domain-specific error signals, input checks, the in-order sum and the
+printed form of a number, shared across the package."""
 
 import math
 import numbers
@@ -72,6 +73,15 @@ def ordered_sum(values) -> float:
     return total
 
 
+def ten_digits(x: float) -> str:
+    """x as every printer writes it: 10 significant digits, rounded to nearest.
+
+    The JSON output, the torus CSV and the uncertified-range line all print
+    their numbers through this one function.
+    """
+    return f"{x:.10g}"
+
+
 def require_mass(weights) -> None:
     """Refuse sum |w_i| = inf, or 0 < sum |w_i| < the smallest normal double: subnormal
     weights keep too few digits for a bound.  An all-zero measure stays (vacuous bounds)."""
@@ -117,7 +127,8 @@ class UncertifiedRangeError(ConvergenceError):
     """
 
     def __init__(self, message, m, M, k_used, tail_bound):
-        line = f"uncertified range [{m:.10g}, {M:.10g}] (K={k_used}, tail={tail_bound:.3g})"
+        span = f"[{ten_digits(m)}, {ten_digits(M)}]"
+        line = f"uncertified range {span} (K={k_used}, tail={tail_bound:.3g})"
         super().__init__(f"{line}: {message}")
         self.range = (m, M)
         self.k_used = k_used

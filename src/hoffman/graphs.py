@@ -448,7 +448,7 @@ def _lanczos_extremes(n: int, matvec) -> tuple[float, float, float, int] | None:
     the run gives up (None) once the larger e, extrapolated at its decay
     rate since the previous check, cannot reach that tolerance by the cap.
     """
-    basis = np.empty((_LANCZOS_MAX_STEPS + 1, n))
+    basis = np.empty((_LANCZOS_MAX_STEPS, n))
     alpha = np.empty(_LANCZOS_MAX_STEPS)
     beta = np.empty(_LANCZOS_MAX_STEPS)
     x = 1.0 + (np.arange(n) * _GOLDEN) % 1.0
@@ -486,13 +486,13 @@ def _lanczos_extremes(n: int, matvec) -> tuple[float, float, float, int] | None:
             # earlier, e rises and falls while a Ritz value settles near an
             # eigenvalue that a later one undercuts: on the Lanczos-path
             # bench graphs of seeds 1-30 the extrapolation misjudged runs
-            # that converged up to step 70
+            # that converged up to step 70.  At the cap left = 0, so the run
+            # ends here either way and basis needs no row past it
             left = (_LANCZOS_MAX_STEPS - k) / _LANCZOS_CHECK_EVERY
             if 2 * k >= _LANCZOS_MAX_STEPS and e * (e / last) ** left > tol:
                 return None
             last = e
         basis[k] = w / b
-    return None
 
 
 def _proven_floor(n: int, t: float) -> float:

@@ -24,7 +24,7 @@ KIND_CHI_LB = "chi_lb"
 KIND_ALPHA_RATIO_UB = "alpha_ratio_ub"
 KIND_CHI_FRAC_LB = "chi_frac_lb"
 
-_KINDS = (KIND_CHI_LB, KIND_ALPHA_RATIO_UB, KIND_CHI_FRAC_LB)
+KINDS = (KIND_CHI_LB, KIND_ALPHA_RATIO_UB, KIND_CHI_FRAC_LB)
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class BoundReport:
     epsilon: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown bound kind {self.kind!r}")
 
     def as_dict(self) -> dict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import require_integer
+from .errors import require_integer, ten_digits
 from .euclidean import RadialMeasure, radial_range
 from .reports import (
     KIND_ALPHA_RATIO_UB,
@@ -132,6 +132,6 @@ def convergence_csv(rows) -> str:
     """CSV text for a convergence table: header plus 10-significant-digit rows."""
     lines = [",".join(COLUMNS)]
     for m, dchi, dalpha, cchi, calpha in rows:
-        cells = [str(int(m))] + [f"{float(v):.10g}" for v in (dchi, dalpha, cchi, calpha)]
+        cells = [str(int(m))] + [ten_digits(float(v)) for v in (dchi, dalpha, cchi, calpha)]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

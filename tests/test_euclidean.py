@@ -401,6 +401,37 @@ def test_unconverged_reduction_prints_the_kelley_output(monkeypatch, capsys):
     assert capsys.readouterr().out == pinned.read_text()
 
 
+@pytest.mark.parametrize(
+    "start, refused",
+    [
+        ({}, False),  # the control: a start inside the domain reaches omega
+        ({"r": [15.0]}, True),  # past the cutoff 10
+        ({"r": [0.0]}, True),
+        ({"r": [math.nan]}, True),
+        ({"w": [math.nan, 0.5]}, True),
+        ({"s": math.nan}, True),
+    ],
+    ids=["inside", "past-cutoff", "zero-radius", "nan-radius", "nan-weight", "nan-level"],
+)
+def test_reduction_refuses_a_start_outside_the_domain_before_omega(monkeypatch, start, refused):
+    calls, real = [], euclidean.omega
+
+    def spy(n, t):
+        calls.append(np.array(t))
+        return real(n, t)
+
+    monkeypatch.setattr(euclidean, "omega", spy)
+    point = {"w": [0.5, 0.5], "r": [3.0], "lam": [1.0], "s": -0.1, **start}
+    out = euclidean._reduction_newton(
+        2, np.array([1.0, 2.0]), np.array(point["w"]), np.array(point["r"]),
+        np.array(point["lam"]), point["s"], 10.0,
+    )
+    if refused:
+        assert out is None and calls == []
+    else:
+        assert calls and all(np.isfinite(t).all() for t in calls)
+
+
 def test_optimizer_deterministic_and_validated():
     a = optimize_radial_measure(2, [1.0, 2.0])
     b = optimize_radial_measure(2, [1.0, 2.0])
