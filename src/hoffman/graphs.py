@@ -7,22 +7,22 @@ operator under this convention coincide with the ordinary matrix eigenvalues.
 spectral_range(g) is the finite case's range function, and reports.bounds
 turns its range into the chromatic, ratio and fractional bounds:
 
-- dense, below 512 vertices or without an edge: eigvalsh of the n x n
+- dense, below 500 vertices or without an edge: eigvalsh of the n x n
   float64 matrix A gives m and M;
-- lanczos, for graphs with 512 to 10000 vertices and at least one edge,
-  where it measured faster: Lanczos gives M as its largest Ritz value, and
-  stops once the error estimates of its extreme Ritz values (Kato-Temple)
-  are small.  A completed floating-point Cholesky factorization of A + tI,
-  t just above -lambda_min, proves m = -t - delta <= lambda_min (Higham,
-  Accuracy and Stability, Thm 10.3; delta is about n^2 2^-53 t).  While
-  16 |E| <= n^2, Lanczos sums each vertex's run of the arc list, sorted by
-  source and then target, with np.add.reduceat, and the factor first
-  eliminates the independent set I that greedy takes from the vertices with
-  deg(v)^2 <= n, by degree and then frac(v * golden ratio).  I's columns
-  need no sum (l_vv = fl(sqrt(t)), l_jv = fl(1 / l_vv)), so only S =
-  (A + tI)_JJ less their products, J the other vertices, is built and
-  factored in place.  Above that density Lanczos multiplies by the buffer
-  A, which is then factored whole in place.
+- lanczos, for graphs with 500 to 10000 vertices and at least one edge,
+  where it measured faster, the factor included: Lanczos gives M as its
+  largest Ritz value, and stops once the error estimates of its extreme Ritz
+  values (Kato-Temple) are small.  A completed floating-point Cholesky
+  factorization of A + tI, t just above -lambda_min, proves m = -t - delta
+  <= lambda_min (Higham, Accuracy and Stability, Thm 10.3; delta is about
+  n^2 2^-53 t).  While 16 |E| <= n^2, Lanczos sums each vertex's run of the
+  arc list, sorted by source and then target, with np.add.reduceat, and the
+  factor first eliminates the independent set I that greedy takes from the
+  vertices with deg(v)^2 <= n, by degree and then frac(v * golden ratio).
+  I's columns need no sum (l_vv = fl(sqrt(t)), l_jv = fl(1 / l_vv)), so
+  only S = (A + tI)_JJ less their products, J the other vertices, is built
+  and factored in place.  Above that density Lanczos multiplies by the
+  buffer A, which is then factored whole in place.
 
 A give-up at Lanczos's step cap sends A to eigvalsh (the buffer, or A built
 then), and so does a failed factorization (the smallest Ritz value missed
@@ -61,11 +61,15 @@ from .reports import SpectralRange
 # that proves m on the Lanczos path.  At this size one array is 0.8 GB.
 _DENSE_VERTEX_CAP = 10_000
 
-# below this many vertices eigvalsh was as fast as Lanczos or faster on one
-# BLAS thread.  The arc list's product beat the dense one at density 1/8
-# and lost 3x at 1/2; at 1/5 (the 800/160 bench slot) the benchmark's
-# latency tail rose 14 %, hence 16 |E| <= n^2 in spectral_range
-_LANCZOS_MIN_VERTICES = 512
+# the smallest graph the finite benchmark times (its 500/100 slot).  There
+# the Lanczos path, its factor included, took 0.70 times eigvalsh's time on
+# one BLAS thread (geometric mean over 16 random graphs of degree 6 to n/2,
+# medians of 7 alternating runs; faster on 15).  It was also faster on most
+# graphs down to about 256 vertices, but no benchmark slot times that range
+# yet.  The arc list's product beat the dense one at density 1/8 and lost
+# 3x at 1/2; at 1/5 (the 800/160 bench slot) the benchmark's latency tail
+# rose 14 %, hence 16 |E| <= n^2 in spectral_range
+_LANCZOS_MIN_VERTICES = 500
 _LANCZOS_MAX_STEPS = 200
 _LANCZOS_CHECK_EVERY = 10  # steps between two eigen-solves of the tridiagonal T
 # a Ritz value has converged when its error estimate is at most this times

@@ -947,8 +947,9 @@ def test_read_graph_peak_memory_on_25000_dimacs_edges(tmp_path):
 # tests/pinned/<name>.out.  Input files are written to a temporary directory
 # whose path stands as "{dir}" in both the argv and the expected output.
 # The finite_*.txt graphs are committed beside the outputs and copied byte
-# for byte: they hold the edge-list formats' corner cases (comment lines,
-# duplicate and reversed edges, tabs, a CRLF line, a "+" sign).
+# for byte: two hold the edge-list formats' corner cases (comment lines,
+# duplicate and reversed edges, tabs, a CRLF line, a "+" sign), and
+# finite_random_500.txt a seeded random graph of degree 6.
 _PINNED_INPUTS = {
     "c5.txt": C5_TEXT,
     # 600 vertices of degree 6: the Lanczos path, through the edge list
@@ -966,6 +967,9 @@ PINNED_REQUESTS = {
     "finite_dimacs": ["finite", "{dir}/finite_dimacs.txt"],
     "finite_plain": ["finite", "{dir}/finite_plain.txt"],
     "finite_lanczos": ["finite", "{dir}/circulant_600.txt"],
+    # 500 vertices, at the Lanczos path's crossover (below the 512 it had
+    # before): the arc list, and 185 vertices eliminated before the factor
+    "finite_lanczos_500": ["finite", "{dir}/finite_random_500.txt"],
     "unit_distance_2": ["unit-distance", "-n", "2"],
     "euclidean_file": ["euclidean", "{dir}/radial.json"],
     "odd_distance": ["odd-distance", "--beta", "1.15", "-N", "5"],

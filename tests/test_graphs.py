@@ -384,7 +384,8 @@ def test_lanczos_step_cap_falls_back_to_the_dense_solve(monkeypatch):
         return found
 
     monkeypatch.setattr(hoffman.graphs, "_lanczos_extremes", counted)
-    path = Graph(512, [(i, i + 1) for i in range(511)])
+    floor = hoffman.graphs._LANCZOS_MIN_VERTICES
+    path = Graph(floor, [(i, i + 1) for i in range(floor - 1)])  # at the crossover
     band = Graph(1000, [(i, (i + s) % 1000) for i in range(1000) for s in (1, 2, 3)])
     for g in (path, band):
         vals = np.linalg.eigvalsh(adjacency_matrix(g))
@@ -553,9 +554,13 @@ def test_spectral_range_assembles_a_once(monkeypatch):
     # A for the dense product, which the factor then overwrites, or after the
     # arc-list product only the Schur buffer; and A for eigvalsh after a give-up
     sweep = dict(_lanczos_sweep())
+    floor = hoffman.graphs._LANCZOS_MIN_VERTICES
     cases = [
         (cycle(5), "dense", "A"),
-        (_random_graph(np.random.default_rng(500), 500, 0.2), "dense", "A"),
+        # one vertex below the crossover and at it, degree about 25
+        (_random_graph(np.random.default_rng(floor - 1), floor - 1, 0.05), "dense", "A"),
+        (_random_graph(np.random.default_rng(floor), floor, 0.05), "lanczos", "S"),
+        (_random_graph(np.random.default_rng(500), 500, 0.2), "lanczos", "A"),  # the buffer's
         (sweep["sparse"], "lanczos", "S"),  # the arc list's product
         (sweep["mid-density"], "lanczos", "S"),  # the arc list's, 5 % eliminated
         (sweep["G(600,1/5)"], "lanczos", "A"),  # the buffer's product
@@ -601,12 +606,17 @@ def test_dense_lanczos_range_holds_one_matrix():
 
 # Prints the growth of the process's peak resident memory (VmHWM) in one
 # spectral_range call above its resident memory (VmRSS) before it, in bytes.
-# A factorization and an eigen-solve of a 1000 x 1000 matrix run first, so
-# that the BLAS library's one-time setup of its work buffers is not counted.
+# An eigen-solve of a 1000 x 1000 matrix and a product of a 2000 x 1024 and a
+# 1024 x 256 matrix run first, so that the BLAS library's one-time setup of
+# its work buffers is not counted: the product touches as much of OpenBLAS's
+# work buffer as a factor of 2000 x 2000, the largest size measured, does.
+# That factor itself would peak at two such matrices, above most cases' own
+# peak, which VmHWM would then hide.  The product's operands live in
+# mappings of their own, so no freed heap is left for the call to reuse.
 _PEAK_SCRIPT = """
 import sys
 import numpy as np
-from hoffman.graphs import Graph, spectral_range
+from hoffman.graphs import Graph, _mapped, spectral_range
 
 def status(key):
     with open("/proc/self/status") as f:
@@ -623,8 +633,11 @@ else:  # the complete bipartite graph K_{a, n - a}, a = sizes[0]
     a = sizes[0]
     g = Graph(n, np.stack([np.repeat(np.arange(a), n - a), np.tile(np.arange(a, n), a)], axis=1))
 x = np.eye(1000) + 1.0
-np.linalg.cholesky(x), np.linalg.eigvalsh(x)
-del x
+np.linalg.eigvalsh(x)
+a, b, c = _mapped(2000 * 1024, float), _mapped(1024 * 256, float), _mapped(2000 * 256, float)
+a[:] = b[:] = 1.0
+np.matmul(a.reshape(2000, 1024), b.reshape(1024, 256), out=c.reshape(2000, 256))
+del x, a, b, c
 before = status("VmRSS")
 solver = spectral_range(g).provenance["solver"]
 print(solver, status("VmHWM") - before)

@@ -129,7 +129,7 @@ def test_spectrum_matches_dense_eigensolver():
     ids=["Z_600", "Z_1024", "Z_24^2"],
 )
 def test_lanczos_range_of_the_vertex_form_matches_the_fft(m, n, radii):
-    # above 512 vertices the finite route is Lanczos with a proven m: it
+    # from 500 vertices on the finite route is Lanczos with a proven m: it
     # stays below the FFT's minimum, up to the FFT's own rounding, and close
     fft = circulant_range(m, n, radii)
     vertices, edges = circulant_edges(m, n, annulus_connection_set(m, n, radii, 0.25))
