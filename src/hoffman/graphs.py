@@ -10,25 +10,33 @@ turns its range into the chromatic, ratio and fractional bounds:
 - dense, below 500 vertices or without an edge: eigvalsh of the n x n
   float64 matrix A gives m and M;
 - lanczos, for graphs with 500 to 10000 vertices and at least one edge,
-  where it measured faster, the factor included: Lanczos gives M as its
-  largest Ritz value, and stops once the error estimates of its extreme Ritz
-  values (Kato-Temple) are small.  A completed floating-point Cholesky
-  factorization of A + tI, t just above -lambda_min, proves m = -t - delta
-  <= lambda_min (Higham, Accuracy and Stability, Thm 10.3; delta is about
-  n^2 2^-53 t).  While 16 |E| <= n^2, Lanczos sums each vertex's run of the
-  arc list, sorted by source and then target, with np.add.reduceat, and the
-  factor first eliminates the independent set I that greedy takes from the
+  where it measured faster, the factor included.  Lanczos runs twice,
+  each time until the error estimates of its extreme Ritz values
+  (Kato-Temple) are small: a float32 sweep to 2^-23 max(1, theta_max), at
+  half the bytes per step, then a float64 restart to 1e-11 max(1,
+  theta_max) from the sum of the sweep's two extreme Ritz vectors, which
+  takes a few steps more.  The restart gives M as its largest Ritz value
+  and picks the shift t, just above -lambda_min; float32 errors cannot
+  reach m, because a completed float64 Cholesky factorization of A + tI
+  proves m = -t - delta <= lambda_min (Higham, Accuracy and Stability,
+  Thm 10.3; delta is about n^2 2^-53 t).  While 16 |E| <= n^2, Lanczos
+  sums each vertex's run of the arc list, sorted by source and then
+  target, with np.add.reduceat (in float32, then float64), and the factor
+  first eliminates the independent set I that greedy takes from the
   vertices with deg(v)^2 <= n, by degree and then frac(v * golden ratio).
   I's columns need no sum (l_vv = fl(sqrt(t)), l_jv = fl(1 / l_vv)), so
   only S = (A + tI)_JJ less their products, J the other vertices, is built
-  and factored in place.  Above that density Lanczos multiplies by the
-  buffer A, which is then factored whole in place.
+  and factored in place.  Above that density A is assembled once, in
+  float32 (0 and 1 are exact), for the sweep, then cast to the float64
+  buffer A that the restart multiplies by and that is then factored whole
+  in place.
 
-A give-up at Lanczos's step cap sends A to eigvalsh (the buffer, or A built
-then), and so does a failed factorization (the smallest Ritz value missed
-a smaller eigenvalue), with A built anew as the factor left NaN.  LAPACK
-gets each symmetric matrix as its column-major view a.T: the same bits,
-which numpy copies into LAPACK's layout without transposing.
+A give-up at the step cap, in either run, sends A to eigvalsh (the float64
+buffer, or A built then), and so does a failed factorization (the smallest
+Ritz value missed a smaller eigenvalue), with A built anew as the factor
+left NaN.  LAPACK gets each symmetric matrix as its column-major view a.T:
+the same bits, which numpy copies into LAPACK's layout without
+transposing.
 
 A Graph holds its edges as a (k, 2) int64 array.  Parsing, checking,
 deduplication and adjacency assembly are whole-array numpy operations: no
@@ -49,6 +57,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -73,7 +82,9 @@ _LANCZOS_MIN_VERTICES = 500
 _LANCZOS_MAX_STEPS = 200
 _LANCZOS_CHECK_EVERY = 10  # steps between two eigen-solves of the tridiagonal T
 # a Ritz value has converged when its error estimate is at most this times
-# max(1, theta_max)
+# max(1, theta_max): float32's machine epsilon for the float32 sweep, and
+# 1e-11 for the float64 restart that picks the shift
+_SWEEP_RTOL = 2.0**-23
 _LANCZOS_RTOL = 1e-11
 _DGKS = 1 / math.sqrt(2.0)
 _UNIT_ROUNDOFF = Fraction(1, 2**53)
@@ -326,8 +337,8 @@ def read_graph(path) -> Graph:
     return parse_graph(read_text(path))
 
 
-def _adjacency(g: Graph) -> np.ndarray:
-    """A as a new writable n x n float64 array."""
+def _adjacency(g: Graph, dtype=np.float64) -> np.ndarray:
+    """A as a new writable n x n array of dtype, in which 0 and 1 are exact."""
     if g.n < 1:
         raise ValueError("adjacency matrix needs at least one vertex")
     if g.n > _DENSE_VERTEX_CAP:
@@ -335,7 +346,7 @@ def _adjacency(g: Graph) -> np.ndarray:
             f"graph has {g.n} vertices; the dense eigen-solve and the Cholesky "
             f"factor take at most {_DENSE_VERTEX_CAP}"
         )
-    a = np.zeros((g.n, g.n))
+    a = np.zeros((g.n, g.n), dtype)
     u, v = g.edges.T
     a[u, v] = 1.0
     a[v, u] = 1.0
@@ -370,10 +381,10 @@ def _arcs(g: Graph, degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return arcs, np.cumsum(runs) - runs
 
 
-def _arc_product(dst: np.ndarray, starts: np.ndarray):
-    """q -> A q: np.add.reduceat sums each vertex's run of the arc list."""
+def _arc_product(dst: np.ndarray, starts: np.ndarray, dtype=np.float64):
+    """q -> A q in dtype: np.add.reduceat sums each vertex's run of the arc list."""
     n = len(starts)
-    padded, gathered = np.zeros(n + 1), _mapped(len(dst), np.float64)  # padded[n] stays 0
+    padded, gathered = np.zeros(n + 1, dtype), _mapped(len(dst), dtype)  # padded[n] stays 0
 
     def product(q):
         padded[:n] = q
@@ -435,36 +446,46 @@ def _factors(b: np.ndarray) -> bool:
     return True
 
 
-def _lanczos_extremes(n: int, matvec) -> tuple[float, float, float, int] | None:
-    """(theta_min, theta_max, e_min, steps) of Lanczos on the n x n A, or None.
+class _Extremes(NamedTuple):
+    theta_min: float
+    theta_max: float
+    e_min: float  # theta_min's error estimate
+    steps: int
+    ritz: np.ndarray  # the Ritz vectors of theta_min and theta_max, as rows
 
-    matvec(q) returns A q.  Lanczos with full reorthogonalization (the
+
+def _lanczos_extremes(matvec, start: np.ndarray, rtol: float) -> _Extremes | None:
+    """The extreme Ritz values of Lanczos on A from start, or None.
+
+    matvec(q) returns A q in start's dtype, which the basis and every
+    vector of the step keep: the float32 sweep runs at half the bytes of
+    the float64 restart.  Lanczos with full reorthogonalization (the
     three-term step, then classical Gram-Schmidt against the whole basis)
-    starts from the fixed positive vector 1 + frac(i * golden ratio), which
-    has a positive overlap with every component's Perron vector.  Every
-    _LANCZOS_CHECK_EVERY steps the tridiagonal T is solved, and each extreme
-    Ritz value's error is estimated as e = min(r, r^2 / gap), r = beta_k |s_k|
+    starts from start / ||start||.  Every _LANCZOS_CHECK_EVERY steps the
+    tridiagonal T, kept in float64, is solved, and each extreme Ritz
+    value's error is estimated as e = min(r, r^2 / gap), r = beta_k |s_k|
     its residual and gap its distance to the next Ritz value of T
     (Kato-Temple; Parlett, The Symmetric Eigenvalue Problem, sec. 11.7).
-    The run stops once both e are at most _LANCZOS_RTOL * max(1,
-    theta_max); a beta_k that small (an invariant Krylov space, as on
-    K_{a,b} at step 3) stops it too.  From half of _LANCZOS_MAX_STEPS on,
-    the run gives up (None) once the larger e, extrapolated at its decay
-    rate since the previous check, cannot reach that tolerance by the cap.
+    The run stops once both e are at most rtol * max(1, theta_max); a
+    beta_k of at most rtol (an invariant Krylov space, as on K_{a,b} at
+    step 3) stops it too.  From half of _LANCZOS_MAX_STEPS on, the run
+    gives up (None) once the larger e, extrapolated at its decay rate since
+    the previous check, cannot reach that tolerance by the cap.
     """
-    basis = np.empty((_LANCZOS_MAX_STEPS, n))
+    dtype = start.dtype
+    basis = np.empty((_LANCZOS_MAX_STEPS, len(start)), dtype)
     alpha = np.empty(_LANCZOS_MAX_STEPS)
     beta = np.empty(_LANCZOS_MAX_STEPS)
-    x = 1.0 + (np.arange(n) * _GOLDEN) % 1.0
-    basis[0] = x / np.linalg.norm(x)
+    basis[0] = start / np.linalg.norm(start)
     last = math.inf  # the larger e at the previous check
     for j in range(_LANCZOS_MAX_STEPS):
         q, done = basis[j], basis[: j + 1]
         w = matvec(q)
-        alpha[j] = q @ w
-        w -= alpha[j] * q
+        # Python floats scale a float32 vector without a float64 temporary
+        alpha[j] = a_j = float(q @ w)
+        w -= a_j * q
         if j:
-            w -= beta[j - 1] * basis[j - 1]
+            w -= float(beta[j - 1]) * basis[j - 1]
         # a second Gram-Schmidt pass only when the first one cancelled much
         # (Daniel, Gragg, Kaufman and Stewart, Math. Comp. 30, 1976)
         b = float(np.linalg.norm(w))
@@ -476,7 +497,7 @@ def _lanczos_extremes(n: int, matvec) -> tuple[float, float, float, int] | None:
                 break
         beta[j] = b
         k = j + 1
-        if k % _LANCZOS_CHECK_EVERY == 0 or b <= _LANCZOS_RTOL:
+        if k % _LANCZOS_CHECK_EVERY == 0 or b <= rtol:
             off = beta[: k - 1]
             theta, s = np.linalg.eigh(np.diag(alpha[:k]) + np.diag(off, 1) + np.diag(off, -1))
             gaps = (theta[1] - theta[0], theta[-1] - theta[-2]) if k > 1 else (0.0, 0.0)
@@ -484,9 +505,10 @@ def _lanczos_extremes(n: int, matvec) -> tuple[float, float, float, int] | None:
                 r if r >= gap else r * r / gap
                 for r, gap in zip((b * abs(s[-1, 0]), b * abs(s[-1, -1])), gaps)
             )
-            e, tol = max(e_min, e_max), _LANCZOS_RTOL * max(1.0, theta[-1])
+            e, tol = max(e_min, e_max), rtol * max(1.0, theta[-1])
             if e <= tol:
-                return float(theta[0]), float(theta[-1]), float(e_min), k
+                ritz = s[:, [0, -1]].T.astype(dtype) @ basis[:k]
+                return _Extremes(float(theta[0]), float(theta[-1]), float(e_min), k, ritz)
             # earlier, e rises and falls while a Ritz value settles near an
             # eigenvalue that a later one undercuts: on the Lanczos-path
             # bench graphs of seeds 1-30 the extrapolation misjudged runs
@@ -497,6 +519,12 @@ def _lanczos_extremes(n: int, matvec) -> tuple[float, float, float, int] | None:
                 return None
             last = e
         basis[k] = w / b
+
+
+def _restart(sweep: _Extremes) -> np.ndarray:
+    """y_min / ||y_min|| + y_max / ||y_max|| in float64, from the sweep's extreme Ritz vectors."""
+    y = sweep.ritz.astype(np.float64)
+    return (y / np.linalg.norm(y, axis=1, keepdims=True)).sum(axis=0)
 
 
 def _proven_floor(n: int, t: float) -> float:
@@ -533,37 +561,54 @@ def _proven_floor(n: int, t: float) -> float:
 def spectral_range(g: Graph) -> SpectralRange:
     """(m, M) of g's adjacency operator, with R = (A 1, 1) and eps = ||A 1 - R 1||.
 
-    The path is the module docstring's.  On the Lanczos path the shift is
-    t = -theta_min + e_min + 16 n u (theta_max - theta_min), u = 2^-53 and
-    e_min the smallest Ritz value's error estimate, so A + tI is positive
-    definite by a margin above Cholesky's rounding when theta_min is within
-    e_min of lambda_min.  The estimate only picks t: m = _proven_floor(n,
-    t), below lambda_min by about n^2 u |m|, and provenance is {"solver":
-    "lanczos", "steps": k, "shift": t}.  On the dense path m and M are
-    eigvalsh's, and provenance is {"solver": "dense"}.  Both paths are
-    deterministic for identical inputs on a fixed BLAS thread count: the arc
-    list's product is independent of it, but done @ w in Gram-Schmidt and
-    the dense a @ q split their sums across threads.  R is the average
-    degree, the R that minimises eps; eps measures how far the all-ones
-    function is from being an eigenfunction with value R, and vanishes for
-    regular graphs.  Both come from the edge list's degree counts.
+    The path is the module docstring's.  On the Lanczos path theta_min,
+    theta_max and e_min, the smallest Ritz value's error estimate, are the
+    float64 restart's, and the shift is t = -theta_min + e_min + 16 n u
+    (theta_max - theta_min), u = 2^-53, so A + tI is positive definite by a
+    margin above Cholesky's rounding when theta_min is within e_min of
+    lambda_min.  The estimate only picks t: m = _proven_floor(n, t), below
+    lambda_min by about n^2 u |m|, and provenance is {"solver": "lanczos",
+    "float32_steps": k32, "float64_steps": k64, "shift": t}, the steps of
+    the sweep and of the restart.  On the dense path m and M are eigvalsh's,
+    and provenance is {"solver": "dense"}.  Both paths are deterministic
+    for identical inputs on a fixed BLAS thread count: the arc list's
+    products are independent of it, but done @ w in Gram-Schmidt and the
+    dense a @ q, in float32 (sgemv) as in float64, split their sums across
+    threads.  R is the average degree, the R that minimises eps; eps
+    measures how far the all-ones function is from being an eigenfunction
+    with value R, and vanishes for regular graphs.  Both come from the edge
+    list's degree counts.
     """
     n = g.n
     lanczos = _LANCZOS_MIN_VERTICES <= n <= _DENSE_VERTEX_CAP and len(g.edges)
-    # the arc list's path builds no A first; _adjacency refuses a bad n
-    a = None if lanczos and 16 * len(g.edges) <= n * n else _adjacency(g)
+    # the arc list's path builds no A first, and the buffer's sweep gets it
+    # in float32; _adjacency refuses a bad n
+    if lanczos and 16 * len(g.edges) <= n * n:
+        a = None
+    else:
+        a = _adjacency(g, np.float32 if lanczos else np.float64)
     # exact integer degrees give R and eps the bits of the dense row sums.
     # np.bincount would copy the read-only edges (9.6 MB at 600k edges)
     degrees = np.zeros(n, dtype=np.int64)
     np.add.at(degrees, g.edges.ravel(), 1)
     found = None
-    if lanczos and a is None:
-        dst, starts = _arcs(g, degrees)
-        found = _lanczos_extremes(n, _arc_product(dst, starts))
-    elif lanczos:
-        found = _lanczos_extremes(n, lambda q: a @ q)
+    if lanczos:
+        # the sweep's start 1 + frac(i * golden ratio) is positive, so it has
+        # a positive overlap with every component's Perron vector
+        start = (1.0 + (np.arange(n) * _GOLDEN) % 1.0).astype(np.float32)
+        if a is None:
+            dst, starts = _arcs(g, degrees)
+            sweep = _lanczos_extremes(_arc_product(dst, starts, np.float32), start, _SWEEP_RTOL)
+            if sweep is not None:
+                restart = _restart(sweep)
+                found = _lanczos_extremes(_arc_product(dst, starts), restart, _LANCZOS_RTOL)
+        else:
+            sweep = _lanczos_extremes(lambda q: a @ q, start, _SWEEP_RTOL)
+            a = a.astype(np.float64)  # rebound: the float32 A goes before the restart
+            if sweep is not None:
+                found = _lanczos_extremes(lambda q: a @ q, _restart(sweep), _LANCZOS_RTOL)
     if found is not None:
-        theta_min, theta_max, e_min, steps = found
+        theta_min, theta_max, e_min = found.theta_min, found.theta_max, found.e_min
         margin = 16 * n * float(_UNIT_ROUNDOFF) * (theta_max - theta_min)
         t = -theta_min + e_min + margin
         if a is None:
@@ -585,7 +630,12 @@ def spectral_range(g: Graph) -> SpectralRange:
         m, M, provenance = float(vals[0]), float(vals[-1]), {"solver": "dense"}
     else:
         m, M = _proven_floor(n, t), theta_max
-        provenance = {"solver": "lanczos", "steps": steps, "shift": t}
+        provenance = {
+            "solver": "lanczos",
+            "float32_steps": sweep.steps,
+            "float64_steps": found.steps,
+            "shift": t,
+        }
     R = float(degrees.sum()) / g.n
     eps = math.sqrt(float(np.mean((degrees - R) ** 2)))
     return SpectralRange(m, M, R, eps, provenance)

@@ -370,29 +370,52 @@ def test_lanczos_range_encloses_the_dense_solve(g):
     assert abs(rng.M - vals[-1]) <= tol
 
 
-def test_lanczos_step_cap_falls_back_to_the_dense_solve(monkeypatch):
-    # a long path's end gaps are about pi^2 / n^2, and a band circulant's
-    # bottom eigenvalues crowd too: Lanczos cannot converge by its
-    # 200-step cap, gives up by half of it, and the dense solve prints the range
+def _lanczos_runs(monkeypatch) -> list:
+    """A list that gets (dtype, products, converged) for each _lanczos_extremes run."""
     lanczos = hoffman.graphs._lanczos_extremes
-    steps = []
+    runs = []
 
-    def counted(n, matvec):
+    def counted(matvec, start, rtol):
         calls = []
-        found = lanczos(n, lambda q: calls.append(None) or matvec(q))
-        steps.append(len(calls))
+        found = lanczos(lambda q: calls.append(None) or matvec(q), start, rtol)
+        runs.append((start.dtype, len(calls), found is not None))
         return found
 
     monkeypatch.setattr(hoffman.graphs, "_lanczos_extremes", counted)
+    return runs
+
+
+def test_lanczos_step_cap_falls_back_to_the_dense_solve():
+    # a long path's end gaps are about pi^2 / n^2, and a band circulant's
+    # bottom eigenvalues crowd too: the float32 sweep cannot converge by its
+    # 200-step cap and gives up by half of it.  A float64 restart held to an
+    # unreachable tolerance (0) gives up by half of the cap too, after a
+    # sweep that converged, on the arc list's product and on the buffer's.
+    # Each time eigvalsh prints the range, of A assembled once
     floor = hoffman.graphs._LANCZOS_MIN_VERTICES
+    half = hoffman.graphs._LANCZOS_MAX_STEPS // 2
     path = Graph(floor, [(i, i + 1) for i in range(floor - 1)])  # at the crossover
     band = Graph(1000, [(i, (i + s) % 1000) for i in range(1000) for s in (1, 2, 3)])
-    for g in (path, band):
+    sweep = dict(_lanczos_sweep())
+    cases = [
+        (path, None, [(np.float32, False)]),
+        (band, None, [(np.float32, False)]),
+        (sweep["sparse"], 0.0, [(np.float32, True), (np.float64, False)]),
+        (sweep["G(600,1/5)"], 0.0, [(np.float32, True), (np.float64, False)]),
+    ]
+    for g, restart_rtol, outcomes in cases:
         vals = np.linalg.eigvalsh(adjacency_matrix(g))
-        rng = spectral_range(g)
+        with pytest.MonkeyPatch.context() as mp:
+            if restart_rtol is not None:
+                mp.setattr(hoffman.graphs, "_LANCZOS_RTOL", restart_rtol)
+            runs = _lanczos_runs(mp)
+            assemblies = _counted_assemblies(mp)
+            rng = spectral_range(g)
         assert rng.provenance == {"solver": "dense"}
         assert (rng.m, rng.M) == (float(vals[0]), float(vals[-1]))
-    assert len(steps) == 2 and max(steps) <= hoffman.graphs._LANCZOS_MAX_STEPS // 2
+        assert [(dtype, converged) for dtype, _, converged in runs] == outcomes
+        assert all(products <= half for _, products, converged in runs if not converged)
+        assert [kind for kind, _, _ in assemblies] == ["A"]
 
 
 def test_arc_product_matches_the_dense_product():
@@ -419,23 +442,35 @@ def test_arc_product_matches_the_dense_product():
 
 
 def test_arc_list_and_dense_products_give_the_same_ritz_values(monkeypatch):
-    # the sorted arc list's np.add.reduceat product that spectral_range uses
-    # on a sparse graph, against the dense A @ q it uses when 16 |E| > n^2
-    lanczos = hoffman.graphs._lanczos_extremes
+    # the sorted arc list's np.add.reduceat products (float32, then float64)
+    # that spectral_range uses on a sparse graph, against the dense A @ q it
+    # uses when 16 |E| > n^2.  The two float32 products sum in different
+    # orders, so the sweeps and restarts differ in their last bits: each
+    # final Ritz value is within its error estimate of the same eigenvalue,
+    # e_min for the smallest and at most the run's tolerance for the largest
+    graphs = hoffman.graphs
+    lanczos = graphs._lanczos_extremes
     used = []
 
-    def kept(n, matvec):
-        used.append(matvec)
-        return lanczos(n, matvec)
+    def kept(matvec, start, rtol):
+        used.append((matvec, start, rtol))
+        return lanczos(matvec, start, rtol)
 
-    monkeypatch.setattr(hoffman.graphs, "_lanczos_extremes", kept)
+    monkeypatch.setattr(graphs, "_lanczos_extremes", kept)
     g = dict(_lanczos_sweep())["mid-density"]
     assert spectral_range(g).provenance["solver"] == "lanczos"
+    (sweep_product, start, sweep_rtol), (restart_product, _, restart_rtol) = used
     a = adjacency_matrix(g)
-    arcs = lanczos(g.n, used[0])
-    dense = lanczos(g.n, lambda q: a @ q)
-    tol = 1e-12 * max(1.0, arcs[1])
-    assert abs(arcs[0] - dense[0]) <= tol and abs(arcs[1] - dense[1]) <= tol
+    a32 = a.astype(np.float32)
+
+    def two_runs(product32, product64):
+        sweep = lanczos(product32, start, sweep_rtol)
+        return lanczos(product64, graphs._restart(sweep), restart_rtol)
+
+    arcs = two_runs(sweep_product, restart_product)
+    dense = two_runs(lambda q: a32 @ q, lambda q: a @ q)
+    assert abs(arcs.theta_min - dense.theta_min) <= arcs.e_min + dense.e_min
+    assert abs(arcs.theta_max - dense.theta_max) <= 2 * restart_rtol * max(1.0, arcs.theta_max)
 
 
 def test_eliminated_set_is_the_greedy_independent_set():
@@ -500,15 +535,18 @@ def test_schur_first_factor_is_cholesky_in_another_order(g):
 
 
 def test_unproven_ritz_value_falls_back_to_the_dense_solve(monkeypatch):
-    # a smallest Ritz value 1e-6 too high makes A + tI indefinite: the
-    # factorization fails, and m comes from eigvalsh, never from the Ritz value
+    # a smallest Ritz value of the float64 restart 1e-6 too high, after both
+    # runs converged, makes A + tI indefinite: the factorization fails, and m
+    # comes from eigvalsh, never from the Ritz value
     lanczos = hoffman.graphs._lanczos_extremes
     cholesky_lo = hoffman.graphs._umath_linalg.cholesky_lo
     factored = []
 
-    def raised(n, matvec):
-        theta_min, theta_max, e_min, steps = lanczos(n, matvec)
-        return theta_min + 1e-6, theta_max, e_min, steps
+    def raised(matvec, start, rtol):
+        found = lanczos(matvec, start, rtol)
+        if start.dtype == np.float32:  # the sweep only picks the restart's start
+            return found
+        return found._replace(theta_min=found.theta_min + 1e-6)
 
     def counted(b, out):
         factored.append(b.shape)
@@ -525,23 +563,25 @@ def test_unproven_ritz_value_falls_back_to_the_dense_solve(monkeypatch):
     # the factor gets the Schur buffer on the vertices left after the
     # elimination; when it fails, A is built for eigvalsh
     assert kept < 400 and factored == [(kept, kept)]
-    assert assemblies == [("S", kept), ("A", 600)]
+    assert assemblies == [("S", kept, np.float64), ("A", 600, np.float64)]
     assert rng.provenance == {"solver": "dense"}
     assert (rng.m, rng.M) == (float(vals[0]), float(vals[-1]))
 
 
 def _counted_assemblies(monkeypatch) -> list:
-    """A list that gets ("A", n) for each assembly of A and ("S", |J|) for each Schur buffer."""
+    """A list that gets ("A", n, dtype) for each assembly of A and ("S", |J|, dtype) for each
+    Schur buffer."""
     adjacency, schur_first = hoffman.graphs._adjacency, hoffman.graphs._schur_first
     calls = []
 
-    def counted_a(g):
-        calls.append(("A", g.n))
-        return adjacency(g)
+    def counted_a(g, *dtype):
+        a = adjacency(g, *dtype)
+        calls.append(("A", g.n, a.dtype))
+        return a
 
     def counted_s(*args):
         s = schur_first(*args)
-        calls.append(("S", len(s)))
+        calls.append(("S", len(s), s.dtype))
         return s
 
     monkeypatch.setattr(hoffman.graphs, "_adjacency", counted_a)
@@ -551,27 +591,36 @@ def _counted_assemblies(monkeypatch) -> list:
 
 def test_spectral_range_assembles_a_once(monkeypatch):
     # one n x n matrix per request: the dense path's A; on the Lanczos path
-    # A for the dense product, which the factor then overwrites, or after the
-    # arc-list product only the Schur buffer; and A for eigvalsh after a give-up
+    # A in float32 for the dense product's sweep, cast to the float64 buffer
+    # the restart multiplies by and the factor overwrites, or after the
+    # arc-list products only the Schur buffer; and A for eigvalsh after a
+    # give-up, in the sweep or in the restart (the float32 A cast, if built)
     sweep = dict(_lanczos_sweep())
     floor = hoffman.graphs._LANCZOS_MIN_VERTICES
+    f32, f64 = np.float32, np.float64
     cases = [
-        (cycle(5), "dense", "A"),
+        (cycle(5), "dense", "A", f64),
         # one vertex below the crossover and at it, degree about 25
-        (_random_graph(np.random.default_rng(floor - 1), floor - 1, 0.05), "dense", "A"),
-        (_random_graph(np.random.default_rng(floor), floor, 0.05), "lanczos", "S"),
-        (_random_graph(np.random.default_rng(500), 500, 0.2), "lanczos", "A"),  # the buffer's
-        (sweep["sparse"], "lanczos", "S"),  # the arc list's product
-        (sweep["mid-density"], "lanczos", "S"),  # the arc list's, 5 % eliminated
-        (sweep["G(600,1/5)"], "lanczos", "A"),  # the buffer's product
-        (sweep["G(512,1/2)"], "lanczos", "A"),
-        (Graph(512, [(i, i + 1) for i in range(511)]), "dense", "A"),  # Lanczos gives up
+        (_random_graph(np.random.default_rng(floor - 1), floor - 1, 0.05), "dense", "A", f64),
+        (_random_graph(np.random.default_rng(floor), floor, 0.05), "lanczos", "S", f64),
+        (_random_graph(np.random.default_rng(500), 500, 0.2), "lanczos", "A", f32),  # the buffer's
+        (sweep["sparse"], "lanczos", "S", f64),  # the arc list's products
+        (sweep["mid-density"], "lanczos", "S", f64),  # the arc list's, 5 % eliminated
+        (sweep["G(600,1/5)"], "lanczos", "A", f32),  # the buffer's products
+        (sweep["G(512,1/2)"], "lanczos", "A", f32),
+        (Graph(512, [(i, i + 1) for i in range(511)]), "dense", "A", f64),  # the sweep gives up
     ]
     assemblies = _counted_assemblies(monkeypatch)
-    for g, solver, kind in cases:
+    for g, solver, kind, dtype in cases:
         assemblies.clear()
         assert spectral_range(g).provenance["solver"] == solver
-        assert len(assemblies) == 1 and assemblies[0][0] == kind
+        assert [(k, d) for k, _, d in assemblies] == [(kind, dtype)]
+    # the restart gives up: its unreachable tolerance, 0, stops it by half of the cap
+    monkeypatch.setattr(hoffman.graphs, "_LANCZOS_RTOL", 0.0)
+    for g, dtype in ((sweep["sparse"], f64), (sweep["G(600,1/5)"], f32)):
+        assemblies.clear()
+        assert spectral_range(g).provenance["solver"] == "dense"
+        assert [(k, d) for k, _, d in assemblies] == [("A", dtype)]
 
 
 def test_lanczos_range_is_bitwise_deterministic():
@@ -585,10 +634,13 @@ def test_lanczos_range_is_bitwise_deterministic():
 
 
 def test_dense_lanczos_range_holds_one_matrix():
-    # Lanczos multiplies by the buffer that is then factored in place.
-    # LAPACK's copy of it is numpy's own malloc, which tracemalloc does not
-    # see, so the two n x n arrays the process holds trace as one; a quarter
-    # of one more covers the tridiagonal solves and the O(n) vectors
+    # the float32 sweep multiplies by A in float32, which is then cast to the
+    # float64 buffer that the restart multiplies by and the factor overwrites
+    # in place: the two are held together only for the cast, half a matrix
+    # more.  LAPACK's copy of the buffer is numpy's own malloc, which
+    # tracemalloc does not see, so the two n x n arrays the process holds at
+    # the factor trace as one; a quarter of one more covers the tridiagonal
+    # solves and the O(n) vectors
     n = 800
     iu, ju = np.triu_indices(n, 1)
     keep = np.random.default_rng(800).random(iu.size) < 1 / 5
@@ -601,18 +653,19 @@ def test_dense_lanczos_range_holds_one_matrix():
         tracemalloc.stop()
     assert rng.provenance["solver"] == "lanczos"
     matrix, basis = 8 * n * n, 8 * (hoffman.graphs._LANCZOS_MAX_STEPS + 1) * n
-    assert peak <= matrix + basis + matrix // 4
+    assert peak <= matrix + matrix // 2 + basis + matrix // 4
 
 
-# Prints the growth of the process's peak resident memory (VmHWM) in one
-# spectral_range call above its resident memory (VmRSS) before it, in bytes.
-# An eigen-solve of a 1000 x 1000 matrix and a product of a 2000 x 1024 and a
-# 1024 x 256 matrix run first, so that the BLAS library's one-time setup of
-# its work buffers is not counted: the product touches as much of OpenBLAS's
-# work buffer as a factor of 2000 x 2000, the largest size measured, does.
-# That factor itself would peak at two such matrices, above most cases' own
-# peak, which VmHWM would then hide.  The product's operands live in
-# mappings of their own, so no freed heap is left for the call to reuse.
+# Prints the solver, the process's peak resident memory (VmHWM) before one
+# spectral_range call, its VmHWM after it, and its resident memory (VmRSS)
+# before it, in bytes.  An eigen-solve of a 1000 x 1000 matrix and a product
+# of a 2000 x 1024 and a 1024 x 256 matrix run first, so that the BLAS
+# library's one-time setup of its work buffers is not counted: the product
+# touches as much of OpenBLAS's work buffer as a factor of 2000 x 2000, the
+# largest size measured, does.  Their operands live in mappings of their
+# own, so no freed heap is left for the call to reuse, and stay resident
+# through the call: the warm-up's peak is then no higher than the VmRSS the
+# call starts from, so VmHWM can only rise with the call's own peak.
 _PEAK_SCRIPT = """
 import sys
 import numpy as np
@@ -632,15 +685,16 @@ if kind == "circulant":  # sizes are the distances
 else:  # the complete bipartite graph K_{a, n - a}, a = sizes[0]
     a = sizes[0]
     g = Graph(n, np.stack([np.repeat(np.arange(a), n - a), np.tile(np.arange(a, n), a)], axis=1))
-x = np.eye(1000) + 1.0
-np.linalg.eigvalsh(x)
+x = _mapped(1000 * 1000, float)
+x[:] = 1.0
+x[::1001] = 2.0
+np.linalg.eigvalsh(x.reshape(1000, 1000))
 a, b, c = _mapped(2000 * 1024, float), _mapped(1024 * 256, float), _mapped(2000 * 256, float)
 a[:] = b[:] = 1.0
 np.matmul(a.reshape(2000, 1024), b.reshape(1024, 256), out=c.reshape(2000, 256))
-del x, a, b, c
-before = status("VmRSS")
+before, mark = status("VmRSS"), status("VmHWM")
 solver = spectral_range(g).provenance["solver"]
-print(solver, status("VmHWM") - before)
+print(solver, mark, status("VmHWM"), before)
 """
 
 
@@ -681,10 +735,12 @@ def test_real_memory_peak_is_two_matrices(n, kind, sizes, solver):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    printed, growth = proc.stdout.split()
+    printed, mark, peak, before = proc.stdout.split()
     matrix, basis = 8 * n * n, 8 * (hoffman.graphs._LANCZOS_MAX_STEPS + 1) * n
     assert printed == solver
-    assert int(growth) <= 2 * matrix + basis + matrix // 4
+    # a peak that the call did not raise would be the warm-up's, not the call's
+    assert int(peak) > int(mark)
+    assert int(peak) - int(before) <= 2 * matrix + basis + matrix // 4
 
 
 def test_proven_floor_rounds_the_cholesky_bound_down():
