@@ -41,11 +41,13 @@ transposing.
 A Graph holds its edges as a (k, 2) int64 array.  Parsing, checking,
 deduplication and adjacency assembly are whole-array numpy operations: no
 Python loop runs per edge or per well-formed line.  The parser reads every
-line's first bytes at once from the text's UTF-8 bytes, checks the line
-order on index arrays and reads all rows with one np.loadtxt call.  Python
-reads only "c" and "p" lines and lines that start with whitespace or
-another byte, and searches a refused text for the first bad line to name
-it.
+line's first bytes at once from the text's UTF-8 bytes and checks the line
+order on index arrays.  When the bytes from the first row to the last are
+digits, blanks, tabs and line breaks only, and each row holds two digit
+runs, one np.fromstring call reads the rows; any other text, and every
+refusal, is np.loadtxt's.  Python reads only "c" and "p" lines and lines
+that start with whitespace or another byte, and searches a refused text
+for the first bad line to name it.
 """
 
 from __future__ import annotations
@@ -161,6 +163,9 @@ _FIRST_BYTE[list(b"#\n")] = _SKIP
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
+# the bytes of the rows that np.fromstring reads
+_DIGIT_ROW_BYTES = b"0123456789 \t\n"
+
 # a str may hold lone surrogates (not one read from a UTF-8 file); they pass
 # through the bytes as they are
 _SURROGATES = "surrogatepass"
@@ -223,6 +228,34 @@ def _loaded_pairs(buf: bytearray, end: int, rows: int) -> np.ndarray | None:
     return pairs if pairs.shape == (rows, 2) else None
 
 
+def _digit_pairs(buf: bytearray, starts, ends, rows) -> np.ndarray | None:
+    """The rows as np.loadtxt reads them, if each is two unsigned decimals inside int64; else None.
+
+    The lines between rows must hold only blanks and tabs.  np.fromstring
+    returns the values before a bad token without raising, so the bytes and
+    each row's digit runs are checked before it reads, and its values after.
+    """
+    if not len(rows):
+        return None
+    span = bytes(memoryview(buf)[starts[rows[0]] : ends[rows[-1]] + 1])  # with the last "\n"
+    if span.translate(None, _DIGIT_ROW_BYTES):
+        return None
+    if rows[-1] - rows[0] == len(rows) - 1:  # no line between rows: views, not copies
+        rows = slice(rows[0], rows[-1] + 1)
+    first, last = starts[rows], ends[rows]
+    digit = np.frombuffer(span, np.uint8) > ord(" ")
+    # the last digit of each run: runs 2i and 2i + 1 must end on row line i
+    runs = np.flatnonzero(digit[:-1] > digit[1:])
+    runs += first[0]
+    if len(runs) != 2 * len(first) or (runs[::2] < first).any() or (runs[1::2] >= last).any():
+        return None
+    # uint64 reads faster than int64; it saturates at 2^64 - 1 instead of refusing
+    values = np.fromstring(span, np.uint64, sep=" ")
+    if len(values) != len(runs) or values.max() >= 2**63:
+        return None
+    return values.view(np.int64).reshape(-1, 2)
+
+
 def _edge_pairs(text: str) -> tuple[np.ndarray, int | None]:
     """The edge pairs of the text as written, and the header's N if it has one."""
     buf, ends = _line_bytes(text)
@@ -249,7 +282,11 @@ def _edge_pairs(text: str) -> tuple[np.ndarray, int | None]:
         kind[i] = _EDGE if token == "e" else _SKIP if skipped else _PAIR
     rows = np.flatnonzero((kind == _PAIR) | (kind == _EDGE))
     misplaced = _misplaced(kind, headers)
-    pairs = None if misplaced else _loaded_pairs(buf, len(buf), len(rows))
+    pairs = None
+    if not misplaced:
+        pairs = _digit_pairs(buf, starts, ends, rows)
+        if pairs is None:
+            pairs = _loaded_pairs(buf, len(buf), len(rows))
     if pairs is None:
         raise ValueError(_first_fault(text.splitlines(), buf, ends, kind, rows, misplaced))
     return pairs, (_header_vertices(headers[0][1]) if headers else None)
@@ -319,9 +356,11 @@ def parse_graph(text: str) -> Graph:
     Each line's first byte (and for "e" its second) is read from the
     text's UTF-8 bytes for every line at once.  Only lines that start
     otherwise ("c" and "p" lines, leading whitespace, another letter or
-    byte) are read in Python.  The "e" letters are blanked in place, the
-    line order is checked on index arrays, and one np.loadtxt call reads
-    every row.
+    byte) are read in Python.  The "e" letters are blanked in place and
+    the line order is checked on index arrays.  One np.fromstring call
+    reads rows of unsigned decimals inside int64 with only blanks, tabs and
+    blank lines around and between them; one np.loadtxt call reads any
+    other rows.
     """
     # the line arrays live only inside _edge_pairs, so Graph's temporaries
     # do not add to their memory peak

@@ -89,9 +89,44 @@ _MALFORMED = [
 ]
 
 
-def _pair_line(rng, first):
+# planted in clean-row texts, whose rows are unsigned "u v" pairs (with "e "
+# in DIMACS texts), at the edges of the reader that takes such rows without
+# np.loadtxt: run counts that balance over two lines, values around int64's
+# and uint64's largest, 19 digits, leading zeros, tabs, lines between rows
+# that are blank, white or a comment, a sign and a trailing comment.  Every
+# entry appears in some text, in a plain or a DIMACS one.
+_CLEAN_EDGES = [
+    ["{e}1 2 3", "{e}4"], ["{e}4", "{e}1 2 3"], ["{e}1 2 3 4", "{e}"],
+    ["{e}9223372036854775807 1"], ["{e}9223372036854775808 1"],
+    ["{e}18446744073709551615 1"], ["{e}99999999999999999999 1"],
+    ["{e}1000000000000000000 2"], ["{e}000000000000000000000003 0002"],
+    ["{e}1\t2", "\t{e}3 \t4\t"], [""], ["  \t "], ["{c} a comment"],
+    ["{e}5 6 # trailing"], ["{e}+5 6"], ["{e}7"], ["\xa0{e}1 2"], ["{e}1 2\x00"],
+]
+_CLEAN_BREAKS = ["\n"] * 12 + ["\r\n", "\v", "\f"]
+
+
+def _clean_rows(rng, i, dimacs):
+    """Clean rows; an odd i plants one _CLEAN_EDGES entry among them or after the last."""
+    e = "e " if dimacs else ""
+    lines = [e + "{} {}".format(*_endpoints(rng, int(dimacs))) for _ in range(rng.randrange(1, 12))]
+    if i % 2:
+        at = len(lines) if rng.random() < 0.3 else rng.randrange(len(lines) + 1)
+        planted = _CLEAN_EDGES[i // 2 % len(_CLEAN_EDGES)]
+        lines[at:at] = [line.format(e=e, c="c" if dimacs else "#") for line in planted]
+    head = ["c a DIMACS text", "p edge 9 4"] if dimacs else rng.choice([[], ["# plain"]])
+    text = "".join(line + rng.choice(_CLEAN_BREAKS) for line in head + lines)
+    return text[:-1] if rng.random() < 0.2 else text
+
+
+def _endpoints(rng, first):
+    """Two distinct vertices among first, ..., first + 8."""
     u = rng.randrange(first, first + 9)
-    v = first + (u - first + rng.randrange(1, 9)) % 9
+    return u, first + (u - first + rng.randrange(1, 9)) % 9
+
+
+def _pair_line(rng, first):
+    u, v = _endpoints(rng, first)
     sign = lambda x: rng.choice(["", "", "+"]) + str(x)
     lead = rng.choice(["", "", "", " ", "\t"])
     tail = rng.choice(["", "", "", " # trailing", "#", "  "])
@@ -100,7 +135,9 @@ def _pair_line(rng, first):
 
 def _parse_case(rng, i):
     """One text: plain (0-indexed pairs), DIMACS, or pairs around a header."""
-    style = rng.choice(["plain", "plain", "dimacs", "dimacs", "mixed"])
+    style = rng.choice(["plain", "plain", "dimacs", "dimacs", "mixed", "clean", "clean"])
+    if style == "clean":
+        return _clean_rows(rng, i, rng.random() < 0.5)
     rows = rng.randrange(0, 12)
     if style == "dimacs":
         e = lambda: rng.choice(["e ", "e\t", "e \t", " e "]) + _pair_line(rng, 1).lstrip()
@@ -135,17 +172,57 @@ def _outcome(parse, text):
     return g.n, g.edges.tolist()
 
 
-def test_parse_matches_the_line_by_line_reference():
+def test_parse_matches_the_line_by_line_reference(monkeypatch):
     # the reference walks text.splitlines() one line at a time and names
     # the first bad line; parse_graph must read the same graph or refuse
-    # with the same message
+    # with the same message, whichever reader takes the rows
     rng = random.Random(19)
     texts = [_parse_case(rng, i) for i in range(700)]
+    digit_pairs, read = hoffman.graphs._digit_pairs, []
+
+    def counted(*args):
+        pairs = digit_pairs(*args)
+        read.append(pairs is not None)
+        return pairs
+
+    monkeypatch.setattr(hoffman.graphs, "_digit_pairs", counted)
     outcomes = [_outcome(parse_graph, text) for text in texts]
     for text, got in zip(texts, outcomes):
         assert got == _outcome(_reference_graph, text), repr(text)
     parsed = sum(got[0] != "refused" for got in outcomes)
     assert 200 < parsed < 600, parsed
+    assert 100 < sum(read) < len(read) - 200, (sum(read), len(read))
+
+
+@pytest.mark.parametrize("dimacs", [False, True])
+def test_parse_reads_clean_rows_without_loadtxt(monkeypatch, dimacs):
+    # benchmark-shaped text (a comment, and for DIMACS a header, above the
+    # rows) takes the digit-row reader; one sign or one trailing comment
+    # sends the same rows to np.loadtxt, which reads the same graph
+    rng = np.random.default_rng(41)
+    edges = rng.integers(0, 800, size=(4000, 2))
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    if dimacs:
+        head = f"c seeded benchmark graph\np edge 800 {len(edges)}\n"
+        rows = [f"e {u + 1} {v + 1}" for u, v in edges.tolist()]
+    else:
+        head = "# seeded benchmark graph\n"
+        rows = [f"{u} {v}" for u, v in edges.tolist()]
+    expected = Graph(800 if dimacs else int(edges.max()) + 1, edges)
+    loadtxt, calls = np.loadtxt, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    signed = rows[:7] + [rows[7].replace(" ", " +", 1)] + rows[8:]
+    commented = rows[:-1] + [rows[-1] + " # c"]
+    for lines, loads in [(rows, 0), (signed, 1), (commented, 1)]:
+        g = parse_graph(head + "\n".join(lines) + "\n")
+        assert len(calls) == loads
+        assert g.n == expected.n and np.array_equal(g.edges, expected.edges)
+        calls.clear()
 
 
 def _python_calls(parse, text):
