@@ -358,9 +358,9 @@ def parse_graph(text: str) -> Graph:
     otherwise ("c" and "p" lines, leading whitespace, another letter or
     byte) are read in Python.  The "e" letters are blanked in place and
     the line order is checked on index arrays.  One np.fromstring call
-    reads rows of unsigned decimals inside int64 with only blanks, tabs and
-    blank lines around and between them; one np.loadtxt call reads any
-    other rows.
+    reads rows of two unsigned decimals inside int64, with only blanks,
+    tabs and blank lines around and between them; one np.loadtxt call
+    reads any other rows.
     """
     # the line arrays live only inside _edge_pairs, so Graph's temporaries
     # do not add to their memory peak
