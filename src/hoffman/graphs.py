@@ -40,23 +40,22 @@ transposing.
 
 A Graph holds its edges as a (k, 2) int64 array.  Parsing, checking,
 deduplication and adjacency assembly are whole-array numpy operations: no
-Python loop runs per edge or per well-formed line.  The parser reads every
-line's first bytes at once from the text's UTF-8 bytes and checks the line
-order on index arrays.  When the bytes from the first row to the last are
-digits, blanks, tabs and line breaks only, and each row holds two digit
-runs, one np.fromstring call reads the rows; any other text, and every
-refusal, is np.loadtxt's.  Python reads only "c" and "p" lines and lines
-that start with whitespace or another byte, and searches a refused text
-for the first bad line to name it.
+Python loop runs per edge or per line.  The parser reads every line's first
+bytes at once from the text's UTF-8 bytes, in which each line break is one
+b"\n" and each other blank one b" ", and checks the line order on index
+arrays.  One reader takes the rows: it checks each row's two digit runs
+and reads them with one np.fromstring call.  Unless the bytes from the
+first row to the last are digits and blanks only, it first blanks the
+comments, the lines between rows and the rows with another byte than a
+digit or a leading sign, and makes the signs zeros.  Python reads only "c"
+and "p" lines and lines that start with whitespace or another byte.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import mmap
 import re
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -148,14 +147,19 @@ class Graph:
         object.__setattr__(self, "edges", pairs)
 
 
-# str.splitlines' one-byte line breaks besides "\n"; "\r\n", "\x85", "\u2028"
-# and "\u2029" become "\n" in the text, before it is encoded
-_BYTE_BREAKS = b"\v\f\r\x1c\x1d\x1e"
-_TO_NEWLINE = bytes.maketrans(_BYTE_BREAKS, b"\n" * len(_BYTE_BREAKS))
+# _line_bytes turns str.splitlines' line breaks into b"\n" and the other
+# characters str.isspace accepts into b" ", the one blank a row's tokens are
+# split on.  The non-ASCII ones are replaced in the text, before it is encoded
+# ("\r\n" first, as one break); the others in its bytes
+_WIDE_BLANKS = dict.fromkeys("\x85\u2028\u2029", "\n") | dict.fromkeys(
+    "\xa0\u1680\u202f\u205f\u3000" + "".join(map(chr, range(0x2000, 0x200B))), " "
+)
+_BYTE_BLANKS = b"\v\f\r\x1c\x1d\x1e\t\x1f"
+_TO_BLANK = bytes.maketrans(_BYTE_BLANKS, b"\n" * 6 + b" " * 2)
 
-# what a line's first byte makes it: a "u v" row, a line np.loadtxt skips,
-# an "e u v" row, or a line read in Python.  An "e" followed by a space or
-# tab is an "e u v" row without Python.
+# what a line's first byte makes it: a "u v" row, a line without a row, an
+# "e u v" row, or a line read in Python.  An "e" followed by a blank is an
+# "e u v" row without Python.
 _SKIP, _PAIR, _EDGE, _OTHER = range(4)
 _FIRST_BYTE = np.full(256, _OTHER, dtype=np.int8)
 _FIRST_BYTE[list(b"0123456789+-")] = _PAIR
@@ -163,8 +167,8 @@ _FIRST_BYTE[list(b"#\n")] = _SKIP
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
-# the bytes of the rows that np.fromstring reads
-_DIGIT_ROW_BYTES = b"0123456789 \t\n"
+# the bytes of clean rows, which go to the run check without blanking
+_DIGIT_ROW_BYTES = b"0123456789 \n"
 
 # a str may hold lone surrogates (not one read from a UTF-8 file); they pass
 # through the bytes as they are
@@ -191,7 +195,7 @@ def _header_vertices(line: str) -> int | None:
 
 
 def _line_bytes(text: str) -> tuple[bytearray, np.ndarray]:
-    """The text as UTF-8 with each line break one b"\n", and the offset of each break.
+    """The text as UTF-8 with line breaks made b"\n" and other blanks b" ", and each break's offset.
 
     Line i of the bytes is text.splitlines()[i]; a last line, after the
     appended break, is empty.
@@ -200,59 +204,77 @@ def _line_bytes(text: str) -> tuple[bytearray, np.ndarray]:
     if "\r" in text:
         text = text.replace("\r\n", "\n")
     if not text.isascii():
-        for brk in "\x85\u2028\u2029":
-            text = text.replace(brk, "\n")
+        for wide, blank in _WIDE_BLANKS.items():
+            text = text.replace(wide, blank)
     buf = bytearray(text, "utf-8", _SURROGATES)
-    if any(brk in buf for brk in _BYTE_BREAKS):
-        buf = buf.translate(_TO_NEWLINE)
+    if any(blank in buf for blank in _BYTE_BLANKS):
+        buf = buf.translate(_TO_BLANK)
     buf.append(ord("\n"))
     return buf, np.flatnonzero(np.frombuffer(buf, np.uint8) == ord("\n"))
 
 
-def _loaded_pairs(buf: bytearray, end: int, rows: int) -> np.ndarray | None:
-    """The pairs of buf[:end] as a (rows, 2) int64 array; None unless it holds exactly that."""
-    with warnings.catch_warnings():
-        # no rows at all is an edgeless graph, not worth a warning
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            pairs = np.loadtxt(
-                io.StringIO(str(memoryview(buf)[:end], "utf-8", _SURROGATES)),
-                dtype=np.int64,
-                comments="#",
-                ndmin=2,
-            )
-        except ValueError:
-            return None
-    if pairs.size == 0:
-        pairs = pairs.reshape(0, 2)
-    return pairs if pairs.shape == (rows, 2) else None
+def _blank(data: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Write b" " over data[a[i] : b[i]] for each i (a <= b), in one scatter."""
+    at = np.flatnonzero(a < b)
+    a, n = a[at], b[at] - a[at]
+    data[np.repeat(a - np.cumsum(n) + n, n) + np.arange(n.sum())] = ord(" ")
 
 
-def _digit_pairs(buf: bytearray, starts, ends, rows) -> np.ndarray | None:
-    """The rows as np.loadtxt reads them, if each is two unsigned decimals inside int64; else None.
+def _row_pairs(buf: bytearray, starts, ends, rows) -> np.ndarray | int:
+    """The rows' pairs as a (len(rows), 2) int64 array, or the line index of the first bad row.
 
-    The lines between rows must hold only blanks and tabs.  np.fromstring
-    returns the values before a bad token without raising, so the bytes and
-    each row's digit runs are checked before it reads, and its values after.
+    A good row holds, before its first "#", exactly two tokens [+-]?[0-9]+
+    inside int64, split by b" ".  Clean rows, whose bytes from the first
+    to the last are digits, b" " and b"\n", are read as they are.  In any
+    other text, buf is blanked over the comments, the lines between rows
+    and each row holding a byte other than those or a sign that starts a
+    token before a digit, and the signs become b"0".  One np.fromstring
+    call reads the digit runs as uint64; it takes no sign and saturates at
+    2^64 - 1 instead of refusing.  Each row must hold two runs, and each
+    value must fit in int64.
     """
     if not len(rows):
-        return None
-    span = bytes(memoryview(buf)[starts[rows[0]] : ends[rows[-1]] + 1])  # with the last "\n"
+        return np.empty((0, 2), np.int64)
+    lo, hi = starts[rows[0]], ends[rows[-1]] + 1  # with the last "\n"
+    # with no line between rows, views instead of copies
+    at = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1 else rows
+    first, cut = starts[at], ends[at]
+    span = bytes(memoryview(buf)[lo:hi])
+    minus = np.empty(0, np.int64)  # the offset of each "-"
     if span.translate(None, _DIGIT_ROW_BYTES):
-        return None
-    if rows[-1] - rows[0] == len(rows) - 1:  # no line between rows: views, not copies
-        rows = slice(rows[0], rows[-1] + 1)
-    first, last = starts[rows], ends[rows]
+        data, last, cut = np.frombuffer(buf, np.uint8), cut, cut.copy()
+        _blank(data, last[:-1] + 1, first[1:])  # the lines between rows
+        part = data[lo:hi]
+        hashes = np.flatnonzero(part == ord("#")) + lo
+        np.minimum.at(cut, np.searchsorted(last, hashes), hashes)  # a row ends at its first "#"
+        _blank(data, cut, last)
+        other = np.flatnonzero((part - ord("0") >= 10) & (part != ord(" ")) & (part != ord("\n")))
+        other += lo
+        sign = (data[other] == ord("+")) | (data[other] == ord("-"))
+        sign &= (data[other - 1] <= ord(" ")) & (data[other + 1] - ord("0") < 10)
+        bad = np.searchsorted(last, other[~sign])  # blanked, these rows hold no run
+        _blank(data, first[bad], cut[bad])
+        sign &= data[other] != ord(" ")
+        minus = other[sign & (data[other] == ord("-"))]
+        data[other[sign]] = ord("0")
+        span = bytes(memoryview(buf)[lo:hi])
     digit = np.frombuffer(span, np.uint8) > ord(" ")
-    # the last digit of each run: runs 2i and 2i + 1 must end on row line i
+    # the last digit of each run: runs 2i and 2i + 1 must end on row i
     runs = np.flatnonzero(digit[:-1] > digit[1:])
-    runs += first[0]
-    if len(runs) != 2 * len(first) or (runs[::2] < first).any() or (runs[1::2] >= last).any():
-        return None
-    # uint64 reads faster than int64; it saturates at 2^64 - 1 instead of refusing
-    values = np.fromstring(span, np.uint64, sep=" ")
-    if len(values) != len(runs) or values.max() >= 2**63:
-        return None
+    runs += lo
+    paired = len(runs) == 2 * len(first) and (runs[::2] >= first).all() and (runs[1::2] < cut).all()
+    # uint64 reads faster than int64; blanks alone read as one 0
+    values = np.fromstring(span, np.uint64, sep=" ")[: len(runs)]
+    if len(minus) or not paired or values.max() >= 2**63:
+        row = np.searchsorted(cut, runs, side="right")
+        bad = np.bincount(row, minlength=len(first)) != 2
+        minus = np.searchsorted(runs, minus)  # the tokens with a "-"
+        beyond = values >= 2**63
+        beyond[minus] = values[minus] > 2**63
+        bad[row[beyond]] = True
+        if bad.any():
+            return int(rows[np.argmax(bad)])
+        values[minus] = -values[minus]  # 2^64 - v: -v as int64, and -2^63 for 2^63
     return values.view(np.int64).reshape(-1, 2)
 
 
@@ -264,15 +286,14 @@ def _edge_pairs(text: str) -> tuple[np.ndarray, int | None]:
     first = data[starts]
     kind = _FIRST_BYTE[first]
     at = np.flatnonzero(first == ord("e"))
-    second = data[starts[at] + 1]
-    at = at[(second == ord(" ")) | (second == ord("\t"))]
+    at = at[data[starts[at] + 1] == ord(" ")]
     kind[at] = _EDGE
     data[starts[at]] = ord(" ")
     headers = []  # (line index, line) of each "p" line
     for i in np.flatnonzero(kind == _OTHER).tolist():
         line = buf[starts[i] : ends[i]].decode("utf-8", _SURROGATES).lstrip()
         after = line[1:2]
-        token = line[:1] if after in ("", "#") or after.isspace() else ""
+        token = line[:1] if after in ("", "#", " ") else ""
         if token in ("c", "e", "p"):  # blank the letter where the line has it
             at = ends[i] - len(line.encode("utf-8", _SURROGATES))
             data[at] = ord(" " if token == "e" else "#")
@@ -280,15 +301,15 @@ def _edge_pairs(text: str) -> tuple[np.ndarray, int | None]:
             headers.append((i, line))
         skipped = token in ("c", "p") or line[:1] in ("", "#")
         kind[i] = _EDGE if token == "e" else _SKIP if skipped else _PAIR
-    rows = np.flatnonzero((kind == _PAIR) | (kind == _EDGE))
-    misplaced = _misplaced(kind, headers)
-    pairs = None
-    if not misplaced:
-        pairs = _digit_pairs(buf, starts, ends, rows)
-        if pairs is None:
-            pairs = _loaded_pairs(buf, len(buf), len(rows))
-    if pairs is None:
-        raise ValueError(_first_fault(text.splitlines(), buf, ends, kind, rows, misplaced))
+    faults = _misplaced(kind, headers)
+    pairs = _row_pairs(buf, starts, ends, np.flatnonzero((kind == _PAIR) | (kind == _EDGE)))
+    if isinstance(pairs, int):  # a misplaced line on the same line comes first
+        edge = kind[pairs] == _EDGE
+        message = "malformed edge line {!r}" if edge else "expected 'u v' pair, got {!r}"
+        faults.append((pairs, message, pairs))
+    if faults:  # name the first bad line
+        _, message, named = min(faults, key=lambda fault: fault[0])
+        raise ValueError(message.format(_content(text.splitlines()[named])))
     return pairs, (_header_vertices(headers[0][1]) if headers else None)
 
 
@@ -319,28 +340,6 @@ def _misplaced(kind, headers) -> list[tuple[int, str, int]]:
     return found
 
 
-def _first_fault(lines, buf, ends, kind, rows, misplaced) -> str:
-    """The message for the first bad line: misplaced, or a row that is not two integers.
-
-    The rows before the first misplaced line are bisected with np.loadtxt.
-    """
-    stop, message, named = min(misplaced, default=(len(kind), None, None))
-    rows = rows[rows < stop]
-
-    def loads(k):
-        return k == 0 or _loaded_pairs(buf, ends[rows[k - 1]], k) is not None
-
-    if not loads(len(rows)):
-        lo, hi = 0, len(rows)  # rows[:lo] load, rows[:hi] do not
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if loads(mid) else (lo, mid)
-        named = rows[hi - 1]
-        edge = kind[named] == _EDGE
-        message = "malformed edge line {!r}" if edge else "expected 'u v' pair, got {!r}"
-    return message.format(_content(lines[named]))
-
-
 def parse_graph(text: str) -> Graph:
     """Parse plain edge-list text or a DIMACS-like format.
 
@@ -348,19 +347,19 @@ def parse_graph(text: str) -> Graph:
     n is the largest endpoint plus one.  DIMACS-like: a "p edge N M" header
     (M may be left out), 'c' comment lines, and 1-indexed "e u v" edge
     lines; a text with a header holds no plain pair line, before or after
-    it.  N and M are decimal integers, N >= 0.  Endpoints are integers as
-    np.loadtxt reads them: decimal, with an optional sign, inside int64.
-    Lines are those of str.splitlines.  A refused text raises ValueError
-    naming its first bad line.
+    it.  N and M are decimal integers, N >= 0.  Lines are those of
+    str.splitlines; the other characters str.isspace accepts are blanks.
+    A row, a pair line or an "e" line without its letter, holds before its
+    first '#' exactly two tokens [+-]?[0-9]+ in ASCII, separated by blanks,
+    and each is inside int64.  A refused text raises ValueError naming its
+    first bad line.
 
     Each line's first byte (and for "e" its second) is read from the
     text's UTF-8 bytes for every line at once.  Only lines that start
     otherwise ("c" and "p" lines, leading whitespace, another letter or
-    byte) are read in Python.  The "e" letters are blanked in place and
-    the line order is checked on index arrays.  One np.fromstring call
-    reads rows of two unsigned decimals inside int64, with only blanks,
-    tabs and blank lines around and between them; one np.loadtxt call
-    reads any other rows.
+    byte) are read in Python.  The "e" letters are blanked in place, the
+    line order is checked on index arrays, and one np.fromstring call
+    reads the rows once their bytes are checked.
     """
     # the line arrays live only inside _edge_pairs, so Graph's temporaries
     # do not add to their memory peak

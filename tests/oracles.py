@@ -326,7 +326,13 @@ def _content(line: str) -> str:
 
 
 def _int_pairs(rows) -> np.ndarray:
-    """The rows as a (k, 2) int64 array; ValueError unless each is two integers."""
+    """The rows as a (k, 2) int64 array; ValueError unless each is two integers.
+
+    np.loadtxt reads the rows, and its faults on non-ASCII text come with
+    it: it reads U+1BCA0 inside a number as a digit, and some tag
+    characters make it crash.  A text drawn for comparison with this
+    oracle holds neither U+1BCA0 nor any of U+E0000 to U+E007F.
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         pairs = np.loadtxt(rows, dtype=np.int64, comments="#", ndmin=2)

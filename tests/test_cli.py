@@ -908,6 +908,34 @@ def test_finite_parse_contract(capsys, tmp_path, text, code, message):
         assert json.loads(captured.out)["detail"] == message
 
 
+# rows holding a tag character or U+1BCA0 inside a number, each run in a
+# fresh process, so that a reader that crashes on them fails the test rather
+# than ending the test run
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 1\n1\U000e0001 2\n", "expected 'u v' pair, got '1\\U000e0001 2'"),
+        ("0 1\n1\U0001bca02 3\n", "expected 'u v' pair, got '1\\U0001bca02 3'"),
+        ("p edge 4 2\ne 1 2\ne 2\U000e0001 3\n", "malformed edge line 'e 2\\U000e0001 3'"),
+        ("p edge 4 2\ne 1 2\ne 2\U0001bca03 4\n", "malformed edge line 'e 2\\U0001bca03 4'"),
+    ],
+)
+def test_finite_names_a_row_with_a_format_character(tmp_path, text, message):
+    path = tmp_path / "graph.txt"
+    path.write_text(text, encoding="utf-8")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hoffman.cli", "finite", str(path)],
+        capture_output=True,
+        encoding="utf-8",
+        env=env,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"hoffman: {message}\n")
+
+
 def test_read_graph_peak_memory_on_64000_edges(tmp_path):
     # 800 vertices, 64 000 edges: about 0.5 MB of text and 1 MB of pairs
     rng = np.random.default_rng(3)

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hoffman import (
     BoundInapplicableError,
@@ -86,15 +88,17 @@ _MALFORMED = [
     "p", "p edge", "p node 3 1", "p edge abc 1", "p edge 3 x", "p edge -2 0",
     "p edge 3 1 9", "p edge \u0663 1", "p edge 9 4", "e 1 2", "0 1",
     "p edge " + "9" * 5000 + " 1",  # more digits than int() converts
+    "0\x1f1", "0\xa01\xa02", "e 1\u20032", "e 1\u3000x", "-9223372036854775809 1",
 ]
 
 
 # planted in clean-row texts, whose rows are unsigned "u v" pairs (with "e "
-# in DIMACS texts), at the edges of the reader that takes such rows without
-# np.loadtxt: run counts that balance over two lines, values around int64's
-# and uint64's largest, 19 digits, leading zeros, tabs, lines between rows
-# that are blank, white or a comment, a sign and a trailing comment.  Every
-# entry appears in some text, in a plain or a DIMACS one.
+# in DIMACS texts), at the edges of the reader's clean-row pass and of its
+# checked one: run counts that balance over two lines, values around int64's
+# and uint64's largest and int64's smallest, 19 digits, leading zeros, tabs
+# and the other blanks, lines between rows that are blank, white or a
+# comment, signs and a trailing comment.  Every entry appears in some text,
+# in a plain or a DIMACS one.
 _CLEAN_EDGES = [
     ["{e}1 2 3", "{e}4"], ["{e}4", "{e}1 2 3"], ["{e}1 2 3 4", "{e}"],
     ["{e}9223372036854775807 1"], ["{e}9223372036854775808 1"],
@@ -102,6 +106,8 @@ _CLEAN_EDGES = [
     ["{e}1000000000000000000 2"], ["{e}000000000000000000000003 0002"],
     ["{e}1\t2", "\t{e}3 \t4\t"], [""], ["  \t "], ["{c} a comment"],
     ["{e}5 6 # trailing"], ["{e}+5 6"], ["{e}7"], ["\xa0{e}1 2"], ["{e}1 2\x00"],
+    ["{e}1\x1f2"], ["{e}1\xa02"], ["{e}1\u20032"], ["{e}1\u30002"], ["{e}-0 +3"],
+    ["{e}-9223372036854775808 1"], ["{e}-9223372036854775809 1"],
 ]
 _CLEAN_BREAKS = ["\n"] * 12 + ["\r\n", "\v", "\f"]
 
@@ -172,33 +178,58 @@ def _outcome(parse, text):
     return g.n, g.edges.tolist()
 
 
-def test_parse_matches_the_line_by_line_reference(monkeypatch):
+def test_parse_matches_the_line_by_line_reference():
     # the reference walks text.splitlines() one line at a time and names
     # the first bad line; parse_graph must read the same graph or refuse
-    # with the same message, whichever reader takes the rows
+    # with the same message
     rng = random.Random(19)
     texts = [_parse_case(rng, i) for i in range(700)]
-    digit_pairs, read = hoffman.graphs._digit_pairs, []
-
-    def counted(*args):
-        pairs = digit_pairs(*args)
-        read.append(pairs is not None)
-        return pairs
-
-    monkeypatch.setattr(hoffman.graphs, "_digit_pairs", counted)
     outcomes = [_outcome(parse_graph, text) for text in texts]
     for text, got in zip(texts, outcomes):
         assert got == _outcome(_reference_graph, text), repr(text)
     parsed = sum(got[0] != "refused" for got in outcomes)
     assert 200 < parsed < 600, parsed
-    assert 100 < sum(read) < len(read) - 200, (sum(read), len(read))
+
+
+# the drawn texts' characters: digits, signs, the comment and DIMACS letters,
+# blanks of one to three UTF-8 bytes, every line break of str.splitlines,
+# and a Latin letter, an Arabic-Indic digit and NUL, which no row may hold.
+# The reference reads rows with np.loadtxt, which reads U+1BCA0 inside a
+# number as a digit and crashes on some tag characters (U+E0000 to
+# U+E007F), so neither is drawn
+_TEXT_ALPHABET = (
+    "0123456789+-#ecp \t\x1f\xa0\u1680\u2003\u202f\u205f\u3000"
+    "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029\u00e9\u0661\x00"
+)
+_TEXT_PIECES = st.sampled_from(["0 1\n", "e 2 3\n", "p edge 9 4\n", "c x\n"]) | st.text(
+    _TEXT_ALPHABET, max_size=12
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_TEXT_PIECES, max_size=8))
+@example(["-0", "e 2 3\n"])  # a sign in a row refused for another byte
+def test_parse_matches_the_reference_on_drawn_texts(pieces):
+    # whole rows and headers, glued to drawn characters
+    text = "".join(pieces)
+    assert _outcome(parse_graph, text) == _outcome(_reference_graph, text)
+
+
+def test_line_bytes_blanks_what_str_isspace_accepts():
+    # a line break becomes b"\n" and every other blank b" ", so a row's
+    # tokens are split on b" " alone
+    for c in map(chr, range(0x110000)):
+        if c.isspace():
+            blank = b"\n" if len(f"1{c}2".splitlines()) == 2 else b" "
+            buf, _ = hoffman.graphs._line_bytes(f"1{c}2")
+            assert buf == b"1" + blank + b"2\n", hex(ord(c))
 
 
 @pytest.mark.parametrize("dimacs", [False, True])
-def test_parse_reads_clean_rows_without_loadtxt(monkeypatch, dimacs):
+def test_parse_never_calls_loadtxt(monkeypatch, dimacs):
     # benchmark-shaped text (a comment, and for DIMACS a header, above the
-    # rows) takes the digit-row reader; one sign or one trailing comment
-    # sends the same rows to np.loadtxt, which reads the same graph
+    # rows), the same rows with one sign or one trailing comment, and a
+    # text refused for a bad row halfway: one reader takes them all
     rng = np.random.default_rng(41)
     edges = rng.integers(0, 800, size=(4000, 2))
     edges = edges[edges[:, 0] != edges[:, 1]]
@@ -209,20 +240,20 @@ def test_parse_reads_clean_rows_without_loadtxt(monkeypatch, dimacs):
         head = "# seeded benchmark graph\n"
         rows = [f"{u} {v}" for u, v in edges.tolist()]
     expected = Graph(800 if dimacs else int(edges.max()) + 1, edges)
-    loadtxt, calls = np.loadtxt, []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return loadtxt(*args, **kwargs)
+    def refused(*args, **kwargs):
+        raise AssertionError("np.loadtxt called")
 
-    monkeypatch.setattr(np, "loadtxt", counted)
+    monkeypatch.setattr(np, "loadtxt", refused)
     signed = rows[:7] + [rows[7].replace(" ", " +", 1)] + rows[8:]
     commented = rows[:-1] + [rows[-1] + " # c"]
-    for lines, loads in [(rows, 0), (signed, 1), (commented, 1)]:
+    for lines in [rows, signed, commented]:
         g = parse_graph(head + "\n".join(lines) + "\n")
-        assert len(calls) == loads
         assert g.n == expected.n and np.array_equal(g.edges, expected.edges)
-        calls.clear()
+    bad = rows[:2000] + [rows[2000] + " 7"] + rows[2001:]
+    refusal = "malformed edge line" if dimacs else "expected 'u v' pair"
+    with pytest.raises(ValueError, match=refusal):
+        parse_graph(head + "\n".join(bad) + "\n")
 
 
 def _python_calls(parse, text):
