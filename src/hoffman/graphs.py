@@ -5,24 +5,23 @@ All inner products use the uniform probability measure on the vertex set,
 (A 1, 1) equals the average degree.  Eigenvalues of the adjacency
 operator under this convention coincide with the ordinary matrix eigenvalues.
 spectral_range(g) is the finite case's range function, and reports.bounds
-turns its range into the chromatic, ratio and fractional bounds:
+turns its range into the chromatic, ratio and fractional bounds.  It counts
+the degrees, which give R and eps, and then takes one of two paths:
 
-- dense, below 500 vertices or without an edge: eigvalsh of the n x n
-  float64 matrix A gives m and M;
-- lanczos, for graphs with 500 to 10000 vertices and at least one edge,
-  where it measured faster, the factor included.  Lanczos runs twice,
-  each time until the error estimates of its extreme Ritz values
-  (Kato-Temple) are small: a float32 sweep to 2^-23 max(1, theta_max), at
-  half the bytes per step, then a float64 restart to 1e-11 max(1,
-  theta_max) from the sum of the sweep's two extreme Ritz vectors, which
-  takes a few steps more.  The restart gives M as its largest Ritz value
-  and picks the shift t, just above -lambda_min; float32 errors cannot
-  reach m, because a completed float64 Cholesky factorization of A + tI
-  proves m = -t - delta <= lambda_min (Higham, Accuracy and Stability,
-  Thm 10.3; delta is about n^2 2^-53 t).  While 16 |E| <= n^2, Lanczos
-  sums each vertex's run of the arc list, sorted by source and then
-  target, with np.add.reduceat (in float32, then float64), and the factor
-  first eliminates the independent set I that greedy takes from the
+- lanczos, in _lanczos_range, for graphs with 500 to 10000 vertices and at
+  least one edge, where it measured faster, the factor included.  Lanczos
+  runs twice, each time until the error estimates of its extreme Ritz
+  values (Kato-Temple) are small: a float32 sweep to 2^-23 max(1,
+  theta_max), at half the bytes per step, then a float64 restart to 1e-11
+  max(1, theta_max) from the sum of the sweep's two extreme Ritz vectors,
+  which takes a few steps more.  The restart gives M as its largest Ritz
+  value and picks the shift t, just above -lambda_min; float32 errors
+  cannot reach m, because a completed float64 Cholesky factorization of
+  A + tI proves m = -t - delta <= lambda_min (Higham, Accuracy and
+  Stability, Thm 10.3; delta is about n^2 2^-53 t).  While 16 |E| <= n^2,
+  Lanczos sums each vertex's run of the arc list, sorted by source and
+  then target, with np.add.reduceat (in float32, then float64), and the
+  factor first eliminates the independent set I that greedy takes from the
   vertices with deg(v)^2 <= n, by degree and then frac(v * golden ratio).
   I's columns need no sum (l_vv = fl(sqrt(t)), l_jv = fl(1 / l_vv)), so
   only S = (A + tI)_JJ less their products, J the other vertices, is built
@@ -30,13 +29,14 @@ turns its range into the chromatic, ratio and fractional bounds:
   float32 (0 and 1 are exact), for the sweep, then cast to the float64
   buffer A that the restart multiplies by and that is then factored whole
   in place.
+- dense: spectral_range's one eigvalsh call gives m and M below 500
+  vertices, without an edge, and after any give-up of _lanczos_range (at
+  the step cap in either run, or a factor that failed as theta_min missed
+  a smaller eigenvalue), on the float64 buffer the helper hands back or
+  on A built then.
 
-A give-up at the step cap, in either run, sends A to eigvalsh (the float64
-buffer, or A built then), and so does a failed factorization (the smallest
-Ritz value missed a smaller eigenvalue), with A built anew as the factor
-left NaN.  LAPACK gets each symmetric matrix as its column-major view a.T:
-the same bits, which numpy copies into LAPACK's layout without
-transposing.
+LAPACK gets each symmetric matrix as its column-major view a.T: the same
+bits, which numpy copies into LAPACK's layout without transposing.
 
 A Graph holds its edges as a (k, 2) int64 array.  Parsing, checking,
 deduplication and adjacency assembly are whole-array numpy operations: no
@@ -78,7 +78,7 @@ _DENSE_VERTEX_CAP = 10_000
 # graphs down to about 256 vertices, but no benchmark slot times that range
 # yet.  The arc list's product beat the dense one at density 1/8 and lost
 # 3x at 1/2; at 1/5 (the 800/160 bench slot) the benchmark's latency tail
-# rose 14 %, hence 16 |E| <= n^2 in spectral_range
+# rose 14 %, hence 16 |E| <= n^2 in _lanczos_range
 _LANCZOS_MIN_VERTICES = 500
 _LANCZOS_MAX_STEPS = 200
 _LANCZOS_CHECK_EVERY = 10  # steps between two eigen-solves of the tridiagonal T
@@ -198,7 +198,9 @@ def _line_bytes(text: str) -> tuple[bytearray, np.ndarray]:
     """The text as UTF-8 with line breaks made b"\n" and other blanks b" ", and each break's offset.
 
     Line i of the bytes is text.splitlines()[i]; a last line, after the
-    appended break, is empty.
+    appended break, is empty.  Its break, at byte ends[i], is at most
+    character ends[i] + text.count("\r\n") of the text: each character
+    takes a byte or more, and only a "\r\n" made "\n" loses one.
     """
     # each rewrite runs only on a text that needs it: a miss costs a memchr
     if "\r" in text:
@@ -307,9 +309,10 @@ def _edge_pairs(text: str) -> tuple[np.ndarray, int | None]:
         edge = kind[pairs] == _EDGE
         message = "malformed edge line {!r}" if edge else "expected 'u v' pair, got {!r}"
         faults.append((pairs, message, pairs))
-    if faults:  # name the first bad line
+    if faults:  # name the first bad line, from the text up to its end
         _, message, named = min(faults, key=lambda fault: fault[0])
-        raise ValueError(message.format(_content(text.splitlines()[named])))
+        head = text[: ends[named] + text.count("\r\n") + 1]
+        raise ValueError(message.format(_content(head.splitlines()[named])))
     return pairs, (_header_vertices(headers[0][1]) if headers else None)
 
 
@@ -352,14 +355,7 @@ def parse_graph(text: str) -> Graph:
     A row, a pair line or an "e" line without its letter, holds before its
     first '#' exactly two tokens [+-]?[0-9]+ in ASCII, separated by blanks,
     and each is inside int64.  A refused text raises ValueError naming its
-    first bad line.
-
-    Each line's first byte (and for "e" its second) is read from the
-    text's UTF-8 bytes for every line at once.  Only lines that start
-    otherwise ("c" and "p" lines, leading whitespace, another letter or
-    byte) are read in Python.  The "e" letters are blanked in place, the
-    line order is checked on index arrays, and one np.fromstring call
-    reads the rows once their bytes are checked.
+    first bad line; the module docstring says how the rows are read.
     """
     # the line arrays live only inside _edge_pairs, so Graph's temporaries
     # do not add to their memory peak
@@ -596,84 +592,83 @@ def _proven_floor(n: int, t: float) -> float:
     return m if Fraction(m) <= bound else math.nextafter(m, -math.inf)
 
 
+def _lanczos_range(g: Graph, degrees: np.ndarray):
+    """((m, M, provenance), None) by the module docstring's Lanczos path, or (None, a).
+
+    theta_min, theta_max and e_min, the smallest Ritz value's error
+    estimate, are the float64 restart's.  The shift t = -theta_min + e_min
+    + 16 n u (theta_max - theta_min), u = 2^-53, makes A + tI positive
+    definite by a margin above Cholesky's rounding when theta_min is within
+    e_min of lambda_min.  The estimate only picks t: m = _proven_floor(n,
+    t), below lambda_min by about n^2 u |m|.  A give-up returns as a the
+    float64 buffer if one was built and no factor overwrote it, else None.
+    """
+    n = g.n
+    # the sweep's start 1 + frac(i * golden ratio) is positive, so it has
+    # a positive overlap with every component's Perron vector
+    start = (1.0 + (np.arange(n) * _GOLDEN) % 1.0).astype(np.float32)
+    if 16 * len(g.edges) <= n * n:
+        a, (dst, starts) = None, _arcs(g, degrees)
+        sweep = _lanczos_extremes(_arc_product(dst, starts, np.float32), start, _SWEEP_RTOL)
+        product = _arc_product(dst, starts)
+    else:
+        a = _adjacency(g, np.float32)
+        sweep = _lanczos_extremes(lambda q: a @ q, start, _SWEEP_RTOL)
+        a = a.astype(np.float64)  # rebound: the float32 A goes before the restart
+        product = lambda q: a @ q
+    found = None if sweep is None else _lanczos_extremes(product, _restart(sweep), _LANCZOS_RTOL)
+    del product  # with dst, the arc list's buffers go before the factor
+    if found is None:
+        return None, a
+    theta_min, theta_max, e_min = found.theta_min, found.theta_max, found.e_min
+    t = -theta_min + e_min + 16 * n * float(_UNIT_ROUNDOFF) * (theta_max - theta_min)
+    if a is None:
+        b = _schur_first(g, dst, starts, degrees, _eliminated(g, degrees), t)
+        del dst  # only S and LAPACK's copy of it stay for the factor
+    else:
+        b = a
+        b.flat[:: n + 1] = t
+    if not _factors(b):
+        return None, None  # the failed factor holds NaN
+    provenance = {
+        "solver": "lanczos",
+        "float32_steps": sweep.steps,
+        "float64_steps": found.steps,
+        "shift": t,
+    }
+    return (_proven_floor(n, t), theta_max, provenance), None
+
+
 def spectral_range(g: Graph) -> SpectralRange:
     """(m, M) of g's adjacency operator, with R = (A 1, 1) and eps = ||A 1 - R 1||.
 
-    The path is the module docstring's.  On the Lanczos path theta_min,
-    theta_max and e_min, the smallest Ritz value's error estimate, are the
-    float64 restart's, and the shift is t = -theta_min + e_min + 16 n u
-    (theta_max - theta_min), u = 2^-53, so A + tI is positive definite by a
-    margin above Cholesky's rounding when theta_min is within e_min of
-    lambda_min.  The estimate only picks t: m = _proven_floor(n, t), below
-    lambda_min by about n^2 u |m|, and provenance is {"solver": "lanczos",
-    "float32_steps": k32, "float64_steps": k64, "shift": t}, the steps of
-    the sweep and of the restart.  On the dense path m and M are eigvalsh's,
-    and provenance is {"solver": "dense"}.  Both paths are deterministic
-    for identical inputs on a fixed BLAS thread count: the arc list's
-    products are independent of it, but done @ w in Gram-Schmidt and the
-    dense a @ q, in float32 (sgemv) as in float64, split their sums across
-    threads.  R is the average degree, the R that minimises eps; eps
-    measures how far the all-ones function is from being an eigenfunction
-    with value R, and vanishes for regular graphs.  Both come from the edge
-    list's degree counts.
+    m and M come from _lanczos_range, or else from one eigvalsh call (the
+    module docstring's paths).  provenance is {"solver": "lanczos",
+    "float32_steps": k32, "float64_steps": k64, "shift": t}, the sweep's
+    and the restart's steps and the factor's shift, or {"solver": "dense"}.
+    Both paths are deterministic for identical inputs on a fixed BLAS
+    thread count: the arc list's products are independent of it, but
+    done @ w in Gram-Schmidt and the dense a @ q, in float32 (sgemv) as in
+    float64, split their sums across threads.  R is the average degree,
+    the R that minimises eps; eps measures how far the all-ones function
+    is from being an eigenfunction with value R, and vanishes for regular
+    graphs.  Both come from the edge list's degree counts.
     """
     n = g.n
     lanczos = _LANCZOS_MIN_VERTICES <= n <= _DENSE_VERTEX_CAP and len(g.edges)
-    # the arc list's path builds no A first, and the buffer's sweep gets it
-    # in float32; _adjacency refuses a bad n
-    if lanczos and 16 * len(g.edges) <= n * n:
-        a = None
-    else:
-        a = _adjacency(g, np.float32 if lanczos else np.float64)
+    a = None if lanczos else _adjacency(g)  # _adjacency refuses a bad n
     # exact integer degrees give R and eps the bits of the dense row sums.
     # np.bincount would copy the read-only edges (9.6 MB at 600k edges)
     degrees = np.zeros(n, dtype=np.int64)
     np.add.at(degrees, g.edges.ravel(), 1)
-    found = None
-    if lanczos:
-        # the sweep's start 1 + frac(i * golden ratio) is positive, so it has
-        # a positive overlap with every component's Perron vector
-        start = (1.0 + (np.arange(n) * _GOLDEN) % 1.0).astype(np.float32)
-        if a is None:
-            dst, starts = _arcs(g, degrees)
-            sweep = _lanczos_extremes(_arc_product(dst, starts, np.float32), start, _SWEEP_RTOL)
-            if sweep is not None:
-                restart = _restart(sweep)
-                found = _lanczos_extremes(_arc_product(dst, starts), restart, _LANCZOS_RTOL)
-        else:
-            sweep = _lanczos_extremes(lambda q: a @ q, start, _SWEEP_RTOL)
-            a = a.astype(np.float64)  # rebound: the float32 A goes before the restart
-            if sweep is not None:
-                found = _lanczos_extremes(lambda q: a @ q, _restart(sweep), _LANCZOS_RTOL)
-    if found is not None:
-        theta_min, theta_max, e_min = found.theta_min, found.theta_max, found.e_min
-        margin = 16 * n * float(_UNIT_ROUNDOFF) * (theta_max - theta_min)
-        t = -theta_min + e_min + margin
-        if a is None:
-            b = _schur_first(g, dst, starts, degrees, _eliminated(g, degrees), t)
-            del dst  # only S and LAPACK's copy of it stay for the factor
-        else:
-            b = a
-            b.flat[:: n + 1] = t
-        if not _factors(b):
-            found = a = None  # the failed factor holds NaN
-        del b
+    R = float(degrees.sum()) / n
+    eps = math.sqrt(float(np.mean((degrees - R) ** 2)))
+    found, a = _lanczos_range(g, degrees) if lanczos else (None, a)
     if found is None:
-        if a is None:
-            a = _adjacency(g)
         try:
-            vals = np.linalg.eigvalsh(a.T)
+            vals = np.linalg.eigvalsh((_adjacency(g) if a is None else a).T)
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
-        m, M, provenance = float(vals[0]), float(vals[-1]), {"solver": "dense"}
-    else:
-        m, M = _proven_floor(n, t), theta_max
-        provenance = {
-            "solver": "lanczos",
-            "float32_steps": sweep.steps,
-            "float64_steps": found.steps,
-            "shift": t,
-        }
-    R = float(degrees.sum()) / g.n
-    eps = math.sqrt(float(np.mean((degrees - R) ** 2)))
+        found = float(vals[0]), float(vals[-1]), {"solver": "dense"}
+    m, M, provenance = found
     return SpectralRange(m, M, R, eps, provenance)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-import warnings
 
 import mpmath
 import numpy as np
@@ -271,7 +270,7 @@ _DECIMAL = re.compile(r"[+-]?[0-9]+")
 def _edge_rows(lines, header: list):
     """Yield the "u v" text of each edge line, checking the lines around them.
 
-    Looks only at a line's first token: np.loadtxt reads the pairs.  Appends
+    Looks only at a line's first token: _int_pairs reads the pairs.  Appends
     the n of the "p edge n m" header to header when it is read.  A DIMACS
     row is an "e u v" line without its "e", so it is 1-indexed.
     """
@@ -307,11 +306,7 @@ def _edge_rows(lines, header: list):
             if token == "e":
                 if not header:
                     raise ValueError("edge descriptor before problem header")
-                row = line[1:]
-                rest = row.lstrip()
-                if not rest or rest[0] == "#":  # np.loadtxt would skip the row
-                    raise ValueError(f"malformed edge line {_content(line)!r}")
-                yield row
+                yield line[1:]
                 continue
         if header:
             raise ValueError(f"unrecognised line {_content(raw)!r} in DIMACS input")
@@ -328,17 +323,19 @@ def _content(line: str) -> str:
 def _int_pairs(rows) -> np.ndarray:
     """The rows as a (k, 2) int64 array; ValueError unless each is two integers.
 
-    np.loadtxt reads the rows, and its faults on non-ASCII text come with
-    it: it reads U+1BCA0 inside a number as a digit, and some tag
-    characters make it crash.  A text drawn for comparison with this
-    oracle holds neither U+1BCA0 nor any of U+E0000 to U+E007F.
+    A row's text before its first "#", split by str.split, must be exactly
+    two _DECIMAL tokens, each inside int64.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        pairs = np.loadtxt(rows, dtype=np.int64, comments="#", ndmin=2)
-    if pairs.size and pairs.shape[1] != 2:
-        raise ValueError(f"expected 2 integers per line, got {pairs.shape[1]}")
-    return pairs.reshape(-1, 2)
+    pairs = []
+    for row in rows:
+        tokens = row.split("#", 1)[0].split()
+        if len(tokens) != 2 or not all(map(_DECIMAL.fullmatch, tokens)):
+            raise ValueError(f"expected 2 integers, got {row!r}")
+        pair = [int(token) for token in tokens]
+        if not all(-(2**63) <= v < 2**63 for v in pair):
+            raise ValueError(f"integer outside int64 in {row!r}")
+        pairs.append(pair)
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def edge_text_pairs(text: str) -> tuple[np.ndarray, int | None]:

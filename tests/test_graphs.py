@@ -193,13 +193,11 @@ def test_parse_matches_the_line_by_line_reference():
 
 # the drawn texts' characters: digits, signs, the comment and DIMACS letters,
 # blanks of one to three UTF-8 bytes, every line break of str.splitlines,
-# and a Latin letter, an Arabic-Indic digit and NUL, which no row may hold.
-# The reference reads rows with np.loadtxt, which reads U+1BCA0 inside a
-# number as a digit and crashes on some tag characters (U+E0000 to
-# U+E007F), so neither is drawn
+# and a Latin letter, an Arabic-Indic digit, NUL and two format characters
+# (U+1BCA0 and the tag U+E0001), which no row may hold
 _TEXT_ALPHABET = (
     "0123456789+-#ecp \t\x1f\xa0\u1680\u2003\u202f\u205f\u3000"
-    "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029\u00e9\u0661\x00"
+    "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029\u00e9\u0661\x00\U0001bca0\U000e0001"
 )
 _TEXT_PIECES = st.sampled_from(["0 1\n", "e 2 3\n", "p edge 9 4\n", "c x\n"]) | st.text(
     _TEXT_ALPHABET, max_size=12
@@ -213,6 +211,44 @@ def test_parse_matches_the_reference_on_drawn_texts(pieces):
     # whole rows and headers, glued to drawn characters
     text = "".join(pieces)
     assert _outcome(parse_graph, text) == _outcome(_reference_graph, text)
+
+
+# characters of two, three and four UTF-8 bytes and a lone surrogate, in
+# comments, and two wide blanks, between a row's tokens
+_WIDE = ["\u00e9", "\U0001f600", "\ud800"]
+_ROW_BLANKS = [" "] * 4 + ["\u3000", "\xa0"]
+
+
+def _refused_text(rng, dimacs: bool) -> str:
+    """A text with wide characters and mixed line breaks before one bad row, and rows after it."""
+
+    def row():
+        u, v = rng.randrange(1, 60), rng.randrange(1, 60)
+        line = f"{'e ' if dimacs else ''}{u}{rng.choice(_ROW_BLANKS)}{v}"
+        return line if rng.random() < 0.7 else f"{line} # {comment()}"
+
+    def comment():
+        return "".join(rng.choice(_WIDE) for _ in range(rng.randrange(1, 4)))
+
+    lines = ["p edge 60 9"] if dimacs else []
+    for _ in range(rng.randrange(0, 8)):
+        lines.append(row() if rng.random() < 0.7 else f"{'c' if dimacs else '#'} {comment()}")
+    bad = rng.choice(["2 x", "1 2 3", "9" * 20 + " 1", "1\u00e9 2"])
+    lines += [("e " if dimacs else "") + bad] + [row() for _ in range(rng.randrange(0, 3))]
+    breaks = ["\r\n", "\r\n", "\r", "\v", "\x85", "\n"]
+    return "".join(line + rng.choice(breaks) for line in lines)
+
+
+def test_refusal_names_the_line_the_whole_text_splits_to():
+    # _edge_pairs splits only the text up to the bad line's break, which is
+    # at most its byte offset plus the number of "\r\n" into the text: each
+    # character takes one to four bytes (a lone surrogate three), and each
+    # "\r\n" is one break.  The named line is the one text.splitlines() has
+    rng = random.Random(108)
+    for i in range(1000):
+        text = _refused_text(rng, dimacs=bool(i % 2))
+        got = _outcome(parse_graph, text)
+        assert got[0] == "refused" and got == _outcome(_reference_graph, text), repr(text)
 
 
 def test_line_bytes_blanks_what_str_isspace_accepts():
@@ -498,24 +534,28 @@ def test_lanczos_step_cap_falls_back_to_the_dense_solve():
     # bottom eigenvalues crowd too: the float32 sweep cannot converge by its
     # 200-step cap and gives up by half of it.  A float64 restart held to an
     # unreachable tolerance (0) gives up by half of the cap too, after a
-    # sweep that converged, on the arc list's product and on the buffer's.
-    # Each time eigvalsh prints the range, of A assembled once
+    # sweep that converged, on the arc list's product and on the buffer's;
+    # so does a float32 sweep held to 0 on the buffer's product, whose
+    # float64 cast then goes to eigvalsh.  Each time eigvalsh prints the
+    # range, of A assembled once
     floor = hoffman.graphs._LANCZOS_MIN_VERTICES
     half = hoffman.graphs._LANCZOS_MAX_STEPS // 2
     path = Graph(floor, [(i, i + 1) for i in range(floor - 1)])  # at the crossover
     band = Graph(1000, [(i, (i + s) % 1000) for i in range(1000) for s in (1, 2, 3)])
     sweep = dict(_lanczos_sweep())
+    restart_0, sweep_0 = {"_LANCZOS_RTOL": 0.0}, {"_SWEEP_RTOL": 0.0}
     cases = [
-        (path, None, [(np.float32, False)]),
-        (band, None, [(np.float32, False)]),
-        (sweep["sparse"], 0.0, [(np.float32, True), (np.float64, False)]),
-        (sweep["G(600,1/5)"], 0.0, [(np.float32, True), (np.float64, False)]),
+        (path, {}, [(np.float32, False)]),
+        (band, {}, [(np.float32, False)]),
+        (sweep["sparse"], restart_0, [(np.float32, True), (np.float64, False)]),
+        (sweep["G(600,1/5)"], restart_0, [(np.float32, True), (np.float64, False)]),
+        (sweep["G(600,1/5)"], sweep_0, [(np.float32, False)]),
     ]
-    for g, restart_rtol, outcomes in cases:
+    for g, rtols, outcomes in cases:
         vals = np.linalg.eigvalsh(adjacency_matrix(g))
         with pytest.MonkeyPatch.context() as mp:
-            if restart_rtol is not None:
-                mp.setattr(hoffman.graphs, "_LANCZOS_RTOL", restart_rtol)
+            for name, rtol in rtols.items():
+                mp.setattr(hoffman.graphs, name, rtol)
             runs = _lanczos_runs(mp)
             assemblies = _counted_assemblies(mp)
             rng = spectral_range(g)
@@ -729,6 +769,11 @@ def test_spectral_range_assembles_a_once(monkeypatch):
         assemblies.clear()
         assert spectral_range(g).provenance["solver"] == "dense"
         assert [(k, d) for k, _, d in assemblies] == [("A", dtype)]
+    # the float32 sweep on the buffer's product gives up: eigvalsh takes its float64 cast
+    monkeypatch.setattr(hoffman.graphs, "_SWEEP_RTOL", 0.0)
+    assemblies.clear()
+    assert spectral_range(sweep["G(600,1/5)"]).provenance["solver"] == "dense"
+    assert [(k, d) for k, _, d in assemblies] == [("A", f32)]
 
 
 def test_lanczos_range_is_bitwise_deterministic():
