@@ -9,37 +9,26 @@ Options are parsed as plain ints, floats and strings.  The limits of every
 value (dimension, tolerance, truncation K, counts) are declared once, by the
 library function that uses the value; run() turns its ValueError into one
 line on stderr and exit 1.
+
+Each handler imports its case's module when it runs (_case), so a request
+loads only the case it asks for, and parsing, --help and a refused option
+load no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import math
 import re
 import sys
 from json.encoder import encode_basestring_ascii
+from types import ModuleType
 
 from .errors import ConvergenceError, VacuousBoundError, read_text, ten_digits
-from .euclidean import (
-    optimize_radial_measure,
-    radial_measure_from_json,
-    radial_measure_to_json,
-    radial_range,
-    steinhardt_measure,
-    unit_distance_range,
-)
-from .graphs import read_graph, spectral_range
 from .reports import KINDS, alpha_ratio_ub, bounds, chi_frac_lb, chi_lb
-from .sphere import (
-    SphereMeasure,
-    operator_range,
-    optimize_sphere_measure,
-    sphere_measure_from_json,
-    sphere_measure_to_json,
-)
-from .torus import COLUMNS, convergence_csv, convergence_study
 
 SCHEMA_VERSION = 1
 
@@ -125,43 +114,59 @@ def _report(rng, *constructors, **echo) -> dict:
     }
 
 
+def _case(name: str) -> ModuleType:
+    """hoffman.<name>, imported by the first request that needs it.
+
+    Later requests find it in sys.modules: an import statement in the
+    handler took about 8 us per request instead, 2-3 % of a short sphere
+    request (Python 3.11, 2-core VM).  Handlers read its functions at each
+    call.
+    """
+    module = f"{__package__}.{name}"
+    return sys.modules.get(module) or importlib.import_module(module)
+
+
 def _cmd_finite(args) -> dict:
-    g = read_graph(args.graph)
+    graphs = _case("graphs")
+    g = graphs.read_graph(args.graph)
     graph = {"path": args.graph, "vertices": g.n, "edges": len(g.edges)}
-    return _report(spectral_range(g), chi_lb, alpha_ratio_ub, chi_frac_lb, graph=graph)
+    return _report(graphs.spectral_range(g), chi_lb, alpha_ratio_ub, chi_frac_lb, graph=graph)
 
 
 def _cmd_unit_distance(args) -> dict:
-    rng = unit_distance_range(args.dimension)
+    rng = _case("euclidean").unit_distance_range(args.dimension)
     return _report(rng, chi_lb, alpha_ratio_ub, dimension=args.dimension)
 
 
 def _cmd_euclidean(args) -> dict:
-    mu = radial_measure_from_json(_load_json_file(args.measure))
-    rng = radial_range(mu, **_given(args, tol="tol"))
-    return _report(rng, chi_lb, alpha_ratio_ub, measure=radial_measure_to_json(mu))
+    euclidean = _case("euclidean")
+    mu = euclidean.radial_measure_from_json(_load_json_file(args.measure))
+    rng = euclidean.radial_range(mu, **_given(args, tol="tol"))
+    return _report(rng, chi_lb, alpha_ratio_ub, measure=euclidean.radial_measure_to_json(mu))
 
 
 def _cmd_odd_distance(args) -> dict:
-    mu = steinhardt_measure(args.beta, args.terms)
-    rng = radial_range(mu, **_given(args, tol="tol"))
+    euclidean = _case("euclidean")
+    mu = euclidean.steinhardt_measure(args.beta, args.terms)
+    rng = euclidean.radial_range(mu, **_given(args, tol="tol"))
     echo = {"beta": float(args.beta), "terms": int(args.terms), "measure_mass": mu.total_mass()}
     return _report(rng, chi_lb, **echo)
 
 
 def _cmd_sphere(args) -> dict:
+    sphere = _case("sphere")
     if (args.t is None) == (args.measure is None):
         raise ValueError("sphere needs exactly one of -t or a measure file")
     if args.t is None:
         if args.dimension is not None:
             raise ValueError("-n does not apply to a measure file, which carries its dimension")
-        mu = sphere_measure_from_json(_load_json_file(args.measure))
-        echo = {"measure": sphere_measure_to_json(mu)}
+        mu = sphere.sphere_measure_from_json(_load_json_file(args.measure))
+        echo = {"measure": sphere.sphere_measure_to_json(mu)}
     else:
         dim = 3 if args.dimension is None else args.dimension
-        mu = SphereMeasure(dim, ((args.t, 1.0),))
+        mu = sphere.SphereMeasure(dim, ((args.t, 1.0),))
         echo = {"dimension": dim, "t": args.t}
-    rng = operator_range(mu, **_given(args, K="kmax", tol="tol"))
+    rng = sphere.operator_range(mu, **_given(args, K="kmax", tol="tol"))
     return _report(rng, chi_lb, alpha_ratio_ub, **echo)
 
 
@@ -169,9 +174,11 @@ def _cmd_optimize(args) -> dict:
     if args.mode == "radial":
         if args.kmax is not None:
             raise ValueError("--kmax applies only to --mode sphere")
-        optimize, to_json = optimize_radial_measure, radial_measure_to_json
+        euclidean = _case("euclidean")
+        optimize, to_json = euclidean.optimize_radial_measure, euclidean.radial_measure_to_json
     else:
-        optimize, to_json = optimize_sphere_measure, sphere_measure_to_json
+        sphere = _case("sphere")
+        optimize, to_json = sphere.optimize_sphere_measure, sphere.sphere_measure_to_json
     mu, rng = optimize(args.dimension, args.support, **_given(args, K="kmax", tol="tol"))
     support = [float(s) for s in args.support]
     return _report(
@@ -180,14 +187,17 @@ def _cmd_optimize(args) -> dict:
 
 
 def _cmd_torus(args) -> dict | str:
-    rows = convergence_study(args.dimension, args.radii, args.moduli, **_given(args, tol="annulus"))
+    torus = _case("torus")
+    rows = torus.convergence_study(
+        args.dimension, args.radii, args.moduli, **_given(args, tol="annulus")
+    )
     if args.format == "csv":
-        return convergence_csv(rows)
+        return torus.convergence_csv(rows)
     return {
         "dimension": args.dimension,
         "radii": [float(d) for d in args.radii],
         "moduli": [int(m) for m in args.moduli],
-        "columns": list(COLUMNS),
+        "columns": list(torus.COLUMNS),
         "rows": [list(r) for r in rows],
     }
 
