@@ -43,13 +43,16 @@ The Jacobi tables go the other way: a sphere measure or support has only a
 few points, so the three-term recurrence runs over the degrees on Python
 floats, one point at a time, instead of one numpy call per degree on a
 short vector.  The operations per element are those of the vectorized
-recurrence, so the table is the same bits.
+recurrence, so the table is the same bits.  The recurrence's coefficients
+depend only on alpha and the degree, so a process keeps them per alpha, at
+most _JACOBI_KEPT_ROWS degrees in all, and a table costs only its cells.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -73,6 +76,13 @@ _HANKEL_SQUARES = (2.0 * _STEPS[:_HANKEL_TERMS] - 1.0) ** 2
 # and run one whole-row operation per row
 _ACCUMULATE_WIDTH = 256
 _BLOCK_WIDTH = 1024  # arguments per series, recurrence or Hankel block
+# the Jacobi recurrence's triples kept per process, in degrees over every
+# alpha: two tables at the sphere's largest truncation (2K + 1 rows at K =
+# 8192), about 4.5 MB; past it the oldest alpha are dropped
+_JACOBI_KEPT_ROWS = 2 * (2 * 8192 + 1)
+_jacobi_kept: dict = {}  # alpha -> the triples of k = 2, 3, ..., rebound, never extended
+_jacobi_kept_rows = 0  # the sum of their lengths
+_jacobi_kept_lock = threading.Lock()
 
 
 def _running(ufunc, table: np.ndarray) -> np.ndarray:
@@ -391,10 +401,13 @@ def jacobi_sequence(kmax: int, alpha: float, t: np.ndarray) -> np.ndarray:
     alpha accepted (the circle S^1).
 
     The recurrence runs over k on Python floats, once per point, with the
-    coefficients built once per call: p = (a_k * t * p1 - b_k * p2) / c_k is
-    the same IEEE operations in the same order as the elementwise numpy form,
-    so the table is the same bits, at a cost linear in points x degrees.
-    Any finite scalar or 1-D t is accepted, |t| > 1 included.
+    table built once per call: p = (a_k * t * p1 - b_k * p2) / c_k is the
+    same IEEE operations in the same order as the elementwise numpy form, so
+    the table is the same bits, at a cost linear in points x degrees.  The
+    coefficients (a_k, b_k, c_k) are kept per process and alpha, bounded in
+    all by _JACOBI_KEPT_ROWS degrees, and are the same bits as fresh ones;
+    a call past that bound builds its own.  Any finite scalar or 1-D t is
+    accepted, |t| > 1 included.
     """
     kmax = require_integer(kmax, "kmax")
     if kmax < 0:
@@ -414,11 +427,11 @@ def _jacobi_rows(table: np.ndarray, kmax: int, alpha: float, t: np.ndarray) -> n
     """table, the first rows of jacobi_sequence's values at t, grown to rows 0..kmax.
 
     The one copy of the recurrence: each point resumes from its last two
-    rows, so the new rows are the same bits as a fresh table's.
+    rows, so the new rows are the same bits as a fresh table's.  The rows'
+    coefficients come from _jacobi_coefficients, kept per process.
     """
-    start, two_alpha = len(table), 2.0 * alpha
-    ks = range(max(start, 2), kmax + 1)
-    coeffs = [(2.0 * k + two_alpha - 1.0, k - 1.0, k + two_alpha) for k in ks]
+    start = len(table)
+    coeffs = _jacobi_coefficients(alpha, max(start, 2), kmax)
     vals = np.concatenate([table, np.empty((kmax + 1 - start, t.size))])
     last = zip(*table[start - 2 :].tolist()) if start >= 2 else ((1.0, x) for x in t.tolist())
     for j, (x, (p2, p1)) in enumerate(zip(t.tolist(), last)):
@@ -428,3 +441,37 @@ def _jacobi_rows(table: np.ndarray, kmax: int, alpha: float, t: np.ndarray) -> n
             column.append(p1)
         vals[start:, j] = column[: kmax + 1 - start]
     return vals
+
+
+def _jacobi_triples(alpha: float, ks: range) -> list:
+    """The recurrence's (a_k, b_k, c_k) for k in ks: its one set of expressions."""
+    two_alpha = 2.0 * alpha
+    return [(2.0 * k + two_alpha - 1.0, k - 1.0, k + two_alpha) for k in ks]
+
+
+def _jacobi_coefficients(alpha: float, first: int, kmax: int) -> list:
+    """The triples of k = first..kmax (first >= 2), read from those kept for alpha.
+
+    The kept list grows to exactly the degrees asked, so a cold call builds
+    what a fresh one would.  A growth builds the extension and rebinds the
+    entry, so a list another call is slicing never changes; it first drops
+    the oldest alpha until every kept list fits in _JACOBI_KEPT_ROWS.  A call
+    needing more than that builds its own triples.
+    """
+    global _jacobi_kept_rows
+    if first > kmax:
+        return []
+    kept = _jacobi_kept.get(alpha, ())
+    if len(kept) < kmax - 1:
+        if kmax - 1 > _JACOBI_KEPT_ROWS:
+            return _jacobi_triples(alpha, range(first, kmax + 1))
+        with _jacobi_kept_lock:
+            kept = _jacobi_kept.pop(alpha, [])
+            _jacobi_kept_rows -= len(kept)
+            if len(kept) < kmax - 1:
+                kept = kept + _jacobi_triples(alpha, range(len(kept) + 2, kmax + 1))
+            while _jacobi_kept_rows + len(kept) > _JACOBI_KEPT_ROWS:
+                _jacobi_kept_rows -= len(_jacobi_kept.pop(next(iter(_jacobi_kept))))
+            _jacobi_kept[alpha] = kept
+            _jacobi_kept_rows += len(kept)
+    return kept[first - 2 : kmax - 1]

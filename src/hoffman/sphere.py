@@ -101,6 +101,8 @@ class _JacobiTable:
 
     rows(k) grows it in place to degrees 0..k, the recurrence resuming from
     its last two rows: each (degree, point) cell is computed once per call.
+    The recurrence's coefficients outlive the call: specfun keeps them per
+    process and alpha, bounded, and they are the same bits as fresh ones.
     """
 
     def __init__(self, n: int, t: np.ndarray):

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import hoffman.cli
 import hoffman.graphs
+from hoffman import specfun, sphere
 from hoffman.cli import OUTPUT_SCHEMA, _json, run
 from hoffman.euclidean import (
     RadialMeasure,
@@ -1024,15 +1025,59 @@ def write_pinned_inputs(directory: Path) -> None:
         (directory / path.name).write_bytes(path.read_bytes())
 
 
+def _pinned_result(name) -> tuple:
+    """(exit code, stdout, stderr) pinned for a request, "{dir}" left in."""
+    err_pin = PINNED_DIR / f"{name}.err"
+    err = err_pin.read_text() if err_pin.exists() else ""
+    return PINNED_EXIT.get(name, 0), (PINNED_DIR / f"{name}.out").read_text(), err
+
+
+def _pinned_argv(name, directory: Path) -> list:
+    return [a.replace("{dir}", str(directory)) for a in PINNED_REQUESTS[name]]
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_REQUESTS))
 def test_pinned_output(capsys, tmp_path, name):
     write_pinned_inputs(tmp_path)
-    argv = [a.replace("{dir}", str(tmp_path)) for a in PINNED_REQUESTS[name]]
-    assert run(argv) == PINNED_EXIT.get(name, 0)
+    code = run(_pinned_argv(name, tmp_path))
     out, err = capsys.readouterr()
-    assert out.replace(str(tmp_path), "{dir}") == (PINNED_DIR / f"{name}.out").read_text()
-    err_pin = PINNED_DIR / f"{name}.err"
-    assert err == (err_pin.read_text() if err_pin.exists() else "")
+    assert (code, out.replace(str(tmp_path), "{dir}"), err) == _pinned_result(name)
+
+
+# the sphere pins and the Jacobi parameters alpha = (n - 3)/2 they use (n = 3, 4)
+_SPHERE_PINS = ("sphere_t", "sphere_file", "optimize_sphere", "sphere_uncertified")
+_SPHERE_PIN_ALPHAS = (0.0, 0.5)
+
+
+def test_sphere_pins_are_the_same_with_cold_and_warm_jacobi_coefficients(
+    capsys, monkeypatch, tmp_path
+):
+    write_pinned_inputs(tmp_path)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for name in _SPHERE_PINS:  # a fresh process keeps no coefficients yet
+        proc = subprocess.run(
+            [sys.executable, "-m", "hoffman.cli", *_pinned_argv(name, tmp_path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        out = proc.stdout.replace(str(tmp_path), "{dir}")
+        assert (proc.returncode, out, proc.stderr) == _pinned_result(name), name
+    # every alpha the pins use, kept to the sphere's largest table
+    monkeypatch.setattr(specfun, "_jacobi_kept", {})
+    monkeypatch.setattr(specfun, "_jacobi_kept_rows", 0)
+    for alpha in _SPHERE_PIN_ALPHAS:
+        specfun.jacobi_sequence(2 * sphere._K_CAP, alpha, 0.5)
+    built = []
+    monkeypatch.setattr(specfun, "_jacobi_triples", lambda *args: built.append(args))
+    for name in _SPHERE_PINS:
+        code = run(_pinned_argv(name, tmp_path))
+        out, err = capsys.readouterr()
+        assert (code, out.replace(str(tmp_path), "{dir}"), err) == _pinned_result(name), name
+    assert not built
 
 
 # bench-like requests of every subcommand, beside the pinned ones

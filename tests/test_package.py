@@ -136,6 +136,24 @@ def test_a_request_loads_only_its_own_case(inputs, argv, absent):
     assert not absent & set(loaded), argv
 
 
+# A radial and a finite request, then what the process keeps of the sphere's
+# Jacobi coefficients: specfun's kept alpha and rows (radial loads specfun
+# for omega, so a KeyError here fails the test).
+_KEPT_SCRIPT = """
+import contextlib, io, json, sys
+import hoffman.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [hoffman.cli.run(["euclidean", sys.argv[1]]), hoffman.cli.run(["finite", sys.argv[2]])]
+specfun = sys.modules["hoffman.specfun"]
+print(json.dumps([codes, len(specfun._jacobi_kept), specfun._jacobi_kept_rows]))
+"""
+
+
+def test_radial_and_finite_requests_keep_no_jacobi_coefficients(inputs):
+    out = _fresh_python(_KEPT_SCRIPT, str(inputs / "radial.json"), str(inputs / "c5.txt"))
+    assert json.loads(out) == [[0, 0], 0, 0]
+
+
 def test_help_loads_no_numpy():
     code, numpy, loaded, out = _loaded("--help")
     assert code == 0

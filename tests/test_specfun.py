@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hoffman import (
     jacobi_sequence,
     omega,
     specfun,
+    sphere,
 )
 
 import oracles
@@ -615,3 +618,121 @@ def test_jacobi_domain_guards():
     t = np.array([-2.5, 1.5, 40.0])
     assert np.array_equal(jacobi_sequence(5, 1.0, t), _jacobi_loop_reference(5, 1.0, t))
     assert jacobi_sequence(2, 0.0, 1.5)[2, 0] == 2.875  # Legendre (3t^2 - 1)/2
+
+
+# ------------------------------------------- coefficients kept per process
+
+
+@pytest.fixture
+def cold_kept(monkeypatch):
+    """An empty store of kept Jacobi coefficients, the process's restored after."""
+    monkeypatch.setattr(specfun, "_jacobi_kept", {})
+    monkeypatch.setattr(specfun, "_jacobi_kept_rows", 0)
+    return specfun._jacobi_kept
+
+
+def _empty_kept():
+    specfun._jacobi_kept.clear()
+    specfun._jacobi_kept_rows = 0
+
+
+def _kept_rows():
+    rows = sum(map(len, specfun._jacobi_kept.values()))
+    assert rows == specfun._jacobi_kept_rows
+    return rows
+
+
+def _count_triples(monkeypatch):
+    """Record (alpha, degrees) of every call of the triples' builder."""
+    built = []
+    triples = specfun._jacobi_triples
+
+    def counted(alpha, ks):
+        built.append((alpha, ks))
+        return triples(alpha, ks)
+
+    monkeypatch.setattr(specfun, "_jacobi_triples", counted)
+    return built
+
+
+def test_kept_coefficients_give_the_reference_bits_cold_and_warm(cold_kept):
+    # alpha = (n - 3)/2 for every sphere S^(n-1), n = 2..64, and two others;
+    # a table grown from rows 0, 1, 2 and mid-table, with nothing kept for
+    # alpha (cold) and then with its triples kept (warm)
+    t = np.array([-1.0, -0.41, 0.0, 0.3, 0.999])
+    kmax = 129
+    for alpha in [(n - 3) / 2.0 for n in range(2, 65)] + [0.25, 7.77]:
+        want = _jacobi_loop_reference(kmax, alpha, t)
+        for start in (0, 1, 2, kmax // 2):
+            _empty_kept()
+            for state in ("cold", "warm"):
+                got = specfun._jacobi_rows(want[:start].copy(), kmax, alpha, t)
+                assert np.array_equal(got, want), (alpha, start, state)
+                # grown to exactly the degrees asked: k = 2..kmax
+                assert list(cold_kept) == [alpha] and _kept_rows() == kmax - 1
+        assert np.array_equal(jacobi_sequence(kmax, alpha, t), want)
+
+
+def test_a_warm_table_builds_no_triple(cold_kept, monkeypatch):
+    built = _count_triples(monkeypatch)
+    t = np.array([-0.2, 0.3])
+    jacobi_sequence(128, 0.5, t)
+    assert built == [(0.5, range(2, 129))]
+    table = np.empty((0, 2))
+    for kmax in (0, 1, 2, 64, 128):
+        jacobi_sequence(kmax, 0.5, t)
+        table = specfun._jacobi_rows(table, kmax, 0.5, t)
+    assert len(built) == 1
+    # a longer table builds the new degrees alone
+    assert np.array_equal(jacobi_sequence(200, 0.5, t), _jacobi_loop_reference(200, 0.5, t))
+    assert built == [(0.5, range(2, 129)), (0.5, range(129, 201))]
+
+
+def test_kept_coefficients_stay_within_their_bound(cold_kept):
+    # two tables at the sphere's largest truncation, 2 K_cap + 1 rows each
+    limit = specfun._JACOBI_KEPT_ROWS
+    assert limit == 2 * (2 * sphere._K_CAP + 1)
+    t = np.array([-0.5, 0.7])
+    alphas = [0.5 * i + 0.125 for i in range(100)]
+    for alpha in alphas:
+        jacobi_sequence(1000, alpha, t)
+        assert len(cold_kept[alpha]) == 999 and _kept_rows() <= limit
+    # the oldest alpha went first, so the newest that fit are kept
+    assert list(cold_kept) == alphas[-(limit // 999) :]
+    # past the bound, a call builds its own triples and keeps none
+    big = jacobi_sequence(40000, 0.5, t)
+    assert np.array_equal(big, _jacobi_loop_reference(40000, 0.5, t))
+    assert 0.5 not in cold_kept and list(cold_kept) == alphas[-(limit // 999) :]
+    for alpha in (0.0, 0.5, 1.0):
+        jacobi_sequence(2 * sphere._K_CAP, alpha, t)
+        assert _kept_rows() <= limit
+    assert list(cold_kept) == [0.5, 1.0]
+
+
+def test_threads_growing_one_alpha_get_the_reference_bits(cold_kept):
+    alpha, t = 2.5, np.array([-0.9, 0.1, 0.8])
+    kmaxes = [100 + 150 * i for i in range(8)]
+    barrier = threading.Barrier(len(kmaxes))
+    got = [None] * len(kmaxes)
+
+    def grow(i):
+        barrier.wait()
+        table = np.empty((0, t.size))
+        for kmax in [*range(i, kmaxes[i], 37), kmaxes[i]]:
+            table = specfun._jacobi_rows(table, kmax, alpha, t)
+        got[i] = table
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grow, args=(i,)) for i in range(len(kmaxes))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for kmax, table in zip(kmaxes, got):
+        assert table is not None and np.array_equal(table, _jacobi_loop_reference(kmax, alpha, t))
+    assert cold_kept[alpha] == specfun._jacobi_triples(alpha, range(2, max(kmaxes) + 1))
+    assert _kept_rows() == max(kmaxes) - 1

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from hoffman import simplex, sphere
+from hoffman import simplex, specfun, sphere
 from hoffman.euclidean import steinhardt_measure
 from hoffman.errors import UncertifiedRangeError, VacuousBoundError
 from hoffman.reports import KIND_ALPHA_RATIO_UB, KIND_CHI_LB, alpha_ratio_ub, chi_lb
@@ -514,3 +514,21 @@ def test_no_table_outlives_its_call(monkeypatch):
     first = list(grown)
     optimize_sphere_measure(4, support, K=16)
     assert first and grown == first + first and first[0][0] == 0
+
+
+def test_a_second_identical_call_builds_no_jacobi_triple(monkeypatch):
+    # its table's cells are computed anew, from coefficients kept per process
+    monkeypatch.setattr(specfun, "_jacobi_kept", {})
+    monkeypatch.setattr(specfun, "_jacobi_kept_rows", 0)
+    built = []
+    triples = specfun._jacobi_triples
+    monkeypatch.setattr(specfun, "_jacobi_triples", lambda *a: built.append(a) or triples(*a))
+    grown = _count_grown_rows(monkeypatch)
+    support = np.linspace(-0.95, 0.85, 16)
+    first = optimize_sphere_measure(5, support, K=64)
+    assert built and all(alpha == 1.0 for alpha, _ in built)
+    built.clear()
+    cells = list(grown)
+    second = optimize_sphere_measure(5, support, K=64)
+    assert not built and grown == cells + cells
+    assert np.array_equal(first[0].weights(), second[0].weights()) and first[1] == second[1]
