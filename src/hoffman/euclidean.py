@@ -31,7 +31,8 @@ _LP_GRID = 512
 _NEWTON_ITERS = 64  # bisection alone narrows a bracket 2**64-fold
 _NEWTON_RTOL = 1e-11
 _BLOCK_ELEMENTS = 1 << 14  # atoms x points per omega call
-# (first-window points) x (active atoms) above which a scan is refused
+# (points of the whole window) x (active atoms) above which a scan in
+# dimension n >= 2 is refused, checked before each segment is evaluated
 _SCAN_BUDGET = 1e8
 # omega cells one optimizer call keeps of its scan tables (8 MB); a scan
 # segment that would pass it is evaluated the same way and not kept
@@ -169,8 +170,9 @@ def _tail_envelope(mu: RadialMeasure, r: float) -> float:
     sqrt(2/(pi t)) at nu = 0.  That plain sqrt(2/(pi t)) is not a bound for
     larger orders: sqrt(pi t/2) |J_2(t)| reaches 1.0094.  The bound decreases
     in t, so its value at r bounds every radius beyond.  The window's first
-    cutoff is (j_{n/2,1} + 4 pi) / d_min, so every d r from it on exceeds
-    n/2 > nu.
+    cutoff is (j_{n/2,1} + pi) / d_min, so every d r from it on exceeds
+    n/2 > nu.  Each term times t^(nu + 1/2) is (1 - nu^2/t^2)^(-1/4), which
+    falls in t, so E(lam r) <= lam^(-(n-1)/2) E(r) for every lam >= 1.
     """
     n = mu.dim
     nu = (n - 2) / 2.0
@@ -264,8 +266,28 @@ def _newton_refine(mu: RadialMeasure, r, lo, hi, sign, cutoff: float):
     return np.array(args), sign * np.array(best)
 
 
+def _require_scan_domain(d_min: float, d_max: float, hi: float) -> None:
+    """Refuse a scan out to hi whose last point times d_max omega would refuse."""
+    if d_max * hi > _ARG_MAX:
+        raise ValueError(
+            f"profile scan past Omega_n's domain: radii {d_min:.6g} to {d_max:.6g} "
+            f"need a scan out to {hi:.6g}, and {d_max:.6g} x {hi:.6g} exceeds {_ARG_MAX:g}"
+        )
+
+
 def _window_scan(mu: RadialMeasure, tol: float, kept: dict | None = None):
     """Scan nuhat out to a cutoff past which neither extreme can move.
+
+    In dimension n >= 2 the first window ends at (j_{n/2,1} + pi) / d_min,
+    pi (about one spacing of Bessel zeros) past the first zero of the
+    smallest radius's term.  When the envelope E beyond it (_tail_envelope)
+    exceeds tau = min(max(-min nuhat, tol), max(max nuhat, tol)), the window
+    grows once, to r (E(r)/tau)^(2/(n-1)) rounded up until E is at most tau
+    there: E(lam r) <= lam^(-(n-1)/2) E(r) for lam >= 1, and the extra
+    points can only widen the extremes, so tau does not fall and the test
+    still holds.  Dimension 1 scans one period.  Grid-local extrema are
+    read once, on the joined segments, so a segment's end is a candidate
+    only if the profile does not fall past it.
 
     Returns (low_r, high_r, cutoff, points, step): the grid points of every
     grid-local low and high that could still be the global one, the cutoff,
@@ -280,36 +302,23 @@ def _window_scan(mu: RadialMeasure, tol: float, kept: dict | None = None):
     step = 2.0 * math.pi / (_POINTS_PER_PERIOD * d_max)
     if math.isinf(step):  # and so is the cutoff: their ratio would be nan
         raise ValueError(f"radii too small to scan: radius {d_max:.3g} gives an infinite step")
-    # |nuhat''| <= sum |w| d^2, so a true extremum between samples can beat its
-    # neighbouring sample by at most m2 step^2 / 8; every grid-local extremum
-    # within that margin of the best sample is a candidate basin
-    m2 = ordered_sum(abs(w) * d * d for d, w in active)
-    margin = m2 * step * step / 8.0
+    grids, values = [], []
 
-    # per sign s, +1 for lows and -1 for highs: (r, s nuhat) at every
-    # grid-local minimum of s nuhat, and the least s nuhat sampled
-    found = {1.0: [], -1.0: []}
-    best = {1.0: math.inf, -1.0: math.inf}
-
-    def scan(lo: float, hi: float) -> int:
-        if d_max * hi > _ARG_MAX:  # omega would refuse the segment's last point
-            raise ValueError(
-                f"profile scan past Omega_n's domain: radii {d_min:.6g} to {d_max:.6g} "
-                f"need a scan out to {hi:.6g}, and {d_max:.6g} x {hi:.6g} exceeds {_ARG_MAX:g}"
-            )
+    def scan(lo: float, hi: float) -> None:
+        """Sample [lo, hi] after its checks, lo only on the first segment."""
+        _require_scan_domain(d_min, d_max, hi)
         count = max(3, int(math.ceil((hi - lo) / step)) + 1)
-        grid = np.linspace(lo, hi, count)
-        vals = _profile(mu, grid, kept)
-        for s, local in found.items():
-            g = s * vals
-            at = np.ones(count, dtype=bool)  # no neighbour in the segment is lower
-            at[1:] &= g[1:] <= g[:-1]
-            at[:-1] &= g[:-1] <= g[1:]
-            local.extend(zip(grid[at].tolist(), g[at].tolist()))
-            best[s] = min(best[s], float(g.min()))
-        return count
+        start = 1 if grids else 0  # a later segment starts at the last one's end
+        cells = (sum(g.size for g in grids) + count - start) * len(active)
+        if mu.dim > 1 and cells > _SCAN_BUDGET:  # dimension 1: its period check
+            raise ConvergenceError(
+                f"profile scan too large: about {cells:.3g} atom evaluations "
+                f"out to {hi:.6g}, limit {_SCAN_BUDGET:.3g}"
+            )
+        grids.append(np.linspace(lo, hi, count)[start:])
+        values.append(_profile(mu, grids[-1], kept))
 
-    if mu.dim == 1:
+    if mu.dim == 1:  # one period holds every value
         g = _float_gcd([d for d, _ in active])
         if g < 1e-6 * d_max:
             raise ValueError(
@@ -318,28 +327,31 @@ def _window_scan(mu: RadialMeasure, tol: float, kept: dict | None = None):
         cutoff = 2.0 * math.pi / g + step
         if cutoff / step > 2e6:
             raise ConvergenceError("dimension-1 period too long to scan")
+        scan(0.0, cutoff)
     else:
-        cutoff = (bessel_first_zero(mu.dim / 2.0) + 4.0 * math.pi) / d_min
-        if cutoff / step * len(active) > _SCAN_BUDGET:
-            raise ConvergenceError(
-                f"profile scan too large: about {cutoff / step * len(active):.3g} "
-                f"atom evaluations in the first window, limit {_SCAN_BUDGET:.3g}"
-            )
-    points = scan(0.0, cutoff)
-    for _ in range(80):
-        # one period holds every value in dimension 1; else the envelope past
-        # the cutoff must be below -inf nuhat and sup nuhat, that is -best[s]
-        env = 0.0 if mu.dim == 1 else _tail_envelope(mu, cutoff)
-        if all(env <= max(-b, tol) for b in best.values()):
-            break
-        new_cutoff = cutoff * 1.6
-        points += scan(cutoff, new_cutoff)
-        cutoff = new_cutoff
-    else:  # pragma: no cover - envelope decays for every nonzero measure
-        raise ConvergenceError("extrema window budget exhausted")
+        cutoff = (bessel_first_zero(mu.dim / 2.0) + math.pi) / d_min
+        scan(0.0, cutoff)
+        # the envelope past the cutoff must be below -inf nuhat and sup nuhat
+        tau = min(max(-float(values[0].min()), tol), max(float(values[0].max()), tol))
+        if (env := _tail_envelope(mu, cutoff)) > tau:
+            grown = cutoff * (env / tau) ** (2.0 / (mu.dim - 1))
+            while _tail_envelope(mu, grown) > tau:  # rounding: step up
+                grown *= 1.0 + 2.0**-40
+            scan(cutoff, grown)
+            cutoff = grown
 
-    low_r, high_r = ([r for r, g in found[s] if g <= best[s] + margin] for s in (1.0, -1.0))
-    return low_r, high_r, cutoff, points, step
+    r, vals = np.concatenate(grids), np.concatenate(values)
+    # |nuhat''| <= sum |w| d^2, so a true extremum between samples can beat its
+    # neighbouring sample by at most m2 step^2 / 8; every grid-local extremum
+    # within that margin of the best sample is a candidate basin
+    margin = ordered_sum(abs(w) * d * d for d, w in active) * step * step / 8.0
+    found = []
+    for g in (vals, -vals):  # lows, then highs
+        at = g <= g.min() + margin  # and no neighbour on the grid is lower
+        at[1:] &= g[1:] <= g[:-1]
+        at[:-1] &= g[:-1] <= g[1:]
+        found.append(r[at].tolist())
+    return found[0], found[1], cutoff, r.size, step
 
 
 def _refined_extrema(mu: RadialMeasure, tol: float, kept: dict | None = None):
@@ -371,24 +383,26 @@ def _refined_extrema(mu: RadialMeasure, tol: float, kept: dict | None = None):
 def radial_range(mu: RadialMeasure, tol: float = 1e-8) -> SpectralRange:
     """The spectral range [inf nuhat, sup nuhat] of mu over [0, infinity).
 
-    The profile is scanned densely out to a cutoff and the window is grown
-    until the Bessel-decay envelope beyond the cutoff is smaller than the
-    extreme values already found (or than tol when an extreme is near zero),
-    at which point no point past the cutoff can move either extreme.  In
-    dimension 1 the profile is periodic, so one period is scanned instead.
-    The scan starts at r = 0, where nuhat is the total mass.  Every
-    grid-local low or high that could still be the global one is then
-    refined in a single batched pass over all such basins: safeguarded
-    Newton on the exact derivatives of nuhat (from Omega_n and Omega_{n+2}),
-    bisecting whenever a step would leave the basin's bracket.  Each refined
-    value is at least as good as its grid sample, and inf_arg is the point
-    the iteration converged to.  Each profile evaluation covers every atom
-    and point at once, in blocks of at most 2^14 Bessel arguments.  A scan
-    whose first window alone needs more than 1e8 atom evaluations is
-    refused with ConvergenceError; radii too small for a finite grid step
-    (below about 9e-310), and a scan segment whose last point times the
-    largest radius passes omega's domain (1e6), before it is evaluated, with
-    ValueError.
+    The profile is scanned densely over a first window that ends pi past the
+    first zero of the smallest radius's term.  If the Bessel-decay envelope
+    beyond it is not below the extreme values found (or tol when an extreme
+    is near zero), the window grows once, to where the envelope's power-law
+    decay puts it below them; past that cutoff no point can move either
+    extreme.  In dimension 1 the profile is periodic, so one period is
+    scanned instead.  The scan starts at r = 0, where nuhat is the total
+    mass.  Every grid-local low or high of the whole grid that could still
+    be the global one is then refined in a single batched pass over all
+    such basins: safeguarded Newton on the exact derivatives of nuhat (from
+    Omega_n and Omega_{n+2}), bisecting whenever a step would leave the
+    basin's bracket.  Each refined value is at least as good as its grid
+    sample, and inf_arg is the point the iteration converged to.  Each
+    profile evaluation covers every atom and point at once, in blocks of at
+    most 2^14 Bessel arguments.  A scan whose whole window needs more than
+    1e8 atom evaluations is refused with ConvergenceError, and so is a
+    dimension-1 period of more than 2e6 grid points; radii too small
+    for a finite grid step (below about 9e-310), and a scan segment whose
+    last point times the largest radius passes omega's domain (1e6), with
+    ValueError.  Both segment checks refuse before the segment is evaluated.
     R = nuhat(0), the total mass, is given only for a nonnegative measure.
     The provenance is {cutoff, grid_points, inf_arg}; a measure with no
     nonzero weight scans nothing and has the range (0, 0).
@@ -487,11 +501,13 @@ def optimize_radial_measure(
     """Best chromatic bound over probability measures on the given radii.
 
     Solves the max-min game between weights and frequencies on a grid of
-    _LP_GRID frequencies, then verifies the winner against the true
-    continuous infimum; any frequency that beats the grid value is appended
-    as a new constraint and the game is re-solved (Kelley's cutting planes),
-    so the grid is only a warm start.  The payoff matrix is evaluated once
-    on the grid, and each round evaluates only its new columns.
+    _LP_GRID frequencies out to (j_{n/2,1} + 4 pi) / d_min, or to the
+    uniform measure's scan cutoff where that is longer, then verifies the
+    winner against the true continuous infimum; any frequency that beats
+    the grid value is appended as a new constraint and the game is
+    re-solved (Kelley's cutting planes), so the grid is only a warm start.
+    The payoff matrix is evaluated once on the grid, and each round
+    evaluates only its new columns.
 
     After the first round, the local reduction of the semi-infinite program
     (Hettich & Kortanek, SIAM Review 35, 1993) is solved once: on the
@@ -528,8 +544,14 @@ def optimize_radial_measure(
 
     uniform = RadialMeasure(n, tuple((d, 1.0 / len(ds)) for d in ds))
     kept: dict = {}
+    # the game's grid spans 4 pi past the first zero, or the uniform
+    # measure's window where that is longer: its binding frequencies lie
+    # beyond the scan's shorter first window.  Its payoff is evaluated out
+    # there, so that span is refused before the uniform measure is scanned
+    span = (bessel_first_zero(n / 2.0) + 4.0 * math.pi) / ds[0]
+    _require_scan_domain(ds[0], ds[-1], span)
     cutoff = _window_scan(uniform, tol, kept)[2]
-    grid = np.linspace(0.0, cutoff, _LP_GRID)
+    grid = np.linspace(0.0, max(cutoff, span), _LP_GRID)
 
     def certified(w):
         mu = RadialMeasure(n, tuple(zip(ds, w)))

@@ -46,6 +46,8 @@ from hoffman.sphere import (
 import oracles
 
 C5_TEXT = "0 1\n1 2\n2 3\n3 4\n4 0\n"
+# a signed plane measure whose scan takes the growth step (CI runs it too)
+_SIX_ATOMS_N2 = [[1.05, -0.23], [1.2, 0.22], [1.35, -0.11], [1.5, 0.24], [1.7, 0.07], [1.9, 0.13]]
 EDGELESS_TEXT = "p edge 3 0\n"
 
 
@@ -257,21 +259,59 @@ def test_bad_radial_measure_exits_1_with_one_line(capsys, tmp_path, measure, mes
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["euclidean", "{file}"], ["optimize", "--mode", "radial", "--support", "1", "62000"]],
-    ids=["euclidean", "optimize"],
+    "argv, far, reach",
+    [
+        (["euclidean", "{file}"], "150000", "6.9733"),
+        (["optimize", "--mode", "radial", "--support", "1", "62000"], "62000", "16.3981"),
+        (["optimize", "--mode", "radial", "--support", "1", "150000"], "150000", "16.3981"),
+    ],
+    ids=["euclidean", "optimize", "optimize-150000"],
 )
-def test_scan_past_bessel_domain_exits_1_before_scanning(capsys, tmp_path, argv):
-    # the scan used to evaluate most of its 6.5e6 points, for 2.7 s, before
-    # omega refused an argument past 1e6
+def test_scan_past_bessel_domain_exits_1_before_scanning(
+    capsys, scan_segments, tmp_path, argv, far, reach
+):
+    # the scan's first window ends at 6.9733 and the optimizer's game grid
+    # at 16.3981, 3 pi further; either past omega's domain is refused
+    # before a point is evaluated
     path = tmp_path / "measure.json"
-    path.write_text(json.dumps({"dim": 2, "atoms": [[1.0, 0.5], [62000.0, 0.5]]}))
+    path.write_text(json.dumps({"dim": 2, "atoms": [[1.0, 0.5], [float(far), 0.5]]}))
     t0 = time.monotonic()
     assert run([a.replace("{file}", str(path)) for a in argv]) == 1
     assert time.monotonic() - t0 < 0.5
+    assert scan_segments == []
     assert _one_error_line(capsys) == (
-        "hoffman: profile scan past Omega_n's domain: radii 1 to 62000 need a scan"
-        " out to 16.3981, and 62000 x 16.3981 exceeds 1e+06\n"
+        f"hoffman: profile scan past Omega_n's domain: radii 1 to {far} need a scan"
+        f" out to {reach}, and {far} x {reach} exceeds 1e+06\n"
+    )
+
+
+def test_growth_past_bessel_domain_exits_1_before_the_segment(capsys, scan_segments, tmp_path):
+    # the two terms nearly cancel, so the extremes are about 1e-9 and the
+    # growth step would reach 6.4e15, past omega's domain: refused after the
+    # first window, before that segment is evaluated
+    path = tmp_path / "measure.json"
+    path.write_text(json.dumps({"dim": 2, "atoms": [[1.0, 0.5], [1.000000001, -0.5]]}))
+    t0 = time.monotonic()
+    assert run(["euclidean", str(path)]) == 1
+    assert time.monotonic() - t0 < 0.5
+    assert [r.size for r, _ in scan_segments] == [46]  # the first window only
+    assert _one_error_line(capsys) == (
+        "hoffman: profile scan past Omega_n's domain: radii 1 to 1 need a scan"
+        " out to 6.3662e+15, and 1 x 6.3662e+15 exceeds 1e+06\n"
+    )
+
+
+def test_growth_over_budget_exits_1_before_the_segment(capsys, monkeypatch, scan_segments, tmp_path):
+    # the six atoms' first window holds 82 x 6 = 492 atom evaluations and the
+    # grown window 203 x 6 = 1218: a budget of 1000 refuses the growth step
+    monkeypatch.setattr(hoffman.euclidean, "_SCAN_BUDGET", 1000)
+    path = tmp_path / "measure.json"
+    path.write_text(json.dumps({"dim": 2, "atoms": _SIX_ATOMS_N2}))
+    assert run(["euclidean", str(path)]) == 1
+    assert [r.size for r, _ in scan_segments] == [82]
+    assert _one_error_line(capsys) == (
+        "hoffman: profile scan too large: about 1.22e+03 atom evaluations out to"
+        " 16.578, limit 1e+03\n"
     )
 
 
@@ -807,6 +847,17 @@ def test_radial_scan_over_budget_exits_1_quickly(capsys):
     assert run(["odd-distance", "--beta", "1.01", "-N", "10000"]) == 1
     assert time.monotonic() - t0 < 5.0
     assert "scan too large" in _one_error_line(capsys)
+
+
+def test_dimension_1_scan_keeps_its_period_rule_alone(capsys, monkeypatch, tmp_path):
+    # the budget covers scans in dimension 2 and up; a line's period scan is
+    # bounded by its 2e6 grid points alone (100 radii 1..99 and 40000 scan
+    # 1.6e6 points, 1.6e8 atom evaluations, and print a bound)
+    monkeypatch.setattr(hoffman.euclidean, "_SCAN_BUDGET", 10)
+    path = tmp_path / "measure.json"
+    path.write_text(json.dumps({"dim": 1, "atoms": [[1.0, 0.5], [2.0, 0.5]]}))
+    assert run(["euclidean", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["provenance"]["grid_points"] == 82
 
 
 def test_finite_makes_one_eigen_solve(capsys, monkeypatch, tmp_path):
